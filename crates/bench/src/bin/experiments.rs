@@ -16,8 +16,8 @@
 //! pipeline (profile wall time at n ∈ {1024, 4096} × {8, 64, 256}
 //! latencies, plus the legacy-vs-pipeline speedup), writing
 //! `BENCH_analysis.json`. `bench-net` times the network runtime
-//! (push-pull all-to-all over the loopback and localhost-TCP
-//! transports), writing `BENCH_net.json`.
+//! (push-pull all-to-all over the loopback transport and the
+//! localhost-socket reactor), writing `BENCH_net.json`.
 
 use std::time::Instant;
 
@@ -178,7 +178,7 @@ fn main() {
             .clone()
             .unwrap_or_else(|| String::from("BENCH_net.json"));
         eprintln!(
-            "running bench-net: push-pull all-to-all over loopback, localhost TCP, and the reactor …"
+            "running bench-net: push-pull all-to-all over loopback and the reactor (virtual and wall clock) …"
         );
         let start = Instant::now();
         let json = gossip_bench::net_bench::run(3, std::time::Duration::from_millis(10));

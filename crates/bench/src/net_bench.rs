@@ -4,14 +4,15 @@
 //! Four sections mirror the runtime's layers. The `loopback` section
 //! runs push-pull all-to-all through the full runner + wire-codec stack
 //! on the virtual clock, so it prices the network layer itself
-//! (framing, hold queues, pacing) with zero I/O. The `tcp` section runs
-//! the same workload over real localhost sockets, one OS thread per
-//! node, so it prices the thread-per-peer wall-clock runtime. The
-//! `reactor` section runs it single-process on the epoll reactor —
-//! thousands of nodes, a handful of OS threads — which is where the
-//! large sizes live. The `codec` row prices the wire codec alone
-//! (scratch-buffer encode, incremental decode), the unit cost under
-//! everything else.
+//! (framing, hold queues, pacing) with zero I/O. The `reactor` section
+//! runs it single-process on the epoll reactor, still on the virtual
+//! clock — thousands of nodes, a handful of OS threads — which is where
+//! the large sizes live. The `wall` section runs the same reactor on
+//! the wall clock (the `run-net --transport tcp` / `serve`
+//! configuration), so it prices round pacing and reply shaping: its
+//! seconds are rounds × round length, not throughput. The `codec` row
+//! prices the wire codec alone (scratch-buffer encode, incremental
+//! decode), the unit cost under everything else.
 //!
 //! Every row carries payload byte accounting — `payload_bytes` actually
 //! sent versus the `snapshot_equivalent_bytes` an always-snapshot run
@@ -23,18 +24,18 @@
 //! byte reduction is provably free.
 //!
 //! Every row reports `peak_threads`, sampled from `/proc/self/status`
-//! inside the convergence check: the thread-per-peer rows grow with
-//! `n · degree`, the reactor rows must not grow at all.
+//! inside the convergence check: it must not grow with `n` on any row.
 
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use gossip_core::push_pull::{Mode, PushPullNode};
 pub use gossip_net::PayloadMode;
 use gossip_net::{
-    run_local_cluster_mode, run_loopback_mode_with_stats, run_reactor_mode_with_stats, Frame,
-    NodeStopReason, TcpConfig, WireAccounting,
+    run_loopback_mode_with_stats, run_reactor_cluster_mode, run_reactor_mode_with_stats, Frame,
+    NodeStopReason, ReactorConfig, WireAccounting,
 };
 use gossip_sim::{SimConfig, StopReason};
 use latency_graph::{generators, Graph, NodeId};
@@ -230,15 +231,16 @@ pub fn measure_loopback(name: &'static str, n: usize, trials: u64, mode: Payload
     point
 }
 
-/// Push-pull all-to-all over localhost TCP on `topology(name, n)`.
-/// Socket setup is inside the timed region on purpose: thread-per-peer
-/// start-up cost is part of what this transport charges.
+/// Push-pull all-to-all on one wall-paced reactor hosting every node
+/// of `topology(name, n)`, `round` per round. Socket setup is inside
+/// the timed region on purpose: it is part of what a real-socket run
+/// charges.
 ///
 /// # Panics
 ///
 /// Panics if the cluster fails to start or any node misses the
 /// convergence barrier.
-pub fn measure_tcp(
+pub fn measure_wall(
     name: &'static str,
     n: usize,
     round: Duration,
@@ -246,11 +248,12 @@ pub fn measure_tcp(
     mode: PayloadMode,
 ) -> NetPoint {
     let g = topology(name, n);
-    let tcp = TcpConfig {
+    let cfg = ReactorConfig {
         round,
-        ..TcpConfig::default()
+        ..ReactorConfig::default()
     };
-    let peak = AtomicU64::new(0);
+    let hosted: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+    let peak = Cell::new(0_u64);
     let mut point = NetPoint {
         topology: name,
         n,
@@ -265,25 +268,27 @@ pub fn measure_tcp(
     };
     let start = Instant::now();
     for t in 0..trials {
-        let outcomes = run_local_cluster_mode(
+        let outcomes = run_reactor_cluster_mode(
             &g,
             &SimConfig {
                 seed: 1 + t,
                 max_rounds: 5_000,
                 ..SimConfig::default()
             },
-            &tcp,
+            &cfg,
+            &hosted,
             mode,
+            |_| BTreeMap::new(), // every node is hosted; nothing to exchange
             |id, n| PushPullNode::new(id, n, Mode::PushPull),
             |p: &PushPullNode, _view| {
-                peak.fetch_max(current_threads(), Ordering::Relaxed);
+                peak.set(peak.get().max(current_threads()));
                 p.rumors.is_full()
             },
         )
-        .expect("tcp cluster starts");
+        .expect("wall-paced cluster starts");
+        point.rounds += outcomes.iter().map(|o| o.rounds).max().unwrap_or(0);
         for o in &outcomes {
-            assert_eq!(o.reason, NodeStopReason::Barrier, "tcp must converge");
-            point.rounds = point.rounds.max(o.rounds);
+            assert_eq!(o.reason, NodeStopReason::Barrier, "wall must converge");
             point.frames += o.stats.frames_sent;
             point.bytes += o.stats.bytes_sent;
             point.wire.absorb(&o.accounting);
@@ -291,7 +296,7 @@ pub fn measure_tcp(
         }
     }
     point.secs = start.elapsed().as_secs_f64();
-    point.peak_threads = peak.into_inner();
+    point.peak_threads = peak.get();
     point
 }
 
@@ -441,8 +446,8 @@ pub fn measure_codec(frames: u64, payload: usize) -> CodecPoint {
 }
 
 /// Runs all sections at the committed sizes and renders
-/// `BENCH_net.json`. `round` is the TCP round length; `trials` scales
-/// the virtual-clock (loopback) section.
+/// `BENCH_net.json`. `round` is the wall-paced round length; `trials`
+/// scales the virtual-clock (loopback) section.
 pub fn run(trials: u64, round: Duration) -> String {
     let loopback = vec![
         measure_loopback("clique", 64, trials, PayloadMode::Snapshot),
@@ -450,17 +455,14 @@ pub fn run(trials: u64, round: Duration) -> String {
         measure_loopback("ring-of-cliques", 64, trials, PayloadMode::Snapshot),
         measure_loopback("ring-of-cliques", 256, trials, PayloadMode::Snapshot),
     ];
-    // TCP sizes are modest on purpose: thread-per-peer means a clique of
-    // n costs ~2n(n−1) OS threads, and the bench must converge even on a
-    // single-core CI runner without nodes falling behind the round clock
-    // and declaring each other lost.
-    let tcp = vec![
-        measure_tcp("clique", 16, round, 3, PayloadMode::Snapshot),
-        measure_tcp("ring-of-cliques", 64, round, 3, PayloadMode::Snapshot),
+    // Wall-paced sizes stay modest: these rows cost rounds × round
+    // length however fast the host is.
+    let wall = vec![
+        measure_wall("clique", 16, round, 3, PayloadMode::Snapshot),
+        measure_wall("ring-of-cliques", 64, round, 3, PayloadMode::Snapshot),
     ];
-    // The reactor carries the sizes thread-per-peer cannot reach in one
-    // process: 4096 nodes is ~8.4M edges of clique, all multiplexed
-    // over a handful of trunk sockets on one thread.
+    // 4096 nodes is ~8.4M edges of clique, all multiplexed over a
+    // handful of trunk sockets on one thread.
     let reactor = vec![
         measure_reactor("clique", 256, PayloadMode::Snapshot),
         measure_reactor("ring-of-cliques", 256, PayloadMode::Snapshot),
@@ -469,13 +471,13 @@ pub fn run(trials: u64, round: Duration) -> String {
     ];
     let comparison = measure_mode_comparison("clique", 1024, 128);
     let codec = measure_codec(200_000, 512);
-    to_json(&loopback, &tcp, &reactor, &comparison, &codec, round)
+    to_json(&loopback, &wall, &reactor, &comparison, &codec, round)
 }
 
 /// Renders the sections as a small, dependency-free JSON document.
 pub fn to_json(
     loopback: &[NetPoint],
-    tcp: &[NetPoint],
+    wall: &[NetPoint],
     reactor: &[NetPoint],
     comparison: &ModeComparison,
     codec: &CodecPoint,
@@ -484,7 +486,7 @@ pub fn to_json(
     let mut s = String::new();
     s.push_str("{\n  \"bench\": \"net/runtime\",\n");
     s.push_str("  \"workload\": \"push-pull all-to-all over the gossip-net runtime\",\n");
-    let _ = writeln!(s, "  \"tcp_round_ms\": {},", round.as_millis());
+    let _ = writeln!(s, "  \"wall_round_ms\": {},", round.as_millis());
     let _ = writeln!(
         s,
         "  \"codec\": {{\"frames\": {}, \"payload_bytes\": {}, \"bytes\": {}, \"encode_frames_per_sec\": {:.2}, \"decode_frames_per_sec\": {:.2}}},",
@@ -509,7 +511,7 @@ pub fn to_json(
         comparison.fallback_frames,
         comparison.compression_ratio(),
     );
-    for (section, points) in [("loopback", loopback), ("tcp", tcp), ("reactor", reactor)] {
+    for (section, points) in [("loopback", loopback), ("wall", wall), ("reactor", reactor)] {
         let _ = writeln!(s, "  \"{section}\": [");
         for (i, p) in points.iter().enumerate() {
             let _ = writeln!(
@@ -575,19 +577,20 @@ mod tests {
     }
 
     #[test]
-    fn tcp_measure_converges_cleanly() {
-        let p = measure_tcp(
+    fn wall_measure_converges_cleanly_on_one_thread() {
+        let p = measure_wall(
             "clique",
             4,
             Duration::from_millis(5),
-            1,
+            2,
             PayloadMode::Snapshot,
         );
         assert_eq!(p.n, 4);
-        assert!(p.rounds > 0);
+        assert!(p.rounds >= 2, "rounds total over both trials");
         assert!(p.frames > 0);
         assert_eq!(p.losses, 0);
         assert!(p.peak_threads > 0, "thread sampling works on this target");
+        assert!(p.peak_threads <= 8, "peak threads: {}", p.peak_threads);
     }
 
     #[test]
@@ -598,8 +601,7 @@ mod tests {
         assert!(p.frames > 0 && p.bytes > p.frames);
         assert_eq!(p.losses, 0);
         // The whole cluster runs on the calling thread; the sampled
-        // count must stay at the harness baseline, far under the
-        // thread-per-peer section's hundreds.
+        // count must stay at the harness baseline.
         assert!(p.peak_threads <= 8, "peak threads: {}", p.peak_threads);
     }
 
@@ -678,9 +680,9 @@ mod tests {
             Duration::from_millis(5),
         );
         assert!(j.contains("\"bench\": \"net/runtime\""));
-        assert!(j.contains("\"tcp_round_ms\": 5"));
+        assert!(j.contains("\"wall_round_ms\": 5"));
         assert!(j.contains("\"loopback\": ["));
-        assert!(j.contains("\"tcp\": ["));
+        assert!(j.contains("\"wall\": ["));
         assert!(j.contains("\"reactor\": ["));
         assert!(j.contains("\"codec\": {\"frames\": 1000, \"payload_bytes\": 512"));
         assert!(j.contains("\"encode_frames_per_sec\": 4000.00"));
@@ -711,7 +713,7 @@ mod tests {
         }
     }
 
-    /// The TCP done predicate used by the bench ignores the view, so a
+    /// The wall-paced done predicate used by the bench ignores the view, so a
     /// healthy cluster must see zero gone peers; pin that the graph is
     /// symmetric enough for it (every node reachable).
     #[test]

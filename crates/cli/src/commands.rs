@@ -37,7 +37,7 @@ byte-identical to the default single-threaded run.
   gossip run-net --workload stream <file|-> [--transport tcp|loopback|reactor]
                  [--rumors K] [--budget B] [--policy rr|rlc] [--seed S]
                  [--round-ms MS] [--max-rounds R]
-  gossip serve <file|-> (--node I | --nodes A..B) [--peers FILE]
+  gossip serve <file|-> --nodes A..B [--peers FILE]
                [--listen ADDR] [--algorithm A] [--seed S] [--source V]
                [--all-to-all] [--round-ms MS] [--max-rounds R]
                [--payload-mode snapshot|delta]
@@ -48,13 +48,13 @@ byte-identical to the default single-threaded run.
   gossip help
 
 `run-net` runs a whole cluster in one process: `loopback` replays the
-engine's schedule exactly on a virtual clock; `tcp` spawns one thread
-per node over localhost sockets; `reactor` multiplexes every node onto
-one thread of non-blocking sockets (same exact schedule as loopback,
-thousands of nodes per process). `serve` joins a TCP cluster spanning
-processes: `--node I` runs one thread-per-peer node, `--nodes A..B`
-runs a whole shard of nodes on one reactor. The peers file maps remote
-node ids to addresses (`<id> <host:port>` per line); reactor-hosted
+engine's schedule exactly on a virtual clock; `reactor` multiplexes
+every node onto one thread of non-blocking sockets (same exact schedule
+as loopback, thousands of nodes per process); `tcp` is that reactor on
+the wall clock, `--round-ms` per round. `serve` joins a TCP cluster
+spanning processes: `--nodes A..B` runs a shard of nodes — one or many
+— on one reactor. The peers file maps remote node ids to addresses
+(`<id> <host:port>` per line); reactor-hosted
 neighbors share their shard's one listen address. Net algorithms:
 push-pull | push-only | flooding. `--payload-mode delta` sends
 rumor-set deltas against per-peer cached knowledge instead of full

@@ -1,9 +1,9 @@
 //! The network-runtime subcommands: `gossip run-net` drives a whole
-//! cluster in one process (deterministic loopback, localhost TCP, or
-//! the single-threaded reactor), and `gossip serve` runs one node — or,
-//! with `--nodes A..B`, a reactor-hosted shard of nodes — over real
-//! sockets so a cluster can be assembled from independent processes (or
-//! terminals).
+//! cluster in one process (deterministic loopback, or the
+//! single-threaded reactor on the virtual clock or the wall clock), and
+//! `gossip serve --nodes A..B` runs a reactor-hosted shard of nodes —
+//! one node or many — over real sockets so a cluster can be assembled
+//! from independent processes (or terminals).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -14,10 +14,9 @@ use gossip_core::push_pull::{Mode, PushPullNode};
 use gossip_core::stream::{RlcStreamNode, RrStreamNode};
 use gossip_core::Goal;
 use gossip_net::{
-    run_local_cluster_mode, run_loopback_mode_with_stats, run_reactor_cluster_mode,
-    run_reactor_mode_with_stats, NetRunner, NodeOutcome, NodeStopReason, PayloadMode,
-    ReactorConfig, RunView, TcpConfig, TcpTransport, Transport, TransportStats, WireAccounting,
-    WirePayload, CAP_DELTA,
+    run_loopback_mode_with_stats, run_reactor_cluster_mode, run_reactor_mode_with_stats, NetError,
+    NodeOutcome, NodeStopReason, PayloadMode, ReactorConfig, RunView, TransportStats,
+    WireAccounting, WirePayload,
 };
 use gossip_sim::{
     completion_rounds, CompletionLog, Protocol, SharedRumorSet, SimConfig, SimMetrics, StopReason,
@@ -80,7 +79,7 @@ fn parse_net_args(args: &mut Args, algorithm: String, g: &Graph) -> Result<NetAr
     })
 }
 
-fn net_error(e: gossip_net::NetError) -> CliError {
+fn net_error(e: NetError) -> CliError {
     CliError::Net(e.to_string())
 }
 
@@ -130,6 +129,73 @@ fn write_accounting(out: &mut String, mode: PayloadMode, acct: &WireAccounting) 
     }
 }
 
+/// Cluster-wide totals over the per-node outcomes of a wall-paced run.
+struct Totals {
+    /// The last node's stopping round.
+    rounds: u64,
+    /// Whether every node stopped at the done barrier.
+    barrier: bool,
+    metrics: SimMetrics,
+    stats: TransportStats,
+    acct: WireAccounting,
+    losses: usize,
+}
+
+fn totals<P>(outcomes: &[NodeOutcome<P>]) -> Totals {
+    let mut t = Totals {
+        rounds: 0,
+        barrier: true,
+        metrics: SimMetrics::default(),
+        stats: TransportStats::default(),
+        acct: WireAccounting::default(),
+        losses: 0,
+    };
+    for o in outcomes {
+        t.rounds = t.rounds.max(o.rounds);
+        t.barrier &= o.reason == NodeStopReason::Barrier;
+        t.metrics.absorb(&o.metrics);
+        t.stats.absorb(&o.stats);
+        t.acct.absorb(&o.accounting);
+        t.losses += o.losses.len();
+    }
+    t
+}
+
+/// `--transport tcp`: every node hosted by one wall-paced reactor —
+/// real localhost sockets, `round` per round, and no remote shard to
+/// exchange addresses with.
+fn run_wall_cluster<P, F, D>(
+    g: &Graph,
+    sim: &SimConfig,
+    round: Duration,
+    mode: PayloadMode,
+    factory: F,
+    done: D,
+) -> Result<Vec<NodeOutcome<P>>, CliError>
+where
+    P: Protocol,
+    P::Payload: WirePayload,
+    F: FnMut(NodeId, usize) -> P,
+    D: Fn(&P, &RunView<'_>) -> bool,
+{
+    let cfg = ReactorConfig {
+        round,
+        ..ReactorConfig::default()
+    };
+    let hosted: Vec<NodeId> = (0..g.node_count()).map(NodeId::new).collect();
+    run_reactor_cluster_mode(
+        g,
+        sim,
+        &cfg,
+        &hosted,
+        mode,
+        |_| BTreeMap::new(),
+        factory,
+        done,
+    )
+    .map_err(net_error)
+}
+
 fn run_net_generic<P, F, R>(
     g: &Graph,
     net: &NetArgs,
@@ -138,10 +204,10 @@ fn run_net_generic<P, F, R>(
     rumors: R,
 ) -> Result<String, CliError>
 where
-    P: Protocol + Send,
-    P::Payload: WirePayload + Send,
+    P: Protocol,
+    P::Payload: WirePayload,
     F: FnMut(NodeId, usize) -> P,
-    R: Fn(&P) -> &SharedRumorSet + Sync,
+    R: Fn(&P) -> &SharedRumorSet,
 {
     let mut out = String::new();
     let _ = writeln!(out, "algorithm = {}", net.algorithm);
@@ -164,37 +230,17 @@ where
             write_accounting(&mut out, net.mode, &acct);
         }
         "tcp" => {
-            let tcp = TcpConfig {
-                round: net.round,
-                ..TcpConfig::default()
-            };
             let n = g.node_count();
             let goal = net.goal.clone();
             let done = move |p: &P, view: &RunView<'_>| locally_done(&goal, n, rumors(p), view);
-            let outcomes = run_local_cluster_mode(g, &net.sim, &tcp, net.mode, factory, done)
-                .map_err(net_error)?;
-            let rounds = outcomes.iter().map(|o| o.rounds).max().unwrap_or(0);
-            let complete = outcomes.iter().all(|o| o.reason == NodeStopReason::Barrier);
-            let mut metrics = SimMetrics::default();
-            let mut stats = TransportStats::default();
-            let mut acct = WireAccounting::default();
-            let mut losses = 0usize;
-            for o in &outcomes {
-                metrics.initiated += o.metrics.initiated;
-                metrics.delivered += o.metrics.delivered;
-                metrics.lost += o.metrics.lost;
-                metrics.rejected += o.metrics.rejected;
-                metrics.payload_units += o.metrics.payload_units;
-                stats.absorb(&o.stats);
-                acct.absorb(&o.accounting);
-                losses += o.losses.len();
-            }
+            let outcomes = run_wall_cluster(g, &net.sim, net.round, net.mode, factory, done)?;
+            let t = totals(&outcomes);
             let _ = writeln!(out, "nodes = {}", outcomes.len());
-            let _ = writeln!(out, "rounds = {rounds}");
-            let _ = writeln!(out, "complete = {complete}");
-            write_metrics(&mut out, &metrics, &stats);
-            write_accounting(&mut out, net.mode, &acct);
-            let _ = writeln!(out, "peer losses = {losses}");
+            let _ = writeln!(out, "rounds = {}", t.rounds);
+            let _ = writeln!(out, "complete = {}", t.barrier);
+            write_metrics(&mut out, &t.metrics, &t.stats);
+            write_accounting(&mut out, net.mode, &t.acct);
+            let _ = writeln!(out, "peer losses = {}", t.losses);
         }
         other => {
             return Err(CliError::BadArgument {
@@ -220,10 +266,10 @@ fn run_net_stream_generic<P, F, L>(
     log: L,
 ) -> Result<String, CliError>
 where
-    P: Protocol + Send,
-    P::Payload: WirePayload + Send,
+    P: Protocol,
+    P::Payload: WirePayload,
     F: FnMut(NodeId, usize) -> P,
-    L: Fn(&P) -> &CompletionLog + Sync,
+    L: Fn(&P) -> &CompletionLog,
 {
     let fmt_completions = |completions: &[Option<u64>]| {
         let cells: Vec<String> = completions
@@ -251,39 +297,17 @@ where
             let _ = writeln!(out, "completions = {}", fmt_completions(&completions));
         }
         "tcp" => {
-            let tcp = TcpConfig {
-                round,
-                ..TcpConfig::default()
-            };
-            let log = &log;
-            let done = move |p: &P, _: &RunView<'_>| log(p).heard_all();
-            let outcomes =
-                run_local_cluster_mode(g, sim, &tcp, PayloadMode::Snapshot, factory, done)
-                    .map_err(net_error)?;
-            let rounds = outcomes.iter().map(|o| o.rounds).max().unwrap_or(0);
-            let complete = outcomes.iter().all(|o| o.reason == NodeStopReason::Barrier);
-            let mut metrics = SimMetrics::default();
-            let mut stats = TransportStats::default();
-            let mut acct = WireAccounting::default();
-            let mut losses = 0usize;
-            for o in &outcomes {
-                metrics.initiated += o.metrics.initiated;
-                metrics.delivered += o.metrics.delivered;
-                metrics.lost += o.metrics.lost;
-                metrics.rejected += o.metrics.rejected;
-                metrics.payload_units += o.metrics.payload_units;
-                stats.absorb(&o.stats);
-                acct.absorb(&o.accounting);
-                losses += o.losses.len();
-            }
+            let done = |p: &P, _: &RunView<'_>| log(p).heard_all();
+            let outcomes = run_wall_cluster(g, sim, round, PayloadMode::Snapshot, factory, done)?;
+            let t = totals(&outcomes);
             let _ = writeln!(out, "nodes = {}", outcomes.len());
-            let _ = writeln!(out, "rounds = {rounds}");
-            let _ = writeln!(out, "complete = {complete}");
-            write_metrics(&mut out, &metrics, &stats);
-            let _ = writeln!(out, "stream units = {}", acct.stream_units);
+            let _ = writeln!(out, "rounds = {}", t.rounds);
+            let _ = writeln!(out, "complete = {}", t.barrier);
+            write_metrics(&mut out, &t.metrics, &t.stats);
+            let _ = writeln!(out, "stream units = {}", t.acct.stream_units);
             let completions = completion_rounds(outcomes.iter().map(|o| log(&o.protocol)));
             let _ = writeln!(out, "completions = {}", fmt_completions(&completions));
-            let _ = writeln!(out, "peer losses = {losses}");
+            let _ = writeln!(out, "peer losses = {}", t.losses);
         }
         other => {
             return Err(CliError::BadArgument {
@@ -296,7 +320,7 @@ where
 }
 
 /// `gossip run-net --workload stream`: the streaming workload over a
-/// real transport (loopback, tcp, or reactor).
+/// transport (loopback, tcp, or reactor).
 fn run_net_stream(args: &mut Args) -> Result<String, CliError> {
     let path: String = args.require("graph file")?;
     let transport: String = args.flag_or("transport", "loopback".to_owned())?;
@@ -441,9 +465,8 @@ fn parse_node_range(s: &str, n: usize) -> Result<Vec<NodeId>, CliError> {
     Ok((a..b).map(NodeId::new).collect())
 }
 
-/// Runs a reactor-hosted shard of `nodes` (the `serve --nodes A..B`
-/// path): one listener, one thread, every hosted runner stepped
-/// cooperatively.
+/// Runs a reactor-hosted shard of `nodes` (`serve --nodes A..B`): one
+/// listener, one thread, every hosted runner stepped cooperatively.
 fn serve_shard_generic<P, F, R>(
     g: &Graph,
     nodes: &[NodeId],
@@ -486,25 +509,14 @@ where
         n,
         listen_addr.borrow()
     );
-    let rounds = outcomes.iter().map(|o| o.rounds).max().unwrap_or(0);
-    let barrier = outcomes.iter().all(|o| o.reason == NodeStopReason::Barrier);
+    let t = totals(&outcomes);
     let goal_met = outcomes
         .iter()
         .all(|o| net.goal.locally_met(rumors(&o.protocol).as_ref()));
-    let _ = writeln!(out, "rounds = {rounds}");
-    let _ = writeln!(out, "barrier = {barrier}");
+    let _ = writeln!(out, "rounds = {}", t.rounds);
+    let _ = writeln!(out, "barrier = {}", t.barrier);
     let _ = writeln!(out, "goal met = {goal_met}");
-    let mut metrics = SimMetrics::default();
-    let mut stats = TransportStats::default();
-    for o in &outcomes {
-        metrics.initiated += o.metrics.initiated;
-        metrics.delivered += o.metrics.delivered;
-        metrics.lost += o.metrics.lost;
-        metrics.rejected += o.metrics.rejected;
-        metrics.payload_units += o.metrics.payload_units;
-        stats.absorb(&o.stats);
-    }
-    write_metrics(&mut out, &metrics, &stats);
+    write_metrics(&mut out, &t.metrics, &t.stats);
     for (node, o) in nodes.iter().zip(&outcomes) {
         for loss in &o.losses {
             let _ = writeln!(
@@ -520,67 +532,10 @@ where
     Ok(out)
 }
 
-fn serve_generic<P, R>(
-    g: &Graph,
-    node: NodeId,
-    net: &NetArgs,
-    tcp: TcpConfig,
-    protocol: P,
-    rumors: R,
-) -> Result<String, CliError>
-where
-    P: Protocol,
-    P::Payload: WirePayload,
-    R: Fn(&P) -> &SharedRumorSet,
-{
-    let mut transport = TcpTransport::for_graph(g, node, tcp).map_err(net_error)?;
-    // Advertise the delta capability in this process's Hello; peers
-    // that stayed in snapshot mode simply never see a delta frame.
-    if net.mode == PayloadMode::Delta && P::Payload::supports_delta() {
-        transport.set_caps(CAP_DELTA);
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "algorithm = {}", net.algorithm);
-    let _ = writeln!(
-        out,
-        "node = {} of {} (listening on {})",
-        node.index(),
-        g.node_count(),
-        transport.local_addr()
-    );
-    let n = g.node_count();
-    let goal = net.goal.clone();
-    let runner = NetRunner::new(g, node, protocol, &net.sim, transport).with_payload_mode(net.mode);
-    let rumors = &rumors;
-    let o: NodeOutcome<P> = runner
-        .run(move |p, view| locally_done(&goal, n, rumors(p), view))
-        .map_err(net_error)?;
-    let _ = writeln!(out, "reason = {:?}", o.reason);
-    let _ = writeln!(out, "rounds = {}", o.rounds);
-    let _ = writeln!(
-        out,
-        "goal met = {}",
-        net.goal.locally_met(rumors(&o.protocol).as_ref())
-    );
-    write_metrics(&mut out, &o.metrics, &o.stats);
-    for loss in &o.losses {
-        let _ = writeln!(
-            out,
-            "peer lost = {} after {} attempts ({})",
-            loss.peer.index(),
-            loss.attempts,
-            loss.error
-        );
-    }
-    Ok(out)
-}
-
-/// `gossip serve`: run one node (`--node I`, thread-per-peer TCP) or a
-/// reactor-hosted shard of nodes (`--nodes A..B`) of a cluster in this
-/// process.
+/// `gossip serve`: run a reactor-hosted shard of nodes (`--nodes A..B`;
+/// `I..I+1` is a single node) of a cluster in this process.
 pub fn serve(args: &mut Args) -> Result<String, CliError> {
     let path: String = args.require("graph file")?;
-    let node_idx: Option<usize> = args.flag_opt("node")?;
     let nodes_range: Option<String> = args.flag_opt("nodes")?;
     let listen: String = args.flag_or("listen", "127.0.0.1:0".to_owned())?;
     let peers_path: Option<String> = args.flag_opt("peers")?;
@@ -589,77 +544,30 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
     let net = parse_net_args(args, algorithm, &g)?;
     args.finish()?;
     let n = g.node_count();
+    let range = nodes_range.ok_or(CliError::MissingArgument("--nodes <A..B>"))?;
+    let nodes = parse_node_range(&range, n)?;
     let peers = match &peers_path {
         Some(p) => {
             let text =
                 std::fs::read_to_string(p).map_err(|e| CliError::Io(p.clone(), e.to_string()))?;
             parse_peers_file(&text, n)?
         }
-        // A shard hosting every neighbor needs no peers file; the
-        // single-node path below insists on one.
+        // A shard hosting every neighbor needs no peers file.
         None => BTreeMap::new(),
     };
-    if let Some(range) = nodes_range {
-        if node_idx.is_some() {
-            return Err(CliError::BadArgument {
-                what: "node",
-                value: "--node and --nodes are mutually exclusive".to_owned(),
-            });
-        }
-        let nodes = parse_node_range(&range, n)?;
-        let cfg = ReactorConfig {
-            listen,
-            round: net.round,
-            ..ReactorConfig::default()
-        };
-        return match net.algorithm.as_str() {
-            "push-pull" | "push-only" => {
-                let mode = if net.algorithm == "push-only" {
-                    Mode::PushOnly
-                } else {
-                    Mode::PushPull
-                };
-                serve_shard_generic(
-                    &g,
-                    &nodes,
-                    &net,
-                    cfg,
-                    peers,
-                    |id, n| PushPullNode::new(id, n, mode),
-                    |p: &PushPullNode| &p.rumors,
-                )
-            }
-            "flooding" => serve_shard_generic(
-                &g,
-                &nodes,
-                &net,
-                cfg,
-                peers,
-                FloodingNode::new,
-                |p: &FloodingNode| &p.rumors,
-            ),
-            other => Err(CliError::BadArgument {
-                what: "algorithm",
-                value: other.to_string(),
-            }),
-        };
+    // A remote neighbor without an address fails fast, before any run.
+    let hosted = nodes[0]..=nodes[nodes.len() - 1];
+    let unaddressed = nodes
+        .iter()
+        .flat_map(|&u| g.neighbor_ids(u))
+        .find(|v| !hosted.contains(v) && !peers.contains_key(v));
+    if let Some(&v) = unaddressed {
+        return Err(net_error(NetError::UnknownPeer(v)));
     }
-    let node_idx = node_idx.ok_or(CliError::MissingArgument("--node <id>"))?;
-    if peers_path.is_none() {
-        return Err(CliError::MissingArgument("--peers <file>"));
-    }
-    if node_idx >= n {
-        return Err(CliError::BadArgument {
-            what: "node",
-            value: node_idx.to_string(),
-        });
-    }
-    let node = NodeId::new(node_idx);
-    let tcp = TcpConfig {
+    let cfg = ReactorConfig {
         listen,
-        peers,
         round: net.round,
-        ..TcpConfig::default()
+        ..ReactorConfig::default()
     };
     match net.algorithm.as_str() {
         "push-pull" | "push-only" => {
@@ -668,21 +576,23 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
             } else {
                 Mode::PushPull
             };
-            serve_generic(
+            serve_shard_generic(
                 &g,
-                node,
+                &nodes,
                 &net,
-                tcp,
-                PushPullNode::new(node, n, mode),
+                cfg,
+                peers,
+                |id, n| PushPullNode::new(id, n, mode),
                 |p: &PushPullNode| &p.rumors,
             )
         }
-        "flooding" => serve_generic(
+        "flooding" => serve_shard_generic(
             &g,
-            node,
+            &nodes,
             &net,
-            tcp,
-            FloodingNode::new(node, n),
+            cfg,
+            peers,
+            FloodingNode::new,
             |p: &FloodingNode| &p.rumors,
         ),
         other => Err(CliError::BadArgument {
@@ -931,20 +841,21 @@ mod tests {
     }
 
     #[test]
-    fn serve_requires_node_and_peers() {
+    fn serve_requires_nodes_and_peer_addresses() {
         let p = temp_graph("srv.txt", &["generate", "path", "2"]);
         assert!(matches!(
             call(&["serve", &p]),
-            Err(CliError::MissingArgument("--node <id>"))
+            Err(CliError::MissingArgument("--nodes <A..B>"))
         ));
+        // A neighbor without an address fails fast, before any run —
+        // with no peers file at all, or with one that omits it.
         assert!(matches!(
-            call(&["serve", &p, "--node", "0"]),
-            Err(CliError::MissingArgument("--peers <file>"))
+            call(&["serve", &p, "--nodes", "0..1"]),
+            Err(CliError::Net(_))
         ));
         let peers = temp_file("empty-peers.txt", "");
-        // A neighbor without an address fails fast, before any run.
         assert!(matches!(
-            call(&["serve", &p, "--node", "0", "--peers", &peers]),
+            call(&["serve", &p, "--nodes", "0..1", "--peers", &peers]),
             Err(CliError::Net(_))
         ));
     }
@@ -980,15 +891,15 @@ mod tests {
     }
 
     #[test]
-    fn serve_rejects_node_and_nodes_together() {
+    fn serve_rejects_bad_node_ranges() {
         let p = temp_graph("shard-bad.txt", &["generate", "path", "4"]);
-        assert!(matches!(
-            call(&["serve", &p, "--node", "0", "--nodes", "0..2"]),
-            Err(CliError::BadArgument { what: "node", .. })
-        ));
         assert!(matches!(
             call(&["serve", &p, "--nodes", "2..2"]),
             Err(CliError::BadArgument { what: "nodes", .. })
+        ));
+        assert!(matches!(
+            call(&["serve", &p, "--node", "0", "--nodes", "0..4"]),
+            Err(CliError::UnknownFlag(_))
         ));
     }
 
@@ -1048,29 +959,30 @@ mod tests {
 
     #[test]
     fn serve_two_terminals_converge() {
-        // The README quickstart, in-process: two `serve` invocations on
-        // pre-agreed ports form a 2-node cluster and both reach the
-        // barrier with the full rumor set.
+        // The README quickstart, in-process: two one-node `serve`
+        // invocations on pre-agreed ports form a 2-node cluster and both
+        // reach the barrier with the full rumor set. Whichever node
+        // finishes first says goodbye; the other must not call that a
+        // loss.
         let p = temp_graph("pair.txt", &["generate", "path", "2"]);
-        let reserve = |name: &str| {
+        let reserve = || {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = l.local_addr().unwrap().to_string();
             drop(l);
-            (name.to_string(), addr)
+            addr
         };
-        let (_, addr0) = reserve("a");
-        let (_, addr1) = reserve("b");
+        let (addr0, addr1) = (reserve(), reserve());
         let peers = temp_file("pair-peers.txt", &format!("0 {addr0}\n1 {addr1}\n"));
         let mut handles = Vec::new();
-        for (i, addr) in [(0usize, addr0), (1usize, addr1)] {
+        for (range, addr) in [("0..1", addr0), ("1..2", addr1)] {
             let p = p.clone();
             let peers = peers.clone();
             handles.push(std::thread::spawn(move || {
                 call(&[
                     "serve",
                     &p,
-                    "--node",
-                    &i.to_string(),
+                    "--nodes",
+                    range,
                     "--listen",
                     &addr,
                     "--peers",
@@ -1083,8 +995,10 @@ mod tests {
         }
         for h in handles {
             let out = h.join().expect("serve thread").expect("serve runs");
-            assert!(out.contains("reason = Barrier"), "{out}");
+            assert!(out.contains("shard = 1 nodes of 2"), "{out}");
+            assert!(out.contains("barrier = true"), "{out}");
             assert!(out.contains("goal met = true"), "{out}");
+            assert!(!out.contains("peer lost"), "{out}");
         }
     }
 }

@@ -1,18 +1,14 @@
-//! Connection state machinery shared by the thread-per-peer TCP
-//! transport and the reactor: handshake validation, capped exponential
+//! Connection state machinery for the reactor, kept free of sockets so
+//! it is unit-testable: handshake validation, capped exponential
 //! reconnect backoff, and incremental frame reassembly.
 //!
-//! Both transports speak the same wire protocol — a dialer sends
-//! [`Frame::Hello`] first, the acceptor answers with its own `Hello`
-//! *before* validating (so a mismatched dialer can read the answer,
-//! diagnose the topology difference on its side, and fail fast instead
-//! of retrying a hopeless connection), and both sides then refuse to
-//! exchange any other frame until the handshake checks out. Keeping the
-//! validation and the backoff schedule here is what makes the two
-//! runtimes wire-compatible: a reactor shard and a thread-per-peer node
-//! can join the same cluster.
+//! The wire protocol: a dialer sends [`Frame::Hello`] first, the
+//! acceptor answers with its own `Hello` *before* validating (so a
+//! mismatched dialer can read the answer, diagnose the topology
+//! difference on its side, and fail fast instead of retrying a hopeless
+//! connection), and both sides then refuse to exchange any other frame
+//! until the handshake checks out.
 
-use std::io::Read;
 use std::time::Duration;
 
 use latency_graph::NodeId;
@@ -60,9 +56,9 @@ pub fn validate_hello(
 const MAX_OFFSET: Duration = Duration::from_secs(86_400);
 
 /// Wall-clock offset of round `rounds` from the epoch: `rounds ·
-/// round_len`, saturating and clamped to [`MAX_OFFSET`]. Both socket
-/// transports derive round pacing targets and reply release deadlines
-/// from this one function so their clocks agree.
+/// round_len`, saturating and clamped to [`MAX_OFFSET`]. Round pacing
+/// targets and reply release deadlines both derive from this one
+/// function so they share a clock.
 pub(crate) fn round_offset(round_len: Duration, rounds: u128) -> Duration {
     let nanos = round_len.as_nanos().saturating_mul(rounds);
     let nanos = u64::try_from(nanos).unwrap_or(u64::MAX);
@@ -72,9 +68,8 @@ pub(crate) fn round_offset(round_len: Duration, rounds: u128) -> Duration {
 /// Capped exponential reconnect backoff.
 ///
 /// Attempt `k` (1-based; attempt 0 dials immediately) waits
-/// `base · 2^k`, clamped to `cap`. The schedule is a pure function so
-/// the two transports — one sleeping on a condition variable, one
-/// scheduling a deadline-wheel timer — stay in lockstep.
+/// `base · 2^k`, clamped to `cap`. The schedule is a pure function of
+/// the attempt number; the reactor turns it into deadline-wheel timers.
 #[derive(Clone, Copy, Debug)]
 pub struct Backoff {
     base: Duration,
@@ -100,8 +95,8 @@ impl Backoff {
 
 /// Incremental frame reassembly over any byte stream.
 ///
-/// Bytes are appended as they arrive (blocking reads or non-blocking
-/// readiness events alike); [`next_frame`](FrameReader::next_frame)
+/// Bytes are appended as they arrive;
+/// [`next_frame`](FrameReader::next_frame)
 /// yields complete frames without re-scanning or shifting the buffer
 /// per frame — consumed bytes are compacted only once a threshold is
 /// passed, so a burst of small frames costs amortized O(bytes).
@@ -163,39 +158,6 @@ impl FrameReader {
             Err(CodecError::Truncated { .. }) => Ok(None),
             Err(e) => Err(e),
         }
-    }
-}
-
-/// Reads one frame from a blocking stream, accumulating into `reader`
-/// (which may retain a partial next frame between calls). `Ok(None)` is
-/// a clean EOF at a frame boundary.
-///
-/// # Errors
-///
-/// I/O failures pass through; a decode failure or an EOF mid-frame maps
-/// to [`std::io::ErrorKind::InvalidData`] / `UnexpectedEof`.
-pub fn read_frame<R: Read>(
-    stream: &mut R,
-    reader: &mut FrameReader,
-) -> std::io::Result<Option<(Frame, u64)>> {
-    let mut chunk = [0_u8; 8192];
-    loop {
-        match reader.next_frame() {
-            Ok(Some(hit)) => return Ok(Some(hit)),
-            Ok(None) => {}
-            Err(e) => {
-                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-            }
-        }
-        let got = stream.read(&mut chunk)?;
-        if got == 0 {
-            return if reader.at_boundary() {
-                Ok(None)
-            } else {
-                Err(std::io::ErrorKind::UnexpectedEof.into())
-            };
-        }
-        reader.extend(&chunk[..got]);
     }
 }
 

@@ -26,16 +26,13 @@
 //!   [`runner::run_loopback`] and DESIGN.md §11 for the equivalence
 //!   argument.
 //! * [`conn`] — connection state machinery (handshake validation,
-//!   reconnect backoff schedule, incremental frame reassembly) shared by
-//!   both socket transports.
-//! * [`tcp`] — a `std::net` TCP runtime: thread-per-peer with bounded
-//!   outboxes, handshake carrying node id + topology hash, capped
-//!   exponential-backoff reconnect, and a wall-clock latency shaper that
-//!   honors each edge's `ℓ`.
-//! * [`reactor`] — a non-blocking TCP runtime: one epoll readiness loop
+//!   reconnect backoff schedule, incremental frame reassembly), kept
+//!   apart from the event loop so it is testable without a socket.
+//! * [`reactor`] — the real-socket transport: one epoll readiness loop
 //!   hosts every connection of many nodes in a single thread, with a
 //!   deadline wheel replacing every sleep (DESIGN.md §14). Thousands of
-//!   nodes per process instead of `2d + 1` threads per node.
+//!   nodes per process; a reactor hosting one node is the
+//!   one-node-per-process deployment.
 //! * [`runner`] — [`NetRunner`], the round-pacing driver that enforces
 //!   one-initiation-per-round and the start/stop barriers on top of any
 //!   [`Transport`].
@@ -52,20 +49,18 @@ pub mod error;
 pub mod loopback;
 pub mod reactor;
 pub mod runner;
-pub mod tcp;
 pub mod transport;
 pub mod wire;
 
 pub use error::{CodecError, NetError, PeerLoss};
 pub use loopback::{LoopbackHub, LoopbackTransport};
 pub use reactor::{
-    run_reactor, run_reactor_cluster, run_reactor_cluster_mode, run_reactor_mode_with_stats,
-    run_reactor_with_stats, Pacing, Reactor, ReactorConfig, ReactorEndpoint,
+    run_reactor, run_reactor_cluster_mode, run_reactor_mode_with_stats, Pacing, Reactor,
+    ReactorConfig, ReactorEndpoint,
 };
 pub use runner::{
-    run_loopback, run_loopback_mode_with_stats, run_loopback_with_stats, NetRunner, NodeOutcome,
-    NodeStopReason, PayloadMode, RunView, WireAccounting,
+    run_loopback, run_loopback_mode_with_stats, NetRunner, NodeOutcome, NodeStopReason,
+    PayloadMode, RunView, WireAccounting,
 };
-pub use tcp::{run_local_cluster, run_local_cluster_mode, TcpConfig, TcpTransport};
 pub use transport::{NetEvent, Transport, TransportStats};
 pub use wire::{Frame, WirePayload, CAP_DELTA, CAP_STREAM, MAX_BODY};

@@ -2,11 +2,11 @@
 //! vectored write queue and the connection roles the readiness loop
 //! dispatches on.
 //!
-//! Where the thread-per-peer transport encodes every frame into a fresh
-//! `Vec` and hands it to a blocking `write_all`, the reactor keeps two
-//! recycled scratch buffers per queued frame — header+metadata and
-//! payload — and flushes them with `write_vectored`, so a frame costs
-//! zero steady-state allocations and one syscall can carry many frames.
+//! Instead of encoding every frame into a fresh `Vec` for a blocking
+//! `write_all`, the reactor keeps two recycled scratch buffers per
+//! queued frame — header+metadata and payload — and flushes them with
+//! `write_vectored`, so a frame costs zero steady-state allocations and
+//! one syscall can carry many frames.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
@@ -161,8 +161,7 @@ impl WriteQueue {
 
     /// Drains the queue as whole encoded frames — including the front
     /// frame from byte 0, so a frame cut by a connection loss is resent
-    /// intact (receivers dedup by sequence number, as with the
-    /// thread-per-peer transport's resend-on-reconnect).
+    /// intact (receivers dedup by sequence number).
     pub(crate) fn drain_encoded(&mut self) -> Vec<Vec<u8>> {
         self.front_off = 0;
         self.queued = 0;

@@ -1,15 +1,13 @@
 //! Reactor runtime: thousands of nodes per process over non-blocking
-//! TCP (DESIGN.md §14).
+//! TCP (DESIGN.md §14) — the crate's one real-socket transport.
 //!
-//! The thread-per-peer transport ([`crate::tcp`]) spends `2d + 1` OS
-//! threads per node; at n = 1024 on a clique that is millions of
-//! threads. The reactor inverts the layout: **one** thread runs a
-//! single `epoll` readiness loop ([`sys::Poller`]) hosting *every*
-//! connection of *many* nodes, with per-connection read/write buffer
-//! state machines ([`conn::Conn`]) instead of blocking reader/writer
-//! threads and a deadline wheel ([`wheel::Wheel`]) instead of every
-//! `thread::sleep` (reply release shaping, round pacing, reconnect
-//! backoff).
+//! **One** thread runs a single `epoll` readiness loop ([`sys::Poller`])
+//! hosting *every* connection of *many* nodes, with per-connection
+//! read/write buffer state machines ([`conn::Conn`]) instead of blocking
+//! reader/writer threads and a deadline wheel ([`wheel::Wheel`]) instead
+//! of any `thread::sleep` (reply release shaping, round pacing,
+//! reconnect backoff). A reactor hosting a single node is the
+//! one-node-per-process deployment; nothing else changes.
 //!
 //! # Trunk multiplexing
 //!
@@ -24,10 +22,11 @@
 //! Cross-sender interleave is harmless: the runner's hold queues
 //! canonicalize application order by `(initiated_at, initiator)`.
 //!
-//! Edges to nodes hosted *elsewhere* (another reactor shard, or a
-//! thread-per-peer [`crate::TcpTransport`] node) use one directed
-//! connection per edge with the standard handshake — the two runtimes
-//! are wire-compatible and can join the same cluster.
+//! Edges to nodes hosted *elsewhere* (another reactor, in this process
+//! or another) use one directed connection per edge with the standard
+//! handshake: the dialing side owns reconnection and loss accounting,
+//! and stops both once the peer has said [`Frame::Bye`] — a departed
+//! peer's closing sockets are not a fault.
 //!
 //! # Pacing
 //!
@@ -40,8 +39,8 @@
 //!   simulator's (DESIGN.md §11) — while exercising real sockets.
 //! * [`Pacing::Wall`] — wall-clock rounds against a shared in-process
 //!   epoch, with reply release deadlines (`epoch + release·Δ − Δ/2`)
-//!   enforced by the wheel on the send side, like the thread-per-peer
-//!   transport. This is the mode that interoperates across processes.
+//!   enforced by the wheel on the send side. This is the mode that
+//!   interoperates across processes.
 
 pub(crate) mod conn;
 pub(crate) mod sys;
@@ -54,12 +53,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use gossip_sim::{EngineStats, Outcome, Protocol, Round, SimConfig, SimMetrics, StopReason};
+use gossip_sim::{Outcome, Protocol, Round, SimConfig};
 use latency_graph::{Graph, NodeId};
 
 use crate::conn::{round_offset, validate_hello, Backoff};
 use crate::error::{NetError, PeerLoss};
-use crate::runner::{NetRunner, NodeOutcome, PayloadMode, RunView, WireAccounting};
+use crate::runner::{run_lockstep, NetRunner, NodeOutcome, PayloadMode, RunView, WireAccounting};
 use crate::transport::{NetEvent, Transport, TransportStats};
 use crate::wire::{Frame, WirePayload};
 
@@ -159,7 +158,8 @@ struct EdgeOut {
     up: bool,
     /// Completed at least once — the start barrier's outbound half.
     established: bool,
-    /// Conclusively lost; `PeerLost` has been delivered.
+    /// Retired: conclusively lost (`PeerLost` has been delivered) or
+    /// departed (the peer said `Bye`). No more dials; sends are dropped.
     lost: bool,
     /// Dial attempts in the current outage.
     attempts: u32,
@@ -167,7 +167,7 @@ struct EdgeOut {
     pending: VecDeque<Vec<u8>>,
 }
 
-/// Wheel entries: everything the blocking transport used a sleep for.
+/// Wheel entries: everything a blocking transport would sleep for.
 enum Timer {
     /// Re-dial the edge `from → to`.
     Redial { from: NodeId, to: NodeId },
@@ -433,8 +433,7 @@ impl Core {
             return true;
         };
         if edge.lost {
-            // A conclusive loss settles both directions, as with the
-            // thread-per-peer transport's single lost set.
+            // A conclusive loss settles both directions.
             return true;
         }
         edge.established && self.in_up.contains(&(to, from))
@@ -618,7 +617,14 @@ impl Core {
                     "non-routed frame on a trunk: {other:?}"
                 ))),
             },
-            ConnKind::PeerIn { from, to } => self.deliver(from, to, 0, frame, used),
+            ConnKind::PeerIn { from, to } => {
+                if matches!(frame, Frame::Bye) {
+                    // A graceful departure, not an outage: the sockets
+                    // about to close behind it must not be re-dialled.
+                    self.retire_edge(to, from);
+                }
+                self.deliver(from, to, 0, frame, used)
+            }
             ConnKind::DialPending { from, to } => self.handle_dial_answer(idx, from, to, &frame),
             // Established outbound edges and trunk write sides carry no
             // inbound data; stray bytes are ignored (EOF is what
@@ -638,8 +644,7 @@ impl Core {
             caps,
         } = *frame
         else {
-            // Mirrors the blocking transport: garbage before a
-            // handshake is dropped without an answer.
+            // Garbage before a handshake is dropped without an answer.
             self.close_conn(idx);
             return Ok(());
         };
@@ -926,17 +931,28 @@ impl Core {
         }
     }
 
+    /// Retires the edge `from → to`: closes its connection, drops its
+    /// backlog, and turns later dials and sends into no-ops. Returns
+    /// whether this call did the retiring.
+    fn retire_edge(&mut self, from: NodeId, to: NodeId) -> bool {
+        let Some(edge) = self.edges.get_mut(&(from, to)) else {
+            return false;
+        };
+        if edge.lost {
+            return false;
+        }
+        edge.lost = true;
+        edge.up = false;
+        edge.pending.clear();
+        if let Some(idx) = edge.conn.take() {
+            self.close_conn(idx);
+        }
+        true
+    }
+
     fn edge_lost(&mut self, from: NodeId, to: NodeId, attempts: u32, error: String) {
-        if let Some(edge) = self.edges.get_mut(&(from, to)) {
-            if edge.lost {
-                return;
-            }
-            edge.lost = true;
-            edge.up = false;
-            edge.pending.clear();
-            if let Some(idx) = edge.conn.take() {
-                self.close_conn(idx);
-            }
+        if !self.retire_edge(from, to) {
+            return;
         }
         if let Some(hosted) = self.hosted.get_mut(&from) {
             if hosted.lost.insert(to) {
@@ -1037,8 +1053,8 @@ impl Core {
             let epoch = self
                 .epoch
                 .ok_or_else(|| NetError::ProtocolViolation("send before start".to_owned()))?;
-            // Half a round before the receiver needs it, like the
-            // thread-per-peer shaper: epoch + release·Δ − Δ/2.
+            // Half a round before the receiver needs it:
+            // epoch + release·Δ − Δ/2.
             let offset = round_offset(self.cfg.round, u128::from(release))
                 .saturating_sub(self.cfg.round / 2);
             let bytes = if to_hosted {
@@ -1349,39 +1365,16 @@ where
     F: FnMut(NodeId, usize) -> P,
     S: FnMut(&[&P], Round) -> bool,
 {
-    run_reactor_with_stats(graph, config, factory, stop).0
+    run_reactor_mode_with_stats(graph, config, PayloadMode::Snapshot, factory, stop).0
 }
 
-/// Like [`run_reactor`] but also returns cluster-wide transport totals
-/// (the reactor rows of `bench-net`).
+/// Like [`run_reactor`], with an explicit [`PayloadMode`] and the
+/// cluster-wide transport totals and payload [`WireAccounting`]
+/// alongside.
 ///
-/// # Panics
-///
-/// See [`run_reactor`].
-pub fn run_reactor_with_stats<P, F, S>(
-    graph: &Graph,
-    config: &SimConfig,
-    factory: F,
-    stop: S,
-) -> (Outcome<P>, TransportStats)
-where
-    P: Protocol,
-    P::Payload: WirePayload,
-    F: FnMut(NodeId, usize) -> P,
-    S: FnMut(&[&P], Round) -> bool,
-{
-    let (outcome, totals, _) =
-        run_reactor_mode_with_stats(graph, config, PayloadMode::Snapshot, factory, stop);
-    (outcome, totals)
-}
-
-/// Like [`run_reactor_with_stats`], with an explicit [`PayloadMode`]
-/// and the cluster-wide payload [`WireAccounting`] alongside.
-///
-/// The driver is phase-for-phase the loopback cluster driver — all
-/// `begin_round`s, the stop checks in Condition → AllDone → MaxRounds
-/// order, all `launch`es, all `settle`s — so with drain pacing the
-/// outcome equals `run_loopback` (and hence the simulator) for any
+/// The driver is the loopback cluster driver — the same lockstep loop
+/// over reactor endpoints — so with drain pacing the outcome equals
+/// `run_loopback` (and hence the simulator) for any
 /// deterministic-given-the-seed protocol, in either payload mode;
 /// `tests/reactor_equivalence.rs` checks that case by case.
 ///
@@ -1392,8 +1385,8 @@ pub fn run_reactor_mode_with_stats<P, F, S>(
     graph: &Graph,
     config: &SimConfig,
     mode: PayloadMode,
-    mut factory: F,
-    mut stop: S,
+    factory: F,
+    stop: S,
 ) -> (Outcome<P>, TransportStats, WireAccounting)
 where
     P: Protocol,
@@ -1401,96 +1394,30 @@ where
     F: FnMut(NodeId, usize) -> P,
     S: FnMut(&[&P], Round) -> bool,
 {
-    let n = graph.node_count();
     let cfg = ReactorConfig {
         pacing: Pacing::Drain,
         ..ReactorConfig::default()
     };
-    let reactor = Reactor::new(graph, (0..n).map(NodeId::new), cfg)
+    let reactor = Reactor::new(graph, (0..graph.node_count()).map(NodeId::new), cfg)
         .unwrap_or_else(|e| panic!("reactor setup failed: {e}"));
-    // Every runner is constructed (advertising its capabilities) before
-    // any starts, so no handshake can race a capability store.
-    let mut runners: Vec<NetRunner<'_, P, _>> = (0..n)
-        .map(|i| {
-            let node = NodeId::new(i);
-            NetRunner::new(
-                graph,
-                node,
-                factory(node, n),
-                config,
-                reactor.endpoint(node),
-            )
-            .with_payload_mode(mode)
-        })
-        .collect();
-    for r in &mut runners {
-        r.start()
-            .unwrap_or_else(|e| panic!("reactor start failed: {e}"));
-    }
-    let mut round: Round = 0;
-    let reason = loop {
-        for r in &mut runners {
-            r.begin_round(round)
-                .unwrap_or_else(|e| panic!("reactor transport failed: {e}"));
-        }
-        let protocols: Vec<&P> = runners.iter().map(NetRunner::protocol).collect();
-        if stop(&protocols, round) {
-            break StopReason::Condition;
-        }
-        if runners.iter().all(NetRunner::is_done) {
-            break StopReason::AllDone;
-        }
-        if round >= config.max_rounds {
-            break StopReason::MaxRounds;
-        }
-        for r in &mut runners {
-            r.launch(round)
-                .unwrap_or_else(|e| panic!("reactor transport failed: {e}"));
-        }
-        for r in &mut runners {
-            r.settle(round)
-                .unwrap_or_else(|e| panic!("reactor transport failed: {e}"));
-        }
-        round += 1;
-    };
-    let mut metrics = SimMetrics::default();
-    let mut totals = TransportStats::default();
-    let mut wire = WireAccounting::default();
-    let mut nodes = Vec::with_capacity(n);
-    for r in runners {
-        let (m, stats, acct, p) = r.abort();
-        metrics.initiated += m.initiated;
-        metrics.delivered += m.delivered;
-        metrics.lost += m.lost;
-        metrics.rejected += m.rejected;
-        metrics.payload_units += m.payload_units;
-        totals.absorb(&stats);
-        wire.absorb(&acct);
-        nodes.push(p);
-    }
-    (
-        Outcome {
-            reason,
-            rounds: round,
-            metrics,
-            stats: EngineStats::default(),
-            nodes,
-        },
-        totals,
-        wire,
-    )
+    run_lockstep(graph, config, mode, factory, stop, |node| {
+        reactor.endpoint(node)
+    })
 }
 
 /// Runs the `hosted` shard of a (possibly multi-process) cluster on one
 /// reactor, cooperatively stepping every hosted runner round by round
-/// on the calling thread; the reactor analogue of
-/// [`crate::run_local_cluster`], usable alongside it in the same
-/// cluster (the runtimes are wire-compatible).
+/// on the calling thread. `hosted` may be the whole graph (a one-process
+/// wall-paced cluster), a slice of it, or a single node.
 ///
 /// `exchange` receives the reactor's bound listen address and must
 /// return addresses for every *remote* neighbor of a hosted node —
 /// typically by announcing the local address to the other shards and
 /// collecting theirs.
+///
+/// The shard advertises [`crate::wire::CAP_DELTA`] in its handshakes
+/// only in delta mode, so shards in different modes interoperate: delta
+/// senders fall back to snapshots toward snapshot-mode peers.
 ///
 /// Outcomes are returned in `hosted` order.
 ///
@@ -1498,42 +1425,6 @@ where
 ///
 /// Any runner error (start timeout, protocol violation, reactor I/O
 /// failure) aborts the whole shard.
-pub fn run_reactor_cluster<P, F, D, A>(
-    graph: &Graph,
-    config: &SimConfig,
-    reactor_cfg: &ReactorConfig,
-    hosted: &[NodeId],
-    exchange: A,
-    factory: F,
-    done: D,
-) -> Result<Vec<NodeOutcome<P>>, NetError>
-where
-    P: Protocol,
-    P::Payload: WirePayload,
-    F: FnMut(NodeId, usize) -> P,
-    D: Fn(&P, &RunView<'_>) -> bool,
-    A: FnOnce(&str) -> BTreeMap<NodeId, String>,
-{
-    run_reactor_cluster_mode(
-        graph,
-        config,
-        reactor_cfg,
-        hosted,
-        PayloadMode::Snapshot,
-        exchange,
-        factory,
-        done,
-    )
-}
-
-/// Like [`run_reactor_cluster`], with an explicit [`PayloadMode`]. The
-/// shard advertises [`crate::wire::CAP_DELTA`] in its handshakes only
-/// in delta mode, so shards in different modes interoperate: delta
-/// senders fall back to snapshots toward snapshot-mode peers.
-///
-/// # Errors
-///
-/// See [`run_reactor_cluster`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_reactor_cluster_mode<P, F, D, A>(
     graph: &Graph,

@@ -472,8 +472,13 @@ where
             match event {
                 NetEvent::Frame { from, frame } => self.ingest_frame(now, from, frame)?,
                 NetEvent::PeerLost(loss) => {
+                    // A peer that already said `Bye` departed; its
+                    // sockets closing behind it are not a fault.
+                    let departed = self.peers_gone.contains(&loss.peer);
                     self.mark_gone(loss.peer);
-                    self.losses.push(loss);
+                    if !departed {
+                        self.losses.push(loss);
+                    }
                 }
             }
         }
@@ -886,7 +891,7 @@ where
     /// Tears the runner down abruptly — no goodbye frames, no barrier —
     /// returning `(metrics, transport stats, wire accounting, protocol)`.
     /// The loopback cluster driver uses this once the global stop
-    /// condition holds; the TCP fault tests use it to simulate a crash
+    /// condition holds; the socket fault tests use it to simulate a crash
     /// (peers observe a dead socket, not a [`Frame::Bye`]).
     pub fn abort(mut self) -> (SimMetrics, TransportStats, WireAccounting, P) {
         self.transport.shutdown();
@@ -903,12 +908,10 @@ where
 /// Runs a whole cluster over the deterministic loopback transport and
 /// returns the simulator-shaped [`Outcome`].
 ///
-/// The schedule interleaves the runners exactly as the engine
-/// interleaves its per-node phases (deliveries, stop checks in
-/// Condition → AllDone → MaxRounds order, `on_round` in node order,
-/// launches in node order, responder snapshots after all launches), so
-/// for any deterministic-given-the-seed protocol the outcome — stop
-/// reason, round count, metrics, final states — equals
+/// [`run_lockstep`] interleaves the runners exactly as the engine
+/// interleaves its per-node phases, so for any
+/// deterministic-given-the-seed protocol the outcome — stop reason,
+/// round count, metrics, final states — equals
 /// `Simulator::new(graph, config).run(factory, stop)` with the same
 /// arguments. The equivalence argument is spelled out in DESIGN.md §11
 /// and checked case-by-case in `tests/loopback_equivalence.rs`.
@@ -927,40 +930,25 @@ where
     F: FnMut(NodeId, usize) -> P,
     S: FnMut(&[&P], Round) -> bool,
 {
-    run_loopback_with_stats(graph, config, factory, stop).0
+    run_loopback_mode_with_stats(graph, config, PayloadMode::Snapshot, factory, stop).0
 }
 
-/// Like [`run_loopback`] but also returns the cluster-wide transport
-/// totals — the loopback half of `bench-net`'s report.
-pub fn run_loopback_with_stats<P, F, S>(
-    graph: &Graph,
-    config: &SimConfig,
-    factory: F,
-    stop: S,
-) -> (Outcome<P>, TransportStats)
-where
-    P: Protocol,
-    P::Payload: WirePayload,
-    F: FnMut(NodeId, usize) -> P,
-    S: FnMut(&[&P], Round) -> bool,
-{
-    let (outcome, totals, _) =
-        run_loopback_mode_with_stats(graph, config, PayloadMode::Snapshot, factory, stop);
-    (outcome, totals)
-}
-
-/// Like [`run_loopback_with_stats`], with an explicit [`PayloadMode`]
-/// and the cluster-wide payload [`WireAccounting`] alongside. Delta
-/// mode reproduces snapshot mode's outcome exactly — same stop reason,
-/// round count, metrics, and final states — only the wire bytes (and
-/// hence the accounting and transport stats) differ; the equivalence
-/// suites assert this case by case.
+/// Like [`run_loopback`], with an explicit [`PayloadMode`] and the
+/// cluster-wide transport totals and payload [`WireAccounting`]
+/// alongside. Delta mode reproduces snapshot mode's outcome exactly —
+/// same stop reason, round count, metrics, and final states — only the
+/// wire bytes (and hence the accounting and transport stats) differ; the
+/// equivalence suites assert this case by case.
+///
+/// # Panics
+///
+/// See [`run_loopback`].
 pub fn run_loopback_mode_with_stats<P, F, S>(
     graph: &Graph,
     config: &SimConfig,
     mode: PayloadMode,
-    mut factory: F,
-    mut stop: S,
+    factory: F,
+    stop: S,
 ) -> (Outcome<P>, TransportStats, WireAccounting)
 where
     P: Protocol,
@@ -968,23 +956,63 @@ where
     F: FnMut(NodeId, usize) -> P,
     S: FnMut(&[&P], Round) -> bool,
 {
+    let hub = LoopbackHub::new(graph.node_count());
+    run_lockstep(graph, config, mode, factory, stop, |node| {
+        hub.endpoint(node)
+    })
+}
+
+/// The lockstep cluster loop behind [`run_loopback`] and
+/// [`run_reactor`](crate::run_reactor): one runner per node of `graph`
+/// over the transport `endpoint` hands out, stepped phase by phase as
+/// the engine steps its nodes — every `begin_round` (deliveries), the
+/// stop checks in Condition → AllDone → MaxRounds order, every `launch`
+/// (`on_round` and the request, in node order), then every `settle`
+/// (responder snapshots after all launches). Returns the
+/// simulator-shaped [`Outcome`] with the cluster-wide transport and
+/// payload totals.
+///
+/// # Panics
+///
+/// Panics on any transport error: every node lives in this process, so
+/// a failure is a bug or an environment limit (socket exhaustion), not
+/// a recoverable protocol condition.
+pub(crate) fn run_lockstep<P, T, F, S, E>(
+    graph: &Graph,
+    config: &SimConfig,
+    mode: PayloadMode,
+    mut factory: F,
+    mut stop: S,
+    mut endpoint: E,
+) -> (Outcome<P>, TransportStats, WireAccounting)
+where
+    P: Protocol,
+    P::Payload: WirePayload,
+    T: Transport,
+    F: FnMut(NodeId, usize) -> P,
+    S: FnMut(&[&P], Round) -> bool,
+    E: FnMut(NodeId) -> T,
+{
+    fn ok(step: Result<(), NetError>) {
+        step.unwrap_or_else(|e| panic!("lockstep cluster transport failed: {e}"));
+    }
     let n = graph.node_count();
-    let hub = LoopbackHub::new(n);
-    let mut runners: Vec<NetRunner<'_, P, _>> = (0..n)
+    // Every runner is constructed (advertising its capabilities) before
+    // any starts, so no handshake can race a capability store.
+    let mut runners: Vec<NetRunner<'_, P, T>> = (0..n)
         .map(|i| {
             let node = NodeId::new(i);
-            NetRunner::new(graph, node, factory(node, n), config, hub.endpoint(node))
+            NetRunner::new(graph, node, factory(node, n), config, endpoint(node))
                 .with_payload_mode(mode)
         })
         .collect();
     for r in &mut runners {
-        r.start().expect("loopback start cannot fail");
+        ok(r.start());
     }
     let mut round: Round = 0;
     let reason = loop {
         for r in &mut runners {
-            r.begin_round(round)
-                .expect("loopback transport is infallible");
+            ok(r.begin_round(round));
         }
         let protocols: Vec<&P> = runners.iter().map(NetRunner::protocol).collect();
         if stop(&protocols, round) {
@@ -997,10 +1025,10 @@ where
             break StopReason::MaxRounds;
         }
         for r in &mut runners {
-            r.launch(round).expect("loopback transport is infallible");
+            ok(r.launch(round));
         }
         for r in &mut runners {
-            r.settle(round).expect("loopback transport is infallible");
+            ok(r.settle(round));
         }
         round += 1;
     };
@@ -1010,11 +1038,7 @@ where
     let mut nodes = Vec::with_capacity(n);
     for r in runners {
         let (m, stats, acct, p) = r.abort();
-        metrics.initiated += m.initiated;
-        metrics.delivered += m.delivered;
-        metrics.lost += m.lost;
-        metrics.rejected += m.rejected;
-        metrics.payload_units += m.payload_units;
+        metrics.absorb(&m);
         totals.absorb(&stats);
         wire.absorb(&acct);
         nodes.push(p);
@@ -1231,6 +1255,34 @@ mod tests {
             basis_seq, 0,
             "reconnect renegotiates from the full snapshot"
         );
+    }
+
+    #[test]
+    fn loss_after_bye_is_a_departure_not_a_fault() {
+        // Peer 1 says goodbye and its sockets then close behind it; peer
+        // 2 just vanishes. Both are gone, only peer 2 is a loss.
+        let g = generators::clique(3);
+        let (mut runner, _) = delta_runner(&g, &[]);
+        runner.start().expect("start");
+        let lost = |peer: usize| {
+            NetEvent::PeerLost(PeerLoss {
+                peer: NodeId::new(peer),
+                attempts: 3,
+                error: "connection refused".to_owned(),
+            })
+        };
+        runner.transport.inbox.extend([
+            NetEvent::Frame {
+                from: NodeId::new(1),
+                frame: Frame::Bye,
+            },
+            lost(1),
+            lost(2),
+        ]);
+        runner.begin_round(0).expect("round 0");
+        assert_eq!(runner.peers_gone.len(), 2);
+        assert_eq!(runner.losses.len(), 1, "{:?}", runner.losses);
+        assert_eq!(runner.losses[0].peer, NodeId::new(2));
     }
 
     #[test]

@@ -1,22 +1,23 @@
-//! Reactor runtime tests: the same localhost convergence, fault, and
-//! handshake cases as `tcp_runtime.rs`, run against the single-threaded
-//! reactor — many nodes per reactor, non-blocking sockets, wall-clock
-//! round pacing — plus a mixed cluster where a reactor shard and
-//! thread-per-peer nodes interoperate on the wire. Every test is
-//! bounded by an explicit watchdog — a hang is a failure, not a timeout
-//! in CI.
+//! Reactor runtime tests: localhost convergence, fault paths (a peer
+//! killed mid-run yields a typed `PeerLoss` and the survivors converge
+//! on the remaining component, a peer that says goodbye does not),
+//! handshake topology validation, and clusters split across several
+//! reactors — many nodes per reactor, non-blocking sockets, wall-clock
+//! round pacing. Every test is bounded by an explicit watchdog — a hang
+//! is a failure, not a timeout in CI.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Duration;
 
 use gossip_core::push_pull::{Mode, PushPullNode};
 use gossip_net::{
-    run_reactor_cluster, run_reactor_cluster_mode, NetRunner, NodeStopReason, PayloadMode, Reactor,
-    ReactorConfig, RunView, TcpConfig, TcpTransport, Transport,
+    run_reactor_cluster_mode, NetRunner, NodeOutcome, NodeStopReason, PayloadMode, Reactor,
+    ReactorConfig, RunView, Transport,
 };
 use gossip_sim::{SimConfig, Simulator};
-use latency_graph::{generators, GraphBuilder, NodeId};
+use latency_graph::{generators, Graph, GraphBuilder, NodeId};
 
 fn fast_reactor() -> ReactorConfig {
     ReactorConfig {
@@ -27,18 +28,6 @@ fn fast_reactor() -> ReactorConfig {
         retry_cap: Duration::from_millis(50),
         max_retries: 3,
         ..ReactorConfig::default()
-    }
-}
-
-fn fast_tcp() -> TcpConfig {
-    TcpConfig {
-        round: Duration::from_millis(10),
-        connect_timeout: Duration::from_millis(500),
-        start_timeout: Duration::from_secs(15),
-        retry_base: Duration::from_millis(10),
-        retry_cap: Duration::from_millis(50),
-        max_retries: 3,
-        ..TcpConfig::default()
     }
 }
 
@@ -60,16 +49,75 @@ fn component_done(n: usize) -> impl Fn(&PushPullNode, &RunView<'_>) -> bool + Sy
     }
 }
 
+fn os_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
+}
+
+/// Runs one push-pull cluster split into `shards`, each on a reactor of
+/// its own — the first on the calling thread, the rest on one thread
+/// apiece (the in-process shape of one `serve` per shard) — and returns
+/// the per-shard outcomes plus the peak OS thread count the first shard
+/// saw while running. Listen addresses travel through a shared book; a
+/// shard that never announces fails the test instead of hanging it.
+fn run_shards(
+    g: &Graph,
+    cfg: &SimConfig,
+    mode: PayloadMode,
+    shards: &[Vec<NodeId>],
+) -> (Vec<Vec<NodeOutcome<PushPullNode>>>, usize) {
+    let n = g.node_count();
+    let book = (Mutex::new(BTreeMap::new()), Condvar::new());
+    let peak = AtomicUsize::new(0);
+    let run = |k: usize| {
+        let done = component_done(n);
+        run_reactor_cluster_mode(
+            g,
+            cfg,
+            &fast_reactor(),
+            &shards[k],
+            mode,
+            |local| {
+                let (addrs, announced) = &book;
+                let mut addrs = addrs.lock().expect("address book");
+                addrs.extend(shards[k].iter().map(|&u| (u, local.to_owned())));
+                announced.notify_all();
+                let (addrs, wait) = announced
+                    .wait_timeout_while(addrs, Duration::from_secs(10), |a| a.len() < n)
+                    .expect("address book");
+                assert!(!wait.timed_out(), "a shard never announced its address");
+                addrs.clone()
+            },
+            |id, n| PushPullNode::new(id, n, Mode::PushPull),
+            |p, view| {
+                if k == 0 {
+                    peak.fetch_max(os_threads(), Ordering::Relaxed);
+                }
+                done(p, view)
+            },
+        )
+        .unwrap_or_else(|e| panic!("shard {k} failed: {e}"))
+    };
+    let outcomes = std::thread::scope(|s| {
+        let run = &run;
+        let rest: Vec<_> = (1..shards.len()).map(|k| s.spawn(move || run(k))).collect();
+        let mut outcomes = vec![run(0)];
+        outcomes.extend(rest.into_iter().map(|h| h.join().expect("shard thread")));
+        outcomes
+    });
+    (outcomes, peak.into_inner())
+}
+
 #[test]
 fn triangle_converges_to_engine_rumor_sets() {
     let g = generators::clique(3);
     let cfg = sim_config(7, 300);
     let hosted: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-    let outcomes = run_reactor_cluster(
+    let outcomes = run_reactor_cluster_mode(
         &g,
         &cfg,
         &fast_reactor(),
         &hosted,
+        PayloadMode::Snapshot,
         |_| BTreeMap::new(), // every node is hosted; nothing to exchange
         |id, n| PushPullNode::new(id, n, Mode::PushPull),
         component_done(3),
@@ -100,11 +148,12 @@ fn ring_of_cliques_64_converges_full() {
     let n = g.node_count();
     assert_eq!(n, 64);
     let hosted: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let outcomes = run_reactor_cluster(
+    let outcomes = run_reactor_cluster_mode(
         &g,
         &sim_config(11, 2_000),
         &fast_reactor(),
         &hosted,
+        PayloadMode::Snapshot,
         |_| BTreeMap::new(),
         |id, n| PushPullNode::new(id, n, Mode::PushPull),
         component_done(n),
@@ -135,11 +184,12 @@ fn killed_peer_yields_typed_loss_and_survivors_converge() {
     std::thread::scope(|s| {
         let g = &g;
         s.spawn(move || {
-            let outcomes = run_reactor_cluster(
+            let outcomes = run_reactor_cluster_mode(
                 g,
                 &cfg,
                 &fast_reactor(),
                 &[NodeId::new(0), NodeId::new(1)],
+                PayloadMode::Snapshot,
                 |local| {
                     survivor_addr_tx.send(local.to_owned()).expect("announce");
                     let victim = victim_addr_rx.recv().expect("victim address");
@@ -392,93 +442,76 @@ fn start_barrier_times_out_without_peers() {
 }
 
 #[test]
-fn mixed_reactor_and_thread_per_peer_cluster_converges() {
-    // Wire compatibility across runtimes: one reactor hosts nodes
-    // 0..32 on a single thread while nodes 32..64 each run the
-    // thread-per-peer TCP transport; the whole 64-node ring of cliques
-    // must reach full all-to-all dissemination with zero losses.
+fn shard_and_one_node_reactors_converge_without_losses() {
+    // One reactor hosts nodes 0..32 on this thread while nodes 32..64
+    // each run a one-node reactor on a thread of their own — `serve`
+    // with one node per process, in one process. Nodes finish (and say
+    // goodbye) rounds apart; a clique-mate that outlives a departed
+    // neighbor must not report it lost. The whole 64-node ring of
+    // cliques reaches full all-to-all dissemination on one thread per
+    // reactor and nothing more.
     let g = generators::ring_of_cliques(8, 8, 3);
     let n = g.node_count();
     assert_eq!(n, 64);
     let half = n / 2;
-    let cfg = sim_config(21, 2_000);
-    let tcp = fast_tcp();
-
-    // Bind the thread-per-peer half first so its addresses are known
-    // before anything dials.
-    let mut transports = Vec::new();
-    for i in half..n {
-        transports.push(TcpTransport::for_graph(&g, NodeId::new(i), tcp.clone()).expect("bind"));
-    }
-    let tcp_addrs: Vec<String> = transports.iter().map(TcpTransport::local_addr).collect();
-    let (reactor_addr_tx, reactor_addr_rx) = mpsc::channel::<String>();
-    let (out_tx, out_rx) = mpsc::channel();
-
-    std::thread::scope(|s| {
-        let g = &g;
-        let tcp_addrs = &tcp_addrs;
-        let hosted: Vec<NodeId> = (0..half).map(NodeId::new).collect();
-        s.spawn(move || {
-            let outcomes = run_reactor_cluster(
-                g,
-                &cfg,
-                &fast_reactor(),
-                &hosted,
-                |local| {
-                    reactor_addr_tx.send(local.to_owned()).expect("announce");
-                    (half..n)
-                        .map(|i| (NodeId::new(i), tcp_addrs[i - half].clone()))
-                        .collect()
-                },
-                |id, n| PushPullNode::new(id, n, Mode::PushPull),
-                component_done(n),
+    let mut shards = vec![(0..half).map(NodeId::new).collect::<Vec<_>>()];
+    shards.extend((half..n).map(|i| vec![NodeId::new(i)]));
+    let before = os_threads();
+    let (outcomes, peak) = run_shards(&g, &sim_config(21, 2_000), PayloadMode::Snapshot, &shards);
+    for (k, shard) in outcomes.iter().enumerate() {
+        for o in shard {
+            assert_eq!(o.reason, NodeStopReason::Barrier, "shard {k}");
+            assert!(o.losses.is_empty(), "shard {k}: {:?}", o.losses);
+            assert!(
+                o.protocol.rumors.is_full(),
+                "shard {k} rumor set incomplete"
             );
-            out_tx.send(outcomes).expect("report shard");
-        });
+        }
+    }
+    assert_eq!(outcomes.iter().map(Vec::len).sum::<usize>(), n);
+    // 32 spawned threads plus whatever the other cases in this file
+    // have in flight (at most 6); thread-per-peer sockets peaked at
+    // 1 057 on this graph.
+    assert!(
+        peak <= before + half + 6,
+        "peak {peak} OS threads, {before} before the run"
+    );
+}
 
-        let reactor_addr = reactor_addr_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("reactor announces its address");
-        let mut handles = Vec::new();
-        for (k, mut t) in transports.into_iter().enumerate() {
-            let i = half + k;
-            for &v in g.neighbor_ids(NodeId::new(i)) {
-                let addr = if v.index() < half {
-                    // Every reactor-hosted neighbor lives behind the one
-                    // shared listener.
-                    reactor_addr.clone()
-                } else {
-                    tcp_addrs[v.index() - half].clone()
-                };
-                t.set_peer(v, addr);
+#[test]
+fn delta_mode_shards_converge_with_capability_handshake() {
+    // Delta frames over remote edges: on the complete bipartite graph
+    // between two shards every edge crosses reactors, so every peer's
+    // capability bits arrive in a Hello handshake (never read off a
+    // co-hosted node) and every delta frame sent proves CAP_DELTA made
+    // it across.
+    let g = {
+        let mut b = GraphBuilder::new(16);
+        for u in 0..8 {
+            for v in 8..16 {
+                b.add_edge(u, v, 1).expect("edge");
             }
-            handles.push(s.spawn(move || {
-                let node = NodeId::new(i);
-                NetRunner::new(g, node, PushPullNode::new(node, n, Mode::PushPull), &cfg, t)
-                    .run(component_done(n))
-            }));
         }
-
-        let reactor_outcomes = out_rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("the reactor shard hung past the watchdog")
-            .expect("reactor shard failed");
-        assert_eq!(reactor_outcomes.len(), half);
-        let mut full = 0;
-        for (i, o) in reactor_outcomes.iter().enumerate() {
-            assert_eq!(o.reason, NodeStopReason::Barrier, "reactor node {i}");
-            assert!(o.losses.is_empty(), "reactor node {i}: {:?}", o.losses);
-            full += usize::from(o.protocol.rumors.is_full());
-        }
-        for h in handles {
-            let o = h
-                .join()
-                .expect("tcp node panicked")
-                .expect("tcp node failed");
-            assert_eq!(o.reason, NodeStopReason::Barrier);
-            assert!(o.losses.is_empty(), "tcp node lost peers: {:?}", o.losses);
-            full += usize::from(o.protocol.rumors.is_full());
-        }
-        assert_eq!(full, n, "every node ends with the full rumor set");
-    });
+        b.build().expect("graph")
+    };
+    let shards = [
+        (0..8).map(NodeId::new).collect::<Vec<_>>(),
+        (8..16).map(NodeId::new).collect(),
+    ];
+    let (outcomes, _) = run_shards(&g, &sim_config(13, 600), PayloadMode::Delta, &shards);
+    let mut delta_frames = 0;
+    for (i, o) in outcomes.iter().flatten().enumerate() {
+        assert_eq!(o.reason, NodeStopReason::Barrier, "node {i}");
+        assert!(o.losses.is_empty(), "node {i} lost peers: {:?}", o.losses);
+        assert!(o.protocol.rumors.is_full(), "node {i} rumor set incomplete");
+        assert!(
+            o.accounting.payload_bytes <= o.accounting.snapshot_bytes,
+            "node {i}: delta bytes exceed snapshot-equivalent"
+        );
+        delta_frames += o.accounting.delta_frames;
+    }
+    assert!(
+        delta_frames > 0,
+        "a converging delta-mode cluster sends at least one delta frame"
+    );
 }

@@ -529,6 +529,18 @@ pub struct SimMetrics {
     pub payload_units: u64,
 }
 
+impl SimMetrics {
+    /// Adds `other`'s counters into `self` (for cluster-wide totals over
+    /// per-node shares).
+    pub fn absorb(&mut self, other: &SimMetrics) {
+        self.initiated += other.initiated;
+        self.delivered += other.delivered;
+        self.lost += other.lost;
+        self.rejected += other.rejected;
+        self.payload_units += other.payload_units;
+    }
+}
+
 /// Engine-internal execution counters, reported per run. Unlike
 /// [`SimMetrics`] these describe *how* the engine executed, not what
 /// the protocol did, and are **not** part of the determinism contract

@@ -236,7 +236,7 @@ fn net_confinement_good_passes() {
 #[test]
 fn net_confinement_net_crate_exempt() {
     let v: Vec<_> = check_rust_file(
-        "crates/net/src/tcp.rs",
+        "crates/net/src/conn.rs",
         &fixture("net-confinement", "bad.rs"),
     )
     .into_iter()
@@ -269,7 +269,7 @@ fn net_confinement_ffi_confined_to_reactor() {
         );
     }
     let net_crate: Vec<_> = check_rust_file(
-        "crates/net/src/tcp.rs",
+        "crates/net/src/conn.rs",
         &fixture("net-confinement", "bad_ffi.rs"),
     )
     .into_iter()
