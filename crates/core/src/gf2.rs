@@ -4,7 +4,8 @@
 //! A node's knowledge is the row space of the coefficient vectors it
 //! has received (plus unit vectors for rumors it originated). The
 //! decoder maintains that space in **reduced row echelon form** over
-//! `⌈k/64⌉`-word rows, one XOR pass per inserted vector, so:
+//! `⌈k/64⌉`-word rows — one flat row-major `Vec<u64>`, reduced with
+//! one word-parallel XOR per pivot bit the incoming vector hits — so:
 //!
 //! * **rank** is the progress measure (each innovative row raises it
 //!   by one), and
@@ -36,27 +37,58 @@ pub struct InsertOutcome {
 pub struct Gf2Decoder {
     k: usize,
     words: usize,
-    /// RREF basis rows, in insertion order of their pivots.
-    rows: Vec<Vec<u64>>,
-    /// `pivot column → index into rows`, `k` entries.
+    /// RREF basis, flat row-major: row `i` is
+    /// `basis[i * words..(i + 1) * words]`, in insertion order.
+    basis: Vec<u64>,
+    /// `row index → pivot column`, one entry per basis row.
+    pivot_of_row: Vec<u32>,
+    /// `pivot column → row index`, `k` entries.
     row_of_pivot: Vec<Option<u32>>,
     /// Decoded flags, one per rumor; monotone.
     decoded: Vec<bool>,
     decoded_count: usize,
 }
 
-/// The lowest set bit of a packed row, if any.
-fn leading_bit(row: &[u64]) -> Option<usize> {
-    row.iter()
-        .enumerate()
-        .find(|(_, w)| **w != 0)
-        .map(|(i, w)| i * 64 + usize::try_from(w.trailing_zeros()).expect("bit index fits usize"))
-}
-
 fn xor_into(dst: &mut [u64], src: &[u64]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= s;
     }
+}
+
+/// Words the masked XOR below accumulates in registers at a time.
+const LANES: usize = 4;
+
+/// `out ^= ⊕ᵢ rowᵢ & masks[i]` over the `out.len()`-word rows of
+/// `block`. A full `LANES`-word tile of `out` accumulates in a
+/// fixed-size array the compiler keeps in registers — through `out`
+/// itself every row would wait on the previous row's store; a narrower
+/// last tile folds row by row.
+fn xor_masked_rows(out: &mut [u64], block: &[u64], masks: &[u64]) {
+    let words = out.len();
+    for (t, tile) in out.chunks_mut(LANES).enumerate() {
+        let lo = t * LANES;
+        let rows = block.chunks_exact(words).zip(masks);
+        if let Ok(tile) = <&mut [u64; LANES]>::try_from(&mut *tile) {
+            let mut acc = *tile;
+            for (row, mask) in rows {
+                let lanes: &[u64; LANES] = row[lo..lo + LANES].try_into().expect("a full tile");
+                for (a, w) in acc.iter_mut().zip(lanes) {
+                    *a ^= w & mask;
+                }
+            }
+            *tile = acc;
+        } else {
+            for (row, mask) in rows {
+                for (o, w) in tile.iter_mut().zip(&row[lo..]) {
+                    *o ^= w & mask;
+                }
+            }
+        }
+    }
+}
+
+fn has_bit(row: &[u64], bit: usize) -> bool {
+    row[bit / 64] & (1u64 << (bit % 64)) != 0
 }
 
 fn is_unit(row: &[u64], pivot: usize) -> bool {
@@ -67,6 +99,10 @@ fn is_unit(row: &[u64], pivot: usize) -> bool {
             *w == 0
         }
     })
+}
+
+fn bit_index(word: usize, bit: u32) -> usize {
+    word * 64 + usize::try_from(bit).expect("bit index fits usize")
 }
 
 impl Gf2Decoder {
@@ -80,7 +116,8 @@ impl Gf2Decoder {
         Gf2Decoder {
             k,
             words: k.div_ceil(64),
-            rows: Vec::new(),
+            basis: Vec::new(),
+            pivot_of_row: Vec::new(),
             row_of_pivot: vec![None; k],
             decoded: vec![false; k],
             decoded_count: 0,
@@ -99,7 +136,7 @@ impl Gf2Decoder {
 
     /// The current rank of the received row space.
     pub fn rank(&self) -> usize {
-        self.rows.len()
+        self.pivot_of_row.len()
     }
 
     /// Whether rumor `i` is decodable from the rows seen so far.
@@ -122,8 +159,8 @@ impl Gf2Decoder {
     }
 
     /// The RREF basis rows (pivot order follows insertion).
-    pub fn basis(&self) -> &[Vec<u64>] {
-        &self.rows
+    pub fn basis(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.basis.chunks_exact(self.words)
     }
 
     /// Inserts one coefficient row, reducing it against the basis and
@@ -132,56 +169,72 @@ impl Gf2Decoder {
     ///
     /// # Panics
     ///
-    /// Panics if `row` is not exactly [`words`](Self::words) long.
+    /// Panics if `row` is not exactly [`words`](Self::words) long, or
+    /// if its last word has a bit set at a column `≥ k`.
     pub fn insert(&mut self, row: &[u64]) -> InsertOutcome {
-        assert_eq!(row.len(), self.words, "coefficient row width mismatch");
-        let mut r = row.to_vec();
+        let words = self.words;
+        assert_eq!(row.len(), words, "coefficient row width mismatch");
+        assert_eq!(
+            row[words - 1] & !(u64::MAX >> (words * 64 - self.k)),
+            0,
+            "coefficient bits beyond the universe"
+        );
+        let rank = self.rank();
+        if rank == self.k {
+            return InsertOutcome::default(); // full rank: every row is in the span
+        }
+        // The row is reduced in the tail of the flat basis: it stays
+        // there if innovative and is truncated away if not, so neither
+        // outcome allocates and the basis rows are borrowed, not cloned.
+        self.basis.extend_from_slice(row);
+        let (basis, r) = self.basis.split_at_mut(rank * words);
         // Fully reduce: clear every pivot column the basis owns, not
         // just leading ones. Basis rows are themselves reduced (no
-        // foreign pivot bits), so one ascending pass suffices — each
-        // XOR clears an owned column and only toggles unowned ones.
-        for p in 0..self.k {
-            if r[p / 64] & (1u64 << (p % 64)) == 0 {
-                continue;
-            }
-            if let Some(idx) = self.row_of_pivot[p] {
-                let basis_row =
-                    self.rows[usize::try_from(idx).expect("row index fits usize")].clone();
-                xor_into(&mut r, &basis_row);
+        // foreign pivot bits), so each XOR clears one owned column and
+        // toggles only unowned ones: the rows to fold in are exactly
+        // the owners of the incoming row's set bits, whatever the order.
+        for (w, &word) in row.iter().enumerate() {
+            let mut pending = word;
+            while pending != 0 {
+                if let Some(idx) = self.row_of_pivot[bit_index(w, pending.trailing_zeros())] {
+                    let at = usize::try_from(idx).expect("row index fits usize") * words;
+                    xor_into(r, &basis[at..at + words]);
+                }
+                pending &= pending - 1;
             }
         }
-        let Some(p) = leading_bit(&r) else {
+        let Some(w) = r.iter().position(|w| *w != 0) else {
+            self.basis.truncate(rank * words);
             return InsertOutcome::default(); // dependent: in the span already
         };
-        // Back-substitute: clear column p from every existing row, so
-        // the basis stays *reduced* (unit-row detection is local).
-        let mut touched = Vec::new();
-        for (idx, existing) in self.rows.iter_mut().enumerate() {
-            if existing[p / 64] & (1u64 << (p % 64)) != 0 {
-                xor_into(existing, &r);
-                touched.push(idx);
-            }
-        }
-        let new_idx = u32::try_from(self.rows.len()).expect("basis size fits u32");
-        self.rows.push(r);
-        self.row_of_pivot[p] = Some(new_idx);
-        // Refresh decoded flags for the new row and every row the
-        // back-substitution rewrote; unit rows are never rewritten, so
-        // decodedness is monotone.
+        let p = bit_index(w, r[w].trailing_zeros());
         let mut outcome = InsertOutcome {
             innovative: true,
             newly_decoded: Vec::new(),
         };
-        touched.push(usize::try_from(new_idx).expect("row index fits usize"));
-        for idx in touched {
-            let pivot = leading_bit(&self.rows[idx]).expect("basis rows are nonzero");
-            if !self.decoded[pivot] && is_unit(&self.rows[idx], pivot) {
-                self.decoded[pivot] = true;
-                self.decoded_count += 1;
-                outcome.newly_decoded.push(pivot);
+        // Back-substitute: clear column p from every existing row, so
+        // the basis stays *reduced* (unit-row detection is local), and
+        // refresh the decoded flag of each row rewritten on the way.
+        // Unit rows are never rewritten, so decodedness is monotone.
+        for (existing, &pivot) in basis.chunks_exact_mut(words).zip(&self.pivot_of_row) {
+            if has_bit(existing, p) {
+                xor_into(existing, r);
+                let pivot = usize::try_from(pivot).expect("pivot fits usize");
+                if is_unit(existing, pivot) {
+                    self.decoded[pivot] = true;
+                    outcome.newly_decoded.push(pivot);
+                }
             }
         }
+        if is_unit(r, p) {
+            self.decoded[p] = true;
+            outcome.newly_decoded.push(p);
+        }
+        self.decoded_count += outcome.newly_decoded.len();
         outcome.newly_decoded.sort_unstable();
+        self.row_of_pivot[p] = Some(u32::try_from(rank).expect("basis size fits u32"));
+        self.pivot_of_row
+            .push(u32::try_from(p).expect("pivot fits u32"));
         outcome
     }
 
@@ -189,24 +242,39 @@ impl Gf2Decoder {
     /// the zero vector (if every coin lands tails the first basis row
     /// is included — a deterministic, tape-friendly fixup). `None`
     /// when the decoder has rank 0 and there is nothing to combine.
+    ///
+    /// Draws exactly one `rng.random::<bool>()` per basis row, in
+    /// insertion order: the engine's RNG stream — and with it every
+    /// golden trace — depends on that count and order.
     pub fn random_combination(&self, rng: &mut StdRng) -> Option<Vec<u64>> {
-        if self.rows.is_empty() {
+        if self.basis.is_empty() {
             return None;
         }
-        let mut out = vec![0u64; self.words];
+        let words = self.words;
+        let mut out = vec![0u64; words];
         let mut any = false;
-        for row in &self.rows {
-            if rng.random::<bool>() {
-                xor_into(&mut out, row);
-                any = true;
+        // Two passes per block of ≤ 64 rows: draw the coins into
+        // all-ones/zero masks, then XOR the masked rows branch-free.
+        // Fused, the serial RNG chain and the XORs stall each other.
+        let mut masks = [0u64; 64];
+        for block in self.basis.chunks(masks.len() * words) {
+            let coins = &mut masks[..block.len() / words];
+            for mask in coins.iter_mut() {
+                let coin = rng.random::<bool>();
+                any |= coin;
+                *mask = u64::from(coin).wrapping_neg();
             }
+            xor_masked_rows(&mut out, block, coins);
         }
-        if !any || out.iter().all(|w| *w == 0) {
-            // A sum of distinct RREF rows is never zero, but a sum of
-            // *no* rows is; patch with the first row so every sent
-            // combination carries information.
-            out.clone_from(&self.rows[0]);
+        if !any {
+            // A sum of *no* rows is zero; patch with the first row so
+            // every sent combination carries information.
+            out.copy_from_slice(&self.basis[..words]);
         }
+        debug_assert!(
+            out.iter().any(|w| *w != 0),
+            "a sum of distinct RREF rows is never zero"
+        );
         Some(out)
     }
 }
@@ -224,14 +292,16 @@ pub fn batch_rank(k: usize, rows: &[Vec<u64>]) -> (usize, Vec<bool>) {
         .collect();
     let mut pivots: Vec<(usize, usize)> = Vec::new(); // (column, row index)
     for col in 0..k {
-        let Some(pr) = m.iter().enumerate().position(|(i, row)| {
-            pivots.iter().all(|&(_, p)| p != i) && row[col / 64] & (1u64 << (col % 64)) != 0
-        }) else {
+        let Some(pr) = m
+            .iter()
+            .enumerate()
+            .position(|(i, row)| pivots.iter().all(|&(_, p)| p != i) && has_bit(row, col))
+        else {
             continue;
         };
         let pivot_row = m[pr].clone();
         for (i, row) in m.iter_mut().enumerate() {
-            if i != pr && row[col / 64] & (1u64 << (col % 64)) != 0 {
+            if i != pr && has_bit(row, col) {
                 xor_into(row, &pivot_row);
             }
         }
@@ -315,5 +385,44 @@ mod tests {
             assert!(!probe.insert(&c).innovative);
         }
         assert!(Gf2Decoder::new(4).random_combination(&mut rng).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient bits beyond the universe")]
+    fn stray_bits_beyond_the_universe_are_rejected() {
+        let mut d = Gf2Decoder::new(70);
+        let _ = d.insert(&[0, 1u64 << (104 - 64)]);
+    }
+
+    /// The coin contract the golden traces rely on: one
+    /// `random::<bool>()` per basis row, in insertion order, with the
+    /// first-row fixup when every coin lands tails.
+    #[test]
+    fn random_combination_draws_one_coin_per_row_in_insertion_order() {
+        let k = 300; // five words: one full register tile plus a one-word tail
+        let mut feed = StdRng::seed_from_u64(11);
+        let mut d = Gf2Decoder::new(k);
+        while d.rank() < 150 {
+            let mut row: Vec<u64> = (0..d.words()).map(|_| feed.random()).collect();
+            row[4] &= (1u64 << (k - 256)) - 1;
+            let _ = d.insert(&row);
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..64 {
+            let mut naive_rng = rng.clone();
+            let mut want = vec![0u64; d.words()];
+            let mut any = false;
+            for row in d.basis() {
+                if naive_rng.random::<bool>() {
+                    xor_into(&mut want, row);
+                    any = true;
+                }
+            }
+            if !any {
+                want.copy_from_slice(d.basis().next().expect("rank is positive"));
+            }
+            assert_eq!(d.random_combination(&mut rng), Some(want));
+            assert_eq!(rng, naive_rng, "coin count drifted");
+        }
     }
 }

@@ -263,7 +263,7 @@ impl Protocol for RrStreamNode {
 
     fn on_exchange(&mut self, ctx: &mut Context<'_>, x: &Exchange<StreamPayload>) {
         let ids = match &x.payload {
-            StreamPayload::Ids(ids) => ids.clone(),
+            StreamPayload::Ids(ids) => ids,
             StreamPayload::Rows { .. } => {
                 panic!("round-robin stream received a coefficient payload")
             }
@@ -275,7 +275,7 @@ impl Protocol for RrStreamNode {
         if self.known_to_peer.is_empty() {
             self.known_to_peer = vec![vec![0u64; self.k.div_ceil(64)]; ctx.degree()];
         }
-        for id in ids {
+        for &id in ids {
             let rumor = usize::try_from(id).expect("rumor id fits usize");
             let _ = self.log.record(rumor, x.completed_at);
             self.mark_known(peer_idx, rumor);
@@ -337,16 +337,12 @@ impl RlcStreamNode {
         self.log.heard_all()
     }
 
-    fn unit_row(&self, rumor: usize) -> Vec<u64> {
-        let mut row = vec![0u64; self.decoder.words()];
-        row[rumor / 64] |= 1u64 << (rumor % 64);
-        row
-    }
-
-    fn absorb_row(&mut self, row: &[u64], now: Round) {
-        let out = self.decoder.insert(row);
-        for rumor in out.newly_decoded {
-            let _ = self.log.record(rumor, now);
+    /// Inserts `row` and logs what it made decodable. Takes the two
+    /// fields, not `self`, so the injection feed can call it while it
+    /// is itself mutably borrowed.
+    fn absorb_row(decoder: &mut Gf2Decoder, log: &mut CompletionLog, row: &[u64], now: Round) {
+        for rumor in decoder.insert(row).newly_decoded {
+            let _ = log.record(rumor, now);
         }
     }
 
@@ -388,12 +384,12 @@ impl Protocol for RlcStreamNode {
             return;
         }
         let now = ctx.round();
-        let mut due = Vec::new();
-        self.injections.absorb(now, |rumor, _| due.push(rumor));
-        for rumor in due {
-            let row = self.unit_row(rumor);
-            self.absorb_row(&row, now);
-        }
+        let (decoder, log) = (&mut self.decoder, &mut self.log);
+        self.injections.absorb(now, |rumor, _| {
+            let mut row = vec![0u64; decoder.words()];
+            row[rumor / 64] |= 1u64 << (rumor % 64);
+            Self::absorb_row(decoder, log, &row, now);
+        });
         let peer = ctx.choose(d);
         self.stage(ctx);
         ctx.initiate_nth(peer);
@@ -408,12 +404,12 @@ impl Protocol for RlcStreamNode {
                     self.k,
                     "peer streams a different universe"
                 );
-                rows.clone()
+                rows
             }
             StreamPayload::Ids(_) => panic!("algebraic stream received an id payload"),
         };
         for row in rows {
-            self.absorb_row(&row, x.completed_at);
+            Self::absorb_row(&mut self.decoder, &mut self.log, row, x.completed_at);
         }
     }
 

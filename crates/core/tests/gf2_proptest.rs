@@ -4,7 +4,7 @@
 //! exactly, and the incremental eliminator agrees with an independent
 //! from-scratch elimination.
 
-use gossip_core::gf2::{batch_rank, Gf2Decoder};
+use gossip_core::gf2::{batch_rank, Gf2Decoder, InsertOutcome};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,10 +39,19 @@ fn combo(k: usize, injected: &[usize], rng: &mut StdRng) -> Vec<u64> {
     row
 }
 
+/// A uniformly random row over a `k`-rumor universe (no stray bits
+/// beyond column `k`).
+fn random_row(k: usize, rng: &mut StdRng) -> Vec<u64> {
+    let words = k.div_ceil(64);
+    let mut row: Vec<u64> = (0..words).map(|_| rng.random::<u64>()).collect();
+    row[words - 1] &= u64::MAX >> (words * 64 - k);
+    row
+}
+
 /// `(k, injected_rumors)`: a universe plus a nonempty subset of it
 /// playing the role of the rumors actually injected somewhere.
 fn universe() -> impl Strategy<Value = (usize, Vec<usize>)> {
-    (1usize..=130, 0u64..1000).prop_map(|(k, seed)| {
+    (1usize..=320, 0u64..1000).prop_map(|(k, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut injected: Vec<usize> = (0..k).filter(|_| rng.random::<bool>()).collect();
         if injected.is_empty() {
@@ -107,41 +116,62 @@ proptest! {
     }
 
     /// The incremental decoder agrees with an independent from-scratch
-    /// elimination after every prefix of an arbitrary row sequence,
-    /// and its decoded flags (plus `newly_decoded` deltas) are
-    /// monotone along the way.
+    /// elimination after every prefix of an arbitrary row sequence:
+    /// same rank, same decoded set, `innovative` exactly when rank
+    /// grew, `newly_decoded` exactly the decoded-set difference
+    /// (ascending) — and once rank reaches `k` every further insert is
+    /// a no-op that leaves the basis untouched. Half the cases draw a
+    /// small universe so the sequence runs past full rank.
     #[test]
     fn incremental_matches_from_scratch(
-        k in 1usize..=96,
+        k in (1usize..=320, any::<bool>()).prop_map(|(k, small)| if small { k % 24 + 1 } else { k }),
         seed in 0u64..1000,
         count in 1usize..30,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let words = k.div_ceil(64);
-        let mask = if k % 64 == 0 { u64::MAX } else { (1u64 << (k % 64)) - 1 };
-        let rows: Vec<Vec<u64>> = (0..count)
-            .map(|_| {
-                let mut r: Vec<u64> = (0..words).map(|_| rng.random::<u64>()).collect();
-                r[words - 1] &= mask;
-                r
-            })
-            .collect();
+        let rows: Vec<Vec<u64>> = (0..count).map(|_| random_row(k, &mut rng)).collect();
         let mut d = Gf2Decoder::new(k);
         let mut flags = vec![false; k];
         for (i, row) in rows.iter().enumerate() {
             let before = d.rank();
+            let untouched = d.clone();
             let out = d.insert(row);
-            prop_assert_eq!(d.rank(), before + usize::from(out.innovative));
-            for &r in &out.newly_decoded {
-                prop_assert!(!flags[r], "rumor {r} reported newly decoded twice");
-                flags[r] = true;
-            }
             let (rank, decoded) = batch_rank(k, &rows[..=i]);
-            prop_assert_eq!(rank, d.rank());
-            for (r, &want) in decoded.iter().enumerate() {
+            prop_assert_eq!(d.rank(), rank);
+            prop_assert_eq!(out.innovative, rank > before, "row {}", i);
+            let fresh: Vec<usize> = (0..k).filter(|&r| decoded[r] && !flags[r]).collect();
+            prop_assert_eq!(&out.newly_decoded, &fresh, "row {}", i);
+            flags = decoded;
+            prop_assert_eq!(d.decoded_count(), flags.iter().filter(|f| **f).count());
+            for (r, &want) in flags.iter().enumerate() {
                 prop_assert_eq!(d.is_decoded(r), want, "rumor {} after row {}", r, i);
-                prop_assert_eq!(flags[r], want, "flag drift on rumor {}", r);
+            }
+            if before == k {
+                prop_assert_eq!(out, InsertOutcome::default());
+                prop_assert_eq!(&d, &untouched);
             }
         }
+    }
+
+    /// Full rank is a fixed point at every row width: fill a universe
+    /// of up to five words with random rows until rank `k`, then any
+    /// further row returns the default outcome and moves nothing.
+    #[test]
+    fn full_rank_absorbs_every_row(k in 1usize..=320, seed in 0u64..1000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut d = Gf2Decoder::new(k);
+        let mut fed = Vec::new();
+        while d.rank() < k {
+            fed.push(random_row(k, &mut rng));
+            let _ = d.insert(fed.last().expect("just pushed"));
+        }
+        let (rank, decoded) = batch_rank(k, &fed);
+        prop_assert_eq!(rank, k);
+        prop_assert!(decoded.iter().all(|f| *f) && d.decoded_all());
+        let full = d.clone();
+        for _ in 0..4 {
+            prop_assert_eq!(d.insert(&random_row(k, &mut rng)), InsertOutcome::default());
+        }
+        prop_assert_eq!(d, full);
     }
 }
