@@ -227,6 +227,7 @@ fn main() {
         let p = gossip_bench::net_bench::measure_reactor(
             "clique",
             1024,
+            1,
             gossip_bench::net_bench::PayloadMode::Snapshot,
         );
         println!(

@@ -47,11 +47,14 @@ pub struct NetPoint {
     pub topology: &'static str,
     /// Node count.
     pub n: usize,
-    /// Seeds run (after one discarded warm-up for loopback).
+    /// Seeds run (after one discarded warm-up for loopback); for
+    /// `reactor` rows, repeats of one seed (see [`measure_reactor`]).
     pub trials: u64,
-    /// Total rounds to convergence across all trials.
+    /// Total rounds to convergence across all trials (`reactor` rows:
+    /// this and every count below are those of one execution).
     pub rounds: u64,
-    /// Total wall-clock seconds across all trials.
+    /// Total wall-clock seconds across all trials (`reactor` rows: the
+    /// median trial).
     pub secs: f64,
     /// Frames sent, cluster-wide, across all trials.
     pub frames: u64,
@@ -302,42 +305,61 @@ pub fn measure_wall(
 
 /// Push-pull all-to-all single-process on the epoll reactor (drain
 /// pacing, so the virtual clock runs as fast as the sockets allow).
-/// One trial — this is the large-n section, and socket setup is part of
-/// the price.
+/// This is the large-n section, and socket setup is part of the price.
+///
+/// Unlike the other sections every trial is the *same* seed-1
+/// execution: drain pacing is deterministic, so the trials must agree
+/// on every count (asserted before any time is reported), the row's
+/// counts are those of one execution, and `secs` is the median trial.
 ///
 /// # Panics
 ///
-/// Panics if the reactor fails or the run misses convergence.
-pub fn measure_reactor(name: &'static str, n: usize, mode: PayloadMode) -> NetPoint {
+/// Panics if the reactor fails, a run misses convergence, two trials
+/// disagree on a count, or `trials` is 0.
+pub fn measure_reactor(name: &'static str, n: usize, trials: u64, mode: PayloadMode) -> NetPoint {
     let g = topology(name, n);
     let mut peak = 0_u64;
-    let start = Instant::now();
-    let (o, stats, wire) = run_reactor_mode_with_stats(
-        &g,
-        &SimConfig {
-            seed: 1,
-            max_rounds: 100_000,
-            ..SimConfig::default()
-        },
-        mode,
-        |id, n| PushPullNode::new(id, n, Mode::PushPull),
-        |nodes: &[&PushPullNode], _| {
-            peak = peak.max(current_threads());
-            nodes.iter().all(|p| p.rumors.is_full())
-        },
-    );
-    let secs = start.elapsed().as_secs_f64();
-    assert_eq!(o.reason, StopReason::Condition, "reactor must converge");
+    let mut answer = None;
+    let mut secs = Vec::new();
+    for _ in 0..trials {
+        let start = Instant::now();
+        let (o, stats, wire) = run_reactor_mode_with_stats(
+            &g,
+            &SimConfig {
+                seed: 1,
+                max_rounds: 100_000,
+                ..SimConfig::default()
+            },
+            mode,
+            |id, n| PushPullNode::new(id, n, Mode::PushPull),
+            |nodes: &[&PushPullNode], _| {
+                peak = peak.max(current_threads());
+                nodes.iter().all(|p| p.rumors.is_full())
+            },
+        );
+        secs.push(start.elapsed().as_secs_f64());
+        assert_eq!(o.reason, StopReason::Condition, "reactor must converge");
+        let counts = (
+            o.rounds,
+            stats.frames_sent,
+            stats.bytes_sent,
+            wire,
+            o.metrics.lost,
+        );
+        assert_eq!(*answer.get_or_insert(counts), counts, "trials disagree");
+    }
+    secs.sort_by(f64::total_cmp);
+    let (rounds, frames, bytes, wire, losses) = answer.expect("at least one trial");
     NetPoint {
         topology: name,
         n,
-        trials: 1,
-        rounds: o.rounds,
-        secs,
-        frames: stats.frames_sent,
-        bytes: stats.bytes_sent,
+        trials,
+        rounds,
+        secs: secs[secs.len() / 2],
+        frames,
+        bytes,
         wire,
-        losses: o.metrics.lost,
+        losses,
         peak_threads: peak,
     }
 }
@@ -464,10 +486,10 @@ pub fn run(trials: u64, round: Duration) -> String {
     // 4096 nodes is ~8.4M edges of clique, all multiplexed over a
     // handful of trunk sockets on one thread.
     let reactor = vec![
-        measure_reactor("clique", 256, PayloadMode::Snapshot),
-        measure_reactor("ring-of-cliques", 256, PayloadMode::Snapshot),
-        measure_reactor("clique", 1024, PayloadMode::Snapshot),
-        measure_reactor("clique", 4096, PayloadMode::Snapshot),
+        measure_reactor("clique", 256, 3, PayloadMode::Snapshot),
+        measure_reactor("ring-of-cliques", 256, 3, PayloadMode::Snapshot),
+        measure_reactor("clique", 1024, 3, PayloadMode::Snapshot),
+        measure_reactor("clique", 4096, 3, PayloadMode::Snapshot),
     ];
     let comparison = measure_mode_comparison("clique", 1024, 128);
     let codec = measure_codec(200_000, 512);
@@ -595,8 +617,8 @@ mod tests {
 
     #[test]
     fn reactor_measure_converges_on_one_thread() {
-        let p = measure_reactor("clique", 32, PayloadMode::Snapshot);
-        assert_eq!(p.n, 32);
+        let p = measure_reactor("clique", 32, 2, PayloadMode::Snapshot);
+        assert_eq!((p.n, p.trials), (32, 2));
         assert!(p.rounds > 0);
         assert!(p.frames > 0 && p.bytes > p.frames);
         assert_eq!(p.losses, 0);

@@ -9,6 +9,7 @@
 //! connection), and both sides then refuse to exchange any other frame
 //! until the handshake checks out.
 
+use std::io::{self, Read};
 use std::time::Duration;
 
 use latency_graph::NodeId;
@@ -95,19 +96,25 @@ impl Backoff {
 
 /// Incremental frame reassembly over any byte stream.
 ///
-/// Bytes are appended as they arrive;
+/// Bytes are read in place as they arrive;
 /// [`next_frame`](FrameReader::next_frame)
 /// yields complete frames without re-scanning or shifting the buffer
-/// per frame — consumed bytes are compacted only once a threshold is
-/// passed, so a burst of small frames costs amortized O(bytes).
+/// per frame — decoded bytes are reclaimed only when a read runs short
+/// of room, so a burst of small frames costs amortized O(bytes).
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// `buf[pos..end]` is received and not yet decoded; `buf[end..]` is
+    /// initialised spare room a socket read fills in place.
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
 }
 
-/// Compact the buffer once this many consumed bytes accumulate.
-const COMPACT_AT: usize = 64 * 1024;
+/// Least spare room offered to a read, and the buffer's first size.
+const READ_MIN: usize = 4 * 1024;
+/// The buffer doubles while reads fill their room, up to this (past it
+/// only for a single frame that needs more).
+const READ_MAX: usize = 256 * 1024;
 
 impl FrameReader {
     /// An empty reassembly buffer.
@@ -115,22 +122,54 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Appends freshly received bytes.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    /// Appends freshly received bytes (through the same path a socket
+    /// read takes).
+    pub fn extend(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            self.read_from(&mut bytes)
+                .expect("reading a slice cannot fail");
+        }
+    }
+
+    /// One `read` from `src` straight into the buffer's spare room (no
+    /// intermediate copy, nothing zeroed per call). Returns the byte
+    /// count; 0 is end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `src.read` returns, `WouldBlock` and `Interrupted`
+    /// included; nothing is appended then.
+    pub(crate) fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        if self.buf.len() - self.end < READ_MIN {
+            // Short of room: reclaim the decoded prefix, and grow only
+            // if what is left (one partial frame) still crowds the end.
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            if self.buf.len() - self.end < READ_MIN {
+                self.buf.resize(self.end + READ_MIN, 0);
+            }
+        }
+        let room = self.buf.len() - self.end;
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        if n == room && self.buf.len() < READ_MAX {
+            self.buf.resize(2 * self.buf.len(), 0);
+        }
+        Ok(n)
     }
 
     /// Whether the buffer is at a frame boundary (no partial frame
     /// pending) — the condition under which an EOF is clean.
     pub fn at_boundary(&self) -> bool {
-        self.pos == self.buf.len()
+        self.pos == self.end
     }
 
     /// Throws away everything buffered (a connection that is only being
     /// drained to close no longer cares about its bytes).
     pub fn discard(&mut self) {
-        self.buf.clear();
         self.pos = 0;
+        self.end = 0;
     }
 
     /// Decodes the next complete frame, if the buffer holds one.
@@ -142,15 +181,11 @@ impl FrameReader {
     /// Any [`CodecError`] other than `Truncated` is a permanent
     /// rejection of the stream.
     pub fn next_frame(&mut self) -> Result<Option<(Frame, u64)>, CodecError> {
-        match Frame::decode(&self.buf[self.pos..]) {
+        match Frame::decode(&self.buf[self.pos..self.end]) {
             Ok((frame, used)) => {
                 self.pos += used;
-                if self.pos == self.buf.len() {
-                    self.buf.clear();
-                    self.pos = 0;
-                } else if self.pos >= COMPACT_AT {
-                    self.buf.drain(..self.pos);
-                    self.pos = 0;
+                if self.pos == self.end {
+                    self.discard();
                 }
                 let used = u64::try_from(used).expect("frame size fits u64");
                 Ok(Some((frame, used)))
@@ -200,6 +235,38 @@ mod tests {
         }
         assert_eq!(seen, frames);
         assert!(reader.at_boundary());
+    }
+
+    #[test]
+    fn frame_reader_grows_to_its_cap_and_reclaims_under_large_reads() {
+        // ~1.3 MiB in one slice: every read fills its room (so the
+        // buffer doubles up to `READ_MAX`) and ends mid-frame (so the
+        // next read has to reclaim the decoded prefix to find room).
+        let frames: Vec<Frame> = (0..2500)
+            .map(|seq| Frame::Request {
+                seq,
+                round: 1,
+                payload: vec![seq as u8; 500],
+            })
+            .collect();
+        let mut stream = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut stream).expect("frame encodes");
+        }
+        let mut src = &stream[..];
+        let mut reader = FrameReader::new();
+        let mut seen = Vec::new();
+        let mut widest = 0;
+        while !src.is_empty() {
+            widest = widest.max(reader.read_from(&mut src).expect("slice read"));
+            while let Some((f, _)) = reader.next_frame().expect("stream is well-formed") {
+                seen.push(f);
+            }
+        }
+        assert_eq!(seen, frames);
+        assert!(reader.at_boundary());
+        assert_eq!(reader.buf.len(), READ_MAX, "doubled to the cap and stopped");
+        assert!(widest > READ_MAX - 600, "all but a partial frame is room");
     }
 
     #[test]

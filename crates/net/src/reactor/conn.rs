@@ -1,15 +1,14 @@
-//! Per-connection buffer state machines for the reactor: a pooled,
-//! vectored write queue and the connection roles the readiness loop
-//! dispatches on.
+//! Per-connection buffer state machines for the reactor: a one-buffer
+//! write queue and the connection roles the readiness loop dispatches
+//! on.
 //!
-//! Instead of encoding every frame into a fresh `Vec` for a blocking
-//! `write_all`, the reactor keeps two recycled scratch buffers per
-//! queued frame — header+metadata and payload — and flushes them with
-//! `write_vectored`, so a frame costs zero steady-state allocations and
-//! one syscall can carry many frames.
+//! Frames are encoded back to back into one `Vec<u8>` per connection
+//! and flushed with plain `write` from a single offset, so whatever a
+//! round queued on a connection leaves in as few syscalls as the socket
+//! buffer allows, and a flushed-empty queue keeps its allocation.
 
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
 
 use gossip_sim::Round;
@@ -18,11 +17,6 @@ use latency_graph::NodeId;
 use crate::conn::FrameReader;
 use crate::error::CodecError;
 use crate::wire::Frame;
-
-/// Cap on recycled scratch buffers kept per connection.
-const POOL_CAP: usize = 64;
-/// Max `IoSlice`s per `write_vectored` call (well under IOV_MAX).
-const MAX_IOV: usize = 32;
 
 /// What a registered connection is for; decides how readiness events
 /// and decoded frames are handled.
@@ -48,66 +42,34 @@ pub(crate) enum ConnKind {
     Closing,
 }
 
-/// One queued frame: header+fixed fields in `meta`, payload bytes (if
-/// any) in `payload`. Both come from / return to the pool.
-struct OutBuf {
-    meta: Vec<u8>,
-    payload: Vec<u8>,
-}
-
-/// Pooled vectored write queue; front buffer may be partially written.
+/// Contiguous write queue: encoded frames back to back in `buf`, of
+/// which `buf[..off]` is already on the wire.
 #[derive(Default)]
 pub(crate) struct WriteQueue {
-    bufs: VecDeque<OutBuf>,
-    /// Bytes of the front buffer already on the wire.
-    front_off: usize,
-    pool: Vec<Vec<u8>>,
-    queued: usize,
+    buf: Vec<u8>,
+    off: usize,
+    /// End offset in `buf` of every frame it holds, written or not —
+    /// kept only so [`drain_encoded`](WriteQueue::drain_encoded) can
+    /// find where the frame cut by `off` starts.
+    ends: VecDeque<usize>,
+    /// Scratch for a routed envelope's headers (`encode_routed_parts`
+    /// clears its output, so it cannot append to `buf` directly).
+    meta: Vec<u8>,
 }
 
 impl WriteQueue {
-    fn take_buf(&mut self) -> Vec<u8> {
-        self.pool
-            .pop()
-            .map(|mut v| {
-                v.clear();
-                v
-            })
-            .unwrap_or_default()
-    }
-
-    fn push_buf(&mut self, buf: OutBuf) {
-        self.queued += buf.meta.len() + buf.payload.len();
-        self.bufs.push_back(buf);
-    }
-
-    fn recycle(&mut self, buf: Vec<u8>) {
-        if self.pool.len() < POOL_CAP {
-            self.pool.push(buf);
-        }
-    }
-
-    /// Queues a plain frame (scratch-encoded; no allocation once the
-    /// pool is warm). Returns its encoded size.
+    /// Queues a plain frame, encoded in place at the tail. Returns its
+    /// encoded size.
     ///
     /// # Errors
     ///
     /// [`CodecError::FrameTooLarge`] if the frame's body exceeds the
     /// wire cap; nothing is queued.
     pub(crate) fn push_frame(&mut self, frame: &Frame) -> Result<usize, CodecError> {
-        let mut meta = self.take_buf();
-        let mut payload = self.take_buf();
-        match frame.encode_parts(&mut meta) {
-            Ok(body) => payload.extend_from_slice(body),
-            Err(e) => {
-                self.recycle(meta);
-                self.recycle(payload);
-                return Err(e);
-            }
-        }
-        let size = meta.len() + payload.len();
-        self.push_buf(OutBuf { meta, payload });
-        Ok(size)
+        let start = self.buf.len();
+        frame.encode_into(&mut self.buf)?;
+        self.ends.push_back(self.buf.len());
+        Ok(self.buf.len() - start)
     }
 
     /// Queues `inner` wrapped in a `Frame::Routed` envelope without
@@ -124,107 +86,85 @@ impl WriteQueue {
         release: Round,
         inner: &Frame,
     ) -> Result<usize, CodecError> {
-        let mut meta = self.take_buf();
-        let mut payload = self.take_buf();
-        match Frame::encode_routed_parts(src, dst, release, inner, &mut meta) {
-            Ok(body) => payload.extend_from_slice(body),
-            Err(e) => {
-                self.recycle(meta);
-                self.recycle(payload);
-                return Err(e);
-            }
-        }
-        let size = meta.len() + payload.len();
-        self.push_buf(OutBuf { meta, payload });
-        Ok(size)
+        let payload = Frame::encode_routed_parts(src, dst, release, inner, &mut self.meta)?;
+        self.buf.extend_from_slice(&self.meta);
+        self.buf.extend_from_slice(payload);
+        self.ends.push_back(self.buf.len());
+        Ok(self.meta.len() + payload.len())
     }
 
-    /// Queues pre-encoded bytes (wheel-released replies, edge backlog
-    /// replayed after a reconnect).
-    pub(crate) fn push_bytes(&mut self, bytes: Vec<u8>) {
-        let payload = self.take_buf();
-        self.push_buf(OutBuf {
-            meta: bytes,
-            payload,
-        });
+    /// Queues one pre-encoded frame (wheel-released replies, edge
+    /// backlog replayed after a reconnect).
+    pub(crate) fn push_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+        self.ends.push_back(self.buf.len());
     }
 
     /// Whether everything queued has hit the wire.
     pub(crate) fn is_empty(&self) -> bool {
-        self.bufs.is_empty()
+        self.off == self.buf.len()
     }
 
     /// Unwritten byte count.
     pub(crate) fn queued_bytes(&self) -> usize {
-        self.queued
+        self.buf.len() - self.off
     }
 
-    /// Drains the queue as whole encoded frames — including the front
-    /// frame from byte 0, so a frame cut by a connection loss is resent
-    /// intact (receivers dedup by sequence number).
+    /// Empties the queue, returning every frame not yet fully on the
+    /// wire as its own buffer — the frame cut by a partial write from
+    /// byte 0, so a connection loss resends it intact (receivers dedup
+    /// by sequence number).
     pub(crate) fn drain_encoded(&mut self) -> Vec<Vec<u8>> {
-        self.front_off = 0;
-        self.queued = 0;
-        self.bufs
-            .drain(..)
-            .map(|b| {
-                let mut whole = b.meta;
-                whole.extend_from_slice(&b.payload);
-                whole
-            })
-            .collect()
+        let mut frames = Vec::new();
+        let mut start = 0;
+        for end in self.ends.drain(..) {
+            if end > self.off {
+                frames.push(self.buf[start..end].to_vec());
+            }
+            start = end;
+        }
+        self.buf.clear();
+        self.off = 0;
+        frames
     }
 
     /// Writes as much as the socket accepts. `Ok(true)` means the queue
-    /// emptied; `Ok(false)` means the socket would block (keep
-    /// `EPOLLOUT` armed).
-    pub(crate) fn flush(&mut self, stream: &mut TcpStream) -> io::Result<bool> {
-        loop {
-            if self.bufs.is_empty() {
-                return Ok(true);
-            }
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV);
-            let mut skip = self.front_off;
-            'fill: for buf in &self.bufs {
-                for part in [&buf.meta, &buf.payload] {
-                    if skip >= part.len() {
-                        skip -= part.len();
-                        continue;
-                    }
-                    slices.push(IoSlice::new(&part[skip..]));
-                    skip = 0;
-                    if slices.len() == MAX_IOV {
-                        break 'fill;
-                    }
-                }
-            }
-            match stream.write_vectored(&slices) {
+    /// emptied (and kept its buffer); `Ok(false)` means the socket
+    /// would block (keep `EPOLLOUT` armed).
+    pub(crate) fn flush(&mut self, stream: &mut impl Write) -> io::Result<bool> {
+        while self.off < self.buf.len() {
+            match stream.write(&self.buf[self.off..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.consume(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Ok(n) => self.off += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.reclaim();
+                    return Ok(false);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        self.buf.clear();
+        self.off = 0;
+        self.ends.clear();
+        Ok(true)
     }
 
-    fn consume(&mut self, mut n: usize) {
-        self.queued -= n.min(self.queued);
-        n += self.front_off;
-        while let Some(front) = self.bufs.front() {
-            let total = front.meta.len() + front.payload.len();
-            if n < total {
-                break;
-            }
-            n -= total;
-            let done = self.bufs.pop_front().expect("front exists");
-            for buf in [done.meta, done.payload] {
-                if self.pool.len() < POOL_CAP {
-                    self.pool.push(buf);
-                }
-            }
+    /// Drops the frames fully on the wire once they fill half the
+    /// buffer, so a queue that never quite empties (a slow remote peer)
+    /// holds its backlog, not everything it ever sent.
+    fn reclaim(&mut self) {
+        let written = self.ends.partition_point(|&end| end <= self.off);
+        let head = written.checked_sub(1).map_or(0, |last| self.ends[last]);
+        if head < self.buf.len() / 2 {
+            return;
         }
-        self.front_off = n;
+        self.buf.drain(..head);
+        self.ends.drain(..written);
+        for end in &mut self.ends {
+            *end -= head;
+        }
+        self.off -= head;
     }
 }
 
@@ -236,6 +176,8 @@ pub(crate) struct Conn {
     pub(crate) reader: FrameReader,
     pub(crate) wq: WriteQueue,
     pub(crate) interest: u32,
+    /// Listed for the reactor's next `flush_dirty`, which clears it.
+    pub(crate) dirty: bool,
 }
 
 impl Conn {
@@ -246,76 +188,133 @@ impl Conn {
             reader: FrameReader::new(),
             wq: WriteQueue::default(),
             interest,
+            dirty: false,
         }
+    }
+
+    /// Flags the connection as holding freshly queued bytes; `true` if
+    /// it was not flagged already (the caller then lists it once).
+    pub(crate) fn mark_dirty(&mut self) -> bool {
+        !std::mem::replace(&mut self.dirty, true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
-    use std::net::TcpListener;
 
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let a = TcpStream::connect(addr).expect("connect");
-        let (b, _) = listener.accept().expect("accept");
-        (a, b)
+    /// A socket stand-in that accepts `room` more bytes, then reports
+    /// `WouldBlock`.
+    struct Choked {
+        room: usize,
+        wire: Vec<u8>,
+    }
+
+    impl Write for Choked {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = bytes.len().min(self.room);
+            self.wire.extend_from_slice(&bytes[..n]);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn choked(room: usize) -> Choked {
+        Choked {
+            room,
+            wire: Vec::new(),
+        }
+    }
+
+    fn request(seq: u64) -> Frame {
+        Frame::Request {
+            seq,
+            round: 2,
+            payload: vec![7; 300],
+        }
     }
 
     #[test]
-    fn vectored_flush_round_trips_frames() {
-        let (mut tx, mut rx) = pair();
+    fn flush_writes_frames_back_to_back_and_keeps_the_buffer() {
         let mut wq = WriteQueue::default();
-        let frames = vec![
-            Frame::Request {
-                seq: 1,
-                round: 0,
-                payload: vec![7; 300],
-            },
-            Frame::Done { round: 4 },
-            Frame::Bye,
-        ];
         let mut expected = Vec::new();
-        for f in &frames {
+        for f in [request(1), Frame::Done { round: 4 }, Frame::Bye] {
             f.encode_into(&mut expected).expect("frame encodes");
-            match f {
-                Frame::Routed { .. } => unreachable!("plain frames only"),
-                _ => assert_eq!(
-                    wq.push_frame(f).expect("frame fits"),
-                    f.encode().expect("frame fits").len()
-                ),
-            }
+            let size = wq.push_frame(&f).expect("frame fits");
+            assert_eq!(size, f.encode().expect("frame fits").len());
         }
+        let (src, dst) = (NodeId::new(3), NodeId::new(5));
+        let size = wq.push_routed(src, dst, 9, &request(8)).expect("fits");
+        let routed = Frame::Routed {
+            src,
+            dst,
+            release: 9,
+            inner: Box::new(request(8)),
+        };
+        assert_eq!(size, routed.encode().expect("frame fits").len());
+        routed.encode_into(&mut expected).expect("frame encodes");
         assert_eq!(wq.queued_bytes(), expected.len());
-        assert!(wq.flush(&mut tx).expect("flush"));
+
+        let mut sock = choked(usize::MAX);
+        assert!(wq.flush(&mut sock).expect("flush"));
         assert!(wq.is_empty());
         assert_eq!(wq.queued_bytes(), 0);
+        assert_eq!(sock.wire, expected);
 
-        let mut got = vec![0_u8; expected.len()];
-        rx.read_exact(&mut got).expect("read");
-        assert_eq!(got, expected);
+        let (ptr, cap) = (wq.buf.as_ptr(), wq.buf.capacity());
+        wq.push_bytes(&expected[..8]);
+        assert_eq!((wq.buf.as_ptr(), wq.buf.capacity()), (ptr, cap));
+        assert_eq!(wq.ends, [8], "the flushed frames' ends are gone");
     }
 
     #[test]
-    fn drain_encoded_resets_partial_front() {
-        let (_tx, _rx) = pair();
+    fn drain_encoded_after_a_partial_write_restarts_the_cut_frame() {
         let mut wq = WriteQueue::default();
-        let f = Frame::Request {
-            seq: 9,
-            round: 2,
-            payload: vec![1, 2, 3],
-        };
-        wq.push_frame(&f).expect("frame fits");
-        wq.push_bytes(Frame::Bye.encode().expect("frame fits"));
-        // Simulate a partial write of the front frame.
-        wq.front_off = 4;
-        let drained = wq.drain_encoded();
-        assert_eq!(drained.len(), 2);
-        let encoded = f.encode().expect("frame fits");
-        assert_eq!(drained[0], encoded, "front frame restarts from byte 0");
-        assert_eq!(drained[1], Frame::Bye.encode().expect("frame fits"));
+        let first = request(9).encode().expect("frame fits");
+        let bye = Frame::Bye.encode().expect("frame fits");
+        let done = Frame::Done { round: 4 }.encode().expect("frame fits");
+        wq.push_frame(&request(9)).expect("frame fits");
+        wq.push_bytes(&bye);
+        wq.push_frame(&Frame::Done { round: 4 })
+            .expect("frame fits");
+        // The first frame and half of the second reach the wire.
+        assert!(!wq.flush(&mut choked(first.len() + 4)).expect("flush"));
+        assert_eq!(wq.queued_bytes(), bye.len() - 4 + done.len());
+        assert_eq!(
+            wq.drain_encoded(),
+            [bye, done],
+            "written frame skipped, cut frame from byte 0, rest intact"
+        );
         assert!(wq.is_empty());
+    }
+
+    #[test]
+    fn choked_queue_holds_its_backlog_not_its_history() {
+        let mut wq = WriteQueue::default();
+        let mut sock = choked(0);
+        let mut expected = Vec::new();
+        let len = request(0).encode().expect("frame fits").len();
+        // Each step queues two frames and the socket takes one and a
+        // half, so the queue never empties.
+        for seq in 0..200 {
+            for f in [request(2 * seq), request(2 * seq + 1)] {
+                f.encode_into(&mut expected).expect("frame encodes");
+                wq.push_frame(&f).expect("frame fits");
+            }
+            sock.room = len + len / 2;
+            assert!(!wq.flush(&mut sock).expect("flush"));
+            assert!(wq.buf.len() <= 2 * wq.queued_bytes() + 2 * len);
+        }
+        assert_eq!(wq.queued_bytes(), expected.len() - sock.wire.len());
+        sock.room = usize::MAX;
+        assert!(wq.flush(&mut sock).expect("flush"));
+        assert_eq!(sock.wire, expected, "reclaiming lost or moved no byte");
     }
 }

@@ -31,12 +31,19 @@
 //! # Pacing
 //!
 //! * [`Pacing::Drain`] — virtual time for single-process runs: frames
-//!   are written immediately, receivers stage them by release round,
-//!   and `poll(round)` pumps until the reactor **quiesces** (all write
-//!   queues empty, every routed envelope decoded) instead of waiting on
-//!   the wall clock. With every node hosted, this reproduces the
-//!   loopback transport's executions exactly — and hence the
-//!   simulator's (DESIGN.md §11) — while exercising real sockets.
+//!   are queued on their trunk, receivers stage them by release round,
+//!   and `poll(round)` pumps **when a due envelope is in flight** —
+//!   one queued since the last pump with `release ≤ round` — until the
+//!   reactor **quiesces** (all write queues empty, every routed
+//!   envelope decoded) instead of waiting on the wall clock. A poll
+//!   with nothing due touches no socket: an exchange over a latency-ℓ
+//!   edge completes ℓ ≥ 1 rounds after it starts, so a reply queued in
+//!   round `t` is not wanted before the polls of round `t + 1`, and a
+//!   lockstep phase costs one pump — a `write`, an `epoll_wait` and a
+//!   few `read`s per trunk — however many frames it queued. With every
+//!   node hosted, this reproduces the loopback transport's executions
+//!   exactly — and hence the simulator's (DESIGN.md §11) — while
+//!   exercising real sockets.
 //! * [`Pacing::Wall`] — wall-clock rounds against a shared in-process
 //!   epoch, with reply release deadlines (`epoch + release·Δ − Δ/2`)
 //!   enforced by the wheel on the send side. This is the mode that
@@ -48,7 +55,7 @@ pub(crate) mod wheel;
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -211,6 +218,10 @@ struct Core {
     /// empty trunk write queues — is an *exact* quiescence test.
     routed_enqueued: u64,
     routed_decoded: u64,
+    /// Smallest `release` among the routed envelopes enqueued since the
+    /// drain pump last quiesced (`Round::MAX` when there is none): a
+    /// drain-paced poll of an earlier round has nothing to wait for.
+    next_release: Round,
     epoch: Option<Instant>,
     started: bool,
     start_failed: bool,
@@ -293,6 +304,7 @@ impl Core {
             trunks_in: 0,
             routed_enqueued: 0,
             routed_decoded: 0,
+            next_release: Round::MAX,
             epoch: None,
             started: false,
             start_failed: false,
@@ -343,7 +355,7 @@ impl Core {
     }
 
     fn mark_dirty(&mut self, idx: usize) {
-        if !self.dirty.contains(&idx) {
+        if self.conns[idx].as_mut().is_some_and(Conn::mark_dirty) {
             self.dirty.push(idx);
         }
     }
@@ -506,7 +518,8 @@ impl Core {
     fn flush_dirty(&mut self) -> Result<(), NetError> {
         let dirty = std::mem::take(&mut self.dirty);
         for idx in dirty {
-            if self.conns[idx].is_some() {
+            if let Some(conn) = self.conns[idx].as_mut() {
+                conn.dirty = false;
                 self.flush_conn(idx)?;
             }
         }
@@ -556,17 +569,13 @@ impl Core {
     }
 
     fn read_conn(&mut self, idx: usize) -> Result<(), NetError> {
-        let mut chunk = [0_u8; 16 * 1024];
         loop {
             let Some(conn) = self.conns[idx].as_mut() else {
                 return Ok(());
             };
-            match conn.stream.read(&mut chunk) {
+            match conn.reader.read_from(&mut conn.stream) {
                 Ok(0) => return self.conn_eof(idx),
-                Ok(n) => {
-                    conn.reader.extend(&chunk[..n]);
-                    self.dispatch_frames(idx)?;
-                }
+                Ok(_) => self.dispatch_frames(idx)?,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return self.conn_broken(idx, &e.to_string()),
@@ -676,7 +685,7 @@ impl Core {
             && self
                 .hosted
                 .get(&to)
-                .is_some_and(|h| h.neighbors.contains(&node));
+                .is_some_and(|h| h.neighbors.binary_search(&node).is_ok());
         if let Some(conn) = self.conns[idx].as_mut() {
             if valid {
                 conn.kind = ConnKind::PeerIn { from: node, to };
@@ -708,10 +717,9 @@ impl Core {
                     edge.up = true;
                     edge.established = true;
                     edge.attempts = 0;
-                    let pending: Vec<Vec<u8>> = edge.pending.drain(..).collect();
                     if let Some(conn) = self.conns[idx].as_mut() {
-                        for bytes in pending {
-                            conn.wq.push_bytes(bytes);
+                        for bytes in edge.pending.drain(..) {
+                            conn.wq.push_bytes(&bytes);
                         }
                     }
                     self.mark_dirty(idx);
@@ -965,41 +973,13 @@ impl Core {
         }
     }
 
-    /// Queues `frame` on the edge `from → to` (or its outage backlog).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::FrameTooLarge`](crate::CodecError::FrameTooLarge)
-    /// (as a [`NetError`]) if the frame exceeds the wire cap.
-    fn send_edge(&mut self, from: NodeId, to: NodeId, frame: &Frame) -> Result<u64, NetError> {
-        let Some(edge) = self.edges.get_mut(&(from, to)) else {
-            return Ok(0);
-        };
-        if edge.lost {
-            return Ok(0);
-        }
-        if edge.up {
-            if let Some(idx) = edge.conn {
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    let size = conn.wq.push_frame(frame)?;
-                    self.mark_dirty(idx);
-                    return Ok(u64::try_from(size).expect("frame size fits u64"));
-                }
-            }
-        }
-        let bytes = frame.encode()?;
-        let size = u64::try_from(bytes.len()).expect("frame size fits u64");
-        edge.pending.push_back(bytes);
-        Ok(size)
-    }
-
     /// Routes wheel-released (shaped) bytes to their destination.
     fn route_released(&mut self, src: NodeId, dst: NodeId, bytes: Vec<u8>) {
         if self.hosted.contains_key(&dst) {
             let t = self.trunk_of(src, dst);
             let idx = self.trunk_out[t];
             if let Some(conn) = self.conns[idx].as_mut() {
-                conn.wq.push_bytes(bytes);
+                conn.wq.push_bytes(&bytes);
                 self.routed_enqueued += 1;
                 self.mark_dirty(idx);
             }
@@ -1014,7 +994,7 @@ impl Core {
         if edge.up {
             if let Some(idx) = edge.conn {
                 if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.wq.push_bytes(bytes);
+                    conn.wq.push_bytes(&bytes);
                     self.mark_dirty(idx);
                     return;
                 }
@@ -1025,6 +1005,10 @@ impl Core {
 
     // ---- transport entry points ------------------------------------
 
+    /// Queues `frame` from hosted `src` toward its neighbor `to`: on the
+    /// wheel when wall pacing shapes it, else on `to`'s trunk (hosted)
+    /// or on the edge `src → to` (remote; its outage backlog while the
+    /// connection is down).
     fn send_from(
         &mut self,
         src: NodeId,
@@ -1035,21 +1019,24 @@ impl Core {
         if self.down {
             return Ok(()); // teardown already reported whatever mattered
         }
-        let Some(hosted) = self.hosted.get(&src) else {
+        let to_hosted = self.edges.is_empty() || self.hosted.contains_key(&to);
+        let trunk = self.trunk_of(src, to);
+        // The one walk to `src`'s state: the borrow lasts to the counter
+        // update at the end, so everything between goes field by field
+        // (and the trunk is picked before it starts).
+        let Some(hosted) = self.hosted.get_mut(&src) else {
             return Err(NetError::ProtocolViolation(format!(
                 "send from node {}, which this reactor does not host",
                 src.index()
             )));
         };
-        if !hosted.neighbors.contains(&to) {
+        if hosted.neighbors.binary_search(&to).is_err() {
             return Err(NetError::UnknownPeer(to));
         }
         if hosted.lost.contains(&to) {
             return Ok(());
         }
-        let shaped = self.cfg.pacing == Pacing::Wall && frame.is_reply();
-        let to_hosted = self.hosted.contains_key(&to);
-        let sent_bytes = if shaped {
+        let sent_bytes = if self.cfg.pacing == Pacing::Wall && frame.is_reply() {
             let epoch = self
                 .epoch
                 .ok_or_else(|| NetError::ProtocolViolation("send before start".to_owned()))?;
@@ -1065,7 +1052,7 @@ impl Core {
             } else {
                 frame.encode()?
             };
-            let size = u64::try_from(bytes.len()).expect("frame size fits u64");
+            let size = bytes.len();
             self.wheel.schedule(
                 epoch + offset,
                 Timer::Flush {
@@ -1076,24 +1063,37 @@ impl Core {
             );
             size
         } else if to_hosted {
-            let t = self.trunk_of(src, to);
-            let idx = self.trunk_out[t];
+            let idx = self.trunk_out[trunk];
             let Some(conn) = self.conns[idx].as_mut() else {
                 return Err(NetError::ProtocolViolation("trunk is down".to_owned()));
             };
             let size = conn.wq.push_routed(src, to, release, frame)?;
             self.routed_enqueued += 1;
-            self.mark_dirty(idx);
-            u64::try_from(size).expect("frame size fits u64")
-        } else {
-            self.send_edge(src, to, frame)?
-        };
-        if let Some(hosted) = self.hosted.get_mut(&src) {
-            if sent_bytes > 0 {
-                hosted.stats.frames_sent += 1;
-                hosted.stats.bytes_sent += sent_bytes;
+            self.next_release = self.next_release.min(release);
+            if conn.mark_dirty() {
+                self.dirty.push(idx);
             }
-        }
+            size
+        } else {
+            let Some(edge) = self.edges.get_mut(&(src, to)).filter(|e| !e.lost) else {
+                return Ok(());
+            };
+            let live = edge.conn.filter(|_| edge.up);
+            if let Some((idx, conn)) = live.and_then(|i| Some((i, self.conns[i].as_mut()?))) {
+                let size = conn.wq.push_frame(frame)?;
+                if conn.mark_dirty() {
+                    self.dirty.push(idx);
+                }
+                size
+            } else {
+                let bytes = frame.encode()?;
+                let size = bytes.len();
+                edge.pending.push_back(bytes);
+                size
+            }
+        };
+        hosted.stats.frames_sent += 1;
+        hosted.stats.bytes_sent += u64::try_from(sent_bytes).expect("frame size fits u64");
         Ok(())
     }
 
@@ -1102,7 +1102,15 @@ impl Core {
             return Err(NetError::ProtocolViolation("poll before start".to_owned()));
         }
         match self.cfg.pacing {
-            Pacing::Drain => self.pump_drain()?,
+            // An envelope released after `round` can wait in its write
+            // queue: latencies are ≥ 1 round, so most of a lockstep
+            // phase's polls find nothing due and touch no socket.
+            Pacing::Drain => {
+                if self.next_release <= round {
+                    self.pump_drain()?;
+                    self.next_release = Round::MAX;
+                }
+            }
             Pacing::Wall => {
                 let epoch = self
                     .epoch
@@ -1533,7 +1541,13 @@ mod tests {
             e1.poll(1).expect("poll").is_empty(),
             "release 2 must not surface at round 1"
         );
+        {
+            let core = reactor.core.borrow();
+            assert!(core.trunk_backlog() > 0, "nothing due: no socket touched");
+            assert_eq!(core.routed_decoded, 0);
+        }
         let events = e1.poll(2).expect("poll");
+        assert_eq!(reactor.core.borrow().trunk_backlog(), 0);
         assert_eq!(events.len(), 1);
         match &events[0] {
             NetEvent::Frame { from, frame } => {
@@ -1546,6 +1560,60 @@ mod tests {
         assert_eq!(s.frames_sent, 1);
         assert!(s.bytes_sent > 0, "envelope bytes counted");
         assert_eq!(e1.stats().frames_received, 1);
+    }
+
+    #[test]
+    fn one_trunk_delivers_a_burst_larger_than_the_socket_buffers() {
+        let g = generators::path(2);
+        let cfg = ReactorConfig {
+            trunks: 1,
+            ..drain_cfg()
+        };
+        let reactor = Reactor::new(&g, (0..2).map(NodeId::new), cfg).expect("reactor");
+        let mut ends = [0, 1].map(|i| reactor.endpoint(NodeId::new(i)));
+        ends[0].start().expect("start");
+        // Queue frames due at round 1, at least 4 MiB and until a flush
+        // leaves bytes behind (`WouldBlock`): from there the pump has to
+        // alternate `EPOLLOUT` writes with reads of the same trunk.
+        let mut sent = 0;
+        loop {
+            for seq in sent..sent + 2048 {
+                for (from, to) in [(0, 1), (1, 0)] {
+                    let frame = Frame::Request {
+                        seq,
+                        round: 0,
+                        payload: vec![from as u8; 512],
+                    };
+                    ends[from].send(1, NodeId::new(to), &frame).expect("send");
+                }
+            }
+            sent += 2048;
+            let mut core = reactor.core.borrow_mut();
+            core.flush_dirty().expect("flush");
+            if sent >= 4096 && core.trunk_backlog() > 0 {
+                break;
+            }
+            assert!(sent < 1 << 17, "loopback socket swallowed 128 MiB");
+        }
+        for (at, end) in ends.iter_mut().enumerate() {
+            let seqs: Vec<u64> = end
+                .poll(1)
+                .expect("poll")
+                .into_iter()
+                .map(|event| match event {
+                    NetEvent::Frame {
+                        frame: Frame::Request { seq, payload, .. },
+                        ..
+                    } => {
+                        assert_eq!(payload, vec![1 - at as u8; 512]);
+                        seq
+                    }
+                    other => panic!("unexpected event: {other:?}"),
+                })
+                .collect();
+            assert_eq!(seqs, (0..sent).collect::<Vec<u64>>(), "per-sender order");
+        }
+        assert_eq!(reactor.core.borrow().trunk_backlog(), 0);
     }
 
     #[test]

@@ -209,7 +209,21 @@ proptest! {
         for f in &frames {
             f.encode_into(&mut stream).expect("frame fits");
         }
-        // Split the stream at the (sorted, deduped) cut points.
+        // Split in two at every byte boundary (`extend` fills the
+        // reader's spare room in place, the path a socket read takes).
+        for cut in 0..=stream.len() {
+            let mut reader = FrameReader::new();
+            let mut seen = Vec::new();
+            for half in [&stream[..cut], &stream[cut..]] {
+                reader.extend(half);
+                while let Some((f, _)) = reader.next_frame().expect("well-formed stream") {
+                    seen.push(f);
+                }
+            }
+            prop_assert_eq!(&seen, &frames);
+            prop_assert!(reader.at_boundary());
+        }
+        // Then split it at the (sorted, deduped) cut points.
         let mut points: Vec<usize> =
             cuts.iter().map(|&c| c as usize % stream.len().max(1)).collect();
         points.sort_unstable();
