@@ -7,9 +7,7 @@
 //! scheduler churn dominate. `push_pull_ring_of_cliques` adds latency-4
 //! bridges so deliveries land several rounds out (calendar-ring slot
 //! reuse), and `flooding_clique` isolates scheduler + scratch overhead
-//! with O(1) payloads. `push_pull_clique_mt` sweeps engine worker
-//! threads on the n=4096 clique — same simulation byte-for-byte, so
-//! the curve is pure engine speedup.
+//! with O(1) payloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gossip_core::flooding::{self, FloodingConfig};
@@ -42,24 +40,6 @@ fn push_pull_ring_of_cliques(c: &mut Criterion) {
     group.finish();
 }
 
-fn push_pull_clique_mt(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/push_pull_clique_mt");
-    group.sample_size(10);
-    let n = 4096usize;
-    let g = generators::clique(n);
-    group.throughput(Throughput::Elements(n as u64));
-    for threads in [1usize, 2, 4, 8] {
-        let cfg = PushPullConfig {
-            threads,
-            ..PushPullConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &g, |b, g| {
-            b.iter(|| push_pull::all_to_all(g, &cfg, 42));
-        });
-    }
-    group.finish();
-}
-
 fn flooding_clique(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/flooding_clique");
     group.sample_size(10);
@@ -76,7 +56,6 @@ fn flooding_clique(c: &mut Criterion) {
 criterion_group!(
     benches,
     push_pull_clique,
-    push_pull_clique_mt,
     push_pull_ring_of_cliques,
     flooding_clique
 );

@@ -29,8 +29,7 @@ fn main() {
 /// Tracks the informed count per round for any rumor-carrying protocol.
 fn informed_curve<P, F>(g: &Graph, factory: F, informed: impl Fn(&P) -> bool) -> Vec<usize>
 where
-    P: Protocol + Send,
-    P::Payload: Send,
+    P: Protocol,
     F: FnMut(NodeId, usize) -> P,
 {
     let curve = std::cell::RefCell::new(Vec::new());

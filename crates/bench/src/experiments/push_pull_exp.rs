@@ -104,7 +104,6 @@ pub fn e14_star_push_only() -> Table {
             &PushPullConfig {
                 mode: Mode::PushOnly,
                 max_rounds: 10_000_000,
-                threads: 0,
             },
             1,
             5,

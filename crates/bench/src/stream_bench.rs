@@ -103,8 +103,8 @@ pub fn measure_stream(
     let spec = StreamSpec::spread(k, budget, g.node_count());
     let cfg = StreamConfig {
         max_rounds: MAX_ROUNDS,
-        threads: 1,
         mode: EngineMode::Frontier,
+        ..StreamConfig::default()
     };
     let start = Instant::now();
     let out: StreamOutcome = match policy {
@@ -300,8 +300,8 @@ mod tests {
         let spec = StreamSpec::spread(4, 2, g.node_count());
         let cfg = StreamConfig {
             max_rounds: MAX_ROUNDS,
-            threads: 1,
             mode: EngineMode::Frontier,
+            ..StreamConfig::default()
         };
         let out = stream::rr_stream(&g, &spec, &cfg, 7);
         assert!(out.complete);

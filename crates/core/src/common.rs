@@ -50,8 +50,8 @@ impl Goal {
 /// The merge must be idempotent, commutative, and monotone (merging can
 /// only add information); [`merge`](Mergeable::merge) reports whether
 /// anything changed. `Send + Sync` is required because mergeable state
-/// travels inside engine payloads, which cross worker threads when the
-/// simulator runs with `SimConfig::threads > 1`.
+/// travels inside payloads that the benchmark's and the net equivalence
+/// suites' generic drivers bound by `Send`.
 pub trait Mergeable: Clone + Send + Sync {
     /// Absorbs `other`; returns `true` if `self` changed.
     fn merge(&mut self, other: &Self) -> bool;

@@ -5,15 +5,8 @@
 //! (cycle, star, clique, ring of cliques, and a heterogeneous-latency
 //! cycle). The `rounds`/metrics constants were captured from the
 //! pre-calendar-queue engine; every later engine change (the calendar
-//! queue, the multi-threaded round loop) must reproduce them
-//! bit-for-bit, which proves the optimizations are
-//! behavior-preserving.
-//!
-//! Every case runs once per thread count in [`thread_counts`] —
-//! `{1, 4}` by default, or the single count named by the
-//! `GOSSIP_TEST_THREADS` environment variable (CI runs the suite under
-//! both `=1` and `=4`). The expected string is the same for every
-//! thread count: that *is* the deterministic-merge contract.
+//! queue, the frontier loop) must reproduce them bit-for-bit, which
+//! proves the optimizations are behavior-preserving.
 //!
 //! If a trace ever changes **intentionally** (e.g. the RNG stream or
 //! the engagement ordering is deliberately altered), regenerate the
@@ -29,18 +22,6 @@ use gossip_sim::{EngineMode, FaultPlan, Outcome, RumorSet, SimConfig, Simulator,
 use latency_graph::generators::layered_ring::{LayeredRing, LayeredRingSpec};
 use latency_graph::generators::{self, extra};
 use latency_graph::{Graph, NodeId};
-
-/// Thread counts every golden case is replayed under: the value of
-/// `GOSSIP_TEST_THREADS` if set, otherwise both the sequential path
-/// and a 4-way sharded run.
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("GOSSIP_TEST_THREADS") {
-        Ok(v) => vec![v
-            .parse()
-            .unwrap_or_else(|_| panic!("GOSSIP_TEST_THREADS must be a thread count, got {v:?}"))],
-        Err(_) => vec![1, 4],
-    }
-}
 
 /// Order-independent fold of per-node rumor fingerprints (FNV-style),
 /// pinning the exact final state of every node, not just the counters.
@@ -82,11 +63,11 @@ fn fmt_sparse(o: &SparseOutcome) -> String {
 /// frontier path reproduces the dense path byte for byte, and returns
 /// the (shared) trace. Mode equivalence is thus pinned inside the
 /// golden table itself.
-fn sparse_flood_both_modes(g: &Graph, source: NodeId, threads: usize, seed: u64) -> String {
+fn sparse_flood_both_modes(g: &Graph, source: NodeId, seed: u64) -> String {
     let mk = |mode| SparseConfig {
         max_rounds: 1_000_000,
-        threads,
         mode,
+        ..SparseConfig::default()
     };
     let frontier = sparse::flood_broadcast(g, source, &mk(EngineMode::Frontier), seed);
     let dense = sparse::flood_broadcast(g, source, &mk(EngineMode::Dense), seed);
@@ -122,14 +103,13 @@ fn fmt_stream(o: &StreamOutcome) -> String {
 fn stream_both_modes(
     g: &Graph,
     spec: &StreamSpec,
-    threads: usize,
     seed: u64,
     run: fn(&Graph, &StreamSpec, &StreamConfig, u64) -> StreamOutcome,
 ) -> String {
     let mk = |mode| StreamConfig {
         max_rounds: 1_000_000,
-        threads,
         mode,
+        ..StreamConfig::default()
     };
     let frontier = run(g, spec, &mk(EngineMode::Frontier), seed);
     let dense = run(g, spec, &mk(EngineMode::Dense), seed);
@@ -172,23 +152,8 @@ fn faulty_push_pull(g: &Graph, cfg: SimConfig, plan: FaultPlan) -> String {
 struct Case {
     name: &'static str,
     expected: &'static str,
-    /// Replays the case at the given engine thread count; the output
-    /// must match `expected` for every count.
-    run: fn(usize) -> String,
-}
-
-fn pp(threads: usize) -> PushPullConfig {
-    PushPullConfig {
-        threads,
-        ..PushPullConfig::default()
-    }
-}
-
-fn fl(threads: usize) -> FloodingConfig {
-    FloodingConfig {
-        threads,
-        ..FloodingConfig::default()
-    }
+    /// Replays the case; the output must match `expected`.
+    run: fn() -> String,
 }
 
 /// The golden table. `expected` strings are captured engine output.
@@ -199,9 +164,9 @@ fn cases() -> Vec<Case> {
             name: "cycle64/push_pull/broadcast/seed7",
             expected:
                 "rounds=41 initiated=2624 delivered=2624 lost=0 rejected=0 payload_units=163227 fingerprint=00a268ccb405a934",
-            run: |t| {
+            run: || {
                 let g = generators::cycle(64);
-                let o = push_pull::broadcast(&g, NodeId::new(0), &pp(t), 7);
+                let o = push_pull::broadcast(&g, NodeId::new(0), &PushPullConfig::default(), 7);
                 fmt_broadcast(&o)
             },
         },
@@ -209,9 +174,9 @@ fn cases() -> Vec<Case> {
             name: "cycle64/push_pull/all_to_all/seed11",
             expected:
                 "rounds=48 initiated=3072 delivered=3072 lost=0 rejected=0 payload_units=217877 fingerprint=11a0815ea2a37c65",
-            run: |t| {
+            run: || {
                 let g = generators::cycle(64);
-                let o = push_pull::all_to_all(&g, &pp(t), 11);
+                let o = push_pull::all_to_all(&g, &PushPullConfig::default(), 11);
                 fmt_broadcast(&o)
             },
         },
@@ -219,9 +184,9 @@ fn cases() -> Vec<Case> {
             name: "cycle64/flooding/broadcast/seed3",
             expected:
                 "rounds=32 initiated=2048 delivered=2048 lost=0 rejected=0 payload_units=4096 fingerprint=30699bd6903ebbb0",
-            run: |t| {
+            run: || {
                 let g = generators::cycle(64);
-                let o = flooding::broadcast(&g, NodeId::new(0), &fl(t), 3);
+                let o = flooding::broadcast(&g, NodeId::new(0), &FloodingConfig::default(), 3);
                 fmt_broadcast(&o)
             },
         },
@@ -229,9 +194,9 @@ fn cases() -> Vec<Case> {
         Case {
             name: "star65/push_pull/broadcast/seed7",
             expected: "rounds=1 initiated=65 delivered=65 lost=0 rejected=0 payload_units=130 fingerprint=e008c646d417a73b",
-            run: |t| {
+            run: || {
                 let g = generators::star(65);
-                let o = push_pull::broadcast(&g, NodeId::new(0), &pp(t), 7);
+                let o = push_pull::broadcast(&g, NodeId::new(0), &PushPullConfig::default(), 7);
                 fmt_broadcast(&o)
             },
         },
@@ -239,13 +204,12 @@ fn cases() -> Vec<Case> {
             name: "star65/push_pull/raw/cap1/seed5",
             expected:
                 "rounds=443 initiated=443 delivered=443 lost=0 rejected=28352 payload_units=45132 fingerprint=a60adbcb6b5ecc84",
-            run: |t| {
+            run: || {
                 let g = generators::star(65);
                 let cfg = SimConfig {
                     seed: 5,
                     max_rounds: 100_000,
                     connection_cap: Some(1),
-                    threads: t,
                     ..SimConfig::default()
                 };
                 raw_push_pull(&g, cfg)
@@ -254,13 +218,12 @@ fn cases() -> Vec<Case> {
         Case {
             name: "star65/push_pull/raw/blocking/seed5",
             expected: "rounds=2 initiated=130 delivered=130 lost=0 rejected=0 payload_units=4485 fingerprint=a60adbcb6b5ecc84",
-            run: |t| {
+            run: || {
                 let g = generators::star(65);
                 let cfg = SimConfig {
                     seed: 5,
                     max_rounds: 100_000,
                     blocking: true,
-                    threads: t,
                     ..SimConfig::default()
                 };
                 raw_push_pull(&g, cfg)
@@ -270,27 +233,27 @@ fn cases() -> Vec<Case> {
         Case {
             name: "clique32/push_pull/broadcast/seed7",
             expected: "rounds=5 initiated=160 delivered=160 lost=0 rejected=0 payload_units=3820 fingerprint=d92fe44449501ee4",
-            run: |t| {
+            run: || {
                 let g = generators::clique(32);
-                let o = push_pull::broadcast(&g, NodeId::new(0), &pp(t), 7);
+                let o = push_pull::broadcast(&g, NodeId::new(0), &PushPullConfig::default(), 7);
                 fmt_broadcast(&o)
             },
         },
         Case {
             name: "clique32/push_pull/all_to_all/seed2",
             expected: "rounds=7 initiated=224 delivered=224 lost=0 rejected=0 payload_units=7826 fingerprint=e6ddda157291a285",
-            run: |t| {
+            run: || {
                 let g = generators::clique(32);
-                let o = push_pull::all_to_all(&g, &pp(t), 2);
+                let o = push_pull::all_to_all(&g, &PushPullConfig::default(), 2);
                 fmt_broadcast(&o)
             },
         },
         Case {
             name: "clique32/flooding/all_to_all/seed9",
             expected: "rounds=3 initiated=96 delivered=96 lost=0 rejected=0 payload_units=192 fingerprint=e6ddda157291a285",
-            run: |t| {
+            run: || {
                 let g = generators::clique(32);
-                let o = flooding::all_to_all(&g, &fl(t), 9);
+                let o = flooding::all_to_all(&g, &FloodingConfig::default(), 9);
                 fmt_broadcast(&o)
             },
         },
@@ -300,9 +263,9 @@ fn cases() -> Vec<Case> {
             name: "ring_of_cliques_6x8_l4/push_pull/broadcast/seed7",
             expected:
                 "rounds=35 initiated=1680 delivered=1675 lost=0 rejected=0 payload_units=92754 fingerprint=cede52272ac0d415",
-            run: |t| {
+            run: || {
                 let g = extra::ring_of_cliques(6, 8, 4);
-                let o = push_pull::broadcast(&g, NodeId::new(0), &pp(t), 7);
+                let o = push_pull::broadcast(&g, NodeId::new(0), &PushPullConfig::default(), 7);
                 fmt_broadcast(&o)
             },
         },
@@ -310,9 +273,9 @@ fn cases() -> Vec<Case> {
             name: "ring_of_cliques_6x8_l4/push_pull/all_to_all/seed13",
             expected:
                 "rounds=35 initiated=1680 delivered=1672 lost=0 rejected=0 payload_units=91039 fingerprint=cede52272ac0d415",
-            run: |t| {
+            run: || {
                 let g = extra::ring_of_cliques(6, 8, 4);
-                let o = push_pull::all_to_all(&g, &pp(t), 13);
+                let o = push_pull::all_to_all(&g, &PushPullConfig::default(), 13);
                 fmt_broadcast(&o)
             },
         },
@@ -320,13 +283,12 @@ fn cases() -> Vec<Case> {
             name: "ring_of_cliques_6x8_l4/push_pull/raw/cap2/seed1",
             expected:
                 "rounds=43 initiated=1459 delivered=1458 lost=0 rejected=605 payload_units=79009 fingerprint=cede52272ac0d415",
-            run: |t| {
+            run: || {
                 let g = extra::ring_of_cliques(6, 8, 4);
                 let cfg = SimConfig {
                     seed: 1,
                     max_rounds: 100_000,
                     connection_cap: Some(2),
-                    threads: t,
                     ..SimConfig::default()
                 };
                 raw_push_pull(&g, cfg)
@@ -338,9 +300,9 @@ fn cases() -> Vec<Case> {
             name: "geom_cycle48/push_pull/broadcast/seed7",
             expected:
                 "rounds=47 initiated=2256 delivered=2225 lost=0 rejected=0 payload_units=103076 fingerprint=6574062dfdf109f7",
-            run: |t| {
+            run: || {
                 let g = extra::geometric_latencies(&generators::cycle(48), 0.5, 9, 42);
-                let o = push_pull::broadcast(&g, NodeId::new(0), &pp(t), 7);
+                let o = push_pull::broadcast(&g, NodeId::new(0), &PushPullConfig::default(), 7);
                 fmt_broadcast(&o)
             },
         },
@@ -348,9 +310,9 @@ fn cases() -> Vec<Case> {
             name: "geom_cycle48/flooding/broadcast/seed4",
             expected:
                 "rounds=40 initiated=1920 delivered=1886 lost=0 rejected=0 payload_units=3772 fingerprint=3af6fe58549903aa",
-            run: |t| {
+            run: || {
                 let g = extra::geometric_latencies(&generators::cycle(48), 0.5, 9, 42);
-                let o = flooding::broadcast(&g, NodeId::new(0), &fl(t), 4);
+                let o = flooding::broadcast(&g, NodeId::new(0), &FloodingConfig::default(), 4);
                 fmt_broadcast(&o)
             },
         },
@@ -358,13 +320,12 @@ fn cases() -> Vec<Case> {
             name: "geom_cycle48/push_pull/raw/blocking/seed8",
             expected:
                 "rounds=64 initiated=2135 delivered=2125 lost=0 rejected=937 payload_units=111601 fingerprint=cede52272ac0d415",
-            run: |t| {
+            run: || {
                 let g = extra::geometric_latencies(&generators::cycle(48), 0.5, 9, 42);
                 let cfg = SimConfig {
                     seed: 8,
                     max_rounds: 100_000,
                     blocking: true,
-                    threads: t,
                     ..SimConfig::default()
                 };
                 raw_push_pull(&g, cfg)
@@ -376,12 +337,11 @@ fn cases() -> Vec<Case> {
             name: "cycle64/push_pull/faults/crashes/seed7",
             expected:
                 "rounds=60 initiated=3673 delivered=3501 lost=172 rejected=0 payload_units=184792 fingerprint=3572052c06002dfa",
-            run: |t| {
+            run: || {
                 let g = generators::cycle(64);
                 let cfg = SimConfig {
                     seed: 7,
                     max_rounds: 60,
-                    threads: t,
                     ..SimConfig::default()
                 };
                 let plan = FaultPlan::none()
@@ -395,12 +355,11 @@ fn cases() -> Vec<Case> {
             name: "ring_of_cliques_6x8_l4/push_pull/faults/link_drops/seed13",
             expected:
                 "rounds=80 initiated=3840 delivered=3797 lost=39 rejected=0 payload_units=210079 fingerprint=07fff6ffa6acba65",
-            run: |t| {
+            run: || {
                 let g = extra::ring_of_cliques(6, 8, 4);
                 let cfg = SimConfig {
                     seed: 13,
                     max_rounds: 80,
-                    threads: t,
                     ..SimConfig::default()
                 };
                 // Sever two of the six latency-4 bridges mid-run; the
@@ -418,7 +377,7 @@ fn cases() -> Vec<Case> {
         Case {
             name: "layered_ring_21x48_l512/sparse_flood/seed3",
             expected: "rounds=1392 initiated=131863 delivered=92166 lost=0 rejected=0 payload_units=155486 fingerprint=e1274af3f72ca815",
-            run: |t| {
+            run: || {
                 // The Theorem 8 construction: latency-1 layer cliques,
                 // slow (ℓ = 512) bipartite gadgets, one hidden fast
                 // edge per layer pair. Straggler deliveries on the slow
@@ -432,7 +391,7 @@ fn cases() -> Vec<Case> {
                     ell: 512,
                     seed: 3,
                 });
-                sparse_flood_both_modes(&ring.graph, NodeId::new(0), t, 3)
+                sparse_flood_both_modes(&ring.graph, NodeId::new(0), 3)
             },
         },
         // --- streaming workloads: k = 8 rumors, budget = 2 payload
@@ -444,52 +403,52 @@ fn cases() -> Vec<Case> {
             name: "cycle64/rr_stream/k8b2/seed7",
             expected:
                 "rounds=73 initiated=4672 delivered=4672 lost=0 rejected=0 payload_units=1045 fingerprint=c87931fd34e1647c completions=[61,64,67,68,62,68,67,73]",
-            run: |t| {
+            run: || {
                 let g = generators::cycle(64);
                 let spec = StreamSpec::spread(8, 2, 64);
-                stream_both_modes(&g, &spec, t, 7, gossip_core::stream::rr_stream)
+                stream_both_modes(&g, &spec, 7, gossip_core::stream::rr_stream)
             },
         },
         Case {
             name: "cycle64/rlc_stream/k8b2/seed7",
             expected:
                 "rounds=68 initiated=4352 delivered=4352 lost=0 rejected=0 payload_units=16248 fingerprint=275f482803f2c51d completions=[56,54,68,56,57,53,57,54]",
-            run: |t| {
+            run: || {
                 let g = generators::cycle(64);
                 let spec = StreamSpec::spread(8, 2, 64);
-                stream_both_modes(&g, &spec, t, 7, gossip_core::stream::rlc_stream)
+                stream_both_modes(&g, &spec, 7, gossip_core::stream::rlc_stream)
             },
         },
         Case {
             name: "ring_of_cliques_6x8_l4/rr_stream/k8b2/seed13",
             expected:
                 "rounds=44 initiated=2112 delivered=2108 lost=0 rejected=0 payload_units=2765 fingerprint=0e5e11ebb2b66029 completions=[27,44,37,38,31,30,34,43]",
-            run: |t| {
+            run: || {
                 let g = extra::ring_of_cliques(6, 8, 4);
                 let spec = StreamSpec::spread(8, 2, 48);
-                stream_both_modes(&g, &spec, t, 13, gossip_core::stream::rr_stream)
+                stream_both_modes(&g, &spec, 13, gossip_core::stream::rr_stream)
             },
         },
         Case {
             name: "ring_of_cliques_6x8_l4/rlc_stream/k8b2/seed13",
             expected:
                 "rounds=47 initiated=2256 delivered=2255 lost=0 rejected=0 payload_units=8440 fingerprint=9db5275b0a19894f completions=[31,37,29,41,25,37,46,47]",
-            run: |t| {
+            run: || {
                 let g = extra::ring_of_cliques(6, 8, 4);
                 let spec = StreamSpec::spread(8, 2, 48);
-                stream_both_modes(&g, &spec, t, 13, gossip_core::stream::rlc_stream)
+                stream_both_modes(&g, &spec, 13, gossip_core::stream::rlc_stream)
             },
         },
         Case {
             name: "random_geometric_100k/sparse_flood/seed1",
             expected: "rounds=707 initiated=1787954 delivered=1787907 lost=0 rejected=0 payload_units=3428047 fingerprint=b533b772e8bf7b25",
-            run: |t| {
+            run: || {
                 // 10⁵ nodes: only viable because the engine steps the
                 // O(frontier) active set and payloads stay O(1) words
                 // (one-rumor CompactRumorSet), pinning the sparse path
                 // at scale.
                 let g = generators::random_geometric(100_000, 0.00757, 200.0, 1);
-                sparse_flood_both_modes(&g, NodeId::new(0), t, 1)
+                sparse_flood_both_modes(&g, NodeId::new(0), 1)
             },
         },
     ]
@@ -497,17 +456,14 @@ fn cases() -> Vec<Case> {
 
 #[test]
 fn golden_traces_hold() {
-    let threads = thread_counts();
     let mut failures = Vec::new();
     for c in cases() {
-        for &t in &threads {
-            let actual = (c.run)(t);
-            if actual != c.expected {
-                failures.push(format!(
-                    "{} [threads={t}]\n  expected: {}\n  actual:   {}",
-                    c.name, c.expected, actual
-                ));
-            }
+        let actual = (c.run)();
+        if actual != c.expected {
+            failures.push(format!(
+                "{}\n  expected: {}\n  actual:   {}",
+                c.name, c.expected, actual
+            ));
         }
     }
     assert!(

@@ -1,0 +1,155 @@
+//! Pins the engine's two round loops against each other.
+//!
+//! `gossip-mc` checks [`Stepper`](gossip_sim::Stepper), which steps
+//! *every* live node every round; the shipped [`Scheduling::OnDemand`]
+//! protocols run on the frontier loop, which steps only woken nodes and
+//! (in [`EngineMode::Frontier`]) skips event-free rounds. For what the
+//! checker proves about the first to say anything about the second, the
+//! shipped on-demand protocols must behave identically under both: an
+//! extra `on_round` on an idle node has to be a no-op, and every node
+//! with work has to be on the frontier. This suite drives each of them
+//! through a hand-rolled `deliver` / `all_done` / `at_round_cap` /
+//! `advance` loop and through [`Simulator::run`] in both engine modes,
+//! and asserts equal stop reason, rounds, [`SimMetrics`] and per-node
+//! state digests — unfaulted and under a crash plus a link drop.
+//!
+//! [`Scheduling::OnDemand`]: gossip_sim::Scheduling::OnDemand
+
+use gossip_core::sparse::SparseFloodNode;
+use gossip_core::stream::{RlcStreamNode, RrStreamNode};
+use gossip_sim::{
+    EngineMode, FaultPlan, Outcome, Protocol, Round, SimConfig, SimMetrics, Simulator, StopReason,
+    StreamSpec,
+};
+use latency_graph::generators::{extra, gadget};
+use latency_graph::{Graph, NodeId};
+
+/// The model checker's driving loop, verbatim: one `deliver`, the stop
+/// checks, one `advance`.
+fn drive_stepper<P: Protocol>(
+    sim: &Simulator<'_>,
+    factory: impl FnMut(NodeId, usize) -> P,
+) -> Outcome<P> {
+    let mut st = sim.stepper(factory);
+    loop {
+        st.deliver();
+        if st.all_done() {
+            return st.into_outcome(StopReason::AllDone);
+        }
+        if st.at_round_cap() {
+            return st.into_outcome(StopReason::MaxRounds);
+        }
+        st.advance();
+    }
+}
+
+/// Runs `factory`'s protocol the three ways, asserts they agree on
+/// everything the determinism contract pins, and returns the shared
+/// `(rounds, metrics)`.
+fn three_ways<P: Protocol>(
+    g: &Graph,
+    faults: &FaultPlan,
+    factory: impl Fn(NodeId, usize) -> P,
+    digest: impl Fn(&P) -> u64,
+) -> (Round, SimMetrics) {
+    let sim = |mode| {
+        let cfg = SimConfig {
+            seed: 7,
+            max_rounds: 200,
+            mode,
+            ..SimConfig::default()
+        };
+        Simulator::new(g, cfg).with_faults(faults.clone())
+    };
+    let stepped = drive_stepper(&sim(EngineMode::Frontier), &factory);
+    let summary = |o: &Outcome<P>| {
+        let digests: Vec<u64> = o.nodes.iter().map(&digest).collect();
+        (o.reason, o.rounds, o.metrics, digests)
+    };
+    for mode in [EngineMode::Frontier, EngineMode::Dense] {
+        let shipped = sim(mode).run(&factory, |_: &[P], _| false);
+        assert_eq!(
+            summary(&shipped),
+            summary(&stepped),
+            "Simulator::run in {mode:?} mode diverged from the Stepper loop"
+        );
+    }
+    (stepped.rounds, stepped.metrics)
+}
+
+fn flood(g: &Graph, faults: &FaultPlan) -> (Round, SimMetrics) {
+    let source = NodeId::new(0);
+    three_ways(
+        g,
+        faults,
+        |id, n| SparseFloodNode::new(id, n, source),
+        |p| p.rumors.fingerprint(),
+    )
+}
+
+fn rr(g: &Graph, faults: &FaultPlan) -> (Round, SimMetrics) {
+    let spec = StreamSpec::spread(8, 2, g.node_count());
+    three_ways(
+        g,
+        faults,
+        |id, _| RrStreamNode::new(id, &spec),
+        |p| p.log().fingerprint() ^ p.ledger().spent().rotate_left(32),
+    )
+}
+
+fn rlc(g: &Graph, faults: &FaultPlan) -> (Round, SimMetrics) {
+    let spec = StreamSpec::spread(8, 2, g.node_count());
+    three_ways(
+        g,
+        faults,
+        |id, _| RlcStreamNode::new(id, &spec),
+        |p| {
+            let rank = u64::try_from(p.rank()).expect("rank fits u64");
+            p.log().fingerprint() ^ p.ledger().spent().rotate_left(32) ^ rank
+        },
+    )
+}
+
+#[test]
+fn ring_of_cliques_unfaulted() {
+    let g = extra::ring_of_cliques(4, 4, 3);
+    let none = FaultPlan::none();
+    // (rounds, initiated, payload units), pinned so that a change which
+    // moves both loops together still shows up.
+    for (name, (rounds, m), expected) in [
+        ("flood", flood(&g, &none), (14, 44, 71)),
+        ("rr", rr(&g, &none), (21, 336, 446)),
+        ("rlc", rlc(&g, &none), (20, 320, 1122)),
+    ] {
+        assert_eq!((rounds, m.initiated, m.payload_units), expected, "{name}");
+        assert_eq!(m.lost, 0, "{name}");
+    }
+}
+
+#[test]
+fn theorem7_gadget_unfaulted() {
+    // Fast (ℓ = 2) and slow (ℓ = 2m = 12) cross edges side by side:
+    // stragglers land long after their endpoints went idle, which is
+    // where the frontier loop skips rounds and the Stepper does not.
+    let g = gadget::theorem7_network(6, 0.4, 2, 1).graph;
+    let none = FaultPlan::none();
+    for (rounds, m) in [flood(&g, &none), rr(&g, &none), rlc(&g, &none)] {
+        assert!(rounds < 200);
+        assert_eq!(m.lost, 0);
+    }
+}
+
+#[test]
+fn ring_of_cliques_with_crash_and_link_drop() {
+    let g = extra::ring_of_cliques(4, 4, 3);
+    let plan =
+        FaultPlan::none()
+            .crash(NodeId::new(5), 3)
+            .drop_link(NodeId::new(0), NodeId::new(1), 2);
+    // The crashed node is never done, so every run hits the cap — at
+    // the same round number whether rounds are visited or skipped.
+    for (rounds, m) in [flood(&g, &plan), rr(&g, &plan), rlc(&g, &plan)] {
+        assert_eq!(rounds, 200);
+        assert!(m.lost > 0, "the plan must swallow at least one exchange");
+    }
+}

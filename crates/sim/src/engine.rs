@@ -8,7 +8,6 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
 use crate::faults::FaultPlan;
-use crate::pool::{self, Pool};
 use crate::Round;
 
 /// How the engine schedules a protocol's [`on_round`](Protocol::on_round)
@@ -458,13 +457,6 @@ pub struct SimConfig {
     /// the round): counted in [`SimMetrics::rejected`] and reported via
     /// [`Protocol::on_rejected`].
     pub blocking: bool,
-    /// Worker threads for the round loop. `1` (the default, and any
-    /// value `≤ 1`) runs the exact sequential code path; larger values
-    /// shard the per-node phases over a persistent [`pool`] of scoped
-    /// threads. The deterministic-merge contract guarantees results
-    /// are byte-identical for any thread count — same rounds, same
-    /// [`SimMetrics`], same per-node states and RNG streams.
-    pub threads: usize,
     /// Execution mode for [`Scheduling::OnDemand`] protocols:
     /// [`EngineMode::Frontier`] (the default) steps only the active
     /// frontier and skips dead round gaps; [`EngineMode::Dense`] keeps
@@ -495,7 +487,6 @@ impl Default for SimConfig {
             seed: 0,
             connection_cap: None,
             blocking: false,
-            threads: 1,
             mode: EngineMode::Frontier,
         }
     }
@@ -601,17 +592,6 @@ struct InFlight<P> {
 /// spill into the overflow map. Bounds scheduler memory at ~96 KiB of
 /// slot headers even for graphs with enormous `ℓ_max`.
 const MAX_RING_SLOTS: u64 = 4096;
-
-/// Per-phase work below this many items runs inline on the
-/// coordinator instead of being sharded to the pool: carving and
-/// re-absorbing shards moves the whole node/RNG state and costs two
-/// channel round-trips per worker, a net loss for small batches (the
-/// BENCH_engine thread_scaling rows showed `threads>1` regressing the
-/// sequential path on small rounds). The workers stay blocked on their
-/// channels (idle-cheap) for the round. Inline and sharded execution
-/// make the identical callback sequence, so the choice is invisible to
-/// the determinism contract.
-const INLINE_WORK_MAX: usize = 256;
 
 /// Calendar-queue scheduler for in-flight exchanges.
 ///
@@ -858,87 +838,29 @@ impl<'g> Simulator<'g> {
         self
     }
 
-    /// Builds the per-node callback view for node `i` at `round`.
-    #[allow(clippy::too_many_arguments)] // mirrors the engine's per-node state split
-    fn ctx<'a>(
-        &'a self,
-        i: usize,
-        round: Round,
-        size_hint: usize,
-        rng: &'a mut StdRng,
-        pending: &'a mut Option<(NodeId, u32)>,
-        wake: &'a mut Option<Round>,
-    ) -> Context<'a> {
-        let v = NodeId::new(i);
-        Context {
-            node: v,
-            round,
-            n: self.graph.node_count(),
-            size_hint,
-            neighbor_ids: self.graph.neighbor_ids(v),
-            latencies: self
-                .config
-                .latency_known
-                .then(|| self.graph.neighbor_latencies(v)),
-            rng,
-            pending,
-            wake,
-            tape: None,
-        }
-    }
-
     /// Runs the simulation.
     ///
     /// `factory(id, n)` builds each node's protocol instance; `stop`
-    /// is evaluated at the start of every round (after deliveries) over
-    /// all node states and ends the run when it returns `true`.
-    ///
-    /// With [`SimConfig::threads`] `> 1` the per-node phases of the
-    /// round loop run on a persistent worker [`pool`]; the
-    /// deterministic-merge contract (contiguous node shards, results
-    /// written back in node-id order) makes the outcome byte-identical
-    /// to the sequential path for any thread count. The factory and
-    /// stop closures always run on the calling thread.
+    /// is evaluated over all node states after the round's deliveries
+    /// and ends the run when it returns `true` — every round for
+    /// [`Scheduling::EveryRound`] protocols, on event rounds only for
+    /// [`Scheduling::OnDemand`] ones (see there).
     pub fn run<P, F, S>(&self, factory: F, stop: S) -> Outcome<P>
     where
-        P: Protocol + Send,
-        P::Payload: Send,
+        P: Protocol,
         F: FnMut(NodeId, usize) -> P,
         S: FnMut(&[P], Round) -> bool,
     {
-        let n = self.graph.node_count();
-        let threads = self.config.threads.max(1).min(n.max(1));
-        let on_demand = P::SCHEDULING == Scheduling::OnDemand;
-        if threads == 1 {
-            return if on_demand {
-                self.run_on_demand(
-                    None::<&mut Pool<'_, Job<P>, Done<P>, fn(Job<P>) -> Done<P>>>,
-                    factory,
-                    stop,
-                )
-            } else {
-                self.run_sequential(factory, stop)
-            };
+        match P::SCHEDULING {
+            Scheduling::EveryRound => self.run_sequential(factory, stop),
+            Scheduling::OnDemand => self.run_on_demand(factory, stop),
         }
-        let size_hint = self.config.size_hint.unwrap_or(n);
-        pool::scoped(
-            threads - 1,
-            |job: Job<P>| self.work(size_hint, job),
-            |pool| {
-                if on_demand {
-                    self.run_on_demand(Some(pool), factory, stop)
-                } else {
-                    self.run_parallel(pool, factory, stop)
-                }
-            },
-        )
     }
 
-    /// The single-threaded round loop — the reference semantics every
-    /// other execution mode must reproduce exactly. Implemented as a
-    /// thin driver over [`Stepper`], the same stepping machinery the
-    /// model checker snapshots and branches: checked code is shipped
-    /// code.
+    /// The every-round loop — the reference semantics of the paper's
+    /// §1 model. Implemented as a thin driver over [`Stepper`], the
+    /// same stepping machinery the model checker snapshots and
+    /// branches: checked code is shipped code.
     fn run_sequential<P, F, S>(&self, factory: F, mut stop: S) -> Outcome<P>
     where
         P: Protocol,
@@ -965,8 +887,8 @@ impl<'g> Simulator<'g> {
     /// fault plan: the round loop as an inspectable value, for callers
     /// (the `gossip-mc` model checker) that need to pause between
     /// phases, snapshot/restore the full simulation state, or inject
-    /// faults and scripted choices mid-run. [`Simulator::run`] with one
-    /// thread drives exactly this machinery.
+    /// faults and scripted choices mid-run. [`Simulator::run`] drives
+    /// exactly this machinery for [`Scheduling::EveryRound`] protocols.
     pub fn stepper<P, F>(&self, factory: F) -> Stepper<'g, P>
     where
         P: Protocol,
@@ -975,540 +897,8 @@ impl<'g> Simulator<'g> {
         Stepper::new(self.graph, self.config, self.faults.clone(), factory)
     }
 
-    /// Executes one shard job. Runs on pool workers *and* on the
-    /// coordinator (job 0 of every dispatch); it must not touch any
-    /// state beyond the job itself and the simulator's shared
-    /// read-only fields (graph, config, fault plan).
-    fn work<P: Protocol>(&self, size_hint: usize, job: Job<P>) -> Done<P> {
-        match job {
-            Job::Exchanges {
-                mut shard,
-                mut inbox,
-                round,
-            } => {
-                for (local, x) in inbox.drain(..) {
-                    let i = shard.base + local;
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut shard.rngs[local],
-                        &mut shard.pending[local],
-                        &mut shard.wake[local],
-                    );
-                    shard.nodes[local].on_exchange(&mut ctx, &x);
-                }
-                Done::Stepped { shard, inbox }
-            }
-            Job::Rounds { mut shard, round } => {
-                for local in 0..shard.nodes.len() {
-                    let i = shard.base + local;
-                    if self.faults.is_crashed(NodeId::new(i), round) {
-                        shard.pending[local] = None;
-                        continue;
-                    }
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut shard.rngs[local],
-                        &mut shard.pending[local],
-                        &mut shard.wake[local],
-                    );
-                    shard.nodes[local].on_round(&mut ctx);
-                }
-                Done::Stepped {
-                    shard,
-                    inbox: Vec::new(),
-                }
-            }
-            Job::FrontierRounds {
-                mut shard,
-                ids,
-                round,
-            } => {
-                for &id in &ids {
-                    let local = frontier_index(id);
-                    let i = shard.base + local;
-                    if self.faults.is_crashed(NodeId::new(i), round) {
-                        shard.pending[local] = None;
-                        continue;
-                    }
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut shard.rngs[local],
-                        &mut shard.pending[local],
-                        &mut shard.wake[local],
-                    );
-                    shard.nodes[local].on_round(&mut ctx);
-                }
-                Done::SteppedIds { shard, ids }
-            }
-            Job::Snapshots {
-                shard,
-                uses,
-                mut snaps,
-            } => {
-                snaps.clear();
-                snaps.extend(
-                    shard
-                        .nodes
-                        .iter()
-                        .zip(&uses)
-                        .map(|(node, &u)| (u > 0).then(|| node.payload())),
-                );
-                Done::Snapped { shard, uses, snaps }
-            }
-        }
-    }
-
-    /// The multi-threaded round loop. Mirrors [`Self::run_sequential`]
-    /// phase for phase; every divergence is coordinator-side
-    /// bookkeeping whose observable effects (per-node callback
-    /// sequences, RNG draws, metric sums, schedule order) are provably
-    /// identical. See DESIGN.md §9 for the argument.
-    fn run_parallel<P, F, S, W>(
-        &self,
-        pool: &mut Pool<'_, Job<P>, Done<P>, W>,
-        mut factory: F,
-        mut stop: S,
-    ) -> Outcome<P>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, usize) -> P,
-        S: FnMut(&[P], Round) -> bool,
-        W: Fn(Job<P>) -> Done<P>,
-    {
-        let n = self.graph.node_count();
-        let size_hint = self.config.size_hint.unwrap_or(n);
-        // Contiguous shards of `chunk` nodes; the coordinator counts as
-        // a worker, so `shards ≤ config.threads` and every shard is
-        // non-empty.
-        let chunk = n.div_ceil(pool.workers());
-        let shards = n.div_ceil(chunk);
-
-        let mut nodes: Vec<P> = (0..n).map(|i| factory(NodeId::new(i), n)).collect();
-        let n_u64 = u64::try_from(n).expect("node count fits u64");
-        let mut rngs: Vec<StdRng> = (0..n_u64)
-            .map(|i| StdRng::seed_from_u64(splitmix64(self.config.seed ^ splitmix64(i))))
-            .collect();
-        let mut pending: Vec<Option<(NodeId, u32)>> = vec![None; n];
-        let mut wake: Vec<Option<Round>> = vec![None; n];
-        let l_max = self.graph.max_latency().map_or(0, Latency::rounds);
-        let mut queue: CalendarQueue<P::Payload> = CalendarQueue::new(l_max);
-        let mut due: Vec<InFlight<P::Payload>> = Vec::new();
-        let mut outstanding = vec![0u32; if self.config.blocking { n } else { 0 }];
-        let capped = self.config.connection_cap.is_some();
-        let mut order: Vec<usize> = if capped { (0..n).collect() } else { Vec::new() };
-        let mut engagements: Vec<usize> = vec![0; if capped { n } else { 0 }];
-        let mut metrics = SimMetrics::default();
-
-        // Reusable shard-sized buffers, recycled across rounds: empty
-        // shard skeletons, per-shard exchange inboxes, and the
-        // snapshot-phase use counts and payload slots.
-        let mut spare: Vec<Shard<P>> = Vec::with_capacity(shards);
-        let mut inboxes: Vec<Vec<(usize, Exchange<P::Payload>)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        let mut use_bufs: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut snap_bufs: Vec<Vec<Option<P::Payload>>> = (0..shards).map(|_| Vec::new()).collect();
-        // Snapshots may be materialized in parallel only when phase 4
-        // cannot mutate nodes between snapshot and launch: under a
-        // connection cap or blocking, `on_rejected` runs mid-phase, so
-        // the whole phase stays sequential (and trivially identical).
-        let par_snapshots = !capped && !self.config.blocking;
-
-        // on_start for every live node, before round 0 — sequential,
-        // exactly as in the reference path.
-        for i in 0..n {
-            if self.faults.is_crashed(NodeId::new(i), 0) {
-                continue;
-            }
-            let mut ctx = self.ctx(i, 0, size_hint, &mut rngs[i], &mut pending[i], &mut wake[i]);
-            nodes[i].on_start(&mut ctx);
-        }
-
-        let mut round: Round = 0;
-        loop {
-            // 1. Deliver exchanges completing now. The coordinator does
-            //    all bookkeeping (blocking slots, fault filtering,
-            //    metrics) in initiation order — none of it can be
-            //    influenced by this round's `on_exchange` calls — then
-            //    routes the surviving deliveries into per-shard
-            //    inboxes, preserving each node's delivery order.
-            queue.collect_due(round, &mut due);
-            if due.len() <= INLINE_WORK_MAX {
-                // Small batch: the exact sequential delivery loop on
-                // the master arrays — no carving, no channel traffic.
-                for x in due.drain(..) {
-                    if self.config.blocking {
-                        outstanding[x.a.index()] = outstanding[x.a.index()].saturating_sub(1);
-                    }
-                    let a_ok = !self.faults.is_crashed(x.a, round);
-                    let b_ok = !self.faults.is_crashed(x.b, round);
-                    let link_ok = !self.faults.is_link_down(x.a, x.b, round);
-                    if !(a_ok && b_ok && link_ok) {
-                        metrics.lost += 1;
-                        continue;
-                    }
-                    metrics.delivered += 1;
-                    metrics.payload_units +=
-                        P::payload_weight(&x.payload_a) + P::payload_weight(&x.payload_b);
-                    let InFlight {
-                        a,
-                        b,
-                        payload_a,
-                        payload_b,
-                        initiated_at,
-                    } = x;
-                    for (me, exchange) in [
-                        (
-                            a,
-                            Exchange {
-                                peer: b,
-                                payload: payload_b,
-                                initiated_at,
-                                completed_at: round,
-                                initiated_by_me: true,
-                            },
-                        ),
-                        (
-                            b,
-                            Exchange {
-                                peer: a,
-                                payload: payload_a,
-                                initiated_at,
-                                completed_at: round,
-                                initiated_by_me: false,
-                            },
-                        ),
-                    ] {
-                        let i = me.index();
-                        let mut ctx = self.ctx(
-                            i,
-                            round,
-                            size_hint,
-                            &mut rngs[i],
-                            &mut pending[i],
-                            &mut wake[i],
-                        );
-                        nodes[i].on_exchange(&mut ctx, &exchange);
-                    }
-                }
-            } else {
-                for x in due.drain(..) {
-                    if self.config.blocking {
-                        outstanding[x.a.index()] = outstanding[x.a.index()].saturating_sub(1);
-                    }
-                    let a_ok = !self.faults.is_crashed(x.a, round);
-                    let b_ok = !self.faults.is_crashed(x.b, round);
-                    let link_ok = !self.faults.is_link_down(x.a, x.b, round);
-                    if !(a_ok && b_ok && link_ok) {
-                        metrics.lost += 1;
-                        continue;
-                    }
-                    metrics.delivered += 1;
-                    metrics.payload_units +=
-                        P::payload_weight(&x.payload_a) + P::payload_weight(&x.payload_b);
-                    let InFlight {
-                        a,
-                        b,
-                        payload_a,
-                        payload_b,
-                        initiated_at,
-                    } = x;
-                    inboxes[a.index() / chunk].push((
-                        a.index() % chunk,
-                        Exchange {
-                            peer: b,
-                            payload: payload_b,
-                            initiated_at,
-                            completed_at: round,
-                            initiated_by_me: true,
-                        },
-                    ));
-                    inboxes[b.index() / chunk].push((
-                        b.index() % chunk,
-                        Exchange {
-                            peer: a,
-                            payload: payload_a,
-                            initiated_at,
-                            completed_at: round,
-                            initiated_by_me: false,
-                        },
-                    ));
-                }
-                let jobs: Vec<Job<P>> = split_shards(
-                    chunk,
-                    &mut nodes,
-                    &mut rngs,
-                    &mut pending,
-                    &mut wake,
-                    &mut spare,
-                )
-                .into_iter()
-                .map(|shard| {
-                    let inbox = mem::take(&mut inboxes[shard.base / chunk]);
-                    Job::Exchanges {
-                        shard,
-                        inbox,
-                        round,
-                    }
-                })
-                .collect();
-                for done in pool.dispatch(jobs) {
-                    let Done::Stepped { shard, inbox } = done else {
-                        unreachable!("exchange jobs return Stepped")
-                    };
-                    inboxes[shard.base / chunk] = inbox;
-                    absorb_shard(
-                        shard,
-                        &mut nodes,
-                        &mut rngs,
-                        &mut pending,
-                        &mut wake,
-                        &mut spare,
-                    );
-                }
-            }
-
-            // 2. Stop checks — on the reassembled contiguous node
-            //    array, exactly as in the reference path.
-            if stop(&nodes, round) {
-                return Outcome {
-                    reason: StopReason::Condition,
-                    rounds: round,
-                    metrics,
-                    stats: EngineStats::default(),
-                    nodes,
-                };
-            }
-            if nodes.iter().all(Protocol::is_done) {
-                return Outcome {
-                    reason: StopReason::AllDone,
-                    rounds: round,
-                    metrics,
-                    stats: EngineStats::default(),
-                    nodes,
-                };
-            }
-            if round >= self.config.max_rounds {
-                return Outcome {
-                    reason: StopReason::MaxRounds,
-                    rounds: round,
-                    metrics,
-                    stats: EngineStats::default(),
-                    nodes,
-                };
-            }
-
-            // 3. Per-node round logic, sharded. Nodes share no mutable
-            //    state and each keeps its own RNG, so contiguous shards
-            //    merged back in node-id order reproduce the sequential
-            //    sweep exactly. Tiny networks run inline: carving costs
-            //    more than the sweep.
-            if n <= INLINE_WORK_MAX {
-                for i in 0..n {
-                    if self.faults.is_crashed(NodeId::new(i), round) {
-                        pending[i] = None;
-                        continue;
-                    }
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut rngs[i],
-                        &mut pending[i],
-                        &mut wake[i],
-                    );
-                    nodes[i].on_round(&mut ctx);
-                }
-            } else {
-                let jobs: Vec<Job<P>> = split_shards(
-                    chunk,
-                    &mut nodes,
-                    &mut rngs,
-                    &mut pending,
-                    &mut wake,
-                    &mut spare,
-                )
-                .into_iter()
-                .map(|shard| Job::Rounds { shard, round })
-                .collect();
-                for done in pool.dispatch(jobs) {
-                    let Done::Stepped { shard, .. } = done else {
-                        unreachable!("round jobs return Stepped")
-                    };
-                    absorb_shard(
-                        shard,
-                        &mut nodes,
-                        &mut rngs,
-                        &mut pending,
-                        &mut wake,
-                        &mut spare,
-                    );
-                }
-            }
-
-            // 4. Launch initiations. Fast path (no cap, no blocking):
-            //    nothing in this phase mutates a node, so payload
-            //    snapshots are materialized in parallel (one
-            //    `payload()` per engaged node, cloned per use — with no
-            //    intervening mutation that equals the sequential
-            //    per-use `payload()` calls) and the admission loop then
-            //    runs sequentially over plain data.
-            let engaged_count = pending.iter().filter(|p| p.is_some()).count();
-            if par_snapshots && engaged_count > INLINE_WORK_MAX {
-                for (k, uses) in use_bufs.iter_mut().enumerate() {
-                    let len = chunk.min(n - k * chunk);
-                    uses.clear();
-                    uses.resize(len, 0);
-                }
-                for (i, p) in pending.iter().enumerate() {
-                    if let Some((v, _)) = p {
-                        use_bufs[i / chunk][i % chunk] += 1;
-                        use_bufs[v.index() / chunk][v.index() % chunk] += 1;
-                    }
-                }
-                {
-                    let jobs: Vec<Job<P>> = split_shards(
-                        chunk,
-                        &mut nodes,
-                        &mut rngs,
-                        &mut pending,
-                        &mut wake,
-                        &mut spare,
-                    )
-                    .into_iter()
-                    .map(|shard| {
-                        let k = shard.base / chunk;
-                        Job::Snapshots {
-                            shard,
-                            uses: mem::take(&mut use_bufs[k]),
-                            snaps: mem::take(&mut snap_bufs[k]),
-                        }
-                    })
-                    .collect();
-                    for done in pool.dispatch(jobs) {
-                        let Done::Snapped { shard, uses, snaps } = done else {
-                            unreachable!("snapshot jobs return Snapped")
-                        };
-                        let k = shard.base / chunk;
-                        use_bufs[k] = uses;
-                        snap_bufs[k] = snaps;
-                        absorb_shard(
-                            shard,
-                            &mut nodes,
-                            &mut rngs,
-                            &mut pending,
-                            &mut wake,
-                            &mut spare,
-                        );
-                    }
-                    for (i, slot) in pending.iter_mut().enumerate() {
-                        let Some((v, vi)) = slot.take() else {
-                            continue;
-                        };
-                        let u = NodeId::new(i);
-                        metrics.initiated += 1;
-                        let lat = self.graph.neighbor_latencies(u)[latency_to_index(vi)];
-                        let payload_a = take_snap(chunk, &mut use_bufs, &mut snap_bufs, i);
-                        let payload_b = take_snap(chunk, &mut use_bufs, &mut snap_bufs, v.index());
-                        queue.schedule(
-                            round,
-                            lat.rounds(),
-                            InFlight {
-                                a: u,
-                                b: v,
-                                payload_a,
-                                payload_b,
-                                initiated_at: round,
-                            },
-                        );
-                    }
-                }
-            } else {
-                // Verbatim sequential phase 4 (admission order,
-                // rejections, `on_rejected` callbacks) — taken when the
-                // model requires it (cap / blocking) and for small
-                // rounds, where per-use `payload()` on the coordinator
-                // beats carving shards to parallelize snapshots.
-                if capped {
-                    for (k, slot) in order.iter_mut().enumerate() {
-                        *slot = k;
-                    }
-                    order.sort_by_key(|&i| {
-                        let i = u64::try_from(i).expect("node index fits u64");
-                        splitmix64(self.config.seed ^ round.wrapping_mul(0x5851_F42D) ^ i)
-                    });
-                    engagements.fill(0);
-                }
-                #[allow(clippy::needless_range_loop)] // `order` is only admission order under a cap
-                for k in 0..n {
-                    let i = if capped { order[k] } else { k };
-                    let Some((v, vi)) = pending[i].take() else {
-                        continue;
-                    };
-                    let u = NodeId::new(i);
-                    if self.config.blocking && outstanding[i] > 0 {
-                        metrics.rejected += 1;
-                        let mut ctx = self.ctx(
-                            i,
-                            round,
-                            size_hint,
-                            &mut rngs[i],
-                            &mut pending[i],
-                            &mut wake[i],
-                        );
-                        nodes[i].on_rejected(&mut ctx, v);
-                        pending[i] = None;
-                        continue;
-                    }
-                    if let Some(cap) = self.config.connection_cap {
-                        if engagements[i] >= cap || engagements[v.index()] >= cap {
-                            metrics.rejected += 1;
-                            let mut ctx = self.ctx(
-                                i,
-                                round,
-                                size_hint,
-                                &mut rngs[i],
-                                &mut pending[i],
-                                &mut wake[i],
-                            );
-                            nodes[i].on_rejected(&mut ctx, v);
-                            pending[i] = None; // a rejection cannot re-initiate this round
-                            continue;
-                        }
-                        engagements[i] += 1;
-                        engagements[v.index()] += 1;
-                    }
-                    metrics.initiated += 1;
-                    if self.config.blocking {
-                        outstanding[i] += 1;
-                    }
-                    let lat = self.graph.neighbor_latencies(u)[latency_to_index(vi)];
-                    queue.schedule(
-                        round,
-                        lat.rounds(),
-                        InFlight {
-                            a: u,
-                            b: v,
-                            payload_a: nodes[i].payload(),
-                            payload_b: nodes[v.index()].payload(),
-                            initiated_at: round,
-                        },
-                    );
-                }
-            }
-
-            round += 1;
-        }
-    }
-
     /// The on-demand round loop, for [`Scheduling::OnDemand`]
-    /// protocols in either [`EngineMode`] and at any thread count
-    /// (`pool` is `None` on the sequential path).
+    /// protocols in either [`EngineMode`].
     ///
     /// Both modes compute the identical **frontier** each round —
     /// round 0: every node; later rounds: delivered-exchange endpoints
@@ -1530,17 +920,11 @@ impl<'g> Simulator<'g> {
     /// exactly the nodes that received callbacks. The
     /// [`SimConfig::max_rounds`] cap is honored at the same round
     /// number in both modes (skip targets are clamped to the cap).
-    fn run_on_demand<P, F, S, W>(
-        &self,
-        mut pool: Option<&mut Pool<'_, Job<P>, Done<P>, W>>,
-        mut factory: F,
-        mut stop: S,
-    ) -> Outcome<P>
+    fn run_on_demand<P, F, S>(&self, mut factory: F, mut stop: S) -> Outcome<P>
     where
         P: Protocol,
         F: FnMut(NodeId, usize) -> P,
         S: FnMut(&[P], Round) -> bool,
-        W: Fn(Job<P>) -> Done<P>,
     {
         let n = self.graph.node_count();
         assert!(
@@ -1585,23 +969,21 @@ impl<'g> Simulator<'g> {
         let mut done_flags: Vec<bool> = vec![false; n];
         let mut done_count: usize = 0;
 
-        // Sharding buffers (threads > 1 only).
-        let chunk = match pool.as_ref() {
-            Some(p) => n.div_ceil(p.workers()),
-            None => n.max(1),
-        };
-        let shards = n.div_ceil(chunk.max(1)).max(1);
-        let mut spare: Vec<Shard<P>> = Vec::with_capacity(shards);
-        let mut inboxes: Vec<Vec<(usize, Exchange<P::Payload>)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        let mut id_bufs: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-
         // on_start for every live node, before round 0; wake requests
         // registered here are honored like any other.
         for i in 0..n {
             if !self.faults.is_crashed(NodeId::new(i), 0) {
-                let mut ctx =
-                    self.ctx(i, 0, size_hint, &mut rngs[i], &mut pending[i], &mut wake[i]);
+                let mut ctx = node_ctx(
+                    self.graph,
+                    &self.config,
+                    size_hint,
+                    i,
+                    0,
+                    &mut rngs[i],
+                    &mut pending[i],
+                    &mut wake[i],
+                    None,
+                );
                 nodes[i].on_start(&mut ctx);
             }
             if let Some(t) = wake[i].take() {
@@ -1616,9 +998,7 @@ impl<'g> Simulator<'g> {
         let mut round: Round = 0;
         loop {
             // 1. Deliver exchanges completing now, adding surviving
-            //    endpoints to the frontier. Coordinator bookkeeping is
-            //    identical to the reference path; small batches run
-            //    callbacks inline, large ones are sharded.
+            //    endpoints to the frontier.
             queue.collect_due(round, &mut due);
             let had_due = !due.is_empty();
             frontier.clear();
@@ -1630,141 +1010,35 @@ impl<'g> Simulator<'g> {
                     frontier.push(frontier_id(i));
                 }
             }
-            let inline_due = pool.is_none() || due.len() <= INLINE_WORK_MAX;
-            if inline_due {
-                for x in due.drain(..) {
-                    if self.config.blocking {
-                        outstanding[x.a.index()] = outstanding[x.a.index()].saturating_sub(1);
+            for x in due.drain(..) {
+                let Some(views) = settle::<P>(
+                    x,
+                    round,
+                    &self.config,
+                    &self.faults,
+                    &mut outstanding,
+                    &mut metrics,
+                ) else {
+                    continue;
+                };
+                for (me, exchange) in views {
+                    let i = me.index();
+                    if stamp[i] != round {
+                        stamp[i] = round;
+                        frontier.push(frontier_id(i));
                     }
-                    let a_ok = !self.faults.is_crashed(x.a, round);
-                    let b_ok = !self.faults.is_crashed(x.b, round);
-                    let link_ok = !self.faults.is_link_down(x.a, x.b, round);
-                    if !(a_ok && b_ok && link_ok) {
-                        metrics.lost += 1;
-                        continue;
-                    }
-                    metrics.delivered += 1;
-                    metrics.payload_units +=
-                        P::payload_weight(&x.payload_a) + P::payload_weight(&x.payload_b);
-                    let InFlight {
-                        a,
-                        b,
-                        payload_a,
-                        payload_b,
-                        initiated_at,
-                    } = x;
-                    for (me, exchange) in [
-                        (
-                            a,
-                            Exchange {
-                                peer: b,
-                                payload: payload_b,
-                                initiated_at,
-                                completed_at: round,
-                                initiated_by_me: true,
-                            },
-                        ),
-                        (
-                            b,
-                            Exchange {
-                                peer: a,
-                                payload: payload_a,
-                                initiated_at,
-                                completed_at: round,
-                                initiated_by_me: false,
-                            },
-                        ),
-                    ] {
-                        let i = me.index();
-                        if stamp[i] != round {
-                            stamp[i] = round;
-                            frontier.push(frontier_id(i));
-                        }
-                        let mut ctx = self.ctx(
-                            i,
-                            round,
-                            size_hint,
-                            &mut rngs[i],
-                            &mut pending[i],
-                            &mut wake[i],
-                        );
-                        nodes[i].on_exchange(&mut ctx, &exchange);
-                    }
-                }
-            } else {
-                for x in due.drain(..) {
-                    if self.config.blocking {
-                        outstanding[x.a.index()] = outstanding[x.a.index()].saturating_sub(1);
-                    }
-                    let a_ok = !self.faults.is_crashed(x.a, round);
-                    let b_ok = !self.faults.is_crashed(x.b, round);
-                    let link_ok = !self.faults.is_link_down(x.a, x.b, round);
-                    if !(a_ok && b_ok && link_ok) {
-                        metrics.lost += 1;
-                        continue;
-                    }
-                    metrics.delivered += 1;
-                    metrics.payload_units +=
-                        P::payload_weight(&x.payload_a) + P::payload_weight(&x.payload_b);
-                    let InFlight {
-                        a,
-                        b,
-                        payload_a,
-                        payload_b,
-                        initiated_at,
-                    } = x;
-                    for (me, peer, payload, mine) in
-                        [(a, b, payload_b, true), (b, a, payload_a, false)]
-                    {
-                        let i = me.index();
-                        if stamp[i] != round {
-                            stamp[i] = round;
-                            frontier.push(frontier_id(i));
-                        }
-                        inboxes[i / chunk].push((
-                            i % chunk,
-                            Exchange {
-                                peer,
-                                payload,
-                                initiated_at,
-                                completed_at: round,
-                                initiated_by_me: mine,
-                            },
-                        ));
-                    }
-                }
-                let p = pool.as_mut().expect("sharded path requires a pool");
-                let jobs: Vec<Job<P>> = split_shards(
-                    chunk,
-                    &mut nodes,
-                    &mut rngs,
-                    &mut pending,
-                    &mut wake,
-                    &mut spare,
-                )
-                .into_iter()
-                .map(|shard| {
-                    let inbox = mem::take(&mut inboxes[shard.base / chunk]);
-                    Job::Exchanges {
-                        shard,
-                        inbox,
+                    let mut ctx = node_ctx(
+                        self.graph,
+                        &self.config,
+                        size_hint,
+                        i,
                         round,
-                    }
-                })
-                .collect();
-                for done in p.dispatch(jobs) {
-                    let Done::Stepped { shard, inbox } = done else {
-                        unreachable!("exchange jobs return Stepped")
-                    };
-                    inboxes[shard.base / chunk] = inbox;
-                    absorb_shard(
-                        shard,
-                        &mut nodes,
-                        &mut rngs,
-                        &mut pending,
-                        &mut wake,
-                        &mut spare,
+                        &mut rngs[i],
+                        &mut pending[i],
+                        &mut wake[i],
+                        None,
                     );
+                    nodes[i].on_exchange(&mut ctx, &exchange);
                 }
             }
 
@@ -1843,75 +1117,32 @@ impl<'g> Simulator<'g> {
                 };
             }
 
-            // 3. Step the frontier (`on_round`). Small frontiers run
-            //    inline; large ones are sharded with per-shard id
-            //    lists.
-            let inline_frontier = pool.is_none() || frontier.len() <= INLINE_WORK_MAX;
-            if inline_frontier {
-                for &id in &frontier {
-                    let i = frontier_index(id);
-                    if self.faults.is_crashed(NodeId::new(i), round) {
-                        pending[i] = None;
-                        continue;
-                    }
-                    stats.stepped += 1;
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut rngs[i],
-                        &mut pending[i],
-                        &mut wake[i],
-                    );
-                    nodes[i].on_round(&mut ctx);
+            // 3. Step the frontier (`on_round`).
+            for &id in &frontier {
+                let i = frontier_index(id);
+                if self.faults.is_crashed(NodeId::new(i), round) {
+                    pending[i] = None;
+                    continue;
                 }
-            } else {
-                // Workers apply the same crash filter per shard; the
-                // coordinator counts here so `stepped` matches the
-                // inline path exactly.
-                for &id in &frontier {
-                    let i = frontier_index(id);
-                    if !self.faults.is_crashed(NodeId::new(i), round) {
-                        stats.stepped += 1;
-                    }
-                    id_bufs[i / chunk].push(frontier_id(i % chunk));
-                }
-                let p = pool.as_mut().expect("sharded path requires a pool");
-                let jobs: Vec<Job<P>> = split_shards(
-                    chunk,
-                    &mut nodes,
-                    &mut rngs,
-                    &mut pending,
-                    &mut wake,
-                    &mut spare,
-                )
-                .into_iter()
-                .map(|shard| {
-                    let ids = mem::take(&mut id_bufs[shard.base / chunk]);
-                    Job::FrontierRounds { shard, ids, round }
-                })
-                .collect();
-                for done in p.dispatch(jobs) {
-                    let Done::SteppedIds { shard, mut ids } = done else {
-                        unreachable!("frontier jobs return SteppedIds")
-                    };
-                    ids.clear();
-                    id_bufs[shard.base / chunk] = ids;
-                    absorb_shard(
-                        shard,
-                        &mut nodes,
-                        &mut rngs,
-                        &mut pending,
-                        &mut wake,
-                        &mut spare,
-                    );
-                }
+                stats.stepped += 1;
+                let mut ctx = node_ctx(
+                    self.graph,
+                    &self.config,
+                    size_hint,
+                    i,
+                    round,
+                    &mut rngs[i],
+                    &mut pending[i],
+                    &mut wake[i],
+                    None,
+                );
+                nodes[i].on_round(&mut ctx);
             }
 
             // 4. Launch initiations — only frontier nodes can hold a
             //    pending initiation, so the sweep is O(frontier).
-            //    Snapshots are taken per use on the coordinator,
-            //    exactly like the sequential reference. Under a cap,
+            //    Snapshots are taken per use, exactly like
+            //    [`Stepper::advance`]. Under a cap,
             //    admission order is the seeded sort restricted to the
             //    candidates (the same relative order the full-array
             //    sort produces).
@@ -1936,13 +1167,16 @@ impl<'g> Simulator<'g> {
                 let u = NodeId::new(i);
                 if self.config.blocking && outstanding[i] > 0 {
                     metrics.rejected += 1;
-                    let mut ctx = self.ctx(
+                    let mut ctx = node_ctx(
+                        self.graph,
+                        &self.config,
+                        size_hint,
                         i,
                         round,
-                        size_hint,
                         &mut rngs[i],
                         &mut pending[i],
                         &mut wake[i],
+                        None,
                     );
                     nodes[i].on_rejected(&mut ctx, v);
                     pending[i] = None;
@@ -1961,13 +1195,16 @@ impl<'g> Simulator<'g> {
                     };
                     if mine >= cap || theirs >= cap {
                         metrics.rejected += 1;
-                        let mut ctx = self.ctx(
+                        let mut ctx = node_ctx(
+                            self.graph,
+                            &self.config,
+                            size_hint,
                             i,
                             round,
-                            size_hint,
                             &mut rngs[i],
                             &mut pending[i],
                             &mut wake[i],
+                            None,
                         );
                         nodes[i].on_rejected(&mut ctx, v);
                         pending[i] = None; // a rejection cannot re-initiate this round
@@ -2081,8 +1318,8 @@ pub struct InFlightView<'a, T> {
     pub payload_b: &'a T,
 }
 
-/// Builds a per-node callback view from a [`Stepper`]'s split field
-/// borrows. A free function (not a method on `Stepper`) so callers can
+/// Builds a per-node callback view from a round loop's split per-node
+/// state. A free function (not a method on [`Stepper`]) so callers can
 /// hold `&mut nodes[i]` at the same time.
 #[allow(clippy::too_many_arguments)] // mirrors the engine's per-node state split
 fn node_ctx<'a>(
@@ -2111,12 +1348,60 @@ fn node_ctx<'a>(
     .with_tape(tape)
 }
 
-/// The sequential round loop, reified as a steppable value.
+/// Settles one exchange completing at `round` — the delivery step both
+/// round loops share. Frees the initiator's blocking slot (at
+/// completion time, whether or not the exchange is delivered), applies
+/// the crash / link fault filter, and counts the outcome into
+/// `metrics`. Returns each endpoint's view of the exchange, initiator
+/// first, with the payload snapshots moved in (the delivery path never
+/// clones a payload) — or `None` when a fault swallowed it.
+fn settle<P: Protocol>(
+    x: InFlight<P::Payload>,
+    round: Round,
+    config: &SimConfig,
+    faults: &FaultPlan,
+    outstanding: &mut [u32],
+    metrics: &mut SimMetrics,
+) -> Option<[(NodeId, Exchange<P::Payload>); 2]> {
+    let InFlight {
+        a,
+        b,
+        payload_a,
+        payload_b,
+        initiated_at,
+    } = x;
+    if config.blocking {
+        outstanding[a.index()] = outstanding[a.index()].saturating_sub(1);
+    }
+    if faults.is_crashed(a, round)
+        || faults.is_crashed(b, round)
+        || faults.is_link_down(a, b, round)
+    {
+        metrics.lost += 1;
+        return None;
+    }
+    metrics.delivered += 1;
+    metrics.payload_units += P::payload_weight(&payload_a) + P::payload_weight(&payload_b);
+    let view = |peer, payload, initiated_by_me| Exchange {
+        peer,
+        payload,
+        initiated_at,
+        completed_at: round,
+        initiated_by_me,
+    };
+    Some([
+        (a, view(b, payload_b, true)),
+        (b, view(a, payload_a, false)),
+    ])
+}
+
+/// The every-round loop, reified as a steppable value.
 ///
-/// [`Simulator::run`] with one thread is a thin driver over this type,
-/// so anything a verifier proves about `Stepper` transitions it proves
-/// about the shipping engine — checked code is shipped code. Beyond
-/// plain stepping, the `gossip-mc` model checker:
+/// [`Simulator::run`] is a thin driver over this type for
+/// [`Scheduling::EveryRound`] protocols, so anything a verifier proves
+/// about `Stepper` transitions it proves about the shipping engine —
+/// checked code is shipped code. Beyond plain stepping, the `gossip-mc`
+/// model checker:
 ///
 /// * clones it (`Clone` is a deep snapshot — every piece of mutable
 ///   simulation state is plain owned data);
@@ -2303,68 +1588,32 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         self.deliver_inner(Some(log));
     }
 
-    /// Delivers exchanges completing this round. Payload snapshots are
-    /// moved into the `Exchange`s handed to the endpoints — the
-    /// delivery path never clones a payload.
+    /// Delivers exchanges completing this round through the shared
+    /// [`settle`] step.
     fn deliver_inner(&mut self, mut log: Option<&mut Vec<DeliveryRecord>>) {
         let round = self.round;
         let mut due = mem::take(&mut self.due);
         self.queue.collect_due(round, &mut due);
         for x in due.drain(..) {
-            if self.config.blocking {
-                // The initiator's slot frees at completion time,
-                // whether or not the exchange is delivered.
-                self.outstanding[x.a.index()] = self.outstanding[x.a.index()].saturating_sub(1);
-            }
-            let a_ok = !self.faults.is_crashed(x.a, round);
-            let b_ok = !self.faults.is_crashed(x.b, round);
-            let link_ok = !self.faults.is_link_down(x.a, x.b, round);
-            let lost = !(a_ok && b_ok && link_ok);
+            let (a, b, initiated_at) = (x.a, x.b, x.initiated_at);
+            let views = settle::<P>(
+                x,
+                round,
+                &self.config,
+                &self.faults,
+                &mut self.outstanding,
+                &mut self.metrics,
+            );
             if let Some(log) = log.as_deref_mut() {
                 log.push(DeliveryRecord {
-                    a: x.a,
-                    b: x.b,
-                    initiated_at: x.initiated_at,
+                    a,
+                    b,
+                    initiated_at,
                     completed_at: round,
-                    lost,
+                    lost: views.is_none(),
                 });
             }
-            if lost {
-                self.metrics.lost += 1;
-                continue;
-            }
-            self.metrics.delivered += 1;
-            self.metrics.payload_units +=
-                P::payload_weight(&x.payload_a) + P::payload_weight(&x.payload_b);
-            let InFlight {
-                a,
-                b,
-                payload_a,
-                payload_b,
-                initiated_at,
-            } = x;
-            for (me, exchange) in [
-                (
-                    a,
-                    Exchange {
-                        peer: b,
-                        payload: payload_b,
-                        initiated_at,
-                        completed_at: round,
-                        initiated_by_me: true,
-                    },
-                ),
-                (
-                    b,
-                    Exchange {
-                        peer: a,
-                        payload: payload_a,
-                        initiated_at,
-                        completed_at: round,
-                        initiated_by_me: false,
-                    },
-                ),
-            ] {
+            for (me, exchange) in views.into_iter().flatten() {
                 let i = me.index();
                 let mut ctx = node_ctx(
                     self.graph,
@@ -2538,146 +1787,6 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             stats: EngineStats::default(),
             nodes: self.nodes,
         }
-    }
-}
-
-/// One contiguous slice of the simulation state, shipped to a pool
-/// worker by value: nodes `base..base + nodes.len()` together with
-/// their RNGs and pending-initiation slots.
-struct Shard<P> {
-    base: usize,
-    nodes: Vec<P>,
-    rngs: Vec<StdRng>,
-    pending: Vec<Option<(NodeId, u32)>>,
-    wake: Vec<Option<Round>>,
-}
-
-impl<P> Shard<P> {
-    fn empty() -> Shard<P> {
-        Shard {
-            base: 0,
-            nodes: Vec::new(),
-            rngs: Vec::new(),
-            pending: Vec::new(),
-            wake: Vec::new(),
-        }
-    }
-}
-
-/// A unit of work for [`Simulator::work`], one per shard per phase.
-enum Job<P: Protocol> {
-    /// Phase 1: deliver routed exchanges. `inbox` holds
-    /// `(shard-local node index, exchange)` pairs in global delivery
-    /// order, so each node sees its deliveries in the sequential
-    /// order.
-    Exchanges {
-        shard: Shard<P>,
-        inbox: Vec<(usize, Exchange<P::Payload>)>,
-        round: Round,
-    },
-    /// Phase 3: `on_round` for every live node in the shard.
-    Rounds { shard: Shard<P>, round: Round },
-    /// Phase 3, on-demand: `on_round` for the listed shard-local
-    /// indices only (the shard's slice of the active frontier,
-    /// ascending).
-    FrontierRounds {
-        shard: Shard<P>,
-        ids: Vec<u32>,
-        round: Round,
-    },
-    /// Phase 4 (uncapped, non-blocking only): materialize one payload
-    /// snapshot per node with a non-zero use count.
-    Snapshots {
-        shard: Shard<P>,
-        uses: Vec<u32>,
-        snaps: Vec<Option<P::Payload>>,
-    },
-}
-
-/// The result of a [`Job`], carrying the shard (and any reusable
-/// buffers) back to the coordinator.
-enum Done<P: Protocol> {
-    /// [`Job::Exchanges`] / [`Job::Rounds`] completed; `inbox` is
-    /// drained but keeps its capacity for reuse.
-    Stepped {
-        shard: Shard<P>,
-        inbox: Vec<(usize, Exchange<P::Payload>)>,
-    },
-    /// [`Job::Snapshots`] completed; `snaps[local]` is `Some` exactly
-    /// where `uses[local] > 0`.
-    Snapped {
-        shard: Shard<P>,
-        uses: Vec<u32>,
-        snaps: Vec<Option<P::Payload>>,
-    },
-    /// [`Job::FrontierRounds`] completed; `ids` keeps its capacity for
-    /// reuse.
-    SteppedIds { shard: Shard<P>, ids: Vec<u32> },
-}
-
-/// Carves the master state vectors into contiguous per-shard buffers.
-/// Fills tail-first so every `drain` moves a pure suffix (no element
-/// shifting), then reverses into ascending-base order; buffer
-/// capacities are recycled through `spare` across rounds.
-fn split_shards<P>(
-    chunk: usize,
-    nodes: &mut Vec<P>,
-    rngs: &mut Vec<StdRng>,
-    pending: &mut Vec<Option<(NodeId, u32)>>,
-    wake: &mut Vec<Option<Round>>,
-    spare: &mut Vec<Shard<P>>,
-) -> Vec<Shard<P>> {
-    let count = nodes.len().div_ceil(chunk);
-    let mut out: Vec<Shard<P>> = Vec::with_capacity(count);
-    for k in (0..count).rev() {
-        let base = k * chunk;
-        let mut s = spare.pop().unwrap_or_else(Shard::empty);
-        s.base = base;
-        s.nodes.extend(nodes.drain(base..));
-        s.rngs.extend(rngs.drain(base..));
-        s.pending.extend(pending.drain(base..));
-        s.wake.extend(wake.drain(base..));
-        out.push(s);
-    }
-    out.reverse();
-    out
-}
-
-/// Returns one shard's contents to the master vectors. Shards must be
-/// absorbed in ascending-base order (the order [`Pool::dispatch`]
-/// returns them) so the masters reassemble in node-id order — the
-/// deterministic-merge step.
-fn absorb_shard<P>(
-    mut s: Shard<P>,
-    nodes: &mut Vec<P>,
-    rngs: &mut Vec<StdRng>,
-    pending: &mut Vec<Option<(NodeId, u32)>>,
-    wake: &mut Vec<Option<Round>>,
-    spare: &mut Vec<Shard<P>>,
-) {
-    debug_assert_eq!(nodes.len(), s.base, "shards absorbed out of order");
-    nodes.append(&mut s.nodes);
-    rngs.append(&mut s.rngs);
-    pending.append(&mut s.pending);
-    wake.append(&mut s.wake);
-    spare.push(s);
-}
-
-/// Consumes one use of node `i`'s pre-materialized payload snapshot:
-/// clones while further uses remain, moves on the last one.
-fn take_snap<T: Clone>(
-    chunk: usize,
-    use_bufs: &mut [Vec<u32>],
-    snap_bufs: &mut [Vec<Option<T>>],
-    i: usize,
-) -> T {
-    let (k, local) = (i / chunk, i % chunk);
-    use_bufs[k][local] -= 1;
-    let slot = &mut snap_bufs[k][local];
-    if use_bufs[k][local] == 0 {
-        slot.take().expect("snapshot present for engaged node")
-    } else {
-        slot.clone().expect("snapshot present for engaged node")
     }
 }
 
@@ -3240,150 +2349,6 @@ mod tests {
             assert_eq!(q.spare.len(), 1, "one buffer recycled, not re-allocated");
             assert!(q.spare[0].capacity() >= 2, "capacity survives recycling");
         }
-    }
-
-    /// The MT determinism harness: runs the flood protocol with the
-    /// given config at 1 thread and at `threads`, asserting identical
-    /// stop reason, rounds, metrics, and per-node rumor sets.
-    fn assert_mt_matches(g: &Graph, base: SimConfig, faults: &FaultPlan, threads: usize) {
-        let run_at = |t: usize| {
-            let cfg = SimConfig { threads: t, ..base };
-            Simulator::new(g, cfg)
-                .with_faults(faults.clone())
-                .run(flood_factory, |_, r| r >= 40)
-        };
-        let seq = run_at(1);
-        let par = run_at(threads);
-        assert_eq!(seq.reason, par.reason);
-        assert_eq!(seq.rounds, par.rounds);
-        assert_eq!(seq.metrics, par.metrics);
-        for (a, b) in seq.nodes.iter().zip(&par.nodes) {
-            assert_eq!(a.rumors.fingerprint(), b.rumors.fingerprint());
-            assert_eq!(a.cursor, b.cursor);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_plain() {
-        for threads in [2, 3, 4, 7] {
-            assert_mt_matches(
-                &generators::cycle(33),
-                SimConfig::default(),
-                &FaultPlan::none(),
-                threads,
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_with_faults() {
-        let plan = FaultPlan::none()
-            .crash(NodeId::new(3), 5)
-            .crash(NodeId::new(11), 0)
-            .drop_link(NodeId::new(0), NodeId::new(1), 2);
-        assert_mt_matches(&generators::cycle(24), SimConfig::default(), &plan, 4);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_capped_and_blocking() {
-        // Cap and blocking force the sequential phase-4 slow path;
-        // phases 1 and 3 still shard.
-        let g = generators::star(17);
-        for cfg in [
-            SimConfig {
-                connection_cap: Some(1),
-                ..SimConfig::default()
-            },
-            SimConfig {
-                blocking: true,
-                ..SimConfig::default()
-            },
-            SimConfig {
-                connection_cap: Some(2),
-                blocking: true,
-                seed: 9,
-                ..SimConfig::default()
-            },
-        ] {
-            assert_mt_matches(&g, cfg, &FaultPlan::none(), 4);
-        }
-    }
-
-    #[test]
-    fn parallel_rng_streams_identical() {
-        // The seeded-random protocol draws from per-node RNGs in
-        // on_round; sharding must not perturb any node's stream.
-        struct RandomCall {
-            rumors: RumorSet,
-            log: Vec<NodeId>,
-        }
-        impl Protocol for RandomCall {
-            type Payload = RumorSet;
-            fn payload(&self) -> RumorSet {
-                self.rumors.clone()
-            }
-            fn on_round(&mut self, ctx: &mut Context<'_>) {
-                use rand::Rng as _;
-                let d = ctx.degree();
-                let i = ctx.rng().random_range(0..d);
-                self.log.push(ctx.neighbor_ids()[i]);
-                ctx.initiate_nth(i);
-            }
-            fn on_exchange(&mut self, _: &mut Context<'_>, x: &Exchange<RumorSet>) {
-                self.rumors.union_with(&x.payload);
-            }
-        }
-        let g = generators::clique(13);
-        let mk = |id: NodeId, n: usize| RandomCall {
-            rumors: RumorSet::singleton(n, id),
-            log: vec![],
-        };
-        let run_at = |t: usize| {
-            let cfg = SimConfig {
-                seed: 23,
-                threads: t,
-                ..SimConfig::default()
-            };
-            Simulator::new(&g, cfg).run(mk, |ns: &[RandomCall], _| {
-                ns.iter().all(|x| x.rumors.is_full())
-            })
-        };
-        let seq = run_at(1);
-        let par = run_at(5);
-        assert_eq!(seq.rounds, par.rounds);
-        for (a, b) in seq.nodes.iter().zip(&par.nodes) {
-            assert_eq!(a.log, b.log, "per-node RNG stream perturbed");
-        }
-    }
-
-    #[test]
-    fn more_threads_than_nodes_is_clamped() {
-        let g = generators::path(3);
-        let cfg = SimConfig {
-            threads: 64,
-            ..SimConfig::default()
-        };
-        let out = Simulator::new(&g, cfg)
-            .run(flood_factory, |ns, _| ns.iter().all(|f| f.rumors.is_full()));
-        let seq = Simulator::new(&g, SimConfig::default())
-            .run(flood_factory, |ns, _| ns.iter().all(|f| f.rumors.is_full()));
-        assert_eq!(out.rounds, seq.rounds);
-        assert_eq!(out.metrics, seq.metrics);
-    }
-
-    #[test]
-    fn parallel_snapshot_taken_at_initiation() {
-        // The pre-materialized parallel snapshots must still reflect
-        // initiation-time state (same setup as the sequential
-        // `snapshot_taken_at_initiation` test).
-        let g = Graph::from_edges(3, [(0, 1, 1), (1, 2, 5)]).unwrap();
-        let cfg = SimConfig {
-            threads: 3,
-            ..SimConfig::default()
-        };
-        let out = Simulator::new(&g, cfg)
-            .run(flood_factory, |ns, _| ns[2].rumors.contains(NodeId::new(0)));
-        assert_eq!(out.rounds, 6);
     }
 
     #[test]

@@ -55,7 +55,6 @@
 pub mod engine;
 pub mod faults;
 pub mod pacing;
-pub mod pool;
 pub mod rumor;
 pub mod stream;
 pub mod trace;

@@ -81,7 +81,7 @@ impl<'g, P: Protocol> NodePacer<'g, P> {
     /// Creates the pacer for `node`, deriving its RNG from
     /// `config.seed` exactly as the engine would. Only the model
     /// fields of `config` (`seed`, `latency_known`, `size_hint`) are
-    /// consulted; scheduling fields (`max_rounds`, caps, threads) are
+    /// consulted; scheduling fields (`max_rounds`, caps) are
     /// the driver's business.
     pub fn new(graph: &'g Graph, node: NodeId, protocol: P, config: &SimConfig) -> Self {
         NodePacer {

@@ -6,9 +6,8 @@
 //! round. Useful for debugging protocols, for the CLI's curve output,
 //! and for asserting fine-grained model properties in tests.
 
-// tidy:allow(concurrency-confinement) — see `ALLOWLIST`: the log must
-// be shareable across engine worker threads.
-use std::sync::{Arc, Mutex};
+use std::cell::{Ref, RefCell};
+use std::rc::Rc;
 
 use latency_graph::NodeId;
 
@@ -63,17 +62,12 @@ impl TraceEvent {
 
 /// A shared, append-only event log.
 ///
-/// Cloning is cheap (reference-counted). The log is `Send + Sync` so
-/// traced protocols can run under [`SimConfig::threads`]` > 1`; with
-/// multiple threads the *interleaving* of events from different nodes
-/// within a round is scheduling-dependent, but per-round aggregates
-/// (e.g. [`delivery_curve`](Self::delivery_curve)) and per-node event
-/// sequences remain deterministic.
-///
-/// [`SimConfig::threads`]: crate::engine::SimConfig::threads
+/// Cloning is cheap (reference-counted): every [`Traced`] node of a
+/// run holds a clone and appends to the same event list, in the
+/// engine's (deterministic) callback order.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
+    events: Rc<RefCell<Vec<TraceEvent>>>,
 }
 
 impl TraceLog {
@@ -83,28 +77,28 @@ impl TraceLog {
     }
 
     fn push(&self, e: TraceEvent) {
-        self.lock().push(e);
+        self.events.borrow_mut().push(e);
     }
 
-    /// The events behind the (never-poisoned: pushes don't panic)
-    /// mutex.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
-        self.events.lock().expect("trace log lock poisoned")
+    /// The recorded events. No borrow outlives a method of this type,
+    /// so this never meets `push`'s mutable borrow.
+    fn read(&self) -> Ref<'_, Vec<TraceEvent>> {
+        self.events.borrow()
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.read().len()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.read().is_empty()
     }
 
     /// Snapshot of all events, in recording order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().clone()
+        self.read().clone()
     }
 
     /// Events of a specific round.
@@ -116,7 +110,7 @@ impl TraceLog {
     /// `partition_point` binary searches over the round bounds:
     /// O(log E + k) for k matching events.
     pub fn in_round(&self, round: Round) -> Vec<TraceEvent> {
-        let events = self.lock();
+        let events = self.read();
         let lo = events.partition_point(|e| e.round() < round);
         let hi = lo + events[lo..].partition_point(|e| e.round() == round);
         events[lo..hi].to_vec()
@@ -127,7 +121,7 @@ impl TraceLog {
     pub fn delivery_curve(&self, horizon: Round) -> Vec<u64> {
         let len = usize::try_from(horizon).expect("horizon fits usize") + 1;
         let mut curve = vec![0u64; len];
-        for e in self.lock().iter() {
+        for e in self.read().iter() {
             if let TraceEvent::Delivered { round, .. } = *e {
                 if round <= horizon {
                     curve[usize::try_from(round).expect("round fits usize")] += 1;

@@ -4,9 +4,9 @@
 //! skipping) and the [`EngineMode::Dense`] path (Θ(n) per-round frontier
 //! rediscovery, every round visited) produce identical outcomes —
 //! rounds, stop reason, metrics, per-node states, and the
-//! mode-independent engine counters — at 1 and 4 worker threads, over
-//! random connected topologies crossed with random fault plans,
-//! connection caps, and stop conditions.
+//! mode-independent engine counters — over random connected topologies
+//! crossed with random fault plans, connection caps, and stop
+//! conditions.
 
 use gossip_sim::{
     Context, EngineMode, Exchange, FaultPlan, Protocol, RumorSet, Scheduling, SimConfig, Simulator,
@@ -136,12 +136,10 @@ fn run_once(
     cap: Option<usize>,
     target: usize,
     mode: EngineMode,
-    threads: usize,
 ) -> Digest {
     let cfg = SimConfig {
         seed,
         max_rounds: 40,
-        threads,
         connection_cap: cap,
         mode,
         ..SimConfig::default()
@@ -175,8 +173,7 @@ fn run_once(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Dense × Frontier × {1, 4} threads all agree on every pinned
-    /// observable.
+    /// Dense and Frontier agree on every pinned observable.
     #[test]
     fn dense_and_frontier_agree(
         n in 2usize..14,
@@ -195,18 +192,9 @@ proptest! {
             1 => n * n / 2,
             _ => n + n / 2,
         };
-        let reference = run_once(&g, &faults, seed, cap, target, EngineMode::Frontier, 1);
-        for (mode, threads) in [
-            (EngineMode::Frontier, 4),
-            (EngineMode::Dense, 1),
-            (EngineMode::Dense, 4),
-        ] {
-            let got = run_once(&g, &faults, seed, cap, target, mode, threads);
-            prop_assert_eq!(
-                &got, &reference,
-                "{:?} × {} threads diverged from Frontier × 1", mode, threads
-            );
-        }
+        let frontier = run_once(&g, &faults, seed, cap, target, EngineMode::Frontier);
+        let dense = run_once(&g, &faults, seed, cap, target, EngineMode::Dense);
+        prop_assert_eq!(&dense, &frontier);
     }
 
     /// Frontier-mode round skipping never changes the event structure:
@@ -217,8 +205,8 @@ proptest! {
     fn max_rounds_boundary_identical(n in 2usize..10, gseed in 0u64..200, seed in 0u64..100) {
         let g = connected_graph(n, gseed);
         let faults = FaultPlan::none();
-        let a = run_once(&g, &faults, seed, None, usize::MAX, EngineMode::Frontier, 1);
-        let b = run_once(&g, &faults, seed, None, usize::MAX, EngineMode::Dense, 1);
+        let a = run_once(&g, &faults, seed, None, usize::MAX, EngineMode::Frontier);
+        let b = run_once(&g, &faults, seed, None, usize::MAX, EngineMode::Dense);
         prop_assert_eq!(a.rounds, b.rounds);
         prop_assert_eq!(a.rounds, 40, "idle-capable runs still stop exactly at the cap");
         prop_assert_eq!(a.reason, "max-rounds");

@@ -65,7 +65,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "concurrency-confinement",
-        summary: "std::thread/std::sync primitives in the determinism zone only via sim::pool (Arc exempt)",
+        summary: "no OS concurrency (std::thread, locks, channels, atomics) in the determinism zone (Arc exempt)",
     },
     RuleInfo {
         name: "net-confinement",
@@ -106,24 +106,14 @@ pub struct AllowEntry {
 
 /// The per-crate/per-path allowlist. Add entries here (with a reason)
 /// only for code that *cannot* comply, and never for families 1–4.
-pub const ALLOWLIST: &[AllowEntry] = &[
-    AllowEntry {
-        rule: "concurrency-confinement",
-        path_prefix: "crates/sim/src/trace.rs",
-        reason: "TraceLog must be shareable across engine worker threads; it guards its event \
-                 buffer with a Mutex. Event *interleaving* under contention is scheduling- \
-                 dependent, but every per-round aggregate the tests pin is not, and the engine \
-                 only logs from the coordinator in deterministic order.",
-    },
-    AllowEntry {
-        rule: "lint-hardening",
-        path_prefix: "crates/net/src/lib.rs",
-        reason: "The reactor transport needs one unsafe FFI module (`reactor::sys`, the epoll \
+pub const ALLOWLIST: &[AllowEntry] = &[AllowEntry {
+    rule: "lint-hardening",
+    path_prefix: "crates/net/src/lib.rs",
+    reason: "The reactor transport needs one unsafe FFI module (`reactor::sys`, the epoll \
                  shim), so the crate root downgrades `forbid(unsafe_code)` to `deny` and the \
                  shim re-allows it locally with SAFETY comments. The net-confinement rule keeps \
                  the raw-fd surface pinned to `src/reactor/`.",
-    },
-];
+}];
 
 /// Whether `path` is allowlisted for `rule`.
 fn allowlisted(rule: &str, path: &str) -> bool {
@@ -440,13 +430,14 @@ fn determinism_zone(
 
 /// Family 8 — concurrency confinement.
 ///
-/// The determinism zone may touch OS concurrency only through
-/// `sim::pool` (`crates/sim/src/pool.rs`), whose fixed dispatch and
-/// merge order keeps parallel runs byte-identical to sequential ones.
-/// Ad-hoc threads, locks, channels, or atomics anywhere else in the
-/// zone introduce scheduling-dependent behaviour that no single test
-/// run reliably catches. `Arc` is deliberately *not* banned: immutable
-/// copy-on-write sharing (payload snapshots) has no ordering component.
+/// No OS concurrency in the determinism zone: the engine is
+/// single-threaded (DESIGN.md §9), and a thread, lock, channel, or
+/// atomic anywhere in the zone introduces scheduling-dependent
+/// behaviour that no single test run reliably catches. More cores are
+/// used by running whole independent seeds side by side
+/// (`gossip_bench::parallel_trials`), outside the zone. `Arc` is
+/// deliberately *not* banned: immutable copy-on-write sharing (payload
+/// snapshots) has no ordering component.
 fn concurrency_confinement(
     path: &str,
     src: &str,
@@ -454,12 +445,10 @@ fn concurrency_confinement(
     spans: &[(usize, usize)],
     out: &mut Vec<Violation>,
 ) {
-    /// The one zone module allowed to own threads and channels.
-    const POOL_MODULE: &str = "crates/sim/src/pool.rs";
     const BANNED: &[&str] = &[
         "Mutex", "RwLock", "Condvar", "Barrier", "OnceLock", "LazyLock", "mpsc",
     ];
-    if !in_zone(DETERMINISM_ZONE, path) || is_test_tree(path) || path == POOL_MODULE {
+    if !in_zone(DETERMINISM_ZONE, path) || is_test_tree(path) {
         return;
     }
     for (i, t) in lexed.toks.iter().enumerate() {
@@ -475,8 +464,8 @@ fn concurrency_confinement(
                 path,
                 t.line,
                 format!(
-                    "`{}` in the determinism zone: OS concurrency is confined to `sim::pool`; \
-                     shard data by ownership or route work through the pool",
+                    "`{}` in the determinism zone: no OS concurrency here — the engine is \
+                     single-threaded; parallelise across whole runs outside the zone",
                     t.text
                 ),
             );
@@ -494,7 +483,8 @@ fn concurrency_confinement(
                 "concurrency-confinement",
                 path,
                 t.line,
-                "`std::thread` in the determinism zone: spawn workers only via `sim::pool`"
+                "`std::thread` in the determinism zone: no OS concurrency here — parallelise \
+                 across whole runs outside the zone"
                     .to_string(),
             );
         }
@@ -598,8 +588,7 @@ fn net_confinement(
 /// Family 10 — frontier confinement.
 ///
 /// The frontier engine's determinism contract (byte-identical traces
-/// across engine modes and thread counts — DESIGN.md §12) rests on
-/// one invariant: frontier membership and round-skipping state are
+/// across engine modes — DESIGN.md §12) rests on one invariant: frontier membership and round-skipping state are
 /// mutated in exactly one place, `sim::engine`'s event loop. Protocols
 /// influence scheduling only through the `Context::wake_at`/`wake_in`
 /// API. So, inside the determinism zone but outside

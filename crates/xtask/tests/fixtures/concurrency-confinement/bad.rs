@@ -1,6 +1,6 @@
 //! Bad: ad-hoc concurrency primitives inside the determinism zone.
-//! Threads, locks, channels, and atomics outside `sim::pool` make the
-//! schedule (and therefore replay) depend on the OS.
+//! Threads, locks, channels, and atomics make the schedule (and
+//! therefore replay) depend on the OS.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Mutex, RwLock};
