@@ -68,11 +68,11 @@ pub const LARGE_SIZES: [usize; 2] = [65_536, 1_000_000];
 
 /// Nodes per layer used for `large_n` layered rings
 /// ([`layered_ring_exact`]). The construction's regular degree is
-/// `3s − 1`, so per-round event work scales with the layer size while
-/// the dense baseline's Θ(n) sweep does not: thin layers are the
-/// regime where broadcast is a long quiet wave down the ring —
-/// `Θ(k) = Θ(n/s)` rounds with `O(s)` active nodes each — and the
-/// frontier engine's idle-node elimination shows up undiluted.
+/// `3s − 1`, so per-round event work scales with the layer size, not
+/// with `n`: thin layers are the regime where broadcast is a long
+/// quiet wave down the ring — `Θ(k) = Θ(n/s)` rounds with `O(s)`
+/// active nodes each — and the engine's idle-node elimination shows
+/// up undiluted.
 pub const LARGE_RING_LAYER: usize = 4;
 
 /// Slow cross-edge latency of the `large_n` layered rings: the
@@ -80,8 +80,8 @@ pub const LARGE_RING_LAYER: usize = 4;
 /// advances through each layer pair's one hidden fast edge while the
 /// `Θ(s²)` slow flights per gadget land as stragglers ℓ rounds later —
 /// long after their endpoints went idle — so almost all of the
-/// timeline is near-empty event rounds that only the frontier engine
-/// prices at O(occupancy).
+/// timeline is near-empty event rounds, which the engine prices at
+/// O(occupancy).
 pub const LARGE_RING_ELL: u32 = 1024;
 
 /// Peak resident-set size of this process so far, from
@@ -225,8 +225,9 @@ pub fn measure_large(family: &'static str, protocol: &'static str, n: usize) -> 
 }
 
 /// Dense-vs-frontier comparison on one `large_n` cell: both modes run
-/// the identical simulation (asserted), the dense one paying the Θ(n)
-/// per-round sweep.
+/// the identical simulation (asserted) on the same frontier-stepping
+/// kernel, the dense one visiting every round number instead of
+/// skipping the event-free ones.
 #[derive(Clone, Copy, Debug)]
 pub struct ModeComparison {
     /// Graph family compared on.

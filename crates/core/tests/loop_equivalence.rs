@@ -1,17 +1,18 @@
-//! Pins the engine's two round loops against each other.
+//! Pins the two ways of driving the engine's one round loop against
+//! each other.
 //!
-//! `gossip-mc` checks [`Stepper`](gossip_sim::Stepper), which steps
-//! *every* live node every round; the shipped [`Scheduling::OnDemand`]
-//! protocols run on the frontier loop, which steps only woken nodes and
-//! (in [`EngineMode::Frontier`]) skips event-free rounds. For what the
-//! checker proves about the first to say anything about the second, the
-//! shipped on-demand protocols must behave identically under both: an
-//! extra `on_round` on an idle node has to be a no-op, and every node
-//! with work has to be on the frontier. This suite drives each of them
-//! through a hand-rolled `deliver` / `all_done` / `at_round_cap` /
-//! `advance` loop and through [`Simulator::run`] in both engine modes,
-//! and asserts equal stop reason, rounds, [`SimMetrics`] and per-node
-//! state digests — unfaulted and under a crash plus a link drop.
+//! `gossip-mc` drives [`Stepper`](gossip_sim::Stepper) by hand: one
+//! `deliver`, its stop checks, one `advance` — every round number
+//! visited, `all_done` consulted every round. [`Simulator::run`]
+//! drives the same `Stepper` but consults its stop checks on event
+//! rounds only and (in [`EngineMode::Frontier`]) jumps over event-free
+//! rounds. For what the checker proves to carry over to what ships,
+//! that gating and skipping must not be observable. This suite drives
+//! each shipped [`Scheduling::OnDemand`] protocol through a hand-rolled
+//! `deliver` / `all_done` / `at_round_cap` / `advance` loop and through
+//! [`Simulator::run`] in both engine modes, and asserts equal stop
+//! reason, rounds, [`SimMetrics`] and per-node state digests —
+//! unfaulted and under a crash plus a link drop.
 //!
 //! [`Scheduling::OnDemand`]: gossip_sim::Scheduling::OnDemand
 
@@ -71,7 +72,7 @@ fn three_ways<P: Protocol>(
         assert_eq!(
             summary(&shipped),
             summary(&stepped),
-            "Simulator::run in {mode:?} mode diverged from the Stepper loop"
+            "Simulator::run in {mode:?} mode diverged from the hand-driven Stepper"
         );
     }
     (stepped.rounds, stepped.metrics)
@@ -115,7 +116,7 @@ fn ring_of_cliques_unfaulted() {
     let g = extra::ring_of_cliques(4, 4, 3);
     let none = FaultPlan::none();
     // (rounds, initiated, payload units), pinned so that a change which
-    // moves both loops together still shows up.
+    // moves both drivers together still shows up.
     for (name, (rounds, m), expected) in [
         ("flood", flood(&g, &none), (14, 44, 71)),
         ("rr", rr(&g, &none), (21, 336, 446)),
@@ -130,7 +131,8 @@ fn ring_of_cliques_unfaulted() {
 fn theorem7_gadget_unfaulted() {
     // Fast (ℓ = 2) and slow (ℓ = 2m = 12) cross edges side by side:
     // stragglers land long after their endpoints went idle, which is
-    // where the frontier loop skips rounds and the Stepper does not.
+    // where `Simulator::run` skips rounds and the hand-driven loop
+    // does not.
     let g = gadget::theorem7_network(6, 0.4, 2, 1).graph;
     let none = FaultPlan::none();
     for (rounds, m) in [flood(&g, &none), rr(&g, &none), rlc(&g, &none)] {

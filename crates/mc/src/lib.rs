@@ -15,9 +15,10 @@
 //! as a nondeterministic automaton and enumerates **every** reachable
 //! state by BFS with canonical-byte deduplication. Crucially, the
 //! checker does not reimplement the round semantics: it drives the
-//! shipping [`gossip_sim::Stepper`] (the same code path
-//! `Simulator::run` uses) and resolves each [`Context::choose`] branch
-//! through a [`ChoiceTape`] script — checked code is shipped code.
+//! shipping [`gossip_sim::Stepper`] — the engine's one round loop,
+//! which `Simulator::run` drives for every protocol, on-demand ones
+//! included — and resolves each [`Context::choose`] branch through a
+//! [`ChoiceTape`] script — checked code is shipped code.
 //!
 //! [`Context::choose`]: gossip_sim::Context::choose
 //! [`ChoiceTape`]: gossip_sim::ChoiceTape

@@ -8,14 +8,16 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
 use crate::faults::FaultPlan;
+use crate::pacing::node_seed;
 use crate::Round;
 
 /// How the engine schedules a protocol's [`on_round`](Protocol::on_round)
 /// callbacks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheduling {
-    /// `on_round` runs for every live node in every round — the
-    /// original dense loop, cost Θ(n) per round.
+    /// `on_round` runs for every live node in every round: the
+    /// frontier is everyone, every round is an event round, cost Θ(n)
+    /// per round.
     EveryRound,
     /// `on_round` runs only for nodes on the **active frontier**: nodes
     /// that received a delivery this round, registered a wakeup for it
@@ -34,7 +36,7 @@ pub enum Scheduling {
     /// * A *lost* exchange (crash / link fault) wakes no one; protocols
     ///   that must make progress despite losses (or under
     ///   [`SimConfig::blocking`]) should keep a standing wakeup.
-    /// * The caller's stop closure and the [`StopReason::AllDone`] scan
+    /// * The caller's stop closure and the [`StopReason::AllDone`] check
     ///   are evaluated only on **event rounds** (rounds with a
     ///   delivery, a due wakeup, or round 0) — in both engine modes, so
     ///   dense and frontier runs remain byte-identical.
@@ -146,10 +148,11 @@ pub struct Context<'a> {
     /// captured by [`Context::initiate`]'s validation search so the
     /// engine can launch the exchange without re-resolving the edge.
     pending: &'a mut Option<(NodeId, u32)>,
-    /// The wakeup request slot ([`Context::wake_at`]); drained by the
-    /// on-demand engine at the end of the round. Last write wins
-    /// within a round. Ignored by [`Scheduling::EveryRound`] engines
-    /// (every node is stepped anyway).
+    /// The wakeup request slot ([`Context::wake_at`]). Last write wins
+    /// within a round; [`Stepper::advance`] files it into the wake
+    /// calendar at the end of the round. Never read for
+    /// [`Scheduling::EveryRound`] protocols (every node is stepped
+    /// anyway).
     wake: &'a mut Option<Round>,
     /// Choice tape installed by a model checker ([`Stepper`]'s
     /// `set_choice_tape`): when present, [`Context::choose`] reads
@@ -282,13 +285,6 @@ impl<'a> Context<'a> {
     pub fn initiate_nth(&mut self, i: usize) {
         let v = self.neighbor_ids[i];
         *self.pending = Some((v, u32::try_from(i).expect("degree fits u32")));
-    }
-
-    /// The neighbor this node has chosen to initiate with this round,
-    /// if any (set by [`initiate`](Self::initiate)). Used by wrappers
-    /// like [`Traced`](crate::trace::Traced) to observe initiations.
-    pub fn pending_target(&self) -> Option<NodeId> {
-        self.pending.map(|(v, _)| v)
     }
 
     /// Registers a wakeup: under [`Scheduling::OnDemand`] this node
@@ -457,13 +453,14 @@ pub struct SimConfig {
     /// the round): counted in [`SimMetrics::rejected`] and reported via
     /// [`Protocol::on_rejected`].
     pub blocking: bool,
-    /// Execution mode for [`Scheduling::OnDemand`] protocols:
-    /// [`EngineMode::Frontier`] (the default) steps only the active
-    /// frontier and skips dead round gaps; [`EngineMode::Dense`] keeps
-    /// the Θ(n)-per-round sweep as a reference baseline. Both modes
-    /// make the identical callback sequence — byte-identical rounds,
-    /// metrics, and per-node states. Ignored (the dense sweep is the
-    /// only semantics) for [`Scheduling::EveryRound`] protocols.
+    /// Execution mode for [`Scheduling::OnDemand`] protocols: both
+    /// modes step only the active frontier; [`EngineMode::Frontier`]
+    /// (the default) also jumps the round counter over event-free
+    /// gaps, while [`EngineMode::Dense`] visits every round number as
+    /// the reference baseline. Both make the identical callback
+    /// sequence — byte-identical rounds, metrics, and per-node states.
+    /// Ignored for [`Scheduling::EveryRound`] protocols (every round
+    /// is an event round, so there is nothing to skip).
     pub mode: EngineMode,
 }
 
@@ -471,9 +468,9 @@ pub struct SimConfig {
 /// [`SimConfig::mode`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Scan all n nodes every round (reference baseline; Θ(n·rounds)).
+    /// Visit every round number (reference baseline).
     Dense,
-    /// Step only the active frontier; skip event-free rounds.
+    /// Skip event-free rounds.
     #[default]
     Frontier,
 }
@@ -536,8 +533,10 @@ impl SimMetrics {
 /// [`SimMetrics`] these describe *how* the engine executed, not what
 /// the protocol did, and are **not** part of the determinism contract
 /// across [`EngineMode`]s (`skipped_rounds` is zero in dense mode by
-/// construction). Populated by the on-demand engine; every-round runs
-/// report zeros.
+/// construction). Reported for [`Scheduling::OnDemand`] runs only:
+/// [`Scheduling::EveryRound`] runs report zeros (the net runner's
+/// `Outcome` does the same), which the frozen `benchmark/expected.json`
+/// pins for its every-round workloads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// `on_round` callbacks executed.
@@ -588,39 +587,45 @@ struct InFlight<P> {
     initiated_at: Round,
 }
 
-/// Ring slots beyond this are not allocated; rarer, larger latencies
+/// Ring slots beyond this are not allocated; rarer, larger delays
 /// spill into the overflow map. Bounds scheduler memory at ~96 KiB of
 /// slot headers even for graphs with enormous `ℓ_max`.
 const MAX_RING_SLOTS: u64 = 4096;
 
-/// Calendar-queue scheduler for in-flight exchanges.
+/// Calendar-queue scheduler: items filed under the round they fall
+/// due. The engine keeps two — in-flight exchanges
+/// (`CalendarQueue<InFlight<_>>`) and registered wakeups
+/// (`CalendarQueue<u32>` of node ids).
 ///
-/// A ring of `min(ℓ_max + 1, MAX_RING_SLOTS)` reusable buckets indexed
-/// by `complete_at % slots`. Every edge latency satisfies
-/// `1 ≤ ℓ ≤ ℓ_max`, so an exchange scheduled into a slot always
-/// completes before the ring wraps back to it — each slot holds
-/// exchanges for exactly one completion round at a time. Slots keep
-/// their `Vec` capacity across rounds, so after warm-up the scheduler
-/// allocates nothing, unlike the `BTreeMap<Round, Vec<_>>` it replaced
-/// (which churned a node allocation plus a fresh batch `Vec` per
-/// round). Latencies `≥ MAX_RING_SLOTS` (rare; pathological
-/// constructions only) fall back to a `BTreeMap` overflow.
+/// A ring of `min(max_delay + 1, MAX_RING_SLOTS)` reusable buckets
+/// indexed by `due_at % slots`. An item goes into the ring only when
+/// its delay is shorter than the ring, so it always falls due before
+/// the ring wraps back to its slot — each slot holds items for exactly
+/// one round at a time. Slots keep their `Vec` capacity across rounds,
+/// so after warm-up the scheduler allocates nothing, unlike the
+/// `BTreeMap<Round, Vec<_>>` it replaced (which churned a node
+/// allocation plus a fresh batch `Vec` per round). Longer delays fall
+/// back to a `BTreeMap` overflow. An exchange needs a latency
+/// `≥ MAX_RING_SLOTS` for that (pathological constructions only).
+/// Wakeup delays are unbounded, but the order of a round's wakeups is
+/// irrelevant (the frontier is sorted), so ring length buys nothing and
+/// the wake ring is sized like the exchange ring, which keeps a
+/// [`Stepper`] clone light.
 #[derive(Clone)]
-struct CalendarQueue<P> {
-    ring: Vec<Vec<InFlight<P>>>,
-    overflow: BTreeMap<Round, Vec<InFlight<P>>>,
+struct CalendarQueue<T> {
+    ring: Vec<Vec<T>>,
+    overflow: BTreeMap<Round, Vec<T>>,
     /// Emptied overflow batches, kept for reuse: `schedule` pulls a
     /// recycled buffer instead of allocating a fresh `Vec` per
     /// overflow round, and `collect_due` pushes the drained batch
-    /// back. Stays empty unless the graph has latencies beyond the
-    /// ring.
-    spare: Vec<Vec<InFlight<P>>>,
-    /// Exchanges currently queued (ring + overflow); lets the frontier
-    /// engine answer "is anything in flight?" in O(1).
+    /// back. Stays empty unless some delay reaches beyond the ring.
+    spare: Vec<Vec<T>>,
+    /// Items currently queued (ring + overflow); answers "is anything
+    /// scheduled?" in O(1).
     len: usize,
 }
 
-/// Maps a completion round onto its calendar-ring slot.
+/// Maps a round onto its calendar-ring slot.
 ///
 /// `slots ≤ MAX_RING_SLOTS`, so the modulo result always fits `usize`;
 /// the checked conversion keeps the (impossible) truncation loud
@@ -638,23 +643,23 @@ fn latency_to_index(i: u32) -> usize {
     usize::try_from(i).expect("adjacency index fits usize")
 }
 
-/// Widens a frontier node id (stored as `u32` — the on-demand engine
-/// asserts `n` fits at startup) back to a `usize` index.
+/// Widens a frontier node id (stored as `u32` — [`Stepper::new`]
+/// asserts `n` fits) back to a `usize` index.
 #[inline]
 fn frontier_index(i: u32) -> usize {
     usize::try_from(i).expect("node index fits usize")
 }
 
 /// Narrows a node index into the frontier's `u32` id space; infallible
-/// after the on-demand engine's startup assertion.
+/// after [`Stepper::new`]'s assertion.
 #[inline]
 fn frontier_id(i: usize) -> u32 {
     u32::try_from(i).expect("node index fits u32")
 }
 
-impl<P> CalendarQueue<P> {
-    fn new(max_latency_rounds: u64) -> CalendarQueue<P> {
-        let slots = (max_latency_rounds + 1).min(MAX_RING_SLOTS);
+impl<T> CalendarQueue<T> {
+    fn new(max_delay: u64) -> CalendarQueue<T> {
+        let slots = (max_delay + 1).min(MAX_RING_SLOTS);
         CalendarQueue {
             ring: (0..slots).map(|_| Vec::new()).collect(),
             overflow: BTreeMap::new(),
@@ -668,29 +673,28 @@ impl<P> CalendarQueue<P> {
         u64::try_from(self.ring.len()).expect("ring length fits u64")
     }
 
-    /// Enqueues `x` to complete `latency_rounds` after `now`.
+    /// Files `item` to fall due `delay ≥ 1` rounds after `now`.
     #[inline]
-    fn schedule(&mut self, now: Round, latency_rounds: u64, x: InFlight<P>) {
+    fn schedule(&mut self, now: Round, delay: u64, item: T) {
         self.len += 1;
-        if latency_rounds < self.slots() {
-            let slot = round_to_slot(now + latency_rounds, self.slots());
-            self.ring[slot].push(x);
+        if delay < self.slots() {
+            let slot = round_to_slot(now + delay, self.slots());
+            self.ring[slot].push(item);
         } else {
             self.overflow
-                .entry(now + latency_rounds)
+                .entry(now + delay)
                 .or_insert_with(|| self.spare.pop().unwrap_or_default())
-                .push(x);
+                .push(item);
         }
     }
 
-    /// Moves every exchange completing at `round` into `due`
-    /// (initiation order), leaving the slot's capacity in place for
-    /// reuse. `due` must be empty on entry.
-    fn collect_due(&mut self, round: Round, due: &mut Vec<InFlight<P>>) {
-        debug_assert!(due.is_empty());
-        // Overflow entries carry latency ≥ the ring length while ring
+    /// Appends every item due at `round` onto `due` (scheduling
+    /// order), leaving the slot's capacity in place for reuse.
+    fn collect_due(&mut self, round: Round, due: &mut Vec<T>) {
+        let before = due.len();
+        // Overflow entries carry a delay ≥ the ring length while ring
         // entries carry less, so everything in the overflow batch was
-        // initiated strictly earlier than anything in the slot —
+        // scheduled strictly earlier than anything in the slot —
         // draining overflow first preserves the old scheduler's
         // chronological delivery order exactly.
         if let Some(mut batch) = self.overflow.remove(&round) {
@@ -701,112 +705,27 @@ impl<P> CalendarQueue<P> {
         }
         let slot = round_to_slot(round, self.slots());
         due.append(&mut self.ring[slot]);
-        self.len -= due.len();
+        self.len -= due.len() - before;
     }
 
-    /// Whether no exchange is in flight.
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The earliest round strictly after `round` with a scheduled
-    /// completion, or `None` if nothing is in flight. O(slots) worst
-    /// case, O(gap) typical; only consulted by the frontier engine on
-    /// otherwise-idle rounds.
+    /// The earliest round strictly after `round` with an item due, or
+    /// `None` if the queue is empty. O(slots) worst case, O(gap)
+    /// typical; only consulted when skipping idle rounds.
     ///
     /// Correctness rests on the slot invariant (each occupied slot
-    /// holds exchanges for exactly one completion round, strictly
-    /// within `(round, round + slots)` once round `round` itself has
-    /// been drained), so a non-empty slot at ring distance `d` means a
-    /// completion at exactly `round + d`.
+    /// holds items for exactly one round, strictly within
+    /// `(round, round + slots)` once round `round` itself has been
+    /// drained), so a non-empty slot at ring distance `d` means an
+    /// item due at exactly `round + d`.
     fn next_occupied_after(&self, round: Round) -> Option<Round> {
-        if self.is_empty() {
+        if self.len == 0 {
             return None;
         }
         let ring = (1..self.slots())
             .find(|&d| !self.ring[round_to_slot(round + d, self.slots())].is_empty())
             .map(|d| round + d);
         let over = self.overflow.range(round + 1..).next().map(|(&r, _)| r);
-        match (ring, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-}
-
-/// Calendar queue of registered wakeups for the on-demand engine: the
-/// same ring-plus-overflow shape as [`CalendarQueue`], holding node ids
-/// instead of in-flight exchanges. Unlike exchange latencies, wakeup
-/// delays are unbounded, so the ring is a fixed [`MAX_RING_SLOTS`] and
-/// anything `≥ MAX_RING_SLOTS` rounds out spills into the overflow map.
-/// The slot invariant still holds: every ring entry's target round lies
-/// strictly within `(scheduled_at, scheduled_at + slots)`, so at any
-/// time an occupied slot maps to exactly one future round.
-struct WakeQueue {
-    ring: Vec<Vec<u32>>,
-    overflow: BTreeMap<Round, Vec<u32>>,
-    spare: Vec<Vec<u32>>,
-    len: usize,
-}
-
-impl WakeQueue {
-    fn new() -> WakeQueue {
-        WakeQueue {
-            ring: (0..MAX_RING_SLOTS).map(|_| Vec::new()).collect(),
-            overflow: BTreeMap::new(),
-            spare: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Registers node `id` to wake at `at` (strictly after `now`,
-    /// enforced upstream by [`Context::wake_at`]).
-    #[inline]
-    fn schedule(&mut self, now: Round, at: Round, id: u32) {
-        debug_assert!(at > now);
-        self.len += 1;
-        if at - now < MAX_RING_SLOTS {
-            self.ring[round_to_slot(at, MAX_RING_SLOTS)].push(id);
-        } else {
-            self.overflow
-                .entry(at)
-                .or_insert_with(|| self.spare.pop().unwrap_or_default())
-                .push(id);
-        }
-    }
-
-    /// Appends every node due to wake at `round` onto `due`.
-    fn collect_due(&mut self, round: Round, due: &mut Vec<u32>) {
-        let before = due.len();
-        if let Some(mut batch) = self.overflow.remove(&round) {
-            due.append(&mut batch);
-            self.spare.push(batch);
-        }
-        due.append(&mut self.ring[round_to_slot(round, MAX_RING_SLOTS)]);
-        self.len -= due.len() - before;
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The earliest round strictly after `round` with a registered
-    /// wakeup, or `None` if there are none. Mirrors
-    /// [`CalendarQueue::next_occupied_after`].
-    fn next_occupied_after(&self, round: Round) -> Option<Round> {
-        if self.is_empty() {
-            return None;
-        }
-        let ring = (1..MAX_RING_SLOTS)
-            .find(|&d| !self.ring[round_to_slot(round + d, MAX_RING_SLOTS)].is_empty())
-            .map(|d| round + d);
-        let over = self.overflow.range(round + 1..).next().map(|(&r, _)| r);
-        match (ring, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        [ring, over].into_iter().flatten().min()
     }
 }
 
@@ -838,48 +757,43 @@ impl<'g> Simulator<'g> {
         self
     }
 
-    /// Runs the simulation.
+    /// Runs the simulation: a thin driver over [`Stepper`], the same
+    /// stepping machinery the model checker snapshots and branches —
+    /// checked code is shipped code.
     ///
     /// `factory(id, n)` builds each node's protocol instance; `stop`
     /// is evaluated over all node states after the round's deliveries
     /// and ends the run when it returns `true` — every round for
     /// [`Scheduling::EveryRound`] protocols, on event rounds only for
-    /// [`Scheduling::OnDemand`] ones (see there).
-    pub fn run<P, F, S>(&self, factory: F, stop: S) -> Outcome<P>
+    /// [`Scheduling::OnDemand`] ones (see there), in both
+    /// [`EngineMode`]s. The [`SimConfig::max_rounds`] cap is honored
+    /// at the same round number in both modes (skip targets are
+    /// clamped to the cap).
+    pub fn run<P, F, S>(&self, factory: F, mut stop: S) -> Outcome<P>
     where
         P: Protocol,
         F: FnMut(NodeId, usize) -> P,
         S: FnMut(&[P], Round) -> bool,
     {
-        match P::SCHEDULING {
-            Scheduling::EveryRound => self.run_sequential(factory, stop),
-            Scheduling::OnDemand => self.run_on_demand(factory, stop),
-        }
-    }
-
-    /// The every-round loop — the reference semantics of the paper's
-    /// §1 model. Implemented as a thin driver over [`Stepper`], the
-    /// same stepping machinery the model checker snapshots and
-    /// branches: checked code is shipped code.
-    fn run_sequential<P, F, S>(&self, factory: F, mut stop: S) -> Outcome<P>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, usize) -> P,
-        S: FnMut(&[P], Round) -> bool,
-    {
+        let skip = Stepper::<P>::ON_DEMAND && self.config.mode == EngineMode::Frontier;
         let mut st = self.stepper(factory);
         loop {
             st.deliver();
-            if stop(st.nodes(), st.round()) {
-                return st.into_outcome(StopReason::Condition);
-            }
-            if st.all_done() {
-                return st.into_outcome(StopReason::AllDone);
+            if st.event {
+                if stop(st.nodes(), st.round()) {
+                    return st.into_outcome(StopReason::Condition);
+                }
+                if st.all_done() {
+                    return st.into_outcome(StopReason::AllDone);
+                }
             }
             if st.at_round_cap() {
                 return st.into_outcome(StopReason::MaxRounds);
             }
             st.advance();
+            if skip {
+                st.skip_idle_rounds();
+            }
         }
     }
 
@@ -888,391 +802,13 @@ impl<'g> Simulator<'g> {
     /// (the `gossip-mc` model checker) that need to pause between
     /// phases, snapshot/restore the full simulation state, or inject
     /// faults and scripted choices mid-run. [`Simulator::run`] drives
-    /// exactly this machinery for [`Scheduling::EveryRound`] protocols.
+    /// exactly this machinery.
     pub fn stepper<P, F>(&self, factory: F) -> Stepper<'g, P>
     where
         P: Protocol,
         F: FnMut(NodeId, usize) -> P,
     {
         Stepper::new(self.graph, self.config, self.faults.clone(), factory)
-    }
-
-    /// The on-demand round loop, for [`Scheduling::OnDemand`]
-    /// protocols in either [`EngineMode`].
-    ///
-    /// Both modes compute the identical **frontier** each round —
-    /// round 0: every node; later rounds: delivered-exchange endpoints
-    /// plus due wakeups, ascending and deduplicated — and make the
-    /// identical callback sequence over it. They differ only in cost:
-    ///
-    /// * [`EngineMode::Dense`] rediscovers the frontier with a Θ(n)
-    ///   sweep and visits every round number — the pre-frontier
-    ///   engine's cost model, kept as the equivalence baseline.
-    /// * [`EngineMode::Frontier`] keeps the frontier incrementally
-    ///   (stamp array + push on delivery/wakeup) and, when a round has
-    ///   no event, jumps the round counter straight to the next
-    ///   calendar-queue or wake-queue occupancy. Idle nodes cost
-    ///   nothing; dead gaps cost nothing.
-    ///
-    /// The caller's stop closure and the all-done check run only on
-    /// event rounds (in both modes — see [`Scheduling::OnDemand`]);
-    /// the all-done check is O(1) via a done counter maintained for
-    /// exactly the nodes that received callbacks. The
-    /// [`SimConfig::max_rounds`] cap is honored at the same round
-    /// number in both modes (skip targets are clamped to the cap).
-    fn run_on_demand<P, F, S>(&self, mut factory: F, mut stop: S) -> Outcome<P>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, usize) -> P,
-        S: FnMut(&[P], Round) -> bool,
-    {
-        let n = self.graph.node_count();
-        assert!(
-            u32::try_from(n).is_ok(),
-            "the on-demand engine indexes nodes with u32 ids"
-        );
-        let size_hint = self.config.size_hint.unwrap_or(n);
-        let dense = self.config.mode == EngineMode::Dense;
-        let mut nodes: Vec<P> = (0..n).map(|i| factory(NodeId::new(i), n)).collect();
-        let n_u64 = u64::try_from(n).expect("node count fits u64");
-        let mut rngs: Vec<StdRng> = (0..n_u64)
-            .map(|i| StdRng::seed_from_u64(splitmix64(self.config.seed ^ splitmix64(i))))
-            .collect();
-        let mut pending: Vec<Option<(NodeId, u32)>> = vec![None; n];
-        let mut wake: Vec<Option<Round>> = vec![None; n];
-        let l_max = self.graph.max_latency().map_or(0, Latency::rounds);
-        let mut queue: CalendarQueue<P::Payload> = CalendarQueue::new(l_max);
-        let mut due: Vec<InFlight<P::Payload>> = Vec::new();
-        let mut outstanding = vec![0u32; if self.config.blocking { n } else { 0 }];
-        let capped = self.config.connection_cap.is_some();
-        // Stamped engagement counters (capped model only): a counter is
-        // valid iff its mark equals `round + 1`, so per-round resets
-        // are O(touched), not O(n).
-        let mut engage_mark: Vec<Round> = vec![0; if capped { n } else { 0 }];
-        let mut engage_cnt: Vec<usize> = vec![0; if capped { n } else { 0 }];
-        // Capped admission candidates, re-sorted per round.
-        let mut cand: Vec<u32> = Vec::new();
-        let mut metrics = SimMetrics::default();
-        let mut stats = EngineStats::default();
-
-        // Frontier bookkeeping: `stamp[i] == round` ⇔ node i is on this
-        // round's frontier; `frontier` lists its members.
-        let mut wakes = WakeQueue::new();
-        let mut wake_due: Vec<u32> = Vec::new();
-        let mut frontier: Vec<u32> = Vec::new();
-        let mut stamp: Vec<Round> = vec![Round::MAX; n];
-
-        // All-done bookkeeping: protocol state changes only inside
-        // callbacks, and every callback recipient is on the frontier,
-        // so refreshing flags for frontier members keeps the counter
-        // exact with O(frontier) work per round.
-        let mut done_flags: Vec<bool> = vec![false; n];
-        let mut done_count: usize = 0;
-
-        // on_start for every live node, before round 0; wake requests
-        // registered here are honored like any other.
-        for i in 0..n {
-            if !self.faults.is_crashed(NodeId::new(i), 0) {
-                let mut ctx = node_ctx(
-                    self.graph,
-                    &self.config,
-                    size_hint,
-                    i,
-                    0,
-                    &mut rngs[i],
-                    &mut pending[i],
-                    &mut wake[i],
-                    None,
-                );
-                nodes[i].on_start(&mut ctx);
-            }
-            if let Some(t) = wake[i].take() {
-                wakes.schedule(0, t, frontier_id(i));
-            }
-            if nodes[i].is_done() {
-                done_flags[i] = true;
-                done_count += 1;
-            }
-        }
-
-        let mut round: Round = 0;
-        loop {
-            // 1. Deliver exchanges completing now, adding surviving
-            //    endpoints to the frontier.
-            queue.collect_due(round, &mut due);
-            let had_due = !due.is_empty();
-            frontier.clear();
-            if round == 0 {
-                // Round 0 is a universal wakeup: every node is stepped
-                // once, so protocols can bootstrap without a wake.
-                for (i, s) in stamp.iter_mut().enumerate().take(n) {
-                    *s = 0;
-                    frontier.push(frontier_id(i));
-                }
-            }
-            for x in due.drain(..) {
-                let Some(views) = settle::<P>(
-                    x,
-                    round,
-                    &self.config,
-                    &self.faults,
-                    &mut outstanding,
-                    &mut metrics,
-                ) else {
-                    continue;
-                };
-                for (me, exchange) in views {
-                    let i = me.index();
-                    if stamp[i] != round {
-                        stamp[i] = round;
-                        frontier.push(frontier_id(i));
-                    }
-                    let mut ctx = node_ctx(
-                        self.graph,
-                        &self.config,
-                        size_hint,
-                        i,
-                        round,
-                        &mut rngs[i],
-                        &mut pending[i],
-                        &mut wake[i],
-                        None,
-                    );
-                    nodes[i].on_exchange(&mut ctx, &exchange);
-                }
-            }
-
-            // Due wakeups join the frontier.
-            wake_due.clear();
-            wakes.collect_due(round, &mut wake_due);
-            stats.woken += u64::try_from(wake_due.len()).expect("wake count fits u64");
-            for &id in &wake_due {
-                let i = frontier_index(id);
-                if stamp[i] != round {
-                    stamp[i] = round;
-                    frontier.push(id);
-                }
-            }
-
-            // Canonical frontier order: ascending node id. Dense mode
-            // pays the pre-frontier engine's Θ(n) sweep to rediscover
-            // it; frontier mode sorts the incremental list.
-            if dense {
-                frontier.clear();
-                for (i, s) in stamp.iter().enumerate() {
-                    if *s == round {
-                        frontier.push(frontier_id(i));
-                    }
-                }
-            } else {
-                frontier.sort_unstable();
-            }
-            stats.peak_frontier = stats.peak_frontier.max(frontier.len());
-
-            // 2. Stop checks — event rounds only (identically in both
-            //    modes, so traces stay byte-identical). Delivery
-            //    callbacks may have changed done states; refresh
-            //    frontier members before checking.
-            let event = round == 0 || had_due || !frontier.is_empty();
-            if event {
-                stats.event_rounds += 1;
-                for &id in &frontier {
-                    let i = frontier_index(id);
-                    let now_done = nodes[i].is_done();
-                    if now_done != done_flags[i] {
-                        done_flags[i] = now_done;
-                        if now_done {
-                            done_count += 1;
-                        } else {
-                            done_count -= 1;
-                        }
-                    }
-                }
-                if stop(&nodes, round) {
-                    return Outcome {
-                        reason: StopReason::Condition,
-                        rounds: round,
-                        metrics,
-                        stats,
-                        nodes,
-                    };
-                }
-                if done_count == n {
-                    return Outcome {
-                        reason: StopReason::AllDone,
-                        rounds: round,
-                        metrics,
-                        stats,
-                        nodes,
-                    };
-                }
-            }
-            if round >= self.config.max_rounds {
-                return Outcome {
-                    reason: StopReason::MaxRounds,
-                    rounds: round,
-                    metrics,
-                    stats,
-                    nodes,
-                };
-            }
-
-            // 3. Step the frontier (`on_round`).
-            for &id in &frontier {
-                let i = frontier_index(id);
-                if self.faults.is_crashed(NodeId::new(i), round) {
-                    pending[i] = None;
-                    continue;
-                }
-                stats.stepped += 1;
-                let mut ctx = node_ctx(
-                    self.graph,
-                    &self.config,
-                    size_hint,
-                    i,
-                    round,
-                    &mut rngs[i],
-                    &mut pending[i],
-                    &mut wake[i],
-                    None,
-                );
-                nodes[i].on_round(&mut ctx);
-            }
-
-            // 4. Launch initiations — only frontier nodes can hold a
-            //    pending initiation, so the sweep is O(frontier).
-            //    Snapshots are taken per use, exactly like
-            //    [`Stepper::advance`]. Under a cap,
-            //    admission order is the seeded sort restricted to the
-            //    candidates (the same relative order the full-array
-            //    sort produces).
-            cand.clear();
-            cand.extend(
-                frontier
-                    .iter()
-                    .copied()
-                    .filter(|&id| pending[frontier_index(id)].is_some()),
-            );
-            if capped {
-                cand.sort_by_key(|&id| {
-                    splitmix64(self.config.seed ^ round.wrapping_mul(0x5851_F42D) ^ u64::from(id))
-                });
-            }
-            let round_mark = round + 1;
-            for &cand_id in &cand {
-                let i = frontier_index(cand_id);
-                let Some((v, vi)) = pending[i].take() else {
-                    continue;
-                };
-                let u = NodeId::new(i);
-                if self.config.blocking && outstanding[i] > 0 {
-                    metrics.rejected += 1;
-                    let mut ctx = node_ctx(
-                        self.graph,
-                        &self.config,
-                        size_hint,
-                        i,
-                        round,
-                        &mut rngs[i],
-                        &mut pending[i],
-                        &mut wake[i],
-                        None,
-                    );
-                    nodes[i].on_rejected(&mut ctx, v);
-                    pending[i] = None;
-                    continue;
-                }
-                if let Some(cap) = self.config.connection_cap {
-                    let mine = if engage_mark[i] == round_mark {
-                        engage_cnt[i]
-                    } else {
-                        0
-                    };
-                    let theirs = if engage_mark[v.index()] == round_mark {
-                        engage_cnt[v.index()]
-                    } else {
-                        0
-                    };
-                    if mine >= cap || theirs >= cap {
-                        metrics.rejected += 1;
-                        let mut ctx = node_ctx(
-                            self.graph,
-                            &self.config,
-                            size_hint,
-                            i,
-                            round,
-                            &mut rngs[i],
-                            &mut pending[i],
-                            &mut wake[i],
-                            None,
-                        );
-                        nodes[i].on_rejected(&mut ctx, v);
-                        pending[i] = None; // a rejection cannot re-initiate this round
-                        continue;
-                    }
-                    engage_mark[i] = round_mark;
-                    engage_cnt[i] = mine + 1;
-                    engage_mark[v.index()] = round_mark;
-                    engage_cnt[v.index()] = theirs + 1;
-                }
-                metrics.initiated += 1;
-                if self.config.blocking {
-                    outstanding[i] += 1;
-                }
-                let lat = self.graph.neighbor_latencies(u)[latency_to_index(vi)];
-                queue.schedule(
-                    round,
-                    lat.rounds(),
-                    InFlight {
-                        a: u,
-                        b: v,
-                        payload_a: nodes[i].payload(),
-                        payload_b: nodes[v.index()].payload(),
-                        initiated_at: round,
-                    },
-                );
-            }
-
-            // End of round: refresh done flags (steps and rejections
-            // may have changed them) and drain wake requests for every
-            // callback recipient — all of whom are on the frontier.
-            for &id in &frontier {
-                let i = frontier_index(id);
-                let now_done = nodes[i].is_done();
-                if now_done != done_flags[i] {
-                    done_flags[i] = now_done;
-                    if now_done {
-                        done_count += 1;
-                    } else {
-                        done_count -= 1;
-                    }
-                }
-                if let Some(t) = wake[i].take() {
-                    wakes.schedule(round, t, id);
-                }
-            }
-
-            // Advance: dense visits every round; frontier jumps to the
-            // next event (clamped to the cap, where MaxRounds fires at
-            // the identical round number).
-            if dense {
-                round += 1;
-            } else {
-                let next = match (
-                    queue.next_occupied_after(round),
-                    wakes.next_occupied_after(round),
-                ) {
-                    (Some(a), Some(b)) => a.min(b),
-                    (Some(a), None) | (None, Some(a)) => a,
-                    // Quiescent: no exchange in flight, no wakeup
-                    // registered — nothing can ever happen again.
-                    (None, None) => self.config.max_rounds,
-                }
-                .min(self.config.max_rounds);
-                stats.skipped_rounds += next - round - 1;
-                round = next;
-            }
-        }
     }
 }
 
@@ -1318,9 +854,9 @@ pub struct InFlightView<'a, T> {
     pub payload_b: &'a T,
 }
 
-/// Builds a per-node callback view from a round loop's split per-node
-/// state. A free function (not a method on [`Stepper`]) so callers can
-/// hold `&mut nodes[i]` at the same time.
+/// Builds a per-node callback view from the round loop's split
+/// per-node state. A free function (not a method on [`Stepper`]) so
+/// callers can hold `&mut nodes[i]` at the same time.
 #[allow(clippy::too_many_arguments)] // mirrors the engine's per-node state split
 fn node_ctx<'a>(
     graph: &'a Graph,
@@ -1348,13 +884,13 @@ fn node_ctx<'a>(
     .with_tape(tape)
 }
 
-/// Settles one exchange completing at `round` — the delivery step both
-/// round loops share. Frees the initiator's blocking slot (at
-/// completion time, whether or not the exchange is delivered), applies
-/// the crash / link fault filter, and counts the outcome into
-/// `metrics`. Returns each endpoint's view of the exchange, initiator
-/// first, with the payload snapshots moved in (the delivery path never
-/// clones a payload) — or `None` when a fault swallowed it.
+/// Settles one exchange completing at `round`. Frees the initiator's
+/// blocking slot (at completion time, whether or not the exchange is
+/// delivered), applies the crash / link fault filter, and counts the
+/// outcome into `metrics`. Returns each endpoint's view of the
+/// exchange, initiator first, with the payload snapshots moved in (the
+/// delivery path never clones a payload) — or `None` when a fault
+/// swallowed it.
 fn settle<P: Protocol>(
     x: InFlight<P::Payload>,
     round: Round,
@@ -1395,13 +931,21 @@ fn settle<P: Protocol>(
     ])
 }
 
-/// The every-round loop, reified as a steppable value.
+/// The round loop of the paper's §1 model, reified as a steppable
+/// value — the engine's only one.
 ///
-/// [`Simulator::run`] is a thin driver over this type for
-/// [`Scheduling::EveryRound`] protocols, so anything a verifier proves
-/// about `Stepper` transitions it proves about the shipping engine —
-/// checked code is shipped code. Beyond plain stepping, the `gossip-mc`
-/// model checker:
+/// Each round has a **frontier**: the nodes [`advance`](Self::advance)
+/// steps. Under [`Scheduling::EveryRound`] it is every node, always;
+/// under [`Scheduling::OnDemand`] it is every node in round 0 and
+/// afterwards the endpoints of the round's delivered exchanges plus
+/// the nodes whose wakeups fell due, as settled by
+/// [`deliver`](Self::deliver). Every callback recipient of a round is
+/// on its frontier, so all per-round bookkeeping is O(frontier).
+///
+/// [`Simulator::run`] is a thin driver over this type for every
+/// protocol, so anything a verifier proves about `Stepper` transitions
+/// it proves about the shipping engine — checked code is shipped code.
+/// Beyond plain stepping, the `gossip-mc` model checker:
 ///
 /// * clones it (`Clone` is a deep snapshot — every piece of mutable
 ///   simulation state is plain owned data);
@@ -1414,11 +958,13 @@ fn settle<P: Protocol>(
 ///   and the queued exchanges ([`in_flight`](Self::in_flight)) to
 ///   evaluate properties.
 ///
-/// One full round is `deliver()`, the caller's stop checks
+/// One full round is exactly one `deliver()`, the caller's stop checks
 /// ([`all_done`](Self::all_done) / [`at_round_cap`](Self::at_round_cap)
-/// / a custom condition over [`nodes`](Self::nodes)), then
-/// [`advance`](Self::advance) — the exact phase order of the dense
-/// loop in [`Simulator::run`].
+/// / a custom condition over [`nodes`](Self::nodes)), then one
+/// [`advance`](Self::advance) — the phase order of
+/// [`Simulator::run`]. A hand-driven stepper visits every round
+/// number; skipping event-free rounds is [`Simulator::run`]'s private
+/// shortcut.
 #[derive(Clone)]
 pub struct Stepper<'g, P: Protocol> {
     graph: &'g Graph,
@@ -1428,19 +974,41 @@ pub struct Stepper<'g, P: Protocol> {
     nodes: Vec<P>,
     rngs: Vec<StdRng>,
     pending: Vec<Option<(NodeId, u32)>>,
-    /// Wake-request slots: written by [`Context::wake_at`], never read
-    /// here — this every-round engine steps each node regardless.
+    /// Wake-request slots, written by [`Context::wake_at`]. `advance`
+    /// files the frontier's requests into `wakes` at the end of the
+    /// round; under [`Scheduling::EveryRound`] they are never read.
     wake: Vec<Option<Round>>,
-    queue: CalendarQueue<P::Payload>,
+    queue: CalendarQueue<InFlight<P::Payload>>,
     /// Delivery batch, reused every round.
     due: Vec<InFlight<P::Payload>>,
     /// Blocking mode: outstanding own-initiated exchanges per node.
     outstanding: Vec<u32>,
-    /// Initiation admission order and per-node engagement counters,
-    /// used (and re-filled) only under a connection cap.
-    order: Vec<usize>,
-    engagements: Vec<usize>,
+    /// Capped model only: this round's admission candidates, and
+    /// per-node `(round, engagements)` counters — a count is valid iff
+    /// its round stamp is current, so per-round resets are O(touched),
+    /// not O(n).
+    candidates: Vec<u32>,
+    engaged: Vec<(Round, usize)>,
+    /// This round's frontier, ascending. Seeded with every node for
+    /// round 0; under [`Scheduling::EveryRound`] it stays that way.
+    frontier: Vec<u32>,
+    /// `stamp[i] == round` ⇔ node `i` is already listed on this
+    /// round's frontier ([`Scheduling::OnDemand`] only).
+    stamp: Vec<Round>,
+    /// Registered wakeups ([`Scheduling::OnDemand`] only).
+    wakes: CalendarQueue<u32>,
+    /// All-done bookkeeping: protocol state changes only inside
+    /// callbacks, so refreshing the flags of frontier members keeps
+    /// the counter exact.
+    done_flags: Vec<bool>,
+    done_count: usize,
+    /// Whether the current round is an event round — round 0, a
+    /// delivery attempt or a due wakeup; always, under
+    /// [`Scheduling::EveryRound`]. Set by `deliver`; gates
+    /// [`Simulator::run`]'s stop checks.
+    event: bool,
     metrics: SimMetrics,
+    stats: EngineStats,
     round: Round,
     /// Checker-installed choice script threaded into every callback
     /// [`Context`]; `None` in normal runs, making [`Context::choose`]
@@ -1449,10 +1017,13 @@ pub struct Stepper<'g, P: Protocol> {
 }
 
 impl<'g, P: Protocol> Stepper<'g, P> {
+    const ON_DEMAND: bool = matches!(P::SCHEDULING, Scheduling::OnDemand);
+
     /// Builds the round-0 state: node instances, per-node RNGs, empty
-    /// queues, and the pre-round `on_start` sweep over live nodes.
-    /// `on_start` runs without a choice tape (none can be installed
-    /// yet); none of the shipped protocols branch there.
+    /// queues, the universal round-0 frontier, and the pre-round
+    /// `on_start` sweep over live nodes. `on_start` runs without a
+    /// choice tape (none can be installed yet); none of the shipped
+    /// protocols branch there.
     fn new<F>(
         graph: &'g Graph,
         config: SimConfig,
@@ -1463,54 +1034,59 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         F: FnMut(NodeId, usize) -> P,
     {
         let n = graph.node_count();
-        let size_hint = config.size_hint.unwrap_or(n);
-        let mut nodes: Vec<P> = (0..n).map(|i| factory(NodeId::new(i), n)).collect();
-        let n_u64 = u64::try_from(n).expect("node count fits u64");
-        let mut rngs: Vec<StdRng> = (0..n_u64)
-            .map(|i| StdRng::seed_from_u64(splitmix64(config.seed ^ splitmix64(i))))
-            .collect();
-        let mut pending: Vec<Option<(NodeId, u32)>> = vec![None; n];
-        let mut wake: Vec<Option<Round>> = vec![None; n];
+        let ids = u32::try_from(n).expect("the engine indexes nodes with u32 ids");
         let l_max = graph.max_latency().map_or(0, Latency::rounds);
         let capped = config.connection_cap.is_some();
-
-        // on_start for every live node, before round 0.
-        for i in 0..n {
-            if faults.is_crashed(NodeId::new(i), 0) {
-                continue;
-            }
-            let mut ctx = node_ctx(
-                graph,
-                &config,
-                size_hint,
-                i,
-                0,
-                &mut rngs[i],
-                &mut pending[i],
-                &mut wake[i],
-                None,
-            );
-            nodes[i].on_start(&mut ctx);
-        }
-
-        Stepper {
+        let mut st = Stepper {
             graph,
             config,
             faults,
-            size_hint,
-            nodes,
-            rngs,
-            pending,
-            wake,
+            size_hint: config.size_hint.unwrap_or(n),
+            nodes: (0..n).map(|i| factory(NodeId::new(i), n)).collect(),
+            rngs: (0..n)
+                .map(|i| StdRng::seed_from_u64(node_seed(config.seed, NodeId::new(i))))
+                .collect(),
+            pending: vec![None; n],
+            wake: vec![None; n],
             queue: CalendarQueue::new(l_max),
             due: Vec::new(),
-            outstanding: vec![0u32; if config.blocking { n } else { 0 }],
-            order: if capped { (0..n).collect() } else { Vec::new() },
-            engagements: vec![0; if capped { n } else { 0 }],
+            outstanding: vec![0; if config.blocking { n } else { 0 }],
+            candidates: Vec::new(),
+            engaged: vec![(Round::MAX, 0); if capped { n } else { 0 }],
+            frontier: (0..ids).collect(),
+            stamp: vec![0; if Self::ON_DEMAND { n } else { 0 }],
+            wakes: CalendarQueue::new(if Self::ON_DEMAND { l_max } else { 0 }),
+            done_flags: vec![false; n],
+            done_count: 0,
+            event: true,
             metrics: SimMetrics::default(),
+            stats: EngineStats::default(),
             round: 0,
             tape: None,
+        };
+
+        // on_start for every live node, before round 0; wake requests
+        // registered here are honored like any other.
+        for i in 0..n {
+            if st.faults.is_crashed(NodeId::new(i), 0) {
+                continue;
+            }
+            let mut ctx = node_ctx(
+                st.graph,
+                &st.config,
+                st.size_hint,
+                i,
+                0,
+                &mut st.rngs[i],
+                &mut st.pending[i],
+                &mut st.wake[i],
+                None,
+            );
+            st.nodes[i].on_start(&mut ctx);
         }
+        st.refresh_done();
+        st.file_wakeups();
+        st
     }
 
     /// The current round — the one `deliver` and `advance` operate on.
@@ -1538,9 +1114,10 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         &self.faults
     }
 
-    /// Whether every node reports [`Protocol::is_done`].
+    /// Whether every node reports [`Protocol::is_done`]. O(1): reads
+    /// the done counter `deliver` and `advance` keep current.
     pub fn all_done(&self) -> bool {
-        self.nodes.iter().all(Protocol::is_done)
+        self.done_count == self.nodes.len()
     }
 
     /// Whether the round counter has reached [`SimConfig::max_rounds`].
@@ -1576,7 +1153,8 @@ impl<'g, P: Protocol> Stepper<'g, P> {
     }
 
     /// Phase 1 of the round: delivers every exchange completing now
-    /// (fault-filtered), invoking `on_exchange` at both endpoints.
+    /// (fault-filtered), invoking `on_exchange` at both endpoints, and
+    /// settles the round's frontier.
     pub fn deliver(&mut self) {
         self.deliver_inner(None);
     }
@@ -1588,12 +1166,17 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         self.deliver_inner(Some(log));
     }
 
-    /// Delivers exchanges completing this round through the shared
-    /// [`settle`] step.
     fn deliver_inner(&mut self, mut log: Option<&mut Vec<DeliveryRecord>>) {
         let round = self.round;
+        // Round 0 is a universal wakeup (`new` seeded the frontier
+        // with everyone); later on-demand frontiers are rebuilt here.
+        let rebuild = Self::ON_DEMAND && round > 0;
+        if rebuild {
+            self.frontier.clear();
+        }
         let mut due = mem::take(&mut self.due);
         self.queue.collect_due(round, &mut due);
+        let had_due = !due.is_empty();
         for x in due.drain(..) {
             let (a, b, initiated_at) = (x.a, x.b, x.initiated_at);
             let views = settle::<P>(
@@ -1615,6 +1198,9 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             }
             for (me, exchange) in views.into_iter().flatten() {
                 let i = me.index();
+                if rebuild && mem::replace(&mut self.stamp[i], round) != round {
+                    self.frontier.push(frontier_id(i));
+                }
                 let mut ctx = node_ctx(
                     self.graph,
                     &self.config,
@@ -1630,22 +1216,45 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             }
         }
         self.due = due;
+
+        if rebuild {
+            // Due wakeups join the delivered endpoints, unless the
+            // stamp says the node is listed already; canonical frontier
+            // order is ascending node id.
+            let delivered = self.frontier.len();
+            self.wakes.collect_due(round, &mut self.frontier);
+            let woken = self.frontier.len() - delivered;
+            self.stats.woken += u64::try_from(woken).expect("wake count fits u64");
+            let (stamp, mut seen) = (&mut self.stamp, 0);
+            self.frontier.retain(|&id| {
+                seen += 1;
+                seen <= delivered || mem::replace(&mut stamp[frontier_index(id)], round) != round
+            });
+            self.frontier.sort_unstable();
+        }
+        self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier.len());
+        self.event = had_due || !self.frontier.is_empty() || round == 0;
+        self.stats.event_rounds += u64::from(self.event);
+        // Delivery callbacks may have changed done states, and the
+        // caller's stop checks come next.
+        self.refresh_done();
     }
 
-    /// Phases 3–4 of the round — per-node `on_round` logic over live
+    /// Phases 3–4 of the round — `on_round` for the frontier's live
     /// nodes, then the launch of admitted initiations with payload
-    /// snapshots taken now — followed by the round increment.
+    /// snapshots taken now — followed by the end-of-round bookkeeping
+    /// and the round increment (by exactly one).
     pub fn advance(&mut self) {
-        let n = self.graph.node_count();
         let round = self.round;
-        let capped = self.config.connection_cap.is_some();
 
         // 3. Per-node round logic.
-        for i in 0..n {
+        for &id in &self.frontier {
+            let i = frontier_index(id);
             if self.faults.is_crashed(NodeId::new(i), round) {
                 self.pending[i] = None;
                 continue;
             }
+            self.stats.stepped += 1;
             let mut ctx = node_ctx(
                 self.graph,
                 &self.config,
@@ -1660,29 +1269,44 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             self.nodes[i].on_round(&mut ctx);
         }
 
-        // 4. Launch initiations (snapshot both endpoints now). Under
-        // a connection cap, initiations are admitted in a
-        // seeded-random order; an initiation counts one engagement
-        // at each endpoint and is rejected when either side is full.
-        if capped {
-            for (k, slot) in self.order.iter_mut().enumerate() {
-                *slot = k;
-            }
-            let seed = self.config.seed;
-            self.order.sort_by_key(|&i| {
-                let i = u64::try_from(i).expect("node index fits u64");
-                splitmix64(seed ^ round.wrapping_mul(0x5851_F42D) ^ i)
+        // 4. Launch initiations (snapshot both endpoints now); only
+        // frontier nodes can hold one. Under a connection cap they are
+        // admitted in a seeded-random order — the stable sort of the
+        // ascending candidates gives the same relative order a sort of
+        // all n nodes would — and an initiation counts one engagement
+        // at each endpoint, rejected when either side is full.
+        let cap = self.config.connection_cap;
+        let launch = if cap.is_some() {
+            let (seed, pending) = (self.config.seed, &self.pending);
+            self.candidates.clear();
+            self.candidates.extend(
+                (self.frontier.iter().copied()).filter(|&id| pending[frontier_index(id)].is_some()),
+            );
+            self.candidates.sort_by_key(|&id| {
+                splitmix64(seed ^ round.wrapping_mul(0x5851_F42D) ^ u64::from(id))
             });
-            self.engagements.fill(0);
-        }
-        #[allow(clippy::needless_range_loop)] // `order` is only admission order under a cap
-        for k in 0..n {
-            let i = if capped { self.order[k] } else { k };
+            &self.candidates
+        } else {
+            &self.frontier
+        };
+        let engagements = |(at, count): (Round, usize)| if at == round { count } else { 0 };
+        for &id in launch {
+            let i = frontier_index(id);
             let Some((v, vi)) = self.pending[i].take() else {
                 continue;
             };
             let u = NodeId::new(i);
-            if self.config.blocking && self.outstanding[i] > 0 {
+            let mut admitted = !(self.config.blocking && self.outstanding[i] > 0);
+            if let (true, Some(cap)) = (admitted, cap) {
+                let mine = engagements(self.engaged[i]);
+                let theirs = engagements(self.engaged[v.index()]);
+                admitted = mine < cap && theirs < cap;
+                if admitted {
+                    self.engaged[i] = (round, mine + 1);
+                    self.engaged[v.index()] = (round, theirs + 1);
+                }
+            }
+            if !admitted {
                 self.metrics.rejected += 1;
                 let mut ctx = node_ctx(
                     self.graph,
@@ -1696,29 +1320,8 @@ impl<'g, P: Protocol> Stepper<'g, P> {
                     self.tape.as_mut(),
                 );
                 self.nodes[i].on_rejected(&mut ctx, v);
-                self.pending[i] = None;
+                self.pending[i] = None; // a rejection cannot re-initiate this round
                 continue;
-            }
-            if let Some(cap) = self.config.connection_cap {
-                if self.engagements[i] >= cap || self.engagements[v.index()] >= cap {
-                    self.metrics.rejected += 1;
-                    let mut ctx = node_ctx(
-                        self.graph,
-                        &self.config,
-                        self.size_hint,
-                        i,
-                        round,
-                        &mut self.rngs[i],
-                        &mut self.pending[i],
-                        &mut self.wake[i],
-                        self.tape.as_mut(),
-                    );
-                    self.nodes[i].on_rejected(&mut ctx, v);
-                    self.pending[i] = None; // a rejection cannot re-initiate this round
-                    continue;
-                }
-                self.engagements[i] += 1;
-                self.engagements[v.index()] += 1;
             }
             self.metrics.initiated += 1;
             if self.config.blocking {
@@ -1741,7 +1344,55 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             );
         }
 
+        // Steps and rejections may have changed done states.
+        self.refresh_done();
+        self.file_wakeups();
         self.round += 1;
+    }
+
+    /// Re-reads [`Protocol::is_done`] for the frontier's nodes — the
+    /// only ones whose state can have changed — into the done counter.
+    fn refresh_done(&mut self) {
+        for &id in &self.frontier {
+            let i = frontier_index(id);
+            let done = self.nodes[i].is_done();
+            self.done_count = self.done_count + usize::from(done) - usize::from(self.done_flags[i]);
+            self.done_flags[i] = done;
+        }
+    }
+
+    /// Files the wake requests of the frontier's nodes — the only ones
+    /// that can have made one — into the wake calendar.
+    fn file_wakeups(&mut self) {
+        if !Self::ON_DEMAND {
+            return;
+        }
+        for &id in &self.frontier {
+            if let Some(at) = self.wake[frontier_index(id)].take() {
+                self.wakes.schedule(self.round, at - self.round, id);
+            }
+        }
+    }
+
+    /// [`EngineMode::Frontier`]'s shortcut, taken right after
+    /// `advance`: jumps the round counter over event-free rounds to the
+    /// next exchange completion or wakeup, clamped to the cap (where
+    /// `MaxRounds` fires at the identical round number).
+    fn skip_idle_rounds(&mut self) {
+        let last = self.round - 1;
+        let next = [
+            self.queue.next_occupied_after(last),
+            self.wakes.next_occupied_after(last),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        // Quiescent: no exchange in flight, no wakeup registered —
+        // nothing can ever happen again.
+        .unwrap_or(self.config.max_rounds)
+        .min(self.config.max_rounds);
+        self.stats.skipped_rounds += next - self.round;
+        self.round = next;
     }
 
     /// Every exchange still queued, in delivery order (completion
@@ -1784,7 +1435,13 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             reason,
             rounds: self.round,
             metrics: self.metrics,
-            stats: EngineStats::default(),
+            // Every-round runs report zeros: the documented
+            // [`EngineStats`] contract, pinned by the frozen benchmark.
+            stats: if Self::ON_DEMAND {
+                self.stats
+            } else {
+                EngineStats::default()
+            },
             nodes: self.nodes,
         }
     }
@@ -2272,7 +1929,7 @@ mod tests {
         // ring/overflow boundary; collection must be chronological by
         // initiation round.
         let target = MAX_RING_SLOTS + 50;
-        let mut q: CalendarQueue<u64> = CalendarQueue::new(MAX_RING_SLOTS + 100);
+        let mut q: CalendarQueue<InFlight<u64>> = CalendarQueue::new(MAX_RING_SLOTS + 100);
         let mk = |tag: u64, initiated_at: Round| InFlight {
             a: NodeId::new(0),
             b: NodeId::new(1),
@@ -2301,7 +1958,7 @@ mod tests {
 
     #[test]
     fn calendar_queue_reuses_slot_capacity() {
-        let mut q: CalendarQueue<()> = CalendarQueue::new(1);
+        let mut q: CalendarQueue<InFlight<()>> = CalendarQueue::new(1);
         assert_eq!(q.slots(), 2);
         let mk = |r: Round| InFlight {
             a: NodeId::new(0),
@@ -2327,7 +1984,7 @@ mod tests {
         // Repeated overflow rounds must reuse one recycled buffer
         // rather than allocating a fresh Vec per hit, and each batch
         // must come out in initiation order.
-        let mut q: CalendarQueue<u64> = CalendarQueue::new(MAX_RING_SLOTS + 10);
+        let mut q: CalendarQueue<InFlight<u64>> = CalendarQueue::new(MAX_RING_SLOTS + 10);
         let mk = |tag: u64, initiated_at: Round| InFlight {
             a: NodeId::new(0),
             b: NodeId::new(1),
@@ -2428,34 +2085,43 @@ mod tests {
         let _ = Simulator::new(&g, SimConfig::default()).run(|_, _| BadWaker, |_, _| false);
     }
 
+    /// On-demand node that logs the rounds it is stepped in and, in
+    /// round 0, registers its one wakeup.
+    struct Waker {
+        at: Round,
+        steps: Vec<Round>,
+    }
+
+    impl Protocol for Waker {
+        const SCHEDULING: Scheduling = Scheduling::OnDemand;
+        type Payload = ();
+        fn payload(&self) {}
+        fn on_round(&mut self, ctx: &mut Context<'_>) {
+            self.steps.push(ctx.round());
+            if ctx.round() == 0 {
+                ctx.wake_at(self.at);
+            }
+        }
+        fn on_exchange(&mut self, _: &mut Context<'_>, _: &Exchange<()>) {}
+    }
+
     #[test]
     fn wake_at_next_round_fires_exactly_once() {
         // The other boundary: `wake_at(round + 1)` is the earliest legal
         // wakeup, and it steps the node exactly once, in both engine
         // modes.
-        struct Waker {
-            steps: Vec<Round>,
-        }
-        impl Protocol for Waker {
-            const SCHEDULING: Scheduling = Scheduling::OnDemand;
-            type Payload = ();
-            fn payload(&self) {}
-            fn on_round(&mut self, ctx: &mut Context<'_>) {
-                self.steps.push(ctx.round());
-                if ctx.round() == 0 {
-                    ctx.wake_at(1);
-                }
-            }
-            fn on_exchange(&mut self, _: &mut Context<'_>, _: &Exchange<()>) {}
-        }
         let g = generators::path(2);
+        let waker = |_, _| Waker {
+            at: 1,
+            steps: vec![],
+        };
         for mode in [EngineMode::Dense, EngineMode::Frontier] {
             let cfg = SimConfig {
                 max_rounds: 5,
                 mode,
                 ..SimConfig::default()
             };
-            let out = Simulator::new(&g, cfg).run(|_, _| Waker { steps: vec![] }, |_, _| false);
+            let out = Simulator::new(&g, cfg).run(waker, |_, _| false);
             assert_eq!(out.reason, StopReason::MaxRounds);
             for node in &out.nodes {
                 assert_eq!(
@@ -2465,6 +2131,79 @@ mod tests {
                 );
             }
         }
+        // A hand-driven stepper honors the same contract: visiting
+        // every round number does not mean stepping every node.
+        let mut st = Simulator::new(&g, SimConfig::default()).stepper(waker);
+        for _ in 0..5 {
+            st.deliver();
+            st.advance();
+        }
+        for node in st.nodes() {
+            assert_eq!(node.steps, vec![0, 1]);
+        }
+    }
+
+    #[test]
+    fn every_round_runs_report_zero_engine_stats() {
+        // The `EngineStats` contract the frozen benchmark pins rely on:
+        // zeros for an every-round protocol, real counts on demand.
+        let g = generators::path(2);
+        let flood = Simulator::new(&g, SimConfig::default())
+            .run(flood_factory, |ns, _| ns.iter().all(|f| f.rumors.is_full()));
+        assert!(flood.rounds > 0);
+        assert_eq!(flood.stats, EngineStats::default());
+        let waker = |_, _| Waker {
+            at: 1,
+            steps: vec![],
+        };
+        let woken = Simulator::new(&g, SimConfig::default()).run(waker, |_, r| r >= 1);
+        assert!(woken.stats.stepped > 0);
+    }
+
+    #[test]
+    fn wake_beyond_short_ring_fires_exactly_once() {
+        // Unit latencies give the wake calendar a 2-slot ring, so both
+        // delays take the overflow path — one inside what a
+        // full-length ring would hold, one beyond even that.
+        let g = generators::path(2);
+        let at = [10, MAX_RING_SLOTS + 5];
+        let waker = |id: NodeId, _| Waker {
+            at: at[id.index()],
+            steps: vec![],
+        };
+        let run = |mode| {
+            let cfg = SimConfig {
+                max_rounds: MAX_RING_SLOTS + 10,
+                mode,
+                ..SimConfig::default()
+            };
+            let sim = Simulator::new(&g, cfg);
+            assert_eq!(sim.stepper(waker).wakes.slots(), 2);
+            let out = sim.run(waker, |_, _| false);
+            assert_eq!(out.reason, StopReason::MaxRounds);
+            for (node, at) in out.nodes.iter().zip(at) {
+                assert_eq!(node.steps, vec![0, at], "{mode:?}");
+            }
+            out.stats
+        };
+        let (dense, frontier) = (run(EngineMode::Dense), run(EngineMode::Frontier));
+        let expected = EngineStats {
+            stepped: 4,
+            woken: 2,
+            event_rounds: 3,
+            skipped_rounds: 0,
+            peak_frontier: 2,
+        };
+        assert_eq!(dense, expected);
+        // Rounds 0, 10, `MAX_RING_SLOTS + 5` and the cap are visited.
+        let skipped_rounds = MAX_RING_SLOTS + 10 - 3;
+        assert_eq!(
+            frontier,
+            EngineStats {
+                skipped_rounds,
+                ..expected
+            }
+        );
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub mod faults;
 pub mod pacing;
 pub mod rumor;
 pub mod stream;
-pub mod trace;
 
 pub use engine::{
     ChoiceTape, Context, DeliveryRecord, EngineMode, EngineStats, Exchange, InFlightView, Outcome,
@@ -69,7 +68,6 @@ pub use stream::{
     all_delivered_round, completion_rounds, BudgetLedger, CompletionLog, Injection, StreamPayload,
     StreamSpec,
 };
-pub use trace::{TraceEvent, TraceLog, Traced};
 
 /// Simulation time, in synchronous rounds.
 pub type Round = u64;

@@ -1,7 +1,7 @@
 //! The engine's scheduling semantics as a reusable **pacing contract**.
 //!
-//! The simulator's round loop ([`Simulator::run`]) owns four per-node
-//! resources: the protocol instance, a seeded RNG, the one-slot pending
+//! The simulator's round loop ([`Stepper`], driven by
+//! [`Simulator::run`]) owns four per-node resources: the protocol instance, a seeded RNG, the one-slot pending
 //! initiation, and the graph-backed callback view ([`Context`]). A
 //! [`NodePacer`] bundles exactly those resources for *one* node so that
 //! an external driver — the `gossip-net` runtime's `NetRunner`, a
@@ -22,6 +22,7 @@
 //!   argument).
 //!
 //! [`Simulator::run`]: crate::engine::Simulator::run
+//! [`Stepper`]: crate::engine::Stepper
 
 use latency_graph::{Graph, Latency, NodeId};
 use rand::rngs::StdRng;

@@ -1,8 +1,8 @@
 //! Property tests for the frontier-sparse engine's determinism
 //! contract: for [`Scheduling::OnDemand`] protocols, the
-//! [`EngineMode::Frontier`] path (incremental frontier, calendar-gap
-//! skipping) and the [`EngineMode::Dense`] path (Θ(n) per-round frontier
-//! rediscovery, every round visited) produce identical outcomes —
+//! [`EngineMode::Frontier`] path (calendar-gap skipping) and the
+//! [`EngineMode::Dense`] path (every round number visited) produce
+//! identical outcomes —
 //! rounds, stop reason, metrics, per-node states, and the
 //! mode-independent engine counters — over random connected topologies
 //! crossed with random fault plans, connection caps, and stop

@@ -592,12 +592,12 @@ fn net_confinement(
 /// mutated in exactly one place, `sim::engine`'s event loop. Protocols
 /// influence scheduling only through the `Context::wake_at`/`wake_in`
 /// API. So, inside the determinism zone but outside
-/// `crates/sim/src/engine.rs`, naming the scheduling queues
-/// (`WakeQueue`, `CalendarQueue`) or *writing* an `EngineStats`
-/// counter field is a confinement breach: a second writer could
-/// disagree with the dense reference path in ways no single golden run
-/// catches. Reading the counters (they ship on `Outcome.stats`) is
-/// fine anywhere.
+/// `crates/sim/src/engine.rs`, naming the scheduling queue type
+/// (`CalendarQueue`) or *writing* an `EngineStats` counter field is a
+/// confinement breach: the one round loop is the single writer, and a
+/// second one could put a node on or off a frontier — or miscount it —
+/// in ways no single golden run catches. Reading the counters (they
+/// ship on `Outcome.stats`) is fine anywhere.
 fn frontier_confinement(
     path: &str,
     src: &str,
@@ -607,7 +607,7 @@ fn frontier_confinement(
 ) {
     /// The one zone module allowed to own frontier bookkeeping.
     const ENGINE_MODULE: &str = "crates/sim/src/engine.rs";
-    const QUEUES: &[&str] = &["WakeQueue", "CalendarQueue"];
+    const QUEUES: &[&str] = &["CalendarQueue"];
     const COUNTERS: &[&str] = &[
         "stepped",
         "woken",

@@ -298,15 +298,10 @@ fn frontier_confinement_bad_fires() {
     let v = source_findings("frontier-confinement", "bad.rs");
     assert!(
         v.len() >= 4,
-        "expected WakeQueue/CalendarQueue/counter-write findings, got {v:?}"
+        "expected CalendarQueue/counter-write findings, got {v:?}"
     );
     let msgs: Vec<&str> = v.iter().map(|v| v.message.as_str()).collect();
-    for needle in [
-        "WakeQueue",
-        "CalendarQueue",
-        "skipped_rounds",
-        "peak_frontier",
-    ] {
+    for needle in ["CalendarQueue", "skipped_rounds", "peak_frontier"] {
         assert!(
             msgs.iter().any(|m| m.contains(needle)),
             "no finding mentions {needle}: {msgs:?}"

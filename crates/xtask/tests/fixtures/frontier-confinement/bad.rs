@@ -1,8 +1,8 @@
 //! Deliberately violates family 10: frontier bookkeeping outside
-//! `sim::engine` — a private wake queue, a calendar queue, and direct
-//! writes to the engine's execution counters.
+//! `sim::engine` — a private calendar queue and direct writes to the
+//! engine's execution counters.
 
-struct WakeQueue {
+struct CalendarQueue {
     len: usize,
 }
 
