@@ -16,7 +16,10 @@
 //!   flooding carries O(1) words per node instead of an `n`-bit set —
 //!   at `n = 10⁶` the difference between ~16 bytes and ~2 TB of
 //!   worst-case payload traffic (cf. Dufoulon–Moses–Pandurangan on
-//!   small-message rumor spreading).
+//!   small-message rumor spreading). Those bytes sit inside the value,
+//!   with no heap block behind them: every payload here is ∅ or
+//!   {source}, so `payload()` is a 48-byte copy and `on_exchange` a
+//!   subset scan, and a run allocates only the engine's own arrays.
 //!
 //! Wakeup contract recap (see [`Scheduling::OnDemand`]): round 0 steps
 //! every node once; afterwards a node runs only when an exchange
@@ -401,6 +404,31 @@ mod tests {
         });
         assert!(o.completed());
         assert_eq!(o.informed_count(NodeId::new(3)), 32);
+    }
+
+    #[test]
+    fn one_to_all_sets_stay_empty_or_source() {
+        // The premise the inline sparse tier is sized for: no node of a
+        // one-to-all run ever holds more than {source}.
+        let g = generators::random_geometric(512, 0.106, 20.0, 4);
+        assert!(g.is_connected());
+        let source = NodeId::new(17);
+        for broadcast in [flood_broadcast, push_broadcast] {
+            let o = both_modes(|mode| {
+                let config = SparseConfig {
+                    mode,
+                    ..SparseConfig::default()
+                };
+                let o = broadcast(&g, source, &config, 4);
+                for r in &o.rumors {
+                    assert_eq!(r.len(), 1);
+                    assert!(r.repr_words() <= 1);
+                    assert!(r.contains(source));
+                }
+                o
+            });
+            assert!(o.completed());
+        }
     }
 
     #[test]

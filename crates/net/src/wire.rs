@@ -708,8 +708,15 @@ impl WirePayload for SharedRumorSet {
     }
 
     fn encode_delta(&self, basis: Option<&SharedRumorSet>, out: &mut Vec<u8>) -> bool {
-        let set: &RumorSet = self;
-        set.encode_delta(basis.map(|b| &**b), out)
+        // `SharedRumorSet::diff`, not the plain-set scan: in a soak's
+        // steady state the confirmed basis shares this payload's buffer
+        // and the delta is empty without reading a word.
+        let delta = match basis {
+            Some(b) => self.diff(b),
+            None => CompactRumorSet::from_set(self),
+        };
+        crate::delta::encode_rumor_delta(&delta, out);
+        true
     }
 
     fn decode_delta(bytes: &[u8], basis: Option<&SharedRumorSet>) -> Result<Self, CodecError> {
@@ -1141,6 +1148,33 @@ mod tests {
         assert_eq!(p.stream_units(), 2);
         assert_eq!(RumorSet::new(8).stream_units(), 0);
         assert!(!<StreamPayload as WirePayload>::supports_delta());
+    }
+
+    #[test]
+    fn shared_encode_delta_matches_plain_path() {
+        let mut set = SharedRumorSet::singleton(200, NodeId::new(3));
+        set.insert(NodeId::new(150));
+        let plain: &RumorSet = &set;
+        let empty_delta = {
+            let mut bytes = Vec::new();
+            crate::delta::encode_rumor_delta(&CompactRumorSet::new(200), &mut bytes);
+            bytes
+        };
+        // Basis sharing the payload's buffer, an equal basis in its own
+        // buffer, a different basis, and no basis at all.
+        let snap = set.snapshot();
+        assert!(snap.ptr_eq(&set));
+        let equal = SharedRumorSet::from(plain.clone());
+        let other = SharedRumorSet::singleton(200, NodeId::new(9));
+        for basis in [Some(&snap), Some(&equal), Some(&other), None] {
+            let (mut shared_bytes, mut plain_bytes) = (Vec::new(), Vec::new());
+            assert!(set.encode_delta(basis, &mut shared_bytes));
+            assert!(plain.encode_delta(basis.map(|b| &**b), &mut plain_bytes));
+            assert_eq!(shared_bytes, plain_bytes);
+        }
+        let mut bytes = Vec::new();
+        set.encode_delta(Some(&snap), &mut bytes);
+        assert_eq!(bytes, empty_delta, "shared buffers encode the empty body");
     }
 
     #[test]

@@ -470,6 +470,8 @@ impl std::ops::Deref for SharedRumorSet {
 /// Sparse representation capacity: a [`CompactRumorSet`] holding at
 /// most this many ids stays an id list. Chosen so the sparse form never
 /// exceeds the footprint of a 2048-node bitset (32 × `u32` = 16 words).
+/// The first [`INLINE`] of them live inside the value itself; only a
+/// longer list owns a heap block.
 pub const SPARSE_MAX: usize = 32;
 
 /// Run-length representation capacity: at most this many maximal
@@ -477,15 +479,85 @@ pub const SPARSE_MAX: usize = 32;
 /// words — same ceiling as [`SPARSE_MAX`]).
 pub const RUNS_MAX: usize = 32;
 
+/// How many ids the sparse tier keeps inside the value. Not a tunable:
+/// `len` + five `u32`s are 21 bytes, the most that fits in the 24 bytes
+/// a `Vec` header would occupy in the same place, so the inline form
+/// makes [`CompactRumorSet`] no larger (asserted below the type) and
+/// the payloads the engine holds in flight do not grow.
+const INLINE: usize = 5;
+
+/// The sparse tier's strictly increasing id list. Canonical: a list of
+/// at most [`INLINE`] ids is always `Inline`, so a one-to-all run —
+/// whose every set is ∅ or {source} — never touches the allocator.
+/// Reads go through `Deref<Target = [u32]>`.
+#[derive(Clone, Debug)]
+enum Ids {
+    /// `buf[..len]` holds the ids.
+    Inline { len: u8, buf: [u32; INLINE] },
+    /// More than [`INLINE`] ids (sets only grow, so never fewer).
+    Heap(Vec<u32>),
+}
+
+impl Ids {
+    /// Copies a strictly increasing id list into its canonical form.
+    fn from_sorted(ids: &[u32]) -> Ids {
+        if ids.len() <= INLINE {
+            let mut buf = [0; INLINE];
+            buf[..ids.len()].copy_from_slice(ids);
+            Ids::Inline {
+                len: u8::try_from(ids.len()).expect("inline length fits u8"),
+                buf,
+            }
+        } else {
+            Ids::Heap(ids.to_vec())
+        }
+    }
+
+    /// Inserts `id` at position `p`, spilling to the heap when the
+    /// inline buffer is full.
+    fn insert(&mut self, p: usize, id: u32) {
+        match self {
+            Ids::Inline { len, buf } => {
+                let n = usize::from(*len);
+                if n < INLINE {
+                    buf.copy_within(p..n, p + 1);
+                    buf[p] = id;
+                    *len += 1;
+                } else {
+                    let mut ids = buf.to_vec();
+                    ids.insert(p, id);
+                    *self = Ids::Heap(ids);
+                }
+            }
+            Ids::Heap(ids) => ids.insert(p, id),
+        }
+    }
+}
+
+impl std::ops::Deref for Ids {
+    type Target = [u32];
+
+    #[inline]
+    fn deref(&self) -> &[u32] {
+        match self {
+            Ids::Inline { len, buf } => &buf[..usize::from(*len)],
+            Ids::Heap(ids) => ids,
+        }
+    }
+}
+
 /// The internal representation tiers of a [`CompactRumorSet`].
 ///
 /// Promotion is monotone (rumor sets only grow): `Sparse → Runs →
 /// Bitset`, and any tier jumps straight to `Full` the moment the set
-/// covers its universe. There is no demotion.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// covers its universe. There is no demotion, so equal contents can sit
+/// in different tiers — which is why `==` on the set compares contents,
+/// not this enum.
+#[derive(Clone, Debug)]
 enum Repr {
-    /// Strictly increasing ids; at most [`SPARSE_MAX`] of them.
-    Sparse(Vec<u32>),
+    /// Strictly increasing ids; at most [`SPARSE_MAX`] of them, the
+    /// first [`INLINE`] stored in place.
+    Sparse(Ids),
     /// Disjoint, non-adjacent, strictly increasing `[start, end)`
     /// runs; at most [`RUNS_MAX`] of them.
     Runs(Vec<(u32, u32)>),
@@ -525,8 +597,15 @@ pub enum CompactParts<'a> {
 /// *materialized word stream*, so it is bit-for-bit the `RumorSet`
 /// fingerprint of the same contents). The difference is the memory
 /// model: one-to-all dissemination states (a handful of ids, or "all
-/// of them") cost O(1) words per node instead of `⌈n/64⌉`, which is
-/// what makes million-node simulation fit in RAM.
+/// of them") cost O(1) words per node instead of `⌈n/64⌉` — and those
+/// words are inside the value, not behind a pointer: up to five ids
+/// are stored in place, so creating, cloning, merging and dropping such
+/// a set never allocates. That is what makes million-node simulation
+/// fit in RAM and keeps its per-exchange cost off the allocator.
+///
+/// `==` compares contents (two sets that reached the same ids through
+/// different promotion histories are equal); the type is deliberately
+/// not `Hash`.
 ///
 /// # Example
 ///
@@ -536,7 +615,7 @@ pub enum CompactParts<'a> {
 ///
 /// let n = 1_000_000;
 /// let mut c = CompactRumorSet::singleton(n, NodeId::new(3));
-/// c.insert(NodeId::new(7));          // still a 2-word id list
+/// c.insert(NodeId::new(7));          // two ids, stored in place
 /// let dense = {
 ///     let mut s = RumorSet::singleton(n, NodeId::new(3));
 ///     s.insert(NodeId::new(7));
@@ -544,12 +623,36 @@ pub enum CompactParts<'a> {
 /// };
 /// assert_eq!(c.fingerprint(), dense.fingerprint());
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct CompactRumorSet {
     repr: Repr,
     universe: usize,
     count: usize,
 }
+
+// The layout argument `INLINE` rests on: the inline sparse tier costs
+// no bytes over the `Vec`-headed tiers beside it.
+const _: () = assert!(std::mem::size_of::<CompactRumorSet>() <= 48);
+
+impl PartialEq for CompactRumorSet {
+    /// Equality of contents. Each tier's form is canonical, so two sets
+    /// in the same tier compare their backing slices; sets in different
+    /// tiers compare their materialized word streams.
+    fn eq(&self, other: &CompactRumorSet) -> bool {
+        if self.universe != other.universe || self.count != other.count {
+            return false;
+        }
+        match (&self.repr, &other.repr) {
+            (Repr::Sparse(a), Repr::Sparse(b)) => a[..] == b[..],
+            (Repr::Runs(a), Repr::Runs(b)) => a == b,
+            (Repr::Bitset(a), Repr::Bitset(b)) => a == b,
+            (Repr::Full, Repr::Full) => true,
+            _ => self.words().eq(other.words()),
+        }
+    }
+}
+
+impl Eq for CompactRumorSet {}
 
 /// Widens a compact 32-bit id to a `usize` index (always fits: the
 /// compact universe is validated to fit `u32`, and `usize ≥ 32` bits on
@@ -640,7 +743,7 @@ impl CompactRumorSet {
             };
         }
         CompactRumorSet {
-            repr: Repr::Sparse(Vec::new()),
+            repr: Repr::Sparse(Ids::from_sorted(&[])),
             universe: n,
             count: 0,
         }
@@ -716,17 +819,19 @@ impl CompactRumorSet {
             return CompactRumorSet::full(universe);
         }
         if count <= SPARSE_MAX {
-            let mut ids = Vec::with_capacity(count);
+            let mut ids = [0u32; SPARSE_MAX];
+            let mut len = 0;
             for (wi, &word) in words.iter().enumerate() {
                 let mut w = word;
                 let base = u32::try_from(wi * 64).expect("bit offset fits u32");
                 while w != 0 {
-                    ids.push(base + w.trailing_zeros());
+                    ids[len] = base + w.trailing_zeros();
+                    len += 1;
                     w &= w - 1;
                 }
             }
             return CompactRumorSet {
-                repr: Repr::Sparse(ids),
+                repr: Repr::Sparse(Ids::from_sorted(&ids[..len])),
                 universe,
                 count,
             };
@@ -867,7 +972,9 @@ impl CompactRumorSet {
     /// Same-tier pairs merge with a single fused scan (sorted-list
     /// merge, interval union, or the bitset OR+popcount pass of
     /// [`RumorSet::union_with`]); mixed tiers first promote `self` to
-    /// the higher tier. A `Full` operand short-circuits in O(1).
+    /// the higher tier. A `Full` operand short-circuits in O(1), and a
+    /// sparse operand that adds nothing returns before any write — the
+    /// case at all but `n − 1` delivery endpoints of a one-to-all run.
     ///
     /// # Panics
     ///
@@ -892,9 +999,13 @@ impl CompactRumorSet {
         let old = self.count;
         match (&mut self.repr, &other.repr) {
             (Repr::Sparse(a), Repr::Sparse(b)) => {
-                let merged = merge_sorted(a, b);
-                self.count = merged.len();
-                *a = merged;
+                if is_sorted_subset(b, a) {
+                    return false;
+                }
+                let mut merged = [0u32; 2 * SPARSE_MAX];
+                let len = merge_sorted(a, b, &mut merged);
+                self.count = len;
+                *a = Ids::from_sorted(&merged[..len]);
             }
             (Repr::Runs(a), Repr::Sparse(b)) => {
                 let other_runs = runs_from_sorted(b);
@@ -914,7 +1025,7 @@ impl CompactRumorSet {
                 match &other.repr {
                     Repr::Sparse(b) => {
                         let mut added = 0usize;
-                        for &id in b {
+                        for &id in b.iter() {
                             let (w, bit) = (wide(id) / 64, 1u64 << (id % 64));
                             if words[w] & bit == 0 {
                                 words[w] |= bit;
@@ -1141,30 +1252,42 @@ impl CompactRumorSet {
     }
 }
 
-/// Merges two strictly increasing id lists into one (set union).
-fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
+/// Whether every id of `sub` occurs in `sup` (both strictly
+/// increasing): one forward scan of `sup`, resumed from where the
+/// previous id was found.
+fn is_sorted_subset(sub: &[u32], sup: &[u32]) -> bool {
+    let mut rest = sup.iter();
+    sub.len() <= sup.len() && sub.iter().all(|id| rest.find(|&s| s >= id) == Some(id))
+}
+
+/// Merges two strictly increasing id lists (set union) into the front
+/// of `out`, which must hold `a.len() + b.len()` ids; returns how many
+/// it wrote.
+fn merge_sorted(a: &[u32], b: &[u32], out: &mut [u32]) -> usize {
+    let (mut i, mut j, mut k) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => {
-                out.push(a[i]);
+                out[k] = a[i];
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                out.push(b[j]);
+                out[k] = b[j];
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                out.push(a[i]);
+                out[k] = a[i];
                 i += 1;
                 j += 1;
             }
         }
+        k += 1;
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    for rest in [&a[i..], &b[j..]] {
+        out[k..k + rest.len()].copy_from_slice(rest);
+        k += rest.len();
+    }
+    k
 }
 
 /// Unions two run lists (disjoint, sorted, non-adjacent runs in, same
@@ -1591,6 +1714,104 @@ mod tests {
         let mut a = CompactRumorSet::new(10);
         let b = CompactRumorSet::new(11);
         a.union_with(&b);
+    }
+
+    fn compact_of(n: usize, ids: &[usize]) -> CompactRumorSet {
+        let mut c = CompactRumorSet::new(n);
+        for &i in ids {
+            c.insert(NodeId::new(i));
+        }
+        c
+    }
+
+    fn is_inline(c: &CompactRumorSet) -> bool {
+        matches!(c.repr, Repr::Sparse(Ids::Inline { .. }))
+    }
+
+    fn is_heap(c: &CompactRumorSet) -> bool {
+        matches!(c.repr, Repr::Sparse(Ids::Heap(_)))
+    }
+
+    #[test]
+    fn sparse_tier_is_inline_up_to_five_ids_whatever_built_it() {
+        let n = 1000;
+        let five = [900usize, 3, 64, 500, 7];
+        let by_insert = compact_of(n, &five);
+        let by_union = {
+            let mut c = compact_of(n, &five[..3]);
+            assert!(c.union_with(&compact_of(n, &five[2..])));
+            c
+        };
+        let by_diff = set_of(n, &five).diff(&RumorSet::new(n));
+        let by_clone = by_insert.clone();
+        let sorted = compact_of(n, &[3, 7, 64, 500, 900]);
+        for c in [&by_insert, &by_union, &by_diff, &by_clone] {
+            assert!(is_inline(c), "{c:?} left the inline form");
+            assert_eq!(c.len(), 5);
+            assert_eq!(*c, sorted, "canonical form is order-independent");
+        }
+        assert!(is_inline(&CompactRumorSet::new(n)));
+        // The sixth id spills, by every route, and equal contents stay
+        // equal across the two builds.
+        let six = [900usize, 3, 64, 500, 7, 8];
+        let mut spilled = by_insert.clone();
+        assert!(spilled.insert(NodeId::new(8)));
+        let mut merged = compact_of(n, &six[..4]);
+        assert!(merged.union_with(&compact_of(n, &six[2..])));
+        let diffed = set_of(n, &six).diff(&RumorSet::new(n));
+        for c in [&spilled, &merged, &diffed, &spilled.clone()] {
+            assert!(is_heap(c), "{c:?} should have spilled");
+            assert_eq!(c.len(), 6);
+            assert_eq!(*c, spilled);
+        }
+        // Overlapping operands whose lengths sum past five but whose
+        // union does not: still inline.
+        let mut overlap = compact_of(n, &[1, 2, 3, 4]);
+        assert!(overlap.union_with(&compact_of(n, &[2, 3, 4, 5])));
+        assert!(is_inline(&overlap));
+        assert_eq!(overlap, compact_of(n, &[5, 4, 3, 2, 1]));
+    }
+
+    #[test]
+    fn subset_union_reports_no_change_and_writes_nothing() {
+        let n = 1000;
+        for ids in [&[7usize][..], &[1, 5, 9], &[1, 2, 3, 4, 5, 6, 7, 8]] {
+            let mut c = compact_of(n, ids);
+            let before = format!("{:?}", c.repr);
+            for sub in [&ids[..0], &ids[..1], &ids[ids.len() / 2..], ids] {
+                assert!(!c.union_with(&compact_of(n, sub)), "{sub:?} ⊆ {ids:?}");
+                assert_eq!(format!("{:?}", c.repr), before);
+                assert_eq!(c.len(), ids.len());
+            }
+            // Same length, different contents: not a subset.
+            let mut shifted = compact_of(n, &ids.iter().map(|i| i + 10).collect::<Vec<_>>());
+            assert!(shifted.union_with(&c));
+            assert_eq!(shifted.len(), 2 * ids.len());
+        }
+    }
+
+    #[test]
+    fn equality_is_by_contents_not_by_tier() {
+        // Evens first (34 runs → bitset), then odds: {0 ..= 66} held as
+        // a bitset, against the same set built as one run.
+        let n = 1000;
+        let mut x = CompactRumorSet::new(n);
+        for i in (0..=66).step_by(2).chain((1..=66).step_by(2)) {
+            x.insert(NodeId::new(i));
+        }
+        let y = CompactRumorSet::from_set(&set_of(n, &(0..=66).collect::<Vec<_>>()));
+        assert_eq!((tier(&x), tier(&y)), ("bitset", "runs"));
+        assert_eq!(x.fingerprint(), y.fingerprint());
+        assert_eq!(x, y);
+        assert_eq!(y, x);
+        let mut z = y.clone();
+        z.insert(NodeId::new(500));
+        assert_ne!(x, z);
+        assert_ne!(
+            CompactRumorSet::singleton(10, NodeId::new(3)),
+            CompactRumorSet::singleton(11, NodeId::new(3)),
+            "same ids, different universes"
+        );
     }
 
     /// Builds a `RumorSet` over `n` from explicit ids.

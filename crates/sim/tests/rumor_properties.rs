@@ -7,6 +7,8 @@
 //! set-to-set unions on a compact/plain pair (plus a second pair to
 //! union *between* independently-promoted representations), then checks
 //! `contains`/`len`/`is_full`/`fingerprint`/iteration agree exactly.
+//! A third generator keeps both sets at 0 ..= 8 ids, the range that
+//! straddles the sparse tier's five-id inline buffer.
 
 use gossip_sim::{CompactRumorSet, RumorSet};
 use latency_graph::NodeId;
@@ -63,6 +65,7 @@ impl Op {
 }
 
 /// A compact set and its plain-bitset mirror, kept in lockstep.
+#[derive(Clone)]
 struct Pair {
     compact: CompactRumorSet,
     plain: RumorSet,
@@ -81,6 +84,15 @@ impl Pair {
         let a = self.compact.insert(id);
         let b = self.plain.insert(id);
         assert_eq!(a, b, "insert({v}) changed-flag mismatch");
+    }
+
+    /// `self ∪ other` on both mirrors, changed-flags compared.
+    fn merged(&self, other: &Pair) -> Pair {
+        let mut m = self.clone();
+        let changed_c = m.compact.union_with(&other.compact);
+        let changed_p = m.plain.union_with(&other.plain);
+        assert_eq!(changed_c, changed_p, "union changed-flag mismatch");
+        m
     }
 
     fn check(&self, universe: usize) {
@@ -148,11 +160,7 @@ proptest! {
                         t.insert(v);
                     }
                 }
-                Op::Merge => {
-                    let changed_c = a.compact.union_with(&b.compact);
-                    let changed_p = a.plain.union_with(&b.plain);
-                    prop_assert_eq!(changed_c, changed_p, "union changed-flag mismatch");
-                }
+                Op::Merge => a = a.merged(&b),
                 Op::Swap => {
                     std::mem::swap(&mut a, &mut b);
                 }
@@ -191,5 +199,49 @@ proptest! {
         let again = xy.union_with(&y);
         prop_assert!(!again, "re-union must report no change");
         prop_assert!(xy.is_superset(&x) && xy.is_superset(&y));
+    }
+
+    /// Sets of 0 ..= 8 ids sit on both sides of the sparse tier's
+    /// inline/heap boundary: every insert, both union orders, a union
+    /// with a run-tier operand in both orders, and the diff/apply_delta
+    /// round trip stay equivalent to the plain bitset.
+    #[test]
+    fn small_sets_cross_the_inline_boundary(
+        universe in 40usize..192,
+        xs in prop::collection::vec(0usize..192, 0..9),
+        ys in prop::collection::vec(0usize..192, 0..9),
+        run_start in 0usize..192,
+    ) {
+        let mut a = Pair::new(universe);
+        let mut b = Pair::new(universe);
+        for &v in &xs {
+            a.insert(v % universe);
+            a.check(universe);
+        }
+        for &v in &ys {
+            b.insert(v % universe);
+            b.check(universe);
+        }
+        // 34 consecutive ids overflow the sparse tier into one run.
+        let mut run = Pair::new(universe);
+        let start = run_start % (universe - 34);
+        for v in start..start + 34 {
+            run.insert(v);
+        }
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &run), (&run, &a)] {
+            let m = x.merged(y);
+            m.check(universe);
+            prop_assert!(m.compact.is_superset(&x.compact) && m.compact.is_superset(&y.compact));
+            prop_assert_eq!(&m.compact, &CompactRumorSet::from_set(&m.plain));
+        }
+        // a ⊕ b, from either representation, rebuilds a from b.
+        let delta = a.plain.diff(&b.plain);
+        prop_assert_eq!(&delta, &a.compact.diff(&b.compact));
+        let mut back = b.clone();
+        back.compact.apply_delta(&delta);
+        back.plain.apply_delta(&delta);
+        back.check(universe);
+        prop_assert_eq!(&back.plain, &a.plain);
+        prop_assert_eq!(&back.compact, &a.compact);
     }
 }
