@@ -1,17 +1,17 @@
 //! Ad-hoc phase profiler for the engine hot path (not a benchmark —
 //! run with `cargo run --release -p gossip-bench --example prof_engine`).
 
-use gossip_sim::{Context, Exchange, Protocol, SharedRumorSet, SimConfig, Simulator};
+use gossip_sim::{Context, Exchange, Protocol, RumorSet, SimConfig, Simulator};
 use rand::Rng as _;
 use std::time::Instant;
 
 struct NoLearn {
-    rumors: SharedRumorSet,
+    rumors: RumorSet,
 }
 
 impl Protocol for NoLearn {
-    type Payload = SharedRumorSet;
-    fn payload(&self) -> SharedRumorSet {
+    type Payload = RumorSet;
+    fn payload(&self) -> RumorSet {
         self.rumors.snapshot()
     }
     fn on_round(&mut self, ctx: &mut Context<'_>) {
@@ -22,7 +22,7 @@ impl Protocol for NoLearn {
         let i = ctx.rng().random_range(0..d);
         ctx.initiate_nth(i);
     }
-    fn on_exchange(&mut self, _ctx: &mut Context<'_>, _x: &Exchange<SharedRumorSet>) {}
+    fn on_exchange(&mut self, _ctx: &mut Context<'_>, _x: &Exchange<RumorSet>) {}
 }
 
 fn main() {
@@ -67,7 +67,7 @@ fn main() {
         )
         .run(
             |id, nn| NoLearn {
-                rumors: SharedRumorSet::singleton(nn, id),
+                rumors: RumorSet::singleton(nn, id),
             },
             |_: &[NoLearn], r| r >= rounds,
         );

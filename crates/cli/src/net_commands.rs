@@ -19,7 +19,7 @@ use gossip_net::{
     WireAccounting, WirePayload,
 };
 use gossip_sim::{
-    completion_rounds, CompletionLog, Protocol, SharedRumorSet, SimConfig, SimMetrics, StopReason,
+    completion_rounds, CompletionLog, Protocol, RumorSet, SimConfig, SimMetrics, StopReason,
     StreamSpec,
 };
 use latency_graph::{Graph, NodeId};
@@ -88,14 +88,14 @@ fn net_error(e: NetError) -> CliError {
 /// (a broadcast whose source crashed, or an all-to-all with a dead
 /// node, should stop at the reachable component rather than spin to the
 /// round cap).
-fn locally_done(goal: &Goal, n: usize, rumors: &SharedRumorSet, view: &RunView<'_>) -> bool {
+fn locally_done(goal: &Goal, n: usize, rumors: &RumorSet, view: &RunView<'_>) -> bool {
     match goal {
         Goal::AllToAll => (0..n).all(|i| {
             let v = NodeId::new(i);
-            view.is_gone(v) || rumors.as_ref().contains(v)
+            view.is_gone(v) || rumors.contains(v)
         }),
-        Goal::Broadcast(src) => view.is_gone(*src) || rumors.as_ref().contains(*src),
-        g => g.locally_met(rumors.as_ref()),
+        Goal::Broadcast(src) => view.is_gone(*src) || rumors.contains(*src),
+        g => g.locally_met(rumors),
     }
 }
 
@@ -207,7 +207,7 @@ where
     P: Protocol,
     P::Payload: WirePayload,
     F: FnMut(NodeId, usize) -> P,
-    R: Fn(&P) -> &SharedRumorSet,
+    R: Fn(&P) -> &RumorSet,
 {
     let mut out = String::new();
     let _ = writeln!(out, "algorithm = {}", net.algorithm);
@@ -480,7 +480,7 @@ where
     P: Protocol,
     P::Payload: WirePayload,
     F: FnMut(NodeId, usize) -> P,
-    R: Fn(&P) -> &SharedRumorSet,
+    R: Fn(&P) -> &RumorSet,
 {
     let n = g.node_count();
     let goal = net.goal.clone();
@@ -512,7 +512,7 @@ where
     let t = totals(&outcomes);
     let goal_met = outcomes
         .iter()
-        .all(|o| net.goal.locally_met(rumors(&o.protocol).as_ref()));
+        .all(|o| net.goal.locally_met(rumors(&o.protocol)));
     let _ = writeln!(out, "rounds = {}", t.rounds);
     let _ = writeln!(out, "barrier = {}", t.barrier);
     let _ = writeln!(out, "goal met = {goal_met}");

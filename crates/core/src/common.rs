@@ -35,12 +35,8 @@ impl Goal {
 
     /// Whether every node's rumor set satisfies the goal — the shape
     /// the simulator's stop closures take.
-    pub fn met_by_all<'a, I, R>(&self, rumors: I) -> bool
-    where
-        I: IntoIterator<Item = &'a R>,
-        R: AsRef<RumorSet> + 'a,
-    {
-        rumors.into_iter().all(|r| self.locally_met(r.as_ref()))
+    pub fn met_by_all<'a>(&self, rumors: impl IntoIterator<Item = &'a RumorSet>) -> bool {
+        rumors.into_iter().all(|r| self.locally_met(r))
     }
 }
 

@@ -468,6 +468,20 @@ mod tests {
     }
 
     #[test]
+    fn payload_shares_heard_until_the_node_learns() {
+        let (n, me) = (200, NodeId::new(3));
+        let state = DtgState::new(me, n, RumorSet::singleton(n, me));
+        let mut node = DtgNode::new(state, Latency::UNIT, 2);
+        let in_flight = node.payload();
+        assert!(in_flight.heard.ptr_eq(&node.state.heard), "no words copied");
+        assert!(in_flight.data.ptr_eq(&node.state.data));
+        assert!(node.state.heard.insert(NodeId::new(150)));
+        assert!(!in_flight.heard.ptr_eq(&node.state.heard));
+        assert_eq!(in_flight.heard, RumorSet::singleton(n, me));
+        assert_eq!(node.state.heard.len(), 2);
+    }
+
+    #[test]
     fn charge_actual_leq_schedule() {
         let g = generators::clique(16);
         let n = 16;

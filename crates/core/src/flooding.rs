@@ -6,7 +6,7 @@
 //! `Δ` is small, hopeless on high-degree graphs, which is exactly the
 //! gap the paper's algorithms close.
 
-use gossip_sim::{Context, Exchange, Protocol, Scheduling, SharedRumorSet, SimConfig, Simulator};
+use gossip_sim::{Context, Exchange, Protocol, RumorSet, Scheduling, SimConfig, Simulator};
 use latency_graph::{Graph, NodeId};
 
 use crate::common::{BroadcastOutcome, Goal};
@@ -22,7 +22,7 @@ pub struct FloodingConfig {
 #[derive(Clone, Debug)]
 pub struct FloodingNode {
     /// Rumors currently known.
-    pub rumors: SharedRumorSet,
+    pub rumors: RumorSet,
     cursor: usize,
 }
 
@@ -30,7 +30,7 @@ impl FloodingNode {
     /// Creates a node knowing only its own rumor.
     pub fn new(id: NodeId, n: usize) -> FloodingNode {
         FloodingNode {
-            rumors: SharedRumorSet::singleton(n, id),
+            rumors: RumorSet::singleton(n, id),
             cursor: 0,
         }
     }
@@ -41,9 +41,9 @@ impl Protocol for FloodingNode {
     // counterpart is [`crate::sparse::SparseFloodNode`].
     const SCHEDULING: Scheduling = Scheduling::EveryRound;
 
-    type Payload = SharedRumorSet;
+    type Payload = RumorSet;
 
-    fn payload(&self) -> SharedRumorSet {
+    fn payload(&self) -> RumorSet {
         self.rumors.snapshot()
     }
 
@@ -57,7 +57,7 @@ impl Protocol for FloodingNode {
         ctx.initiate_nth(i);
     }
 
-    fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<SharedRumorSet>) {
+    fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<RumorSet>) {
         self.rumors.union_with(&x.payload);
     }
 }
@@ -73,6 +73,20 @@ fn sim_config(config: &FloodingConfig, seed: u64) -> SimConfig {
     c
 }
 
+/// Floods `g` until every node's rumor set meets `goal`.
+fn run_until(g: &Graph, goal: &Goal, config: &FloodingConfig, seed: u64) -> BroadcastOutcome {
+    let out = Simulator::new(g, sim_config(config, seed))
+        .run(FloodingNode::new, |nodes: &[FloodingNode], _| {
+            goal.met_by_all(nodes.iter().map(|p| &p.rumors))
+        });
+    BroadcastOutcome::from_parts(
+        out.rounds,
+        out.reason,
+        out.metrics,
+        out.nodes.into_iter().map(|p| p.rumors).collect(),
+    )
+}
+
 /// One-to-all broadcast from `source` by flooding.
 ///
 /// # Panics
@@ -85,38 +99,12 @@ pub fn broadcast(
     seed: u64,
 ) -> BroadcastOutcome {
     assert!(source.index() < g.node_count(), "source out of range");
-    let goal = Goal::Broadcast(source);
-    let out = Simulator::new(g, sim_config(config, seed))
-        .run(FloodingNode::new, |nodes: &[FloodingNode], _| {
-            goal.met_by_all(nodes.iter().map(|p| &p.rumors))
-        });
-    BroadcastOutcome::from_parts(
-        out.rounds,
-        out.reason,
-        out.metrics,
-        out.nodes
-            .into_iter()
-            .map(|p| p.rumors.into_inner())
-            .collect(),
-    )
+    run_until(g, &Goal::Broadcast(source), config, seed)
 }
 
 /// All-to-all dissemination by flooding.
 pub fn all_to_all(g: &Graph, config: &FloodingConfig, seed: u64) -> BroadcastOutcome {
-    let goal = Goal::AllToAll;
-    let out = Simulator::new(g, sim_config(config, seed))
-        .run(FloodingNode::new, |nodes: &[FloodingNode], _| {
-            goal.met_by_all(nodes.iter().map(|p| &p.rumors))
-        });
-    BroadcastOutcome::from_parts(
-        out.rounds,
-        out.reason,
-        out.metrics,
-        out.nodes
-            .into_iter()
-            .map(|p| p.rumors.into_inner())
-            .collect(),
-    )
+    run_until(g, &Goal::AllToAll, config, seed)
 }
 
 #[cfg(test)]

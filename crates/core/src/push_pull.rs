@@ -15,7 +15,7 @@
 //! pull, a star requires `Ω(n·D)` time, which
 //! [`broadcast`] + [`Mode::PushOnly`] reproduces empirically.
 
-use gossip_sim::{Context, Exchange, Protocol, Scheduling, SharedRumorSet, SimConfig, Simulator};
+use gossip_sim::{Context, Exchange, Protocol, RumorSet, Scheduling, SimConfig, Simulator};
 use latency_graph::{Graph, NodeId};
 
 use crate::common::{BroadcastOutcome, Goal};
@@ -47,7 +47,7 @@ pub struct PushPullConfig {
 #[derive(Clone, Debug)]
 pub struct PushPullNode {
     /// Rumors currently known (copy-on-write; snapshots are free).
-    pub rumors: SharedRumorSet,
+    pub rumors: RumorSet,
     mode: Mode,
 }
 
@@ -55,7 +55,7 @@ impl PushPullNode {
     /// Creates a node knowing only its own rumor.
     pub fn new(id: NodeId, n: usize, mode: Mode) -> PushPullNode {
         PushPullNode {
-            rumors: SharedRumorSet::singleton(n, id),
+            rumors: RumorSet::singleton(n, id),
             mode,
         }
     }
@@ -66,13 +66,13 @@ impl Protocol for PushPullNode {
     // (Algorithm 1), so every node is live every round.
     const SCHEDULING: Scheduling = Scheduling::EveryRound;
 
-    type Payload = SharedRumorSet;
+    type Payload = RumorSet;
 
-    fn payload(&self) -> SharedRumorSet {
+    fn payload(&self) -> RumorSet {
         self.rumors.snapshot()
     }
 
-    fn payload_weight(payload: &SharedRumorSet) -> u64 {
+    fn payload_weight(payload: &RumorSet) -> u64 {
         u64::try_from(payload.len()).expect("rumor count fits u64")
     }
 
@@ -88,7 +88,7 @@ impl Protocol for PushPullNode {
         ctx.initiate_nth(i);
     }
 
-    fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<SharedRumorSet>) {
+    fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<RumorSet>) {
         let learn = match self.mode {
             Mode::PushPull => true,
             Mode::PushOnly => !x.initiated_by_me,
@@ -111,6 +111,21 @@ fn sim_config(config: &PushPullConfig, seed: u64) -> SimConfig {
     c
 }
 
+/// Runs push-pull on `g` until every node's rumor set meets `goal`.
+fn run_until(g: &Graph, goal: &Goal, config: &PushPullConfig, seed: u64) -> BroadcastOutcome {
+    let mode = config.mode;
+    let out = Simulator::new(g, sim_config(config, seed)).run(
+        |id, n| PushPullNode::new(id, n, mode),
+        |nodes: &[PushPullNode], _| goal.met_by_all(nodes.iter().map(|p| &p.rumors)),
+    );
+    BroadcastOutcome::from_parts(
+        out.rounds,
+        out.reason,
+        out.metrics,
+        out.nodes.into_iter().map(|p| p.rumors).collect(),
+    )
+}
+
 /// One-to-all broadcast from `source`: runs until every node knows the
 /// source's rumor.
 ///
@@ -124,21 +139,7 @@ pub fn broadcast(
     seed: u64,
 ) -> BroadcastOutcome {
     assert!(source.index() < g.node_count(), "source out of range");
-    let mode = config.mode;
-    let goal = Goal::Broadcast(source);
-    let out = Simulator::new(g, sim_config(config, seed)).run(
-        |id, n| PushPullNode::new(id, n, mode),
-        |nodes: &[PushPullNode], _| goal.met_by_all(nodes.iter().map(|p| &p.rumors)),
-    );
-    BroadcastOutcome::from_parts(
-        out.rounds,
-        out.reason,
-        out.metrics,
-        out.nodes
-            .into_iter()
-            .map(|p| p.rumors.into_inner())
-            .collect(),
-    )
+    run_until(g, &Goal::Broadcast(source), config, seed)
 }
 
 /// Multi-source broadcast (the paper's intro: "one (or more) nodes in a
@@ -158,41 +159,13 @@ pub fn broadcast_from_set(
     for &s in sources {
         assert!(s.index() < g.node_count(), "source {s} out of range");
     }
-    let mode = config.mode;
-    let goal = Goal::FromSet(sources.to_vec());
-    let out = Simulator::new(g, sim_config(config, seed)).run(
-        |id, n| PushPullNode::new(id, n, mode),
-        |nodes: &[PushPullNode], _| goal.met_by_all(nodes.iter().map(|p| &p.rumors)),
-    );
-    BroadcastOutcome::from_parts(
-        out.rounds,
-        out.reason,
-        out.metrics,
-        out.nodes
-            .into_iter()
-            .map(|p| p.rumors.into_inner())
-            .collect(),
-    )
+    run_until(g, &Goal::FromSet(sources.to_vec()), config, seed)
 }
 
 /// All-to-all information dissemination: runs until every node knows
 /// every rumor.
 pub fn all_to_all(g: &Graph, config: &PushPullConfig, seed: u64) -> BroadcastOutcome {
-    let mode = config.mode;
-    let goal = Goal::AllToAll;
-    let out = Simulator::new(g, sim_config(config, seed)).run(
-        |id, n| PushPullNode::new(id, n, mode),
-        |nodes: &[PushPullNode], _| goal.met_by_all(nodes.iter().map(|p| &p.rumors)),
-    );
-    BroadcastOutcome::from_parts(
-        out.rounds,
-        out.reason,
-        out.metrics,
-        out.nodes
-            .into_iter()
-            .map(|p| p.rumors.into_inner())
-            .collect(),
-    )
+    run_until(g, &Goal::AllToAll, config, seed)
 }
 
 /// Mean broadcast rounds over `trials` seeds; `(mean, completed)`.

@@ -8,16 +8,14 @@
 //! spanner of a diameter-`D` graph, `k = σ·D` yields all-to-all
 //! dissemination (Corollary 16).
 
-use gossip_sim::{
-    Context, Exchange, Protocol, Round, RumorSet, Scheduling, SharedRumorSet, SimConfig, Simulator,
-};
+use gossip_sim::{Context, Exchange, Protocol, Round, RumorSet, Scheduling, SimConfig, Simulator};
 use latency_graph::{DiGraph, Graph, Latency, NodeId};
 
 /// The RR Broadcast protocol node.
 #[derive(Clone, Debug)]
 pub struct RrNode {
     /// Current rumor set (copy-on-write; payload snapshots are free).
-    pub rumors: SharedRumorSet,
+    pub rumors: RumorSet,
     out: Vec<NodeId>,
     cursor: usize,
 }
@@ -27,7 +25,7 @@ impl RrNode {
     /// out-neighbors.
     pub fn new(rumors: RumorSet, out: Vec<NodeId>) -> RrNode {
         RrNode {
-            rumors: rumors.into(),
+            rumors,
             out,
             cursor: 0,
         }
@@ -39,13 +37,13 @@ impl Protocol for RrNode {
     // neighbor sweep completes; it predates the wakeup API.
     const SCHEDULING: Scheduling = Scheduling::EveryRound;
 
-    type Payload = SharedRumorSet;
+    type Payload = RumorSet;
 
-    fn payload(&self) -> SharedRumorSet {
+    fn payload(&self) -> RumorSet {
         self.rumors.snapshot()
     }
 
-    fn payload_weight(payload: &SharedRumorSet) -> u64 {
+    fn payload_weight(payload: &RumorSet) -> u64 {
         u64::try_from(payload.len()).expect("rumor count fits u64")
     }
 
@@ -58,7 +56,7 @@ impl Protocol for RrNode {
         ctx.initiate(v);
     }
 
-    fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<SharedRumorSet>) {
+    fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<RumorSet>) {
         self.rumors.union_with(&x.payload);
     }
 }
@@ -159,11 +157,7 @@ pub fn run(
         rounds_budget
     };
     RrOutcome {
-        rumors: out
-            .nodes
-            .into_iter()
-            .map(|p| p.rumors.into_inner())
-            .collect(),
+        rumors: out.nodes.into_iter().map(|p| p.rumors).collect(),
         rounds,
         all_full,
         budget: rounds_budget,

@@ -122,7 +122,7 @@ fn fmt_outcome(out: &Outcome<PushPullNode>) -> String {
     fmt(
         out.rounds,
         &out.metrics,
-        fold_fingerprints(out.nodes.iter().map(|p| &*p.rumors)),
+        fold_fingerprints(out.nodes.iter().map(|p| &p.rumors)),
     )
 }
 

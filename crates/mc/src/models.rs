@@ -41,8 +41,7 @@ use gossip_core::stream::RrStreamNode;
 use gossip_core::termination::{CheckNode, CheckPayload};
 use gossip_core::{eid, rr_broadcast};
 use gossip_sim::{
-    Context, Exchange, Protocol, Round, RumorSet, Scheduling, SharedRumorSet, StreamPayload,
-    StreamSpec,
+    Context, Exchange, Protocol, Round, RumorSet, Scheduling, StreamPayload, StreamSpec,
 };
 use latency_graph::{metrics, DiGraph, Graph, NodeId};
 
@@ -179,7 +178,7 @@ impl<N> BroadcastModel<N> {
 
 impl<N> Model for BroadcastModel<N>
 where
-    N: Protocol<Payload = SharedRumorSet> + Clone + RumorNode,
+    N: Protocol<Payload = RumorSet> + Clone + RumorNode,
 {
     type Node = N;
 
@@ -204,7 +203,7 @@ where
         }
     }
 
-    fn encode_payload(&self, payload: &SharedRumorSet, out: &mut Vec<u8>) {
+    fn encode_payload(&self, payload: &RumorSet, out: &mut Vec<u8>) {
         for w in payload.as_words() {
             out.extend_from_slice(&w.to_le_bytes());
         }

@@ -22,9 +22,7 @@
 
 use gossip_core::flooding::FloodingNode;
 use gossip_core::termination::CheckPayload;
-use gossip_sim::{
-    CompletionLog, Context, Exchange, Protocol, RumorSet, SharedRumorSet, StreamPayload, StreamSpec,
-};
+use gossip_sim::{CompletionLog, Context, Exchange, Protocol, RumorSet, StreamPayload, StreamSpec};
 use latency_graph::NodeId;
 
 use crate::checker::{check, replay, CheckConfig, CheckOutcome, Model};
@@ -245,20 +243,20 @@ pub fn eager_rumor() -> MutantRun {
 /// bound with rumors undelivered.
 #[derive(Clone, Debug)]
 pub struct StallNode {
-    rumors: SharedRumorSet,
+    rumors: RumorSet,
     applied: u64,
 }
 
 impl Protocol for StallNode {
-    type Payload = SharedRumorSet;
+    type Payload = RumorSet;
 
-    fn payload(&self) -> SharedRumorSet {
+    fn payload(&self) -> RumorSet {
         self.rumors.snapshot()
     }
 
     fn on_round(&mut self, _ctx: &mut Context<'_>) {}
 
-    fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<SharedRumorSet>) {
+    fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<RumorSet>) {
         self.applied += 1;
         self.rumors.union_with(&x.payload);
     }
@@ -282,7 +280,7 @@ pub fn stall() -> MutantRun {
         .graph;
     let base = rr_flood(&g, PropSelect::One("termination".to_string()));
     let m = base.with_node("stall", |id, n| StallNode {
-        rumors: SharedRumorSet::singleton(n, id),
+        rumors: RumorSet::singleton(n, id),
         applied: 0,
     });
     let out = check(&m, &CheckConfig::default());
@@ -298,9 +296,9 @@ pub struct DoubleApplyNode {
 }
 
 impl Protocol for DoubleApplyNode {
-    type Payload = SharedRumorSet;
+    type Payload = RumorSet;
 
-    fn payload(&self) -> SharedRumorSet {
+    fn payload(&self) -> RumorSet {
         self.inner.payload()
     }
 
@@ -308,7 +306,7 @@ impl Protocol for DoubleApplyNode {
         self.inner.on_round(ctx);
     }
 
-    fn on_exchange(&mut self, ctx: &mut Context<'_>, x: &Exchange<SharedRumorSet>) {
+    fn on_exchange(&mut self, ctx: &mut Context<'_>, x: &Exchange<RumorSet>) {
         self.applied += 2;
         self.inner.on_exchange(ctx, x);
         self.inner.on_exchange(ctx, x);

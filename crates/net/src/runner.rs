@@ -502,6 +502,7 @@ where
                     return Ok(());
                 }
                 let theirs = P::Payload::decode_payload(&payload)?;
+                self.check_universe(from, &theirs)?;
                 self.stage_request(now, from, seq, round, theirs)
             }
             Frame::RequestDelta {
@@ -535,6 +536,7 @@ where
                     found
                 };
                 let theirs = P::Payload::decode_delta(&payload, basis)?;
+                self.check_universe(from, &theirs)?;
                 if basis_seq != 0 {
                     if let Some(cache) = self.knowledge.get_mut(&from) {
                         // References are monotone (see `EdgeCache`), so
@@ -584,6 +586,24 @@ where
                 "unwrapped trunk envelope from node {} reached the runner",
                 from.index()
             ))),
+        }
+    }
+
+    /// Refuses a decoded payload over a different id universe than this
+    /// node's own. A codec can only validate a body against the universe
+    /// the body declares; protocols merge payloads into their state, and
+    /// merging across universes is a panic, not an error — so the frame
+    /// stops here, as the peer's violation.
+    fn check_universe(&self, from: NodeId, theirs: &P::Payload) -> Result<(), NetError> {
+        let Some(got) = theirs.wire_universe() else {
+            return Ok(());
+        };
+        match self.pacer.payload().wire_universe() {
+            Some(want) if want != got => Err(NetError::ProtocolViolation(format!(
+                "payload from node {} ranges over universe {got}, this node's over {want}",
+                from.index()
+            ))),
+            _ => Ok(()),
         }
     }
 
@@ -713,6 +733,7 @@ where
                 )));
             }
         };
+        self.check_universe(from, &theirs)?;
         self.metrics.delivered += 1;
         self.metrics.payload_units += pend.weight + P::payload_weight(&theirs);
         if self.mode == PayloadMode::Delta && self.transport.peer_caps(from) & CAP_DELTA != 0 {
@@ -1319,6 +1340,62 @@ mod tests {
         let _ = RumorSet::decode_payload(&payload).expect("snapshot request decodes");
         assert_eq!(runner.accounting.delta_frames, 0);
         assert_eq!(runner.accounting.snapshot_frames, 1);
+    }
+
+    #[test]
+    fn foreign_universe_payloads_are_protocol_violations() {
+        // Well-formed bodies over nine ids at a three-node cluster: each
+        // decodes cleanly, and `union_with` would panic on any of them.
+        let g = generators::clique(3);
+        let peer = NodeId::new(1);
+        let foreign = RumorSet::singleton(9, NodeId::new(8));
+        let (mut snapshot, mut delta) = (Vec::new(), Vec::new());
+        foreign.encode_payload(&mut snapshot);
+        assert!(foreign.encode_delta(None, &mut delta));
+        let refused = |frame: Frame, launch_first: bool| {
+            let (mut runner, _) = delta_runner(&g, &[(1, CAP_DELTA)]);
+            runner.start().expect("start");
+            if launch_first {
+                runner.begin_round(0).expect("round 0");
+                runner.launch(0).expect("launch 0");
+            }
+            runner
+                .transport
+                .inbox
+                .push_back(NetEvent::Frame { from: peer, frame });
+            let err = runner.settle(0).expect_err("foreign universe is refused");
+            assert!(
+                matches!(&err, NetError::ProtocolViolation(why) if why.contains("universe 9")),
+                "unexpected error: {err}"
+            );
+            assert!(runner.hold.is_empty() && runner.deferred.is_empty());
+        };
+        let (seq, round) = (1, 0);
+        refused(
+            Frame::Request {
+                seq,
+                round,
+                payload: snapshot.clone(),
+            },
+            false,
+        );
+        refused(
+            Frame::RequestDelta {
+                seq,
+                round,
+                basis_seq: 0,
+                payload: delta,
+            },
+            false,
+        );
+        refused(
+            Frame::Reply {
+                seq,
+                round,
+                payload: snapshot,
+            },
+            true,
+        );
     }
 
     #[test]

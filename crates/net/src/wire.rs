@@ -19,7 +19,7 @@
 //! for — which is what makes the stream-reassembly loop in the TCP
 //! reader a two-line match.
 
-use gossip_sim::{CompactRumorSet, Round, RumorSet, SharedRumorSet, StreamPayload};
+use gossip_sim::{CompactRumorSet, Round, RumorSet, StreamPayload};
 use latency_graph::NodeId;
 
 use crate::error::CodecError;
@@ -640,6 +640,13 @@ pub trait WirePayload: Sized {
     fn stream_units(&self) -> u64 {
         0
     }
+
+    /// The id universe this payload ranges over, if it only merges
+    /// within one. A runner refuses a decoded payload whose universe is
+    /// not its own node's: a codec can only check the one a body declares.
+    fn wire_universe(&self) -> Option<usize> {
+        None
+    }
 }
 
 impl WirePayload for RumorSet {
@@ -654,15 +661,13 @@ impl WirePayload for RumorSet {
     fn decode_payload(bytes: &[u8]) -> Result<RumorSet, CodecError> {
         let mut r = Reader::new(bytes);
         let universe = r.u32()? as usize;
-        let expect_words = universe.div_ceil(64);
-        let mut words = Vec::with_capacity(expect_words);
-        for _ in 0..expect_words {
-            words.push(r.u64()?);
-        }
+        // `take` holds the header's claim against the body before it sizes anything.
+        let body = r.take(8 * universe.div_ceil(64))?;
         r.finish()?;
-        RumorSet::from_words(universe, words).ok_or(CodecError::BadBody(
-            "rumor words inconsistent with universe",
-        ))
+        let le = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("chunk is 8 bytes"));
+        let words = body.chunks_exact(8).map(le).collect();
+        let bad = CodecError::BadBody("rumor words inconsistent with universe");
+        RumorSet::from_words(universe, words).ok_or(bad)
     }
 
     fn supports_delta() -> bool {
@@ -670,6 +675,7 @@ impl WirePayload for RumorSet {
     }
 
     fn encode_delta(&self, basis: Option<&RumorSet>, out: &mut Vec<u8>) -> bool {
+        // A soak's confirmed basis shares this payload's buffer: ∅, no scan.
         let delta = match basis {
             Some(b) => self.diff(b),
             None => CompactRumorSet::from_set(self),
@@ -691,46 +697,9 @@ impl WirePayload for RumorSet {
     fn snapshot_len(&self) -> usize {
         4 + 8 * self.universe().div_ceil(64)
     }
-}
 
-impl WirePayload for SharedRumorSet {
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        let set: &RumorSet = self;
-        set.encode_payload(out);
-    }
-
-    fn decode_payload(bytes: &[u8]) -> Result<SharedRumorSet, CodecError> {
-        RumorSet::decode_payload(bytes).map(SharedRumorSet::from)
-    }
-
-    fn supports_delta() -> bool {
-        true
-    }
-
-    fn encode_delta(&self, basis: Option<&SharedRumorSet>, out: &mut Vec<u8>) -> bool {
-        // `SharedRumorSet::diff`, not the plain-set scan: in a soak's
-        // steady state the confirmed basis shares this payload's buffer
-        // and the delta is empty without reading a word.
-        let delta = match basis {
-            Some(b) => self.diff(b),
-            None => CompactRumorSet::from_set(self),
-        };
-        crate::delta::encode_rumor_delta(&delta, out);
-        true
-    }
-
-    fn decode_delta(bytes: &[u8], basis: Option<&SharedRumorSet>) -> Result<Self, CodecError> {
-        RumorSet::decode_delta(bytes, basis.map(|b| &**b)).map(SharedRumorSet::from)
-    }
-
-    fn merge_basis(&self, other: &SharedRumorSet) -> Option<SharedRumorSet> {
-        let mut merged = self.clone();
-        merged.union_with(other);
-        Some(merged)
-    }
-
-    fn snapshot_len(&self) -> usize {
-        4 + 8 * self.universe().div_ceil(64)
+    fn wire_universe(&self) -> Option<usize> {
+        Some(self.universe())
     }
 }
 
@@ -1151,30 +1120,15 @@ mod tests {
     }
 
     #[test]
-    fn shared_encode_delta_matches_plain_path() {
-        let mut set = SharedRumorSet::singleton(200, NodeId::new(3));
+    fn encode_delta_ignores_buffer_sharing() {
+        let mut set = RumorSet::singleton(200, NodeId::new(3));
         set.insert(NodeId::new(150));
-        let plain: &RumorSet = &set;
-        let empty_delta = {
-            let mut bytes = Vec::new();
-            crate::delta::encode_rumor_delta(&CompactRumorSet::new(200), &mut bytes);
-            bytes
-        };
-        // Basis sharing the payload's buffer, an equal basis in its own
-        // buffer, a different basis, and no basis at all.
-        let snap = set.snapshot();
-        assert!(snap.ptr_eq(&set));
-        let equal = SharedRumorSet::from(plain.clone());
-        let other = SharedRumorSet::singleton(200, NodeId::new(9));
-        for basis in [Some(&snap), Some(&equal), Some(&other), None] {
-            let (mut shared_bytes, mut plain_bytes) = (Vec::new(), Vec::new());
-            assert!(set.encode_delta(basis, &mut shared_bytes));
-            assert!(plain.encode_delta(basis.map(|b| &**b), &mut plain_bytes));
-            assert_eq!(shared_bytes, plain_bytes);
-        }
-        let mut bytes = Vec::new();
-        set.encode_delta(Some(&snap), &mut bytes);
-        assert_eq!(bytes, empty_delta, "shared buffers encode the empty body");
+        let equal = RumorSet::from_words(200, set.as_words().to_vec()).expect("valid words");
+        let (snap, mut shared, mut owned) = (set.snapshot(), Vec::new(), Vec::new());
+        assert!(snap.ptr_eq(&set) && !equal.ptr_eq(&set));
+        assert!(set.encode_delta(Some(&snap), &mut shared));
+        assert!(set.encode_delta(Some(&equal), &mut owned));
+        assert_eq!(shared, owned, "`diff`'s `ptr_eq` shortcut must not show");
     }
 
     #[test]
@@ -1190,5 +1144,7 @@ mod tests {
         let last = tail.len() - 1;
         tail[last] = 0x80;
         assert!(RumorSet::decode_payload(&tail).is_err());
+        // A header claiming 2³²−1 ids over an empty body.
+        assert!(RumorSet::decode_payload(&u32::MAX.to_le_bytes()).is_err());
     }
 }

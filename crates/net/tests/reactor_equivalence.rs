@@ -251,10 +251,10 @@ fn latency_known_visibility_matches_engine() {
     // both sides; a latency-greedy protocol must behave identically.
     #[derive(Clone)]
     struct GreedyFastEdge {
-        rumors: gossip_sim::SharedRumorSet,
+        rumors: gossip_sim::RumorSet,
     }
     impl Protocol for GreedyFastEdge {
-        type Payload = gossip_sim::SharedRumorSet;
+        type Payload = gossip_sim::RumorSet;
         fn payload(&self) -> Self::Payload {
             self.rumors.snapshot()
         }
@@ -298,7 +298,7 @@ fn latency_known_visibility_matches_engine() {
             ..SimConfig::default()
         };
         let factory = |id: NodeId, n: usize| GreedyFastEdge {
-            rumors: gossip_sim::SharedRumorSet::singleton(n, id),
+            rumors: gossip_sim::RumorSet::singleton(n, id),
         };
         let goal_e = goal.clone();
         let engine = Simulator::new(&g, cfg).run(factory, |nodes: &[GreedyFastEdge], _| {

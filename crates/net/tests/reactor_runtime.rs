@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use gossip_core::push_pull::{Mode, PushPullNode};
 use gossip_net::{
-    run_reactor_cluster_mode, NetRunner, NodeOutcome, NodeStopReason, PayloadMode, Reactor,
-    ReactorConfig, RunView, Transport,
+    run_reactor_cluster_mode, Frame, LoopbackHub, NetError, NetRunner, NodeOutcome, NodeStopReason,
+    Pacing, PayloadMode, Reactor, ReactorConfig, RunView, Transport,
 };
 use gossip_sim::{SimConfig, Simulator};
 use latency_graph::{generators, Graph, GraphBuilder, NodeId};
@@ -350,6 +350,46 @@ fn killed_peer_in_delta_mode_falls_back_and_survivors_converge() {
             );
         }
     });
+}
+
+#[test]
+fn foreign_universe_frame_is_a_typed_error_on_loopback_and_reactor() {
+    // A neighbor's delta request against the empty basis (`basis_seq`
+    // 0) declaring nine ids — varint(9), sparse tag, count 0 — at a
+    // two-node cluster. It decodes cleanly; merged into the node's own
+    // two-id set it would be a `union_with` panic, so the runner must
+    // hand it back as the peer's violation instead.
+    fn refused(g: &Graph, victim: impl Transport, mut rogue: impl Transport) {
+        let (me, peer) = (NodeId::new(0), NodeId::new(1));
+        assert_eq!(rogue.local(), peer);
+        let node = PushPullNode::new(me, 2, Mode::PushPull);
+        let mut runner = NetRunner::new(g, me, node, &sim_config(1, 10), victim)
+            .with_payload_mode(PayloadMode::Delta);
+        runner.start().expect("start");
+        let frame = Frame::RequestDelta {
+            seq: 1,
+            round: 0,
+            basis_seq: 0,
+            payload: vec![9, 0, 0],
+        };
+        rogue.send(0, me, &frame).expect("send");
+        let err = runner.begin_round(0).expect_err("foreign universe");
+        assert!(
+            matches!(&err, NetError::ProtocolViolation(why) if why.contains("universe 9")),
+            "unexpected error: {err}"
+        );
+    }
+    let g = generators::clique(2);
+    let (a, b) = (NodeId::new(0), NodeId::new(1));
+    let hub = LoopbackHub::new(2);
+    refused(&g, hub.endpoint(a), hub.endpoint(b));
+    // Drain pacing: the poll pumps the trunk until the frame is in.
+    let drain = ReactorConfig {
+        pacing: Pacing::Drain,
+        ..fast_reactor()
+    };
+    let reactor = Reactor::new(&g, [a, b], drain).expect("reactor");
+    refused(&g, reactor.endpoint(a), reactor.endpoint(b));
 }
 
 #[test]

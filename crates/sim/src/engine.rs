@@ -1457,21 +1457,21 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rumor::{RumorSet, SharedRumorSet};
+    use crate::rumor::RumorSet;
     use latency_graph::{generators, Graph};
 
     /// Flood: every round exchange with a round-robin neighbor. Uses the
     /// copy-on-write payload, so these tests double as engine-level
-    /// coverage of `SharedRumorSet` snapshot semantics.
+    /// coverage of `RumorSet` snapshot semantics.
     #[derive(Clone)]
     struct Flood {
-        rumors: SharedRumorSet,
+        rumors: RumorSet,
         cursor: usize,
     }
 
     impl Protocol for Flood {
-        type Payload = SharedRumorSet;
-        fn payload(&self) -> SharedRumorSet {
+        type Payload = RumorSet;
+        fn payload(&self) -> RumorSet {
             self.rumors.snapshot()
         }
         fn on_round(&mut self, ctx: &mut Context<'_>) {
@@ -1482,14 +1482,14 @@ mod tests {
             self.cursor += 1;
             ctx.initiate_nth(i);
         }
-        fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<SharedRumorSet>) {
+        fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<RumorSet>) {
             self.rumors.union_with(&x.payload);
         }
     }
 
     fn flood_factory(id: NodeId, n: usize) -> Flood {
         Flood {
-            rumors: SharedRumorSet::singleton(n, id),
+            rumors: RumorSet::singleton(n, id),
             cursor: 0,
         }
     }
@@ -2015,12 +2015,12 @@ mod tests {
         // node 1 must reflect round-0 state only. `Grow` inserts its
         // *own* id repeatedly plus marker ids it learns over time.
         struct Grow {
-            rumors: SharedRumorSet,
+            rumors: RumorSet,
             fired: bool,
         }
         impl Protocol for Grow {
-            type Payload = SharedRumorSet;
-            fn payload(&self) -> SharedRumorSet {
+            type Payload = RumorSet;
+            fn payload(&self) -> RumorSet {
                 self.rumors.snapshot()
             }
             fn on_round(&mut self, ctx: &mut Context<'_>) {
@@ -2036,14 +2036,14 @@ mod tests {
                     }
                 }
             }
-            fn on_exchange(&mut self, _: &mut Context<'_>, x: &Exchange<SharedRumorSet>) {
+            fn on_exchange(&mut self, _: &mut Context<'_>, x: &Exchange<RumorSet>) {
                 self.rumors.union_with(&x.payload);
             }
         }
         let g = Graph::from_edges(2, [(0, 1, 4)]).unwrap();
         let out = Simulator::new(&g, SimConfig::default()).run(
             |id, n| Grow {
-                rumors: SharedRumorSet::singleton(10.max(n), id),
+                rumors: RumorSet::singleton(10.max(n), id),
                 fired: false,
             },
             |ns: &[Grow], _| ns[1].rumors.contains(NodeId::new(0)),

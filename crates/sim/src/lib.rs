@@ -19,7 +19,11 @@
 //!   initiation for the round.
 //!
 //! Protocols implement the [`Protocol`] trait and are driven by
-//! [`Simulator`]. Rumor bookkeeping uses the [`RumorSet`] bitset.
+//! [`Simulator`]. Rumor bookkeeping uses one of two sets: [`RumorSet`],
+//! a one-pointer copy-on-write bitset whose `clone()` — the payload
+//! snapshot — is a refcount bump (the dense, all-to-all regime), and
+//! [`CompactRumorSet`], a 48-byte tiered value that holds a handful of
+//! ids in place (the one-to-all regime at 10⁵–10⁶ nodes).
 //! Crash and link failures (for the robustness experiments suggested in
 //! the paper's conclusion) are injected with [`FaultPlan`].
 //!

@@ -1,5 +1,5 @@
-//! [`RumorSet`]: a fixed-universe bitset tracking which nodes' rumors a
-//! node currently knows.
+//! [`RumorSet`]: a fixed-universe, copy-on-write bitset tracking which
+//! nodes' rumors a node currently knows.
 //!
 //! All-to-all information dissemination completes when every node's
 //! rumor set is full; one-to-all broadcast completes when every node's
@@ -7,6 +7,7 @@
 
 use latency_graph::NodeId;
 use std::fmt;
+use std::sync::Arc;
 
 /// Population count of one bitset word, widened checked (`u32` → at
 /// most 64 always fits `usize`).
@@ -16,7 +17,16 @@ fn ones(word: u64) -> usize {
 }
 
 /// A set of node ids over the fixed universe `0..n`, backed by `u64`
-/// words.
+/// words behind an [`Arc`]: a one-pointer, copy-on-write handle.
+///
+/// The engine snapshots a node's payload at initiation time and
+/// delivers it rounds later. `clone` (and [`snapshot`](Self::snapshot),
+/// its name at payload-capture sites) is a refcount bump, and the
+/// buffer is copied lazily — only when a set is mutated *while* another
+/// handle to the same buffer is alive, and the mutation actually
+/// changes something. Nothing observable (contents, `==`, `Hash`,
+/// [`fingerprint`](Self::fingerprint), [`as_words`](Self::as_words))
+/// depends on whether two handles share a buffer.
 ///
 /// # Example
 ///
@@ -26,27 +36,51 @@ fn ones(word: u64) -> usize {
 ///
 /// let mut a = RumorSet::singleton(100, NodeId::new(3));
 /// let b = RumorSet::singleton(100, NodeId::new(70));
-/// assert!(a.union_with(&b));         // changed
+/// let in_flight = a.snapshot();      // O(1): shares a's buffer
+/// assert!(a.union_with(&b));         // changed — a gets its own buffer
 /// assert!(!a.union_with(&b));        // already contained
 /// assert_eq!(a.len(), 2);
 /// assert!(a.contains(NodeId::new(70)));
 /// assert!(!a.is_full());
+/// assert_eq!(in_flight.len(), 1);    // the snapshot did not move
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct RumorSet {
+    inner: Arc<Bits>,
+}
+
+// The dense regime moves one of these per exchange endpoint; a wider
+// handle measurably slows `clique_pushpull` (DESIGN.md §12).
+const _: () = assert!(std::mem::size_of::<RumorSet>() == std::mem::size_of::<usize>());
+
+/// The former name of the copy-on-write bitset, which is now
+/// [`RumorSet`] itself. Kept only because the frozen `benchmark/`
+/// package imports it (ROADMAP.md, "Next `benchmark` issue").
+pub type SharedRumorSet = RumorSet;
+
+/// The shared body of a [`RumorSet`]. `count` caches the population
+/// count of `words`; bits at or beyond `universe` are always clear.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Bits {
     words: Vec<u64>,
     universe: usize,
     count: usize,
 }
 
 impl RumorSet {
+    fn from_parts(words: Vec<u64>, universe: usize, count: usize) -> RumorSet {
+        RumorSet {
+            inner: Arc::new(Bits {
+                words,
+                universe,
+                count,
+            }),
+        }
+    }
+
     /// An empty set over the universe `0..n`.
     pub fn new(n: usize) -> RumorSet {
-        RumorSet {
-            words: vec![0; n.div_ceil(64)],
-            universe: n,
-            count: 0,
-        }
+        RumorSet::from_parts(vec![0; n.div_ceil(64)], n, 0)
     }
 
     /// A set containing exactly `v`.
@@ -70,31 +104,42 @@ impl RumorSet {
                 *last = (1u64 << tail) - 1;
             }
         }
-        RumorSet {
-            words,
-            universe: n,
-            count: n,
-        }
+        RumorSet::from_parts(words, n, n)
+    }
+
+    /// An O(1) snapshot of the current contents (refcount bump — no
+    /// bits are copied). Semantically identical to `clone`; the name
+    /// marks payload-capture sites in protocol code.
+    #[inline]
+    pub fn snapshot(&self) -> RumorSet {
+        self.clone()
+    }
+
+    /// Whether `self` and `other` currently share one buffer (the
+    /// copy-on-write fast path). Observable for tests; protocol results
+    /// never depend on it.
+    pub fn ptr_eq(&self, other: &RumorSet) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// The universe size `n` this set ranges over.
     pub fn universe(&self) -> usize {
-        self.universe
+        self.inner.universe
     }
 
     /// Number of rumors known.
     pub fn len(&self) -> usize {
-        self.count
+        self.inner.count
     }
 
     /// Whether no rumor is known.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.inner.count == 0
     }
 
     /// Whether every rumor in the universe is known.
     pub fn is_full(&self) -> bool {
-        self.count == self.universe
+        self.inner.count == self.inner.universe
     }
 
     /// Whether `v`'s rumor is known.
@@ -104,47 +149,86 @@ impl RumorSet {
     /// Panics if `v.index() >= universe`.
     pub fn contains(&self, v: NodeId) -> bool {
         let i = v.index();
-        assert!(i < self.universe, "node outside rumor universe");
-        self.words[i / 64] >> (i % 64) & 1 == 1
+        assert!(i < self.inner.universe, "node outside rumor universe");
+        self.inner.words[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Inserts `v`'s rumor; returns `true` if it was new.
+    /// Inserts `v`'s rumor; returns `true` if it was new. Copies the
+    /// buffer only if it is shared *and* the bit was actually absent.
     ///
     /// # Panics
     ///
     /// Panics if `v.index() >= universe`.
     pub fn insert(&mut self, v: NodeId) -> bool {
-        let i = v.index();
-        assert!(i < self.universe, "node outside rumor universe");
-        let mask = 1u64 << (i % 64);
-        if self.words[i / 64] & mask == 0 {
-            self.words[i / 64] |= mask;
-            self.count += 1;
-            true
-        } else {
-            false
+        if self.contains(v) {
+            return false;
         }
+        let bits = Arc::make_mut(&mut self.inner);
+        bits.words[v.index() / 64] |= 1u64 << (v.index() % 64);
+        bits.count += 1;
+        true
     }
 
     /// Unions `other` into `self`; returns `true` if anything changed.
+    ///
+    /// Copy-on-write, in at most two passes over the word arrays. One
+    /// fused scan classifies the pair: if `other` adds nothing the call
+    /// is a no-op (no copy); if `other` is a strict superset, `self`
+    /// adopts `other`'s buffer in O(1); otherwise a genuine merge is
+    /// needed. The merge ORs in place when the buffer is unshared, and
+    /// when it *is* shared (snapshots in flight) it builds the merged
+    /// buffer directly rather than cloning first and merging second —
+    /// the delivery hot path never copies a word it is about to
+    /// overwrite.
     ///
     /// # Panics
     ///
     /// Panics if the universes differ.
     pub fn union_with(&mut self, other: &RumorSet) -> bool {
-        assert_eq!(self.universe, other.universe, "rumor universes must match");
-        let mut changed = false;
-        let mut count = 0usize;
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            let merged = *a | b;
-            if merged != *a {
-                changed = true;
-                *a = merged;
-            }
-            count += ones(merged);
+        assert_eq!(
+            self.universe(),
+            other.universe(),
+            "rumor universes must match"
+        );
+        if self.ptr_eq(other) || self.is_full() {
+            return false;
         }
-        self.count = count;
-        changed
+        let theirs = &other.inner.words;
+        // Fused classification scan; exits early once a merge is known
+        // to be unavoidable.
+        let mut other_adds = false;
+        let mut self_extra = false;
+        for (&a, &b) in self.inner.words.iter().zip(theirs) {
+            other_adds |= b & !a != 0;
+            self_extra |= a & !b != 0;
+            if other_adds && self_extra {
+                break;
+            }
+        }
+        if !other_adds {
+            return false;
+        }
+        if !self_extra {
+            self.inner = Arc::clone(&other.inner);
+            return true;
+        }
+        if let Some(bits) = Arc::get_mut(&mut self.inner) {
+            let mut count = 0usize;
+            for (a, &b) in bits.words.iter_mut().zip(theirs) {
+                *a |= b;
+                count += ones(*a);
+            }
+            bits.count = count;
+        } else {
+            let mut count = 0usize;
+            let merged = self.inner.words.iter().zip(theirs).map(|(&a, &b)| {
+                count += ones(a | b);
+                a | b
+            });
+            let words = merged.collect();
+            *self = RumorSet::from_parts(words, self.universe(), count);
+        }
+        true
     }
 
     /// Whether `self` is a superset of `other`.
@@ -153,11 +237,13 @@ impl RumorSet {
     ///
     /// Panics if the universes differ.
     pub fn is_superset(&self, other: &RumorSet) -> bool {
-        assert_eq!(self.universe, other.universe, "rumor universes must match");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(&a, &b)| b & !a == 0)
+        assert_eq!(
+            self.universe(),
+            other.universe(),
+            "rumor universes must match"
+        );
+        let (mine, theirs) = (&self.inner.words, &other.inner.words);
+        mine.iter().zip(theirs).all(|(&a, &b)| b & !a == 0)
     }
 
     /// A 64-bit fingerprint of the set contents (equal sets ⇒ equal
@@ -167,9 +253,9 @@ impl RumorSet {
     /// rumor sets across nodes; exchanging fingerprints instead of full
     /// sets keeps those comparison messages small.
     pub fn fingerprint(&self) -> u64 {
-        let universe = u64::try_from(self.universe).expect("universe fits u64");
+        let universe = u64::try_from(self.universe()).expect("universe fits u64");
         let mut h = 0xcbf2_9ce4_8422_2325u64 ^ universe;
-        for &w in &self.words {
+        for &w in &self.inner.words {
             h ^= w;
             h = h.wrapping_mul(0x100_0000_01b3);
             h ^= h >> 29;
@@ -182,7 +268,7 @@ impl RumorSet {
     /// serialize the set verbatim; pair with
     /// [`from_words`](Self::from_words) on the decode side.
     pub fn as_words(&self) -> &[u64] {
-        &self.words
+        &self.inner.words
     }
 
     /// Rebuilds a set over universe `n` from raw bitset words (the
@@ -202,16 +288,12 @@ impl RumorSet {
             }
         }
         let count = words.iter().map(|&w| ones(w)).sum();
-        Some(RumorSet {
-            words,
-            universe: n,
-            count,
-        })
+        Some(RumorSet::from_parts(words, n, count))
     }
 
     /// Iterates over the known rumors in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
+        self.inner.words.iter().enumerate().flat_map(|(w, &word)| {
             (0..64)
                 .filter(move |b| word >> b & 1 == 1)
                 .map(move |b| NodeId::new(w * 64 + b))
@@ -220,7 +302,9 @@ impl RumorSet {
 
     /// The symmetric difference `self ⊕ basis` as a compact set: one
     /// fused XOR + popcount scan over the word arrays, classified into
-    /// the smallest representation tier without a second bit-scan.
+    /// the smallest representation tier without a second bit-scan. Two
+    /// handles sharing one buffer short-circuit to the empty delta
+    /// without touching a word.
     ///
     /// Together with [`apply_delta`](Self::apply_delta) this is an
     /// exact reconstruction pair: for any two sets over one universe,
@@ -232,238 +316,50 @@ impl RumorSet {
     /// Panics if the universes differ, or if the universe exceeds
     /// `u32` range (compact ids are 32-bit).
     pub fn diff(&self, basis: &RumorSet) -> CompactRumorSet {
-        assert_eq!(self.universe, basis.universe, "rumor universes must match");
-        let mut words = Vec::with_capacity(self.words.len());
+        assert_eq!(
+            self.universe(),
+            basis.universe(),
+            "rumor universes must match"
+        );
+        if self.ptr_eq(basis) {
+            return CompactRumorSet::new(self.universe());
+        }
+        let mut words = Vec::with_capacity(self.inner.words.len());
         let mut count = 0usize;
-        for (&a, &b) in self.words.iter().zip(&basis.words) {
+        for (&a, &b) in self.inner.words.iter().zip(&basis.inner.words) {
             let x = a ^ b;
             count += ones(x);
             words.push(x);
         }
-        CompactRumorSet::from_counted_words(self.universe, words, count)
+        CompactRumorSet::from_counted_words(self.universe(), words, count)
     }
 
     /// XORs `delta` into `self` in one fused scan (symmetric
     /// difference in place), recounting as it goes. Applying the delta
     /// produced by [`diff`](Self::diff) against the same basis
     /// reconstructs the original set exactly, preserving bit-identical
-    /// fingerprints.
+    /// fingerprints. Copy-on-write: an empty delta is a no-op and never
+    /// copies.
     ///
     /// # Panics
     ///
     /// Panics if the universes differ.
     pub fn apply_delta(&mut self, delta: &CompactRumorSet) {
         assert_eq!(
-            self.universe,
+            self.universe(),
             delta.universe(),
             "rumor universes must match"
         );
+        if delta.is_empty() {
+            return;
+        }
+        let bits = Arc::make_mut(&mut self.inner);
         let mut count = 0usize;
-        for (a, d) in self.words.iter_mut().zip(delta.words()) {
+        for (a, d) in bits.words.iter_mut().zip(delta.words()) {
             *a ^= d;
             count += ones(*a);
         }
-        self.count = count;
-    }
-}
-
-/// An [`Arc`]-backed copy-on-write [`RumorSet`].
-///
-/// The engine snapshots a node's payload at initiation time and
-/// delivers it rounds later; with plain `RumorSet` payloads every
-/// initiation copies `⌈n/64⌉` words. A `SharedRumorSet` snapshot is a
-/// refcount bump, and the buffer is cloned lazily — only when a node
-/// mutates its set *while* a snapshot of it is still in flight, and the
-/// mutation actually changes something.
-///
-/// Reads go through [`Deref`], so the whole `RumorSet` query API
-/// (`contains`, `is_full`, `len`, `iter`, …) is available directly.
-///
-/// [`Arc`]: std::sync::Arc
-/// [`Deref`]: std::ops::Deref
-#[derive(Clone, PartialEq, Eq)]
-pub struct SharedRumorSet {
-    inner: std::sync::Arc<RumorSet>,
-}
-
-impl SharedRumorSet {
-    /// An empty shared set over the universe `0..n`.
-    pub fn new(n: usize) -> SharedRumorSet {
-        RumorSet::new(n).into()
-    }
-
-    /// A shared set containing only `v`'s rumor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.index() >= n`.
-    pub fn singleton(n: usize, v: NodeId) -> SharedRumorSet {
-        RumorSet::singleton(n, v).into()
-    }
-
-    /// A full shared set over the universe `0..n`.
-    pub fn full(n: usize) -> SharedRumorSet {
-        RumorSet::full(n).into()
-    }
-
-    /// An O(1) snapshot of the current contents (refcount bump — no
-    /// bits are copied). Semantically identical to `clone`; the name
-    /// marks payload-capture sites in protocol code.
-    #[inline]
-    pub fn snapshot(&self) -> SharedRumorSet {
-        self.clone()
-    }
-
-    /// Whether `self` and `other` currently share one buffer (the
-    /// copy-on-write fast path). Observable for tests; protocol results
-    /// never depend on it.
-    pub fn ptr_eq(&self, other: &SharedRumorSet) -> bool {
-        std::sync::Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Inserts `v`'s rumor; returns `true` if it was new. Clones the
-    /// buffer only if shared *and* the bit was actually absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.index() >= universe`.
-    pub fn insert(&mut self, v: NodeId) -> bool {
-        if self.inner.contains(v) {
-            return false;
-        }
-        std::sync::Arc::make_mut(&mut self.inner).insert(v)
-    }
-
-    /// Unions `other` into `self`; returns `true` if anything changed.
-    ///
-    /// Copy-on-write, in at most two passes over the word arrays. One
-    /// fused scan classifies the pair: if `other` adds nothing the call
-    /// is a no-op (no clone); if `other` is a strict superset, `self`
-    /// adopts `other`'s buffer in O(1); otherwise a genuine merge is
-    /// needed. The merge ORs in place when the buffer is unshared, and
-    /// when it *is* shared (snapshots in flight) it builds the merged
-    /// buffer directly rather than cloning first and merging second —
-    /// the delivery hot path never copies a word it is about to
-    /// overwrite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn union_with(&mut self, other: &SharedRumorSet) -> bool {
-        assert_eq!(
-            self.inner.universe(),
-            other.inner.universe(),
-            "rumor universes must match"
-        );
-        if std::sync::Arc::ptr_eq(&self.inner, &other.inner) || self.inner.is_full() {
-            return false;
-        }
-        // Fused classification scan; exits early once a merge is known
-        // to be unavoidable.
-        let mut other_adds = false;
-        let mut self_extra = false;
-        for (&a, &b) in self.inner.words.iter().zip(&other.inner.words) {
-            other_adds |= b & !a != 0;
-            self_extra |= a & !b != 0;
-            if other_adds && self_extra {
-                break;
-            }
-        }
-        if !other_adds {
-            return false;
-        }
-        if !self_extra {
-            self.inner = other.inner.clone();
-            return true;
-        }
-        if let Some(inner) = std::sync::Arc::get_mut(&mut self.inner) {
-            let mut count = 0usize;
-            for (a, &b) in inner.words.iter_mut().zip(&other.inner.words) {
-                *a |= b;
-                count += ones(*a);
-            }
-            inner.count = count;
-        } else {
-            let old = &*self.inner;
-            let mut count = 0usize;
-            let words: Vec<u64> = old
-                .words
-                .iter()
-                .zip(&other.inner.words)
-                .map(|(&a, &b)| {
-                    let merged = a | b;
-                    count += ones(merged);
-                    merged
-                })
-                .collect();
-            self.inner = std::sync::Arc::new(RumorSet {
-                words,
-                universe: old.universe,
-                count,
-            });
-        }
-        true
-    }
-
-    /// Unions a plain `RumorSet` into `self` (no buffer adoption
-    /// possible); returns `true` if anything changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn union_with_set(&mut self, other: &RumorSet) -> bool {
-        if self.inner.is_superset(other) {
-            return false;
-        }
-        std::sync::Arc::make_mut(&mut self.inner).union_with(other)
-    }
-
-    /// Extracts the underlying `RumorSet`, cloning only if the buffer
-    /// is still shared.
-    pub fn into_inner(self) -> RumorSet {
-        std::sync::Arc::try_unwrap(self.inner).unwrap_or_else(|arc| (*arc).clone())
-    }
-
-    /// The symmetric difference `self ⊕ basis` as a compact set — see
-    /// [`RumorSet::diff`]. Two sets sharing one buffer short-circuit to
-    /// the empty delta without touching a word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ, or if the universe exceeds
-    /// `u32` range.
-    pub fn diff(&self, basis: &SharedRumorSet) -> CompactRumorSet {
-        if std::sync::Arc::ptr_eq(&self.inner, &basis.inner) {
-            return CompactRumorSet::new(self.inner.universe());
-        }
-        self.inner.diff(&basis.inner)
-    }
-
-    /// XORs `delta` into `self` — see [`RumorSet::apply_delta`].
-    /// Copy-on-write: an empty delta is a no-op and never clones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn apply_delta(&mut self, delta: &CompactRumorSet) {
-        if delta.is_empty() {
-            assert_eq!(
-                self.inner.universe(),
-                delta.universe(),
-                "rumor universes must match"
-            );
-            return;
-        }
-        std::sync::Arc::make_mut(&mut self.inner).apply_delta(delta);
-    }
-}
-
-impl std::ops::Deref for SharedRumorSet {
-    type Target = RumorSet;
-
-    #[inline]
-    fn deref(&self) -> &RumorSet {
-        &self.inner
+        bits.count = count;
     }
 }
 
@@ -775,30 +671,12 @@ impl CompactRumorSet {
 
     /// Builds the compact form of a plain bitset, choosing the smallest
     /// representation tier that fits its contents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the universe exceeds `u32` range.
     pub fn from_set(set: &RumorSet) -> CompactRumorSet {
-        let n = set.universe();
-        let mut c = CompactRumorSet::new(n);
-        if set.is_full() {
-            return CompactRumorSet::full(n);
-        }
-        if set.len() <= SPARSE_MAX {
-            for v in set.iter() {
-                c.insert(v);
-            }
-            return c;
-        }
-        let ids: Vec<u32> = set
-            .iter()
-            .map(|v| u32::try_from(v.index()).expect("id fits u32"))
-            .collect();
-        let runs = runs_from_sorted(&ids);
-        c.count = set.len();
-        c.repr = if runs.len() <= RUNS_MAX {
-            Repr::Runs(runs)
-        } else {
-            Repr::Bitset(set.as_words().to_vec())
-        };
-        c
+        CompactRumorSet::from_counted_words(set.universe(), set.as_words().to_vec(), set.len())
     }
 
     /// Classifies pre-counted bitset words (the output of a fused XOR
@@ -1349,36 +1227,9 @@ impl From<&RumorSet> for CompactRumorSet {
     }
 }
 
-impl AsRef<RumorSet> for RumorSet {
-    fn as_ref(&self) -> &RumorSet {
-        self
-    }
-}
-
-impl AsRef<RumorSet> for SharedRumorSet {
-    fn as_ref(&self) -> &RumorSet {
-        &self.inner
-    }
-}
-
-impl From<RumorSet> for SharedRumorSet {
-    fn from(set: RumorSet) -> SharedRumorSet {
-        SharedRumorSet {
-            inner: std::sync::Arc::new(set),
-        }
-    }
-}
-
-impl fmt::Debug for SharedRumorSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shared")?;
-        self.inner.fmt(f)
-    }
-}
-
 impl fmt::Debug for RumorSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "RumorSet({}/{}; ", self.count, self.universe)?;
+        write!(f, "RumorSet({}/{}; ", self.len(), self.universe())?;
         let mut first = true;
         for v in self.iter().take(8) {
             if !first {
@@ -1387,7 +1238,7 @@ impl fmt::Debug for RumorSet {
             write!(f, "{v}")?;
             first = false;
         }
-        if self.count > 8 {
+        if self.len() > 8 {
             write!(f, ", …")?;
         }
         write!(f, ")")
@@ -1422,7 +1273,7 @@ mod tests {
 
     #[test]
     fn shared_snapshot_is_isolated_from_later_mutation() {
-        let mut live = SharedRumorSet::singleton(100, NodeId::new(3));
+        let mut live = RumorSet::singleton(100, NodeId::new(3));
         let snap = live.snapshot();
         assert!(snap.ptr_eq(&live), "snapshot is a refcount bump");
         assert!(live.insert(NodeId::new(7)));
@@ -1435,9 +1286,9 @@ mod tests {
 
     #[test]
     fn shared_union_noop_never_clones() {
-        let mut a = SharedRumorSet::full(128);
+        let mut a = RumorSet::full(128);
         let snap = a.snapshot();
-        let b = SharedRumorSet::singleton(128, NodeId::new(5));
+        let b = RumorSet::singleton(128, NodeId::new(5));
         assert!(!a.union_with(&b), "superset union is a no-op");
         assert!(snap.ptr_eq(&a), "no-op union must not unshare");
         assert!(!a.insert(NodeId::new(5)), "present-bit insert is a no-op");
@@ -1446,27 +1297,18 @@ mod tests {
 
     #[test]
     fn shared_union_adopts_superset_buffer() {
-        let mut a = SharedRumorSet::singleton(64, NodeId::new(1));
-        let mut b = SharedRumorSet::singleton(64, NodeId::new(1));
+        let mut a = RumorSet::singleton(64, NodeId::new(1));
+        let mut b = RumorSet::singleton(64, NodeId::new(1));
         b.insert(NodeId::new(2));
         assert!(a.union_with(&b));
         assert!(a.ptr_eq(&b), "subset side adopts the superset buffer");
         assert_eq!(a.len(), 2);
         // Overlapping-but-incomparable sets merge word-by-word.
-        let c = SharedRumorSet::singleton(64, NodeId::new(9));
+        let c = RumorSet::singleton(64, NodeId::new(9));
         let mut d = a.snapshot();
         assert!(d.union_with(&c));
         assert!(!d.ptr_eq(&a) && !d.ptr_eq(&c));
         assert_eq!(d.len(), 3);
-    }
-
-    #[test]
-    fn shared_matches_plain_semantics() {
-        let mut plain = RumorSet::singleton(200, NodeId::new(0));
-        let mut shared = SharedRumorSet::singleton(200, NodeId::new(0));
-        let other = RumorSet::singleton(200, NodeId::new(150));
-        assert_eq!(shared.union_with_set(&other), plain.union_with(&other));
-        assert_eq!(shared.into_inner(), plain);
     }
 
     #[test]
@@ -1889,11 +1731,11 @@ mod tests {
     #[test]
     fn shared_diff_and_apply_preserve_cow() {
         let n = 200;
-        let mut a = SharedRumorSet::singleton(n, NodeId::new(3));
+        let mut a = RumorSet::singleton(n, NodeId::new(3));
         let snap = a.snapshot();
         // Shared-buffer diff short-circuits to the empty delta.
         assert!(a.diff(&snap).is_empty());
-        let mut b = SharedRumorSet::new(n);
+        let mut b = RumorSet::new(n);
         b.insert(NodeId::new(100));
         let delta = a.diff(&b);
         // Applying onto `b` while `a`'s snapshot is untouched.

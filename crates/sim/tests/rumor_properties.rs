@@ -8,7 +8,9 @@
 //! union *between* independently-promoted representations), then checks
 //! `contains`/`len`/`is_full`/`fingerprint`/iteration agree exactly.
 //! A third generator keeps both sets at 0 ..= 8 ids, the range that
-//! straddles the sparse tier's five-id inline buffer.
+//! straddles the sparse tier's five-id inline buffer. A fourth turns
+//! on `RumorSet` itself: handles that share buffers through
+//! `snapshot` must behave as copies that never shared one.
 
 use gossip_sim::{CompactRumorSet, RumorSet};
 use latency_graph::NodeId;
@@ -118,6 +120,12 @@ impl Pair {
         assert_eq!(a, b, "iteration order diverged");
         assert_eq!(self.compact.to_set(), self.plain);
     }
+}
+
+/// A copy of `set` in a buffer of its own — the `as_words` /
+/// `from_words` round trip, which no handle can share.
+fn unshared(set: &RumorSet) -> RumorSet {
+    RumorSet::from_words(set.universe(), set.as_words().to_vec()).expect("valid words")
 }
 
 fn splitmix(mut x: u64) -> u64 {
@@ -243,5 +251,54 @@ proptest! {
         back.check(universe);
         prop_assert_eq!(&back.plain, &a.plain);
         prop_assert_eq!(&back.compact, &a.compact);
+    }
+
+    /// Copy-on-write is unobservable: any interleaving of `snapshot`,
+    /// `insert`, `union_with` and `apply_delta` over three handles that
+    /// share buffers leaves each equal — words, length, fingerprint,
+    /// changed-flags — to a mirror that ran the same ops in a buffer no
+    /// other handle ever pointed at.
+    #[test]
+    fn shared_handles_equal_never_shared_copies(
+        universe in 1usize..192,
+        ops in prop::collection::vec((0u8..4, 0usize..3, 0usize..3, 0usize..192), 0..60),
+    ) {
+        let mut shared = vec![RumorSet::new(universe); 3];
+        let mut owned: Vec<RumorSet> = shared.iter().map(unshared).collect();
+        for (kind, i, j, v) in ops {
+            match kind {
+                0 => {
+                    shared[i] = shared[j].snapshot();
+                    owned[i] = unshared(&owned[j]);
+                }
+                1 => {
+                    let id = NodeId::new(v % universe);
+                    prop_assert_eq!(shared[i].insert(id), owned[i].insert(id));
+                }
+                2 => {
+                    // The mirror's operand is a temporary: adopting its
+                    // buffer (the superset path) still shares nothing.
+                    let (other, temp) = (shared[j].snapshot(), unshared(&owned[j]));
+                    prop_assert_eq!(shared[i].union_with(&other), owned[i].union_with(&temp));
+                }
+                _ => {
+                    let k = v % 3;
+                    let delta = shared[j].diff(&shared[k]);
+                    prop_assert_eq!(&delta, &owned[j].diff(&owned[k]));
+                    shared[i].apply_delta(&delta);
+                    owned[i].apply_delta(&delta);
+                }
+            }
+            for (a, s) in shared.iter().enumerate() {
+                let o = &owned[a];
+                prop_assert_eq!(s, o);
+                prop_assert_eq!(s.as_words(), o.as_words());
+                prop_assert_eq!((s.len(), s.fingerprint()), (o.len(), o.fingerprint()));
+                for (b, other) in owned.iter().enumerate() {
+                    prop_assert!(!s.ptr_eq(other), "mirror {b} leaked into the shared side");
+                    prop_assert!(a == b || !o.ptr_eq(other), "mirrors {a} and {b} share");
+                }
+            }
+        }
     }
 }
