@@ -1,7 +1,9 @@
 //! Criterion benches for the paper's constructions (Figs. 1–2) and the
-//! graph substrate.
+//! graph substrate: what a graph costs to build, and what a run pays
+//! to be constructed over one already built.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gossip_sim::{Context, Exchange, Protocol, SimConfig, Simulator};
 use latency_graph::generators::{self, GadgetSpec, LayeredRing, LayeredRingSpec};
 use latency_graph::metrics;
 use std::hint::black_box;
@@ -52,5 +54,51 @@ fn bench_dijkstra(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gadget, bench_layered_ring, bench_dijkstra);
+/// The two large benchmark topologies: the dense one inserts its edges
+/// in ascending order (no row is sorted), the geometric one in grid-cell
+/// order (every row is).
+fn bench_graph_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("graph/build");
+    group.sample_size(10);
+    group.bench_function("clique/4096", |b| {
+        b.iter(|| black_box(generators::clique(4096)));
+    });
+    // Mean degree n·π·r² = 18.
+    let n = 65_536usize;
+    let radius = (18.0 / (n as f64 * std::f64::consts::PI)).sqrt();
+    group.bench_function("random_geometric/65536", |b| {
+        b.iter(|| black_box(generators::random_geometric(n, radius, 200.0, 7)));
+    });
+    group.finish();
+}
+
+/// A protocol that does nothing, so constructing a run over it costs
+/// only what the engine itself sets up.
+struct Idle;
+
+impl Protocol for Idle {
+    type Payload = ();
+    fn payload(&self) {}
+    fn on_round(&mut self, _: &mut Context<'_>) {}
+    fn on_exchange(&mut self, _: &mut Context<'_>, _: &Exchange<()>) {}
+}
+
+/// The fixed cost every seed pays before its first round: a `Stepper`
+/// over a prebuilt graph. It must not grow with the edge count.
+fn bench_simulator_new(c: &mut Criterion) {
+    let g = generators::clique(4096);
+    let sim = Simulator::new(&g, SimConfig::default());
+    c.bench_function("simulator/new/clique4096", |b| {
+        b.iter(|| black_box(sim.stepper(|_, _| Idle)));
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_gadget,
+    bench_layered_ring,
+    bench_dijkstra,
+    bench_graph_build,
+    bench_simulator_new
+);
 criterion_main!(benches);

@@ -25,7 +25,9 @@ pub enum GraphError {
     /// The operation requires a connected graph.
     Disconnected,
     /// The operation is only feasible for small graphs (e.g. exact
-    /// conductance by cut enumeration) and the graph is too large.
+    /// conductance by cut enumeration) and the graph is too large — or
+    /// the graph itself would need more nodes than the 32-bit
+    /// [`NodeId`] can name.
     TooLarge {
         /// The graph's node count.
         nodes: usize,

@@ -250,9 +250,9 @@ pub fn random_geometric(n: usize, radius: f64, latency_scale: f64, seed: u64) ->
     // the Θ(n²) all-pairs sweep, which is what makes 10⁶-node instances
     // generable in-process. The edge *set* is identical to the all-pairs
     // sweep's (distance and latency are computed with the same float
-    // expressions, and [`GraphBuilder::build`] sorts), so callers see
-    // byte-identical graphs for a given `(n, radius, latency_scale,
-    // seed)`.
+    // expressions) and every adjacency row is sorted at assembly
+    // whatever the insertion order, so callers see byte-identical
+    // graphs for a given `(n, radius, latency_scale, seed)`.
     let per_axis = ((1.0 / radius).floor() as usize).clamp(1, 4096);
     let cell_of = |x: f64| ((x * per_axis as f64) as usize).min(per_axis - 1);
     let mut cells: Vec<Vec<usize>> = vec![Vec::new(); per_axis * per_axis];

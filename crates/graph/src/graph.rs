@@ -3,6 +3,9 @@
 use crate::error::GraphError;
 use crate::ids::{Latency, NodeId};
 
+/// Node ids are 32-bit: the most nodes a [`Graph`] can have.
+const MAX_NODES: usize = u32::MAX as usize;
+
 /// An undirected graph whose edges carry integer latencies.
 ///
 /// `Graph` is immutable once built (use [`GraphBuilder`]) and stored in
@@ -14,6 +17,15 @@ use crate::ids::{Latency, NodeId};
 /// engine can borrow both slices directly instead of copying the
 /// adjacency. `latency(u, v)` is a binary search. Node ids are dense
 /// `0..n`.
+///
+/// The CSR arrays are the only representation: 8 bytes per directed
+/// edge (a 4-byte id and a 4-byte latency for each endpoint's row) plus
+/// 8 bytes per node of row offsets. There is no separate edge list —
+/// [`edges`](Graph::edges) walks the rows — and everything a run asks
+/// of the whole graph ([`node_count`](Graph::node_count),
+/// [`edge_count`](Graph::edge_count),
+/// [`max_latency`](Graph::max_latency)) is fixed at build time and
+/// answered in O(1).
 ///
 /// This is the network model of *Gossiping with Latencies*, Section 1: a
 /// connected, undirected graph `G = (V, E)` where every edge has an
@@ -42,7 +54,7 @@ pub struct Graph {
     offsets: Vec<usize>,
     adj_ids: Vec<NodeId>,
     adj_lats: Vec<Latency>,
-    edges: Vec<(NodeId, NodeId, Latency)>,
+    max_latency: Option<Latency>,
 }
 
 impl Graph {
@@ -52,8 +64,8 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns the first validation error: self-loop, duplicate edge, or
-    /// out-of-range endpoint (see [`GraphError`]).
+    /// Returns the first validation error: self-loop, duplicate edge,
+    /// out-of-range endpoint, or more nodes than ids (see [`GraphError`]).
     pub fn from_edges(
         n: usize,
         edges: impl IntoIterator<Item = (usize, usize, u32)>,
@@ -74,7 +86,7 @@ impl Graph {
     /// Number of undirected edges `m`.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.adj_ids.len() / 2
     }
 
     /// Iterates over all node ids `0..n`.
@@ -82,9 +94,19 @@ impl Graph {
         (0..self.node_count()).map(NodeId::new)
     }
 
-    /// Iterates over all undirected edges as `(u, v, latency)` with `u < v`.
+    /// Iterates over all undirected edges as `(u, v, latency)` with
+    /// `u < v`, in ascending `(u, v)` order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Latency)> + '_ {
-        self.edges.iter().copied()
+        self.nodes().flat_map(move |u| {
+            // Rows are sorted and hold no self-loop: the neighbors above
+            // `u` are a suffix of its row.
+            let ids = self.neighbor_ids(u);
+            let above = ids.partition_point(|&w| w < u);
+            ids[above..]
+                .iter()
+                .zip(&self.neighbor_latencies(u)[above..])
+                .map(move |(&v, &l)| (u, v, l))
+        })
     }
 
     /// Internal: the adjacency range of `v` in the CSR arrays.
@@ -180,7 +202,7 @@ impl Graph {
 
     /// The largest edge latency `ℓ_max`, or `None` for an edgeless graph.
     pub fn max_latency(&self) -> Option<Latency> {
-        self.edges.iter().map(|&(_, _, l)| l).max()
+        self.max_latency
     }
 
     /// A canonical 64-bit digest of the topology: node count plus the
@@ -190,12 +212,6 @@ impl Graph {
     /// connect/accept handshake exchanges this digest so two processes
     /// refuse to pair up when their topology files disagree.
     pub fn topology_hash(&self) -> u64 {
-        let mut edges: Vec<(NodeId, NodeId, Latency)> = self
-            .edges
-            .iter()
-            .map(|&(u, v, l)| if u <= v { (u, v, l) } else { (v, u, l) })
-            .collect();
-        edges.sort_unstable();
         let mut h = 0xcbf2_9ce4_8422_2325u64
             ^ u64::try_from(self.node_count()).expect("node count fits u64");
         let mut mix = |x: u64| {
@@ -203,7 +219,7 @@ impl Graph {
             h = h.wrapping_mul(0x100_0000_01b3);
             h ^= h >> 29;
         };
-        for (u, v, l) in edges {
+        for (u, v, l) in self.edges() {
             mix(u64::from(u32::from(u)));
             mix(u64::from(u32::from(v)));
             mix(l.rounds());
@@ -216,7 +232,7 @@ impl Graph {
     /// These are the only values of `ℓ` at which the weight-`ℓ`
     /// conductance profile `Φ(G)` can change.
     pub fn distinct_latencies(&self) -> Vec<Latency> {
-        let mut ls: Vec<Latency> = self.edges.iter().map(|&(_, _, l)| l).collect();
+        let mut ls: Vec<Latency> = self.edges().map(|(_, _, l)| l).collect();
         ls.sort_unstable();
         ls.dedup();
         ls
@@ -269,13 +285,7 @@ impl Graph {
             self.node_count(),
             "indicator length must equal node count"
         );
-        let edges: Vec<_> = self
-            .edges
-            .iter()
-            .copied()
-            .filter(|&(u, v, _)| members[u.index()] && members[v.index()])
-            .collect();
-        Graph::assemble(self.node_count(), edges)
+        self.edge_subgraph(|&(u, v, _)| members[u.index()] && members[v.index()])
     }
 
     /// Returns the subgraph `G_≤ℓ` keeping every node but only edges with
@@ -284,13 +294,7 @@ impl Graph {
     /// This is the edge set `E_ℓ` used throughout the paper (Definition 1,
     /// the `ℓ`-DTG protocol, the spanner algorithm's `G_k`).
     pub fn latency_filtered(&self, max_latency: Latency) -> Graph {
-        let edges: Vec<_> = self
-            .edges
-            .iter()
-            .copied()
-            .filter(|&(_, _, l)| l <= max_latency)
-            .collect();
-        Graph::assemble(self.node_count(), edges)
+        self.edge_subgraph(|&(_, _, l)| l <= max_latency)
     }
 
     /// Returns a graph with identical topology whose latencies are
@@ -299,12 +303,9 @@ impl Graph {
     /// Useful for re-weighting a generated topology, e.g. assigning
     /// bimodal fast/slow latencies to a grid.
     pub fn map_latencies(&self, mut f: impl FnMut(NodeId, NodeId, Latency) -> Latency) -> Graph {
-        let edges: Vec<_> = self
-            .edges
-            .iter()
-            .map(|&(u, v, l)| (u, v, f(u, v, l)))
-            .collect();
-        Graph::assemble(self.node_count(), edges)
+        let edges: Vec<_> = self.edges().map(|(u, v, l)| (u, v, f(u, v, l))).collect();
+        Graph::assemble(self.node_count(), &edges)
+            .expect("the edge set of a simple graph, relabeled")
     }
 
     /// The volume `Vol(U)`: the number of edge endpoints in `U`, i.e. the
@@ -329,10 +330,28 @@ impl Graph {
             .sum()
     }
 
-    /// Internal: build CSR from a validated edge list.
-    pub(crate) fn assemble(n: usize, edges: Vec<(NodeId, NodeId, Latency)>) -> Graph {
+    /// Internal: the subgraph on every node keeping the edges `keep` accepts.
+    fn edge_subgraph(&self, keep: impl FnMut(&(NodeId, NodeId, Latency)) -> bool) -> Graph {
+        let edges: Vec<_> = self.edges().filter(keep).collect();
+        Graph::assemble(self.node_count(), &edges).expect("a subset of a simple graph's edges")
+    }
+
+    /// Internal: counting-sorts an edge list (endpoints `< n`, no
+    /// self-loops, either orientation, any order) straight into the CSR
+    /// arrays. A row is sorted only when the scatter left it out of
+    /// order — edges inserted in ascending `(u, v)` order sort nothing —
+    /// and a duplicate shows up as two equal neighbors in a sorted row.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::DuplicateEdge`] with the smallest duplicated
+    /// `(u, v)`, `u < v`.
+    pub(crate) fn assemble(
+        n: usize,
+        edges: &[(NodeId, NodeId, Latency)],
+    ) -> Result<Graph, GraphError> {
         let mut offsets = vec![0usize; n + 1];
-        for &(u, v, _) in &edges {
+        for &(u, v, _) in edges {
             offsets[u.index() + 1] += 1;
             offsets[v.index() + 1] += 1;
         }
@@ -340,27 +359,44 @@ impl Graph {
             offsets[i + 1] += offsets[i];
         }
         let mut cursor = offsets.clone();
-        let mut adj = vec![(NodeId::new(0), Latency::UNIT); 2 * edges.len()];
-        for &(u, v, l) in &edges {
-            adj[cursor[u.index()]] = (v, l);
-            cursor[u.index()] += 1;
-            adj[cursor[v.index()]] = (u, l);
-            cursor[v.index()] += 1;
+        let mut adj_ids = vec![NodeId::default(); 2 * edges.len()];
+        let mut adj_lats = vec![Latency::UNIT; 2 * edges.len()];
+        for &(u, v, l) in edges {
+            for (from, to) in [(u, v), (v, u)] {
+                let slot = &mut cursor[from.index()];
+                adj_ids[*slot] = to;
+                adj_lats[*slot] = l;
+                *slot += 1;
+            }
         }
+        let mut row: Vec<(NodeId, Latency)> = Vec::new();
         for i in 0..n {
-            adj[offsets[i]..offsets[i + 1]].sort_unstable_by_key(|&(w, _)| w);
+            let range = offsets[i]..offsets[i + 1];
+            let ids = &mut adj_ids[range.clone()];
+            if ids.windows(2).all(|w| w[0] < w[1]) {
+                continue;
+            }
+            let lats = &mut adj_lats[range];
+            row.clear();
+            row.extend(ids.iter().copied().zip(lats.iter().copied()));
+            row.sort_unstable_by_key(|&(w, _)| w);
+            for (k, &(w, l)) in row.iter().enumerate() {
+                ids[k] = w;
+                lats[k] = l;
+            }
+            // Rows are visited in ascending order, so the first repeated
+            // neighbor `w` of the first row `i` holding one has `i < w`
+            // and `(i, w)` is the smallest duplicated pair.
+            if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+                return Err(GraphError::DuplicateEdge(NodeId::new(i), w[0]));
+            }
         }
-        // Split the sorted adjacency into parallel id / latency arrays.
-        let adj_ids = adj.iter().map(|&(w, _)| w).collect();
-        let adj_lats = adj.iter().map(|&(_, l)| l).collect();
-        let mut edges = edges;
-        edges.sort_unstable();
-        Graph {
+        Ok(Graph {
             offsets,
             adj_ids,
             adj_lats,
-            edges,
-        }
+            max_latency: edges.iter().map(|&(_, _, l)| l).max(),
+        })
     }
 }
 
@@ -410,6 +446,8 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
+    /// * [`GraphError::TooLarge`] if an endpoint does not fit a
+    ///   [`NodeId`] (`> u32::MAX`): no graph has that many nodes.
     /// * [`GraphError::SelfLoop`] if `u == v`.
     /// * [`GraphError::NodeOutOfRange`] if an endpoint is `>= n`.
     ///
@@ -419,20 +457,27 @@ impl GraphBuilder {
     ///
     /// Panics if `latency == 0` (latencies are `≥ 1`).
     pub fn add_edge(&mut self, u: usize, v: usize, latency: u32) -> Result<(), GraphError> {
+        let id = |w: usize| {
+            u32::try_from(w)
+                .map(NodeId::from)
+                .map_err(|_| GraphError::TooLarge {
+                    nodes: w.saturating_add(1),
+                    max: MAX_NODES,
+                })
+        };
+        let (u, v) = (id(u)?, id(v)?);
         if u == v {
-            return Err(GraphError::SelfLoop(NodeId::new(u)));
+            return Err(GraphError::SelfLoop(u));
         }
         for w in [u, v] {
-            if w >= self.n {
+            if w.index() >= self.n {
                 return Err(GraphError::NodeOutOfRange {
-                    node: NodeId::new(w),
+                    node: w,
                     len: self.n,
                 });
             }
         }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges
-            .push((NodeId::new(a), NodeId::new(b), Latency::new(latency)));
+        self.edges.push((u, v, Latency::new(latency)));
         Ok(())
     }
 
@@ -450,20 +495,21 @@ impl GraphBuilder {
     /// # Errors
     ///
     /// * [`GraphError::Empty`] if `n == 0`.
+    /// * [`GraphError::TooLarge`] if `n > u32::MAX` (node ids are 32-bit).
     /// * [`GraphError::DuplicateEdge`] if the same undirected edge was
-    ///   added more than once (regardless of latency).
+    ///   added more than once (regardless of latency); of several, the
+    ///   smallest `(u, v)` is reported.
     pub fn build(self) -> Result<Graph, GraphError> {
         if self.n == 0 {
             return Err(GraphError::Empty);
         }
-        let mut edges = self.edges;
-        edges.sort_unstable();
-        for w in edges.windows(2) {
-            if w[0].0 == w[1].0 && w[0].1 == w[1].1 {
-                return Err(GraphError::DuplicateEdge(w[0].0, w[0].1));
-            }
+        if self.n > MAX_NODES {
+            return Err(GraphError::TooLarge {
+                nodes: self.n,
+                max: MAX_NODES,
+            });
         }
-        Ok(Graph::assemble(self.n, edges))
+        Graph::assemble(self.n, &self.edges)
     }
 }
 
@@ -497,6 +543,18 @@ mod tests {
         assert_ne!(a.topology_hash(), d.topology_hash());
         let e = Graph::from_edges(3, [(0, 1, 1), (1, 2, 2)]).unwrap();
         assert_ne!(a.topology_hash(), e.topology_hash());
+    }
+
+    /// Digests captured before the edge list left `Graph`: a peer running
+    /// that build must still pass the reactor handshake.
+    #[test]
+    fn topology_hash_is_pinned() {
+        use crate::generators;
+        assert_eq!(generators::clique(8).topology_hash(), 0xf877_1e3d_9660_3156);
+        assert_eq!(
+            generators::ring_of_cliques(4, 4, 3).topology_hash(),
+            0x1771_64f5_6f00_c04a
+        );
     }
 
     #[test]
@@ -572,6 +630,36 @@ mod tests {
         b.add_edge(0, 1, 1).unwrap();
         b.add_edge(1, 0, 9).unwrap();
         assert!(matches!(b.build(), Err(GraphError::DuplicateEdge(_, _))));
+    }
+
+    #[test]
+    fn smallest_duplicated_pair_is_reported() {
+        // (3,4) is duplicated first in insertion order; (1,2) is smaller.
+        assert_eq!(
+            Graph::from_edges(5, [(3, 4, 1), (2, 1, 1), (1, 2, 7), (4, 3, 2)]),
+            Err(GraphError::DuplicateEdge(NodeId::new(1), NodeId::new(2)))
+        );
+    }
+
+    #[test]
+    fn ids_beyond_u32_are_errors_not_panics() {
+        let big = 5_000_000_000usize;
+        let too_large = GraphError::TooLarge {
+            nodes: big + 1,
+            max: MAX_NODES,
+        };
+        let mut b = GraphBuilder::new(4);
+        assert_eq!(b.add_edge(big, 1, 1), Err(too_large.clone()));
+        assert_eq!(b.add_edge(1, big, 1), Err(too_large.clone()));
+        assert_eq!(b.add_edge(big, big, 1), Err(too_large));
+        assert_eq!(b.edge_count(), 0);
+        assert_eq!(
+            GraphBuilder::new(big).build(),
+            Err(GraphError::TooLarge {
+                nodes: big,
+                max: MAX_NODES
+            })
+        );
     }
 
     #[test]
@@ -654,11 +742,13 @@ mod tests {
 
     #[test]
     fn edges_iterate_canonical() {
-        let g = triangle();
-        let es: Vec<_> = g.edges().collect();
-        assert_eq!(es.len(), 3);
-        for (u, v, _) in es {
-            assert!(u < v);
-        }
+        let g = Graph::from_edges(4, [(3, 0, 4), (2, 1, 2), (0, 2, 3), (1, 0, 1)]).unwrap();
+        let es: Vec<_> = g
+            .edges()
+            .map(|(u, v, l)| (u.index(), v.index(), l.get()))
+            .collect();
+        assert_eq!(es, vec![(0, 1, 1), (0, 2, 3), (0, 3, 4), (1, 2, 2)]);
+        assert_eq!(g.max_latency(), Some(Latency::new(4)));
+        assert_eq!(Graph::from_edges(2, []).unwrap().max_latency(), None);
     }
 }

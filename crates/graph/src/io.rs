@@ -84,8 +84,9 @@ pub fn to_edge_list(g: &Graph) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseGraphError`] on a missing header, malformed line, or
-/// invalid edge set (self-loop, duplicate, out of range).
+/// Returns [`ParseGraphError`] on a missing header, malformed line
+/// (including a node id that does not fit 32 bits), or invalid edge set
+/// (self-loop, duplicate, out of range, more than `u32::MAX` nodes).
 pub fn from_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
     let mut n: Option<usize> = None;
     let mut edges = Vec::new();
@@ -109,18 +110,16 @@ pub fn from_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
         if parts.len() != 3 {
             return Err(ParseGraphError::BadLine { line: idx + 1 });
         }
+        // Node ids and latencies are all 32-bit.
         let parse = |s: &str| {
-            s.parse::<usize>()
+            s.parse::<u32>()
                 .map_err(|_| ParseGraphError::BadLine { line: idx + 1 })
         };
-        let (u, v) = (parse(parts[0])?, parse(parts[1])?);
-        let l: u32 = parts[2]
-            .parse()
-            .map_err(|_| ParseGraphError::BadLine { line: idx + 1 })?;
+        let (u, v, l) = (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
         if l == 0 {
             return Err(ParseGraphError::BadLine { line: idx + 1 });
         }
-        edges.push((u, v, l));
+        edges.push((u as usize, v as usize, l));
     }
     let n = n.ok_or(ParseGraphError::MissingHeader)?;
     Ok(Graph::from_edges(n, edges)?)
@@ -193,6 +192,25 @@ mod tests {
             from_edge_list(zero_lat),
             Err(ParseGraphError::BadLine { line: 2 })
         );
+    }
+
+    #[test]
+    fn ids_beyond_u32_are_errors_not_panics() {
+        assert_eq!(
+            from_edge_list("n 4\n5000000000 1 1\n"),
+            Err(ParseGraphError::BadLine { line: 2 })
+        );
+        assert_eq!(
+            from_edge_list("n 4\n0 1 1\n5000000000 5000000000 1\n"),
+            Err(ParseGraphError::BadLine { line: 3 })
+        );
+        assert!(matches!(
+            from_edge_list("n 5000000000\n"),
+            Err(ParseGraphError::Invalid(GraphError::TooLarge {
+                nodes: 5_000_000_000,
+                ..
+            }))
+        ));
     }
 
     #[test]
