@@ -14,7 +14,7 @@
 //! (`union_with`) of a `CompactRumorSet` that fits its inline buffer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gossip_bench::engine_bench::connected_geometric;
+use gossip_bench::graphs::connected_geometric;
 use gossip_core::flooding::{self, FloodingConfig};
 use gossip_core::push_pull::{self, PushPullConfig};
 use gossip_core::sparse::{self, SparseConfig};

@@ -1,4 +1,4 @@
-//! The fifteen experiments, grouped by theme. See the crate docs and
+//! The experiments, grouped by theme. See the crate docs and
 //! `DESIGN.md` for the experiment index.
 
 pub mod conductance_exp;
@@ -10,3 +10,4 @@ pub mod push_pull_exp;
 pub mod ring;
 pub mod robustness;
 pub mod spanner_exp;
+pub mod stream_exp;

@@ -4,7 +4,7 @@
 //!
 //! The paper is a theory paper: it has no measurement tables of its
 //! own, so "reproducing the evaluation" means **empirically validating
-//! every theorem, lemma, and construction**. Each experiment `E1…E15`
+//! every theorem, lemma, and construction**. Each experiment `E1…E24`
 //! (indexed in `DESIGN.md` and recorded in `EXPERIMENTS.md`) regenerates
 //! one result as a table:
 //!
@@ -16,13 +16,10 @@
 //! Criterion micro-benchmarks for the underlying machinery live in
 //! `benches/`.
 
-pub mod analysis_bench;
-pub mod engine_bench;
 pub mod experiments;
-pub mod net_bench;
+pub mod graphs;
 pub mod parallel;
 pub mod stats;
-pub mod stream_bench;
 pub mod table;
 
 pub use table::Table;
@@ -149,6 +146,11 @@ pub fn registry() -> Vec<ExperimentEntry> {
             "Appendix E blocking-model variant (DTG immune, push-pull not)",
             extensions::e23_blocking_model,
         ),
+        (
+            "e24",
+            "streaming selection policies (round-robin vs GF(2) algebraic gossip)",
+            stream_exp::e24_stream_grid,
+        ),
     ]
 }
 
@@ -159,7 +161,7 @@ mod tests {
     #[test]
     fn registry_ids_unique_and_ordered() {
         let reg = registry();
-        assert_eq!(reg.len(), 23);
+        assert_eq!(reg.len(), 24);
         for (i, (id, _, _)) in reg.iter().enumerate() {
             assert_eq!(*id, format!("e{}", i + 1));
         }

@@ -383,7 +383,7 @@ pub fn spanner(args: &mut Args) -> Result<String, CliError> {
 /// algebraic gossip over GF(2)).
 fn run_stream(args: &mut Args) -> Result<String, CliError> {
     use gossip_core::stream::{self, StreamConfig};
-    use gossip_sim::{EngineMode, StreamSpec};
+    use gossip_sim::StreamSpec;
 
     let path: String = args.require("graph file")?;
     let seed: u64 = args.flag_or("seed", 0)?;
@@ -408,7 +408,6 @@ fn run_stream(args: &mut Args) -> Result<String, CliError> {
     let spec = StreamSpec::spread(rumors, budget, g.node_count());
     let cfg = StreamConfig {
         max_rounds,
-        mode: EngineMode::Frontier,
         ..StreamConfig::default()
     };
     let o = match policy.as_str() {

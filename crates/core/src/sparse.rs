@@ -41,16 +41,14 @@ pub struct SparseConfig {
     /// Ignored — results were always byte-identical for any value; kept
     /// only because the repo benchmark's struct literals name it.
     pub threads: usize,
-    /// Engine mode: [`EngineMode::Frontier`] (default) or the
-    /// [`EngineMode::Dense`] Θ(n·rounds) baseline — byte-identical
-    /// outcomes, wildly different cost.
+    /// Ignored — the enum has one variant; kept only because the repo
+    /// benchmark's struct literals name it.
     pub mode: EngineMode,
 }
 
 fn sim_config(config: &SparseConfig, seed: u64) -> SimConfig {
     let mut c = SimConfig {
         seed,
-        mode: config.mode,
         ..SimConfig::default()
     };
     if config.max_rounds > 0 {
@@ -282,39 +280,10 @@ mod tests {
     use crate::flooding::{self, FloodingConfig};
     use latency_graph::{generators, metrics};
 
-    fn both_modes(f: impl Fn(EngineMode) -> SparseOutcome) -> SparseOutcome {
-        let frontier = f(EngineMode::Frontier);
-        let dense = f(EngineMode::Dense);
-        assert_eq!(frontier.rounds, dense.rounds, "mode-dependent rounds");
-        assert_eq!(frontier.metrics, dense.metrics, "mode-dependent metrics");
-        let fp: Vec<u64> = frontier
-            .rumors
-            .iter()
-            .map(CompactRumorSet::fingerprint)
-            .collect();
-        let dp: Vec<u64> = dense
-            .rumors
-            .iter()
-            .map(CompactRumorSet::fingerprint)
-            .collect();
-        assert_eq!(fp, dp, "mode-dependent node states");
-        frontier
-    }
-
     #[test]
     fn flood_informs_path_in_diameter_time() {
         let g = generators::path(20);
-        let o = both_modes(|mode| {
-            flood_broadcast(
-                &g,
-                NodeId::new(0),
-                &SparseConfig {
-                    mode,
-                    ..SparseConfig::default()
-                },
-                1,
-            )
-        });
+        let o = flood_broadcast(&g, NodeId::new(0), &SparseConfig::default(), 1);
         assert!(o.completed());
         assert_eq!(o.informed_count(NodeId::new(0)), 20);
         let d = metrics::weighted_diameter(&g);
@@ -330,17 +299,7 @@ mod tests {
         // The center pushes to leaf `i` in round `i`; the last of the
         // `n − 1` leaves learns the rumor at round `n − 1` exactly.
         let g = generators::star(12);
-        let sparse = both_modes(|mode| {
-            flood_broadcast(
-                &g,
-                NodeId::new(0),
-                &SparseConfig {
-                    mode,
-                    ..SparseConfig::default()
-                },
-                7,
-            )
-        });
+        let sparse = flood_broadcast(&g, NodeId::new(0), &SparseConfig::default(), 7);
         assert!(sparse.completed());
         let leaves = u64::try_from(g.node_count() - 1).expect("fits");
         assert_eq!(sparse.rounds, leaves);
@@ -391,17 +350,7 @@ mod tests {
     #[test]
     fn push_informs_clique() {
         let g = generators::clique(32);
-        let o = both_modes(|mode| {
-            push_broadcast(
-                &g,
-                NodeId::new(3),
-                &SparseConfig {
-                    mode,
-                    ..SparseConfig::default()
-                },
-                11,
-            )
-        });
+        let o = push_broadcast(&g, NodeId::new(3), &SparseConfig::default(), 11);
         assert!(o.completed());
         assert_eq!(o.informed_count(NodeId::new(3)), 32);
     }
@@ -414,19 +363,12 @@ mod tests {
         assert!(g.is_connected());
         let source = NodeId::new(17);
         for broadcast in [flood_broadcast, push_broadcast] {
-            let o = both_modes(|mode| {
-                let config = SparseConfig {
-                    mode,
-                    ..SparseConfig::default()
-                };
-                let o = broadcast(&g, source, &config, 4);
-                for r in &o.rumors {
-                    assert_eq!(r.len(), 1);
-                    assert!(r.repr_words() <= 1);
-                    assert!(r.contains(source));
-                }
-                o
-            });
+            let o = broadcast(&g, source, &SparseConfig::default(), 4);
+            for r in &o.rumors {
+                assert_eq!(r.len(), 1);
+                assert!(r.repr_words() <= 1);
+                assert!(r.contains(source));
+            }
             assert!(o.completed());
         }
     }

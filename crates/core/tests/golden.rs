@@ -18,7 +18,7 @@ use gossip_core::flooding::{self, FloodingConfig};
 use gossip_core::push_pull::{self, Mode, PushPullConfig, PushPullNode};
 use gossip_core::sparse::{self, SparseConfig, SparseOutcome};
 use gossip_core::stream::{StreamConfig, StreamOutcome};
-use gossip_sim::{EngineMode, FaultPlan, Outcome, RumorSet, SimConfig, Simulator, StreamSpec};
+use gossip_sim::{FaultPlan, Outcome, RumorSet, SimConfig, Simulator, StreamSpec};
 use latency_graph::generators::layered_ring::{LayeredRing, LayeredRingSpec};
 use latency_graph::generators::{self, extra};
 use latency_graph::{Graph, NodeId};
@@ -59,21 +59,26 @@ fn fmt_sparse(o: &SparseOutcome) -> String {
     fmt(o.rounds, &o.metrics, h)
 }
 
-/// Runs a sparse one-to-all flood under BOTH engine modes, asserts the
-/// frontier path reproduces the dense path byte for byte, and returns
-/// the (shared) trace. Mode equivalence is thus pinned inside the
-/// golden table itself.
-fn sparse_flood_both_modes(g: &Graph, source: NodeId, seed: u64) -> String {
-    let mk = |mode| SparseConfig {
+fn sparse_config() -> SparseConfig {
+    SparseConfig {
         max_rounds: 1_000_000,
-        mode,
         ..SparseConfig::default()
-    };
-    let frontier = sparse::flood_broadcast(g, source, &mk(EngineMode::Frontier), seed);
-    let dense = sparse::flood_broadcast(g, source, &mk(EngineMode::Dense), seed);
-    let (f, d) = (fmt_sparse(&frontier), fmt_sparse(&dense));
-    assert_eq!(f, d, "dense and frontier engine modes diverged");
-    f
+    }
+}
+
+/// [`fmt_sparse`] plus the run's [`gossip_sim::EngineStats`]: how the
+/// frontier engine executed, not only what the protocol did.
+fn fmt_sparse_with_stats(o: &SparseOutcome) -> String {
+    let s = &o.stats;
+    format!(
+        "{} stepped={} woken={} event_rounds={} skipped_rounds={} peak_frontier={}",
+        fmt_sparse(o),
+        s.stepped,
+        s.woken,
+        s.event_rounds,
+        s.skipped_rounds,
+        s.peak_frontier
+    )
 }
 
 /// Formats a [`StreamOutcome`]: the shared counter line (fingerprint
@@ -97,25 +102,17 @@ fn fmt_stream(o: &StreamOutcome) -> String {
     )
 }
 
-/// Runs a streaming policy under BOTH engine modes, asserts frontier
-/// reproduces dense byte for byte (per-rumor completion curve
-/// included), and returns the shared trace.
-fn stream_both_modes(
+fn stream(
     g: &Graph,
     spec: &StreamSpec,
     seed: u64,
     run: fn(&Graph, &StreamSpec, &StreamConfig, u64) -> StreamOutcome,
 ) -> String {
-    let mk = |mode| StreamConfig {
+    let cfg = StreamConfig {
         max_rounds: 1_000_000,
-        mode,
         ..StreamConfig::default()
     };
-    let frontier = run(g, spec, &mk(EngineMode::Frontier), seed);
-    let dense = run(g, spec, &mk(EngineMode::Dense), seed);
-    let (f, d) = (fmt_stream(&frontier), fmt_stream(&dense));
-    assert_eq!(f, d, "dense and frontier engine modes diverged");
-    f
+    fmt_stream(&run(g, spec, &cfg, seed))
 }
 
 fn fmt_outcome(out: &Outcome<PushPullNode>) -> String {
@@ -372,8 +369,7 @@ fn cases() -> Vec<Case> {
             },
         },
         // --- frontier-sparse engine: on-demand flooding with compact
-        //     rumor payloads, pinned under BOTH engine modes (the run
-        //     helper asserts dense ≡ frontier before returning) ---
+        //     rumor payloads ---
         Case {
             name: "layered_ring_21x48_l512/sparse_flood/seed3",
             expected: "rounds=1392 initiated=131863 delivered=92166 lost=0 rejected=0 payload_units=155486 fingerprint=e1274af3f72ca815",
@@ -391,14 +387,13 @@ fn cases() -> Vec<Case> {
                     ell: 512,
                     seed: 3,
                 });
-                sparse_flood_both_modes(&ring.graph, NodeId::new(0), 3)
+                fmt_sparse(&sparse::flood_broadcast(&ring.graph, NodeId::new(0), &sparse_config(), 3))
             },
         },
         // --- streaming workloads: k = 8 rumors, budget = 2 payload
         //     units per exchange direction, staggered injections
-        //     (DESIGN.md §16). Pinned under BOTH engine modes via
-        //     `stream_both_modes`; the completion curve is the
-        //     per-rumor global completion round, literally ---
+        //     (DESIGN.md §16). The completion curve is the per-rumor
+        //     global completion round, literally ---
         Case {
             name: "cycle64/rr_stream/k8b2/seed7",
             expected:
@@ -406,7 +401,7 @@ fn cases() -> Vec<Case> {
             run: || {
                 let g = generators::cycle(64);
                 let spec = StreamSpec::spread(8, 2, 64);
-                stream_both_modes(&g, &spec, 7, gossip_core::stream::rr_stream)
+                stream(&g, &spec, 7, gossip_core::stream::rr_stream)
             },
         },
         Case {
@@ -416,7 +411,7 @@ fn cases() -> Vec<Case> {
             run: || {
                 let g = generators::cycle(64);
                 let spec = StreamSpec::spread(8, 2, 64);
-                stream_both_modes(&g, &spec, 7, gossip_core::stream::rlc_stream)
+                stream(&g, &spec, 7, gossip_core::stream::rlc_stream)
             },
         },
         Case {
@@ -426,7 +421,7 @@ fn cases() -> Vec<Case> {
             run: || {
                 let g = extra::ring_of_cliques(6, 8, 4);
                 let spec = StreamSpec::spread(8, 2, 48);
-                stream_both_modes(&g, &spec, 13, gossip_core::stream::rr_stream)
+                stream(&g, &spec, 13, gossip_core::stream::rr_stream)
             },
         },
         Case {
@@ -436,7 +431,7 @@ fn cases() -> Vec<Case> {
             run: || {
                 let g = extra::ring_of_cliques(6, 8, 4);
                 let spec = StreamSpec::spread(8, 2, 48);
-                stream_both_modes(&g, &spec, 13, gossip_core::stream::rlc_stream)
+                stream(&g, &spec, 13, gossip_core::stream::rlc_stream)
             },
         },
         Case {
@@ -448,7 +443,22 @@ fn cases() -> Vec<Case> {
                 // (one-rumor CompactRumorSet), pinning the sparse path
                 // at scale.
                 let g = generators::random_geometric(100_000, 0.00757, 200.0, 1);
-                sparse_flood_both_modes(&g, NodeId::new(0), 1)
+                fmt_sparse(&sparse::flood_broadcast(&g, NodeId::new(0), &sparse_config(), 1))
+            },
+        },
+        Case {
+            name: "random_geometric_2048/sparse_push/seed5eed",
+            expected: "rounds=324 initiated=340203 delivered=326835 lost=0 rejected=0 payload_units=646496 fingerprint=09cb053efd287b25 stepped=342250 woken=340203 event_rounds=325 skipped_rounds=0 peak_frontier=2048",
+            run: || {
+                // The RNG-driven on-demand protocol: every informed
+                // node keeps a standing wakeup and draws a neighbor
+                // per round, so — unlike the floods — the trace moves
+                // with the per-node RNG stream and with how `wake_in`
+                // re-files the frontier.
+                let g = generators::random_geometric(2048, 0.0529, 200.0, 1);
+                assert!(g.is_connected());
+                let o = sparse::push_broadcast(&g, NodeId::new(0), &sparse_config(), 0x5eed);
+                fmt_sparse_with_stats(&o)
             },
         },
     ]

@@ -5,22 +5,21 @@
 //! `deliver`, its stop checks, one `advance` — every round number
 //! visited, `all_done` consulted every round. [`Simulator::run`]
 //! drives the same `Stepper` but consults its stop checks on event
-//! rounds only and (in [`EngineMode::Frontier`]) jumps over event-free
-//! rounds. For what the checker proves to carry over to what ships,
-//! that gating and skipping must not be observable. This suite drives
-//! each shipped [`Scheduling::OnDemand`] protocol through a hand-rolled
-//! `deliver` / `all_done` / `at_round_cap` / `advance` loop and through
-//! [`Simulator::run`] in both engine modes, and asserts equal stop
-//! reason, rounds, [`SimMetrics`] and per-node state digests —
-//! unfaulted and under a crash plus a link drop.
+//! rounds only and jumps over event-free rounds. For what the checker
+//! proves to carry over to what ships, that gating and skipping must
+//! not be observable. This suite drives each shipped
+//! [`Scheduling::OnDemand`] protocol through a hand-rolled `deliver` /
+//! `all_done` / `at_round_cap` / `advance` loop and through
+//! [`Simulator::run`], and asserts equal stop reason, rounds,
+//! [`SimMetrics`] and per-node state digests — unfaulted and under a
+//! crash plus a link drop.
 //!
 //! [`Scheduling::OnDemand`]: gossip_sim::Scheduling::OnDemand
 
-use gossip_core::sparse::SparseFloodNode;
+use gossip_core::sparse::{SparseFloodNode, SparsePushNode};
 use gossip_core::stream::{RlcStreamNode, RrStreamNode};
 use gossip_sim::{
-    EngineMode, FaultPlan, Outcome, Protocol, Round, SimConfig, SimMetrics, Simulator, StopReason,
-    StreamSpec,
+    FaultPlan, Outcome, Protocol, Round, SimConfig, SimMetrics, Simulator, StopReason, StreamSpec,
 };
 use latency_graph::generators::{extra, gadget};
 use latency_graph::{Graph, NodeId};
@@ -44,43 +43,38 @@ fn drive_stepper<P: Protocol>(
     }
 }
 
-/// Runs `factory`'s protocol the three ways, asserts they agree on
+/// Runs `factory`'s protocol both ways, asserts they agree on
 /// everything the determinism contract pins, and returns the shared
 /// `(rounds, metrics)`.
-fn three_ways<P: Protocol>(
+fn both_ways<P: Protocol>(
     g: &Graph,
     faults: &FaultPlan,
     factory: impl Fn(NodeId, usize) -> P,
     digest: impl Fn(&P) -> u64,
 ) -> (Round, SimMetrics) {
-    let sim = |mode| {
-        let cfg = SimConfig {
-            seed: 7,
-            max_rounds: 200,
-            mode,
-            ..SimConfig::default()
-        };
-        Simulator::new(g, cfg).with_faults(faults.clone())
+    let cfg = SimConfig {
+        seed: 7,
+        max_rounds: 200,
+        ..SimConfig::default()
     };
-    let stepped = drive_stepper(&sim(EngineMode::Frontier), &factory);
+    let sim = Simulator::new(g, cfg).with_faults(faults.clone());
+    let stepped = drive_stepper(&sim, &factory);
+    let shipped = sim.run(&factory, |_: &[P], _| false);
     let summary = |o: &Outcome<P>| {
         let digests: Vec<u64> = o.nodes.iter().map(&digest).collect();
         (o.reason, o.rounds, o.metrics, digests)
     };
-    for mode in [EngineMode::Frontier, EngineMode::Dense] {
-        let shipped = sim(mode).run(&factory, |_: &[P], _| false);
-        assert_eq!(
-            summary(&shipped),
-            summary(&stepped),
-            "Simulator::run in {mode:?} mode diverged from the hand-driven Stepper"
-        );
-    }
+    assert_eq!(
+        summary(&shipped),
+        summary(&stepped),
+        "Simulator::run diverged from the hand-driven Stepper"
+    );
     (stepped.rounds, stepped.metrics)
 }
 
 fn flood(g: &Graph, faults: &FaultPlan) -> (Round, SimMetrics) {
     let source = NodeId::new(0);
-    three_ways(
+    both_ways(
         g,
         faults,
         |id, n| SparseFloodNode::new(id, n, source),
@@ -88,9 +82,19 @@ fn flood(g: &Graph, faults: &FaultPlan) -> (Round, SimMetrics) {
     )
 }
 
+fn push(g: &Graph, faults: &FaultPlan) -> (Round, SimMetrics) {
+    let source = NodeId::new(0);
+    both_ways(
+        g,
+        faults,
+        |id, n| SparsePushNode::new(id, n, source),
+        |p| p.rumors.fingerprint(),
+    )
+}
+
 fn rr(g: &Graph, faults: &FaultPlan) -> (Round, SimMetrics) {
     let spec = StreamSpec::spread(8, 2, g.node_count());
-    three_ways(
+    both_ways(
         g,
         faults,
         |id, _| RrStreamNode::new(id, &spec),
@@ -100,7 +104,7 @@ fn rr(g: &Graph, faults: &FaultPlan) -> (Round, SimMetrics) {
 
 fn rlc(g: &Graph, faults: &FaultPlan) -> (Round, SimMetrics) {
     let spec = StreamSpec::spread(8, 2, g.node_count());
-    three_ways(
+    both_ways(
         g,
         faults,
         |id, _| RlcStreamNode::new(id, &spec),
@@ -119,6 +123,7 @@ fn ring_of_cliques_unfaulted() {
     // moves both drivers together still shows up.
     for (name, (rounds, m), expected) in [
         ("flood", flood(&g, &none), (14, 44, 71)),
+        ("push", push(&g, &none), (23, 178, 334)),
         ("rr", rr(&g, &none), (21, 336, 446)),
         ("rlc", rlc(&g, &none), (20, 320, 1122)),
     ] {
@@ -135,7 +140,12 @@ fn theorem7_gadget_unfaulted() {
     // does not.
     let g = gadget::theorem7_network(6, 0.4, 2, 1).graph;
     let none = FaultPlan::none();
-    for (rounds, m) in [flood(&g, &none), rr(&g, &none), rlc(&g, &none)] {
+    for (rounds, m) in [
+        flood(&g, &none),
+        push(&g, &none),
+        rr(&g, &none),
+        rlc(&g, &none),
+    ] {
         assert!(rounds < 200);
         assert_eq!(m.lost, 0);
     }
@@ -150,7 +160,12 @@ fn ring_of_cliques_with_crash_and_link_drop() {
             .drop_link(NodeId::new(0), NodeId::new(1), 2);
     // The crashed node is never done, so every run hits the cap — at
     // the same round number whether rounds are visited or skipped.
-    for (rounds, m) in [flood(&g, &plan), rr(&g, &plan), rlc(&g, &plan)] {
+    for (rounds, m) in [
+        flood(&g, &plan),
+        push(&g, &plan),
+        rr(&g, &plan),
+        rlc(&g, &plan),
+    ] {
         assert_eq!(rounds, 200);
         assert!(m.lost > 0, "the plan must swallow at least one exchange");
     }

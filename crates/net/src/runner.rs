@@ -128,8 +128,8 @@ pub struct WireAccounting {
     pub snapshot_frames: u64,
     /// Rumor-payload units carried by the sent frames under a streaming
     /// workload ([`WirePayload::stream_units`] summed send-side): the
-    /// per-rumor traffic ledger `bench-net` reports next to the byte
-    /// counters. 0 for non-streaming payload types.
+    /// per-rumor traffic ledger `gossip run-net` reports next to the
+    /// byte counters. 0 for non-streaming payload types.
     pub stream_units: u64,
 }
 

@@ -23,8 +23,8 @@ pub enum Scheduling {
     /// that received a delivery this round, registered a wakeup for it
     /// ([`Context::wake_in`] / [`Context::wake_at`]), or — in round 0,
     /// which steps everyone — are simply alive. Idle nodes cost
-    /// nothing, and with [`EngineMode::Frontier`] the round counter
-    /// skips dead gaps directly to the next scheduled event.
+    /// nothing, and [`Simulator::run`] skips dead gaps directly to the
+    /// next scheduled event.
     ///
     /// Contract for `OnDemand` protocols:
     /// * Round 0 is a universal wakeup: every live node gets `on_round`
@@ -38,8 +38,9 @@ pub enum Scheduling {
     ///   [`SimConfig::blocking`]) should keep a standing wakeup.
     /// * The caller's stop closure and the [`StopReason::AllDone`] check
     ///   are evaluated only on **event rounds** (rounds with a
-    ///   delivery, a due wakeup, or round 0) — in both engine modes, so
-    ///   dense and frontier runs remain byte-identical.
+    ///   delivery, a due wakeup, or round 0), so a run that skips the
+    ///   rounds in between and a hand-driven [`Stepper`] that visits
+    ///   them remain byte-identical.
     OnDemand,
 }
 
@@ -453,23 +454,15 @@ pub struct SimConfig {
     /// the round): counted in [`SimMetrics::rejected`] and reported via
     /// [`Protocol::on_rejected`].
     pub blocking: bool,
-    /// Execution mode for [`Scheduling::OnDemand`] protocols: both
-    /// modes step only the active frontier; [`EngineMode::Frontier`]
-    /// (the default) also jumps the round counter over event-free
-    /// gaps, while [`EngineMode::Dense`] visits every round number as
-    /// the reference baseline. Both make the identical callback
-    /// sequence — byte-identical rounds, metrics, and per-node states.
-    /// Ignored for [`Scheduling::EveryRound`] protocols (every round
-    /// is an event round, so there is nothing to skip).
-    pub mode: EngineMode,
 }
 
-/// Round-loop strategy for [`Scheduling::OnDemand`] protocols; see
-/// [`SimConfig::mode`].
+/// Kept only because the frozen repo benchmark's struct literals name
+/// `EngineMode::Frontier` (see `SparseConfig::mode` in `gossip-core`):
+/// [`Simulator::run`] always skips event-free rounds for
+/// [`Scheduling::OnDemand`] protocols, and the every-round reference
+/// is the hand-driven [`Stepper`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Visit every round number (reference baseline).
-    Dense,
     /// Skip event-free rounds.
     #[default]
     Frontier,
@@ -484,7 +477,6 @@ impl Default for SimConfig {
             seed: 0,
             connection_cap: None,
             blocking: false,
-            mode: EngineMode::Frontier,
         }
     }
 }
@@ -532,8 +524,9 @@ impl SimMetrics {
 /// Engine-internal execution counters, reported per run. Unlike
 /// [`SimMetrics`] these describe *how* the engine executed, not what
 /// the protocol did, and are **not** part of the determinism contract
-/// across [`EngineMode`]s (`skipped_rounds` is zero in dense mode by
-/// construction). Reported for [`Scheduling::OnDemand`] runs only:
+/// between [`Simulator::run`] and a hand-driven [`Stepper`]
+/// (`skipped_rounds` is zero for the latter by construction).
+/// Reported for [`Scheduling::OnDemand`] runs only:
 /// [`Scheduling::EveryRound`] runs report zeros (the net runner's
 /// `Outcome` does the same), which the frozen `benchmark/expected.json`
 /// pins for its every-round workloads.
@@ -545,7 +538,7 @@ pub struct EngineStats {
     pub woken: u64,
     /// Rounds with at least one event (delivery, wakeup, or round 0).
     pub event_rounds: u64,
-    /// Dead-gap rounds skipped without being visited (frontier mode).
+    /// Dead-gap rounds skipped without being visited.
     pub skipped_rounds: u64,
     /// Largest single-round frontier.
     pub peak_frontier: usize,
@@ -765,21 +758,21 @@ impl<'g> Simulator<'g> {
     /// is evaluated over all node states after the round's deliveries
     /// and ends the run when it returns `true` — every round for
     /// [`Scheduling::EveryRound`] protocols, on event rounds only for
-    /// [`Scheduling::OnDemand`] ones (see there), in both
-    /// [`EngineMode`]s. The [`SimConfig::max_rounds`] cap is honored
-    /// at the same round number in both modes (skip targets are
-    /// clamped to the cap).
+    /// [`Scheduling::OnDemand`] ones (see there), whose event-free
+    /// rounds are skipped without being visited. The
+    /// [`SimConfig::max_rounds`] cap is honored at the round number a
+    /// hand-driven [`Stepper`] reaches it (skip targets are clamped to
+    /// the cap).
     pub fn run<P, F, S>(&self, factory: F, mut stop: S) -> Outcome<P>
     where
         P: Protocol,
         F: FnMut(NodeId, usize) -> P,
         S: FnMut(&[P], Round) -> bool,
     {
-        let skip = Stepper::<P>::ON_DEMAND && self.config.mode == EngineMode::Frontier;
         let mut st = self.stepper(factory);
         loop {
             st.deliver();
-            if st.event {
+            if st.is_event_round() {
                 if stop(st.nodes(), st.round()) {
                     return st.into_outcome(StopReason::Condition);
                 }
@@ -791,7 +784,7 @@ impl<'g> Simulator<'g> {
                 return st.into_outcome(StopReason::MaxRounds);
             }
             st.advance();
-            if skip {
+            if Stepper::<P>::ON_DEMAND {
                 st.skip_idle_rounds();
             }
         }
@@ -1125,6 +1118,15 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         self.round >= self.config.max_rounds
     }
 
+    /// Whether the round `deliver` last settled is an event round
+    /// (see [`Scheduling::OnDemand`]; always, under
+    /// [`Scheduling::EveryRound`]): [`Simulator::run`] consults its
+    /// stop checks only then, and a hand-driven loop that wants its
+    /// stop rounds must do the same.
+    pub fn is_event_round(&self) -> bool {
+        self.event
+    }
+
     /// Installs a choice tape: until [taken
     /// back](Self::take_choice_tape), every [`Context::choose`] inside
     /// `deliver`/`advance` callbacks is scripted by it instead of drawn
@@ -1374,9 +1376,9 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         }
     }
 
-    /// [`EngineMode::Frontier`]'s shortcut, taken right after
-    /// `advance`: jumps the round counter over event-free rounds to the
-    /// next exchange completion or wakeup, clamped to the cap (where
+    /// [`Simulator::run`]'s shortcut, taken right after `advance`:
+    /// jumps the round counter over event-free rounds to the next
+    /// exchange completion or wakeup, clamped to the cap (where
     /// `MaxRounds` fires at the identical round number).
     fn skip_idle_rounds(&mut self) {
         let last = self.round - 1;
@@ -2108,28 +2110,20 @@ mod tests {
     #[test]
     fn wake_at_next_round_fires_exactly_once() {
         // The other boundary: `wake_at(round + 1)` is the earliest legal
-        // wakeup, and it steps the node exactly once, in both engine
-        // modes.
+        // wakeup, and it steps the node exactly once.
         let g = generators::path(2);
         let waker = |_, _| Waker {
             at: 1,
             steps: vec![],
         };
-        for mode in [EngineMode::Dense, EngineMode::Frontier] {
-            let cfg = SimConfig {
-                max_rounds: 5,
-                mode,
-                ..SimConfig::default()
-            };
-            let out = Simulator::new(&g, cfg).run(waker, |_, _| false);
-            assert_eq!(out.reason, StopReason::MaxRounds);
-            for node in &out.nodes {
-                assert_eq!(
-                    node.steps,
-                    vec![0, 1],
-                    "wakeup for round 1 must fire exactly once ({mode:?})"
-                );
-            }
+        let cfg = SimConfig {
+            max_rounds: 5,
+            ..SimConfig::default()
+        };
+        let out = Simulator::new(&g, cfg).run(waker, |_, _| false);
+        assert_eq!(out.reason, StopReason::MaxRounds);
+        for node in &out.nodes {
+            assert_eq!(node.steps, vec![0, 1]);
         }
         // A hand-driven stepper honors the same contract: visiting
         // every round number does not mean stepping every node.
@@ -2171,22 +2165,29 @@ mod tests {
             at: at[id.index()],
             steps: vec![],
         };
-        let run = |mode| {
-            let cfg = SimConfig {
-                max_rounds: MAX_RING_SLOTS + 10,
-                mode,
-                ..SimConfig::default()
-            };
-            let sim = Simulator::new(&g, cfg);
-            assert_eq!(sim.stepper(waker).wakes.slots(), 2);
-            let out = sim.run(waker, |_, _| false);
-            assert_eq!(out.reason, StopReason::MaxRounds);
-            for (node, at) in out.nodes.iter().zip(at) {
-                assert_eq!(node.steps, vec![0, at], "{mode:?}");
-            }
-            out.stats
+        let cfg = SimConfig {
+            max_rounds: MAX_RING_SLOTS + 10,
+            ..SimConfig::default()
         };
-        let (dense, frontier) = (run(EngineMode::Dense), run(EngineMode::Frontier));
+        let sim = Simulator::new(&g, cfg);
+        // The reference visits every round number by hand.
+        let mut st = sim.stepper(waker);
+        assert_eq!(st.wakes.slots(), 2);
+        loop {
+            st.deliver();
+            if st.at_round_cap() {
+                break;
+            }
+            st.advance();
+        }
+        let visited = st.into_outcome(StopReason::MaxRounds);
+        let skipping = sim.run(waker, |_, _| false);
+        assert_eq!(skipping.reason, StopReason::MaxRounds);
+        for out in [&visited, &skipping] {
+            for (node, at) in out.nodes.iter().zip(at) {
+                assert_eq!(node.steps, vec![0, at]);
+            }
+        }
         let expected = EngineStats {
             stepped: 4,
             woken: 2,
@@ -2194,11 +2195,11 @@ mod tests {
             skipped_rounds: 0,
             peak_frontier: 2,
         };
-        assert_eq!(dense, expected);
+        assert_eq!(visited.stats, expected);
         // Rounds 0, 10, `MAX_RING_SLOTS + 5` and the cap are visited.
         let skipped_rounds = MAX_RING_SLOTS + 10 - 3;
         assert_eq!(
-            frontier,
+            skipping.stats,
             EngineStats {
                 skipped_rounds,
                 ..expected

@@ -71,9 +71,8 @@ pub struct NodePacer<'g, P: Protocol> {
     latency_known: bool,
     rng: StdRng,
     pending: Option<(NodeId, u32)>,
-    /// Wake-request slot ([`Context::wake_at`]); drained by
-    /// [`take_wake`](Self::take_wake) so on-demand drivers can honor
-    /// the engine's wakeup contract.
+    /// Wake-request slot, written by [`Context::wake_at`] and never
+    /// read: drivers call [`on_round`](Self::on_round) every round.
     wake: Option<Round>,
     protocol: P,
 }
@@ -153,15 +152,6 @@ impl<'g, P: Protocol> NodePacer<'g, P> {
         let i = usize::try_from(vi).expect("adjacency index fits usize");
         let latency = self.graph.neighbor_latencies(self.node)[i];
         Some(Initiation { peer, latency })
-    }
-
-    /// Takes the wakeup request registered by the protocol's most
-    /// recent callbacks ([`Context::wake_at`]), if any. Drivers pacing
-    /// [`Scheduling::OnDemand`](crate::engine::Scheduling::OnDemand)
-    /// protocols must collect this after each round's callbacks and
-    /// step the node again at the returned round.
-    pub fn take_wake(&mut self) -> Option<Round> {
-        self.wake.take()
     }
 
     /// The node's current payload snapshot ([`Protocol::payload`]).

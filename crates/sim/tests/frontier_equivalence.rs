@@ -1,15 +1,15 @@
 //! Property tests for the frontier-sparse engine's determinism
-//! contract: for [`Scheduling::OnDemand`] protocols, the
-//! [`EngineMode::Frontier`] path (calendar-gap skipping) and the
-//! [`EngineMode::Dense`] path (every round number visited) produce
-//! identical outcomes —
-//! rounds, stop reason, metrics, per-node states, and the
-//! mode-independent engine counters — over random connected topologies
-//! crossed with random fault plans, connection caps, and stop
-//! conditions.
+//! contract: for [`Scheduling::OnDemand`] protocols,
+//! [`Simulator::run`] (calendar-gap skipping) and a hand-driven
+//! [`Stepper`](gossip_sim::Stepper) (every round number visited)
+//! produce identical outcomes — rounds, stop reason, metrics, per-node
+//! states, and the skip-independent engine counters — over random
+//! connected topologies crossed with random fault plans, connection
+//! caps, and stop conditions.
 
 use gossip_sim::{
-    Context, EngineMode, Exchange, FaultPlan, Protocol, RumorSet, Scheduling, SimConfig, Simulator,
+    Context, Exchange, FaultPlan, Outcome, Protocol, RumorSet, Scheduling, SimConfig, Simulator,
+    StopReason,
 };
 use latency_graph::{Graph, NodeId};
 use proptest::prelude::*;
@@ -129,27 +129,52 @@ struct Digest {
     peak_frontier: usize,
 }
 
+/// Which driver runs the simulation.
+#[derive(Clone, Copy)]
+enum Driver {
+    /// [`Simulator::run`]: event-free rounds are skipped.
+    Run,
+    /// `deliver → (event round? stop) → cap → advance` by hand: every
+    /// round number is visited.
+    ByHand,
+}
+
 fn run_once(
     g: &Graph,
     faults: &FaultPlan,
     seed: u64,
     cap: Option<usize>,
     target: usize,
-    mode: EngineMode,
+    driver: Driver,
 ) -> Digest {
     let cfg = SimConfig {
         seed,
         max_rounds: 40,
         connection_cap: cap,
-        mode,
         ..SimConfig::default()
     };
-    let out = Simulator::new(g, cfg).with_faults(faults.clone()).run(
-        |id, n| Jitter {
-            rumors: RumorSet::singleton(n, id),
-        },
-        move |ns: &[Jitter], _| ns.iter().map(|x| x.rumors.len()).sum::<usize>() >= target,
-    );
+    let sim = Simulator::new(g, cfg).with_faults(faults.clone());
+    let factory = |id, n| Jitter {
+        rumors: RumorSet::singleton(n, id),
+    };
+    let stop = |ns: &[Jitter]| ns.iter().map(|x| x.rumors.len()).sum::<usize>() >= target;
+    let out: Outcome<Jitter> = match driver {
+        Driver::Run => sim.run(factory, |ns, _| stop(ns)),
+        Driver::ByHand => {
+            let mut st = sim.stepper(factory);
+            let reason = loop {
+                st.deliver();
+                if st.is_event_round() && stop(st.nodes()) {
+                    break StopReason::Condition;
+                }
+                if st.at_round_cap() {
+                    break StopReason::MaxRounds;
+                }
+                st.advance();
+            };
+            st.into_outcome(reason)
+        }
+    };
     Digest {
         rounds: out.rounds,
         reason: if out.stopped_by_condition() {
@@ -173,9 +198,9 @@ fn run_once(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Dense and Frontier agree on every pinned observable.
+    /// Skipping and visiting agree on every pinned observable.
     #[test]
-    fn dense_and_frontier_agree(
+    fn skipped_and_visited_rounds_agree(
         n in 2usize..14,
         gseed in 0u64..500,
         seed in 0u64..200,
@@ -192,21 +217,21 @@ proptest! {
             1 => n * n / 2,
             _ => n + n / 2,
         };
-        let frontier = run_once(&g, &faults, seed, cap, target, EngineMode::Frontier);
-        let dense = run_once(&g, &faults, seed, cap, target, EngineMode::Dense);
-        prop_assert_eq!(&dense, &frontier);
+        let skipping = run_once(&g, &faults, seed, cap, target, Driver::Run);
+        let visiting = run_once(&g, &faults, seed, cap, target, Driver::ByHand);
+        prop_assert_eq!(&visiting, &skipping);
     }
 
-    /// Frontier-mode round skipping never changes the event structure:
+    /// Round skipping never changes the event structure:
     /// `event_rounds + skipped_rounds`-style accounting aside, a run
     /// whose protocol goes fully idle ends at the same `MaxRounds`
-    /// boundary in both modes.
+    /// boundary either way.
     #[test]
     fn max_rounds_boundary_identical(n in 2usize..10, gseed in 0u64..200, seed in 0u64..100) {
         let g = connected_graph(n, gseed);
         let faults = FaultPlan::none();
-        let a = run_once(&g, &faults, seed, None, usize::MAX, EngineMode::Frontier);
-        let b = run_once(&g, &faults, seed, None, usize::MAX, EngineMode::Dense);
+        let a = run_once(&g, &faults, seed, None, usize::MAX, Driver::Run);
+        let b = run_once(&g, &faults, seed, None, usize::MAX, Driver::ByHand);
         prop_assert_eq!(a.rounds, b.rounds);
         prop_assert_eq!(a.rounds, 40, "idle-capable runs still stop exactly at the cap");
         prop_assert_eq!(a.reason, "max-rounds");

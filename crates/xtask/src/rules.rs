@@ -588,7 +588,8 @@ fn net_confinement(
 /// Family 10 — frontier confinement.
 ///
 /// The frontier engine's determinism contract (byte-identical traces
-/// across engine modes — DESIGN.md §12) rests on one invariant: frontier membership and round-skipping state are
+/// whether idle rounds are skipped or visited — DESIGN.md §12) rests
+/// on one invariant: frontier membership and round-skipping state are
 /// mutated in exactly one place, `sim::engine`'s event loop. Protocols
 /// influence scheduling only through the `Context::wake_at`/`wake_in`
 /// API. So, inside the determinism zone but outside
@@ -726,8 +727,8 @@ fn budget_confinement(
 /// Family 11 — exhaustive match.
 ///
 /// The protocol state machines advance on a handful of enums whose
-/// variant lists *are* the protocol: `StopReason`, `EngineMode`,
-/// `Scheduling`, and the wire `Frame`. A wildcard `_ =>` arm in a
+/// variant lists *are* the protocol: `StopReason`, `Scheduling`, and
+/// the wire `Frame`. A wildcard `_ =>` arm in a
 /// match over one of these silently absorbs any variant added later —
 /// the compiler stays quiet, the golden traces stay green, and the new
 /// state is simply mishandled. Library code in the match zone must
@@ -753,7 +754,7 @@ fn exhaustive_match(
     /// exhaustive.
     const MATCH_ZONE: &[&str] = &["crates/core/src/", "crates/sim/src/", "crates/net/src/"];
     /// The enums whose variant lists are protocol surface.
-    const CRITICAL_ENUMS: &[&str] = &["StopReason", "EngineMode", "Scheduling", "Frame"];
+    const CRITICAL_ENUMS: &[&str] = &["StopReason", "Scheduling", "Frame"];
     if !in_zone(MATCH_ZONE, path) || is_test_tree(path) {
         return;
     }

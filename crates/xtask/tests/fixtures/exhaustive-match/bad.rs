@@ -1,15 +1,8 @@
-//! Bad: wildcard `_ =>` arms in matches over protocol-critical enums.
+//! Bad: a wildcard `_ =>` arm in a match over a protocol-critical enum.
 
 fn classify(stop: StopReason) -> u32 {
     match stop {
         StopReason::AllDone => 0,
         _ => 1,
-    }
-}
-
-fn mode_name(mode: EngineMode) -> &'static str {
-    match mode {
-        EngineMode::Dense => "dense",
-        _ => "other",
     }
 }
