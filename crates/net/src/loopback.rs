@@ -124,12 +124,20 @@ impl Transport for LoopbackTransport {
             .unwrap_or(0)
     }
 
-    fn send(&mut self, release: Round, to: NodeId, frame: &Frame) -> Result<(), NetError> {
-        let bytes = frame.encode()?;
+    /// The hub has no adjacency to hold `_nth` against: it refuses only
+    /// ids outside the cluster.
+    fn send(
+        &mut self,
+        release: Round,
+        to: NodeId,
+        _nth: usize,
+        frame: &Frame,
+    ) -> Result<(), NetError> {
         let mut state = self.state.borrow_mut();
         if to.index() >= state.ready.len() {
             return Err(NetError::UnknownPeer(to));
         }
+        let bytes = frame.encode()?;
         let stats = &mut state.stats[self.node.index()];
         stats.frames_sent += 1;
         stats.bytes_sent += bytes.len() as u64;
@@ -181,9 +189,9 @@ mod tests {
         let hub = LoopbackHub::new(2);
         let mut a = hub.endpoint(NodeId::new(0));
         let mut b = hub.endpoint(NodeId::new(1));
-        a.send(2, NodeId::new(1), &Frame::Done { round: 2 })
+        a.send(2, NodeId::new(1), 0, &Frame::Done { round: 2 })
             .expect("send");
-        a.send(0, NodeId::new(1), &Frame::Done { round: 0 })
+        a.send(0, NodeId::new(1), 0, &Frame::Done { round: 0 })
             .expect("send");
         let r0: Vec<_> = b.poll(0).expect("poll");
         assert_eq!(r0.len(), 1, "only the release-0 frame is visible");
@@ -197,5 +205,17 @@ mod tests {
         assert_eq!(*frame, Frame::Done { round: 2 });
         assert_eq!(a.stats().frames_sent, 2);
         assert_eq!(b.stats().frames_received, 2);
+    }
+
+    #[test]
+    fn sending_outside_the_cluster_is_rejected() {
+        let hub = LoopbackHub::new(2);
+        let mut a = hub.endpoint(NodeId::new(0));
+        let err = a
+            .send(0, NodeId::new(2), 0, &Frame::Bye)
+            .expect_err("node 2 is outside a two-node hub");
+        assert!(matches!(err, NetError::UnknownPeer(v) if v == NodeId::new(2)));
+        assert_eq!(a.stats().frames_sent, 0);
+        assert!(hub.state.borrow().pending.is_empty(), "nothing queued");
     }
 }

@@ -136,14 +136,19 @@ const WHEEL_GRANULARITY: Duration = Duration::from_millis(1);
 /// stalled (a bug escape hatch, not a tuning knob).
 const DRAIN_STALL: Duration = Duration::from_secs(10);
 
+/// `Core::slot` entry of a node this reactor does not host.
+const NOT_HOSTED: u32 = u32::MAX;
+
 /// Per-hosted-node endpoint state.
 struct Hosted {
     neighbors: Vec<NodeId>,
     /// Events the next `poll` returns.
     ready: VecDeque<NetEvent>,
-    /// Drain pacing: frames staged by release round, delivered once the
-    /// node polls a round at or past it (the loopback hub's `pending`).
-    staged: BTreeMap<Round, Vec<NetEvent>>,
+    /// Drain pacing: frames staged with their release round, delivered
+    /// once the node polls a round at or past it (the loopback hub's
+    /// `pending`). Kept sorted by release, arrival order within one
+    /// release, so a poll hands over a prefix.
+    staged: VecDeque<(Round, NetEvent)>,
     /// Peers conclusively lost (sends become silent no-ops).
     lost: BTreeSet<NodeId>,
     stats: TransportStats,
@@ -192,7 +197,12 @@ struct Core {
     hash: u64,
     cfg: ReactorConfig,
     backoff: Backoff,
-    hosted: BTreeMap<NodeId, Hosted>,
+    /// Node id → index into `hosted`, [`NOT_HOSTED`] for the rest: one
+    /// `u32` per graph node, so resolving a frame's endpoint is an
+    /// array read.
+    slot: Vec<u32>,
+    /// The hosted nodes' endpoint state, in ascending id order.
+    hosted: Vec<Hosted>,
     peer_addrs: BTreeMap<NodeId, String>,
     edges: BTreeMap<(NodeId, NodeId), EdgeOut>,
     /// Inbound directed edges `(remote, hosted)` whose handshake has
@@ -249,28 +259,31 @@ impl Core {
                 return Err(NetError::UnknownPeer(u));
             }
         }
-        let mut hosted = BTreeMap::new();
+        let mut slot = vec![NOT_HOSTED; n];
+        for (i, &u) in hosted_ids.iter().enumerate() {
+            slot[u.index()] = u32::try_from(i).expect("hosted count fits u32");
+        }
         let mut edges = BTreeMap::new();
-        for &u in &hosted_ids {
-            let neighbors = graph.neighbor_ids(u).to_vec();
-            for &v in &neighbors {
-                if !hosted_ids.contains(&v) {
-                    edges.insert((u, v), EdgeOut::default());
+        let hosted: Vec<Hosted> = hosted_ids
+            .iter()
+            .map(|&u| {
+                let neighbors = graph.neighbor_ids(u).to_vec();
+                for &v in &neighbors {
+                    if slot[v.index()] == NOT_HOSTED {
+                        edges.insert((u, v), EdgeOut::default());
+                    }
                 }
-            }
-            hosted.insert(
-                u,
                 Hosted {
                     neighbors,
                     ready: VecDeque::new(),
-                    staged: BTreeMap::new(),
+                    staged: VecDeque::new(),
                     lost: BTreeSet::new(),
                     stats: TransportStats::default(),
                     caps: 0,
                     active: true,
-                },
-            );
-        }
+                }
+            })
+            .collect();
         let listener = TcpListener::bind(&cfg.listen).map_err(NetError::Io)?;
         listener.set_nonblocking(true).map_err(NetError::Io)?;
         let listen_addr = listener.local_addr().map_err(NetError::Io)?;
@@ -288,6 +301,7 @@ impl Core {
             hash: graph.topology_hash(),
             cfg,
             backoff,
+            slot,
             hosted,
             peer_addrs: BTreeMap::new(),
             edges,
@@ -313,6 +327,23 @@ impl Core {
             events_scratch: Vec::new(),
             timers_scratch: Vec::new(),
         })
+    }
+
+    /// `v`'s index into `hosted`, or `None` when another process or
+    /// reactor hosts it.
+    fn slot_of(&self, v: NodeId) -> Option<usize> {
+        match self.slot.get(v.index()) {
+            Some(&s) if s != NOT_HOSTED => Some(usize::try_from(s).expect("slot fits usize")),
+            _ => None,
+        }
+    }
+
+    fn hosted(&self, v: NodeId) -> Option<&Hosted> {
+        self.slot_of(v).map(|s| &self.hosted[s])
+    }
+
+    fn hosted_mut(&mut self, v: NodeId) -> Option<&mut Hosted> {
+        self.slot_of(v).map(|s| &mut self.hosted[s])
     }
 
     /// The deterministic trunk for directed edge `src → dst` (fmix64 of
@@ -675,7 +706,7 @@ impl Core {
             to: node,
             n: self.n,
             topology_hash: self.hash,
-            caps: self.hosted.get(&to).map_or(0, |h| h.caps),
+            caps: self.hosted(to).map_or(0, |h| h.caps),
         };
         if let Some(conn) = self.conns[idx].as_mut() {
             conn.wq.push_frame(&answer).expect("hello frame fits");
@@ -683,8 +714,7 @@ impl Core {
         self.mark_dirty(idx);
         let valid = validate_hello(frame, self.n, self.hash).is_ok()
             && self
-                .hosted
-                .get(&to)
+                .hosted(to)
                 .is_some_and(|h| h.neighbors.binary_search(&node).is_ok());
         if let Some(conn) = self.conns[idx].as_mut() {
             if valid {
@@ -761,7 +791,8 @@ impl Core {
         frame: Frame,
         used: u64,
     ) -> Result<(), NetError> {
-        let Some(hosted) = self.hosted.get_mut(&dst) else {
+        let drain = self.cfg.pacing == Pacing::Drain;
+        let Some(hosted) = self.hosted_mut(dst) else {
             return Err(NetError::ProtocolViolation(format!(
                 "frame for node {}, which this reactor does not host",
                 dst.index()
@@ -770,8 +801,11 @@ impl Core {
         hosted.stats.frames_received += 1;
         hosted.stats.bytes_received += used;
         let event = NetEvent::Frame { from: src, frame };
-        if self.cfg.pacing == Pacing::Drain {
-            hosted.staged.entry(release).or_default().push(event);
+        if drain {
+            // Behind every staged frame of an equal or earlier release:
+            // arrival order within a release is the §14 contract.
+            let at = hosted.staged.partition_point(|&(r, _)| r <= release);
+            hosted.staged.insert(at, (release, event));
         } else {
             hosted.ready.push_back(event);
         }
@@ -907,7 +941,7 @@ impl Core {
                         to,
                         n: self.n,
                         topology_hash: self.hash,
-                        caps: self.hosted.get(&from).map_or(0, |h| h.caps),
+                        caps: self.hosted(from).map_or(0, |h| h.caps),
                     })
                     .expect("hello frame fits");
                 let idx = self.register(conn)?;
@@ -962,7 +996,7 @@ impl Core {
         if !self.retire_edge(from, to) {
             return;
         }
-        if let Some(hosted) = self.hosted.get_mut(&from) {
+        if let Some(hosted) = self.hosted_mut(from) {
             if hosted.lost.insert(to) {
                 hosted.ready.push_back(NetEvent::PeerLost(PeerLoss {
                     peer: to,
@@ -975,7 +1009,7 @@ impl Core {
 
     /// Routes wheel-released (shaped) bytes to their destination.
     fn route_released(&mut self, src: NodeId, dst: NodeId, bytes: Vec<u8>) {
-        if self.hosted.contains_key(&dst) {
+        if self.slot_of(dst).is_some() {
             let t = self.trunk_of(src, dst);
             let idx = self.trunk_out[t];
             if let Some(conn) = self.conns[idx].as_mut() {
@@ -1005,32 +1039,35 @@ impl Core {
 
     // ---- transport entry points ------------------------------------
 
-    /// Queues `frame` from hosted `src` toward its neighbor `to`: on the
-    /// wheel when wall pacing shapes it, else on `to`'s trunk (hosted)
-    /// or on the edge `src → to` (remote; its outage backlog while the
-    /// connection is down).
+    /// Queues `frame` from hosted `src` toward its neighbor `to`, the
+    /// `nth` entry of `src`'s adjacency row: on the wheel when wall
+    /// pacing shapes it, else on `to`'s trunk (hosted) or on the edge
+    /// `src → to` (remote; its outage backlog while the connection is
+    /// down).
     fn send_from(
         &mut self,
         src: NodeId,
         release: Round,
         to: NodeId,
+        nth: usize,
         frame: &Frame,
     ) -> Result<(), NetError> {
         if self.down {
             return Ok(()); // teardown already reported whatever mattered
         }
-        let to_hosted = self.edges.is_empty() || self.hosted.contains_key(&to);
+        let to_hosted = self.slot_of(to).is_some();
         let trunk = self.trunk_of(src, to);
-        // The one walk to `src`'s state: the borrow lasts to the counter
-        // update at the end, so everything between goes field by field
-        // (and the trunk is picked before it starts).
-        let Some(hosted) = self.hosted.get_mut(&src) else {
+        // `src`'s state is borrowed field-wise to the counter update at
+        // the end, so everything between goes field by field (and the
+        // trunk is picked before it starts).
+        let Some(slot) = self.slot_of(src) else {
             return Err(NetError::ProtocolViolation(format!(
                 "send from node {}, which this reactor does not host",
                 src.index()
             )));
         };
-        if hosted.neighbors.binary_search(&to).is_err() {
+        let hosted = &mut self.hosted[slot];
+        if hosted.neighbors.get(nth) != Some(&to) {
             return Err(NetError::UnknownPeer(to));
         }
         if hosted.lost.contains(&to) {
@@ -1119,24 +1156,16 @@ impl Core {
                 self.pump_until(target)?;
             }
         }
-        let Some(hosted) = self.hosted.get_mut(&node) else {
+        let Some(hosted) = self.hosted_mut(node) else {
             return Err(NetError::ProtocolViolation(format!(
                 "poll for node {}, which this reactor does not host",
                 node.index()
             )));
         };
-        while let Some((&release, _)) = hosted.staged.first_key_value() {
-            if release > round {
-                break;
-            }
-            let batch = hosted
-                .staged
-                .pop_first()
-                .map(|(_, batch)| batch)
-                .unwrap_or_default();
-            hosted.ready.extend(batch);
-        }
-        Ok(hosted.ready.drain(..).collect())
+        let due = hosted.staged.partition_point(|&(r, _)| r <= round);
+        let mut events: Vec<NetEvent> = hosted.ready.drain(..).collect();
+        events.extend(hosted.staged.drain(..due).map(|(_, event)| event));
+        Ok(events)
     }
 
     /// Trunk write queues empty and every routed envelope decoded: with
@@ -1199,7 +1228,7 @@ impl Core {
     }
 
     fn endpoint_shutdown(&mut self, node: NodeId) {
-        let Some(hosted) = self.hosted.get_mut(&node) else {
+        let Some(hosted) = self.hosted_mut(node) else {
             return;
         };
         if !hosted.active {
@@ -1278,7 +1307,7 @@ impl Reactor {
     /// Panics if `node` is not hosted by this reactor.
     pub fn endpoint(&self, node: NodeId) -> ReactorEndpoint {
         assert!(
-            self.core.borrow().hosted.contains_key(&node),
+            self.core.borrow().slot_of(node).is_some(),
             "node {} is not hosted by this reactor",
             node.index()
         );
@@ -1318,7 +1347,7 @@ impl Transport for ReactorEndpoint {
     }
 
     fn set_caps(&mut self, caps: u32) {
-        if let Some(hosted) = self.core.borrow_mut().hosted.get_mut(&self.node) {
+        if let Some(hosted) = self.core.borrow_mut().hosted_mut(self.node) {
             hosted.caps = caps;
         }
     }
@@ -1327,16 +1356,22 @@ impl Transport for ReactorEndpoint {
         let core = self.core.borrow();
         // A hosted peer never handshakes with us (trunk traffic skips
         // the Hello exchange), so its caps are read off its own state.
-        match core.hosted.get(&peer) {
+        match core.hosted(peer) {
             Some(hosted) => hosted.caps,
             None => core.remote_caps.get(&peer).copied().unwrap_or(0),
         }
     }
 
-    fn send(&mut self, release: Round, to: NodeId, frame: &Frame) -> Result<(), NetError> {
+    fn send(
+        &mut self,
+        release: Round,
+        to: NodeId,
+        nth: usize,
+        frame: &Frame,
+    ) -> Result<(), NetError> {
         self.core
             .borrow_mut()
-            .send_from(self.node, release, to, frame)
+            .send_from(self.node, release, to, nth, frame)
     }
 
     fn poll(&mut self, round: Round) -> Result<Vec<NetEvent>, NetError> {
@@ -1346,8 +1381,7 @@ impl Transport for ReactorEndpoint {
     fn stats(&self) -> TransportStats {
         self.core
             .borrow()
-            .hosted
-            .get(&self.node)
+            .hosted(self.node)
             .map(|h| h.stats)
             .unwrap_or_default()
     }
@@ -1536,7 +1570,7 @@ mod tests {
             round: 0,
             payload: vec![1, 2, 3],
         };
-        e0.send(2, NodeId::new(1), &req).expect("send");
+        e0.send(2, NodeId::new(1), 0, &req).expect("send");
         assert!(
             e1.poll(1).expect("poll").is_empty(),
             "release 2 must not surface at round 1"
@@ -1584,7 +1618,9 @@ mod tests {
                         round: 0,
                         payload: vec![from as u8; 512],
                     };
-                    ends[from].send(1, NodeId::new(to), &frame).expect("send");
+                    ends[from]
+                        .send(1, NodeId::new(to), 0, &frame)
+                        .expect("send");
                 }
             }
             sent += 2048;
@@ -1637,9 +1673,74 @@ mod tests {
         let mut e2 = reactor.endpoint(NodeId::new(2));
         e0.start().expect("start");
         let err = e0
-            .send(0, NodeId::new(2), &Frame::Bye)
+            .send(0, NodeId::new(2), 0, &Frame::Bye)
             .expect_err("0 and 2 are not adjacent on a path");
         assert!(matches!(err, NetError::UnknownPeer(v) if v == NodeId::new(2)));
         e2.shutdown();
+    }
+
+    #[test]
+    fn send_position_must_name_the_peer() {
+        // Node 1 of a path has the row [0, 2]: position 0 names the
+        // other neighbor, position 2 is past the row.
+        let g = generators::path(3);
+        let reactor = Reactor::new(&g, (0..3).map(NodeId::new), drain_cfg()).expect("reactor");
+        let mut e1 = reactor.endpoint(NodeId::new(1));
+        e1.start().expect("start");
+        for nth in [0, 2] {
+            let err = e1
+                .send(1, NodeId::new(2), nth, &Frame::Bye)
+                .expect_err("position does not name node 2");
+            assert!(matches!(err, NetError::UnknownPeer(v) if v == NodeId::new(2)));
+        }
+        assert_eq!(e1.stats().frames_sent, 0);
+        let core = reactor.core.borrow();
+        assert_eq!(core.routed_enqueued, 0, "nothing queued");
+        assert_eq!(core.trunk_backlog(), 0);
+    }
+
+    #[test]
+    fn staged_frames_surface_by_release_then_arrival() {
+        // DESIGN.md §14: a drain-paced poll hands over every staged
+        // frame with release ≤ round, ascending release, arrival order
+        // within one. One trunk makes arrival order the send order.
+        let g = generators::clique(4);
+        let cfg = ReactorConfig {
+            trunks: 1,
+            ..drain_cfg()
+        };
+        let reactor = Reactor::new(&g, (0..4).map(NodeId::new), cfg).expect("reactor");
+        let mut ends: Vec<ReactorEndpoint> =
+            (0..4).map(|i| reactor.endpoint(NodeId::new(i))).collect();
+        ends[0].start().expect("start");
+        // (sender, release, seq); node 0 is position 0 of every row.
+        let sends = [(1, 3, 1), (2, 2, 2), (3, 3, 3), (2, 3, 4)];
+        for (from, release, seq) in sends {
+            let frame = Frame::Request {
+                seq,
+                round: 0,
+                payload: Vec::new(),
+            };
+            ends[from]
+                .send(release, NodeId::new(0), 0, &frame)
+                .expect("send");
+        }
+        // Land every frame in the staging queue before the first poll.
+        reactor.core.borrow_mut().pump_drain().expect("pump");
+        assert_eq!(reactor.core.borrow().hosted[0].staged.len(), 4);
+        assert!(ends[0].poll(1).expect("poll 1").is_empty());
+        let order: Vec<(usize, u64)> = ends[0]
+            .poll(3)
+            .expect("poll 3")
+            .into_iter()
+            .map(|event| match event {
+                NetEvent::Frame {
+                    from,
+                    frame: Frame::Request { seq, .. },
+                } => (from.index(), seq),
+                other => panic!("unexpected event: {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, [(2, 2), (1, 1), (3, 3), (2, 4)]);
     }
 }

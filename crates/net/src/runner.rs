@@ -157,6 +157,10 @@ impl WireAccounting {
 struct PendingInit<Pl> {
     peer: NodeId,
     round: Round,
+    /// The edge latency [`Initiation`](gossip_sim::pacing::Initiation)
+    /// resolved at launch: the reply is held to `round + latency`
+    /// without searching the adjacency row again.
+    latency: Round,
     weight: u64,
     /// The payload snapshot this request carried — retained in delta
     /// mode only, as the decode basis for a [`Frame::ReplyDelta`] and
@@ -233,12 +237,6 @@ fn encode_for_wire<Pl: WirePayload>(
     (bytes, None)
 }
 
-struct Held<Pl> {
-    initiated_at: Round,
-    initiator: NodeId,
-    exchange: Exchange<Pl>,
-}
-
 /// Drives one protocol node over a [`Transport`], enforcing the paper's
 /// pacing contract: at most one initiation per round, exchanges applied
 /// at exactly `t + ℓ`, payload snapshots taken at `t`.
@@ -247,7 +245,15 @@ pub struct NetRunner<'g, P: Protocol, T: Transport> {
     pacer: NodePacer<'g, P>,
     transport: T,
     max_rounds: Round,
-    hold: BTreeMap<Round, Vec<Held<P::Payload>>>,
+    /// The id universe of this node's own payload, read once: a decoded
+    /// payload over any other is refused ([`check_universe`](Self::check_universe)).
+    universe: Option<usize>,
+    /// Received exchanges awaiting their due round (`completed_at`), in
+    /// no particular order: [`deliver_due`](Self::deliver_due) sorts
+    /// what it takes out.
+    hold: Vec<Exchange<P::Payload>>,
+    /// `deliver_due`'s batch buffer, kept between rounds.
+    batch: Vec<Exchange<P::Payload>>,
     pending: BTreeMap<u64, PendingInit<P::Payload>>,
     /// Requests that arrived *before* their initiation round on our
     /// clock (possible over TCP when a peer's epoch leads ours): held
@@ -303,12 +309,15 @@ where
         // ride every handshake from the start; with_payload_mode ORs in
         // the mode bits on top.
         transport.set_caps(P::Payload::caps());
+        let pacer = NodePacer::new(graph, node, protocol, config);
         NetRunner {
             graph,
-            pacer: NodePacer::new(graph, node, protocol, config),
+            universe: pacer.payload().wire_universe(),
+            pacer,
             transport,
             max_rounds: config.max_rounds,
-            hold: BTreeMap::new(),
+            hold: Vec::new(),
+            batch: Vec::new(),
             pending: BTreeMap::new(),
             deferred: BTreeMap::new(),
             answered: BTreeMap::new(),
@@ -432,11 +441,12 @@ where
             PendingInit {
                 peer: init.peer,
                 round,
+                latency: init.latency.rounds(),
                 weight,
                 sent: (self.mode == PayloadMode::Delta).then_some(payload),
             },
         );
-        self.transport.send(round, init.peer, &frame)
+        self.transport.send(round, init.peer, init.nth, &frame)
     }
 
     /// Phase 4b: a second, non-blocking poll of the same round, so
@@ -458,13 +468,6 @@ where
         }
         let events = self.transport.poll(round)?;
         self.ingest(round, events)
-    }
-
-    fn latency_to(&self, peer: NodeId) -> Result<u64, NetError> {
-        self.graph
-            .latency(self.node(), peer)
-            .map(latency_graph::Latency::rounds)
-            .ok_or(NetError::UnknownPeer(peer))
     }
 
     fn ingest(&mut self, now: Round, events: Vec<NetEvent>) -> Result<(), NetError> {
@@ -541,7 +544,7 @@ where
                     if let Some(cache) = self.knowledge.get_mut(&from) {
                         // References are monotone (see `EdgeCache`), so
                         // older bases are dead weight.
-                        cache.bases = cache.bases.split_off(&basis_seq);
+                        cache.bases.retain(|&s, _| s >= basis_seq);
                     }
                 }
                 self.stage_request(now, from, seq, round, theirs)
@@ -598,7 +601,7 @@ where
         let Some(got) = theirs.wire_universe() else {
             return Ok(());
         };
-        match self.pacer.payload().wire_universe() {
+        match self.universe {
             Some(want) if want != got => Err(NetError::ProtocolViolation(format!(
                 "payload from node {} ranges over universe {got}, this node's over {want}",
                 from.index()
@@ -644,12 +647,20 @@ where
             return Ok(()); // duplicate after a TCP re-send; already answered
         }
         *hi = seq;
-        let due = t + self.latency_to(from)?;
+        // The one adjacency search of an answered exchange: its position
+        // gives both the due round and the send's peer check.
+        let me = self.node();
+        let nth = self
+            .graph
+            .neighbor_index(me, from)
+            .ok_or(NetError::UnknownPeer(from))?;
+        let due = t + self.graph.neighbor_latencies(me)[nth].rounds();
+        let caps = self.transport.peer_caps(from);
         let mine = self.pacer.payload();
         let (bytes, delta_basis) = encode_for_wire(
             &mut self.accounting,
             self.mode,
-            self.transport.peer_caps(from),
+            caps,
             &mine,
             Some((seq, &theirs)),
         );
@@ -666,8 +677,8 @@ where
                 payload: bytes,
             },
         };
-        self.transport.send(due, from, &frame)?;
-        if self.mode == PayloadMode::Delta && self.transport.peer_caps(from) & CAP_DELTA != 0 {
+        self.transport.send(due, from, nth, &frame)?;
+        if self.mode == PayloadMode::Delta && caps & CAP_DELTA != 0 {
             if let Some(merged) = mine.merge_basis(&theirs) {
                 self.knowledge
                     .entry(from)
@@ -676,16 +687,12 @@ where
                     .insert(seq, merged);
             }
         }
-        self.hold.entry(due).or_default().push(Held {
+        self.hold.push(Exchange {
+            peer: from,
+            payload: theirs,
             initiated_at: t,
-            initiator: from,
-            exchange: Exchange {
-                peer: from,
-                payload: theirs,
-                initiated_at: t,
-                completed_at: due,
-                initiated_by_me: false,
-            },
+            completed_at: due,
+            initiated_by_me: false,
         });
         Ok(())
     }
@@ -714,7 +721,7 @@ where
                 from.index()
             )));
         }
-        let due = t + self.latency_to(from)?;
+        let due = t + pend.latency;
         let theirs = match basis_seq {
             None => P::Payload::decode_payload(payload)?,
             Some(0) => P::Payload::decode_delta(payload, None)?,
@@ -746,17 +753,12 @@ where
                 }
             }
         }
-        let me = self.node();
-        self.hold.entry(due).or_default().push(Held {
+        self.hold.push(Exchange {
+            peer: from,
+            payload: theirs,
             initiated_at: t,
-            initiator: me,
-            exchange: Exchange {
-                peer: from,
-                payload: theirs,
-                initiated_at: t,
-                completed_at: due,
-                initiated_by_me: true,
-            },
+            completed_at: due,
+            initiated_by_me: true,
         });
         Ok(())
     }
@@ -766,18 +768,14 @@ where
     /// by initiator id (the engine admits same-round initiations in node
     /// order).
     fn deliver_due(&mut self, round: Round) {
-        let mut batch: Vec<Held<P::Payload>> = Vec::new();
-        while let Some((&due, _)) = self.hold.first_key_value() {
-            if due > round {
-                break;
-            }
-            let mut entries = self.hold.remove(&due).expect("first key exists");
-            batch.append(&mut entries);
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.extend(self.hold.extract_if(.., |x| x.completed_at <= round));
+        let me = self.node();
+        batch.sort_by_key(|x| (x.initiated_at, if x.initiated_by_me { me } else { x.peer }));
+        for exchange in batch.drain(..) {
+            self.pacer.deliver(round, &exchange);
         }
-        batch.sort_by_key(|h| (h.initiated_at, h.initiator));
-        for held in batch {
-            self.pacer.deliver(round, &held.exchange);
-        }
+        self.batch = batch;
     }
 
     fn mark_gone(&mut self, peer: NodeId) {
@@ -799,12 +797,14 @@ where
         }
     }
 
-    fn live_neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
+    /// Neighbors not departed or lost, with their adjacency positions.
+    fn live_neighbors(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
         self.graph
             .neighbor_ids(self.node())
             .iter()
             .copied()
-            .filter(|v| !self.peers_gone.contains(v))
+            .enumerate()
+            .filter(|(_, v)| !self.peers_gone.contains(v))
     }
 
     /// Self-driving loop for distributed transports (TCP): runs rounds
@@ -861,9 +861,10 @@ where
             };
             if self.pacer.is_done() || done(self.pacer.protocol(), &view) {
                 self.done_round = Some(round);
-                let live: Vec<NodeId> = self.live_neighbors().collect();
-                for peer in live {
-                    self.transport.send(round, peer, &Frame::Done { round })?;
+                let live: Vec<(usize, NodeId)> = self.live_neighbors().collect();
+                for (nth, peer) in live {
+                    self.transport
+                        .send(round, peer, nth, &Frame::Done { round })?;
                 }
             }
         }
@@ -890,11 +891,11 @@ where
     /// Finishes the node: best-effort [`Frame::Bye`] to live neighbors,
     /// transport teardown, and the final [`NodeOutcome`].
     pub fn into_outcome(mut self, rounds: Round, reason: NodeStopReason) -> NodeOutcome<P> {
-        let live: Vec<NodeId> = self.live_neighbors().collect();
-        for peer in live {
+        let live: Vec<(usize, NodeId)> = self.live_neighbors().collect();
+        for (nth, peer) in live {
             // Best-effort goodbye; a peer that cannot be reached is
             // already accounted for.
-            let _ = self.transport.send(rounds, peer, &Frame::Bye);
+            let _ = self.transport.send(rounds, peer, nth, &Frame::Bye);
         }
         self.transport.shutdown();
         let stats = self.transport.stats();
@@ -1107,7 +1108,13 @@ mod tests {
         fn peer_caps(&self, peer: NodeId) -> u32 {
             self.caps.get(&peer).copied().unwrap_or(0)
         }
-        fn send(&mut self, release: Round, to: NodeId, frame: &Frame) -> Result<(), NetError> {
+        fn send(
+            &mut self,
+            release: Round,
+            to: NodeId,
+            _nth: usize,
+            frame: &Frame,
+        ) -> Result<(), NetError> {
             self.sent.borrow_mut().push((release, to, frame.clone()));
             Ok(())
         }
@@ -1276,6 +1283,79 @@ mod tests {
             basis_seq, 0,
             "reconnect renegotiates from the full snapshot"
         );
+    }
+
+    #[test]
+    fn exchanges_are_held_to_their_own_edge_latency() {
+        // Node 1 of the path 0 —5— 1 —2— 2 launches over its ℓ = 5 edge
+        // (row position 0) and answers a request over its ℓ = 2 edge.
+        let mut b = latency_graph::GraphBuilder::new(3);
+        b.add_edge(0, 1, 5).expect("edge");
+        b.add_edge(1, 2, 2).expect("edge");
+        let g = b.build().expect("graph");
+        let (me, slow, fast) = (NodeId::new(1), NodeId::new(0), NodeId::new(2));
+        let sent: SentLog = std::rc::Rc::default();
+        let transport = Scripted {
+            node: me,
+            caps: BTreeMap::new(),
+            inbox: VecDeque::new(),
+            sent: std::rc::Rc::clone(&sent),
+        };
+        let protocol = FirstNeighbor {
+            rumors: RumorSet::singleton(3, me),
+        };
+        let mut runner = NetRunner::new(&g, me, protocol, &SimConfig::default(), transport);
+        runner.start().expect("start");
+        runner.begin_round(0).expect("round 0");
+        runner.launch(0).expect("launch 0");
+        let (release, to, request) = sent.borrow().last().expect("request sent").clone();
+        assert_eq!((release, to), (0, slow));
+        let Frame::Request { seq, .. } = request else {
+            panic!("expected a request, got {request:?}");
+        };
+        let snapshot = |v: NodeId| {
+            let mut bytes = Vec::new();
+            RumorSet::singleton(3, v).encode_payload(&mut bytes);
+            bytes
+        };
+        runner.transport.inbox.extend([
+            NetEvent::Frame {
+                from: slow,
+                frame: Frame::Reply {
+                    seq,
+                    round: 0,
+                    payload: snapshot(slow),
+                },
+            },
+            NetEvent::Frame {
+                from: fast,
+                frame: Frame::Request {
+                    seq: 1,
+                    round: 0,
+                    payload: snapshot(fast),
+                },
+            },
+        ]);
+        runner.settle(0).expect("settle 0");
+        let (release, to, _) = sent.borrow().last().expect("reply sent").clone();
+        assert_eq!((release, to), (2, fast), "reply released at t + 2");
+        let mut held: Vec<(NodeId, Round)> = runner
+            .hold
+            .iter()
+            .map(|x| (x.peer, x.completed_at))
+            .collect();
+        held.sort();
+        assert_eq!(held, [(slow, 5), (fast, 2)]);
+        let knows = |r: &NetRunner<'_, FirstNeighbor, Scripted>| {
+            [slow, fast].map(|v| r.protocol().rumors.contains(v))
+        };
+        for (round, want) in [(1, [false, false]), (2, [false, true]), (4, [false, true])] {
+            runner.begin_round(round).expect("round");
+            assert_eq!(knows(&runner), want, "round {round}");
+        }
+        runner.begin_round(5).expect("round 5");
+        assert_eq!(knows(&runner), [true, true], "round 5");
+        assert!(runner.hold.is_empty());
     }
 
     #[test]

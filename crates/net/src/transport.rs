@@ -67,10 +67,13 @@ pub enum NetEvent {
 ///    same round must not block again: the second call is the
 ///    non-blocking drain the runner uses at the end of a round to answer
 ///    freshly arrived requests.
-/// 3. [`send(release, to, frame)`](Transport::send) — queue `frame` so
-///    the receiver can observe it in its poll of round `release` (or
-///    later; never earlier than the transport can help). Sending to a
-///    peer already reported lost is a silent no-op.
+/// 3. [`send(release, to, nth, frame)`](Transport::send) — queue
+///    `frame` so the receiver can observe it in its poll of round
+///    `release` (or later; never earlier than the transport can help).
+///    `nth` is `to`'s position in the sender's adjacency row, which
+///    the runner always already holds, so a transport that knows the
+///    adjacency checks the peer in O(1) instead of searching the row.
+///    Sending to a peer already reported lost is a silent no-op.
 /// 4. [`shutdown`](Transport::shutdown) — release sockets and threads;
 ///    idempotent.
 pub trait Transport {
@@ -98,8 +101,19 @@ pub trait Transport {
     }
 
     /// Queues `frame` for `to`, observable in `to`'s poll of round
-    /// `release` at the earliest.
-    fn send(&mut self, release: Round, to: NodeId, frame: &Frame) -> Result<(), NetError>;
+    /// `release` at the earliest. `nth` is `to`'s position in the local
+    /// node's adjacency row (`graph.neighbor_ids(local)[nth]`). A peer
+    /// the transport can tell is wrong — a position naming another
+    /// node or past the row (reactor), an id outside the cluster
+    /// (loopback, which knows only the node count) — is
+    /// [`NetError::UnknownPeer`] and queues nothing.
+    fn send(
+        &mut self,
+        release: Round,
+        to: NodeId,
+        nth: usize,
+        frame: &Frame,
+    ) -> Result<(), NetError>;
 
     /// Blocks until `round` has begun locally, then drains arrivals.
     fn poll(&mut self, round: Round) -> Result<Vec<NetEvent>, NetError>;

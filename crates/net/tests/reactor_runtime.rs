@@ -372,7 +372,7 @@ fn foreign_universe_frame_is_a_typed_error_on_loopback_and_reactor() {
             basis_seq: 0,
             payload: vec![9, 0, 0],
         };
-        rogue.send(0, me, &frame).expect("send");
+        rogue.send(0, me, 0, &frame).expect("send");
         let err = runner.begin_round(0).expect_err("foreign universe");
         assert!(
             matches!(&err, NetError::ProtocolViolation(why) if why.contains("universe 9")),

@@ -48,6 +48,10 @@ pub fn node_seed(seed: u64, node: NodeId) -> u64 {
 pub struct Initiation {
     /// The chosen neighbor.
     pub peer: NodeId,
+    /// `peer`'s position in the initiator's adjacency row
+    /// (`graph.neighbor_ids(node)[nth] == peer`), so drivers never
+    /// search the row for it again.
+    pub nth: usize,
     /// The latency of the connecting edge (from the graph, whether or
     /// not the protocol is allowed to observe it).
     pub latency: Latency,
@@ -149,9 +153,9 @@ impl<'g, P: Protocol> NodePacer<'g, P> {
     pub fn on_round(&mut self, round: Round) -> Option<Initiation> {
         self.with_ctx(round, P::on_round);
         let (peer, vi) = self.pending.take()?;
-        let i = usize::try_from(vi).expect("adjacency index fits usize");
-        let latency = self.graph.neighbor_latencies(self.node)[i];
-        Some(Initiation { peer, latency })
+        let nth = usize::try_from(vi).expect("adjacency index fits usize");
+        let latency = self.graph.neighbor_latencies(self.node)[nth];
+        Some(Initiation { peer, nth, latency })
     }
 
     /// The node's current payload snapshot ([`Protocol::payload`]).
@@ -237,6 +241,7 @@ mod tests {
             for round in 0..config.max_rounds {
                 let init = pacer.on_round(round).expect("recorder always initiates");
                 assert_eq!(g.latency(node, init.peer), Some(init.latency));
+                assert_eq!(g.neighbor_ids(node)[init.nth], init.peer);
             }
             let p = pacer.into_protocol();
             assert_eq!(p.draws, engine_out.nodes[v].draws, "node {v} draw stream");
