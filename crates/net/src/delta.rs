@@ -196,6 +196,10 @@ fn encode_runs(runs: impl Iterator<Item = (u32, u32)>, count: usize, out: &mut V
 /// against the universe. Every malformed input — universe mismatch,
 /// id or run out of bounds, non-monotone gaps, stray tail bits,
 /// trailing bytes — maps to a typed [`CodecError`], never a panic.
+///
+/// An empty id or run list ("nothing new", the steady state of a soak)
+/// decodes to the basis itself: a refcount bump that shares its buffer,
+/// as the engine's payload snapshots do, with no word array built.
 pub fn decode_rumor_delta(bytes: &[u8], basis: Option<&RumorSet>) -> Result<RumorSet, CodecError> {
     let mut cur = Cursor::new(bytes);
     let wide = cur.varint()?;
@@ -208,14 +212,29 @@ pub fn decode_rumor_delta(bytes: &[u8], basis: Option<&RumorSet>) -> Result<Rumo
             return Err(CodecError::BadBody("delta universe differs from basis"));
         }
     }
-    let nwords = universe.div_ceil(64);
-    let mut words = vec![0u64; nwords];
-    match cur.u8()? {
-        TAG_SPARSE => {
+    let tag = cur.u8()?;
+    let count = match tag {
+        TAG_SPARSE | TAG_RUNS => {
             let count = cur.varint()?;
             if count > wide {
-                return Err(CodecError::BadBody("delta id count exceeds universe"));
+                return Err(CodecError::BadBody(if tag == TAG_SPARSE {
+                    "delta id count exceeds universe"
+                } else {
+                    "delta run count exceeds universe"
+                }));
             }
+            if count == 0 {
+                cur.finish()?;
+                return Ok(basis.map_or_else(|| RumorSet::new(universe), RumorSet::clone));
+            }
+            count
+        }
+        TAG_WORDS => 0,
+        _ => return Err(CodecError::BadBody("unknown delta tag")),
+    };
+    let mut words = vec![0u64; universe.div_ceil(64)];
+    match tag {
+        TAG_SPARSE => {
             let mut prev = 0u64;
             for _ in 0..count {
                 let gap = cur.varint()?;
@@ -229,10 +248,6 @@ pub fn decode_rumor_delta(bytes: &[u8], basis: Option<&RumorSet>) -> Result<Rumo
             }
         }
         TAG_RUNS => {
-            let count = cur.varint()?;
-            if count > wide {
-                return Err(CodecError::BadBody("delta run count exceeds universe"));
-            }
             let mut prev_end = 0u64;
             for _ in 0..count {
                 let gap = cur.varint()?;
@@ -251,12 +266,12 @@ pub fn decode_rumor_delta(bytes: &[u8], basis: Option<&RumorSet>) -> Result<Rumo
                 prev_end = end;
             }
         }
-        TAG_WORDS => {
+        // TAG_WORDS, the one tag left after the check above.
+        _ => {
             for w in &mut words {
                 *w = cur.u64()?;
             }
         }
-        _ => return Err(CodecError::BadBody("unknown delta tag")),
     }
     cur.finish()?;
     if let Some(b) = basis {
@@ -303,6 +318,40 @@ mod tests {
                 assert_eq!(back, snap);
                 assert_eq!(back.fingerprint(), snap.fingerprint());
             }
+        }
+    }
+
+    #[test]
+    fn empty_delta_shares_its_basis() {
+        let n = 300;
+        let basis = set_of(n, &[1, 2, 299]);
+        let mut sparse = Vec::new();
+        encode_rumor_delta(&basis.diff(&basis.snapshot()), &mut sparse);
+        assert_eq!(
+            sparse[2..],
+            [TAG_SPARSE, 0],
+            "two-byte universe, empty id list"
+        );
+        let mut runs = Vec::new();
+        push_varint(&mut runs, 300);
+        runs.extend_from_slice(&[TAG_RUNS, 0]);
+        for empty in [&sparse, &runs] {
+            let back = decode_rumor_delta(empty, Some(&basis)).expect("empty delta decodes");
+            assert!(back.ptr_eq(&basis), "nothing new: the basis itself");
+            let none = decode_rumor_delta(empty, None).expect("empty delta decodes");
+            assert_eq!(none, RumorSet::new(n));
+            // A zero count is still a whole body: a byte after it is
+            // corruption, whatever the basis.
+            let mut long = empty.clone();
+            long.push(0);
+            for b in [Some(&basis), None] {
+                assert_eq!(
+                    decode_rumor_delta(&long, b),
+                    Err(CodecError::BadBody("trailing bytes in delta body"))
+                );
+            }
+            // And the universe still has to be the basis's.
+            assert!(decode_rumor_delta(empty, Some(&RumorSet::new(n + 1))).is_err());
         }
     }
 

@@ -151,10 +151,9 @@ impl Transport for LoopbackTransport {
         Ok(())
     }
 
-    fn poll(&mut self, round: Round) -> Result<Vec<NetEvent>, NetError> {
+    fn poll(&mut self, round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError> {
         let mut state = self.state.borrow_mut();
         state.advance(round);
-        let mut events = Vec::new();
         while let Some(env) = state.ready[self.node.index()].pop_front() {
             let (frame, used) = Frame::decode(&env.bytes)?;
             if used != env.bytes.len() {
@@ -165,12 +164,12 @@ impl Transport for LoopbackTransport {
             let stats = &mut state.stats[self.node.index()];
             stats.frames_received += 1;
             stats.bytes_received += env.bytes.len() as u64;
-            events.push(NetEvent::Frame {
+            out.push(NetEvent::Frame {
                 from: env.from,
                 frame,
             });
         }
-        Ok(events)
+        Ok(())
     }
 
     fn stats(&self) -> TransportStats {
@@ -184,6 +183,12 @@ impl Transport for LoopbackTransport {
 mod tests {
     use super::*;
 
+    fn poll(t: &mut LoopbackTransport, round: Round) -> Vec<NetEvent> {
+        let mut out = Vec::new();
+        t.poll(round, &mut out).expect("poll");
+        out
+    }
+
     #[test]
     fn frames_release_at_their_round_in_send_order() {
         let hub = LoopbackHub::new(2);
@@ -193,10 +198,10 @@ mod tests {
             .expect("send");
         a.send(0, NodeId::new(1), 0, &Frame::Done { round: 0 })
             .expect("send");
-        let r0: Vec<_> = b.poll(0).expect("poll");
+        let r0 = poll(&mut b, 0);
         assert_eq!(r0.len(), 1, "only the release-0 frame is visible");
-        assert!(b.poll(1).expect("poll").is_empty());
-        let r2 = b.poll(2).expect("poll");
+        assert!(poll(&mut b, 1).is_empty());
+        let r2 = poll(&mut b, 2);
         assert_eq!(r2.len(), 1);
         let NetEvent::Frame { from, frame } = &r2[0] else {
             panic!("expected frame");

@@ -112,8 +112,9 @@ impl WriteQueue {
 
     /// Empties the queue, returning every frame not yet fully on the
     /// wire as its own buffer — the frame cut by a partial write from
-    /// byte 0, so a connection loss resends it intact (receivers dedup
-    /// by sequence number).
+    /// byte 0, so a connection loss resends it intact (the receiving
+    /// reactor drops a request it already delivered, by the edge's seq
+    /// mark).
     pub(crate) fn drain_encoded(&mut self) -> Vec<Vec<u8>> {
         let mut frames = Vec::new();
         let mut start = 0;

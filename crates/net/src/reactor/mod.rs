@@ -18,7 +18,7 @@
 //! loopback — with each frame wrapped in a [`Frame::Routed`] envelope
 //! carrying `(src, dst, release)`. A directed edge `u → v` always maps
 //! to the same trunk (a deterministic hash), so per-sender FIFO is
-//! preserved and the runner's sequence-number dedup keeps working.
+//! preserved; a trunk never reconnects, so it never repeats a frame.
 //! Cross-sender interleave is harmless: the runner's hold queues
 //! canonicalize application order by `(initiated_at, initiator)`.
 //!
@@ -26,7 +26,11 @@
 //! or another) use one directed connection per edge with the standard
 //! handshake: the dialing side owns reconnection and loss accounting,
 //! and stops both once the peer has said [`Frame::Bye`] — a departed
-//! peer's closing sockets are not a fault.
+//! peer's closing sockets are not a fault. A reconnecting dialer
+//! replays the frame its dying connection cut, so the receiving side
+//! keeps the [`Transport`] promise of at-most-once delivery itself: it
+//! drops a request whose seq is at or below the highest one already
+//! delivered over that edge.
 //!
 //! # Pacing
 //!
@@ -206,8 +210,11 @@ struct Core {
     peer_addrs: BTreeMap<NodeId, String>,
     edges: BTreeMap<(NodeId, NodeId), EdgeOut>,
     /// Inbound directed edges `(remote, hosted)` whose handshake has
-    /// completed — the start barrier's inbound half.
-    in_up: BTreeSet<(NodeId, NodeId)>,
+    /// completed — the start barrier's inbound half — each with the
+    /// highest request seq delivered over it. The mark outlives the
+    /// edge's connections: a request at or below it is a reconnect's
+    /// replay and is dropped (at-most-once delivery).
+    in_up: BTreeMap<(NodeId, NodeId), u64>,
     /// Capability bits remote nodes advertised in their handshakes
     /// (either direction; a node's caps are the same on every edge).
     remote_caps: BTreeMap<NodeId, u32>,
@@ -305,7 +312,7 @@ impl Core {
             hosted,
             peer_addrs: BTreeMap::new(),
             edges,
-            in_up: BTreeSet::new(),
+            in_up: BTreeMap::new(),
             remote_caps: BTreeMap::new(),
             poller,
             wheel: Wheel::new(Instant::now(), WHEEL_GRANULARITY),
@@ -479,7 +486,7 @@ impl Core {
             // A conclusive loss settles both directions.
             return true;
         }
-        edge.established && self.in_up.contains(&(to, from))
+        edge.established && self.in_up.contains_key(&(to, from))
     }
 
     fn barrier_holds(&self) -> bool {
@@ -658,10 +665,31 @@ impl Core {
                 ))),
             },
             ConnKind::PeerIn { from, to } => {
-                if matches!(frame, Frame::Bye) {
-                    // A graceful departure, not an outage: the sockets
-                    // about to close behind it must not be re-dialled.
-                    self.retire_edge(to, from);
+                match frame {
+                    Frame::Request { seq, .. } | Frame::RequestDelta { seq, .. } => {
+                        // A reconnecting dialer replays whatever its
+                        // dying connection had not finished writing;
+                        // per-edge seqs only grow, so a request at or
+                        // below the mark was delivered already.
+                        let delivered = self.in_up.entry((from, to)).or_insert(0);
+                        if seq <= *delivered {
+                            return Ok(());
+                        }
+                        *delivered = seq;
+                    }
+                    Frame::Bye => {
+                        // A graceful departure, not an outage: the
+                        // sockets about to close behind it must not be
+                        // re-dialled.
+                        self.retire_edge(to, from);
+                    }
+                    // Replies are matched to their request by the
+                    // runner; the rest carry no seq.
+                    Frame::Reply { .. }
+                    | Frame::ReplyDelta { .. }
+                    | Frame::Done { .. }
+                    | Frame::Hello { .. }
+                    | Frame::Routed { .. } => {}
                 }
                 self.deliver(from, to, 0, frame, used)
             }
@@ -719,7 +747,8 @@ impl Core {
         if let Some(conn) = self.conns[idx].as_mut() {
             if valid {
                 conn.kind = ConnKind::PeerIn { from: node, to };
-                self.in_up.insert((node, to));
+                // A reconnect keeps the edge's mark.
+                self.in_up.entry((node, to)).or_insert(0);
                 self.remote_caps.insert(node, caps);
             } else {
                 // Let the answer flush, then close.
@@ -847,8 +876,9 @@ impl Core {
             }
             ConnKind::PeerOut { from, to } => {
                 // Preserve queued frames (the in-flight one restarts
-                // from byte 0; receivers dedup by sequence number) and
-                // begin a fresh outage.
+                // from byte 0; the receiving reactor drops a request it
+                // already delivered, by the edge's seq mark) and begin a
+                // fresh outage.
                 let drained = self.conns[idx]
                     .as_mut()
                     .map(|c| c.wq.drain_encoded())
@@ -1134,7 +1164,12 @@ impl Core {
         Ok(())
     }
 
-    fn poll_node(&mut self, node: NodeId, round: Round) -> Result<Vec<NetEvent>, NetError> {
+    fn poll_node(
+        &mut self,
+        node: NodeId,
+        round: Round,
+        out: &mut Vec<NetEvent>,
+    ) -> Result<(), NetError> {
         if !self.started {
             return Err(NetError::ProtocolViolation("poll before start".to_owned()));
         }
@@ -1163,9 +1198,9 @@ impl Core {
             )));
         };
         let due = hosted.staged.partition_point(|&(r, _)| r <= round);
-        let mut events: Vec<NetEvent> = hosted.ready.drain(..).collect();
-        events.extend(hosted.staged.drain(..due).map(|(_, event)| event));
-        Ok(events)
+        out.extend(hosted.ready.drain(..));
+        out.extend(hosted.staged.drain(..due).map(|(_, event)| event));
+        Ok(())
     }
 
     /// Trunk write queues empty and every routed envelope decoded: with
@@ -1374,8 +1409,8 @@ impl Transport for ReactorEndpoint {
             .send_from(self.node, release, to, nth, frame)
     }
 
-    fn poll(&mut self, round: Round) -> Result<Vec<NetEvent>, NetError> {
-        self.core.borrow_mut().poll_node(self.node, round)
+    fn poll(&mut self, round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError> {
+        self.core.borrow_mut().poll_node(self.node, round, out)
     }
 
     fn stats(&self) -> TransportStats {
@@ -1540,6 +1575,12 @@ mod tests {
         }
     }
 
+    fn poll(end: &mut ReactorEndpoint, round: Round) -> Vec<NetEvent> {
+        let mut out = Vec::new();
+        end.poll(round, &mut out).expect("poll");
+        out
+    }
+
     #[test]
     fn trunk_hash_is_deterministic_and_directed() {
         let g = generators::clique(8);
@@ -1572,7 +1613,7 @@ mod tests {
         };
         e0.send(2, NodeId::new(1), 0, &req).expect("send");
         assert!(
-            e1.poll(1).expect("poll").is_empty(),
+            poll(&mut e1, 1).is_empty(),
             "release 2 must not surface at round 1"
         );
         {
@@ -1580,7 +1621,7 @@ mod tests {
             assert!(core.trunk_backlog() > 0, "nothing due: no socket touched");
             assert_eq!(core.routed_decoded, 0);
         }
-        let events = e1.poll(2).expect("poll");
+        let events = poll(&mut e1, 2);
         assert_eq!(reactor.core.borrow().trunk_backlog(), 0);
         assert_eq!(events.len(), 1);
         match &events[0] {
@@ -1632,9 +1673,7 @@ mod tests {
             assert!(sent < 1 << 17, "loopback socket swallowed 128 MiB");
         }
         for (at, end) in ends.iter_mut().enumerate() {
-            let seqs: Vec<u64> = end
-                .poll(1)
-                .expect("poll")
+            let seqs: Vec<u64> = poll(end, 1)
                 .into_iter()
                 .map(|event| match event {
                     NetEvent::Frame {
@@ -1700,6 +1739,114 @@ mod tests {
     }
 
     #[test]
+    fn a_request_replayed_on_a_reconnected_remote_edge_surfaces_once() {
+        use std::io::Read;
+        use std::sync::mpsc;
+
+        // Node 0 is hosted; node 1 is a remote peer driven by hand over
+        // raw sockets, so it can do what a reconnecting dialer does:
+        // send a request, lose the connection, and replay it.
+        let g = generators::path(2);
+        let (me, peer) = (NodeId::new(0), NodeId::new(1));
+        let hello = Frame::Hello {
+            node: peer,
+            to: me,
+            n: 2,
+            topology_hash: g.topology_hash(),
+            caps: crate::wire::CAP_DELTA,
+        }
+        .encode()
+        .expect("hello fits");
+        let request = |seq| Frame::Request {
+            seq,
+            round: 0,
+            payload: Vec::new(),
+        };
+        let delta = |seq| Frame::RequestDelta {
+            seq,
+            round: 0,
+            basis_seq: 0,
+            payload: Vec::new(),
+        };
+        let peer_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let cfg = ReactorConfig {
+            round: Duration::from_millis(2),
+            ..ReactorConfig::default()
+        };
+        let mut reactor = Reactor::new(&g, [me], cfg).expect("reactor");
+        reactor.set_peer(peer, peer_listener.local_addr().expect("addr").to_string());
+        let reactor_addr = reactor.local_addr();
+        let (step_tx, step_rx) = mpsc::channel::<()>();
+        let wire = [request(5), request(6), delta(6), delta(7)].map(|f| f.encode().expect("fits"));
+        let first = request(5).encode().expect("fits");
+        let remote = std::thread::spawn(move || {
+            let handshake = |conn: &mut TcpStream| {
+                conn.write_all(&hello).expect("hello");
+                let mut answer = vec![0u8; hello.len()];
+                conn.read_exact(&mut answer).expect("hello answer");
+            };
+            // Answer the reactor's dial of 0 → 1 (its `Hello` is as
+            // long as ours) and keep that edge open.
+            let (mut outbound, _) = peer_listener.accept().expect("reactor dials");
+            handshake(&mut outbound);
+            let dial = || {
+                let mut conn = TcpStream::connect(&reactor_addr).expect("dial");
+                handshake(&mut conn);
+                conn
+            };
+            let mut conn = dial();
+            conn.write_all(&first).expect("first request");
+            if step_rx.recv().is_err() {
+                return;
+            }
+            // The connection dies; the reconnect replays seq 5, then
+            // sends on — and repeats seq 6 as a delta request.
+            drop(conn);
+            let mut conn = dial();
+            for bytes in &wire {
+                conn.write_all(bytes).expect("request");
+            }
+            let _ = step_rx.recv();
+        });
+        let mut end = reactor.endpoint(me);
+        end.start().expect("both edges up");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut round = 0;
+        let mut seen = Vec::new();
+        let mut poll_until = |seen: &mut Vec<NetEvent>, want: usize| {
+            while seen.len() < want {
+                assert!(Instant::now() < deadline, "stalled at {seen:?}");
+                end.poll(round, seen).expect("poll");
+                round += 1;
+            }
+        };
+        poll_until(&mut seen, 1);
+        step_tx.send(()).expect("remote waits");
+        // Per-connection FIFO: once seq 7 is out, every frame before it
+        // on the replaying connection has been handled.
+        poll_until(&mut seen, 3);
+        step_tx.send(()).expect("remote waits");
+        remote.join().expect("remote peer");
+        let got: Vec<(bool, u64)> = seen
+            .iter()
+            .map(|event| match event {
+                NetEvent::Frame {
+                    from,
+                    frame: Frame::Request { seq, .. },
+                } if *from == peer => (false, *seq),
+                NetEvent::Frame {
+                    from,
+                    frame: Frame::RequestDelta { seq, .. },
+                } if *from == peer => (true, *seq),
+                other => panic!("unexpected event: {other:?}"),
+            })
+            .collect();
+        assert_eq!(got, [(false, 5), (false, 6), (true, 7)]);
+        assert_eq!(reactor.core.borrow().in_up[&(peer, me)], 7);
+        end.shutdown();
+    }
+
+    #[test]
     fn staged_frames_surface_by_release_then_arrival() {
         // DESIGN.md §14: a drain-paced poll hands over every staged
         // frame with release ≤ round, ascending release, arrival order
@@ -1728,10 +1875,8 @@ mod tests {
         // Land every frame in the staging queue before the first poll.
         reactor.core.borrow_mut().pump_drain().expect("pump");
         assert_eq!(reactor.core.borrow().hosted[0].staged.len(), 4);
-        assert!(ends[0].poll(1).expect("poll 1").is_empty());
-        let order: Vec<(usize, u64)> = ends[0]
-            .poll(3)
-            .expect("poll 3")
+        assert!(poll(&mut ends[0], 1).is_empty());
+        let order: Vec<(usize, u64)> = poll(&mut ends[0], 3)
             .into_iter()
             .map(|event| match event {
                 NetEvent::Frame {

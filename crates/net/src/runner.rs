@@ -31,7 +31,7 @@
 //! ingested — so summing runner metrics over a cluster reproduces the
 //! engine's [`SimMetrics`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use gossip_sim::pacing::NodePacer;
 use gossip_sim::{
@@ -156,6 +156,9 @@ impl WireAccounting {
 
 struct PendingInit<Pl> {
     peer: NodeId,
+    /// `peer`'s adjacency position, from `Initiation` like `latency`:
+    /// the reply finds the edge's knowledge slot without a search.
+    nth: usize,
     round: Round,
     /// The edge latency [`Initiation`](gossip_sim::pacing::Initiation)
     /// resolved at launch: the reply is held to `round + latency`
@@ -168,6 +171,16 @@ struct PendingInit<Pl> {
     sent: Option<Pl>,
 }
 
+/// A decoded request on its way to the reply: the requester's adjacency
+/// position is found once, at ingest, and travels with it to the due
+/// round, the knowledge slot and the reply's send.
+struct Inbound<Pl> {
+    from: NodeId,
+    nth: usize,
+    seq: u64,
+    theirs: Pl,
+}
+
 /// Per-neighbor knowledge cache for delta mode: what this node and one
 /// peer provably both hold, per directed edge. Invalidated wholesale on
 /// peer loss — a stale or missing basis only costs bytes (the snapshot
@@ -177,19 +190,74 @@ struct EdgeCache<Pl> {
     /// peer: `(our request seq, our payload ∪ theirs)`. Our next
     /// [`Frame::RequestDelta`] references it by `basis_seq`.
     confirmed: Option<(u64, Pl)>,
-    /// Bases of exchanges we *answered*, keyed by the peer's request
-    /// seq; the peer's next delta request references one. Pruned to
+    /// Bases of exchanges we *answered*, as `(the peer's request seq,
+    /// basis)`; the peer's next delta request references one. Pruned to
     /// `≥ basis_seq` whenever a request references a basis — references
-    /// are monotone because `confirmed` keeps the max seq.
-    bases: BTreeMap<u64, Pl>,
+    /// are monotone because `confirmed` keeps the max seq — so it holds
+    /// the one or two exchanges since the peer's last reference.
+    bases: Vec<(u64, Pl)>,
 }
 
 impl<Pl> Default for EdgeCache<Pl> {
     fn default() -> Self {
         EdgeCache {
             confirmed: None,
-            bases: BTreeMap::new(),
+            bases: Vec::new(),
         }
+    }
+}
+
+/// [`Knowledge::slot`] entry of a neighbor with no cache yet.
+const NO_CACHE: u32 = u32::MAX;
+
+/// Delta mode's per-neighbor [`EdgeCache`]s, found by adjacency
+/// position as the engine indexes its CSR rows: one `u32` per neighbor
+/// (4 B × degree, allocated on the first delta exchange) and a dense
+/// table holding only the peers actually exchanged with.
+struct Knowledge<Pl> {
+    /// Adjacency position → index into `caches`, or [`NO_CACHE`].
+    slot: Vec<u32>,
+    caches: Vec<EdgeCache<Pl>>,
+}
+
+impl<Pl> Knowledge<Pl> {
+    fn new() -> Self {
+        Knowledge {
+            slot: Vec::new(),
+            caches: Vec::new(),
+        }
+    }
+
+    fn index(&self, nth: usize) -> Option<usize> {
+        match self.slot.get(nth) {
+            Some(&s) if s != NO_CACHE => Some(usize::try_from(s).expect("slot fits usize")),
+            _ => None,
+        }
+    }
+
+    fn get(&self, nth: usize) -> Option<&EdgeCache<Pl>> {
+        self.index(nth).map(|i| &self.caches[i])
+    }
+
+    fn get_mut(&mut self, nth: usize) -> Option<&mut EdgeCache<Pl>> {
+        self.index(nth).map(|i| &mut self.caches[i])
+    }
+
+    /// The cache of the neighbor at `nth` of a `degree`-long row,
+    /// created empty on first use.
+    fn entry(&mut self, nth: usize, degree: usize) -> &mut EdgeCache<Pl> {
+        if self.slot.is_empty() {
+            self.slot = vec![NO_CACHE; degree];
+        }
+        let i = match self.index(nth) {
+            Some(i) => i,
+            None => {
+                self.slot[nth] = u32::try_from(self.caches.len()).expect("cache count fits u32");
+                self.caches.push(EdgeCache::default());
+                self.caches.len() - 1
+            }
+        };
+        &mut self.caches[i]
     }
 }
 
@@ -197,19 +265,21 @@ impl<Pl> Default for EdgeCache<Pl> {
 /// a delta frame carries 8 more (`basis_seq`).
 const SNAPSHOT_FIXED: usize = 16;
 
-/// Encodes `payload` for one wire frame: the delta form when the mode,
-/// the peer's advertised capabilities, and the byte math all favor it —
-/// or when the snapshot body would exceed [`MAX_BODY`] and a delta is
-/// the frame's only way onto the wire — otherwise the plain snapshot.
-/// Returns the encoded bytes and `Some(basis_seq)` when they are a
-/// delta. Every choice lands in `acct`.
+/// Encodes `payload` for one wire frame into `out` (cleared first): the
+/// delta form when the mode, the peer's advertised capabilities, and
+/// the byte math all favor it — or when the snapshot body would exceed
+/// [`MAX_BODY`] and a delta is the frame's only way onto the wire —
+/// otherwise the plain snapshot. Returns `Some(basis_seq)` when the
+/// bytes are a delta. Every choice lands in `acct`.
 fn encode_for_wire<Pl: WirePayload>(
     acct: &mut WireAccounting,
     mode: PayloadMode,
     peer_caps: u32,
     payload: &Pl,
     basis: Option<(u64, &Pl)>,
-) -> (Vec<u8>, Option<u64>) {
+    out: &mut Vec<u8>,
+) -> Option<u64> {
+    out.clear();
     let snap_len = payload.snapshot_len();
     acct.stream_units += payload.stream_units();
     if mode == PayloadMode::Delta && Pl::supports_delta() && peer_caps & CAP_DELTA != 0 {
@@ -217,24 +287,35 @@ fn encode_for_wire<Pl: WirePayload>(
             Some((seq, b)) => (seq, Some(b)),
             None => (0, None),
         };
-        let mut delta = Vec::new();
-        if payload.encode_delta(basis, &mut delta) {
+        if payload.encode_delta(basis, out) {
             let oversized =
                 SNAPSHOT_FIXED + snap_len > usize::try_from(MAX_BODY).expect("cap fits usize");
-            if delta.len() + 8 < snap_len || oversized {
-                acct.payload_bytes += u64::try_from(delta.len()).expect("length fits u64");
+            if out.len() + 8 < snap_len || oversized {
+                acct.payload_bytes += u64::try_from(out.len()).expect("length fits u64");
                 acct.snapshot_bytes += u64::try_from(snap_len).expect("length fits u64");
                 acct.delta_frames += 1;
-                return (delta, Some(basis_seq));
+                return Some(basis_seq);
             }
         }
+        out.clear();
     }
-    let mut bytes = Vec::new();
-    payload.encode_payload(&mut bytes);
-    acct.payload_bytes += u64::try_from(bytes.len()).expect("length fits u64");
+    payload.encode_payload(out);
+    acct.payload_bytes += u64::try_from(out.len()).expect("length fits u64");
     acct.snapshot_bytes += u64::try_from(snap_len).expect("length fits u64");
     acct.snapshot_frames += 1;
-    (bytes, None)
+    None
+}
+
+/// The payload buffer of an exchange frame, handed back after `send`
+/// so the next [`encode_for_wire`] reuses its allocation.
+fn into_payload(frame: Frame) -> Vec<u8> {
+    match frame {
+        Frame::Request { payload, .. }
+        | Frame::Reply { payload, .. }
+        | Frame::RequestDelta { payload, .. }
+        | Frame::ReplyDelta { payload, .. } => payload,
+        Frame::Hello { .. } | Frame::Done { .. } | Frame::Bye | Frame::Routed { .. } => Vec::new(),
+    }
 }
 
 /// Drives one protocol node over a [`Transport`], enforcing the paper's
@@ -254,25 +335,32 @@ pub struct NetRunner<'g, P: Protocol, T: Transport> {
     hold: Vec<Exchange<P::Payload>>,
     /// `deliver_due`'s batch buffer, kept between rounds.
     batch: Vec<Exchange<P::Payload>>,
-    pending: BTreeMap<u64, PendingInit<P::Payload>>,
+    /// The transport's [`poll`](Transport::poll) target, drained by
+    /// every ingest and kept between rounds.
+    inbox: Vec<NetEvent>,
+    /// The payload bytes of the frame being built, recovered from the
+    /// frame after every send ([`into_payload`]).
+    scratch: Vec<u8>,
+    /// Our requests by seq: entry `i` is seq `pending_base + i`, `None`
+    /// once its reply landed or it was written off. Each sent request
+    /// takes the next seq, so the deque is dense and a reply is an
+    /// index; answered entries are trimmed off the front.
+    pending: VecDeque<Option<PendingInit<P::Payload>>>,
+    /// Seq of `pending`'s front entry (seqs start at 1: `basis_seq` 0
+    /// names the empty basis).
+    pending_base: u64,
     /// Requests that arrived *before* their initiation round on our
     /// clock (possible over TCP when a peer's epoch leads ours): held
     /// (already decoded — delta requests must resolve their basis in
     /// arrival order) until our `on_round` of that round has run, so the
     /// reply snapshot is taken from the state the engine would have
     /// snapshotted.
-    deferred: BTreeMap<Round, Vec<(NodeId, u64, P::Payload)>>,
-    /// Highest request seq answered per peer. A TCP writer that
-    /// reconnects mid-write re-sends its current frame, and the original
-    /// may have been received after all — per-peer seqs are strictly
-    /// increasing, so anything at or below this mark is a duplicate.
-    answered: BTreeMap<NodeId, u64>,
-    next_seq: u64,
+    deferred: BTreeMap<Round, Vec<Inbound<P::Payload>>>,
     /// Payload encoding mode; [`PayloadMode::Snapshot`] unless
     /// [`with_payload_mode`](Self::with_payload_mode) switched it.
     mode: PayloadMode,
     /// Per-neighbor knowledge caches; populated in delta mode only.
-    knowledge: BTreeMap<NodeId, EdgeCache<P::Payload>>,
+    knowledge: Knowledge<P::Payload>,
     accounting: WireAccounting,
     metrics: SimMetrics,
     peers_done: BTreeSet<NodeId>,
@@ -318,12 +406,13 @@ where
             max_rounds: config.max_rounds,
             hold: Vec::new(),
             batch: Vec::new(),
-            pending: BTreeMap::new(),
+            inbox: Vec::new(),
+            scratch: Vec::new(),
+            pending: VecDeque::new(),
+            pending_base: 1,
             deferred: BTreeMap::new(),
-            answered: BTreeMap::new(),
-            next_seq: 0,
             mode: PayloadMode::Snapshot,
-            knowledge: BTreeMap::new(),
+            knowledge: Knowledge::new(),
             accounting: WireAccounting::default(),
             metrics: SimMetrics::default(),
             peers_done: BTreeSet::new(),
@@ -388,8 +477,7 @@ where
     /// Phase 1: poll the transport (blocking until `round` begins on its
     /// clock), ingest everything, then apply the exchanges due.
     pub fn begin_round(&mut self, round: Round) -> Result<(), NetError> {
-        let events = self.transport.poll(round)?;
-        self.ingest(round, events)?;
+        self.poll_and_ingest(round)?;
         self.deliver_due(round);
         Ok(())
     }
@@ -411,18 +499,19 @@ where
         let weight = P::payload_weight(&payload);
         let basis = self
             .knowledge
-            .get(&init.peer)
+            .get(init.nth)
             .and_then(|k| k.confirmed.as_ref())
             .map(|&(seq, ref b)| (seq, b));
-        let (bytes, delta_basis) = encode_for_wire(
+        let mut bytes = std::mem::take(&mut self.scratch);
+        let delta_basis = encode_for_wire(
             &mut self.accounting,
             self.mode,
             self.transport.peer_caps(init.peer),
             &payload,
             basis,
+            &mut bytes,
         );
-        self.next_seq += 1;
-        let seq = self.next_seq;
+        let seq = self.pending_base + u64::try_from(self.pending.len()).expect("count fits u64");
         let frame = match delta_basis {
             Some(basis_seq) => Frame::RequestDelta {
                 seq,
@@ -436,17 +525,17 @@ where
                 payload: bytes,
             },
         };
-        self.pending.insert(
-            seq,
-            PendingInit {
-                peer: init.peer,
-                round,
-                latency: init.latency.rounds(),
-                weight,
-                sent: (self.mode == PayloadMode::Delta).then_some(payload),
-            },
-        );
-        self.transport.send(round, init.peer, init.nth, &frame)
+        self.pending.push_back(Some(PendingInit {
+            peer: init.peer,
+            nth: init.nth,
+            round,
+            latency: init.latency.rounds(),
+            weight,
+            sent: (self.mode == PayloadMode::Delta).then_some(payload),
+        }));
+        let sent = self.transport.send(round, init.peer, init.nth, &frame);
+        self.scratch = into_payload(frame);
+        sent
     }
 
     /// Phase 4b: a second, non-blocking poll of the same round, so
@@ -462,16 +551,27 @@ where
                 break;
             }
             let batch = self.deferred.remove(&t).expect("first key exists");
-            for (from, seq, payload) in batch {
-                self.answer_request(from, seq, t, payload)?;
+            for req in batch {
+                self.answer_request(t, req)?;
             }
         }
-        let events = self.transport.poll(round)?;
-        self.ingest(round, events)
+        self.poll_and_ingest(round)
     }
 
-    fn ingest(&mut self, now: Round, events: Vec<NetEvent>) -> Result<(), NetError> {
-        for event in events {
+    /// Polls the transport into the reused inbox and ingests it.
+    fn poll_and_ingest(&mut self, now: Round) -> Result<(), NetError> {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        let result = match self.transport.poll(now, &mut inbox) {
+            Ok(()) => self.ingest(now, &mut inbox),
+            Err(e) => Err(e),
+        };
+        inbox.clear();
+        self.inbox = inbox;
+        result
+    }
+
+    fn ingest(&mut self, now: Round, events: &mut Vec<NetEvent>) -> Result<(), NetError> {
+        for event in events.drain(..) {
             match event {
                 NetEvent::Frame { from, frame } => self.ingest_frame(now, from, frame)?,
                 NetEvent::PeerLost(loss) => {
@@ -488,12 +588,16 @@ where
         Ok(())
     }
 
-    /// Whether a request seq is a duplicate of one already answered (a
-    /// TCP writer that reconnects mid-write re-sends its current frame).
-    fn already_answered(&self, from: NodeId, seq: u64) -> bool {
-        self.answered.get(&from).is_some_and(|&hi| seq <= hi)
+    /// `from`'s position in our adjacency row: the one search an
+    /// answered exchange does (see [`Inbound`]).
+    fn position_of(&self, from: NodeId) -> Result<usize, NetError> {
+        self.graph
+            .neighbor_index(self.node(), from)
+            .ok_or(NetError::UnknownPeer(from))
     }
 
+    /// Requests are answered as they come: the transport delivers each
+    /// at most once (see [`Transport`]), so no seq is checked here.
     fn ingest_frame(&mut self, now: Round, from: NodeId, frame: Frame) -> Result<(), NetError> {
         match frame {
             Frame::Request {
@@ -501,12 +605,19 @@ where
                 round,
                 payload,
             } => {
-                if self.already_answered(from, seq) {
-                    return Ok(());
-                }
+                let nth = self.position_of(from)?;
                 let theirs = P::Payload::decode_payload(&payload)?;
                 self.check_universe(from, &theirs)?;
-                self.stage_request(now, from, seq, round, theirs)
+                self.stage_request(
+                    now,
+                    round,
+                    Inbound {
+                        from,
+                        nth,
+                        seq,
+                        theirs,
+                    },
+                )
             }
             Frame::RequestDelta {
                 seq,
@@ -520,16 +631,16 @@ where
                         from.index()
                     )));
                 }
-                if self.already_answered(from, seq) {
-                    return Ok(());
-                }
+                let nth = self.position_of(from)?;
                 let basis = if basis_seq == 0 {
                     None
                 } else {
-                    let found = self
-                        .knowledge
-                        .get(&from)
-                        .and_then(|k| k.bases.get(&basis_seq));
+                    let found = self.knowledge.get(nth).and_then(|k| {
+                        k.bases
+                            .iter()
+                            .find(|&&(s, _)| s == basis_seq)
+                            .map(|(_, b)| b)
+                    });
                     if found.is_none() {
                         return Err(NetError::ProtocolViolation(format!(
                             "request {seq} from node {} references unknown basis {basis_seq}",
@@ -541,13 +652,22 @@ where
                 let theirs = P::Payload::decode_delta(&payload, basis)?;
                 self.check_universe(from, &theirs)?;
                 if basis_seq != 0 {
-                    if let Some(cache) = self.knowledge.get_mut(&from) {
+                    if let Some(cache) = self.knowledge.get_mut(nth) {
                         // References are monotone (see `EdgeCache`), so
                         // older bases are dead weight.
-                        cache.bases.retain(|&s, _| s >= basis_seq);
+                        cache.bases.retain(|&(s, _)| s >= basis_seq);
                     }
                 }
-                self.stage_request(now, from, seq, round, theirs)
+                self.stage_request(
+                    now,
+                    round,
+                    Inbound {
+                        from,
+                        nth,
+                        seq,
+                        theirs,
+                    },
+                )
             }
             Frame::Reply {
                 seq,
@@ -610,24 +730,19 @@ where
         }
     }
 
-    /// Routes a decoded request to its reply point: answered now, or
-    /// deferred until our clock reaches its initiation round.
+    /// Routes a decoded request initiated at `round` to its reply point:
+    /// answered now, or deferred until our clock reaches that round.
     fn stage_request(
         &mut self,
         now: Round,
-        from: NodeId,
-        seq: u64,
         round: Round,
-        theirs: P::Payload,
+        req: Inbound<P::Payload>,
     ) -> Result<(), NetError> {
         if round > now {
-            self.deferred
-                .entry(round)
-                .or_default()
-                .push((from, seq, theirs));
+            self.deferred.entry(round).or_default().push(req);
             Ok(())
         } else {
-            self.answer_request(from, seq, round, theirs)
+            self.answer_request(round, req)
         }
     }
 
@@ -635,34 +750,25 @@ where
     /// *now* (our state equals what it was after `t`'s `on_round`, which
     /// is when the engine snapshots responders), reply, and hold the
     /// peer's payload until the exchange's due round.
-    fn answer_request(
-        &mut self,
-        from: NodeId,
-        seq: u64,
-        t: Round,
-        theirs: P::Payload,
-    ) -> Result<(), NetError> {
-        let hi = self.answered.entry(from).or_insert(0);
-        if seq <= *hi {
-            return Ok(()); // duplicate after a TCP re-send; already answered
-        }
-        *hi = seq;
-        // The one adjacency search of an answered exchange: its position
-        // gives both the due round and the send's peer check.
+    fn answer_request(&mut self, t: Round, req: Inbound<P::Payload>) -> Result<(), NetError> {
+        let Inbound {
+            from,
+            nth,
+            seq,
+            theirs,
+        } = req;
         let me = self.node();
-        let nth = self
-            .graph
-            .neighbor_index(me, from)
-            .ok_or(NetError::UnknownPeer(from))?;
         let due = t + self.graph.neighbor_latencies(me)[nth].rounds();
         let caps = self.transport.peer_caps(from);
         let mine = self.pacer.payload();
-        let (bytes, delta_basis) = encode_for_wire(
+        let mut bytes = std::mem::take(&mut self.scratch);
+        let delta_basis = encode_for_wire(
             &mut self.accounting,
             self.mode,
             caps,
             &mine,
             Some((seq, &theirs)),
+            &mut bytes,
         );
         let frame = match delta_basis {
             Some(basis_seq) => Frame::ReplyDelta {
@@ -677,14 +783,13 @@ where
                 payload: bytes,
             },
         };
-        self.transport.send(due, from, nth, &frame)?;
+        let sent = self.transport.send(due, from, nth, &frame);
+        self.scratch = into_payload(frame);
+        sent?;
         if self.mode == PayloadMode::Delta && caps & CAP_DELTA != 0 {
             if let Some(merged) = mine.merge_basis(&theirs) {
-                self.knowledge
-                    .entry(from)
-                    .or_default()
-                    .bases
-                    .insert(seq, merged);
+                let degree = self.graph.neighbor_ids(me).len();
+                self.knowledge.entry(nth, degree).bases.push((seq, merged));
             }
         }
         self.hold.push(Exchange {
@@ -708,11 +813,11 @@ where
         payload: &[u8],
         basis_seq: Option<u64>,
     ) -> Result<(), NetError> {
-        let Some(pend) = self.pending.remove(&seq) else {
-            // Duplicate (the peer answered a re-sent request twice) or a
-            // reply whose request we wrote off when the peer was lost:
-            // ignore. Loopback exactness does not rest on this check —
-            // it is proven by outcome equality against the engine.
+        let Some(pend) = self.take_pending(seq) else {
+            // A reply whose request we wrote off when the peer was lost,
+            // or one to a seq we never issued: ignore. Loopback
+            // exactness does not rest on this check — it is proven by
+            // outcome equality against the engine.
             return Ok(());
         };
         if pend.peer != from || pend.round != t {
@@ -746,7 +851,8 @@ where
         if self.mode == PayloadMode::Delta && self.transport.peer_caps(from) & CAP_DELTA != 0 {
             if let Some(sent) = pend.sent {
                 if let Some(merged) = sent.merge_basis(&theirs) {
-                    let cache = self.knowledge.entry(from).or_default();
+                    let degree = self.graph.neighbor_ids(self.node()).len();
+                    let cache = self.knowledge.entry(pend.nth, degree);
                     if cache.confirmed.as_ref().is_none_or(|&(s, _)| s < seq) {
                         cache.confirmed = Some((seq, merged));
                     }
@@ -778,23 +884,42 @@ where
         self.batch = batch;
     }
 
+    /// Takes `seq`'s request out of `pending` if it is still in flight,
+    /// then trims the settled front.
+    fn take_pending(&mut self, seq: u64) -> Option<PendingInit<P::Payload>> {
+        let at = usize::try_from(seq.checked_sub(self.pending_base)?).ok()?;
+        let pend = self.pending.get_mut(at)?.take();
+        self.trim_pending();
+        pend
+    }
+
+    fn trim_pending(&mut self) {
+        while let Some(None) = self.pending.front() {
+            self.pending.pop_front();
+            self.pending_base += 1;
+        }
+    }
+
     fn mark_gone(&mut self, peer: NodeId) {
         self.peers_gone.insert(peer);
         // Any shared bases died with the connection: a peer that comes
         // back (or a late frame) must renegotiate from full snapshots.
-        self.knowledge.remove(&peer);
+        if let Some(cache) = self
+            .graph
+            .neighbor_index(self.node(), peer)
+            .and_then(|nth| self.knowledge.get_mut(nth))
+        {
+            *cache = EdgeCache::default();
+        }
         // Initiations in flight toward the departed peer will never be
         // answered: count them lost, as the engine does for crashes.
-        let dead: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.peer == peer)
-            .map(|(&seq, _)| seq)
-            .collect();
-        for seq in dead {
-            self.pending.remove(&seq);
-            self.metrics.lost += 1;
+        for entry in &mut self.pending {
+            if entry.as_ref().is_some_and(|p| p.peer == peer) {
+                *entry = None;
+                self.metrics.lost += 1;
+            }
         }
+        self.trim_pending();
     }
 
     /// Neighbors not departed or lost, with their adjacency positions.
@@ -1118,8 +1243,9 @@ mod tests {
             self.sent.borrow_mut().push((release, to, frame.clone()));
             Ok(())
         }
-        fn poll(&mut self, _round: Round) -> Result<Vec<NetEvent>, NetError> {
-            Ok(self.inbox.drain(..).collect())
+        fn poll(&mut self, _round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError> {
+            out.extend(self.inbox.drain(..));
+            Ok(())
         }
         fn stats(&self) -> TransportStats {
             TransportStats::default()
@@ -1221,9 +1347,11 @@ mod tests {
             },
         });
         runner.settle(0).expect("settle 0");
-        let confirmed = runner.knowledge[&peer]
-            .confirmed
-            .as_ref()
+        // Peer 1 is position 0 of node 0's row.
+        let confirmed = runner
+            .knowledge
+            .get(0)
+            .and_then(|k| k.confirmed.as_ref())
             .expect("completed exchange confirms a basis");
         assert_eq!(confirmed.0, seq);
         let mut both = RumorSet::singleton(128, NodeId::new(0));
@@ -1262,7 +1390,10 @@ mod tests {
             }));
         runner.settle(1).expect("settle 1");
         assert!(
-            !runner.knowledge.contains_key(&peer),
+            runner
+                .knowledge
+                .get(0)
+                .is_none_or(|k| k.confirmed.is_none() && k.bases.is_empty()),
             "loss invalidates the peer's knowledge cache"
         );
         assert!(runner.pending.is_empty(), "in-flight request written off");
@@ -1358,6 +1489,122 @@ mod tests {
         assert!(runner.hold.is_empty());
     }
 
+    /// Initiates toward neighbor `round mod degree`: a star's center
+    /// walks its leaves in order.
+    struct RoundRobin {
+        rumors: RumorSet,
+    }
+
+    impl Protocol for RoundRobin {
+        type Payload = RumorSet;
+        fn payload(&self) -> RumorSet {
+            self.rumors.clone()
+        }
+        fn on_round(&mut self, ctx: &mut gossip_sim::Context<'_>) {
+            let round = usize::try_from(ctx.round()).expect("round fits usize");
+            ctx.initiate_nth(round % ctx.degree());
+        }
+        fn on_exchange(
+            &mut self,
+            _ctx: &mut gossip_sim::Context<'_>,
+            x: &gossip_sim::Exchange<RumorSet>,
+        ) {
+            self.rumors.union_with(&x.payload);
+        }
+    }
+
+    #[test]
+    fn pending_ring_settles_out_of_order_and_writes_off_a_lost_peer() {
+        // The center of a star with leaf latencies 1, 3, 5 launches
+        // seqs 1, 2, 3 toward leaves 1, 2, 3 in rounds 0, 1, 2.
+        let mut b = latency_graph::GraphBuilder::new(4);
+        for (leaf, ell) in [(1, 1), (2, 3), (3, 5)] {
+            b.add_edge(0, leaf, ell).expect("edge");
+        }
+        let g = b.build().expect("graph");
+        let me = NodeId::new(0);
+        let sent: SentLog = std::rc::Rc::default();
+        let transport = Scripted {
+            node: me,
+            caps: BTreeMap::new(),
+            inbox: VecDeque::new(),
+            sent: std::rc::Rc::clone(&sent),
+        };
+        let protocol = RoundRobin {
+            rumors: RumorSet::singleton(4, me),
+        };
+        let mut runner = NetRunner::new(&g, me, protocol, &SimConfig::default(), transport);
+        runner.start().expect("start");
+        for round in 0..3 {
+            runner.begin_round(round).expect("round");
+            runner.launch(round).expect("launch");
+            let (release, to, frame) = sent.borrow().last().expect("request sent").clone();
+            let leaf = usize::try_from(round).expect("round fits usize") + 1;
+            assert_eq!((release, to), (round, NodeId::new(leaf)));
+            assert!(
+                matches!(frame, Frame::Request { seq, .. } if seq == round + 1),
+                "seqs are dense from 1: {frame:?}"
+            );
+        }
+        assert_eq!(runner.pending.len(), 3, "three requests in flight");
+        let reply = |leaf: usize, seq: u64, round: Round| {
+            let mut payload = Vec::new();
+            RumorSet::singleton(4, NodeId::new(leaf)).encode_payload(&mut payload);
+            NetEvent::Frame {
+                from: NodeId::new(leaf),
+                frame: Frame::Reply {
+                    seq,
+                    round,
+                    payload,
+                },
+            }
+        };
+        let lost = NetEvent::PeerLost(PeerLoss {
+            peer: NodeId::new(2),
+            attempts: 3,
+            error: "injected".to_owned(),
+        });
+
+        // The newest request's reply lands first: a hole at the back.
+        runner.transport.inbox.push_back(reply(3, 3, 2));
+        runner.settle(2).expect("settle");
+        assert_eq!(runner.pending.len(), 3, "the front is still in flight");
+        // Leaf 2 is lost mid-flight: its one pending is written off in
+        // place, and only its.
+        runner.transport.inbox.push_back(lost);
+        runner.settle(2).expect("settle");
+        assert_eq!(runner.metrics.lost, 1);
+        assert_eq!(runner.pending.len(), 3, "seq 1 still holds the front");
+        // The oldest reply lands last: every seq is settled and the ring
+        // drains.
+        runner.transport.inbox.push_back(reply(1, 1, 0));
+        runner.settle(2).expect("settle");
+        assert!(runner.pending.is_empty());
+        assert_eq!(runner.pending_base, 4, "the next request is seq 4");
+        assert_eq!((runner.metrics.delivered, runner.metrics.lost), (2, 1));
+
+        // A late reply to the written-off seq, and replies to seqs never
+        // issued (past the newest, and 0), are ignored.
+        runner
+            .transport
+            .inbox
+            .extend([reply(2, 2, 1), reply(1, 9, 2), reply(3, 0, 2)]);
+        runner.settle(2).expect("late replies are not errors");
+        assert_eq!((runner.metrics.delivered, runner.metrics.lost), (2, 1));
+        assert!(runner.pending.is_empty());
+        let mut held: Vec<(NodeId, Round)> = runner
+            .hold
+            .iter()
+            .map(|x| (x.peer, x.completed_at))
+            .collect();
+        held.sort();
+        assert_eq!(
+            held,
+            [(NodeId::new(1), 1), (NodeId::new(3), 7)],
+            "each reply held to its own edge's t + ℓ"
+        );
+    }
+
     #[test]
     fn loss_after_bye_is_a_departure_not_a_fault() {
         // Peer 1 says goodbye and its sockets then close behind it; peer
@@ -1414,7 +1661,7 @@ mod tests {
         });
         runner.settle(0).expect("settle 0");
         assert!(
-            !runner.knowledge.contains_key(&NodeId::new(1)),
+            runner.knowledge.get(0).is_none(),
             "no basis is cached for a snapshot-only peer"
         );
         let _ = RumorSet::decode_payload(&payload).expect("snapshot request decodes");

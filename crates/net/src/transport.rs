@@ -5,10 +5,10 @@
 //! [`NetRunner`](crate::NetRunner) decides *when* a frame may be applied
 //! (the `release` round passed to [`Transport::send`]); the transport
 //! only promises the frame is available to the receiver's
-//! [`poll`](Transport::poll) no later than that round. The runner's
-//! hold queues then enforce exact-round application regardless of
-//! arrival jitter, which is why the same driver code is exact over the
-//! virtual-clock loopback and merely *faithful* over TCP.
+//! [`poll`](Transport::poll) no later than that round, and at most
+//! once. The runner's hold queues then enforce exact-round application
+//! regardless of arrival jitter, which is why the same driver code is
+//! exact over the virtual-clock loopback and merely *faithful* over TCP.
 
 use gossip_sim::Round;
 use latency_graph::NodeId;
@@ -61,12 +61,13 @@ pub enum NetEvent {
 /// 1. [`start`](Transport::start) — bring up connections and block until
 ///    the start barrier holds (every neighbor connected both ways), or
 ///    fail with [`NetError::StartTimeout`].
-/// 2. [`poll(round)`](Transport::poll) — block until `round` has begun
-///    on the local clock (wall clock for TCP, no-op for loopback), then
-///    return everything that has arrived. Calling it again with the
-///    same round must not block again: the second call is the
-///    non-blocking drain the runner uses at the end of a round to answer
-///    freshly arrived requests.
+/// 2. [`poll(round, out)`](Transport::poll) — block until `round` has
+///    begun on the local clock (wall clock for TCP, no-op for
+///    loopback), then append everything that has arrived to `out`, the
+///    caller's reusable inbox. Calling it again with the same round
+///    must not block again: the second call is the non-blocking drain
+///    the runner uses at the end of a round to answer freshly arrived
+///    requests.
 /// 3. [`send(release, to, nth, frame)`](Transport::send) — queue
 ///    `frame` so the receiver can observe it in its poll of round
 ///    `release` (or later; never earlier than the transport can help).
@@ -76,6 +77,14 @@ pub enum NetEvent {
 ///    Sending to a peer already reported lost is a silent no-op.
 /// 4. [`shutdown`](Transport::shutdown) — release sockets and threads;
 ///    idempotent.
+///
+/// **Delivery is at most once.** A request (`Request` / `RequestDelta`)
+/// surfaces from `poll` at most once per sequence number, so the runner
+/// answers whatever it is handed. Loopback and the reactor's trunks
+/// never duplicate a frame; the one path that can re-send — an outbound
+/// reactor edge that reconnects and replays the frame a dying
+/// connection cut — is deduplicated by the receiving reactor with a
+/// per-edge sequence high-water mark (DESIGN.md §11).
 pub trait Transport {
     /// The node this endpoint belongs to.
     fn local(&self) -> NodeId;
@@ -115,8 +124,9 @@ pub trait Transport {
         frame: &Frame,
     ) -> Result<(), NetError>;
 
-    /// Blocks until `round` has begun locally, then drains arrivals.
-    fn poll(&mut self, round: Round) -> Result<Vec<NetEvent>, NetError>;
+    /// Blocks until `round` has begun locally, then drains arrivals
+    /// onto the end of `out`.
+    fn poll(&mut self, round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError>;
 
     /// This endpoint's traffic counters.
     fn stats(&self) -> TransportStats;

@@ -428,14 +428,15 @@ fn topology_mismatch_refuses_to_pair() {
                 if stop_rx.try_recv().is_ok() {
                     break;
                 }
-                let _ = eb.poll(round);
+                let _ = eb.poll(round, &mut Vec::new());
             }
         });
         a.set_peer(NodeId::new(1), addr_rx.recv().expect("b address"));
         let mut ea = a.endpoint(NodeId::new(0));
         ea.start()
             .expect("start settles: the peer is conclusively lost");
-        let events = ea.poll(0).expect("poll");
+        let mut events = Vec::new();
+        ea.poll(0, &mut events).expect("poll");
         let lost: Vec<_> = events
             .iter()
             .filter_map(|e| match e {

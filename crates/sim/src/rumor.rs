@@ -303,8 +303,9 @@ impl RumorSet {
     /// The symmetric difference `self ⊕ basis` as a compact set: one
     /// fused XOR + popcount scan over the word arrays, classified into
     /// the smallest representation tier without a second bit-scan. Two
-    /// handles sharing one buffer short-circuit to the empty delta
-    /// without touching a word.
+    /// handles sharing one buffer, or two full sets (the cached counts
+    /// say so), short-circuit to the empty delta without touching a
+    /// word.
     ///
     /// Together with [`apply_delta`](Self::apply_delta) this is an
     /// exact reconstruction pair: for any two sets over one universe,
@@ -321,7 +322,7 @@ impl RumorSet {
             basis.universe(),
             "rumor universes must match"
         );
-        if self.ptr_eq(basis) {
+        if self.ptr_eq(basis) || (self.is_full() && basis.is_full()) {
             return CompactRumorSet::new(self.universe());
         }
         let mut words = Vec::with_capacity(self.inner.words.len());
@@ -1745,6 +1746,22 @@ mod tests {
         let empty = CompactRumorSet::new(n);
         a.apply_delta(&empty);
         assert!(a.ptr_eq(&snap));
+    }
+
+    #[test]
+    fn full_sets_on_distinct_buffers_diff_to_empty() {
+        for n in [0, 1, 64, 200, 4096] {
+            let (a, mut b) = (RumorSet::full(n), RumorSet::new(n));
+            for v in (0..n).rev() {
+                b.insert(NodeId::new(v));
+            }
+            assert!(!a.ptr_eq(&b) && b.is_full());
+            let delta = a.diff(&b);
+            assert!(delta.is_empty(), "n = {n}");
+            let mut back = b.clone();
+            back.apply_delta(&delta);
+            assert_eq!(back.fingerprint(), a.fingerprint());
+        }
     }
 
     #[test]
