@@ -56,12 +56,17 @@ fn bench_dijkstra(c: &mut Criterion) {
 
 /// The two large benchmark topologies: the dense one inserts its edges
 /// in ascending order (no row is sorted), the geometric one in grid-cell
-/// order (every row is).
+/// order (every row is). Both have unit latencies, so both build one
+/// shared latency row; the re-weighted clique is the per-edge path.
 fn bench_graph_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph/build");
     group.sample_size(10);
     group.bench_function("clique/4096", |b| {
         b.iter(|| black_box(generators::clique(4096)));
+    });
+    let clique = generators::clique(4096);
+    group.bench_function("uniform_random_latencies/clique/4096", |b| {
+        b.iter(|| black_box(generators::uniform_random_latencies(&clique, 1, 10, 7)));
     });
     // Mean degree n·π·r² = 18.
     let n = 65_536usize;

@@ -128,7 +128,7 @@ impl DiGraph {
             .collect();
         edges.sort_unstable();
         edges.dedup_by_key(|&mut (u, v, _)| (u, v));
-        Graph::assemble(self.node_count(), &edges)
+        Graph::assemble(self.node_count(), &edges.into_iter().collect())
             .expect("antiparallel arcs were just deduplicated")
     }
 }

@@ -18,12 +18,20 @@ const MAX_NODES: usize = u32::MAX as usize;
 /// adjacency. `latency(u, v)` is a binary search. Node ids are dense
 /// `0..n`.
 ///
-/// The CSR arrays are the only representation: 8 bytes per directed
-/// edge (a 4-byte id and a 4-byte latency for each endpoint's row) plus
-/// 8 bytes per node of row offsets. There is no separate edge list —
+/// The CSR arrays are the only representation: 4 bytes per directed
+/// edge (the neighbor id in each endpoint's row), 4 bytes more per
+/// directed edge only when the latencies differ, plus 8 bytes per node
+/// of row offsets. When every edge has the same latency `ℓ` — classical
+/// gossip, `ℓ ≡ 1`, is that case — the latencies are one shared row of
+/// `Δ` copies of `ℓ`, and [`neighbor_latencies`](Graph::neighbor_latencies)
+/// returns a prefix of it: still a slice parallel to
+/// [`neighbor_ids`](Graph::neighbor_ids). The representation follows
+/// from the edge set alone, so equal graphs compare `==` however they
+/// were built. There is no separate edge list —
 /// [`edges`](Graph::edges) walks the rows — and everything a run asks
 /// of the whole graph ([`node_count`](Graph::node_count),
 /// [`edge_count`](Graph::edge_count),
+/// [`max_degree`](Graph::max_degree),
 /// [`max_latency`](Graph::max_latency)) is fixed at build time and
 /// answered in O(1).
 ///
@@ -53,7 +61,12 @@ const MAX_NODES: usize = u32::MAX as usize;
 pub struct Graph {
     offsets: Vec<usize>,
     adj_ids: Vec<NodeId>,
+    /// Parallel to `adj_ids` when the latencies differ; otherwise one
+    /// shared row of `max_degree` copies of the only latency. A shared
+    /// row is shorter than `adj_ids` (`Δ ≤ m < 2m`) unless the graph is
+    /// edgeless, where both are empty and either reading is right.
     adj_lats: Vec<Latency>,
+    max_degree: usize,
     max_latency: Option<Latency>,
 }
 
@@ -154,7 +167,18 @@ impl Graph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn neighbor_latencies(&self, v: NodeId) -> &[Latency] {
-        &self.adj_lats[self.adj_range(v)]
+        if self.shared_latency_row() {
+            &self.adj_lats[..self.degree(v)]
+        } else {
+            &self.adj_lats[self.adj_range(v)]
+        }
+    }
+
+    /// Internal: whether `adj_lats` is the one shared row of a graph
+    /// whose edges all have the same latency.
+    #[inline]
+    fn shared_latency_row(&self) -> bool {
+        self.adj_lats.len() != self.adj_ids.len()
     }
 
     /// The degree of `v`.
@@ -170,10 +194,7 @@ impl Graph {
 
     /// The maximum degree `Δ` over all nodes (0 for an edgeless graph).
     pub fn max_degree(&self) -> usize {
-        (0..self.node_count())
-            .map(|i| self.offsets[i + 1] - self.offsets[i])
-            .max()
-            .unwrap_or(0)
+        self.max_degree
     }
 
     /// The latency of edge `(u, v)`, or `None` if the edge is absent.
@@ -232,6 +253,9 @@ impl Graph {
     /// These are the only values of `ℓ` at which the weight-`ℓ`
     /// conductance profile `Φ(G)` can change.
     pub fn distinct_latencies(&self) -> Vec<Latency> {
+        if self.shared_latency_row() {
+            return self.max_latency.into_iter().collect();
+        }
         let mut ls: Vec<Latency> = self.edges().map(|(_, _, l)| l).collect();
         ls.sort_unstable();
         ls.dedup();
@@ -303,7 +327,7 @@ impl Graph {
     /// Useful for re-weighting a generated topology, e.g. assigning
     /// bimodal fast/slow latencies to a grid.
     pub fn map_latencies(&self, mut f: impl FnMut(NodeId, NodeId, Latency) -> Latency) -> Graph {
-        let edges: Vec<_> = self.edges().map(|(u, v, l)| (u, v, f(u, v, l))).collect();
+        let edges: EdgeList = self.edges().map(|(u, v, l)| (u, v, f(u, v, l))).collect();
         Graph::assemble(self.node_count(), &edges)
             .expect("the edge set of a simple graph, relabeled")
     }
@@ -332,57 +356,124 @@ impl Graph {
 
     /// Internal: the subgraph on every node keeping the edges `keep` accepts.
     fn edge_subgraph(&self, keep: impl FnMut(&(NodeId, NodeId, Latency)) -> bool) -> Graph {
-        let edges: Vec<_> = self.edges().filter(keep).collect();
+        let edges: EdgeList = self.edges().filter(keep).collect();
         Graph::assemble(self.node_count(), &edges).expect("a subset of a simple graph's edges")
     }
 
-    /// Internal: counting-sorts an edge list (endpoints `< n`, no
-    /// self-loops, either orientation, any order) straight into the CSR
-    /// arrays. A row is sorted only when the scatter left it out of
-    /// order — edges inserted in ascending `(u, v)` order sort nothing —
-    /// and a duplicate shows up as two equal neighbors in a sorted row.
+    /// Internal: the graph on `n` nodes with the edges of `edges`
+    /// (endpoints `< n`, no self-loops, either orientation, any order).
+    /// A list with one latency ends in the shared latency row.
     ///
     /// # Errors
     ///
     /// [`GraphError::DuplicateEdge`] with the smallest duplicated
     /// `(u, v)`, `u < v`.
-    pub(crate) fn assemble(
-        n: usize,
-        edges: &[(NodeId, NodeId, Latency)],
-    ) -> Result<Graph, GraphError> {
+    pub(crate) fn assemble(n: usize, edges: &EdgeList) -> Result<Graph, GraphError> {
+        let (rows, max_latency) = if edges.per_edge.is_empty() {
+            let mut rows = Rows::of(n, &edges.ends)?;
+            rows.lats = edges
+                .latency
+                .map_or_else(Vec::new, |l| vec![l; rows.max_degree]);
+            (rows, edges.latency)
+        } else {
+            let max_latency = edges.per_edge.iter().map(|&(_, _, l)| l).max();
+            (Rows::of(n, &edges.per_edge)?, max_latency)
+        };
+        Ok(Graph {
+            offsets: rows.offsets,
+            adj_ids: rows.ids,
+            adj_lats: rows.lats,
+            max_degree: rows.max_degree,
+            max_latency,
+        })
+    }
+}
+
+/// Internal: an edge as [`Rows::of`] reads it — endpoints, and a
+/// latency when the list stores one per edge.
+trait ListedEdge: Copy {
+    const PER_EDGE: bool;
+    fn ends(self) -> (NodeId, NodeId);
+    fn latency(self) -> Latency;
+}
+
+impl ListedEdge for (NodeId, NodeId) {
+    const PER_EDGE: bool = false;
+    fn ends(self) -> (NodeId, NodeId) {
+        self
+    }
+    fn latency(self) -> Latency {
+        unreachable!("an endpoint pair carries no latency")
+    }
+}
+
+impl ListedEdge for (NodeId, NodeId, Latency) {
+    const PER_EDGE: bool = true;
+    fn ends(self) -> (NodeId, NodeId) {
+        (self.0, self.1)
+    }
+    fn latency(self) -> Latency {
+        self.2
+    }
+}
+
+/// Internal: the CSR arrays of an edge list; `lats` is empty unless
+/// the list stores a latency per edge.
+struct Rows {
+    offsets: Vec<usize>,
+    ids: Vec<NodeId>,
+    lats: Vec<Latency>,
+    max_degree: usize,
+}
+
+impl Rows {
+    /// Counting-sorts `edges` straight into the CSR arrays. A row is
+    /// sorted only when the scatter left it out of order — edges
+    /// inserted in ascending `(u, v)` order sort nothing — and a
+    /// duplicate shows up as two equal neighbors in a sorted row.
+    fn of<E: ListedEdge>(n: usize, edges: &[E]) -> Result<Rows, GraphError> {
         let mut offsets = vec![0usize; n + 1];
-        for &(u, v, _) in edges {
+        for &e in edges {
+            let (u, v) = e.ends();
             offsets[u.index() + 1] += 1;
             offsets[v.index() + 1] += 1;
         }
+        let max_degree = offsets.iter().copied().max().unwrap_or(0);
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
         let mut cursor = offsets.clone();
-        let mut adj_ids = vec![NodeId::default(); 2 * edges.len()];
-        let mut adj_lats = vec![Latency::UNIT; 2 * edges.len()];
-        for &(u, v, l) in edges {
+        let mut ids = vec![NodeId::default(); 2 * edges.len()];
+        let mut lats = vec![Latency::UNIT; if E::PER_EDGE { ids.len() } else { 0 }];
+        for &e in edges {
+            let (u, v) = e.ends();
             for (from, to) in [(u, v), (v, u)] {
                 let slot = &mut cursor[from.index()];
-                adj_ids[*slot] = to;
-                adj_lats[*slot] = l;
+                ids[*slot] = to;
+                if E::PER_EDGE {
+                    lats[*slot] = e.latency();
+                }
                 *slot += 1;
             }
         }
         let mut row: Vec<(NodeId, Latency)> = Vec::new();
         for i in 0..n {
             let range = offsets[i]..offsets[i + 1];
-            let ids = &mut adj_ids[range.clone()];
+            let ids = &mut ids[range.clone()];
             if ids.windows(2).all(|w| w[0] < w[1]) {
                 continue;
             }
-            let lats = &mut adj_lats[range];
-            row.clear();
-            row.extend(ids.iter().copied().zip(lats.iter().copied()));
-            row.sort_unstable_by_key(|&(w, _)| w);
-            for (k, &(w, l)) in row.iter().enumerate() {
-                ids[k] = w;
-                lats[k] = l;
+            if E::PER_EDGE {
+                let lats = &mut lats[range];
+                row.clear();
+                row.extend(ids.iter().copied().zip(lats.iter().copied()));
+                row.sort_unstable_by_key(|&(w, _)| w);
+                for (k, &(w, l)) in row.iter().enumerate() {
+                    ids[k] = w;
+                    lats[k] = l;
+                }
+            } else {
+                ids.sort_unstable();
             }
             // Rows are visited in ascending order, so the first repeated
             // neighbor `w` of the first row `i` holding one has `i < w`
@@ -391,16 +482,75 @@ impl Graph {
                 return Err(GraphError::DuplicateEdge(NodeId::new(i), w[0]));
             }
         }
-        Ok(Graph {
+        Ok(Rows {
             offsets,
-            adj_ids,
-            adj_lats,
-            max_latency: edges.iter().map(|&(_, _, l)| l).max(),
+            ids,
+            lats,
+            max_degree,
         })
     }
 }
 
-/// Incremental, validating constructor for [`Graph`].
+/// Internal: an undirected edge list that stores a latency per edge
+/// only once two edges differ — 8 bytes per edge while every latency
+/// is the same, 12 after. What [`Graph::assemble`] reads.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct EdgeList {
+    /// The edges while every one has latency `latency`.
+    ends: Vec<(NodeId, NodeId)>,
+    /// The one latency of `ends` (`None` while there is no edge).
+    latency: Option<Latency>,
+    /// Every edge, once two latencies differ; `ends` is empty then.
+    per_edge: Vec<(NodeId, NodeId, Latency)>,
+}
+
+impl EdgeList {
+    fn len(&self) -> usize {
+        self.ends.len() + self.per_edge.len()
+    }
+
+    #[inline]
+    fn push(&mut self, u: NodeId, v: NodeId, l: Latency) {
+        if !self.per_edge.is_empty() {
+            self.per_edge.push((u, v, l));
+        } else if self.latency == Some(l) {
+            self.ends.push((u, v));
+        } else {
+            self.first_differs(u, v, l);
+        }
+    }
+
+    /// Internal: `l` is the first latency, or the second distinct one —
+    /// from here on every edge stores its own.
+    #[cold]
+    fn first_differs(&mut self, u: NodeId, v: NodeId, l: Latency) {
+        match self.latency {
+            None => {
+                self.latency = Some(l);
+                self.ends.push((u, v));
+            }
+            Some(first) => {
+                let ends = std::mem::take(&mut self.ends);
+                self.per_edge.reserve_exact(ends.capacity());
+                self.per_edge
+                    .extend(ends.iter().map(|&(a, b)| (a, b, first)));
+                self.per_edge.push((u, v, l));
+            }
+        }
+    }
+}
+
+impl FromIterator<(NodeId, NodeId, Latency)> for EdgeList {
+    fn from_iter<I: IntoIterator<Item = (NodeId, NodeId, Latency)>>(iter: I) -> EdgeList {
+        let mut edges = EdgeList::default();
+        iter.into_iter().for_each(|(u, v, l)| edges.push(u, v, l));
+        edges
+    }
+}
+
+/// Incremental, validating constructor for [`Graph`]. It holds 8 bytes
+/// per edge while every latency added is the same, and 12 once a second
+/// distinct one arrives.
 ///
 /// # Example
 ///
@@ -420,7 +570,7 @@ impl Graph {
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     n: usize,
-    edges: Vec<(NodeId, NodeId, Latency)>,
+    edges: EdgeList,
 }
 
 impl GraphBuilder {
@@ -428,7 +578,7 @@ impl GraphBuilder {
     pub fn new(n: usize) -> GraphBuilder {
         GraphBuilder {
             n,
-            edges: Vec::new(),
+            edges: EdgeList::default(),
         }
     }
 
@@ -477,7 +627,7 @@ impl GraphBuilder {
                 });
             }
         }
-        self.edges.push((u, v, Latency::new(latency)));
+        self.edges.push(u, v, Latency::new(latency));
         Ok(())
     }
 

@@ -214,3 +214,159 @@ proptest! {
         prop_assert_eq!(g.is_connected(), h.is_connected());
     }
 }
+
+/// How [`latency_case`] assigns latencies.
+#[derive(Clone, Copy, Debug)]
+enum Lats {
+    /// Every edge has latency `c`.
+    AllEqual,
+    /// Independent per-edge latencies.
+    PerEdge,
+    /// Every edge has latency `c` except the last one inserted: the
+    /// builder switches to per-edge storage on the final `add_edge`.
+    AllButLast,
+}
+
+/// A graph on `1..=max_n` nodes (one-node and edgeless ones included)
+/// as inserted — shuffled, random orientations — with latencies drawn
+/// per [`Lats`].
+fn latency_case(max_n: usize) -> impl Strategy<Value = (usize, Vec<Edge>, Lats)> {
+    let mode = (0usize..3).prop_map(|k| [Lats::AllEqual, Lats::PerEdge, Lats::AllButLast][k]);
+    (1..=max_n, mode, 1u32..6, any::<u64>()).prop_flat_map(|(n, mode, c, seed)| {
+        prop::collection::vec((0..n, 0..n, 1u32..6), 0..3 * n).prop_map(move |raw| {
+            let mut seen = std::collections::BTreeSet::new();
+            let mut es: Vec<Edge> = raw
+                .into_iter()
+                .filter(|&(u, v, _)| u != v && seen.insert((u.min(v), u.max(v))))
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            es.shuffle(&mut rng);
+            let last = es.len().wrapping_sub(1);
+            for (i, e) in es.iter_mut().enumerate() {
+                e.2 = match mode {
+                    Lats::PerEdge => e.2,
+                    Lats::AllButLast if i == last => c + 1,
+                    Lats::AllEqual | Lats::AllButLast => c,
+                };
+            }
+            (n, es, mode)
+        })
+    })
+}
+
+/// The FNV fold [`Graph::topology_hash`] documents, over an oracle edge
+/// list sorted ascending with `u < v`.
+fn oracle_hash(n: usize, es: &[Edge]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ n as u64;
+    let mut mix = |x: u64| {
+        h ^= x;
+        h = h.wrapping_mul(0x100_0000_01b3);
+        h ^= h >> 29;
+    };
+    for &(u, v, l) in es {
+        mix(u as u64);
+        mix(v as u64);
+        mix(u64::from(l));
+    }
+    h
+}
+
+/// Every accessor of `g` against the naive edge list `es` (sorted
+/// ascending, `u < v`) over `n` nodes.
+fn check_against_oracle(g: &Graph, n: usize, es: &[Edge]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(g.node_count(), n);
+    prop_assert_eq!(g.edge_count(), es.len());
+    prop_assert_eq!(plain(g), es.to_vec());
+    let mut rows: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+    for &(u, v, l) in es {
+        rows[u].push((v, l));
+        rows[v].push((u, l));
+    }
+    for (v, row) in rows.iter_mut().enumerate() {
+        row.sort_unstable();
+        let id = NodeId::new(v);
+        let ids: Vec<usize> = g.neighbor_ids(id).iter().map(|w| w.index()).collect();
+        let lats: Vec<u32> = g.neighbor_latencies(id).iter().map(|l| l.get()).collect();
+        prop_assert_eq!(lats.len(), g.degree(id));
+        prop_assert_eq!(ids.into_iter().zip(lats).collect::<Vec<_>>(), row.clone());
+        for w in 0..n {
+            let want = row
+                .iter()
+                .find(|&&(x, _)| x == w)
+                .map(|&(_, l)| Latency::new(l));
+            prop_assert_eq!(g.latency(id, NodeId::new(w)), want);
+        }
+    }
+    prop_assert_eq!(g.max_degree(), rows.iter().map(Vec::len).max().unwrap_or(0));
+    let mut distinct: Vec<u32> = es.iter().map(|&(_, _, l)| l).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    prop_assert_eq!(g.max_latency().map(Latency::get), distinct.last().copied());
+    let got: Vec<u32> = g.distinct_latencies().iter().map(|l| l.get()).collect();
+    prop_assert_eq!(got, distinct);
+    prop_assert_eq!(g.topology_hash(), oracle_hash(n, es));
+    Ok(())
+}
+
+fn canonical(es: &[Edge]) -> Vec<Edge> {
+    let mut es: Vec<Edge> = es
+        .iter()
+        .map(|&(u, v, l)| (u.min(v), u.max(v), l))
+        .collect();
+    es.sort_unstable();
+    es
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// Whether a graph stores one latency row or one latency per edge
+    /// is invisible: every accessor, every derived graph and every
+    /// error agrees with a naive edge-list oracle, whichever way the
+    /// latencies were assigned.
+    #[test]
+    fn latency_representation_is_invisible(
+        (n, inserted, mode) in latency_case(16),
+        cut in 1u32..7,
+        mask in any::<u64>(),
+        dup in (any::<usize>(), any::<usize>()),
+    ) {
+        let es = canonical(&inserted);
+        let g = Graph::from_edges(n, inserted.iter().copied()).unwrap();
+        check_against_oracle(&g, n, &es)?;
+        if let (Lats::AllButLast, Some(&(u, v, l))) = (mode, inserted.last()) {
+            prop_assert_eq!(g.latency(NodeId::new(u), NodeId::new(v)), Some(Latency::new(l)));
+        }
+
+        // Into and out of one latency: equal to the graph built directly.
+        let into: Vec<Edge> = es.iter().map(|&(u, v, _)| (u, v, 7)).collect();
+        let g7 = g.map_latencies(|_, _, _| Latency::new(7));
+        check_against_oracle(&g7, n, &into)?;
+        prop_assert_eq!(&g7, &Graph::from_edges(n, into).unwrap());
+        let out: Vec<Edge> = es.iter().map(|&(u, v, l)| (u, v, l + (u % 2) as u32)).collect();
+        let back = g7.map_latencies(|u, v, _| {
+            let (u, v) = (u.index(), v.index());
+            Latency::new(es.iter().find(|e| (e.0, e.1) == (u, v)).unwrap().2 + (u % 2) as u32)
+        });
+        check_against_oracle(&back, n, &out)?;
+        prop_assert_eq!(&back, &Graph::from_edges(n, out).unwrap());
+
+        let kept: Vec<Edge> = es.iter().copied().filter(|&(_, _, l)| l <= cut).collect();
+        check_against_oracle(&g.latency_filtered(Latency::new(cut)), n, &kept)?;
+        let members: Vec<bool> = (0..n).map(|i| mask >> (i % 64) & 1 == 1).collect();
+        let kept: Vec<Edge> = es.iter().copied().filter(|&(u, v, _)| members[u] && members[v]).collect();
+        check_against_oracle(&g.induced_subgraph(&members), n, &kept)?;
+
+        // A repeated edge is reported as the same pair whether the
+        // repeat keeps the list at one latency or adds a second.
+        if !inserted.is_empty() {
+            let (u, v, l) = inserted[dup.0 % inserted.len()];
+            let want = Err(GraphError::DuplicateEdge(NodeId::new(u.min(v)), NodeId::new(u.max(v))));
+            for repeat in [l, l + 1] {
+                let mut with_dup = inserted.clone();
+                with_dup.insert(dup.1 % (inserted.len() + 1), (v, u, repeat));
+                prop_assert_eq!(Graph::from_edges(n, with_dup), want.clone());
+            }
+        }
+    }
+}
