@@ -25,7 +25,7 @@
 //!
 //! # Layout
 //!
-//! * [`checker`] — the BFS engine: [`Model`](checker::Model) trait,
+//! * [`checker`] — the BFS engine: [`Model`] trait,
 //!   state encoding, fault/choice enumeration, minimal
 //!   counterexamples, and replay.
 //! * [`props`] — the pluggable properties (`Lemma18NoEarlyStop`,

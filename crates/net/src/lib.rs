@@ -18,8 +18,9 @@
 //!   carried by [`Frame::RequestDelta`]/[`Frame::ReplyDelta`]: exchange
 //!   cost proportional to *new information* instead of `⌈n/64⌉` words,
 //!   with exact snapshot reconstruction (DESIGN.md §15).
-//! * [`transport`] — the [`Transport`] abstraction: framed send/recv with
-//!   per-link latency enforcement and round pacing.
+//! * [`transport`] — the [`Transport`] abstraction: framed send/recv,
+//!   at most once and by the round the receiver needs it, plus round
+//!   pacing.
 //! * [`loopback`] — an in-process transport on the *virtual* clock. A
 //!   cluster of loopback runners reproduces the simulator's executions
 //!   exactly (round counts, metrics, final states) — see

@@ -1,20 +1,21 @@
 //! Deterministic in-process transport on the virtual clock.
 //!
 //! A [`LoopbackHub`] holds one shared mailroom for a cluster of
-//! in-process endpoints. Frames are *queued by release round* — the
-//! round at which the runner allows the receiver to observe them — and
-//! a [`poll(round)`](crate::Transport::poll) call moves every frame with
-//! release ≤ `round` into its destination's ready queue. There is no
-//! wall clock anywhere: time advances exactly when the cluster driver
-//! says it does, which makes loopback runs bit-for-bit reproducible and
-//! is the substrate for the simulator-equivalence proof (DESIGN.md §11).
+//! in-process endpoints: `send` appends a frame to its destination's
+//! queue, and a [`poll`](crate::Transport::poll) call hands over
+//! everything queued, in global send order. The hub never holds a frame
+//! back by round — a reply reaches its initiator before its due round,
+//! and the runner's hold applies it at `t + ℓ`. There is no wall clock
+//! anywhere: time advances exactly when the cluster driver says it
+//! does, which makes loopback runs bit-for-bit reproducible and is the
+//! substrate for the simulator-equivalence proof (DESIGN.md §11).
 //!
 //! Frames still make a full trip through the wire codec: the hub stores
 //! encoded bytes and every poll decodes them, so the codec's
 //! losslessness is exercised by every loopback test, not assumed.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use gossip_sim::Round;
@@ -30,31 +31,13 @@ struct Envelope {
 }
 
 struct HubState {
-    /// Frames not yet released, keyed by release round. Within a round,
-    /// order of insertion (= global send order) is preserved.
-    pending: BTreeMap<Round, Vec<(NodeId, Envelope)>>,
-    /// Released frames, per destination, in release order.
+    /// Frames not yet polled, per destination, in send order.
     ready: Vec<VecDeque<Envelope>>,
     /// Per-endpoint traffic counters.
     stats: Vec<TransportStats>,
     /// Per-endpoint advertised capability bits. Loopback has no
     /// handshake, so the hub itself is the capability registry.
     caps: Vec<u32>,
-}
-
-impl HubState {
-    /// Moves every frame with release ≤ `round` to its ready queue.
-    fn advance(&mut self, round: Round) {
-        while let Some((&due, _)) = self.pending.first_key_value() {
-            if due > round {
-                break;
-            }
-            let batch = self.pending.remove(&due).expect("first key exists");
-            for (to, env) in batch {
-                self.ready[to.index()].push_back(env);
-            }
-        }
-    }
 }
 
 /// Shared mailroom for a cluster of [`LoopbackTransport`] endpoints.
@@ -73,7 +56,6 @@ impl LoopbackHub {
     pub fn new(n: usize) -> LoopbackHub {
         LoopbackHub {
             state: Rc::new(RefCell::new(HubState {
-                pending: BTreeMap::new(),
                 ready: (0..n).map(|_| VecDeque::new()).collect(),
                 stats: vec![TransportStats::default(); n],
                 caps: vec![0; n],
@@ -125,10 +107,11 @@ impl Transport for LoopbackTransport {
     }
 
     /// The hub has no adjacency to hold `_nth` against: it refuses only
-    /// ids outside the cluster.
+    /// ids outside the cluster. The frame is queued at once, whatever
+    /// its `_release`.
     fn send(
         &mut self,
-        release: Round,
+        _release: Round,
         to: NodeId,
         _nth: usize,
         frame: &Frame,
@@ -141,19 +124,15 @@ impl Transport for LoopbackTransport {
         let stats = &mut state.stats[self.node.index()];
         stats.frames_sent += 1;
         stats.bytes_sent += bytes.len() as u64;
-        state.pending.entry(release).or_default().push((
-            to,
-            Envelope {
-                from: self.node,
-                bytes,
-            },
-        ));
+        state.ready[to.index()].push_back(Envelope {
+            from: self.node,
+            bytes,
+        });
         Ok(())
     }
 
-    fn poll(&mut self, round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError> {
+    fn poll(&mut self, _round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError> {
         let mut state = self.state.borrow_mut();
-        state.advance(round);
         while let Some(env) = state.ready[self.node.index()].pop_front() {
             let (frame, used) = Frame::decode(&env.bytes)?;
             if used != env.bytes.len() {
@@ -190,7 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn frames_release_at_their_round_in_send_order() {
+    fn frames_surface_at_the_next_poll_in_send_order() {
         let hub = LoopbackHub::new(2);
         let mut a = hub.endpoint(NodeId::new(0));
         let mut b = hub.endpoint(NodeId::new(1));
@@ -198,16 +177,23 @@ mod tests {
             .expect("send");
         a.send(0, NodeId::new(1), 0, &Frame::Done { round: 0 })
             .expect("send");
-        let r0 = poll(&mut b, 0);
-        assert_eq!(r0.len(), 1, "only the release-0 frame is visible");
-        assert!(poll(&mut b, 1).is_empty());
-        let r2 = poll(&mut b, 2);
-        assert_eq!(r2.len(), 1);
-        let NetEvent::Frame { from, frame } = &r2[0] else {
-            panic!("expected frame");
-        };
-        assert_eq!(*from, NodeId::new(0));
-        assert_eq!(*frame, Frame::Done { round: 2 });
+        let got: Vec<(NodeId, Frame)> = poll(&mut b, 0)
+            .into_iter()
+            .map(|event| match event {
+                NetEvent::Frame { from, frame } => (from, frame),
+                NetEvent::PeerLost(l) => panic!("unexpected loss: {l}"),
+            })
+            .collect();
+        let from = NodeId::new(0);
+        assert_eq!(
+            got,
+            [
+                (from, Frame::Done { round: 2 }),
+                (from, Frame::Done { round: 0 })
+            ],
+            "a later release does not hold a frame back"
+        );
+        assert!(poll(&mut b, 2).is_empty(), "each frame surfaces once");
         assert_eq!(a.stats().frames_sent, 2);
         assert_eq!(b.stats().frames_received, 2);
     }
@@ -221,6 +207,9 @@ mod tests {
             .expect_err("node 2 is outside a two-node hub");
         assert!(matches!(err, NetError::UnknownPeer(v) if v == NodeId::new(2)));
         assert_eq!(a.stats().frames_sent, 0);
-        assert!(hub.state.borrow().pending.is_empty(), "nothing queued");
+        assert!(
+            hub.state.borrow().ready.iter().all(VecDeque::is_empty),
+            "nothing queued"
+        );
     }
 }

@@ -1,13 +1,19 @@
 //! Reactor runtime: thousands of nodes per process over non-blocking
 //! TCP (DESIGN.md §14) — the crate's one real-socket transport.
 //!
-//! **One** thread runs a single `epoll` readiness loop ([`sys::Poller`])
+//! **One** thread runs a single `epoll` readiness loop (`sys::Poller`)
 //! hosting *every* connection of *many* nodes, with per-connection
-//! read/write buffer state machines ([`conn::Conn`]) instead of blocking
-//! reader/writer threads and a deadline wheel ([`wheel::Wheel`]) instead
-//! of any `thread::sleep` (reply release shaping, round pacing,
-//! reconnect backoff). A reactor hosting a single node is the
-//! one-node-per-process deployment; nothing else changes.
+//! read/write buffer state machines (`conn::Conn`) instead of blocking
+//! reader/writer threads and a deadline wheel (`wheel::Wheel`) instead
+//! of any `thread::sleep` (round pacing, reconnect backoff). A reactor
+//! hosting a single node is the one-node-per-process deployment;
+//! nothing else changes.
+//!
+//! The reactor never holds a frame back by round: a decoded frame is
+//! handed to the next poll of its destination, and the runner applies
+//! it at `t + ℓ`. The `release` round of [`Transport::send`] is the
+//! round by which the receiver needs the frame; drain pacing reads it
+//! to decide when to pump.
 //!
 //! # Trunk multiplexing
 //!
@@ -35,23 +41,21 @@
 //! # Pacing
 //!
 //! * [`Pacing::Drain`] — virtual time for single-process runs: frames
-//!   are queued on their trunk, receivers stage them by release round,
-//!   and `poll(round)` pumps **when a due envelope is in flight** —
-//!   one queued since the last pump with `release ≤ round` — until the
-//!   reactor **quiesces** (all write queues empty, every routed
-//!   envelope decoded) instead of waiting on the wall clock. A poll
-//!   with nothing due touches no socket: an exchange over a latency-ℓ
-//!   edge completes ℓ ≥ 1 rounds after it starts, so a reply queued in
-//!   round `t` is not wanted before the polls of round `t + 1`, and a
-//!   lockstep phase costs one pump — a `write`, an `epoll_wait` and a
-//!   few `read`s per trunk — however many frames it queued. With every
-//!   node hosted, this reproduces the loopback transport's executions
-//!   exactly — and hence the simulator's (DESIGN.md §11) — while
-//!   exercising real sockets.
+//!   are queued on their trunk, and `poll(round)` pumps **when a due
+//!   envelope is in flight** — one queued since the last pump with
+//!   `release ≤ round` — until the reactor **quiesces** (all write
+//!   queues empty, every routed envelope decoded) instead of waiting on
+//!   the wall clock. A poll with nothing due touches no socket: an
+//!   exchange over a latency-ℓ edge completes ℓ ≥ 1 rounds after it
+//!   starts, so a reply queued in round `t` is not wanted before the
+//!   polls of round `t + 1`, and a lockstep phase costs one pump — a
+//!   `write`, an `epoll_wait` and a few `read`s per trunk — however
+//!   many frames it queued. With every node hosted, this reproduces the
+//!   loopback transport's executions exactly — and hence the
+//!   simulator's (DESIGN.md §11) — while exercising real sockets.
 //! * [`Pacing::Wall`] — wall-clock rounds against a shared in-process
-//!   epoch, with reply release deadlines (`epoch + release·Δ − Δ/2`)
-//!   enforced by the wheel on the send side. This is the mode that
-//!   interoperates across processes.
+//!   epoch; every frame is written as soon as it is sent. This is the
+//!   mode that interoperates across processes.
 
 pub(crate) mod conn;
 pub(crate) mod sys;
@@ -80,11 +84,10 @@ use wheel::Wheel;
 /// How a reactor paces rounds; see the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pacing {
-    /// Wall-clock rounds with send-side release shaping (interop mode).
+    /// Wall-clock rounds against a shared epoch (interop mode).
     Wall,
-    /// Virtual time: pump-to-quiescence rounds, receiver-side release
-    /// staging. Requires every node of the graph to be hosted by this
-    /// reactor.
+    /// Virtual time: pump-to-quiescence rounds. Requires every node of
+    /// the graph to be hosted by this reactor.
     Drain,
 }
 
@@ -146,13 +149,8 @@ const NOT_HOSTED: u32 = u32::MAX;
 /// Per-hosted-node endpoint state.
 struct Hosted {
     neighbors: Vec<NodeId>,
-    /// Events the next `poll` returns.
+    /// Events the next `poll` returns, in arrival order.
     ready: VecDeque<NetEvent>,
-    /// Drain pacing: frames staged with their release round, delivered
-    /// once the node polls a round at or past it (the loopback hub's
-    /// `pending`). Kept sorted by release, arrival order within one
-    /// release, so a poll hands over a prefix.
-    staged: VecDeque<(Round, NetEvent)>,
     /// Peers conclusively lost (sends become silent no-ops).
     lost: BTreeSet<NodeId>,
     stats: TransportStats,
@@ -187,13 +185,6 @@ struct EdgeOut {
 enum Timer {
     /// Re-dial the edge `from → to`.
     Redial { from: NodeId, to: NodeId },
-    /// Release pre-encoded bytes toward `dst` (wall-pacing reply
-    /// shaping).
-    Flush {
-        src: NodeId,
-        dst: NodeId,
-        bytes: Vec<u8>,
-    },
 }
 
 struct Core {
@@ -283,7 +274,6 @@ impl Core {
                 Hosted {
                     neighbors,
                     ready: VecDeque::new(),
-                    staged: VecDeque::new(),
                     lost: BTreeSet::new(),
                     stats: TransportStats::default(),
                     caps: 0,
@@ -537,14 +527,8 @@ impl Core {
         self.wheel.pop_due(Instant::now(), &mut timers);
         let mut result = Ok(());
         for timer in timers.drain(..) {
-            let r = match timer {
-                Timer::Redial { from, to } => self.dial_edge(from, to),
-                Timer::Flush { src, dst, bytes } => {
-                    self.route_released(src, dst, bytes);
-                    Ok(())
-                }
-            };
-            if let Err(e) = r {
+            let Timer::Redial { from, to } = timer;
+            if let Err(e) = self.dial_edge(from, to) {
                 result = Err(e);
                 break;
             }
@@ -652,13 +636,10 @@ impl Core {
             ConnKind::Pending => self.handle_handshake(idx, &frame),
             ConnKind::TrunkIn(_) => match frame {
                 Frame::Routed {
-                    src,
-                    dst,
-                    release,
-                    inner,
+                    src, dst, inner, ..
                 } => {
                     self.routed_decoded += 1;
-                    self.deliver(src, dst, release, *inner, used)
+                    self.deliver(src, dst, *inner, used)
                 }
                 other => Err(NetError::ProtocolViolation(format!(
                     "non-routed frame on a trunk: {other:?}"
@@ -691,7 +672,7 @@ impl Core {
                     | Frame::Hello { .. }
                     | Frame::Routed { .. } => {}
                 }
-                self.deliver(from, to, 0, frame, used)
+                self.deliver(from, to, frame, used)
             }
             ConnKind::DialPending { from, to } => self.handle_dial_answer(idx, from, to, &frame),
             // Established outbound edges and trunk write sides carry no
@@ -811,16 +792,14 @@ impl Core {
         }
     }
 
-    /// Hands a decoded data frame to hosted node `dst`.
+    /// Hands a decoded data frame to hosted node `dst`'s next poll.
     fn deliver(
         &mut self,
         src: NodeId,
         dst: NodeId,
-        release: Round,
         frame: Frame,
         used: u64,
     ) -> Result<(), NetError> {
-        let drain = self.cfg.pacing == Pacing::Drain;
         let Some(hosted) = self.hosted_mut(dst) else {
             return Err(NetError::ProtocolViolation(format!(
                 "frame for node {}, which this reactor does not host",
@@ -829,15 +808,7 @@ impl Core {
         };
         hosted.stats.frames_received += 1;
         hosted.stats.bytes_received += used;
-        let event = NetEvent::Frame { from: src, frame };
-        if drain {
-            // Behind every staged frame of an equal or earlier release:
-            // arrival order within a release is the §14 contract.
-            let at = hosted.staged.partition_point(|&(r, _)| r <= release);
-            hosted.staged.insert(at, (release, event));
-        } else {
-            hosted.ready.push_back(event);
-        }
+        hosted.ready.push_back(NetEvent::Frame { from: src, frame });
         Ok(())
     }
 
@@ -1037,43 +1008,12 @@ impl Core {
         }
     }
 
-    /// Routes wheel-released (shaped) bytes to their destination.
-    fn route_released(&mut self, src: NodeId, dst: NodeId, bytes: Vec<u8>) {
-        if self.slot_of(dst).is_some() {
-            let t = self.trunk_of(src, dst);
-            let idx = self.trunk_out[t];
-            if let Some(conn) = self.conns[idx].as_mut() {
-                conn.wq.push_bytes(&bytes);
-                self.routed_enqueued += 1;
-                self.mark_dirty(idx);
-            }
-            return;
-        }
-        let Some(edge) = self.edges.get_mut(&(src, dst)) else {
-            return;
-        };
-        if edge.lost {
-            return;
-        }
-        if edge.up {
-            if let Some(idx) = edge.conn {
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.wq.push_bytes(&bytes);
-                    self.mark_dirty(idx);
-                    return;
-                }
-            }
-        }
-        edge.pending.push_back(bytes);
-    }
-
     // ---- transport entry points ------------------------------------
 
     /// Queues `frame` from hosted `src` toward its neighbor `to`, the
-    /// `nth` entry of `src`'s adjacency row: on the wheel when wall
-    /// pacing shapes it, else on `to`'s trunk (hosted) or on the edge
-    /// `src → to` (remote; its outage backlog while the connection is
-    /// down).
+    /// `nth` entry of `src`'s adjacency row: on `to`'s trunk (hosted) or
+    /// on the edge `src → to` (remote; its outage backlog while the
+    /// connection is down).
     fn send_from(
         &mut self,
         src: NodeId,
@@ -1103,33 +1043,7 @@ impl Core {
         if hosted.lost.contains(&to) {
             return Ok(());
         }
-        let sent_bytes = if self.cfg.pacing == Pacing::Wall && frame.is_reply() {
-            let epoch = self
-                .epoch
-                .ok_or_else(|| NetError::ProtocolViolation("send before start".to_owned()))?;
-            // Half a round before the receiver needs it:
-            // epoch + release·Δ − Δ/2.
-            let offset = round_offset(self.cfg.round, u128::from(release))
-                .saturating_sub(self.cfg.round / 2);
-            let bytes = if to_hosted {
-                let mut meta = Vec::new();
-                let payload = Frame::encode_routed_parts(src, to, release, frame, &mut meta)?;
-                meta.extend_from_slice(payload);
-                meta
-            } else {
-                frame.encode()?
-            };
-            let size = bytes.len();
-            self.wheel.schedule(
-                epoch + offset,
-                Timer::Flush {
-                    src,
-                    dst: to,
-                    bytes,
-                },
-            );
-            size
-        } else if to_hosted {
+        let sent_bytes = if to_hosted {
             let idx = self.trunk_out[trunk];
             let Some(conn) = self.conns[idx].as_mut() else {
                 return Err(NetError::ProtocolViolation("trunk is down".to_owned()));
@@ -1197,9 +1111,7 @@ impl Core {
                 node.index()
             )));
         };
-        let due = hosted.staged.partition_point(|&(r, _)| r <= round);
         out.extend(hosted.ready.drain(..));
-        out.extend(hosted.staged.drain(..due).map(|(_, event)| event));
         Ok(())
     }
 
@@ -1599,7 +1511,7 @@ mod tests {
     }
 
     #[test]
-    fn frames_flow_between_hosted_nodes_with_release_staging() {
+    fn frames_flow_between_hosted_nodes_once_a_poll_is_due() {
         let g = generators::path(2);
         let reactor = Reactor::new(&g, (0..2).map(NodeId::new), drain_cfg()).expect("reactor");
         let mut e0 = reactor.endpoint(NodeId::new(0));
@@ -1614,7 +1526,7 @@ mod tests {
         e0.send(2, NodeId::new(1), 0, &req).expect("send");
         assert!(
             poll(&mut e1, 1).is_empty(),
-            "release 2 must not surface at round 1"
+            "release 2 is not due at round 1: no pump"
         );
         {
             let core = reactor.core.borrow();
@@ -1844,48 +1756,5 @@ mod tests {
         assert_eq!(got, [(false, 5), (false, 6), (true, 7)]);
         assert_eq!(reactor.core.borrow().in_up[&(peer, me)], 7);
         end.shutdown();
-    }
-
-    #[test]
-    fn staged_frames_surface_by_release_then_arrival() {
-        // DESIGN.md §14: a drain-paced poll hands over every staged
-        // frame with release ≤ round, ascending release, arrival order
-        // within one. One trunk makes arrival order the send order.
-        let g = generators::clique(4);
-        let cfg = ReactorConfig {
-            trunks: 1,
-            ..drain_cfg()
-        };
-        let reactor = Reactor::new(&g, (0..4).map(NodeId::new), cfg).expect("reactor");
-        let mut ends: Vec<ReactorEndpoint> =
-            (0..4).map(|i| reactor.endpoint(NodeId::new(i))).collect();
-        ends[0].start().expect("start");
-        // (sender, release, seq); node 0 is position 0 of every row.
-        let sends = [(1, 3, 1), (2, 2, 2), (3, 3, 3), (2, 3, 4)];
-        for (from, release, seq) in sends {
-            let frame = Frame::Request {
-                seq,
-                round: 0,
-                payload: Vec::new(),
-            };
-            ends[from]
-                .send(release, NodeId::new(0), 0, &frame)
-                .expect("send");
-        }
-        // Land every frame in the staging queue before the first poll.
-        reactor.core.borrow_mut().pump_drain().expect("pump");
-        assert_eq!(reactor.core.borrow().hosted[0].staged.len(), 4);
-        assert!(poll(&mut ends[0], 1).is_empty());
-        let order: Vec<(usize, u64)> = poll(&mut ends[0], 3)
-            .into_iter()
-            .map(|event| match event {
-                NetEvent::Frame {
-                    from,
-                    frame: Frame::Request { seq, .. },
-                } => (from.index(), seq),
-                other => panic!("unexpected event: {other:?}"),
-            })
-            .collect();
-        assert_eq!(order, [(2, 2), (1, 1), (3, 3), (2, 4)]);
     }
 }

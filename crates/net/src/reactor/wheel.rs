@@ -5,9 +5,9 @@
 //! virtual rounds to wall-clock instants: a ring of slots, each covering
 //! `granularity` of time, with a `BTreeMap` overflow for deadlines
 //! beyond one ring revolution. Scheduling and popping are O(1) amortized
-//! for the near deadlines that dominate (reply release shaping, round
-//! pacing); far-out reconnect backoffs land in the overflow and migrate
-//! into the ring as the cursor sweeps forward.
+//! for near deadlines (first dials, early backoffs); far-out reconnect
+//! backoffs land in the overflow and migrate into the ring as the cursor
+//! sweeps forward.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

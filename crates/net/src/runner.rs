@@ -15,7 +15,8 @@
 //!    payloads on the hold queue at their due round `t + ℓ`, then apply
 //!    every held exchange due this round, sorted by
 //!    `(initiated_at, initiator)` — the engine's per-node delivery
-//!    order.
+//!    order. The hold is the only place `t + ℓ` is enforced: a
+//!    transport may hand a frame over any time before its due round.
 //! 2. **Stop checks** (driver's responsibility — global closure for the
 //!    loopback cluster, distributed done barrier for TCP).
 //! 3. **`on_round`** + **launch** ([`launch`](NetRunner::launch)): run
@@ -28,8 +29,8 @@
 //!
 //! Metrics are counted at the initiator only — `initiated` at launch,
 //! `delivered` and both directions of `payload_units` when the reply is
-//! ingested — so summing runner metrics over a cluster reproduces the
-//! engine's [`SimMetrics`].
+//! applied at `t + ℓ` — so summing runner metrics over a cluster
+//! reproduces the engine's [`SimMetrics`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -82,18 +83,14 @@ pub struct NodeOutcome<P> {
 /// component instead of waiting forever for the dead.
 #[derive(Debug)]
 pub struct RunView<'a> {
-    /// Neighbors that announced their done predicate.
-    pub done_peers: &'a BTreeSet<NodeId>,
     /// Neighbors that departed (sent [`Frame::Bye`]) or were lost.
-    pub gone_peers: &'a BTreeSet<NodeId>,
-    /// Loss records for the lost subset of `gone_peers`.
-    pub losses: &'a [PeerLoss],
+    gone: &'a BTreeSet<NodeId>,
 }
 
 impl RunView<'_> {
     /// Whether `v` departed or was lost.
     pub fn is_gone(&self, v: NodeId) -> bool {
-        self.gone_peers.contains(&v)
+        self.gone.contains(&v)
     }
 }
 
@@ -167,7 +164,7 @@ struct PendingInit<Pl> {
     weight: u64,
     /// The payload snapshot this request carried — retained in delta
     /// mode only, as the decode basis for a [`Frame::ReplyDelta`] and
-    /// one half of the confirmed basis once the reply lands.
+    /// one half of the confirmed basis the reply completes.
     sent: Option<Pl>,
 }
 
@@ -179,6 +176,18 @@ struct Inbound<Pl> {
     nth: usize,
     seq: u64,
     theirs: Pl,
+}
+
+/// An exchange waiting for its due round (`completed_at`), with what
+/// our own initiation applies then besides the payload.
+struct Held<Pl> {
+    exchange: Exchange<Pl>,
+    /// Our initiation: the request payload's weight, counted into
+    /// `payload_units` beside the reply's (0 for exchanges we answered).
+    weight: u64,
+    /// Our initiation toward a delta peer: `(nth, seq, sent ∪ theirs)`,
+    /// the edge's confirmed basis from the due round on.
+    confirm: Option<(usize, u64, Pl)>,
 }
 
 /// Per-neighbor knowledge cache for delta mode: what this node and one
@@ -331,10 +340,8 @@ pub struct NetRunner<'g, P: Protocol, T: Transport> {
     universe: Option<usize>,
     /// Received exchanges awaiting their due round (`completed_at`), in
     /// no particular order: [`deliver_due`](Self::deliver_due) sorts
-    /// what it takes out.
-    hold: Vec<Exchange<P::Payload>>,
-    /// `deliver_due`'s batch buffer, kept between rounds.
-    batch: Vec<Exchange<P::Payload>>,
+    /// the due ones to the front and takes them out.
+    hold: Vec<Held<P::Payload>>,
     /// The transport's [`poll`](Transport::poll) target, drained by
     /// every ingest and kept between rounds.
     inbox: Vec<NetEvent>,
@@ -405,7 +412,6 @@ where
             transport,
             max_rounds: config.max_rounds,
             hold: Vec::new(),
-            batch: Vec::new(),
             inbox: Vec::new(),
             scratch: Vec::new(),
             pending: VecDeque::new(),
@@ -693,11 +699,10 @@ where
                 Ok(())
             }
             Frame::Bye => {
-                // A graceful departure: the peer's writer flushed every
-                // queued frame (including latency-shaped replies that
-                // *overtake* the Bye in its deadline-ordered queue)
-                // before closing, so exchanges already initiated toward
-                // it stay pending and their replies are still honored.
+                // A graceful departure: the peer's replies were queued
+                // FIFO ahead of this Bye on the same edge or trunk, so
+                // exchanges already initiated toward it stay pending and
+                // their replies are still honored.
                 self.peers_gone.insert(from);
                 Ok(())
             }
@@ -792,19 +797,23 @@ where
                 self.knowledge.entry(nth, degree).bases.push((seq, merged));
             }
         }
-        self.hold.push(Exchange {
-            peer: from,
-            payload: theirs,
-            initiated_at: t,
-            completed_at: due,
-            initiated_by_me: false,
+        self.hold.push(Held {
+            exchange: Exchange {
+                peer: from,
+                payload: theirs,
+                initiated_at: t,
+                completed_at: due,
+                initiated_by_me: false,
+            },
+            weight: 0,
+            confirm: None,
         });
         Ok(())
     }
 
-    /// Our own initiation came back: count the delivery (both payload
-    /// directions, initiator-side) and hold the peer's payload until the
-    /// due round.
+    /// Our own initiation came back: hold the peer's payload until the
+    /// due round, with what completing the exchange counts and confirms
+    /// then.
     fn accept_reply(
         &mut self,
         from: NodeId,
@@ -846,25 +855,26 @@ where
             }
         };
         self.check_universe(from, &theirs)?;
-        self.metrics.delivered += 1;
-        self.metrics.payload_units += pend.weight + P::payload_weight(&theirs);
-        if self.mode == PayloadMode::Delta && self.transport.peer_caps(from) & CAP_DELTA != 0 {
-            if let Some(sent) = pend.sent {
-                if let Some(merged) = sent.merge_basis(&theirs) {
-                    let degree = self.graph.neighbor_ids(self.node()).len();
-                    let cache = self.knowledge.entry(pend.nth, degree);
-                    if cache.confirmed.as_ref().is_none_or(|&(s, _)| s < seq) {
-                        cache.confirmed = Some((seq, merged));
-                    }
-                }
+        let confirm = match pend.sent {
+            Some(sent)
+                if self.mode == PayloadMode::Delta
+                    && self.transport.peer_caps(from) & CAP_DELTA != 0 =>
+            {
+                sent.merge_basis(&theirs)
+                    .map(|merged| (pend.nth, seq, merged))
             }
-        }
-        self.hold.push(Exchange {
-            peer: from,
-            payload: theirs,
-            initiated_at: t,
-            completed_at: due,
-            initiated_by_me: true,
+            _ => None,
+        };
+        self.hold.push(Held {
+            exchange: Exchange {
+                peer: from,
+                payload: theirs,
+                initiated_at: t,
+                completed_at: due,
+                initiated_by_me: true,
+            },
+            weight: pend.weight,
+            confirm,
         });
         Ok(())
     }
@@ -872,16 +882,34 @@ where
     /// Applies every held exchange due at or before `round`, in the
     /// engine's per-node delivery order: ascending `initiated_at`, ties
     /// by initiator id (the engine admits same-round initiations in node
-    /// order).
+    /// order). Our own initiations count their delivery (both payload
+    /// directions, initiator-side) and confirm their basis here.
     fn deliver_due(&mut self, round: Round) {
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.extend(self.hold.extract_if(.., |x| x.completed_at <= round));
         let me = self.node();
-        batch.sort_by_key(|x| (x.initiated_at, if x.initiated_by_me { me } else { x.peer }));
-        for exchange in batch.drain(..) {
-            self.pacer.deliver(round, &exchange);
+        let degree = self.graph.neighbor_ids(me).len();
+        // A late arrival (wall pacing) sorts with the exchanges due now.
+        self.hold.sort_unstable_by_key(|h| {
+            let x = &h.exchange;
+            let initiator = if x.initiated_by_me { me } else { x.peer };
+            (x.completed_at.max(round), x.initiated_at, initiator)
+        });
+        let due = self
+            .hold
+            .partition_point(|h| h.exchange.completed_at <= round);
+        for held in self.hold.drain(..due) {
+            let x = &held.exchange;
+            if x.initiated_by_me {
+                self.metrics.delivered += 1;
+                self.metrics.payload_units += held.weight + P::payload_weight(&x.payload);
+            }
+            if let Some((nth, seq, basis)) = held.confirm {
+                let cache = self.knowledge.entry(nth, degree);
+                if cache.confirmed.as_ref().is_none_or(|&(s, _)| s < seq) {
+                    cache.confirmed = Some((seq, basis));
+                }
+            }
+            self.pacer.deliver(round, x);
         }
-        self.batch = batch;
     }
 
     /// Takes `seq`'s request out of `pending` if it is still in flight,
@@ -910,6 +938,11 @@ where
             .and_then(|nth| self.knowledge.get_mut(nth))
         {
             *cache = EdgeCache::default();
+        }
+        for held in &mut self.hold {
+            if held.exchange.peer == peer {
+                held.confirm = None;
+            }
         }
         // Initiations in flight toward the departed peer will never be
         // answered: count them lost, as the engine does for crashes.
@@ -980,9 +1013,7 @@ where
         self.begin_round(round)?;
         if self.done_round.is_none() {
             let view = RunView {
-                done_peers: &self.peers_done,
-                gone_peers: &self.peers_gone,
-                losses: &self.losses,
+                gone: &self.peers_gone,
             };
             if self.pacer.is_done() || done(self.pacer.protocol(), &view) {
                 self.done_round = Some(round);
@@ -1055,7 +1086,7 @@ where
 /// Runs a whole cluster over the deterministic loopback transport and
 /// returns the simulator-shaped [`Outcome`].
 ///
-/// [`run_lockstep`] interleaves the runners exactly as the engine
+/// The lockstep cluster loop interleaves the runners exactly as the engine
 /// interleaves its per-node phases, so for any
 /// deterministic-given-the-seed protocol the outcome — stop reason,
 /// round count, metrics, final states — equals
@@ -1331,8 +1362,7 @@ mod tests {
         assert_eq!(decoded, RumorSet::singleton(128, NodeId::new(0)));
 
         // The peer answers with its snapshot {1}, delta-coded against the
-        // request's own payload. Completing the exchange must record the
-        // confirmed basis {0, 1} for this edge.
+        // request's own payload.
         let mut theirs = RumorSet::new(128);
         theirs.insert(peer);
         let mut reply_delta = Vec::new();
@@ -1347,7 +1377,25 @@ mod tests {
             },
         });
         runner.settle(0).expect("settle 0");
+        let no_exchange_yet = RumorSet::singleton(128, NodeId::new(0));
+        assert_eq!(
+            runner.protocol().rumors,
+            no_exchange_yet,
+            "exchange applies at its due round, not on receipt"
+        );
         // Peer 1 is position 0 of node 0's row.
+        assert!(
+            runner
+                .knowledge
+                .get(0)
+                .is_none_or(|k| k.confirmed.is_none()),
+            "the basis is confirmed at the due round, not on receipt"
+        );
+
+        // Round 1: completing the exchange records the confirmed basis
+        // {0, 1} for this edge, and the next request toward the same
+        // peer references it by seq.
+        runner.begin_round(1).expect("round 1");
         let confirmed = runner
             .knowledge
             .get(0)
@@ -1357,16 +1405,6 @@ mod tests {
         let mut both = RumorSet::singleton(128, NodeId::new(0));
         both.insert(peer);
         assert_eq!(confirmed.1, both);
-        let no_exchange_yet = RumorSet::singleton(128, NodeId::new(0));
-        assert_eq!(
-            runner.protocol().rumors,
-            no_exchange_yet,
-            "exchange applies at its due round, not on receipt"
-        );
-
-        // Round 1: the next request toward the same peer references the
-        // confirmed basis by seq.
-        runner.begin_round(1).expect("round 1");
         runner.launch(1).expect("launch 1");
         let (_, _, second) = sent.borrow().last().expect("second frame").clone();
         let Frame::RequestDelta { basis_seq, .. } = second else {
@@ -1416,14 +1454,20 @@ mod tests {
         );
     }
 
-    #[test]
-    fn exchanges_are_held_to_their_own_edge_latency() {
-        // Node 1 of the path 0 —5— 1 —2— 2 launches over its ℓ = 5 edge
-        // (row position 0) and answers a request over its ℓ = 2 edge.
+    /// The path 0 —5— 1 —2— 2: node 1's row is `[0, 2]`, so its
+    /// `FirstNeighbor` launches over the ℓ = 5 edge.
+    fn slow_fast_path() -> Graph {
         let mut b = latency_graph::GraphBuilder::new(3);
         b.add_edge(0, 1, 5).expect("edge");
         b.add_edge(1, 2, 2).expect("edge");
-        let g = b.build().expect("graph");
+        b.build().expect("graph")
+    }
+
+    #[test]
+    fn exchanges_are_held_to_their_own_edge_latency() {
+        // Node 1 launches over its ℓ = 5 edge (row position 0) and
+        // answers a request over its ℓ = 2 edge.
+        let g = slow_fast_path();
         let (me, slow, fast) = (NodeId::new(1), NodeId::new(0), NodeId::new(2));
         let sent: SentLog = std::rc::Rc::default();
         let transport = Scripted {
@@ -1473,7 +1517,7 @@ mod tests {
         let mut held: Vec<(NodeId, Round)> = runner
             .hold
             .iter()
-            .map(|x| (x.peer, x.completed_at))
+            .map(|h| (h.exchange.peer, h.exchange.completed_at))
             .collect();
         held.sort();
         assert_eq!(held, [(slow, 5), (fast, 2)]);
@@ -1487,6 +1531,67 @@ mod tests {
         runner.begin_round(5).expect("round 5");
         assert_eq!(knows(&runner), [true, true], "round 5");
         assert!(runner.hold.is_empty());
+    }
+
+    #[test]
+    fn an_early_reply_takes_effect_at_its_due_round() {
+        // Node 1 initiates over its ℓ = 5 edge in round 0 and the reply
+        // is handed over in that same round. Nothing it changes — the
+        // delivery count, payload units, the edge's confirmed basis, the
+        // protocol's rumors — may move before round 5.
+        let g = slow_fast_path();
+        let (me, slow) = (NodeId::new(1), NodeId::new(0));
+        let sent: SentLog = std::rc::Rc::default();
+        let transport = Scripted {
+            node: me,
+            caps: BTreeMap::from([(slow, CAP_DELTA), (NodeId::new(2), CAP_DELTA)]),
+            inbox: VecDeque::new(),
+            sent: std::rc::Rc::clone(&sent),
+        };
+        let protocol = FirstNeighbor {
+            rumors: RumorSet::singleton(3, me),
+        };
+        let mut runner = NetRunner::new(&g, me, protocol, &SimConfig::default(), transport)
+            .with_payload_mode(PayloadMode::Delta);
+        runner.start().expect("start");
+        runner.begin_round(0).expect("round 0");
+        runner.launch(0).expect("launch 0");
+        let (_, to, request) = sent.borrow().last().expect("request sent").clone();
+        assert_eq!(to, slow);
+        let (Frame::Request { seq, .. } | Frame::RequestDelta { seq, .. }) = request else {
+            panic!("expected a request, got {request:?}");
+        };
+        let mut payload = Vec::new();
+        RumorSet::singleton(3, slow).encode_payload(&mut payload);
+        runner.transport.inbox.push_back(NetEvent::Frame {
+            from: slow,
+            frame: Frame::Reply {
+                seq,
+                round: 0,
+                payload,
+            },
+        });
+        runner.settle(0).expect("settle 0");
+        assert!(runner.pending.is_empty(), "the reply was accepted");
+        let effects = |r: &NetRunner<'_, FirstNeighbor, Scripted>| {
+            let confirmed = r.knowledge.get(0).and_then(|k| k.confirmed.clone());
+            (
+                r.metrics.delivered,
+                r.metrics.payload_units,
+                confirmed,
+                r.protocol().rumors.contains(slow),
+            )
+        };
+        let before = (0, 0, None, false);
+        assert_eq!(effects(&runner), before, "on receipt");
+        for round in 1..5 {
+            runner.begin_round(round).expect("round");
+            assert_eq!(effects(&runner), before, "round {round}");
+        }
+        runner.begin_round(5).expect("round 5");
+        let mut both = RumorSet::singleton(3, me);
+        both.insert(slow);
+        assert_eq!(effects(&runner), (1, 2, Some((seq, both)), true), "round 5");
     }
 
     /// Initiates toward neighbor `round mod degree`: a star's center
@@ -1581,7 +1686,11 @@ mod tests {
         runner.settle(2).expect("settle");
         assert!(runner.pending.is_empty());
         assert_eq!(runner.pending_base, 4, "the next request is seq 4");
-        assert_eq!((runner.metrics.delivered, runner.metrics.lost), (2, 1));
+        assert_eq!(
+            (runner.metrics.delivered, runner.metrics.lost),
+            (0, 1),
+            "a reply counts as delivered when it applies, not on receipt"
+        );
 
         // A late reply to the written-off seq, and replies to seqs never
         // issued (past the newest, and 0), are ignored.
@@ -1590,12 +1699,12 @@ mod tests {
             .inbox
             .extend([reply(2, 2, 1), reply(1, 9, 2), reply(3, 0, 2)]);
         runner.settle(2).expect("late replies are not errors");
-        assert_eq!((runner.metrics.delivered, runner.metrics.lost), (2, 1));
+        assert_eq!((runner.metrics.delivered, runner.metrics.lost), (0, 1));
         assert!(runner.pending.is_empty());
         let mut held: Vec<(NodeId, Round)> = runner
             .hold
             .iter()
-            .map(|x| (x.peer, x.completed_at))
+            .map(|h| (h.exchange.peer, h.exchange.completed_at))
             .collect();
         held.sort();
         assert_eq!(
@@ -1603,6 +1712,12 @@ mod tests {
             [(NodeId::new(1), 1), (NodeId::new(3), 7)],
             "each reply held to its own edge's t + ℓ"
         );
+        // Seq 1 was due in round 1 and applies at the next round begun;
+        // seq 3 waits for round 7.
+        for (round, delivered) in [(3, 1), (6, 1), (7, 2)] {
+            runner.begin_round(round).expect("round");
+            assert_eq!(runner.metrics.delivered, delivered, "round {round}");
+        }
     }
 
     #[test]

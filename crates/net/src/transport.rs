@@ -1,14 +1,15 @@
 //! The [`Transport`] abstraction: framed, round-paced message movement.
 //!
 //! A transport moves encoded [`Frame`]s between nodes and paces the
-//! local node's rounds. It does **not** interpret round semantics — the
-//! [`NetRunner`](crate::NetRunner) decides *when* a frame may be applied
-//! (the `release` round passed to [`Transport::send`]); the transport
-//! only promises the frame is available to the receiver's
-//! [`poll`](Transport::poll) no later than that round, and at most
-//! once. The runner's hold queues then enforce exact-round application
-//! regardless of arrival jitter, which is why the same driver code is
-//! exact over the virtual-clock loopback and merely *faithful* over TCP.
+//! local node's rounds. It does **not** interpret round semantics: the
+//! [`NetRunner`](crate::NetRunner) alone decides *when* a frame takes
+//! effect, holding every exchange to its due round `t + ℓ`. The
+//! transport promises two things only: a frame reaches the receiver's
+//! [`poll`](Transport::poll) by the `release` round passed to
+//! [`Transport::send`], and at most once. It may hand a frame over
+//! earlier; the runner's hold makes arrival jitter invisible, which is
+//! why the same driver code is exact over the virtual-clock loopback
+//! and merely *faithful* over TCP.
 
 use gossip_sim::Round;
 use latency_graph::NodeId;
@@ -69,14 +70,14 @@ pub enum NetEvent {
 ///    the runner uses at the end of a round to answer freshly arrived
 ///    requests.
 /// 3. [`send(release, to, nth, frame)`](Transport::send) — queue
-///    `frame` so the receiver can observe it in its poll of round
-///    `release` (or later; never earlier than the transport can help).
+///    `frame` so the receiver can observe it by its poll of round
+///    `release`, the round by which the receiver needs it (earlier is
+///    fine).
 ///    `nth` is `to`'s position in the sender's adjacency row, which
 ///    the runner always already holds, so a transport that knows the
 ///    adjacency checks the peer in O(1) instead of searching the row.
 ///    Sending to a peer already reported lost is a silent no-op.
-/// 4. [`shutdown`](Transport::shutdown) — release sockets and threads;
-///    idempotent.
+/// 4. [`shutdown`](Transport::shutdown) — release sockets; idempotent.
 ///
 /// **Delivery is at most once.** A request (`Request` / `RequestDelta`)
 /// surfaces from `poll` at most once per sequence number, so the runner
@@ -109,8 +110,9 @@ pub trait Transport {
         0
     }
 
-    /// Queues `frame` for `to`, observable in `to`'s poll of round
-    /// `release` at the earliest. `nth` is `to`'s position in the local
+    /// Queues `frame` for `to`, observable by `to`'s poll of round
+    /// `release`, the round by which `to` needs it; a transport may
+    /// hand it over earlier. `nth` is `to`'s position in the local
     /// node's adjacency row (`graph.neighbor_ids(local)[nth]`). A peer
     /// the transport can tell is wrong — a position naming another
     /// node or past the row (reactor), an id outside the cluster

@@ -162,15 +162,15 @@ pub enum Frame {
     /// A trunk envelope: one hop of a multiplexed connection carrying
     /// traffic for many `(src, dst)` node pairs (the reactor's
     /// self-connections). `release` echoes the release round the sender
-    /// passed to [`crate::Transport::send`], so a receiver that paces by
-    /// drain rather than wall clock can stage the inner frame until its
-    /// round. Envelopes never nest.
+    /// passed to [`crate::Transport::send`]; the receiving reactor hands
+    /// the inner frame over as soon as it is decoded, and the runner
+    /// holds the exchange to its due round. Envelopes never nest.
     Routed {
         /// Originating node.
         src: NodeId,
         /// Destination node.
         dst: NodeId,
-        /// Round at which the receiver may observe the inner frame.
+        /// Round by which the receiver needs the inner frame.
         release: Round,
         /// The wrapped frame (never itself `Routed`).
         inner: Box<Frame>,
@@ -203,13 +203,6 @@ impl Frame {
             Frame::Bye => 0,
             Frame::Routed { inner, .. } => ROUTED_PREFIX + HEADER_LEN + inner.body_len(),
         }
-    }
-
-    /// Whether this frame is a responder half of an exchange
-    /// ([`Frame::Reply`] or [`Frame::ReplyDelta`]) — the kinds the
-    /// wall-pacing transports shape by release round.
-    pub fn is_reply(&self) -> bool {
-        matches!(self, Frame::Reply { .. } | Frame::ReplyDelta { .. })
     }
 
     /// Serializes the frame, appending to `out`.

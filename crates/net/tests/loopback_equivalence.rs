@@ -165,8 +165,8 @@ fn ring_of_cliques_matches_engine() {
 
 #[test]
 fn heterogeneous_latencies_match_engine() {
-    // Bimodal edge latencies exercise nontrivial ℓ in the reply shaping
-    // and hold-queue paths.
+    // Bimodal edge latencies exercise nontrivial ℓ in the hold queue:
+    // replies arrive before their exchange is due.
     let g = generators::bimodal_latencies(
         &generators::connected_erdos_renyi(20, 0.25, 3),
         1,

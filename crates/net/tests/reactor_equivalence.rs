@@ -4,15 +4,18 @@
 //! self-connections (trunks), drain-paced so rounds are virtual. The
 //! outcome must equal the simulator's *exactly*: same stop reason,
 //! round count, metrics, and final per-node rumor sets. This is the
-//! strongest check that trunk multiplexing, the routed envelope, and
-//! receiver-side release staging preserve the paper's round semantics
-//! (DESIGN.md §14).
+//! strongest check that trunk multiplexing and the routed envelope,
+//! under the runner's hold to `t + ℓ`, preserve the paper's round
+//! semantics (DESIGN.md §14).
 
 use gossip_core::flooding::FloodingNode;
 use gossip_core::push_pull::{Mode, PushPullNode};
 use gossip_core::stream::{RlcStreamNode, RrStreamNode};
 use gossip_core::Goal;
-use gossip_net::{run_reactor, run_reactor_mode_with_stats, PayloadMode};
+use gossip_net::{
+    run_loopback_mode_with_stats, run_reactor, run_reactor_mode_with_stats, PayloadMode,
+    WireAccounting,
+};
 use gossip_sim::{
     completion_rounds, Outcome, Protocol, Round, SimConfig, Simulator, StopReason, StreamSpec,
 };
@@ -167,8 +170,8 @@ fn ring_of_cliques_matches_engine() {
 
 #[test]
 fn heterogeneous_latencies_match_engine() {
-    // Bimodal edge latencies exercise nontrivial ℓ in the release
-    // staging (the envelope's release round is the reply's due round).
+    // Bimodal edge latencies exercise nontrivial ℓ in the runner's hold
+    // (the envelope's release round is the reply's due round).
     let g = generators::bimodal_latencies(
         &generators::connected_erdos_renyi(20, 0.25, 3),
         1,
@@ -385,4 +388,67 @@ fn stop_closure_sees_rounds_in_engine_order() {
         },
     );
     assert_eq!(engine_rounds, net_rounds);
+}
+
+#[test]
+fn delta_bytes_on_slow_edges_are_pinned_across_transports() {
+    // Delta push-pull soaks for 40 rounds on edges with ℓ > 1, where an
+    // exchange's reply reaches its initiator before the exchange is due.
+    // Where the initiator's confirmed basis is installed decides which
+    // basis its next request to that peer references, and so the bytes:
+    // both transports must put the pinned counts on the wire.
+    // `(payload_bytes, delta_frames, snapshot_frames)` per seed 1, 2, 3.
+    type Pins = [(u64, u64, u64); 3];
+    fn check(label: &str, g: &Graph, snapshot_bytes: u64, frames_sent: u64, pins: Pins) {
+        for (seed, (payload_bytes, delta_frames, snapshot_frames)) in (1..).zip(pins) {
+            let cfg = config(seed, 40, false);
+            let factory = |id, n| PushPullNode::new(id, n, Mode::PushPull);
+            let soak = |_: &[&PushPullNode], _| false;
+            let (looped, loop_stats, loop_acct) =
+                run_loopback_mode_with_stats(g, &cfg, PayloadMode::Delta, factory, soak);
+            let (reacted, reactor_stats, reactor_acct) =
+                run_reactor_mode_with_stats(g, &cfg, PayloadMode::Delta, factory, soak);
+            let label = format!("{label}/seed {seed}");
+            assert_equiv(&label, &looped, &reacted, |p| p.rumors.fingerprint());
+            assert_eq!(loop_acct, reactor_acct, "{label}: wire accounting");
+            assert_eq!(
+                loop_stats.frames_sent, reactor_stats.frames_sent,
+                "{label}: frames sent"
+            );
+            assert_eq!(loop_stats.frames_sent, frames_sent, "{label}: frames sent");
+            assert_eq!(
+                loop_acct,
+                WireAccounting {
+                    payload_bytes,
+                    snapshot_bytes,
+                    delta_frames,
+                    snapshot_frames,
+                    stream_units: 0,
+                },
+                "{label}: pinned wire accounting"
+            );
+        }
+    }
+    check(
+        "ring-of-cliques(8, 8, 3)",
+        &generators::ring_of_cliques(8, 8, 3),
+        61_440,
+        5_120,
+        [
+            (36_798, 2_738, 2_382),
+            (37_932, 2_612, 2_508),
+            (38_949, 2_499, 2_621),
+        ],
+    );
+    check(
+        "uniform(clique 48, 1..5)",
+        &generators::uniform_random_latencies(&generators::clique(48), 1, 5, 7),
+        46_080,
+        3_840,
+        [
+            (30_681, 1_711, 2_129),
+            (30_537, 1_727, 2_113),
+            (30_447, 1_737, 2_103),
+        ],
+    );
 }

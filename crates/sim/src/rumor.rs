@@ -367,7 +367,7 @@ impl RumorSet {
 /// Sparse representation capacity: a [`CompactRumorSet`] holding at
 /// most this many ids stays an id list. Chosen so the sparse form never
 /// exceeds the footprint of a 2048-node bitset (32 × `u32` = 16 words).
-/// The first [`INLINE`] of them live inside the value itself; only a
+/// The first `INLINE` of them live inside the value itself; only a
 /// longer list owns a heap block.
 pub const SPARSE_MAX: usize = 32;
 
