@@ -1,5 +1,7 @@
 //! The [`Graph`] type: an undirected graph with integer edge latencies.
 
+use std::cmp::Ordering;
+
 use crate::error::GraphError;
 use crate::ids::{Latency, NodeId};
 
@@ -15,8 +17,9 @@ const MAX_NODES: usize = u32::MAX as usize;
 /// [`neighbor_latencies`](Graph::neighbor_latencies)), so id-only scans
 /// (binary searches, BFS) touch half the memory, and the simulation
 /// engine can borrow both slices directly instead of copying the
-/// adjacency. `latency(u, v)` is a binary search. Node ids are dense
-/// `0..n`.
+/// adjacency. `latency(u, v)` is an interpolation-guided search of
+/// `u`'s row ([`neighbor_index`](Graph::neighbor_index)). Node ids are
+/// dense `0..n`.
 ///
 /// The CSR arrays are the only representation: 4 bytes per directed
 /// edge (the neighbor id in each endpoint's row), 4 bytes more per
@@ -208,12 +211,19 @@ impl Graph {
     /// [`Graph::neighbor_latencies`]`(u)` directly. `None` if `(u, v)`
     /// is not an edge.
     ///
+    /// The search guesses first: it interpolates `v`'s position from the
+    /// row's first and last ids, gallops outward from the guess, and
+    /// binary-searches the bracket it lands in. That is one probe (one
+    /// cache line) when the row's ids are spread evenly — a clique, a
+    /// ring of cliques — and O(log degree) probes on any sorted row, with
+    /// the same answer as `binary_search`.
+    ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     #[inline]
     pub fn neighbor_index(&self, u: NodeId, v: NodeId) -> Option<usize> {
-        self.neighbor_ids(u).binary_search(&v).ok()
+        interpolation_search(self.neighbor_ids(u), v)
     }
 
     /// Whether the undirected edge `(u, v)` exists.
@@ -387,6 +397,61 @@ impl Graph {
             max_latency,
         })
     }
+}
+
+/// Internal: `row.binary_search(&v).ok()` on a strictly increasing row,
+/// guessing first (see [`Graph::neighbor_index`]). The guess
+/// interpolates between the row's end ids; a miss gallops toward `v` in
+/// doubling steps until it has a bracket, which a binary search
+/// finishes — O(log d) probes, whatever the spacing of the ids.
+fn interpolation_search(row: &[NodeId], v: NodeId) -> Option<usize> {
+    let (&first, &last) = (row.first()?, row.last()?);
+    if v < first || v > last {
+        return None;
+    }
+    // Distinct sorted ids: `v - first ≤ last - first`, so the guess
+    // lands in the row; both factors are below 2³², the product too.
+    let (first, last, at) = (u32::from(first), u32::from(last), u32::from(v));
+    let guess = match last - first {
+        0 => 0,
+        span => {
+            let width = u64::try_from(row.len() - 1).expect("degree fits u64");
+            let nth = u64::from(at - first) * width / u64::from(span);
+            usize::try_from(nth).expect("a row position fits usize")
+        }
+    };
+    let (lo, hi) = match row[guess].cmp(&v) {
+        Ordering::Equal => return Some(guess),
+        // Everything before `lo` is below `v`.
+        Ordering::Less => {
+            let (mut lo, mut step) = (guess + 1, 1);
+            loop {
+                let probe = guess + step;
+                if probe >= row.len() {
+                    break (lo, row.len());
+                }
+                if row[probe] >= v {
+                    break (lo, probe + 1);
+                }
+                (lo, step) = (probe + 1, 2 * step);
+            }
+        }
+        // Everything from `hi` on is above `v`.
+        Ordering::Greater => {
+            let (mut hi, mut step) = (guess, 1);
+            loop {
+                if step > guess {
+                    break (0, hi);
+                }
+                let probe = guess - step;
+                if row[probe] <= v {
+                    break (probe, hi);
+                }
+                (hi, step) = (probe, 2 * step);
+            }
+        }
+    };
+    row[lo..hi].binary_search(&v).ok().map(|i| lo + i)
 }
 
 /// Internal: an edge as [`Rows::of`] reads it — endpoints, and a

@@ -370,3 +370,70 @@ proptest! {
         }
     }
 }
+
+/// Every row of `g` against every probe `v ∈ 0..n` (absent ids below,
+/// inside and above each row included): the guessing
+/// [`Graph::neighbor_index`] answers exactly what `binary_search` does.
+fn check_neighbor_index(g: &Graph) -> Result<(), TestCaseError> {
+    for u in g.nodes() {
+        let row = g.neighbor_ids(u);
+        for v in g.nodes() {
+            prop_assert_eq!(
+                g.neighbor_index(u, v),
+                row.binary_search(&v).ok(),
+                "row of {} (degree {}), probe {}",
+                u.index(),
+                row.len(),
+                v.index()
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A hub (node 0) whose row is skewed: ids `⌊(n − 1)·(i/k)^power⌋`
+/// cluster at the low end and thin out toward the top, so an
+/// interpolated guess lands far from its target; node `n − 1` is left
+/// isolated (degree 0) unless the row reaches it.
+fn skewed_hub(n: usize, k: usize, power: i32) -> Graph {
+    let top = (n - 1) as f64;
+    let mut ids: Vec<usize> = (1..=k)
+        .map(|i| ((top - 1.0) * (i as f64 / k as f64).powi(power)) as usize + 1)
+        .collect();
+    ids.dedup();
+    Graph::from_edges(n, ids.into_iter().map(|v| (0, v, 1))).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Arbitrary small graphs: degree 0 and 1 rows, random id gaps.
+    #[test]
+    fn neighbor_index_matches_binary_search((n, es) in edge_list(40)) {
+        check_neighbor_index(&Graph::from_edges(n, es).unwrap())?;
+    }
+
+    /// Generator shapes with uneven rows: a star's hub (every id) and
+    /// leaves (one), a path (degree ≤ 2), a ring of cliques (a dense
+    /// block plus one far bridge id), a random geometric graph (ids
+    /// clustered by location), and power-law-skewed hub rows with a
+    /// random subset of gaps carved out.
+    #[test]
+    fn neighbor_index_matches_binary_search_on_skewed_rows(
+        n in 3usize..160,
+        k in 1usize..48,
+        power in 1i32..6,
+        s in 1usize..9,
+        seed in any::<u64>(),
+    ) {
+        use latency_graph::generators;
+        check_neighbor_index(&generators::star(n))?;
+        check_neighbor_index(&generators::path(n))?;
+        check_neighbor_index(&generators::ring_of_cliques(3 + n % 5, s, 2))?;
+        check_neighbor_index(&generators::random_geometric(n, 0.2, 10.0, seed))?;
+        check_neighbor_index(&skewed_hub(n, k, power))?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gapped = (1..n).filter(|_| rng.random::<u32>() % 4 == 0).map(|v| (0, v, 1));
+        check_neighbor_index(&Graph::from_edges(n, gapped).unwrap())?;
+    }
+}

@@ -15,7 +15,7 @@ use std::time::Duration;
 use latency_graph::NodeId;
 
 use crate::error::CodecError;
-use crate::wire::Frame;
+use crate::wire::{BufPool, Decoded, Frame};
 
 /// Validates the topology half of a handshake: the peer's node count
 /// and topology hash must equal ours. Returns the sender's node id,
@@ -181,14 +181,25 @@ impl FrameReader {
     /// Any [`CodecError`] other than `Truncated` is a permanent
     /// rejection of the stream.
     pub fn next_frame(&mut self) -> Result<Option<(Frame, u64)>, CodecError> {
-        match Frame::decode(&self.buf[self.pos..self.end]) {
-            Ok((frame, used)) => {
+        let next = self.next_decoded(&mut BufPool::default())?;
+        Ok(next.map(|(decoded, used)| (decoded.into_frame(), used)))
+    }
+
+    /// [`next_frame`](FrameReader::next_frame) for the reactor: payloads
+    /// fill buffers from `pool`, and a trunk envelope's inner frame
+    /// stays unboxed ([`Frame::decode_with`]).
+    pub(crate) fn next_decoded(
+        &mut self,
+        pool: &mut BufPool,
+    ) -> Result<Option<(Decoded, u64)>, CodecError> {
+        match Frame::decode_with(&self.buf[self.pos..self.end], pool) {
+            Ok((decoded, used)) => {
                 self.pos += used;
                 if self.pos == self.end {
                     self.discard();
                 }
                 let used = u64::try_from(used).expect("frame size fits u64");
-                Ok(Some((frame, used)))
+                Ok(Some((decoded, used)))
             }
             Err(CodecError::Truncated { .. }) => Ok(None),
             Err(e) => Err(e),

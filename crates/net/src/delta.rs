@@ -52,6 +52,13 @@ pub(crate) fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Byte length of `v`'s LEB128 varint ([`push_varint`]): one byte per
+/// started 7 bits, and one for 0.
+pub(crate) fn varint_len(v: u64) -> usize {
+    let bits = u64::BITS - (v | 1).leading_zeros();
+    usize::try_from(bits.div_ceil(7)).expect("at most 10 bytes")
+}
+
 /// Bounds-checked cursor over a delta body (also used by the stream
 /// payload codec in `wire.rs`, which shares the varint format).
 pub(crate) struct Cursor<'a> {

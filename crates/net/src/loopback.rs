@@ -12,7 +12,11 @@
 //!
 //! Frames still make a full trip through the wire codec: the hub stores
 //! encoded bytes and every poll decodes them, so the codec's
-//! losslessness is exercised by every loopback test, not assumed.
+//! losslessness is exercised by every loopback test, not assumed. The
+//! bytes live in buffers from one capped free list: `send` encodes into
+//! a recycled buffer, `poll` decodes each payload into another and
+//! returns the envelope's, and the runner returns the payload's
+//! ([`Transport::recycle`]) — a steady-state frame allocates nothing.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -23,7 +27,7 @@ use latency_graph::NodeId;
 
 use crate::error::NetError;
 use crate::transport::{NetEvent, Transport, TransportStats};
-use crate::wire::Frame;
+use crate::wire::{BufPool, Frame};
 
 struct Envelope {
     from: NodeId,
@@ -38,6 +42,8 @@ struct HubState {
     /// Per-endpoint advertised capability bits. Loopback has no
     /// handshake, so the hub itself is the capability registry.
     caps: Vec<u32>,
+    /// Envelope and payload buffers waiting for reuse.
+    pool: BufPool,
 }
 
 /// Shared mailroom for a cluster of [`LoopbackTransport`] endpoints.
@@ -59,6 +65,7 @@ impl LoopbackHub {
                 ready: (0..n).map(|_| VecDeque::new()).collect(),
                 stats: vec![TransportStats::default(); n],
                 caps: vec![0; n],
+                pool: BufPool::default(),
             })),
             n,
         }
@@ -120,7 +127,11 @@ impl Transport for LoopbackTransport {
         if to.index() >= state.ready.len() {
             return Err(NetError::UnknownPeer(to));
         }
-        let bytes = frame.encode()?;
+        let mut bytes = state.pool.take();
+        if let Err(e) = frame.encode_into(&mut bytes) {
+            state.pool.put(bytes);
+            return Err(e.into());
+        }
         let stats = &mut state.stats[self.node.index()];
         stats.frames_sent += 1;
         stats.bytes_sent += bytes.len() as u64;
@@ -132,23 +143,29 @@ impl Transport for LoopbackTransport {
     }
 
     fn poll(&mut self, _round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError> {
-        let mut state = self.state.borrow_mut();
-        while let Some(env) = state.ready[self.node.index()].pop_front() {
-            let (frame, used) = Frame::decode(&env.bytes)?;
+        let state = &mut *self.state.borrow_mut();
+        let me = self.node.index();
+        while let Some(env) = state.ready[me].pop_front() {
+            let (decoded, used) = Frame::decode_with(&env.bytes, &mut state.pool)?;
             if used != env.bytes.len() {
                 return Err(NetError::ProtocolViolation(
                     "loopback envelope held trailing bytes".to_owned(),
                 ));
             }
-            let stats = &mut state.stats[self.node.index()];
+            let stats = &mut state.stats[me];
             stats.frames_received += 1;
             stats.bytes_received += env.bytes.len() as u64;
+            state.pool.put(env.bytes);
             out.push(NetEvent::Frame {
                 from: env.from,
-                frame,
+                frame: decoded.into_frame(),
             });
         }
         Ok(())
+    }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.state.borrow_mut().pool.put(buf);
     }
 
     fn stats(&self) -> TransportStats {
@@ -161,6 +178,7 @@ impl Transport for LoopbackTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::POOL_BYTES;
 
     fn poll(t: &mut LoopbackTransport, round: Round) -> Vec<NetEvent> {
         let mut out = Vec::new();
@@ -196,6 +214,47 @@ mod tests {
         assert!(poll(&mut b, 2).is_empty(), "each frame surfaces once");
         assert_eq!(a.stats().frames_sent, 2);
         assert_eq!(b.stats().frames_received, 2);
+    }
+
+    #[test]
+    fn buffers_are_recycled_and_the_free_list_stays_capped() {
+        let hub = LoopbackHub::new(2);
+        let mut a = hub.endpoint(NodeId::new(0));
+        let mut b = hub.endpoint(NodeId::new(1));
+        let request = Frame::Request {
+            seq: 1,
+            round: 0,
+            payload: vec![5; 100],
+        };
+        a.send(0, NodeId::new(1), 0, &request).expect("send");
+        let mut got = poll(&mut b, 0);
+        let Some(NetEvent::Frame {
+            frame: Frame::Request { payload, .. },
+            ..
+        }) = got.pop()
+        else {
+            panic!("expected the request");
+        };
+        assert_eq!(payload, [5; 100]);
+        // The payload buffer goes back; the next send encodes into it.
+        let recycled = payload.as_ptr();
+        b.recycle(payload);
+        a.send(1, NodeId::new(1), 0, &Frame::Done { round: 1 })
+            .expect("send");
+        let queued = hub.state.borrow().ready[1]
+            .back()
+            .map(|env| env.bytes.as_ptr());
+        assert_eq!(
+            queued,
+            Some(recycled),
+            "the envelope reuses the recycled buffer"
+        );
+        // Handing back far more than the cap keeps at most the cap.
+        for _ in 0..2 * POOL_BYTES / 4096 {
+            b.recycle(Vec::with_capacity(4096));
+        }
+        let retained = hub.state.borrow().pool.retained();
+        assert!(retained <= POOL_BYTES && retained > POOL_BYTES - 4096);
     }
 
     #[test]

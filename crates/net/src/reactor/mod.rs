@@ -75,7 +75,7 @@ use crate::conn::{round_offset, validate_hello, Backoff};
 use crate::error::{NetError, PeerLoss};
 use crate::runner::{run_lockstep, NetRunner, NodeOutcome, PayloadMode, RunView, WireAccounting};
 use crate::transport::{NetEvent, Transport, TransportStats};
-use crate::wire::{Frame, WirePayload};
+use crate::wire::{BufPool, Decoded, Frame, WirePayload};
 
 use conn::{Conn, ConnKind};
 use sys::{Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
@@ -148,9 +148,9 @@ const NOT_HOSTED: u32 = u32::MAX;
 
 /// Per-hosted-node endpoint state.
 struct Hosted {
-    neighbors: Vec<NodeId>,
-    /// Events the next `poll` returns, in arrival order.
-    ready: VecDeque<NetEvent>,
+    /// Events the next `poll` returns, in arrival order. A poll into an
+    /// empty inbox swaps the two buffers instead of moving the events.
+    ready: Vec<NetEvent>,
     /// Peers conclusively lost (sends become silent no-ops).
     lost: BTreeSet<NodeId>,
     stats: TransportStats,
@@ -187,7 +187,10 @@ enum Timer {
     Redial { from: NodeId, to: NodeId },
 }
 
-struct Core {
+struct Core<'g> {
+    /// The topology every hosted node runs on: sends are checked, and
+    /// handshakes validated, against its adjacency rows.
+    graph: &'g Graph,
     n: u32,
     hash: u64,
     cfg: ReactorConfig,
@@ -238,14 +241,17 @@ struct Core {
     down: bool,
     events_scratch: Vec<(u64, u32)>,
     timers_scratch: Vec<Timer>,
+    /// Payload buffers for decoding, refilled from what the runners
+    /// hand back ([`Transport::recycle`]).
+    pool: BufPool,
 }
 
-impl Core {
+impl<'g> Core<'g> {
     fn new(
-        graph: &Graph,
+        graph: &'g Graph,
         hosted_ids: BTreeSet<NodeId>,
         cfg: ReactorConfig,
-    ) -> Result<Core, NetError> {
+    ) -> Result<Core<'g>, NetError> {
         if hosted_ids.is_empty() {
             return Err(NetError::ProtocolViolation(
                 "reactor hosts no nodes".to_owned(),
@@ -265,15 +271,13 @@ impl Core {
         let hosted: Vec<Hosted> = hosted_ids
             .iter()
             .map(|&u| {
-                let neighbors = graph.neighbor_ids(u).to_vec();
-                for &v in &neighbors {
+                for &v in graph.neighbor_ids(u) {
                     if slot[v.index()] == NOT_HOSTED {
                         edges.insert((u, v), EdgeOut::default());
                     }
                 }
                 Hosted {
-                    neighbors,
-                    ready: VecDeque::new(),
+                    ready: Vec::new(),
                     lost: BTreeSet::new(),
                     stats: TransportStats::default(),
                     caps: 0,
@@ -294,6 +298,7 @@ impl Core {
         let backoff = Backoff::new(cfg.retry_base, cfg.retry_cap);
         let active = hosted.len();
         Ok(Core {
+            graph,
             n: u32::try_from(n).expect("node count fits u32"),
             hash: graph.topology_hash(),
             cfg,
@@ -323,6 +328,7 @@ impl Core {
             down: false,
             events_scratch: Vec::new(),
             timers_scratch: Vec::new(),
+            pool: BufPool::default(),
         })
     }
 
@@ -617,35 +623,39 @@ impl Core {
                 conn.reader.discard();
                 return Ok(());
             }
-            match conn.reader.next_frame() {
-                Ok(Some((frame, used))) => self.handle_frame(idx, kind, frame, used)?,
+            match conn.reader.next_decoded(&mut self.pool) {
+                Ok(Some((decoded, used))) => self.handle_frame(idx, kind, decoded, used)?,
                 Ok(None) => return Ok(()),
                 Err(e) => return self.conn_broken(idx, &format!("codec error: {e}")),
             }
         }
     }
 
+    /// Routes one decoded frame by the role of the connection it came
+    /// in on. Only a trunk envelope stays unboxed: its inner frame goes
+    /// straight to [`deliver`](Self::deliver).
     fn handle_frame(
         &mut self,
         idx: usize,
         kind: ConnKind,
-        frame: Frame,
+        decoded: Decoded,
         used: u64,
     ) -> Result<(), NetError> {
         match kind {
-            ConnKind::Pending => self.handle_handshake(idx, &frame),
-            ConnKind::TrunkIn(_) => match frame {
-                Frame::Routed {
+            ConnKind::Pending => self.handle_handshake(idx, &decoded.into_frame()),
+            ConnKind::TrunkIn(_) => match decoded {
+                Decoded::Routed {
                     src, dst, inner, ..
                 } => {
                     self.routed_decoded += 1;
-                    self.deliver(src, dst, *inner, used)
+                    self.deliver(src, dst, inner, used)
                 }
-                other => Err(NetError::ProtocolViolation(format!(
+                Decoded::Frame(other) => Err(NetError::ProtocolViolation(format!(
                     "non-routed frame on a trunk: {other:?}"
                 ))),
             },
             ConnKind::PeerIn { from, to } => {
+                let frame = decoded.into_frame();
                 match frame {
                     Frame::Request { seq, .. } | Frame::RequestDelta { seq, .. } => {
                         // A reconnecting dialer replays whatever its
@@ -674,7 +684,9 @@ impl Core {
                 }
                 self.deliver(from, to, frame, used)
             }
-            ConnKind::DialPending { from, to } => self.handle_dial_answer(idx, from, to, &frame),
+            ConnKind::DialPending { from, to } => {
+                self.handle_dial_answer(idx, from, to, &decoded.into_frame())
+            }
             // Established outbound edges and trunk write sides carry no
             // inbound data; stray bytes are ignored (EOF is what
             // matters, and read_conn catches it).
@@ -722,9 +734,8 @@ impl Core {
         }
         self.mark_dirty(idx);
         let valid = validate_hello(frame, self.n, self.hash).is_ok()
-            && self
-                .hosted(to)
-                .is_some_and(|h| h.neighbors.binary_search(&node).is_ok());
+            && self.hosted(to).is_some()
+            && self.graph.neighbor_index(to, node).is_some();
         if let Some(conn) = self.conns[idx].as_mut() {
             if valid {
                 conn.kind = ConnKind::PeerIn { from: node, to };
@@ -808,7 +819,7 @@ impl Core {
         };
         hosted.stats.frames_received += 1;
         hosted.stats.bytes_received += used;
-        hosted.ready.push_back(NetEvent::Frame { from: src, frame });
+        hosted.ready.push(NetEvent::Frame { from: src, frame });
         Ok(())
     }
 
@@ -999,7 +1010,7 @@ impl Core {
         }
         if let Some(hosted) = self.hosted_mut(from) {
             if hosted.lost.insert(to) {
-                hosted.ready.push_back(NetEvent::PeerLost(PeerLoss {
+                hosted.ready.push(NetEvent::PeerLost(PeerLoss {
                     peer: to,
                     attempts,
                     error,
@@ -1036,10 +1047,11 @@ impl Core {
                 src.index()
             )));
         };
-        let hosted = &mut self.hosted[slot];
-        if hosted.neighbors.get(nth) != Some(&to) {
+        // The row entry the runner's initiation (or answer) just read.
+        if self.graph.neighbor_ids(src).get(nth) != Some(&to) {
             return Err(NetError::UnknownPeer(to));
         }
+        let hosted = &mut self.hosted[slot];
         if hosted.lost.contains(&to) {
             return Ok(());
         }
@@ -1111,7 +1123,11 @@ impl Core {
                 node.index()
             )));
         };
-        out.extend(hosted.ready.drain(..));
+        if out.is_empty() {
+            std::mem::swap(out, &mut hosted.ready);
+        } else {
+            out.append(&mut hosted.ready);
+        }
         Ok(())
     }
 
@@ -1212,11 +1228,11 @@ impl Core {
 /// is deliberately not `Send`: every connection, buffer, and timer
 /// lives in one `RefCell` core). The first endpoint's `start()` brings
 /// the whole reactor up.
-pub struct Reactor {
-    core: Rc<RefCell<Core>>,
+pub struct Reactor<'g> {
+    core: Rc<RefCell<Core<'g>>>,
 }
 
-impl Reactor {
+impl<'g> Reactor<'g> {
     /// Binds the listener and prepares to host `hosted` (node ids of
     /// `graph`).
     ///
@@ -1225,10 +1241,10 @@ impl Reactor {
     /// Fails if `hosted` is empty or out of range, the listen address
     /// is unusable, or the epoll instance cannot be created.
     pub fn new(
-        graph: &Graph,
+        graph: &'g Graph,
         hosted: impl IntoIterator<Item = NodeId>,
         config: ReactorConfig,
-    ) -> Result<Reactor, NetError> {
+    ) -> Result<Reactor<'g>, NetError> {
         let hosted: BTreeSet<NodeId> = hosted.into_iter().collect();
         Ok(Reactor {
             core: Rc::new(RefCell::new(Core::new(graph, hosted, config)?)),
@@ -1252,7 +1268,7 @@ impl Reactor {
     /// # Panics
     ///
     /// Panics if `node` is not hosted by this reactor.
-    pub fn endpoint(&self, node: NodeId) -> ReactorEndpoint {
+    pub fn endpoint(&self, node: NodeId) -> ReactorEndpoint<'g> {
         assert!(
             self.core.borrow().slot_of(node).is_some(),
             "node {} is not hosted by this reactor",
@@ -1272,19 +1288,19 @@ impl Reactor {
     }
 }
 
-impl Drop for Reactor {
+impl Drop for Reactor<'_> {
     fn drop(&mut self) {
         self.core.borrow_mut().teardown();
     }
 }
 
 /// One hosted node's [`Transport`] endpoint on a shared [`Reactor`].
-pub struct ReactorEndpoint {
-    core: Rc<RefCell<Core>>,
+pub struct ReactorEndpoint<'g> {
+    core: Rc<RefCell<Core<'g>>>,
     node: NodeId,
 }
 
-impl Transport for ReactorEndpoint {
+impl Transport for ReactorEndpoint<'_> {
     fn local(&self) -> NodeId {
         self.node
     }
@@ -1323,6 +1339,10 @@ impl Transport for ReactorEndpoint {
 
     fn poll(&mut self, round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError> {
         self.core.borrow_mut().poll_node(self.node, round, out)
+    }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.core.borrow_mut().pool.put(buf);
     }
 
     fn stats(&self) -> TransportStats {
@@ -1477,6 +1497,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::POOL_BYTES;
     use latency_graph::generators;
 
     fn drain_cfg() -> ReactorConfig {
@@ -1487,7 +1508,7 @@ mod tests {
         }
     }
 
-    fn poll(end: &mut ReactorEndpoint, round: Round) -> Vec<NetEvent> {
+    fn poll(end: &mut ReactorEndpoint<'_>, round: Round) -> Vec<NetEvent> {
         let mut out = Vec::new();
         end.poll(round, &mut out).expect("poll");
         out
@@ -1601,6 +1622,47 @@ mod tests {
             assert_eq!(seqs, (0..sent).collect::<Vec<u64>>(), "per-sender order");
         }
         assert_eq!(reactor.core.borrow().trunk_backlog(), 0);
+    }
+
+    #[test]
+    fn payload_buffers_are_recycled_and_the_free_list_stays_capped() {
+        let g = generators::path(2);
+        let reactor = Reactor::new(&g, (0..2).map(NodeId::new), drain_cfg()).expect("reactor");
+        let mut e0 = reactor.endpoint(NodeId::new(0));
+        let mut e1 = reactor.endpoint(NodeId::new(1));
+        e0.start().expect("start");
+        let mut payload_of_next = |e0: &mut ReactorEndpoint<'_>, round| {
+            let request = Frame::Request {
+                seq: round + 1,
+                round,
+                payload: vec![9; 64],
+            };
+            e0.send(round, NodeId::new(1), 0, &request).expect("send");
+            match poll(&mut e1, round).pop() {
+                Some(NetEvent::Frame {
+                    frame: Frame::Request { payload, .. },
+                    ..
+                }) => (payload, e1.stats().frames_received),
+                other => panic!("expected the request, got {other:?}"),
+            }
+        };
+        let (first, _) = payload_of_next(&mut e0, 0);
+        let recycled = first.as_ptr();
+        reactor.core.borrow_mut().pool.put(first);
+        let (second, received) = payload_of_next(&mut e0, 1);
+        assert_eq!(received, 2);
+        assert_eq!(second, [9; 64]);
+        assert_eq!(
+            second.as_ptr(),
+            recycled,
+            "decoded into the recycled buffer"
+        );
+        // Handing back far more than the cap keeps at most the cap.
+        for _ in 0..2 * POOL_BYTES / 4096 {
+            e1.recycle(Vec::with_capacity(4096));
+        }
+        let retained = reactor.core.borrow().pool.retained();
+        assert!(retained <= POOL_BYTES && retained > POOL_BYTES - 4096);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! applied at `t + ℓ` — so summing runner metrics over a cluster
 //! reproduces the engine's [`SimMetrics`].
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use gossip_sim::pacing::NodePacer;
 use gossip_sim::{
@@ -81,16 +81,85 @@ pub struct NodeOutcome<P> {
 /// The runner's view of cluster health, passed to done predicates so
 /// survivors of a partition can declare victory over the remaining
 /// component instead of waiting forever for the dead.
-#[derive(Debug)]
 pub struct RunView<'a> {
-    /// Neighbors that departed (sent [`Frame::Bye`]) or were lost.
-    gone: &'a BTreeSet<NodeId>,
+    graph: &'a Graph,
+    node: NodeId,
+    /// Adjacency positions of the neighbors that departed (sent
+    /// [`Frame::Bye`]) or were lost.
+    gone: &'a PositionSet,
 }
 
 impl RunView<'_> {
-    /// Whether `v` departed or was lost.
+    /// Whether `v` is a neighbor that departed or was lost.
     pub fn is_gone(&self, v: NodeId) -> bool {
-        self.gone.contains(&v)
+        !self.gone.is_empty()
+            && self
+                .graph
+                .neighbor_index(self.node, v)
+                .is_some_and(|nth| self.gone.contains(nth))
+    }
+}
+
+impl std::fmt::Debug for RunView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunView")
+            .field("node", &self.node)
+            .field("gone", &self.gone)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A set of adjacency positions of one node's row, one bit each: the
+/// runner's `peers_done` / `peers_gone`, indexed by the `nth` every
+/// frame path already holds.
+#[derive(Debug)]
+struct PositionSet {
+    words: Vec<u64>,
+    /// Positions set; no bit past the row's degree ever is.
+    len: usize,
+}
+
+impl PositionSet {
+    fn new(degree: usize) -> PositionSet {
+        PositionSet {
+            words: vec![0; degree.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    fn contains(&self, nth: usize) -> bool {
+        self.words[nth / 64] >> (nth % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, nth: usize) {
+        if !self.contains(nth) {
+            self.words[nth / 64] |= 1 << (nth % 64);
+            self.len += 1;
+        }
+    }
+
+    #[cfg(test)]
+    fn remove(&mut self, nth: usize) {
+        if self.contains(nth) {
+            self.words[nth / 64] &= !(1 << (nth % 64));
+            self.len -= 1;
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// How many positions are in `self` or `other`: one pass over the
+    /// words.
+    fn union_len(&self, other: &PositionSet) -> usize {
+        let ones = |(a, b): (&u64, &u64)| usize::try_from((a | b).count_ones()).expect("≤ 64");
+        self.words.iter().zip(&other.words).map(ones).sum()
     }
 }
 
@@ -204,15 +273,57 @@ struct EdgeCache<Pl> {
     /// `≥ basis_seq` whenever a request references a basis — references
     /// are monotone because `confirmed` keeps the max seq — so it holds
     /// the one or two exchanges since the peer's last reference.
-    bases: Vec<(u64, Pl)>,
+    bases: Bases<Pl>,
 }
 
 impl<Pl> Default for EdgeCache<Pl> {
     fn default() -> Self {
         EdgeCache {
             confirmed: None,
-            bases: Vec::new(),
+            bases: Bases {
+                newest: None,
+                older: Vec::new(),
+            },
         }
+    }
+}
+
+/// [`EdgeCache::bases`]: the newest `(seq, basis)` inline, older ones
+/// spilled into a `Vec` that allocates only while the peer holds more
+/// than one unreferenced basis — most answered exchanges are never
+/// referenced, and they cost no heap block.
+struct Bases<Pl> {
+    /// The basis pushed last; `None` only when `older` is empty too.
+    newest: Option<(u64, Pl)>,
+    older: Vec<(u64, Pl)>,
+}
+
+impl<Pl> Bases<Pl> {
+    fn push(&mut self, seq: u64, basis: Pl) {
+        if let Some(prev) = self.newest.replace((seq, basis)) {
+            self.older.push(prev);
+        }
+    }
+
+    fn find(&self, seq: u64) -> Option<&Pl> {
+        self.newest
+            .iter()
+            .chain(&self.older)
+            .find(|&&(s, _)| s == seq)
+            .map(|(_, basis)| basis)
+    }
+
+    /// Drops every basis older than `seq`.
+    fn retain_from(&mut self, seq: u64) {
+        self.older.retain(|&(s, _)| s >= seq);
+        if self.newest.as_ref().is_some_and(|&(s, _)| s < seq) {
+            self.newest = self.older.pop();
+        }
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.newest.is_none()
     }
 }
 
@@ -315,8 +426,9 @@ fn encode_for_wire<Pl: WirePayload>(
     None
 }
 
-/// The payload buffer of an exchange frame, handed back after `send`
-/// so the next [`encode_for_wire`] reuses its allocation.
+/// The payload buffer of an exchange frame: handed back after `send`
+/// so the next [`encode_for_wire`] reuses its allocation, and to the
+/// transport after ingest ([`Transport::recycle`]).
 fn into_payload(frame: Frame) -> Vec<u8> {
     match frame {
         Frame::Request { payload, .. }
@@ -370,8 +482,10 @@ pub struct NetRunner<'g, P: Protocol, T: Transport> {
     knowledge: Knowledge<P::Payload>,
     accounting: WireAccounting,
     metrics: SimMetrics,
-    peers_done: BTreeSet<NodeId>,
-    peers_gone: BTreeSet<NodeId>,
+    /// Adjacency positions of the neighbors that announced done.
+    peers_done: PositionSet,
+    /// Adjacency positions of the neighbors that departed or were lost.
+    peers_gone: PositionSet,
     losses: Vec<PeerLoss>,
     done_round: Option<Round>,
 }
@@ -405,6 +519,7 @@ where
         // the mode bits on top.
         transport.set_caps(P::Payload::caps());
         let pacer = NodePacer::new(graph, node, protocol, config);
+        let degree = graph.degree(node);
         NetRunner {
             graph,
             universe: pacer.payload().wire_universe(),
@@ -421,8 +536,8 @@ where
             knowledge: Knowledge::new(),
             accounting: WireAccounting::default(),
             metrics: SimMetrics::default(),
-            peers_done: BTreeSet::new(),
-            peers_gone: BTreeSet::new(),
+            peers_done: PositionSet::new(degree),
+            peers_gone: PositionSet::new(degree),
             losses: Vec::new(),
             done_round: None,
         }
@@ -495,7 +610,7 @@ where
             return Ok(());
         };
         self.metrics.initiated += 1;
-        if self.peers_gone.contains(&init.peer) {
+        if self.peers_gone.contains(init.nth) {
             // The engine counts initiations toward crashed peers as
             // lost; a departed or unreachable TCP peer is the same.
             self.metrics.lost += 1;
@@ -579,12 +694,18 @@ where
     fn ingest(&mut self, now: Round, events: &mut Vec<NetEvent>) -> Result<(), NetError> {
         for event in events.drain(..) {
             match event {
-                NetEvent::Frame { from, frame } => self.ingest_frame(now, from, frame)?,
+                NetEvent::Frame { from, frame } => {
+                    let ingested = self.ingest_frame(now, from, &frame);
+                    // Decoded or refused, the payload bytes are spent.
+                    self.transport.recycle(into_payload(frame));
+                    ingested?;
+                }
                 NetEvent::PeerLost(loss) => {
                     // A peer that already said `Bye` departed; its
                     // sockets closing behind it are not a fault.
-                    let departed = self.peers_gone.contains(&loss.peer);
-                    self.mark_gone(loss.peer);
+                    let nth = self.position_of(loss.peer)?;
+                    let departed = self.peers_gone.contains(nth);
+                    self.mark_gone(nth, loss.peer);
                     if !departed {
                         self.losses.push(loss);
                     }
@@ -604,15 +725,15 @@ where
 
     /// Requests are answered as they come: the transport delivers each
     /// at most once (see [`Transport`]), so no seq is checked here.
-    fn ingest_frame(&mut self, now: Round, from: NodeId, frame: Frame) -> Result<(), NetError> {
-        match frame {
+    fn ingest_frame(&mut self, now: Round, from: NodeId, frame: &Frame) -> Result<(), NetError> {
+        match *frame {
             Frame::Request {
                 seq,
                 round,
-                payload,
+                ref payload,
             } => {
                 let nth = self.position_of(from)?;
-                let theirs = P::Payload::decode_payload(&payload)?;
+                let theirs = P::Payload::decode_payload(payload)?;
                 self.check_universe(from, &theirs)?;
                 self.stage_request(
                     now,
@@ -629,7 +750,7 @@ where
                 seq,
                 round,
                 basis_seq,
-                payload,
+                ref payload,
             } => {
                 if self.mode != PayloadMode::Delta {
                     return Err(NetError::ProtocolViolation(format!(
@@ -641,12 +762,10 @@ where
                 let basis = if basis_seq == 0 {
                     None
                 } else {
-                    let found = self.knowledge.get(nth).and_then(|k| {
-                        k.bases
-                            .iter()
-                            .find(|&&(s, _)| s == basis_seq)
-                            .map(|(_, b)| b)
-                    });
+                    let found = self
+                        .knowledge
+                        .get(nth)
+                        .and_then(|k| k.bases.find(basis_seq));
                     if found.is_none() {
                         return Err(NetError::ProtocolViolation(format!(
                             "request {seq} from node {} references unknown basis {basis_seq}",
@@ -655,13 +774,13 @@ where
                     }
                     found
                 };
-                let theirs = P::Payload::decode_delta(&payload, basis)?;
+                let theirs = P::Payload::decode_delta(payload, basis)?;
                 self.check_universe(from, &theirs)?;
                 if basis_seq != 0 {
                     if let Some(cache) = self.knowledge.get_mut(nth) {
                         // References are monotone (see `EdgeCache`), so
                         // older bases are dead weight.
-                        cache.bases.retain(|&(s, _)| s >= basis_seq);
+                        cache.bases.retain_from(basis_seq);
                     }
                 }
                 self.stage_request(
@@ -678,13 +797,13 @@ where
             Frame::Reply {
                 seq,
                 round,
-                payload,
-            } => self.accept_reply(from, seq, round, &payload, None),
+                ref payload,
+            } => self.accept_reply(from, seq, round, payload, None),
             Frame::ReplyDelta {
                 seq,
                 round,
                 basis_seq,
-                payload,
+                ref payload,
             } => {
                 if self.mode != PayloadMode::Delta {
                     return Err(NetError::ProtocolViolation(format!(
@@ -692,10 +811,11 @@ where
                         from.index()
                     )));
                 }
-                self.accept_reply(from, seq, round, &payload, Some(basis_seq))
+                self.accept_reply(from, seq, round, payload, Some(basis_seq))
             }
             Frame::Done { .. } => {
-                self.peers_done.insert(from);
+                let nth = self.position_of(from)?;
+                self.peers_done.insert(nth);
                 Ok(())
             }
             Frame::Bye => {
@@ -703,7 +823,8 @@ where
                 // FIFO ahead of this Bye on the same edge or trunk, so
                 // exchanges already initiated toward it stay pending and
                 // their replies are still honored.
-                self.peers_gone.insert(from);
+                let nth = self.position_of(from)?;
+                self.peers_gone.insert(nth);
                 Ok(())
             }
             Frame::Hello { .. } => Err(NetError::ProtocolViolation(format!(
@@ -794,7 +915,7 @@ where
         if self.mode == PayloadMode::Delta && caps & CAP_DELTA != 0 {
             if let Some(merged) = mine.merge_basis(&theirs) {
                 let degree = self.graph.neighbor_ids(me).len();
-                self.knowledge.entry(nth, degree).bases.push((seq, merged));
+                self.knowledge.entry(nth, degree).bases.push(seq, merged);
             }
         }
         self.hold.push(Held {
@@ -928,15 +1049,12 @@ where
         }
     }
 
-    fn mark_gone(&mut self, peer: NodeId) {
-        self.peers_gone.insert(peer);
+    /// The neighbor at `nth` of our row, `peer`, was lost.
+    fn mark_gone(&mut self, nth: usize, peer: NodeId) {
+        self.peers_gone.insert(nth);
         // Any shared bases died with the connection: a peer that comes
         // back (or a late frame) must renegotiate from full snapshots.
-        if let Some(cache) = self
-            .graph
-            .neighbor_index(self.node(), peer)
-            .and_then(|nth| self.knowledge.get_mut(nth))
-        {
+        if let Some(cache) = self.knowledge.get_mut(nth) {
             *cache = EdgeCache::default();
         }
         for held in &mut self.hold {
@@ -962,7 +1080,7 @@ where
             .iter()
             .copied()
             .enumerate()
-            .filter(|(_, v)| !self.peers_gone.contains(v))
+            .filter(|&(nth, _)| !self.peers_gone.contains(nth))
     }
 
     /// Self-driving loop for distributed transports (TCP): runs rounds
@@ -1013,6 +1131,8 @@ where
         self.begin_round(round)?;
         if self.done_round.is_none() {
             let view = RunView {
+                graph: self.graph,
+                node: self.node(),
                 gone: &self.peers_gone,
             };
             if self.pacer.is_done() || done(self.pacer.protocol(), &view) {
@@ -1025,11 +1145,7 @@ where
             }
         }
         if self.done_round.is_some()
-            && self
-                .graph
-                .neighbor_ids(self.node())
-                .iter()
-                .all(|v| self.peers_done.contains(v) || self.peers_gone.contains(v))
+            && self.peers_done.union_len(&self.peers_gone) == self.graph.degree(self.node())
         {
             return Ok(Some(NodeStopReason::Barrier));
         }
@@ -1440,7 +1556,7 @@ mod tests {
         // If the peer comes back (the transport re-admits it after a
         // reconnect), nothing of the old cache survives: the next
         // request falls back to the empty basis — full snapshot content.
-        runner.peers_gone.remove(&peer);
+        runner.peers_gone.remove(0);
         runner.begin_round(2).expect("round 2");
         runner.launch(2).expect("launch 2");
         let (_, to, third) = sent.borrow().last().expect("third frame").clone();
@@ -1746,6 +1862,73 @@ mod tests {
         assert_eq!(runner.peers_gone.len(), 2);
         assert_eq!(runner.losses.len(), 1, "{:?}", runner.losses);
         assert_eq!(runner.losses[0].peer, NodeId::new(2));
+    }
+
+    #[test]
+    fn answered_bases_keep_the_newest_inline() {
+        let mut bases = EdgeCache::<u32>::default().bases;
+        bases.push(3, 30);
+        assert!(bases.older.capacity() == 0, "one basis: no heap block");
+        bases.push(5, 50);
+        bases.push(8, 80);
+        assert_eq!(
+            [3, 5, 8, 9].map(|s| bases.find(s).copied()),
+            [Some(30), Some(50), Some(80), None]
+        );
+        // A reference to seq 5 drops seq 3; one to seq 9 (past the
+        // newest) drops everything.
+        bases.retain_from(5);
+        assert_eq!(
+            [3, 5, 8].map(|s| bases.find(s).copied()),
+            [None, Some(50), Some(80)]
+        );
+        bases.retain_from(9);
+        assert!(bases.is_empty() && bases.older.is_empty());
+        // Out-of-order pushes: the survivor of a prune moves inline.
+        bases.push(12, 120);
+        bases.push(10, 100);
+        bases.retain_from(11);
+        assert_eq!(bases.newest, Some((12, 120)));
+        assert!(bases.older.is_empty());
+    }
+
+    #[test]
+    fn done_and_gone_are_kept_by_adjacency_position() {
+        // Node 0 of the path 0 — 1 — 2 has the one neighbor 1; node 2
+        // is not adjacent.
+        let g = generators::path(3);
+        let frame = |from: usize, frame: Frame| NetEvent::Frame {
+            from: NodeId::new(from),
+            frame,
+        };
+        for stray in [Frame::Done { round: 0 }, Frame::Bye] {
+            let (mut runner, _) = delta_runner(&g, &[]);
+            runner.start().expect("start");
+            runner.transport.inbox.push_back(frame(2, stray));
+            let err = runner
+                .begin_round(0)
+                .expect_err("a non-neighbor is refused");
+            assert!(matches!(err, NetError::UnknownPeer(v) if v == NodeId::new(2)));
+        }
+        let (mut runner, _) = delta_runner(&g, &[]);
+        runner.start().expect("start");
+        let view_gone = |r: &NetRunner<'_, FirstNeighbor, Scripted>| {
+            let view = RunView {
+                graph: &g,
+                node: r.node(),
+                gone: &r.peers_gone,
+            };
+            [1, 2].map(|v| view.is_gone(NodeId::new(v)))
+        };
+        assert_eq!(view_gone(&runner), [false, false]);
+        runner.transport.inbox.push_back(frame(1, Frame::Bye));
+        runner.begin_round(0).expect("round 0");
+        assert!(runner.peers_gone.contains(0));
+        assert_eq!(view_gone(&runner), [true, false], "only neighbors are gone");
+        assert_eq!(runner.live_neighbors().count(), 0);
+        // With its one neighbor departed, the node stops isolated.
+        let stop = runner.step_round(1, &|_: &FirstNeighbor, _: &RunView<'_>| false);
+        assert_eq!(stop.expect("round 1"), Some(NodeStopReason::Isolated));
     }
 
     #[test]

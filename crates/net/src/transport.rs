@@ -77,7 +77,11 @@ pub enum NetEvent {
 ///    the runner always already holds, so a transport that knows the
 ///    adjacency checks the peer in O(1) instead of searching the row.
 ///    Sending to a peer already reported lost is a silent no-op.
-/// 4. [`shutdown`](Transport::shutdown) — release sockets; idempotent.
+/// 4. [`recycle(buf)`](Transport::recycle) — the runner hands back
+///    the payload buffer of each frame `poll` gave it, once it has
+///    decoded the payload, so the transport's next decode refills it
+///    instead of allocating.
+/// 5. [`shutdown`](Transport::shutdown) — release sockets; idempotent.
 ///
 /// **Delivery is at most once.** A request (`Request` / `RequestDelta`)
 /// surfaces from `poll` at most once per sequence number, so the runner
@@ -129,6 +133,11 @@ pub trait Transport {
     /// Blocks until `round` has begun locally, then drains arrivals
     /// onto the end of `out`.
     fn poll(&mut self, round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError>;
+
+    /// Takes back a payload buffer of a frame this endpoint's
+    /// [`poll`](Transport::poll) handed over, for a later decode to
+    /// refill. The default drops it.
+    fn recycle(&mut self, _buf: Vec<u8>) {}
 
     /// This endpoint's traffic counters.
     fn stats(&self) -> TransportStats;

@@ -366,128 +366,258 @@ impl Frame {
     /// stream readers accumulate until then and retry. Every other error
     /// is a permanent rejection of the stream.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), CodecError> {
-        Frame::decode_inner(buf, true)
+        let (decoded, used) = decode_frame(buf, &mut <[u8]>::to_vec)?;
+        Ok((decoded.into_frame(), used))
     }
 
-    /// [`Frame::decode`], with the `Routed` arm gated so envelopes
-    /// cannot nest.
-    fn decode_inner(buf: &[u8], allow_routed: bool) -> Result<(Frame, usize), CodecError> {
-        if buf.len() < HEADER_LEN {
-            return Err(CodecError::Truncated {
-                need: HEADER_LEN,
-                have: buf.len(),
-            });
+    /// [`Frame::decode`] for the transports' receive paths: payload
+    /// bytes land in a buffer taken from `pool`, and a trunk envelope's
+    /// inner frame comes back in place ([`Decoded::Routed`]) instead of
+    /// behind a `Box`. Same bytes consumed, same errors.
+    pub(crate) fn decode_with(
+        buf: &[u8],
+        pool: &mut BufPool,
+    ) -> Result<(Decoded, usize), CodecError> {
+        decode_frame(buf, &mut |bytes: &[u8]| pool.filled(bytes))
+    }
+}
+
+/// What [`Frame::decode_with`] yields: a plain frame, or a trunk
+/// envelope with its inner frame held in place — the reactor's trunk
+/// read path hands `inner` straight to its destination, and only
+/// [`Frame::decode`] boxes it into a [`Frame::Routed`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Decoded {
+    /// Any frame but a trunk envelope.
+    Frame(Frame),
+    /// A [`Frame::Routed`] envelope, unboxed.
+    Routed {
+        src: NodeId,
+        dst: NodeId,
+        release: Round,
+        inner: Frame,
+    },
+}
+
+impl Decoded {
+    /// The frame [`Frame::decode`] returns for the same bytes.
+    pub(crate) fn into_frame(self) -> Frame {
+        match self {
+            Decoded::Frame(frame) => frame,
+            Decoded::Routed {
+                src,
+                dst,
+                release,
+                inner,
+            } => Frame::Routed {
+                src,
+                dst,
+                release,
+                inner: Box::new(inner),
+            },
         }
-        if buf[0] != MAGIC {
-            return Err(CodecError::BadMagic(buf[0]));
-        }
-        if buf[1] != VERSION {
-            return Err(CodecError::BadVersion(buf[1]));
-        }
-        let kind = buf[2];
-        if buf[3] != 0 {
-            return Err(CodecError::BadBody("nonzero flags byte"));
-        }
-        let body_len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-        if body_len > MAX_BODY {
-            return Err(CodecError::Oversized {
-                len: body_len,
-                max: MAX_BODY,
-            });
-        }
-        let total = HEADER_LEN + body_len as usize;
-        if buf.len() < total {
-            return Err(CodecError::Truncated {
-                need: total,
-                have: buf.len(),
-            });
-        }
-        let mut body = Reader::new(&buf[HEADER_LEN..total]);
-        let frame = match kind {
-            KIND_HELLO => {
-                let node = NodeId::from(body.u32()?);
-                let to = NodeId::from(body.u32()?);
-                let n = body.u32()?;
-                let topology_hash = body.u64()?;
-                let caps = body.u32()?;
-                Frame::Hello {
-                    node,
-                    to,
-                    n,
-                    topology_hash,
-                    caps,
-                }
+    }
+}
+
+/// Validates the 8-byte header at the front of `buf` and returns the
+/// frame's kind, a reader over its body and its encoded size.
+fn split_frame(buf: &[u8]) -> Result<(u8, Reader<'_>, usize), CodecError> {
+    if buf.len() < HEADER_LEN {
+        return Err(CodecError::Truncated {
+            need: HEADER_LEN,
+            have: buf.len(),
+        });
+    }
+    if buf[0] != MAGIC {
+        return Err(CodecError::BadMagic(buf[0]));
+    }
+    if buf[1] != VERSION {
+        return Err(CodecError::BadVersion(buf[1]));
+    }
+    if buf[3] != 0 {
+        return Err(CodecError::BadBody("nonzero flags byte"));
+    }
+    let body_len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
+    if body_len > MAX_BODY {
+        return Err(CodecError::Oversized {
+            len: body_len,
+            max: MAX_BODY,
+        });
+    }
+    let total = HEADER_LEN + body_len as usize;
+    if buf.len() < total {
+        return Err(CodecError::Truncated {
+            need: total,
+            have: buf.len(),
+        });
+    }
+    Ok((buf[2], Reader::new(&buf[HEADER_LEN..total]), total))
+}
+
+/// The one frame parser behind [`Frame::decode`] and
+/// [`Frame::decode_with`]: the header, then a trunk envelope's 16-byte
+/// routed prefix `(src, dst, release)` and exactly one inner frame
+/// (which may not itself be an envelope), or any other kind's body.
+/// `payload` copies a payload's bytes out — into a fresh `Vec`, or a
+/// recycled one.
+fn decode_frame(
+    buf: &[u8],
+    payload: &mut impl FnMut(&[u8]) -> Vec<u8>,
+) -> Result<(Decoded, usize), CodecError> {
+    let (kind, mut body, total) = split_frame(buf)?;
+    let decoded = if kind == KIND_ROUTED {
+        let src = NodeId::from(body.u32()?);
+        let dst = NodeId::from(body.u32()?);
+        let release = body.u64()?;
+        let rest = body.rest();
+        let (kind, mut inner_body, used) = match split_frame(rest) {
+            Ok(ok) => ok,
+            // The outer body is complete, so a short inner frame is
+            // corruption, not a partial read.
+            Err(CodecError::Truncated { .. }) => {
+                return Err(CodecError::BadBody("routed inner frame truncated"))
             }
-            KIND_REQUEST_DELTA | KIND_REPLY_DELTA => {
-                let seq = body.u64()?;
-                let round = body.u64()?;
-                let basis_seq = body.u64()?;
-                let payload = body.rest().to_vec();
-                if kind == KIND_REQUEST_DELTA {
-                    Frame::RequestDelta {
-                        seq,
-                        round,
-                        basis_seq,
-                        payload,
-                    }
-                } else {
-                    Frame::ReplyDelta {
-                        seq,
-                        round,
-                        basis_seq,
-                        payload,
-                    }
-                }
-            }
-            KIND_REQUEST | KIND_REPLY => {
-                let seq = body.u64()?;
-                let round = body.u64()?;
-                let payload = body.rest().to_vec();
-                if kind == KIND_REQUEST {
-                    Frame::Request {
-                        seq,
-                        round,
-                        payload,
-                    }
-                } else {
-                    Frame::Reply {
-                        seq,
-                        round,
-                        payload,
-                    }
-                }
-            }
-            KIND_DONE => Frame::Done { round: body.u64()? },
-            KIND_BYE => Frame::Bye,
-            KIND_ROUTED if allow_routed => {
-                let src = NodeId::from(body.u32()?);
-                let dst = NodeId::from(body.u32()?);
-                let release = body.u64()?;
-                let rest = body.rest();
-                let (inner, used) = match Frame::decode_inner(rest, false) {
-                    Ok(ok) => ok,
-                    // The outer body is complete, so a short inner frame
-                    // is corruption, not a partial read.
-                    Err(CodecError::Truncated { .. }) => {
-                        return Err(CodecError::BadBody("routed inner frame truncated"))
-                    }
-                    Err(e) => return Err(e),
-                };
-                if used != rest.len() {
-                    return Err(CodecError::BadBody("trailing bytes after routed inner"));
-                }
-                Frame::Routed {
-                    src,
-                    dst,
-                    release,
-                    inner: Box::new(inner),
-                }
-            }
-            KIND_ROUTED => return Err(CodecError::BadBody("nested routed envelope")),
-            other => return Err(CodecError::UnknownKind(other)),
+            Err(e) => return Err(e),
         };
-        body.finish()?;
-        Ok((frame, total))
+        let inner = decode_body(kind, &mut inner_body, payload)?;
+        inner_body.finish()?;
+        if used != rest.len() {
+            return Err(CodecError::BadBody("trailing bytes after routed inner"));
+        }
+        Decoded::Routed {
+            src,
+            dst,
+            release,
+            inner,
+        }
+    } else {
+        Decoded::Frame(decode_body(kind, &mut body, payload)?)
+    };
+    body.finish()?;
+    Ok((decoded, total))
+}
+
+/// Decodes the body of a frame of `kind` — any kind but a trunk
+/// envelope, which is only valid outermost — copying payloads out with
+/// `payload`. The caller checks the body was consumed exactly.
+fn decode_body(
+    kind: u8,
+    body: &mut Reader<'_>,
+    payload: &mut impl FnMut(&[u8]) -> Vec<u8>,
+) -> Result<Frame, CodecError> {
+    Ok(match kind {
+        KIND_HELLO => {
+            let node = NodeId::from(body.u32()?);
+            let to = NodeId::from(body.u32()?);
+            let n = body.u32()?;
+            let topology_hash = body.u64()?;
+            let caps = body.u32()?;
+            Frame::Hello {
+                node,
+                to,
+                n,
+                topology_hash,
+                caps,
+            }
+        }
+        KIND_REQUEST_DELTA | KIND_REPLY_DELTA => {
+            let seq = body.u64()?;
+            let round = body.u64()?;
+            let basis_seq = body.u64()?;
+            let payload = payload(body.rest());
+            if kind == KIND_REQUEST_DELTA {
+                Frame::RequestDelta {
+                    seq,
+                    round,
+                    basis_seq,
+                    payload,
+                }
+            } else {
+                Frame::ReplyDelta {
+                    seq,
+                    round,
+                    basis_seq,
+                    payload,
+                }
+            }
+        }
+        KIND_REQUEST | KIND_REPLY => {
+            let seq = body.u64()?;
+            let round = body.u64()?;
+            let payload = payload(body.rest());
+            if kind == KIND_REQUEST {
+                Frame::Request {
+                    seq,
+                    round,
+                    payload,
+                }
+            } else {
+                Frame::Reply {
+                    seq,
+                    round,
+                    payload,
+                }
+            }
+        }
+        KIND_DONE => Frame::Done { round: body.u64()? },
+        KIND_BYE => Frame::Bye,
+        KIND_ROUTED => return Err(CodecError::BadBody("nested routed envelope")),
+        other => return Err(CodecError::UnknownKind(other)),
+    })
+}
+
+/// Retained capacity above which [`BufPool::put`] drops a buffer
+/// instead of keeping it: 1 MiB, where a 1 024-node soak has about a
+/// thousand payloads of at most 132 bytes in flight at once.
+pub(crate) const POOL_BYTES: usize = 1 << 20;
+
+/// A capped free list of frame buffers. A transport decodes each
+/// payload into a buffer taken from its pool, and the runner hands the
+/// buffer back ([`Transport::recycle`](crate::Transport::recycle)) once
+/// it has decoded the payload, so a steady-state exchange allocates
+/// nothing on the receive path. The list keeps at most [`POOL_BYTES`]
+/// of capacity; what does not fit is dropped.
+#[derive(Debug, Default)]
+pub(crate) struct BufPool {
+    free: Vec<Vec<u8>>,
+    /// Total capacity of the buffers in `free`.
+    bytes: usize,
+}
+
+impl BufPool {
+    /// An empty buffer, recycled when the list has one.
+    pub(crate) fn take(&mut self) -> Vec<u8> {
+        match self.free.pop() {
+            Some(buf) => {
+                self.bytes -= buf.capacity();
+                buf
+            }
+            None => Vec::new(),
+        }
+    }
+
+    /// A buffer holding a copy of `bytes`.
+    fn filled(&mut self, bytes: &[u8]) -> Vec<u8> {
+        let mut buf = self.take();
+        buf.extend_from_slice(bytes);
+        buf
+    }
+
+    /// Takes `buf` back, cleared, unless it would push the list past
+    /// its cap (or has no allocation worth keeping).
+    pub(crate) fn put(&mut self, mut buf: Vec<u8>) {
+        let cap = buf.capacity();
+        if cap > 0 && self.bytes + cap <= POOL_BYTES {
+            buf.clear();
+            self.bytes += cap;
+            self.free.push(buf);
+        }
+    }
+
+    /// Total capacity held, in bytes.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> usize {
+        self.bytes
     }
 }
 
@@ -795,12 +925,44 @@ impl WirePayload for StreamPayload {
         Ok(payload)
     }
 
+    fn snapshot_len(&self) -> usize {
+        let varint = |v: usize| crate::delta::varint_len(u64::try_from(v).expect("count fits u64"));
+        match self {
+            StreamPayload::Ids(ids) => {
+                let id_bytes: usize = ids
+                    .iter()
+                    .map(|&id| crate::delta::varint_len(u64::from(id)))
+                    .sum();
+                1 + varint(ids.len()) + id_bytes
+            }
+            StreamPayload::Rows { k, rows } => {
+                let row_bytes: usize = rows.iter().map(|row| 8 * row.len()).sum();
+                1 + crate::delta::varint_len(u64::from(*k)) + varint(rows.len()) + row_bytes
+            }
+        }
+    }
+
     fn caps() -> u32 {
         CAP_STREAM
     }
 
     fn stream_units(&self) -> u64 {
         self.units()
+    }
+}
+
+/// The payload of protocols that exchange nothing but the contact
+/// itself (discovery): zero bytes on the wire. The one impl that keeps
+/// the trait's default [`snapshot_len`](WirePayload::snapshot_len).
+impl WirePayload for () {
+    fn encode_payload(&self, _out: &mut Vec<u8>) {}
+
+    fn decode_payload(bytes: &[u8]) -> Result<(), CodecError> {
+        if bytes.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::BadBody("bytes in an empty payload"))
+        }
     }
 }
 
@@ -991,6 +1153,67 @@ mod tests {
             Frame::decode(&outer),
             Err(CodecError::BadBody("nested routed envelope"))
         );
+    }
+
+    #[test]
+    fn box_free_trunk_decode_agrees_with_decode() {
+        let mut pool = BufPool::default();
+        let (src, dst, release) = (NodeId::new(6), NodeId::new(2), 17);
+        let mut meta = Vec::new();
+        for frame in frames() {
+            let bytes = frame.encode().expect("frame encodes");
+            let (decoded, used) = Frame::decode_with(&bytes, &mut pool).expect("frame decodes");
+            assert_eq!((decoded.into_frame(), used), (frame.clone(), bytes.len()));
+            if matches!(frame, Frame::Routed { .. }) {
+                continue;
+            }
+            let payload = Frame::encode_routed_parts(src, dst, release, &frame, &mut meta)
+                .expect("routed frame encodes");
+            let mut wire = meta.clone();
+            wire.extend_from_slice(payload);
+            let (decoded, used) = Frame::decode_with(&wire, &mut pool).expect("envelope decodes");
+            assert_eq!(used, wire.len());
+            let unboxed = Decoded::Routed {
+                src,
+                dst,
+                release,
+                inner: frame.clone(),
+            };
+            assert_eq!(decoded, unboxed, "inner {frame:?}");
+            assert_eq!(
+                Frame::decode(&wire).expect("envelope decodes"),
+                (unboxed.into_frame(), wire.len())
+            );
+        }
+
+        // An envelope around `inner_bytes`, its outer length patched to fit.
+        let envelope = |inner_bytes: &[u8]| {
+            let mut out = Vec::new();
+            push_header(&mut out, KIND_ROUTED, ROUTED_PREFIX + inner_bytes.len())
+                .expect("header fits");
+            out.extend_from_slice(&[0; ROUTED_PREFIX]);
+            out.extend_from_slice(inner_bytes);
+            out
+        };
+        let reply = Frame::Reply {
+            seq: 1,
+            round: 2,
+            payload: vec![3; 5],
+        }
+        .encode()
+        .expect("frame encodes");
+        let nested = envelope(&envelope(&reply));
+        let truncated = envelope(&reply[..reply.len() - 1]);
+        let trailing = envelope(&[&reply[..], &[0]].concat());
+        for (bad, why) in [
+            (nested, "nested routed envelope"),
+            (truncated, "routed inner frame truncated"),
+            (trailing, "trailing bytes after routed inner"),
+        ] {
+            let err = CodecError::BadBody(why);
+            assert_eq!(Frame::decode(&bad), Err(err.clone()));
+            assert_eq!(Frame::decode_with(&bad, &mut pool), Err(err));
+        }
     }
 
     #[test]

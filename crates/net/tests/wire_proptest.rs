@@ -8,7 +8,7 @@
 use gossip_net::conn::FrameReader;
 use gossip_net::wire::{Frame, HEADER_LEN, MAGIC, VERSION};
 use gossip_net::{CodecError, WirePayload, CAP_DELTA, MAX_BODY};
-use gossip_sim::RumorSet;
+use gossip_sim::{RumorSet, StreamPayload};
 use latency_graph::NodeId;
 use proptest::prelude::*;
 use rand::Rng;
@@ -351,4 +351,53 @@ fn header_layout_is_pinned() {
     .expect("delta reply fits");
     assert_eq!(reply[2], 7); // ReplyDelta kind
     assert_eq!(CAP_DELTA, 1, "capability bit assignment is pinned");
+}
+
+/// `(k, rows)` of a coefficient-row stream payload: `k = 0` included,
+/// rows of `⌈k/64⌉` words with a partial last word whenever `k` is not
+/// a multiple of 64, and ragged row lengths when `ragged` is set.
+fn arb_rows(k: u32, count: usize, seed: u64, ragged: bool) -> Vec<Vec<u64>> {
+    use rand::{rngs::StdRng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let words = (k as usize).div_ceil(64);
+    (0..count)
+        .map(|i| {
+            let len = if ragged {
+                (words + i) % (words + 2)
+            } else {
+                words
+            };
+            (0..len).map(|_| rng.random::<u64>()).collect()
+        })
+        .collect()
+}
+
+proptest! {
+    /// `snapshot_len` — what delta accounting compares against, called
+    /// for every payload-carrying frame — is exactly the length
+    /// `encode_payload` writes, for every payload type.
+    #[test]
+    fn snapshot_len_is_the_encoded_length(
+        universe in 0usize..600,
+        seed in any::<u64>(),
+        ids in proptest::collection::vec(any::<u32>(), 0..40),
+        k in 1u32..300,
+        count in 0usize..6,
+        ragged in any::<bool>(),
+    ) {
+        fn check<P: WirePayload + std::fmt::Debug>(p: &P) -> Result<(), TestCaseError> {
+            let mut bytes = Vec::new();
+            p.encode_payload(&mut bytes);
+            prop_assert_eq!(p.snapshot_len(), bytes.len(), "{:?}", p);
+            Ok(())
+        }
+        check(&arb_set(universe, seed, 33))?;
+        check(&StreamPayload::Ids(ids))?;
+        check(&StreamPayload::empty_ids())?;
+        for k in [k, 0, 64, 128] {
+            check(&StreamPayload::Rows { k, rows: arb_rows(k, count, seed, ragged) })?;
+            check(&StreamPayload::empty_rows(k as usize))?;
+        }
+        check(&())?;
+    }
 }

@@ -6,6 +6,7 @@
 //! set contains the source.
 
 use latency_graph::NodeId;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -332,7 +333,7 @@ impl RumorSet {
             count += ones(x);
             words.push(x);
         }
-        CompactRumorSet::from_counted_words(self.universe(), words, count)
+        CompactRumorSet::from_counted_words(self.universe(), Cow::Owned(words), count)
     }
 
     /// XORs `delta` into `self` in one fused scan (symmetric
@@ -671,25 +672,30 @@ impl CompactRumorSet {
     }
 
     /// Builds the compact form of a plain bitset, choosing the smallest
-    /// representation tier that fits its contents.
+    /// representation tier that fits its contents. The set's words are
+    /// read in place: only the bitset tier copies them.
     ///
     /// # Panics
     ///
     /// Panics if the universe exceeds `u32` range.
     pub fn from_set(set: &RumorSet) -> CompactRumorSet {
-        CompactRumorSet::from_counted_words(set.universe(), set.as_words().to_vec(), set.len())
+        CompactRumorSet::from_counted_words(
+            set.universe(),
+            Cow::Borrowed(set.as_words()),
+            set.len(),
+        )
     }
 
     /// Classifies pre-counted bitset words (the output of a fused XOR
     /// or union scan) into the smallest representation tier. The dense
     /// case extracts runs word-at-a-time and falls back to keeping the
     /// words as a bitset once the run budget overflows — no second
-    /// per-bit scan.
+    /// per-bit scan. Borrowed words are copied only for that bitset.
     ///
     /// # Panics
     ///
     /// Panics if `universe` exceeds `u32` range.
-    fn from_counted_words(universe: usize, words: Vec<u64>, count: usize) -> CompactRumorSet {
+    fn from_counted_words(universe: usize, words: Cow<'_, [u64]>, count: usize) -> CompactRumorSet {
         assert!(
             u32::try_from(universe).is_ok(),
             "compact rumor universe must fit u32"
@@ -717,7 +723,7 @@ impl CompactRumorSet {
         }
         let repr = match runs_from_words(&words, RUNS_MAX) {
             Some(runs) => Repr::Runs(runs),
-            None => Repr::Bitset(words),
+            None => Repr::Bitset(words.into_owned()),
         };
         CompactRumorSet {
             repr,
@@ -995,7 +1001,7 @@ impl CompactRumorSet {
             count += ones(x);
             words.push(x);
         }
-        CompactRumorSet::from_counted_words(self.universe, words, count)
+        CompactRumorSet::from_counted_words(self.universe, Cow::Owned(words), count)
     }
 
     /// XORs `delta` into `self` in one fused scan, re-classifying the
@@ -1018,7 +1024,7 @@ impl CompactRumorSet {
             count += ones(x);
             words.push(x);
         }
-        *self = CompactRumorSet::from_counted_words(self.universe, words, count);
+        *self = CompactRumorSet::from_counted_words(self.universe, Cow::Owned(words), count);
     }
 
     /// Materializes the equivalent plain bitset.
