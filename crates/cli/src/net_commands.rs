@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::time::Duration;
 
 use gossip_core::flooding::FloodingNode;
@@ -14,8 +15,8 @@ use gossip_core::push_pull::{Mode, PushPullNode};
 use gossip_core::stream::{RlcStreamNode, RrStreamNode};
 use gossip_core::Goal;
 use gossip_net::{
-    run_loopback_mode_with_stats, run_reactor_cluster_mode, run_reactor_mode_with_stats, NetError,
-    NodeOutcome, NodeStopReason, PayloadMode, ReactorConfig, RunView, TransportStats,
+    run_loopback_mode_with_stats, run_reactor_mode_with_stats, NetError, NodeOutcome,
+    NodeStopReason, PayloadMode, Reactor, ReactorConfig, RunView, ShardRunner, TransportStats,
     WireAccounting, WirePayload,
 };
 use gossip_sim::{
@@ -182,18 +183,11 @@ where
         round,
         ..ReactorConfig::default()
     };
-    let hosted: Vec<NodeId> = (0..g.node_count()).map(NodeId::new).collect();
-    run_reactor_cluster_mode(
-        g,
-        sim,
-        &cfg,
-        &hosted,
-        mode,
-        |_| BTreeMap::new(),
-        factory,
-        done,
-    )
-    .map_err(net_error)
+    let n = g.node_count();
+    let reactor = Reactor::new(g, 0..n, cfg).map_err(net_error)?;
+    ShardRunner::new(g, 0..n, sim, mode, factory, reactor)
+        .run_barrier(done)
+        .map_err(net_error)
 }
 
 fn run_net_generic<P, F, R>(
@@ -451,7 +445,7 @@ fn parse_peers_file(text: &str, n: usize) -> Result<BTreeMap<NodeId, String>, Cl
 
 /// Parses a `--nodes A..B` shard range (half-open, non-empty, within
 /// the graph).
-fn parse_node_range(s: &str, n: usize) -> Result<Vec<NodeId>, CliError> {
+fn parse_node_range(s: &str, n: usize) -> Result<Range<usize>, CliError> {
     let bad = || CliError::BadArgument {
         what: "nodes",
         value: s.to_string(),
@@ -462,14 +456,14 @@ fn parse_node_range(s: &str, n: usize) -> Result<Vec<NodeId>, CliError> {
     if a >= b || b > n {
         return Err(bad());
     }
-    Ok((a..b).map(NodeId::new).collect())
+    Ok(a..b)
 }
 
 /// Runs a reactor-hosted shard of `nodes` (`serve --nodes A..B`): one
 /// listener, one thread, every hosted runner stepped cooperatively.
 fn serve_shard_generic<P, F, R>(
     g: &Graph,
-    nodes: &[NodeId],
+    nodes: Range<usize>,
     net: &NetArgs,
     cfg: ReactorConfig,
     peers: BTreeMap<NodeId, String>,
@@ -484,22 +478,14 @@ where
 {
     let n = g.node_count();
     let goal = net.goal.clone();
-    let listen_addr = std::cell::RefCell::new(String::new());
-    let rumors = &rumors;
-    let outcomes = run_reactor_cluster_mode(
-        g,
-        &net.sim,
-        &cfg,
-        nodes,
-        net.mode,
-        |local| {
-            *listen_addr.borrow_mut() = local.to_owned();
-            peers
-        },
-        factory,
-        move |p, view| locally_done(&goal, n, rumors(p), view),
-    )
-    .map_err(net_error)?;
+    let mut reactor = Reactor::new(g, nodes.clone(), cfg).map_err(net_error)?;
+    let listen_addr = reactor.local_addr();
+    for (node, addr) in peers {
+        reactor.set_peer(node, addr);
+    }
+    let outcomes = ShardRunner::new(g, nodes.clone(), &net.sim, net.mode, factory, reactor)
+        .run_barrier(|p, view| locally_done(&goal, n, rumors(p), view))
+        .map_err(net_error)?;
     let mut out = String::new();
     let _ = writeln!(out, "algorithm = {}", net.algorithm);
     let _ = writeln!(
@@ -507,7 +493,7 @@ where
         "shard = {} nodes of {} (listened on {})",
         nodes.len(),
         n,
-        listen_addr.borrow()
+        listen_addr
     );
     let t = totals(&outcomes);
     let goal_met = outcomes
@@ -517,7 +503,7 @@ where
     let _ = writeln!(out, "barrier = {}", t.barrier);
     let _ = writeln!(out, "goal met = {goal_met}");
     write_metrics(&mut out, &t.metrics, &t.stats);
-    for (node, o) in nodes.iter().zip(&outcomes) {
+    for (node, o) in nodes.map(NodeId::new).zip(&outcomes) {
         for loss in &o.losses {
             let _ = writeln!(
                 out,
@@ -556,11 +542,10 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
         None => BTreeMap::new(),
     };
     // A remote neighbor without an address fails fast, before any run.
-    let hosted = nodes[0]..=nodes[nodes.len() - 1];
     let unaddressed = nodes
-        .iter()
-        .flat_map(|&u| g.neighbor_ids(u))
-        .find(|v| !hosted.contains(v) && !peers.contains_key(v));
+        .clone()
+        .flat_map(|u| g.neighbor_ids(NodeId::new(u)))
+        .find(|v| !nodes.contains(&v.index()) && !peers.contains_key(v));
     if let Some(&v) = unaddressed {
         return Err(net_error(NetError::UnknownPeer(v)));
     }
@@ -578,7 +563,7 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
             };
             serve_shard_generic(
                 &g,
-                &nodes,
+                nodes,
                 &net,
                 cfg,
                 peers,
@@ -588,7 +573,7 @@ pub fn serve(args: &mut Args) -> Result<String, CliError> {
         }
         "flooding" => serve_shard_generic(
             &g,
-            &nodes,
+            nodes,
             &net,
             cfg,
             peers,
@@ -862,10 +847,7 @@ mod tests {
 
     #[test]
     fn node_range_parses_and_rejects() {
-        assert_eq!(
-            parse_node_range("0..3", 8).unwrap(),
-            vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]
-        );
+        assert_eq!(parse_node_range("0..3", 8).unwrap(), 0..3);
         for bad in ["3..3", "5..2", "0..9", "x..2", "0-2", "2"] {
             assert!(parse_node_range(bad, 8).is_err(), "{bad}");
         }

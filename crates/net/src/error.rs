@@ -110,8 +110,6 @@ pub enum NetError {
     /// A peer violated the framing protocol (e.g. a reply with no
     /// matching request, or a mid-stream handshake).
     ProtocolViolation(String),
-    /// A listen or peer address failed to parse.
-    BadAddress(String),
 }
 
 impl fmt::Display for NetError {
@@ -125,7 +123,6 @@ impl fmt::Display for NetError {
             }
             NetError::UnknownPeer(v) => write!(f, "node {} is not a neighbor", v.index()),
             NetError::ProtocolViolation(why) => write!(f, "protocol violation: {why}"),
-            NetError::BadAddress(a) => write!(f, "bad address: {a}"),
         }
     }
 }

@@ -18,25 +18,25 @@
 //!   carried by [`Frame::RequestDelta`]/[`Frame::ReplyDelta`]: exchange
 //!   cost proportional to *new information* instead of `⌈n/64⌉` words,
 //!   with exact snapshot reconstruction (DESIGN.md §15).
-//! * [`transport`] — the [`Transport`] abstraction: framed send/recv,
-//!   at most once and by the round the receiver needs it, plus round
-//!   pacing.
-//! * [`loopback`] — an in-process transport on the *virtual* clock. A
-//!   cluster of loopback runners reproduces the simulator's executions
-//!   exactly (round counts, metrics, final states) — see
-//!   [`runner::run_loopback`] and DESIGN.md §11 for the equivalence
-//!   argument.
+//! * [`transport`] — the [`Transport`] abstraction: framed send/recv for
+//!   one shard of nodes, at most once and by the round the receiver
+//!   needs it, plus round pacing.
+//! * [`loopback`] — [`LoopbackHub`], an in-process transport on the
+//!   *virtual* clock. A loopback run reproduces the simulator's
+//!   executions exactly (round counts, metrics, final states) — see
+//!   [`run_loopback`] and DESIGN.md §11 for the equivalence argument.
 //! * [`conn`] — connection state machinery (handshake validation,
 //!   reconnect backoff schedule, incremental frame reassembly), kept
 //!   apart from the event loop so it is testable without a socket.
-//! * [`reactor`] — the real-socket transport: one epoll readiness loop
-//!   hosts every connection of many nodes in a single thread, with a
-//!   deadline wheel replacing every sleep (DESIGN.md §14). Thousands of
-//!   nodes per process; a reactor hosting one node is the
-//!   one-node-per-process deployment.
-//! * [`runner`] — [`NetRunner`], the round-pacing driver that enforces
-//!   one-initiation-per-round and the start/stop barriers on top of any
-//!   [`Transport`].
+//! * [`reactor`] — [`Reactor`], the real-socket transport: one epoll
+//!   readiness loop hosts every connection of a shard's nodes in a
+//!   single thread, with a deadline wheel replacing every sleep
+//!   (DESIGN.md §14). Thousands of nodes per process; a reactor hosting
+//!   one node is the one-node-per-process deployment.
+//! * [`runner`] — [`ShardRunner`], the round driver of one shard: the
+//!   engine's own per-node state (`gossip_sim::NodeTable`) stepped in
+//!   the engine's phase order, with the start/stop barriers on top of
+//!   any [`Transport`].
 //!
 //! The paper's model travels intact across all of this because the
 //! runner, not the transport, owns round semantics: a request initiated
@@ -54,14 +54,11 @@ pub mod transport;
 pub mod wire;
 
 pub use error::{CodecError, NetError, PeerLoss};
-pub use loopback::{LoopbackHub, LoopbackTransport};
-pub use reactor::{
-    run_reactor, run_reactor_cluster_mode, run_reactor_mode_with_stats, Pacing, Reactor,
-    ReactorConfig, ReactorEndpoint,
-};
+pub use loopback::LoopbackHub;
+pub use reactor::{run_reactor_mode_with_stats, Pacing, Reactor, ReactorConfig};
 pub use runner::{
-    run_loopback, run_loopback_mode_with_stats, NetRunner, NodeOutcome, NodeStopReason,
-    PayloadMode, RunView, WireAccounting,
+    run_loopback, run_loopback_mode_with_stats, NodeOutcome, NodeStopReason, PayloadMode, RunView,
+    ShardRunner, WireAccounting,
 };
 pub use transport::{NetEvent, Transport, TransportStats};
 pub use wire::{Frame, WirePayload, CAP_DELTA, CAP_STREAM, MAX_BODY};

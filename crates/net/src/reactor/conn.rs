@@ -93,8 +93,8 @@ impl WriteQueue {
         Ok(self.meta.len() + payload.len())
     }
 
-    /// Queues one pre-encoded frame (wheel-released replies, edge
-    /// backlog replayed after a reconnect).
+    /// Queues one pre-encoded frame (an edge's backlog, replayed once
+    /// its connection is up).
     pub(crate) fn push_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
         self.ends.push_back(self.buf.len());

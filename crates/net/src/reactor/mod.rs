@@ -7,7 +7,8 @@
 //! reader/writer threads and a deadline wheel (`wheel::Wheel`) instead
 //! of any `thread::sleep` (round pacing, reconnect backoff). A reactor
 //! hosting a single node is the one-node-per-process deployment;
-//! nothing else changes.
+//! nothing else changes. The reactor is the [`Transport`] of one shard:
+//! the [`ShardRunner`] of its hosted nodes owns it.
 //!
 //! The reactor never holds a frame back by round: a decoded frame is
 //! handed to the next poll of its destination, and the runner applies
@@ -25,8 +26,8 @@
 //! carrying `(src, dst, release)`. A directed edge `u → v` always maps
 //! to the same trunk (a deterministic hash), so per-sender FIFO is
 //! preserved; a trunk never reconnects, so it never repeats a frame.
-//! Cross-sender interleave is harmless: the runner's hold queues
-//! canonicalize application order by `(initiated_at, initiator)`.
+//! Cross-sender interleave is harmless: the runner's hold
+//! canonicalizes application order by `(initiated_at, initiator)`.
 //!
 //! Edges to nodes hosted *elsewhere* (another reactor, in this process
 //! or another) use one directed connection per edge with the standard
@@ -44,15 +45,12 @@
 //!   are queued on their trunk, and `poll(round)` pumps **when a due
 //!   envelope is in flight** — one queued since the last pump with
 //!   `release ≤ round` — until the reactor **quiesces** (all write
-//!   queues empty, every routed envelope decoded) instead of waiting on
-//!   the wall clock. A poll with nothing due touches no socket: an
-//!   exchange over a latency-ℓ edge completes ℓ ≥ 1 rounds after it
-//!   starts, so a reply queued in round `t` is not wanted before the
-//!   polls of round `t + 1`, and a lockstep phase costs one pump — a
-//!   `write`, an `epoll_wait` and a few `read`s per trunk — however
-//!   many frames it queued. With every node hosted, this reproduces the
-//!   loopback transport's executions exactly — and hence the
-//!   simulator's (DESIGN.md §11) — while exercising real sockets.
+//!   queues empty, every routed envelope decoded). A reply queued in
+//!   round `t` is not wanted before round `t + 1` (ℓ ≥ 1), so a phase
+//!   costs at most one pump — a `write`, an `epoll_wait` and a few
+//!   `read`s per trunk — however many frames it queued. With every node
+//!   hosted, this reproduces the loopback transport's executions
+//!   exactly — and hence the simulator's (DESIGN.md §11).
 //! * [`Pacing::Wall`] — wall-clock rounds against a shared in-process
 //!   epoch; every frame is written as soon as it is sent. This is the
 //!   mode that interoperates across processes.
@@ -61,11 +59,10 @@ pub(crate) mod conn;
 pub(crate) mod sys;
 pub(crate) mod wheel;
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::rc::Rc;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use gossip_sim::{Outcome, Protocol, Round, SimConfig};
@@ -73,7 +70,7 @@ use latency_graph::{Graph, NodeId};
 
 use crate::conn::{round_offset, validate_hello, Backoff};
 use crate::error::{NetError, PeerLoss};
-use crate::runner::{run_lockstep, NetRunner, NodeOutcome, PayloadMode, RunView, WireAccounting};
+use crate::runner::{PayloadMode, ShardRunner, WireAccounting};
 use crate::transport::{NetEvent, Transport, TransportStats};
 use crate::wire::{BufPool, Decoded, Frame, WirePayload};
 
@@ -143,25 +140,6 @@ const WHEEL_GRANULARITY: Duration = Duration::from_millis(1);
 /// stalled (a bug escape hatch, not a tuning knob).
 const DRAIN_STALL: Duration = Duration::from_secs(10);
 
-/// `Core::slot` entry of a node this reactor does not host.
-const NOT_HOSTED: u32 = u32::MAX;
-
-/// Per-hosted-node endpoint state.
-struct Hosted {
-    /// Events the next `poll` returns, in arrival order. A poll into an
-    /// empty inbox swaps the two buffers instead of moving the events.
-    ready: Vec<NetEvent>,
-    /// Peers conclusively lost (sends become silent no-ops).
-    lost: BTreeSet<NodeId>,
-    stats: TransportStats,
-    /// Capability bits this node advertises in its handshakes
-    /// ([`crate::wire::CAP_DELTA`]).
-    caps: u32,
-    /// Cleared by endpoint shutdown; the reactor tears down when no
-    /// hosted node remains active.
-    active: bool,
-}
-
 /// A directed edge from a hosted node to a remote one (we dial, we
 /// write).
 #[derive(Default)]
@@ -187,7 +165,14 @@ enum Timer {
     Redial { from: NodeId, to: NodeId },
 }
 
-struct Core<'g> {
+/// A single-threaded reactor hosting one or more nodes of a graph: the
+/// [`Transport`] of their shard.
+///
+/// Construct with [`Reactor::new`], supply remote neighbors' addresses
+/// with [`Reactor::set_peer`], and hand it to the shard's runner. The
+/// reactor is deliberately not `Send`: every connection, buffer, and
+/// timer lives on one thread.
+pub struct Reactor<'g> {
     /// The topology every hosted node runs on: sends are checked, and
     /// handshakes validated, against its adjacency rows.
     graph: &'g Graph,
@@ -195,12 +180,16 @@ struct Core<'g> {
     hash: u64,
     cfg: ReactorConfig,
     backoff: Backoff,
-    /// Node id → index into `hosted`, [`NOT_HOSTED`] for the rest: one
-    /// `u32` per graph node, so resolving a frame's endpoint is an
-    /// array read.
-    slot: Vec<u32>,
-    /// The hosted nodes' endpoint state, in ascending id order.
-    hosted: Vec<Hosted>,
+    /// The hosted node ids.
+    hosted: Range<usize>,
+    /// The hosted nodes' traffic counters, in id order.
+    stats: Vec<TransportStats>,
+    /// Events the next `poll` returns, in arrival order. A poll into an
+    /// empty inbox swaps the two buffers instead of moving the events.
+    ready: Vec<NetEvent>,
+    /// Capability bits the hosted nodes advertise in their handshakes
+    /// ([`crate::wire::CAP_DELTA`]).
+    caps: u32,
     peer_addrs: BTreeMap<NodeId, String>,
     edges: BTreeMap<(NodeId, NodeId), EdgeOut>,
     /// Inbound directed edges `(remote, hosted)` whose handshake has
@@ -236,75 +225,59 @@ struct Core<'g> {
     epoch: Option<Instant>,
     started: bool,
     start_failed: bool,
-    /// Hosted endpoints not yet shut down.
-    active: usize,
     down: bool,
     events_scratch: Vec<(u64, u32)>,
     timers_scratch: Vec<Timer>,
-    /// Payload buffers for decoding, refilled from what the runners
-    /// hand back ([`Transport::recycle`]).
+    /// Payload buffers for decoding, refilled from what the runner
+    /// hands back ([`Transport::recycle`]).
     pool: BufPool,
 }
 
-impl<'g> Core<'g> {
-    fn new(
+impl<'g> Reactor<'g> {
+    /// Binds the listener and prepares to host the nodes `hosted` of
+    /// `graph`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `hosted` is empty or out of range, the listen address
+    /// is unusable, or the epoll instance cannot be created.
+    pub fn new(
         graph: &'g Graph,
-        hosted_ids: BTreeSet<NodeId>,
+        hosted: Range<usize>,
         cfg: ReactorConfig,
-    ) -> Result<Core<'g>, NetError> {
-        if hosted_ids.is_empty() {
-            return Err(NetError::ProtocolViolation(
-                "reactor hosts no nodes".to_owned(),
-            ));
-        }
-        let n = graph.node_count();
-        for &u in &hosted_ids {
-            if u.index() >= n {
-                return Err(NetError::UnknownPeer(u));
-            }
-        }
-        let mut slot = vec![NOT_HOSTED; n];
-        for (i, &u) in hosted_ids.iter().enumerate() {
-            slot[u.index()] = u32::try_from(i).expect("hosted count fits u32");
+    ) -> Result<Reactor<'g>, NetError> {
+        if hosted.is_empty() || hosted.end > graph.node_count() {
+            return Err(NetError::ProtocolViolation(format!(
+                "reactor cannot host nodes {hosted:?}"
+            )));
         }
         let mut edges = BTreeMap::new();
-        let hosted: Vec<Hosted> = hosted_ids
-            .iter()
-            .map(|&u| {
-                for &v in graph.neighbor_ids(u) {
-                    if slot[v.index()] == NOT_HOSTED {
-                        edges.insert((u, v), EdgeOut::default());
-                    }
+        for u in hosted.clone().map(NodeId::new) {
+            for &v in graph.neighbor_ids(u) {
+                if !hosted.contains(&v.index()) {
+                    edges.insert((u, v), EdgeOut::default());
                 }
-                Hosted {
-                    ready: Vec::new(),
-                    lost: BTreeSet::new(),
-                    stats: TransportStats::default(),
-                    caps: 0,
-                    active: true,
-                }
-            })
-            .collect();
-        let listener = TcpListener::bind(&cfg.listen).map_err(NetError::Io)?;
-        listener.set_nonblocking(true).map_err(NetError::Io)?;
-        let listen_addr = listener.local_addr().map_err(NetError::Io)?;
-        let poller = Poller::new().map_err(NetError::Io)?;
+            }
+        }
+        let listener = TcpListener::bind(&cfg.listen)?;
+        listener.set_nonblocking(true)?;
+        let listen_addr = listener.local_addr()?;
+        let poller = Poller::new()?;
         {
             use std::os::fd::AsRawFd;
-            poller
-                .add(listener.as_raw_fd(), LISTENER_TOKEN, EPOLLIN)
-                .map_err(NetError::Io)?;
+            poller.add(listener.as_raw_fd(), LISTENER_TOKEN, EPOLLIN)?;
         }
         let backoff = Backoff::new(cfg.retry_base, cfg.retry_cap);
-        let active = hosted.len();
-        Ok(Core {
+        Ok(Reactor {
             graph,
-            n: u32::try_from(n).expect("node count fits u32"),
+            n: u32::try_from(graph.node_count()).expect("node count fits u32"),
             hash: graph.topology_hash(),
             cfg,
             backoff,
-            slot,
+            stats: vec![TransportStats::default(); hosted.len()],
             hosted,
+            ready: Vec::new(),
+            caps: 0,
             peer_addrs: BTreeMap::new(),
             edges,
             in_up: BTreeMap::new(),
@@ -324,7 +297,6 @@ impl<'g> Core<'g> {
             epoch: None,
             started: false,
             start_failed: false,
-            active,
             down: false,
             events_scratch: Vec::new(),
             timers_scratch: Vec::new(),
@@ -332,21 +304,16 @@ impl<'g> Core<'g> {
         })
     }
 
-    /// `v`'s index into `hosted`, or `None` when another process or
-    /// reactor hosts it.
-    fn slot_of(&self, v: NodeId) -> Option<usize> {
-        match self.slot.get(v.index()) {
-            Some(&s) if s != NOT_HOSTED => Some(usize::try_from(s).expect("slot fits usize")),
-            _ => None,
-        }
+    /// The bound listen address (`ip:port`), for exchanging with other
+    /// shards.
+    pub fn local_addr(&self) -> String {
+        self.listen_addr.to_string()
     }
 
-    fn hosted(&self, v: NodeId) -> Option<&Hosted> {
-        self.slot_of(v).map(|s| &self.hosted[s])
-    }
-
-    fn hosted_mut(&mut self, v: NodeId) -> Option<&mut Hosted> {
-        self.slot_of(v).map(|s| &mut self.hosted[s])
+    /// Supplies the address of a remote (non-hosted) node; required for
+    /// every remote neighbor before `start`.
+    pub fn set_peer(&mut self, node: NodeId, addr: String) {
+        self.peer_addrs.insert(node, addr);
     }
 
     /// The deterministic trunk for directed edge `src → dst` (fmix64 of
@@ -395,60 +362,6 @@ impl<'g> Core<'g> {
     }
 
     // ---- start ------------------------------------------------------
-
-    fn start(&mut self) -> Result<(), NetError> {
-        if self.started {
-            return Ok(());
-        }
-        match self.start_inner() {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.start_failed = true;
-                Err(e)
-            }
-        }
-    }
-
-    fn start_inner(&mut self) -> Result<(), NetError> {
-        if self.start_failed || self.down {
-            return Err(NetError::ProtocolViolation(
-                "reactor already failed or shut down".to_owned(),
-            ));
-        }
-        if self.cfg.pacing == Pacing::Drain && !self.edges.is_empty() {
-            return Err(NetError::ProtocolViolation(
-                "drain pacing requires hosting every node in one reactor".to_owned(),
-            ));
-        }
-        self.dial_trunks()?;
-        let now = Instant::now();
-        let edge_keys: Vec<(NodeId, NodeId)> = self.edges.keys().copied().collect();
-        for (from, to) in edge_keys {
-            self.wheel.schedule(now, Timer::Redial { from, to });
-        }
-        let deadline = now + self.cfg.start_timeout;
-        loop {
-            self.fire_timers()?;
-            self.flush_dirty()?;
-            if self.barrier_holds() {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::StartTimeout {
-                    waiting: self.barrier_waiting(),
-                });
-            }
-            let wake = match self.wheel.next_deadline() {
-                Some(t) => t.min(deadline),
-                None => deadline,
-            };
-            self.poll_wait(Some(wake.saturating_duration_since(now)))?;
-        }
-        self.epoch = Some(Instant::now());
-        self.started = true;
-        Ok(())
-    }
 
     fn dial_trunks(&mut self) -> Result<(), NetError> {
         for t in 0..self.cfg.trunks {
@@ -727,14 +640,14 @@ impl<'g> Core<'g> {
             to: node,
             n: self.n,
             topology_hash: self.hash,
-            caps: self.hosted(to).map_or(0, |h| h.caps),
+            caps: self.caps,
         };
         if let Some(conn) = self.conns[idx].as_mut() {
             conn.wq.push_frame(&answer).expect("hello frame fits");
         }
         self.mark_dirty(idx);
         let valid = validate_hello(frame, self.n, self.hash).is_ok()
-            && self.hosted(to).is_some()
+            && self.hosted.contains(&to.index())
             && self.graph.neighbor_index(to, node).is_some();
         if let Some(conn) = self.conns[idx].as_mut() {
             if valid {
@@ -758,7 +671,7 @@ impl<'g> Core<'g> {
         to: NodeId,
         frame: &Frame,
     ) -> Result<(), NetError> {
-        match validate_hello(frame, self.n, self.hash) {
+        let why = match validate_hello(frame, self.n, self.hash) {
             Ok((node, addressed, caps)) if node == to && addressed == from => {
                 self.remote_caps.insert(node, caps);
                 if let Some(conn) = self.conns[idx].as_mut() {
@@ -775,32 +688,21 @@ impl<'g> Core<'g> {
                     }
                     self.mark_dirty(idx);
                 }
-                Ok(())
+                return Ok(());
             }
-            Ok((node, _, _)) => {
-                // Wrong peer behind the address: conclusive, like a
-                // topology mismatch.
-                self.close_conn(idx);
-                let attempts = self.edges.get(&(from, to)).map_or(0, |e| e.attempts) + 1;
-                self.edge_lost(
-                    from,
-                    to,
-                    attempts,
-                    format!(
-                        "dialed node {} but node {} answered",
-                        to.index(),
-                        node.index()
-                    ),
-                );
-                Ok(())
-            }
-            Err(why) => {
-                self.close_conn(idx);
-                let attempts = self.edges.get(&(from, to)).map_or(0, |e| e.attempts) + 1;
-                self.edge_lost(from, to, attempts, why);
-                Ok(())
-            }
-        }
+            Ok((node, _, _)) => format!(
+                "dialed node {} but node {} answered",
+                to.index(),
+                node.index()
+            ),
+            Err(why) => why,
+        };
+        // A wrong peer behind the address is as conclusive as a
+        // topology mismatch.
+        self.close_conn(idx);
+        let attempts = self.edges.get(&(from, to)).map_or(0, |e| e.attempts) + 1;
+        self.edge_lost(from, to, attempts, why);
+        Ok(())
     }
 
     /// Hands a decoded data frame to hosted node `dst`'s next poll.
@@ -811,15 +713,20 @@ impl<'g> Core<'g> {
         frame: Frame,
         used: u64,
     ) -> Result<(), NetError> {
-        let Some(hosted) = self.hosted_mut(dst) else {
+        let slot = dst.index().checked_sub(self.hosted.start);
+        let Some(stats) = slot.and_then(|s| self.stats.get_mut(s)) else {
             return Err(NetError::ProtocolViolation(format!(
                 "frame for node {}, which this reactor does not host",
                 dst.index()
             )));
         };
-        hosted.stats.frames_received += 1;
-        hosted.stats.bytes_received += used;
-        hosted.ready.push(NetEvent::Frame { from: src, frame });
+        stats.frames_received += 1;
+        stats.bytes_received += used;
+        self.ready.push(NetEvent::Frame {
+            from: src,
+            to: dst,
+            frame,
+        });
         Ok(())
     }
 
@@ -953,7 +860,7 @@ impl<'g> Core<'g> {
                         to,
                         n: self.n,
                         topology_hash: self.hash,
-                        caps: self.hosted(from).map_or(0, |h| h.caps),
+                        caps: self.caps,
                     })
                     .expect("hello frame fits");
                 let idx = self.register(conn)?;
@@ -1005,131 +912,20 @@ impl<'g> Core<'g> {
     }
 
     fn edge_lost(&mut self, from: NodeId, to: NodeId, attempts: u32, error: String) {
-        if !self.retire_edge(from, to) {
-            return;
-        }
-        if let Some(hosted) = self.hosted_mut(from) {
-            if hosted.lost.insert(to) {
-                hosted.ready.push(NetEvent::PeerLost(PeerLoss {
+        // Retiring happens once per edge, so the loss surfaces once.
+        if self.retire_edge(from, to) {
+            self.ready.push(NetEvent::PeerLost {
+                to: from,
+                loss: PeerLoss {
                     peer: to,
                     attempts,
                     error,
-                }));
-            }
+                },
+            });
         }
     }
 
-    // ---- transport entry points ------------------------------------
-
-    /// Queues `frame` from hosted `src` toward its neighbor `to`, the
-    /// `nth` entry of `src`'s adjacency row: on `to`'s trunk (hosted) or
-    /// on the edge `src → to` (remote; its outage backlog while the
-    /// connection is down).
-    fn send_from(
-        &mut self,
-        src: NodeId,
-        release: Round,
-        to: NodeId,
-        nth: usize,
-        frame: &Frame,
-    ) -> Result<(), NetError> {
-        if self.down {
-            return Ok(()); // teardown already reported whatever mattered
-        }
-        let to_hosted = self.slot_of(to).is_some();
-        let trunk = self.trunk_of(src, to);
-        // `src`'s state is borrowed field-wise to the counter update at
-        // the end, so everything between goes field by field (and the
-        // trunk is picked before it starts).
-        let Some(slot) = self.slot_of(src) else {
-            return Err(NetError::ProtocolViolation(format!(
-                "send from node {}, which this reactor does not host",
-                src.index()
-            )));
-        };
-        // The row entry the runner's initiation (or answer) just read.
-        if self.graph.neighbor_ids(src).get(nth) != Some(&to) {
-            return Err(NetError::UnknownPeer(to));
-        }
-        let hosted = &mut self.hosted[slot];
-        if hosted.lost.contains(&to) {
-            return Ok(());
-        }
-        let sent_bytes = if to_hosted {
-            let idx = self.trunk_out[trunk];
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return Err(NetError::ProtocolViolation("trunk is down".to_owned()));
-            };
-            let size = conn.wq.push_routed(src, to, release, frame)?;
-            self.routed_enqueued += 1;
-            self.next_release = self.next_release.min(release);
-            if conn.mark_dirty() {
-                self.dirty.push(idx);
-            }
-            size
-        } else {
-            let Some(edge) = self.edges.get_mut(&(src, to)).filter(|e| !e.lost) else {
-                return Ok(());
-            };
-            let live = edge.conn.filter(|_| edge.up);
-            if let Some((idx, conn)) = live.and_then(|i| Some((i, self.conns[i].as_mut()?))) {
-                let size = conn.wq.push_frame(frame)?;
-                if conn.mark_dirty() {
-                    self.dirty.push(idx);
-                }
-                size
-            } else {
-                let bytes = frame.encode()?;
-                let size = bytes.len();
-                edge.pending.push_back(bytes);
-                size
-            }
-        };
-        hosted.stats.frames_sent += 1;
-        hosted.stats.bytes_sent += u64::try_from(sent_bytes).expect("frame size fits u64");
-        Ok(())
-    }
-
-    fn poll_node(
-        &mut self,
-        node: NodeId,
-        round: Round,
-        out: &mut Vec<NetEvent>,
-    ) -> Result<(), NetError> {
-        if !self.started {
-            return Err(NetError::ProtocolViolation("poll before start".to_owned()));
-        }
-        match self.cfg.pacing {
-            // An envelope released after `round` can wait in its write
-            // queue: latencies are ≥ 1 round, so most of a lockstep
-            // phase's polls find nothing due and touch no socket.
-            Pacing::Drain => {
-                if self.next_release <= round {
-                    self.pump_drain()?;
-                    self.next_release = Round::MAX;
-                }
-            }
-            Pacing::Wall => {
-                let epoch = self
-                    .epoch
-                    .ok_or_else(|| NetError::ProtocolViolation("poll before start".to_owned()))?;
-                let target = epoch + round_offset(self.cfg.round, u128::from(round));
-                self.pump_until(target)?;
-            }
-        }
-        let Some(hosted) = self.hosted_mut(node) else {
-            return Err(NetError::ProtocolViolation(format!(
-                "poll for node {}, which this reactor does not host",
-                node.index()
-            )));
-        };
-        if out.is_empty() {
-            std::mem::swap(out, &mut hosted.ready);
-        } else {
-            out.append(&mut hosted.ready);
-        }
-        Ok(())
-    }
+    // ---- drain and wall pacing --------------------------------------
 
     /// Trunk write queues empty and every routed envelope decoded: with
     /// all nodes hosted (drain's precondition) nothing is in flight.
@@ -1190,20 +986,6 @@ impl<'g> Core<'g> {
         }
     }
 
-    fn endpoint_shutdown(&mut self, node: NodeId) {
-        let Some(hosted) = self.hosted_mut(node) else {
-            return;
-        };
-        if !hosted.active {
-            return;
-        }
-        hosted.active = false;
-        self.active -= 1;
-        if self.active == 0 {
-            self.teardown();
-        }
-    }
-
     fn teardown(&mut self) {
         if self.down {
             return;
@@ -1221,175 +1003,196 @@ impl<'g> Core<'g> {
     }
 }
 
-/// A single-threaded reactor hosting one or more nodes of a graph.
-///
-/// Construct with [`Reactor::new`], hand [`Reactor::endpoint`]s to
-/// [`NetRunner`]s, and drive the runners from one thread (the reactor
-/// is deliberately not `Send`: every connection, buffer, and timer
-/// lives in one `RefCell` core). The first endpoint's `start()` brings
-/// the whole reactor up.
-pub struct Reactor<'g> {
-    core: Rc<RefCell<Core<'g>>>,
-}
-
-impl<'g> Reactor<'g> {
-    /// Binds the listener and prepares to host `hosted` (node ids of
-    /// `graph`).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `hosted` is empty or out of range, the listen address
-    /// is unusable, or the epoll instance cannot be created.
-    pub fn new(
-        graph: &'g Graph,
-        hosted: impl IntoIterator<Item = NodeId>,
-        config: ReactorConfig,
-    ) -> Result<Reactor<'g>, NetError> {
-        let hosted: BTreeSet<NodeId> = hosted.into_iter().collect();
-        Ok(Reactor {
-            core: Rc::new(RefCell::new(Core::new(graph, hosted, config)?)),
-        })
-    }
-
-    /// The bound listen address (`ip:port`), for exchanging with other
-    /// shards.
-    pub fn local_addr(&self) -> String {
-        self.core.borrow().listen_addr.to_string()
-    }
-
-    /// Supplies the address of a remote (non-hosted) node; required for
-    /// every remote neighbor before `start`.
-    pub fn set_peer(&mut self, node: NodeId, addr: String) {
-        self.core.borrow_mut().peer_addrs.insert(node, addr);
-    }
-
-    /// A [`Transport`] endpoint for hosted node `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not hosted by this reactor.
-    pub fn endpoint(&self, node: NodeId) -> ReactorEndpoint<'g> {
-        assert!(
-            self.core.borrow().slot_of(node).is_some(),
-            "node {} is not hosted by this reactor",
-            node.index()
-        );
-        ReactorEndpoint {
-            core: Rc::clone(&self.core),
-            node,
-        }
-    }
-
-    /// Tears down every connection and the listener. Idempotent; also
-    /// triggered automatically once every endpoint has shut down, and
-    /// on drop.
-    pub fn shutdown(&mut self) {
-        self.core.borrow_mut().teardown();
-    }
-}
-
 impl Drop for Reactor<'_> {
     fn drop(&mut self) {
-        self.core.borrow_mut().teardown();
+        self.teardown();
     }
 }
 
-/// One hosted node's [`Transport`] endpoint on a shared [`Reactor`].
-pub struct ReactorEndpoint<'g> {
-    core: Rc<RefCell<Core<'g>>>,
-    node: NodeId,
-}
-
-impl Transport for ReactorEndpoint<'_> {
-    fn local(&self) -> NodeId {
-        self.node
-    }
-
+impl Transport for Reactor<'_> {
     fn start(&mut self) -> Result<(), NetError> {
-        self.core.borrow_mut().start()
+        if self.started {
+            return Ok(());
+        }
+        if self.start_failed || self.down {
+            return Err(NetError::ProtocolViolation(
+                "reactor already failed or shut down".to_owned(),
+            ));
+        }
+        // Cleared once the barrier holds: every early return fails it.
+        self.start_failed = true;
+        if self.cfg.pacing == Pacing::Drain && !self.edges.is_empty() {
+            return Err(NetError::ProtocolViolation(
+                "drain pacing requires hosting every node in one reactor".to_owned(),
+            ));
+        }
+        self.dial_trunks()?;
+        let now = Instant::now();
+        let edge_keys: Vec<(NodeId, NodeId)> = self.edges.keys().copied().collect();
+        for (from, to) in edge_keys {
+            self.wheel.schedule(now, Timer::Redial { from, to });
+        }
+        let deadline = now + self.cfg.start_timeout;
+        loop {
+            self.fire_timers()?;
+            self.flush_dirty()?;
+            if self.barrier_holds() {
+                break;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(NetError::StartTimeout {
+                    waiting: self.barrier_waiting(),
+                });
+            }
+            let wake = match self.wheel.next_deadline() {
+                Some(t) => t.min(deadline),
+                None => deadline,
+            };
+            self.poll_wait(Some(wake.saturating_duration_since(now)))?;
+        }
+        self.epoch = Some(Instant::now());
+        self.started = true;
+        self.start_failed = false;
+        Ok(())
     }
 
     fn set_caps(&mut self, caps: u32) {
-        if let Some(hosted) = self.core.borrow_mut().hosted_mut(self.node) {
-            hosted.caps = caps;
-        }
+        self.caps = caps;
     }
 
     fn peer_caps(&self, peer: NodeId) -> u32 {
-        let core = self.core.borrow();
         // A hosted peer never handshakes with us (trunk traffic skips
-        // the Hello exchange), so its caps are read off its own state.
-        match core.hosted(peer) {
-            Some(hosted) => hosted.caps,
-            None => core.remote_caps.get(&peer).copied().unwrap_or(0),
+        // the Hello exchange): it advertises the shard's own caps.
+        if self.hosted.contains(&peer.index()) {
+            self.caps
+        } else {
+            self.remote_caps.get(&peer).copied().unwrap_or(0)
         }
     }
 
+    /// Queues `frame` from hosted `src` toward its neighbor `to`, the
+    /// `nth` entry of `src`'s adjacency row: on `to`'s trunk (hosted) or
+    /// on the edge `src → to` (remote; its outage backlog while the
+    /// connection is down).
     fn send(
         &mut self,
+        src: NodeId,
         release: Round,
         to: NodeId,
         nth: usize,
         frame: &Frame,
     ) -> Result<(), NetError> {
-        self.core
-            .borrow_mut()
-            .send_from(self.node, release, to, nth, frame)
+        if self.down {
+            return Ok(()); // teardown already reported whatever mattered
+        }
+        if !self.hosted.contains(&src.index()) {
+            return Err(NetError::ProtocolViolation(format!(
+                "send from node {}, which this reactor does not host",
+                src.index()
+            )));
+        }
+        // The row entry the runner's initiation (or answer) just read.
+        if self.graph.neighbor_ids(src).get(nth) != Some(&to) {
+            return Err(NetError::UnknownPeer(to));
+        }
+        let sent_bytes = if self.hosted.contains(&to.index()) {
+            let trunk = self.trunk_of(src, to);
+            let idx = self.trunk_out[trunk];
+            let Some(conn) = self.conns[idx].as_mut() else {
+                return Err(NetError::ProtocolViolation("trunk is down".to_owned()));
+            };
+            let size = conn.wq.push_routed(src, to, release, frame)?;
+            self.routed_enqueued += 1;
+            self.next_release = self.next_release.min(release);
+            if conn.mark_dirty() {
+                self.dirty.push(idx);
+            }
+            size
+        } else {
+            // A retired edge's peer is lost or departed: sends are
+            // silent no-ops.
+            let Some(edge) = self.edges.get_mut(&(src, to)).filter(|e| !e.lost) else {
+                return Ok(());
+            };
+            let live = edge.conn.filter(|_| edge.up);
+            if let Some((idx, conn)) = live.and_then(|i| Some((i, self.conns[i].as_mut()?))) {
+                let size = conn.wq.push_frame(frame)?;
+                if conn.mark_dirty() {
+                    self.dirty.push(idx);
+                }
+                size
+            } else {
+                let bytes = frame.encode()?;
+                let size = bytes.len();
+                edge.pending.push_back(bytes);
+                size
+            }
+        };
+        let stats = &mut self.stats[src.index() - self.hosted.start];
+        stats.frames_sent += 1;
+        stats.bytes_sent += u64::try_from(sent_bytes).expect("frame size fits u64");
+        Ok(())
     }
 
     fn poll(&mut self, round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError> {
-        self.core.borrow_mut().poll_node(self.node, round, out)
+        if !self.started {
+            return Err(NetError::ProtocolViolation("poll before start".to_owned()));
+        }
+        match self.cfg.pacing {
+            // An envelope released after `round` can wait in its write
+            // queue: latencies are ≥ 1 round, so a poll with nothing
+            // due touches no socket.
+            Pacing::Drain => {
+                if self.next_release <= round {
+                    self.pump_drain()?;
+                    self.next_release = Round::MAX;
+                }
+            }
+            Pacing::Wall => {
+                let epoch = self
+                    .epoch
+                    .ok_or_else(|| NetError::ProtocolViolation("poll before start".to_owned()))?;
+                let target = epoch + round_offset(self.cfg.round, u128::from(round));
+                self.pump_until(target)?;
+            }
+        }
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.ready);
+        } else {
+            out.append(&mut self.ready);
+        }
+        Ok(())
     }
 
     fn recycle(&mut self, buf: Vec<u8>) {
-        self.core.borrow_mut().pool.put(buf);
+        self.pool.put(buf);
     }
 
-    fn stats(&self) -> TransportStats {
-        self.core
-            .borrow()
-            .hosted(self.node)
-            .map(|h| h.stats)
+    fn stats(&self, node: NodeId) -> TransportStats {
+        let slot = node.index().checked_sub(self.hosted.start);
+        slot.and_then(|s| self.stats.get(s))
+            .copied()
             .unwrap_or_default()
     }
 
     fn shutdown(&mut self) {
-        self.core.borrow_mut().endpoint_shutdown(self.node);
+        self.teardown();
     }
 }
 
-/// Runs a whole cluster inside one reactor (drain pacing) and returns
-/// the simulator-shaped [`Outcome`]; the reactor analogue of
-/// [`crate::run_loopback`].
+/// [`crate::run_loopback_mode_with_stats`] over real sockets: the whole
+/// cluster is one shard of one drain-paced reactor, whose trunks carry
+/// every frame. The outcome equals the loopback run's — and hence the
+/// simulator's — in either payload mode; `tests/reactor_equivalence.rs`
+/// checks that case by case.
 ///
 /// # Panics
 ///
-/// Panics if the reactor fails (socket exhaustion, a stalled drain) —
-/// in a single-process run those are bugs or environment limits, not
-/// recoverable protocol conditions.
-pub fn run_reactor<P, F, S>(graph: &Graph, config: &SimConfig, factory: F, stop: S) -> Outcome<P>
-where
-    P: Protocol,
-    P::Payload: WirePayload,
-    F: FnMut(NodeId, usize) -> P,
-    S: FnMut(&[&P], Round) -> bool,
-{
-    run_reactor_mode_with_stats(graph, config, PayloadMode::Snapshot, factory, stop).0
-}
-
-/// Like [`run_reactor`], with an explicit [`PayloadMode`] and the
-/// cluster-wide transport totals and payload [`WireAccounting`]
-/// alongside.
-///
-/// The driver is the loopback cluster driver — the same lockstep loop
-/// over reactor endpoints — so with drain pacing the outcome equals
-/// `run_loopback` (and hence the simulator) for any
-/// deterministic-given-the-seed protocol, in either payload mode;
-/// `tests/reactor_equivalence.rs` checks that case by case.
-///
-/// # Panics
-///
-/// See [`run_reactor`].
+/// Panics if `config` asks for the blocking or capped model (see
+/// [`ShardRunner::new`]), or if the reactor fails (socket exhaustion, a
+/// stalled drain) — in a single-process run those are bugs or
+/// environment limits, not recoverable protocol conditions.
 pub fn run_reactor_mode_with_stats<P, F, S>(
     graph: &Graph,
     config: &SimConfig,
@@ -1407,91 +1210,10 @@ where
         pacing: Pacing::Drain,
         ..ReactorConfig::default()
     };
-    let reactor = Reactor::new(graph, (0..graph.node_count()).map(NodeId::new), cfg)
-        .unwrap_or_else(|e| panic!("reactor setup failed: {e}"));
-    run_lockstep(graph, config, mode, factory, stop, |node| {
-        reactor.endpoint(node)
-    })
-}
-
-/// Runs the `hosted` shard of a (possibly multi-process) cluster on one
-/// reactor, cooperatively stepping every hosted runner round by round
-/// on the calling thread. `hosted` may be the whole graph (a one-process
-/// wall-paced cluster), a slice of it, or a single node.
-///
-/// `exchange` receives the reactor's bound listen address and must
-/// return addresses for every *remote* neighbor of a hosted node —
-/// typically by announcing the local address to the other shards and
-/// collecting theirs.
-///
-/// The shard advertises [`crate::wire::CAP_DELTA`] in its handshakes
-/// only in delta mode, so shards in different modes interoperate: delta
-/// senders fall back to snapshots toward snapshot-mode peers.
-///
-/// Outcomes are returned in `hosted` order.
-///
-/// # Errors
-///
-/// Any runner error (start timeout, protocol violation, reactor I/O
-/// failure) aborts the whole shard.
-#[allow(clippy::too_many_arguments)]
-pub fn run_reactor_cluster_mode<P, F, D, A>(
-    graph: &Graph,
-    config: &SimConfig,
-    reactor_cfg: &ReactorConfig,
-    hosted: &[NodeId],
-    mode: PayloadMode,
-    exchange: A,
-    mut factory: F,
-    done: D,
-) -> Result<Vec<NodeOutcome<P>>, NetError>
-where
-    P: Protocol,
-    P::Payload: WirePayload,
-    F: FnMut(NodeId, usize) -> P,
-    D: Fn(&P, &RunView<'_>) -> bool,
-    A: FnOnce(&str) -> BTreeMap<NodeId, String>,
-{
     let n = graph.node_count();
-    let mut reactor = Reactor::new(graph, hosted.iter().copied(), reactor_cfg.clone())?;
-    for (node, addr) in exchange(&reactor.local_addr()) {
-        reactor.set_peer(node, addr);
-    }
-    // Construct every runner (which advertises its capabilities) before
-    // starting any, so the first handshake already carries them.
-    let mut runners: Vec<Option<NetRunner<'_, P, _>>> = hosted
-        .iter()
-        .map(|&u| {
-            Some(
-                NetRunner::new(graph, u, factory(u, n), config, reactor.endpoint(u))
-                    .with_payload_mode(mode),
-            )
-        })
-        .collect();
-    for r in runners.iter_mut().flatten() {
-        r.start()?;
-    }
-    let mut outcomes: Vec<Option<NodeOutcome<P>>> = (0..hosted.len()).map(|_| None).collect();
-    let mut live = runners.len();
-    let mut round: Round = 0;
-    while live > 0 {
-        for i in 0..runners.len() {
-            if let Some(mut r) = runners[i].take() {
-                match r.step_round(round, &done)? {
-                    None => runners[i] = Some(r),
-                    Some(reason) => {
-                        outcomes[i] = Some(r.into_outcome(round, reason));
-                        live -= 1;
-                    }
-                }
-            }
-        }
-        round += 1;
-    }
-    Ok(outcomes
-        .into_iter()
-        .map(|o| o.expect("every live runner produced an outcome"))
-        .collect())
+    let reactor =
+        Reactor::new(graph, 0..n, cfg).unwrap_or_else(|e| panic!("reactor setup failed: {e}"));
+    ShardRunner::new(graph, 0..n, config, mode, factory, reactor).run_until(stop)
 }
 
 #[cfg(test)]
@@ -1508,18 +1230,18 @@ mod tests {
         }
     }
 
-    fn poll(end: &mut ReactorEndpoint<'_>, round: Round) -> Vec<NetEvent> {
+    fn poll(reactor: &mut Reactor<'_>, round: Round) -> Vec<NetEvent> {
         let mut out = Vec::new();
-        end.poll(round, &mut out).expect("poll");
+        reactor.poll(round, &mut out).expect("poll");
         out
     }
 
     #[test]
     fn trunk_hash_is_deterministic_and_directed() {
         let g = generators::clique(8);
-        let core = Core::new(
+        let core = Reactor::new(
             &g,
-            (0..8).map(NodeId::new).collect(),
+            0..8,
             ReactorConfig {
                 trunks: 4,
                 ..drain_cfg()
@@ -1534,40 +1256,39 @@ mod tests {
     #[test]
     fn frames_flow_between_hosted_nodes_once_a_poll_is_due() {
         let g = generators::path(2);
-        let reactor = Reactor::new(&g, (0..2).map(NodeId::new), drain_cfg()).expect("reactor");
-        let mut e0 = reactor.endpoint(NodeId::new(0));
-        let mut e1 = reactor.endpoint(NodeId::new(1));
-        e0.start().expect("start");
-        e1.start().expect("start");
+        let mut reactor = Reactor::new(&g, 0..2, drain_cfg()).expect("reactor");
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        reactor.start().expect("start");
+        reactor.start().expect("start is idempotent");
         let req = Frame::Request {
             seq: 1,
             round: 0,
             payload: vec![1, 2, 3],
         };
-        e0.send(2, NodeId::new(1), 0, &req).expect("send");
+        reactor.send(a, 2, b, 0, &req).expect("send");
         assert!(
-            poll(&mut e1, 1).is_empty(),
+            poll(&mut reactor, 1).is_empty(),
             "release 2 is not due at round 1: no pump"
         );
-        {
-            let core = reactor.core.borrow();
-            assert!(core.trunk_backlog() > 0, "nothing due: no socket touched");
-            assert_eq!(core.routed_decoded, 0);
-        }
-        let events = poll(&mut e1, 2);
-        assert_eq!(reactor.core.borrow().trunk_backlog(), 0);
+        assert!(
+            reactor.trunk_backlog() > 0,
+            "nothing due: no socket touched"
+        );
+        assert_eq!(reactor.routed_decoded, 0);
+        let events = poll(&mut reactor, 2);
+        assert_eq!(reactor.trunk_backlog(), 0);
         assert_eq!(events.len(), 1);
         match &events[0] {
-            NetEvent::Frame { from, frame } => {
-                assert_eq!(*from, NodeId::new(0));
+            NetEvent::Frame { from, to, frame } => {
+                assert_eq!((*from, *to), (a, b));
                 assert_eq!(*frame, req);
             }
-            NetEvent::PeerLost(l) => panic!("unexpected loss: {l}"),
+            NetEvent::PeerLost { loss, .. } => panic!("unexpected loss: {loss}"),
         }
-        let s = e0.stats();
+        let s = reactor.stats(a);
         assert_eq!(s.frames_sent, 1);
         assert!(s.bytes_sent > 0, "envelope bytes counted");
-        assert_eq!(e1.stats().frames_received, 1);
+        assert_eq!(reactor.stats(b).frames_received, 1);
     }
 
     #[test]
@@ -1577,9 +1298,8 @@ mod tests {
             trunks: 1,
             ..drain_cfg()
         };
-        let reactor = Reactor::new(&g, (0..2).map(NodeId::new), cfg).expect("reactor");
-        let mut ends = [0, 1].map(|i| reactor.endpoint(NodeId::new(i)));
-        ends[0].start().expect("start");
+        let mut reactor = Reactor::new(&g, 0..2, cfg).expect("reactor");
+        reactor.start().expect("start");
         // Queue frames due at round 1, at least 4 MiB and until a flush
         // leaves bytes behind (`WouldBlock`): from there the pump has to
         // alternate `EPOLLOUT` writes with reads of the same trunk.
@@ -1592,64 +1312,63 @@ mod tests {
                         round: 0,
                         payload: vec![from as u8; 512],
                     };
-                    ends[from]
-                        .send(1, NodeId::new(to), 0, &frame)
+                    reactor
+                        .send(NodeId::new(from), 1, NodeId::new(to), 0, &frame)
                         .expect("send");
                 }
             }
             sent += 2048;
-            let mut core = reactor.core.borrow_mut();
-            core.flush_dirty().expect("flush");
-            if sent >= 4096 && core.trunk_backlog() > 0 {
+            reactor.flush_dirty().expect("flush");
+            if sent >= 4096 && reactor.trunk_backlog() > 0 {
                 break;
             }
             assert!(sent < 1 << 17, "loopback socket swallowed 128 MiB");
         }
-        for (at, end) in ends.iter_mut().enumerate() {
-            let seqs: Vec<u64> = poll(end, 1)
-                .into_iter()
-                .map(|event| match event {
-                    NetEvent::Frame {
-                        frame: Frame::Request { seq, payload, .. },
-                        ..
-                    } => {
-                        assert_eq!(payload, vec![1 - at as u8; 512]);
-                        seq
-                    }
-                    other => panic!("unexpected event: {other:?}"),
-                })
-                .collect();
+        let mut seqs = [Vec::new(), Vec::new()];
+        for event in poll(&mut reactor, 1) {
+            match event {
+                NetEvent::Frame {
+                    from,
+                    to,
+                    frame: Frame::Request { seq, payload, .. },
+                } => {
+                    assert_eq!(payload, vec![from.index() as u8; 512]);
+                    seqs[to.index()].push(seq);
+                }
+                other => panic!("unexpected event: {other:?}"),
+            }
+        }
+        for seqs in seqs {
             assert_eq!(seqs, (0..sent).collect::<Vec<u64>>(), "per-sender order");
         }
-        assert_eq!(reactor.core.borrow().trunk_backlog(), 0);
+        assert_eq!(reactor.trunk_backlog(), 0);
     }
 
     #[test]
     fn payload_buffers_are_recycled_and_the_free_list_stays_capped() {
         let g = generators::path(2);
-        let reactor = Reactor::new(&g, (0..2).map(NodeId::new), drain_cfg()).expect("reactor");
-        let mut e0 = reactor.endpoint(NodeId::new(0));
-        let mut e1 = reactor.endpoint(NodeId::new(1));
-        e0.start().expect("start");
-        let mut payload_of_next = |e0: &mut ReactorEndpoint<'_>, round| {
+        let mut reactor = Reactor::new(&g, 0..2, drain_cfg()).expect("reactor");
+        reactor.start().expect("start");
+        let payload_of_next = |reactor: &mut Reactor<'_>, round| {
             let request = Frame::Request {
                 seq: round + 1,
                 round,
                 payload: vec![9; 64],
             };
-            e0.send(round, NodeId::new(1), 0, &request).expect("send");
-            match poll(&mut e1, round).pop() {
+            let (a, b) = (NodeId::new(0), NodeId::new(1));
+            reactor.send(a, round, b, 0, &request).expect("send");
+            match poll(reactor, round).pop() {
                 Some(NetEvent::Frame {
                     frame: Frame::Request { payload, .. },
                     ..
-                }) => (payload, e1.stats().frames_received),
+                }) => (payload, reactor.stats(b).frames_received),
                 other => panic!("expected the request, got {other:?}"),
             }
         };
-        let (first, _) = payload_of_next(&mut e0, 0);
+        let (first, _) = payload_of_next(&mut reactor, 0);
         let recycled = first.as_ptr();
-        reactor.core.borrow_mut().pool.put(first);
-        let (second, received) = payload_of_next(&mut e0, 1);
+        reactor.recycle(first);
+        let (second, received) = payload_of_next(&mut reactor, 1);
         assert_eq!(received, 2);
         assert_eq!(second, [9; 64]);
         assert_eq!(
@@ -1659,19 +1378,17 @@ mod tests {
         );
         // Handing back far more than the cap keeps at most the cap.
         for _ in 0..2 * POOL_BYTES / 4096 {
-            e1.recycle(Vec::with_capacity(4096));
+            reactor.recycle(Vec::with_capacity(4096));
         }
-        let retained = reactor.core.borrow().pool.retained();
+        let retained = reactor.pool.retained();
         assert!(retained <= POOL_BYTES && retained > POOL_BYTES - 4096);
     }
 
     #[test]
     fn drain_pacing_rejects_remote_edges() {
         let g = generators::path(3);
-        let reactor =
-            Reactor::new(&g, [NodeId::new(0), NodeId::new(1)], drain_cfg()).expect("reactor");
-        let mut e0 = reactor.endpoint(NodeId::new(0));
-        let err = e0.start().expect_err("node 2 is not hosted");
+        let mut reactor = Reactor::new(&g, 0..2, drain_cfg()).expect("reactor");
+        let err = reactor.start().expect_err("node 2 is not hosted");
         assert!(
             err.to_string().contains("drain pacing"),
             "unexpected error: {err}"
@@ -1681,15 +1398,13 @@ mod tests {
     #[test]
     fn sending_to_a_non_neighbor_is_rejected() {
         let g = generators::path(3);
-        let reactor = Reactor::new(&g, (0..3).map(NodeId::new), drain_cfg()).expect("reactor");
-        let mut e0 = reactor.endpoint(NodeId::new(0));
-        let mut e2 = reactor.endpoint(NodeId::new(2));
-        e0.start().expect("start");
-        let err = e0
-            .send(0, NodeId::new(2), 0, &Frame::Bye)
+        let mut reactor = Reactor::new(&g, 0..3, drain_cfg()).expect("reactor");
+        reactor.start().expect("start");
+        let err = reactor
+            .send(NodeId::new(0), 0, NodeId::new(2), 0, &Frame::Bye)
             .expect_err("0 and 2 are not adjacent on a path");
         assert!(matches!(err, NetError::UnknownPeer(v) if v == NodeId::new(2)));
-        e2.shutdown();
+        reactor.shutdown();
     }
 
     #[test]
@@ -1697,19 +1412,18 @@ mod tests {
         // Node 1 of a path has the row [0, 2]: position 0 names the
         // other neighbor, position 2 is past the row.
         let g = generators::path(3);
-        let reactor = Reactor::new(&g, (0..3).map(NodeId::new), drain_cfg()).expect("reactor");
-        let mut e1 = reactor.endpoint(NodeId::new(1));
-        e1.start().expect("start");
+        let mut reactor = Reactor::new(&g, 0..3, drain_cfg()).expect("reactor");
+        reactor.start().expect("start");
+        let me = NodeId::new(1);
         for nth in [0, 2] {
-            let err = e1
-                .send(1, NodeId::new(2), nth, &Frame::Bye)
+            let err = reactor
+                .send(me, 1, NodeId::new(2), nth, &Frame::Bye)
                 .expect_err("position does not name node 2");
             assert!(matches!(err, NetError::UnknownPeer(v) if v == NodeId::new(2)));
         }
-        assert_eq!(e1.stats().frames_sent, 0);
-        let core = reactor.core.borrow();
-        assert_eq!(core.routed_enqueued, 0, "nothing queued");
-        assert_eq!(core.trunk_backlog(), 0);
+        assert_eq!(reactor.stats(me).frames_sent, 0);
+        assert_eq!(reactor.routed_enqueued, 0, "nothing queued");
+        assert_eq!(reactor.trunk_backlog(), 0);
     }
 
     #[test]
@@ -1747,7 +1461,7 @@ mod tests {
             round: Duration::from_millis(2),
             ..ReactorConfig::default()
         };
-        let mut reactor = Reactor::new(&g, [me], cfg).expect("reactor");
+        let mut reactor = Reactor::new(&g, 0..1, cfg).expect("reactor");
         reactor.set_peer(peer, peer_listener.local_addr().expect("addr").to_string());
         let reactor_addr = reactor.local_addr();
         let (step_tx, step_rx) = mpsc::channel::<()>();
@@ -1782,15 +1496,14 @@ mod tests {
             }
             let _ = step_rx.recv();
         });
-        let mut end = reactor.endpoint(me);
-        end.start().expect("both edges up");
+        reactor.start().expect("both edges up");
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut round = 0;
         let mut seen = Vec::new();
         let mut poll_until = |seen: &mut Vec<NetEvent>, want: usize| {
             while seen.len() < want {
                 assert!(Instant::now() < deadline, "stalled at {seen:?}");
-                end.poll(round, seen).expect("poll");
+                reactor.poll(round, seen).expect("poll");
                 round += 1;
             }
         };
@@ -1807,16 +1520,18 @@ mod tests {
                 NetEvent::Frame {
                     from,
                     frame: Frame::Request { seq, .. },
+                    ..
                 } if *from == peer => (false, *seq),
                 NetEvent::Frame {
                     from,
                     frame: Frame::RequestDelta { seq, .. },
+                    ..
                 } if *from == peer => (true, *seq),
                 other => panic!("unexpected event: {other:?}"),
             })
             .collect();
         assert_eq!(got, [(false, 5), (false, 6), (true, 7)]);
-        assert_eq!(reactor.core.borrow().in_up[&(peer, me)], 7);
-        end.shutdown();
+        assert_eq!(reactor.in_up[&(peer, me)], 7);
+        reactor.shutdown();
     }
 }

@@ -1,51 +1,44 @@
-//! [`NetRunner`]: the round-pacing driver that runs one protocol node
-//! over any [`Transport`], plus [`run_loopback`], the single-threaded
-//! cluster driver whose executions match the simulator's exactly.
+//! [`ShardRunner`]: the round driver that runs the protocol nodes of one
+//! shard over a [`Transport`] on the engine's own per-node state
+//! ([`NodeTable`]), plus [`run_loopback`], whose executions match the
+//! simulator's exactly.
 //!
-//! # Round structure
+//! A shard is a contiguous range of node ids hosted together: every
+//! node of a loopback or drain-paced reactor run, the range of
+//! `serve --nodes A..B`, or a single node. Its state is arrays indexed
+//! by hosted slot and by *edge offset* — slot `s`'s adjacency row
+//! occupies offsets `offsets[s]..offsets[s + 1]`, the prefix sums of
+//! the hosted degrees.
 //!
-//! Each runner executes the simulator's per-round phases, projected onto
-//! one node (the numbering follows `gossip_sim::engine`):
-//!
-//! 1. **Ingest + deliver** ([`begin_round`](NetRunner::begin_round)):
-//!    poll the transport, answer freshly arrived requests (snapshotting
-//!    our payload *before* this round's deliveries mutate it — the
-//!    engine takes responder snapshots during the initiation round, and
-//!    our state has not changed since then), queue replies and request
-//!    payloads on the hold queue at their due round `t + ℓ`, then apply
-//!    every held exchange due this round, sorted by
-//!    `(initiated_at, initiator)` — the engine's per-node delivery
-//!    order. The hold is the only place `t + ℓ` is enforced: a
-//!    transport may hand a frame over any time before its due round.
-//! 2. **Stop checks** (driver's responsibility — global closure for the
-//!    loopback cluster, distributed done barrier for TCP).
-//! 3. **`on_round`** + **launch** ([`launch`](NetRunner::launch)): run
-//!    the protocol's round callback and send this round's request, if
-//!    any, recording our payload snapshot's weight for metrics.
-//! 4. **Settle** ([`settle`](NetRunner::settle)): poll again (without
-//!    blocking — the round has begun) so requests sent *this* round over
-//!    the loopback are answered this round, after every node's
-//!    `on_round` ran.
+//! Each round runs the engine's phases over the whole shard:
+//! [`begin_round`](ShardRunner::begin_round) ingests arrivals and
+//! applies the round's due exchanges, the driver checks its stop
+//! condition, [`launch`](ShardRunner::launch) steps the frontier and
+//! sends the requests, and [`settle`](ShardRunner::settle) answers the
+//! requests sent this round. Replies and request payloads wait on the
+//! hold calendar for their due round `t + ℓ` — the only place it is
+//! enforced: a transport may hand a frame over any time before.
 //!
 //! Metrics are counted at the initiator only — `initiated` at launch,
 //! `delivered` and both directions of `payload_units` when the reply is
-//! applied at `t + ℓ` — so summing runner metrics over a cluster
-//! reproduces the engine's [`SimMetrics`].
+//! applied at `t + ℓ` — so summing them over a cluster reproduces the
+//! engine's [`SimMetrics`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
-use gossip_sim::pacing::NodePacer;
 use gossip_sim::{
-    EngineStats, Exchange, Outcome, Protocol, Round, SimConfig, SimMetrics, StopReason,
+    CalendarQueue, Exchange, Launch, NodeTable, Outcome, Protocol, Round, SimConfig, SimMetrics,
+    StopReason,
 };
-use latency_graph::{Graph, NodeId};
+use latency_graph::{Graph, Latency, NodeId};
 
 use crate::error::{NetError, PeerLoss};
 use crate::loopback::LoopbackHub;
 use crate::transport::{NetEvent, Transport, TransportStats};
 use crate::wire::{Frame, WirePayload, CAP_DELTA, MAX_BODY};
 
-/// Why a self-driven [`NetRunner::run`] stopped.
+/// Why a node of a [`ShardRunner::run_barrier`] run stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeStopReason {
     /// The distributed stop barrier held: this node's done predicate was
@@ -58,7 +51,7 @@ pub enum NodeStopReason {
     Isolated,
 }
 
-/// What one node's [`NetRunner::run`] produced.
+/// What one node of a [`ShardRunner::run_barrier`] run produced.
 #[derive(Debug)]
 pub struct NodeOutcome<P> {
     /// Why the node stopped.
@@ -84,83 +77,34 @@ pub struct NodeOutcome<P> {
 pub struct RunView<'a> {
     graph: &'a Graph,
     node: NodeId,
-    /// Adjacency positions of the neighbors that departed (sent
-    /// [`Frame::Bye`]) or were lost.
-    gone: &'a PositionSet,
+    /// The shard's gone bits; `node`'s row starts at `offset`.
+    gone: &'a [u64],
+    offset: usize,
+    /// Whether any neighbor of `node` is gone.
+    any: bool,
 }
 
 impl RunView<'_> {
     /// Whether `v` is a neighbor that departed or was lost.
     pub fn is_gone(&self, v: NodeId) -> bool {
-        !self.gone.is_empty()
+        self.any
             && self
                 .graph
                 .neighbor_index(self.node, v)
-                .is_some_and(|nth| self.gone.contains(nth))
+                .is_some_and(|nth| bit(self.gone, self.offset + nth))
     }
 }
 
-impl std::fmt::Debug for RunView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunView")
-            .field("node", &self.node)
-            .field("gone", &self.gone)
-            .finish_non_exhaustive()
-    }
+/// Bit `i` of a bitset.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
 }
 
-/// A set of adjacency positions of one node's row, one bit each: the
-/// runner's `peers_done` / `peers_gone`, indexed by the `nth` every
-/// frame path already holds.
-#[derive(Debug)]
-struct PositionSet {
-    words: Vec<u64>,
-    /// Positions set; no bit past the row's degree ever is.
-    len: usize,
-}
-
-impl PositionSet {
-    fn new(degree: usize) -> PositionSet {
-        PositionSet {
-            words: vec![0; degree.div_ceil(64)],
-            len: 0,
-        }
-    }
-
-    fn contains(&self, nth: usize) -> bool {
-        self.words[nth / 64] >> (nth % 64) & 1 == 1
-    }
-
-    fn insert(&mut self, nth: usize) {
-        if !self.contains(nth) {
-            self.words[nth / 64] |= 1 << (nth % 64);
-            self.len += 1;
-        }
-    }
-
-    #[cfg(test)]
-    fn remove(&mut self, nth: usize) {
-        if self.contains(nth) {
-            self.words[nth / 64] &= !(1 << (nth % 64));
-            self.len -= 1;
-        }
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// How many positions are in `self` or `other`: one pass over the
-    /// words.
-    fn union_len(&self, other: &PositionSet) -> usize {
-        let ones = |(a, b): (&u64, &u64)| usize::try_from((a | b).count_ones()).expect("≤ 64");
-        self.words.iter().zip(&other.words).map(ones).sum()
-    }
+/// Sets bit `i`, returning whether it was clear.
+fn set_bit(words: &mut [u64], i: usize) -> bool {
+    let fresh = !bit(words, i);
+    words[i / 64] |= 1 << (i % 64);
+    fresh
 }
 
 /// How a runner encodes exchange payloads on the wire.
@@ -220,15 +164,17 @@ impl WireAccounting {
     }
 }
 
+/// One of our requests awaiting its reply.
 struct PendingInit<Pl> {
+    /// The initiating slot.
+    slot: usize,
     peer: NodeId,
-    /// `peer`'s adjacency position, from `Initiation` like `latency`:
-    /// the reply finds the edge's knowledge slot without a search.
+    /// `peer`'s position in the initiator's row: the reply finds the
+    /// edge's knowledge slot without a search.
     nth: usize,
     round: Round,
-    /// The edge latency [`Initiation`](gossip_sim::pacing::Initiation)
-    /// resolved at launch: the reply is held to `round + latency`
-    /// without searching the adjacency row again.
+    /// The edge latency the launch carried: the reply is held to
+    /// `round + latency` without searching the adjacency row again.
     latency: Round,
     weight: u64,
     /// The payload snapshot this request carried — retained in delta
@@ -237,9 +183,8 @@ struct PendingInit<Pl> {
     sent: Option<Pl>,
 }
 
-/// A decoded request on its way to the reply: the requester's adjacency
-/// position is found once, at ingest, and travels with it to the due
-/// round, the knowledge slot and the reply's send.
+/// A decoded request on its way to the reply, with the requester's
+/// adjacency position, found once at ingest.
 struct Inbound<Pl> {
     from: NodeId,
     nth: usize,
@@ -247,16 +192,48 @@ struct Inbound<Pl> {
     theirs: Pl,
 }
 
-/// An exchange waiting for its due round (`completed_at`), with what
-/// our own initiation applies then besides the payload.
-struct Held<Pl> {
-    exchange: Exchange<Pl>,
-    /// Our initiation: the request payload's weight, counted into
-    /// `payload_units` beside the reply's (0 for exchanges we answered).
-    weight: u64,
-    /// Our initiation toward a delta peer: `(nth, seq, sent ∪ theirs)`,
-    /// the edge's confirmed basis from the due round on.
-    confirm: Option<(usize, u64, Pl)>,
+/// An entry of the hold calendar, filed under the round it falls due.
+enum Held<Pl> {
+    /// An exchange `slot` applies at its due round (`completed_at`).
+    Exchange {
+        slot: usize,
+        exchange: Exchange<Pl>,
+        /// Our initiation: the request payload's weight, counted into
+        /// `payload_units` beside the reply's (0 for exchanges we
+        /// answered).
+        weight: u64,
+        /// Our initiation toward a delta peer: `(nth, seq, sent ∪
+        /// theirs)`, the edge's confirmed basis from the due round on.
+        confirm: Option<(usize, u64, Pl)>,
+    },
+    /// A request that arrived before its initiation round on our clock
+    /// (possible over TCP when a peer's epoch leads ours), filed under
+    /// that round: answered in its settle, after `slot`'s `on_round`,
+    /// so the reply snapshot is taken from the state the engine would
+    /// have snapshotted. Kept decoded — delta requests must resolve
+    /// their basis in arrival order.
+    Early { slot: usize, req: Inbound<Pl> },
+}
+
+impl<Pl> Held<Pl> {
+    /// The due batch's order, `(initiated_at, initiator)` — the engine
+    /// admits same-round initiations in node order — which puts every
+    /// slot's own entries in the engine's per-node delivery order. No
+    /// slot sees one key twice: a node initiates once per round.
+    fn key(&self, base: usize) -> (Round, NodeId) {
+        match self {
+            Held::Exchange { slot, exchange, .. } => {
+                let initiator = if exchange.initiated_by_me {
+                    NodeId::new(base + slot)
+                } else {
+                    exchange.peer
+                };
+                (exchange.initiated_at, initiator)
+            }
+            // Every request of a batch was initiated in its round.
+            Held::Early { req, .. } => (0, req.from),
+        }
+    }
 }
 
 /// Per-neighbor knowledge cache for delta mode: what this node and one
@@ -320,59 +297,50 @@ impl<Pl> Bases<Pl> {
             self.newest = self.older.pop();
         }
     }
-
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.newest.is_none()
-    }
 }
 
-/// [`Knowledge::slot`] entry of a neighbor with no cache yet.
+/// [`Knowledge::slot`] entry of an edge with no cache yet.
 const NO_CACHE: u32 = u32::MAX;
 
-/// Delta mode's per-neighbor [`EdgeCache`]s, found by adjacency
-/// position as the engine indexes its CSR rows: one `u32` per neighbor
-/// (4 B × degree, allocated on the first delta exchange) and a dense
-/// table holding only the peers actually exchanged with.
+/// Delta mode's per-edge [`EdgeCache`]s, found by edge offset (see
+/// [`ShardRunner::offsets`]): one `u32` per hosted edge (none in
+/// snapshot mode) and a dense table holding only the edges actually
+/// exchanged over.
 struct Knowledge<Pl> {
-    /// Adjacency position → index into `caches`, or [`NO_CACHE`].
+    /// Edge offset → index into `caches`, or [`NO_CACHE`].
     slot: Vec<u32>,
     caches: Vec<EdgeCache<Pl>>,
 }
 
 impl<Pl> Knowledge<Pl> {
-    fn new() -> Self {
+    fn new(edges: usize) -> Self {
         Knowledge {
-            slot: Vec::new(),
+            slot: vec![NO_CACHE; edges],
             caches: Vec::new(),
         }
     }
 
-    fn index(&self, nth: usize) -> Option<usize> {
-        match self.slot.get(nth) {
+    fn index(&self, edge: usize) -> Option<usize> {
+        match self.slot.get(edge) {
             Some(&s) if s != NO_CACHE => Some(usize::try_from(s).expect("slot fits usize")),
             _ => None,
         }
     }
 
-    fn get(&self, nth: usize) -> Option<&EdgeCache<Pl>> {
-        self.index(nth).map(|i| &self.caches[i])
+    fn get(&self, edge: usize) -> Option<&EdgeCache<Pl>> {
+        self.index(edge).map(|i| &self.caches[i])
     }
 
-    fn get_mut(&mut self, nth: usize) -> Option<&mut EdgeCache<Pl>> {
-        self.index(nth).map(|i| &mut self.caches[i])
+    fn get_mut(&mut self, edge: usize) -> Option<&mut EdgeCache<Pl>> {
+        self.index(edge).map(|i| &mut self.caches[i])
     }
 
-    /// The cache of the neighbor at `nth` of a `degree`-long row,
-    /// created empty on first use.
-    fn entry(&mut self, nth: usize, degree: usize) -> &mut EdgeCache<Pl> {
-        if self.slot.is_empty() {
-            self.slot = vec![NO_CACHE; degree];
-        }
-        let i = match self.index(nth) {
+    /// The cache of edge `edge`, created empty on first use.
+    fn entry(&mut self, edge: usize) -> &mut EdgeCache<Pl> {
+        let i = match self.index(edge) {
             Some(i) => i,
             None => {
-                self.slot[nth] = u32::try_from(self.caches.len()).expect("cache count fits u32");
+                self.slot[edge] = u32::try_from(self.caches.len()).expect("cache count fits u32");
                 self.caches.push(EdgeCache::default());
                 self.caches.len() - 1
             }
@@ -439,160 +407,156 @@ fn into_payload(frame: Frame) -> Vec<u8> {
     }
 }
 
-/// Drives one protocol node over a [`Transport`], enforcing the paper's
-/// pacing contract: at most one initiation per round, exchanges applied
-/// at exactly `t + ℓ`, payload snapshots taken at `t`.
-pub struct NetRunner<'g, P: Protocol, T: Transport> {
+/// Drives the protocol nodes of one shard over a [`Transport`],
+/// enforcing the paper's pacing contract: at most one initiation per
+/// node per round, exchanges applied at exactly `t + ℓ`, payload
+/// snapshots taken at `t`. Every exchange goes through the wire codec,
+/// even between two nodes of the shard.
+pub struct ShardRunner<'g, P: Protocol, T: Transport> {
     graph: &'g Graph,
-    pacer: NodePacer<'g, P>,
+    /// The engine's per-node state for the hosted nodes.
+    table: NodeTable<'g, P>,
     transport: T,
     max_rounds: Round,
-    /// The id universe of this node's own payload, read once: a decoded
-    /// payload over any other is refused ([`check_universe`](Self::check_universe)).
-    universe: Option<usize>,
-    /// Received exchanges awaiting their due round (`completed_at`), in
-    /// no particular order: [`deliver_due`](Self::deliver_due) sorts
-    /// the due ones to the front and takes them out.
-    hold: Vec<Held<P::Payload>>,
-    /// The transport's [`poll`](Transport::poll) target, drained by
-    /// every ingest and kept between rounds.
+    /// Payload encoding mode, normalized to [`PayloadMode::Snapshot`]
+    /// for payload types with no delta form.
+    mode: PayloadMode,
+    /// The hosted node ids; slot `s` is node `shard.start + s`.
+    shard: Range<usize>,
+    /// Edge offsets: slot `s`'s row is `offsets[s]..offsets[s + 1]`.
+    offsets: Vec<usize>,
+    /// Each slot's payload id universe ([`check_universe`](Self::check_universe)).
+    universe: Vec<Option<usize>>,
+    /// Received exchanges and early requests, filed under the round
+    /// they fall due. Every round is collected, in order.
+    hold: CalendarQueue<Held<P::Payload>>,
+    /// The earliest round the hold has not collected yet.
+    next_due: Round,
+    /// The due batch, reused every round.
+    due: Vec<Held<P::Payload>>,
+    /// Early requests of the current round, answered in its settle.
+    early: Vec<(usize, Inbound<P::Payload>)>,
+    /// Reused buffers: the transport's [`poll`](Transport::poll)
+    /// target, and this round's initiations.
     inbox: Vec<NetEvent>,
+    launches: Vec<Launch>,
     /// The payload bytes of the frame being built, recovered from the
     /// frame after every send ([`into_payload`]).
     scratch: Vec<u8>,
     /// Our requests by seq: entry `i` is seq `pending_base + i`, `None`
-    /// once its reply landed or it was written off. Each sent request
-    /// takes the next seq, so the deque is dense and a reply is an
-    /// index; answered entries are trimmed off the front.
+    /// once answered or written off (and trimmed off the front). Seqs
+    /// are shard-wide, hence monotone on every directed edge, as the
+    /// reactor's replay de-duplication and delta bases require.
     pending: VecDeque<Option<PendingInit<P::Payload>>>,
     /// Seq of `pending`'s front entry (seqs start at 1: `basis_seq` 0
     /// names the empty basis).
     pending_base: u64,
-    /// Requests that arrived *before* their initiation round on our
-    /// clock (possible over TCP when a peer's epoch leads ours): held
-    /// (already decoded — delta requests must resolve their basis in
-    /// arrival order) until our `on_round` of that round has run, so the
-    /// reply snapshot is taken from the state the engine would have
-    /// snapshotted.
-    deferred: BTreeMap<Round, Vec<Inbound<P::Payload>>>,
-    /// Payload encoding mode; [`PayloadMode::Snapshot`] unless
-    /// [`with_payload_mode`](Self::with_payload_mode) switched it.
-    mode: PayloadMode,
-    /// Per-neighbor knowledge caches; populated in delta mode only.
+    /// Per-edge knowledge caches; populated in delta mode only.
     knowledge: Knowledge<P::Payload>,
-    accounting: WireAccounting,
-    metrics: SimMetrics,
-    /// Adjacency positions of the neighbors that announced done.
-    peers_done: PositionSet,
-    /// Adjacency positions of the neighbors that departed or were lost.
-    peers_gone: PositionSet,
-    losses: Vec<PeerLoss>,
-    done_round: Option<Round>,
+    /// Edges whose neighbor announced done, one bit per edge offset.
+    done: Vec<u64>,
+    /// Edges whose neighbor departed or was lost.
+    gone: Vec<u64>,
+    /// Per slot: neighbors done or gone, and neighbors gone.
+    settled: Vec<usize>,
+    gone_count: Vec<usize>,
+    /// Per slot: whether it announced [`Frame::Done`], and whether it
+    /// stopped — why, when, and its transport counters then. A stopped
+    /// node is no longer stepped, and its frames are dropped.
+    announced: Vec<bool>,
+    stopped: Vec<Option<(NodeStopReason, Round, TransportStats)>>,
+    metrics: Vec<SimMetrics>,
+    accounting: Vec<WireAccounting>,
+    losses: Vec<Vec<PeerLoss>>,
 }
 
-impl<'g, P, T> NetRunner<'g, P, T>
+impl<'g, P, T> ShardRunner<'g, P, T>
 where
     P: Protocol,
     P::Payload: WirePayload,
     T: Transport,
 {
-    /// Creates a runner for `node`.
-    ///
-    /// `config` supplies the seed (each node draws the *same* RNG stream
-    /// the engine would give it — see `gossip_sim::pacing::node_seed`),
-    /// the round cap, and the latency-visibility flag. The transport
-    /// must already be bound to `node`.
+    /// Creates the runner of the nodes in `shard`, built by
+    /// `factory(id, n)` and seeded as the engine seeds them, on
+    /// `transport`, which must serve exactly these nodes; advertises
+    /// the payload type's and `mode`'s capability bits. A payload type
+    /// with no delta form stays in snapshot mode.
     ///
     /// # Panics
     ///
-    /// Panics if `transport.local() != node`.
-    pub fn new(
+    /// Panics if `config` asks for [`SimConfig::blocking`] or a
+    /// [`SimConfig::connection_cap`]: both need a global view of every
+    /// exchange in flight, which a distributed runtime does not have,
+    /// and ignoring them would silently run a different model.
+    pub fn new<F>(
         graph: &'g Graph,
-        node: NodeId,
-        protocol: P,
+        shard: Range<usize>,
         config: &SimConfig,
+        mode: PayloadMode,
+        factory: F,
         mut transport: T,
-    ) -> Self {
-        assert_eq!(transport.local(), node, "transport bound to the wrong node");
-        // Payload-type capabilities (CAP_STREAM for streaming payloads)
-        // ride every handshake from the start; with_payload_mode ORs in
-        // the mode bits on top.
-        transport.set_caps(P::Payload::caps());
-        let pacer = NodePacer::new(graph, node, protocol, config);
-        let degree = graph.degree(node);
-        NetRunner {
+    ) -> Self
+    where
+        F: FnMut(NodeId, usize) -> P,
+    {
+        assert!(!config.blocking, "the net runtime has no blocking model");
+        assert!(
+            config.connection_cap.is_none(),
+            "the net runtime has no connection cap"
+        );
+        let table = NodeTable::new(graph, config, shard.clone(), factory, |_| true);
+        let delta = mode == PayloadMode::Delta && P::Payload::supports_delta();
+        transport.set_caps(P::Payload::caps() | if delta { CAP_DELTA } else { 0 });
+        let mut offsets = Vec::with_capacity(shard.len() + 1);
+        offsets.push(0);
+        for i in shard.clone() {
+            offsets.push(offsets[offsets.len() - 1] + graph.degree(NodeId::new(i)));
+        }
+        let n = shard.len();
+        let words = offsets[n].div_ceil(64);
+        let l_max = graph.max_latency().map_or(0, Latency::rounds);
+        ShardRunner {
             graph,
-            universe: pacer.payload().wire_universe(),
-            pacer,
+            universe: table
+                .nodes()
+                .iter()
+                .map(|p| p.payload().wire_universe())
+                .collect(),
+            table,
             transport,
             max_rounds: config.max_rounds,
-            hold: Vec::new(),
+            mode: if delta {
+                PayloadMode::Delta
+            } else {
+                PayloadMode::Snapshot
+            },
+            shard,
+            hold: CalendarQueue::new(l_max),
+            next_due: 0,
+            due: Vec::new(),
+            early: Vec::new(),
             inbox: Vec::new(),
+            launches: Vec::new(),
             scratch: Vec::new(),
             pending: VecDeque::new(),
             pending_base: 1,
-            deferred: BTreeMap::new(),
-            mode: PayloadMode::Snapshot,
-            knowledge: Knowledge::new(),
-            accounting: WireAccounting::default(),
-            metrics: SimMetrics::default(),
-            peers_done: PositionSet::new(degree),
-            peers_gone: PositionSet::new(degree),
-            losses: Vec::new(),
-            done_round: None,
+            knowledge: Knowledge::new(if delta { offsets[n] } else { 0 }),
+            offsets,
+            done: vec![0; words],
+            gone: vec![0; words],
+            settled: vec![0; n],
+            gone_count: vec![0; n],
+            announced: vec![false; n],
+            stopped: vec![None; n],
+            metrics: vec![SimMetrics::default(); n],
+            accounting: vec![WireAccounting::default(); n],
+            losses: vec![Vec::new(); n],
         }
     }
 
-    /// This runner's node id.
-    pub fn node(&self) -> NodeId {
-        self.pacer.id()
-    }
-
-    /// The protocol state (for global stop closures).
-    pub fn protocol(&self) -> &P {
-        self.pacer.protocol()
-    }
-
-    /// The protocol's local termination flag.
-    pub fn is_done(&self) -> bool {
-        self.pacer.is_done()
-    }
-
-    /// This node's share of the cluster metrics so far.
-    pub fn metrics(&self) -> SimMetrics {
-        self.metrics
-    }
-
-    /// Payload byte accounting so far (see [`WireAccounting`]).
-    pub fn accounting(&self) -> WireAccounting {
-        self.accounting
-    }
-
-    /// Selects the payload encoding mode. Must be called before
-    /// [`start`](Self::start): delta mode advertises [`CAP_DELTA`]
-    /// through the transport's handshakes, which is the only time peers
-    /// learn of it. A payload type with no delta form
-    /// ([`WirePayload::supports_delta`] is `false`) silently stays in
-    /// snapshot mode.
-    #[must_use]
-    pub fn with_payload_mode(mut self, mode: PayloadMode) -> Self {
-        self.mode = if P::Payload::supports_delta() {
-            mode
-        } else {
-            PayloadMode::Snapshot
-        };
-        if self.mode == PayloadMode::Delta {
-            self.transport.set_caps(CAP_DELTA | P::Payload::caps());
-        }
-        self
-    }
-
-    /// Brings the transport up (blocking on its start barrier) and runs
-    /// the protocol's `on_start`.
+    /// Brings the transport up (blocking on its start barrier).
     pub fn start(&mut self) -> Result<(), NetError> {
-        self.transport.start()?;
-        self.pacer.on_start();
-        Ok(())
+        self.transport.start()
     }
 
     /// Phase 1: poll the transport (blocking until `round` begins on its
@@ -603,31 +567,66 @@ where
         Ok(())
     }
 
-    /// Phase 3 + 4: run `on_round`, then send this round's request (if
-    /// the protocol initiated one).
+    /// Phases 3 and 4: the table's `on_round` step over the live
+    /// frontier, then this round's requests.
     pub fn launch(&mut self, round: Round) -> Result<(), NetError> {
-        let Some(init) = self.pacer.on_round(round) else {
-            return Ok(());
-        };
-        self.metrics.initiated += 1;
-        if self.peers_gone.contains(init.nth) {
+        let mut launches = std::mem::take(&mut self.launches);
+        let (stopped, base) = (&self.stopped, self.shard.start);
+        self.table.step(
+            round,
+            |v| stopped[v.index() - base].is_none(),
+            &mut launches,
+        );
+        let sent = launches.iter().try_for_each(|&(slot, peer, nth, latency)| {
+            self.send_request(round, slot, peer, nth, latency)
+        });
+        launches.clear();
+        self.launches = launches;
+        self.table.end_round(round);
+        sent
+    }
+
+    /// Phase 4b: answers the round's early requests, then a second,
+    /// non-blocking poll of the same round, so requests initiated this
+    /// round are answered this round (after every node's `on_round` —
+    /// which is when the engine snapshots responders).
+    pub fn settle(&mut self, round: Round) -> Result<(), NetError> {
+        for (slot, req) in std::mem::take(&mut self.early) {
+            if self.stopped[slot].is_none() {
+                self.answer_request(round, slot, req)?;
+            }
+        }
+        self.poll_and_ingest(round)
+    }
+
+    fn send_request(
+        &mut self,
+        round: Round,
+        slot: usize,
+        peer: NodeId,
+        nth: usize,
+        latency: Latency,
+    ) -> Result<(), NetError> {
+        self.metrics[slot].initiated += 1;
+        let edge = self.offsets[slot] + nth;
+        if bit(&self.gone, edge) {
             // The engine counts initiations toward crashed peers as
             // lost; a departed or unreachable TCP peer is the same.
-            self.metrics.lost += 1;
+            self.metrics[slot].lost += 1;
             return Ok(());
         }
-        let payload = self.pacer.payload();
+        let payload = self.table.nodes()[slot].payload();
         let weight = P::payload_weight(&payload);
         let basis = self
             .knowledge
-            .get(init.nth)
+            .get(edge)
             .and_then(|k| k.confirmed.as_ref())
             .map(|&(seq, ref b)| (seq, b));
         let mut bytes = std::mem::take(&mut self.scratch);
         let delta_basis = encode_for_wire(
-            &mut self.accounting,
+            &mut self.accounting[slot],
             self.mode,
-            self.transport.peer_caps(init.peer),
+            self.transport.peer_caps(peer),
             &payload,
             basis,
             &mut bytes,
@@ -647,45 +646,28 @@ where
             },
         };
         self.pending.push_back(Some(PendingInit {
-            peer: init.peer,
-            nth: init.nth,
+            slot,
+            peer,
+            nth,
             round,
-            latency: init.latency.rounds(),
+            latency: latency.rounds(),
             weight,
             sent: (self.mode == PayloadMode::Delta).then_some(payload),
         }));
-        let sent = self.transport.send(round, init.peer, init.nth, &frame);
+        let sent = self
+            .transport
+            .send(self.table.id(slot), round, peer, nth, &frame);
         self.scratch = into_payload(frame);
         sent
-    }
-
-    /// Phase 4b: a second, non-blocking poll of the same round, so
-    /// requests initiated this round are answered this round (after
-    /// every node's `on_round` — which is when the engine snapshots
-    /// responders).
-    pub fn settle(&mut self, round: Round) -> Result<(), NetError> {
-        // Deferred requests for this round first: their initiation round
-        // has now begun locally and `on_round` has run, so the reply
-        // snapshot is taken from the correct state.
-        while let Some((&t, _)) = self.deferred.first_key_value() {
-            if t > round {
-                break;
-            }
-            let batch = self.deferred.remove(&t).expect("first key exists");
-            for req in batch {
-                self.answer_request(t, req)?;
-            }
-        }
-        self.poll_and_ingest(round)
     }
 
     /// Polls the transport into the reused inbox and ingests it.
     fn poll_and_ingest(&mut self, now: Round) -> Result<(), NetError> {
         let mut inbox = std::mem::take(&mut self.inbox);
-        let result = match self.transport.poll(now, &mut inbox) {
-            Ok(()) => self.ingest(now, &mut inbox),
-            Err(e) => Err(e),
-        };
+        let result = self
+            .transport
+            .poll(now, &mut inbox)
+            .and_then(|()| self.ingest(now, &mut inbox));
         inbox.clear();
         self.inbox = inbox;
         result
@@ -694,20 +676,21 @@ where
     fn ingest(&mut self, now: Round, events: &mut Vec<NetEvent>) -> Result<(), NetError> {
         for event in events.drain(..) {
             match event {
-                NetEvent::Frame { from, frame } => {
-                    let ingested = self.ingest_frame(now, from, &frame);
+                NetEvent::Frame { from, to, frame } => {
+                    let ingested = self
+                        .slot_of(to)
+                        .and_then(|slot| self.ingest_frame(now, slot, from, &frame));
                     // Decoded or refused, the payload bytes are spent.
                     self.transport.recycle(into_payload(frame));
                     ingested?;
                 }
-                NetEvent::PeerLost(loss) => {
+                NetEvent::PeerLost { to, loss } => {
+                    let slot = self.slot_of(to)?;
+                    let nth = self.position_of(slot, loss.peer)?;
                     // A peer that already said `Bye` departed; its
                     // sockets closing behind it are not a fault.
-                    let nth = self.position_of(loss.peer)?;
-                    let departed = self.peers_gone.contains(nth);
-                    self.mark_gone(nth, loss.peer);
-                    if !departed {
-                        self.losses.push(loss);
+                    if self.stopped[slot].is_none() && self.mark_gone(slot, nth, loss.peer) {
+                        self.losses[slot].push(loss);
                     }
                 }
             }
@@ -715,116 +698,126 @@ where
         Ok(())
     }
 
-    /// `from`'s position in our adjacency row: the one search an
-    /// answered exchange does (see [`Inbound`]).
-    fn position_of(&self, from: NodeId) -> Result<usize, NetError> {
+    /// Hosted node `v`'s slot.
+    fn slot_of(&self, v: NodeId) -> Result<usize, NetError> {
+        v.index()
+            .checked_sub(self.shard.start)
+            .filter(|&slot| slot < self.shard.len())
+            .ok_or_else(|| {
+                NetError::ProtocolViolation(format!(
+                    "frame for node {}, which this shard does not host",
+                    v.index()
+                ))
+            })
+    }
+
+    /// `from`'s position in slot `slot`'s adjacency row: the one search
+    /// an answered exchange does (see [`Inbound`]).
+    fn position_of(&self, slot: usize, from: NodeId) -> Result<usize, NetError> {
         self.graph
-            .neighbor_index(self.node(), from)
+            .neighbor_index(self.table.id(slot), from)
             .ok_or(NetError::UnknownPeer(from))
     }
 
-    /// Requests are answered as they come: the transport delivers each
-    /// at most once (see [`Transport`]), so no seq is checked here.
-    fn ingest_frame(&mut self, now: Round, from: NodeId, frame: &Frame) -> Result<(), NetError> {
+    /// Requests are answered as they come — or filed until our clock
+    /// reaches their initiation round: the transport delivers each at
+    /// most once (see [`Transport`]), so no seq is checked here. A
+    /// stopped node's frames are dropped.
+    fn ingest_frame(
+        &mut self,
+        now: Round,
+        slot: usize,
+        from: NodeId,
+        frame: &Frame,
+    ) -> Result<(), NetError> {
+        let delta = matches!(frame, Frame::RequestDelta { .. } | Frame::ReplyDelta { .. });
+        if delta && self.mode != PayloadMode::Delta {
+            return Err(NetError::ProtocolViolation(format!(
+                "delta frame from node {}, but this node never advertised CAP_DELTA",
+                from.index()
+            )));
+        }
+        if self.stopped[slot].is_some() {
+            return Ok(());
+        }
         match *frame {
             Frame::Request {
                 seq,
                 round,
                 ref payload,
-            } => {
-                let nth = self.position_of(from)?;
-                let theirs = P::Payload::decode_payload(payload)?;
-                self.check_universe(from, &theirs)?;
-                self.stage_request(
-                    now,
-                    round,
-                    Inbound {
-                        from,
-                        nth,
-                        seq,
-                        theirs,
-                    },
-                )
             }
-            Frame::RequestDelta {
+            | Frame::RequestDelta {
                 seq,
                 round,
-                basis_seq,
                 ref payload,
+                ..
             } => {
-                if self.mode != PayloadMode::Delta {
-                    return Err(NetError::ProtocolViolation(format!(
-                        "delta request from node {}, but this node never advertised CAP_DELTA",
-                        from.index()
-                    )));
-                }
-                let nth = self.position_of(from)?;
-                let basis = if basis_seq == 0 {
-                    None
-                } else {
-                    let found = self
-                        .knowledge
-                        .get(nth)
-                        .and_then(|k| k.bases.find(basis_seq));
-                    if found.is_none() {
-                        return Err(NetError::ProtocolViolation(format!(
-                            "request {seq} from node {} references unknown basis {basis_seq}",
-                            from.index()
-                        )));
-                    }
-                    found
-                };
-                let theirs = P::Payload::decode_delta(payload, basis)?;
-                self.check_universe(from, &theirs)?;
-                if basis_seq != 0 {
-                    if let Some(cache) = self.knowledge.get_mut(nth) {
+                let nth = self.position_of(slot, from)?;
+                // The or-pattern leaves `Request` for the `else`.
+                let theirs = if let Frame::RequestDelta { basis_seq, .. } = *frame {
+                    let edge = self.offsets[slot] + nth;
+                    let basis = match basis_seq {
+                        0 => None,
+                        b => Some(
+                            self.knowledge
+                                .get(edge)
+                                .and_then(|k| k.bases.find(b))
+                                .ok_or_else(|| {
+                                    NetError::ProtocolViolation(format!(
+                                        "request {seq} from node {} references unknown basis {b}",
+                                        from.index()
+                                    ))
+                                })?,
+                        ),
+                    };
+                    let theirs = P::Payload::decode_delta(payload, basis)?;
+                    if let Some(cache) = self.knowledge.get_mut(edge).filter(|_| basis_seq != 0) {
                         // References are monotone (see `EdgeCache`), so
                         // older bases are dead weight.
                         cache.bases.retain_from(basis_seq);
                     }
+                    theirs
+                } else {
+                    P::Payload::decode_payload(payload)?
+                };
+                self.check_universe(slot, from, &theirs)?;
+                let req = Inbound {
+                    from,
+                    nth,
+                    seq,
+                    theirs,
+                };
+                if round > now {
+                    self.file(round, Held::Early { slot, req });
+                    return Ok(());
                 }
-                self.stage_request(
-                    now,
-                    round,
-                    Inbound {
-                        from,
-                        nth,
-                        seq,
-                        theirs,
-                    },
-                )
+                self.answer_request(round, slot, req)
             }
             Frame::Reply {
                 seq,
                 round,
                 ref payload,
-            } => self.accept_reply(from, seq, round, payload, None),
+            } => self.accept_reply(slot, from, seq, round, payload, None),
             Frame::ReplyDelta {
                 seq,
                 round,
                 basis_seq,
                 ref payload,
-            } => {
-                if self.mode != PayloadMode::Delta {
-                    return Err(NetError::ProtocolViolation(format!(
-                        "delta reply from node {}, but this node never advertised CAP_DELTA",
-                        from.index()
-                    )));
-                }
-                self.accept_reply(from, seq, round, payload, Some(basis_seq))
-            }
+            } => self.accept_reply(slot, from, seq, round, payload, Some(basis_seq)),
             Frame::Done { .. } => {
-                let nth = self.position_of(from)?;
-                self.peers_done.insert(nth);
+                let edge = self.offsets[slot] + self.position_of(slot, from)?;
+                if set_bit(&mut self.done, edge) {
+                    self.settled[slot] += usize::from(!bit(&self.gone, edge));
+                }
                 Ok(())
             }
             Frame::Bye => {
-                // A graceful departure: the peer's replies were queued
-                // FIFO ahead of this Bye on the same edge or trunk, so
-                // exchanges already initiated toward it stay pending and
-                // their replies are still honored.
-                let nth = self.position_of(from)?;
-                self.peers_gone.insert(nth);
+                // A graceful departure: its replies came FIFO ahead of
+                // this Bye, and it answers nothing more, so what is
+                // still pending toward it is dropped, not lost.
+                let nth = self.position_of(slot, from)?;
+                self.set_gone(slot, nth);
+                self.drop_pending(slot, Some(from));
                 Ok(())
             }
             Frame::Hello { .. } => Err(NetError::ProtocolViolation(format!(
@@ -838,16 +831,21 @@ where
         }
     }
 
-    /// Refuses a decoded payload over a different id universe than this
-    /// node's own. A codec can only validate a body against the universe
-    /// the body declares; protocols merge payloads into their state, and
-    /// merging across universes is a panic, not an error — so the frame
-    /// stops here, as the peer's violation.
-    fn check_universe(&self, from: NodeId, theirs: &P::Payload) -> Result<(), NetError> {
+    /// Refuses a decoded payload over a different id universe than the
+    /// receiving node's own. A codec can only validate a body against
+    /// the universe the body declares; protocols merge payloads into
+    /// their state, and merging across universes is a panic, not an
+    /// error — so the frame stops here, as the peer's violation.
+    fn check_universe(
+        &self,
+        slot: usize,
+        from: NodeId,
+        theirs: &P::Payload,
+    ) -> Result<(), NetError> {
         let Some(got) = theirs.wire_universe() else {
             return Ok(());
         };
-        match self.universe {
+        match self.universe[slot] {
             Some(want) if want != got => Err(NetError::ProtocolViolation(format!(
                 "payload from node {} ranges over universe {got}, this node's over {want}",
                 from.index()
@@ -856,40 +854,37 @@ where
         }
     }
 
-    /// Routes a decoded request initiated at `round` to its reply point:
-    /// answered now, or deferred until our clock reaches that round.
-    fn stage_request(
-        &mut self,
-        now: Round,
-        round: Round,
-        req: Inbound<P::Payload>,
-    ) -> Result<(), NetError> {
-        if round > now {
-            self.deferred.entry(round).or_default().push(req);
-            Ok(())
-        } else {
-            self.answer_request(round, req)
-        }
+    /// Files `entry` on the hold under round `at`, or under the next
+    /// round to be collected if `at` has passed (a late wall-paced
+    /// arrival).
+    fn file(&mut self, at: Round, entry: Held<P::Payload>) {
+        let at = at.max(self.next_due);
+        self.hold.schedule(self.next_due, at - self.next_due, entry);
     }
 
-    /// A peer initiated toward us at round `t`: snapshot our payload
-    /// *now* (our state equals what it was after `t`'s `on_round`, which
+    /// A peer initiated toward `slot` at round `t`: snapshot its payload
+    /// *now* (its state equals what it was after `t`'s `on_round`, which
     /// is when the engine snapshots responders), reply, and hold the
     /// peer's payload until the exchange's due round.
-    fn answer_request(&mut self, t: Round, req: Inbound<P::Payload>) -> Result<(), NetError> {
+    fn answer_request(
+        &mut self,
+        t: Round,
+        slot: usize,
+        req: Inbound<P::Payload>,
+    ) -> Result<(), NetError> {
         let Inbound {
             from,
             nth,
             seq,
             theirs,
         } = req;
-        let me = self.node();
+        let me = self.table.id(slot);
         let due = t + self.graph.neighbor_latencies(me)[nth].rounds();
         let caps = self.transport.peer_caps(from);
-        let mine = self.pacer.payload();
+        let mine = self.table.nodes()[slot].payload();
         let mut bytes = std::mem::take(&mut self.scratch);
         let delta_basis = encode_for_wire(
-            &mut self.accounting,
+            &mut self.accounting[slot],
             self.mode,
             caps,
             &mine,
@@ -909,26 +904,30 @@ where
                 payload: bytes,
             },
         };
-        let sent = self.transport.send(due, from, nth, &frame);
+        let sent = self.transport.send(me, due, from, nth, &frame);
         self.scratch = into_payload(frame);
         sent?;
         if self.mode == PayloadMode::Delta && caps & CAP_DELTA != 0 {
             if let Some(merged) = mine.merge_basis(&theirs) {
-                let degree = self.graph.neighbor_ids(me).len();
-                self.knowledge.entry(nth, degree).bases.push(seq, merged);
+                let edge = self.offsets[slot] + nth;
+                self.knowledge.entry(edge).bases.push(seq, merged);
             }
         }
-        self.hold.push(Held {
-            exchange: Exchange {
-                peer: from,
-                payload: theirs,
-                initiated_at: t,
-                completed_at: due,
-                initiated_by_me: false,
+        self.file(
+            due,
+            Held::Exchange {
+                slot,
+                exchange: Exchange {
+                    peer: from,
+                    payload: theirs,
+                    initiated_at: t,
+                    completed_at: due,
+                    initiated_by_me: false,
+                },
+                weight: 0,
+                confirm: None,
             },
-            weight: 0,
-            confirm: None,
-        });
+        );
         Ok(())
     }
 
@@ -937,6 +936,7 @@ where
     /// then.
     fn accept_reply(
         &mut self,
+        slot: usize,
         from: NodeId,
         seq: u64,
         t: Round,
@@ -950,32 +950,26 @@ where
             // outcome equality against the engine.
             return Ok(());
         };
-        if pend.peer != from || pend.round != t {
+        if pend.slot != slot || pend.peer != from || pend.round != t {
             return Err(NetError::ProtocolViolation(format!(
                 "reply {seq} does not match its request (peer {}, round {t})",
                 from.index()
             )));
         }
         let due = t + pend.latency;
+        // A delta reply's basis is the empty one or our request's own
+        // payload, which delta mode retains.
         let theirs = match basis_seq {
             None => P::Payload::decode_payload(payload)?,
             Some(0) => P::Payload::decode_delta(payload, None)?,
-            Some(b) if b == seq => {
-                let Some(sent) = pend.sent.as_ref() else {
-                    return Err(NetError::ProtocolViolation(format!(
-                        "delta reply {seq} from node {}, but the request payload was not retained",
-                        from.index()
-                    )));
-                };
-                P::Payload::decode_delta(payload, Some(sent))?
-            }
+            Some(b) if b == seq => P::Payload::decode_delta(payload, pend.sent.as_ref())?,
             Some(b) => {
                 return Err(NetError::ProtocolViolation(format!(
                     "reply {seq} references unknown basis {b}"
                 )));
             }
         };
-        self.check_universe(from, &theirs)?;
+        self.check_universe(slot, from, &theirs)?;
         let confirm = match pend.sent {
             Some(sent)
                 if self.mode == PayloadMode::Delta
@@ -986,51 +980,72 @@ where
             }
             _ => None,
         };
-        self.hold.push(Held {
-            exchange: Exchange {
-                peer: from,
-                payload: theirs,
-                initiated_at: t,
-                completed_at: due,
-                initiated_by_me: true,
+        self.file(
+            due,
+            Held::Exchange {
+                slot,
+                exchange: Exchange {
+                    peer: from,
+                    payload: theirs,
+                    initiated_at: t,
+                    completed_at: due,
+                    initiated_by_me: true,
+                },
+                weight: pend.weight,
+                confirm,
             },
-            weight: pend.weight,
-            confirm,
-        });
+        );
         Ok(())
     }
 
-    /// Applies every held exchange due at or before `round`, in the
-    /// engine's per-node delivery order: ascending `initiated_at`, ties
-    /// by initiator id (the engine admits same-round initiations in node
-    /// order). Our own initiations count their delivery (both payload
-    /// directions, initiator-side) and confirm their basis here.
+    /// Applies the round's due batch — every hold entry filed under a
+    /// round up to `round` — in the engine's per-node delivery order.
+    /// Our own initiations count their delivery (both payload
+    /// directions, initiator-side) and confirm their basis here; early
+    /// requests wait for this round's settle.
     fn deliver_due(&mut self, round: Round) {
-        let me = self.node();
-        let degree = self.graph.neighbor_ids(me).len();
-        // A late arrival (wall pacing) sorts with the exchanges due now.
-        self.hold.sort_unstable_by_key(|h| {
-            let x = &h.exchange;
-            let initiator = if x.initiated_by_me { me } else { x.peer };
-            (x.completed_at.max(round), x.initiated_at, initiator)
-        });
-        let due = self
-            .hold
-            .partition_point(|h| h.exchange.completed_at <= round);
-        for held in self.hold.drain(..due) {
-            let x = &held.exchange;
-            if x.initiated_by_me {
-                self.metrics.delivered += 1;
-                self.metrics.payload_units += held.weight + P::payload_weight(&x.payload);
-            }
-            if let Some((nth, seq, basis)) = held.confirm {
-                let cache = self.knowledge.entry(nth, degree);
-                if cache.confirmed.as_ref().is_none_or(|&(s, _)| s < seq) {
-                    cache.confirmed = Some((seq, basis));
+        let mut due = std::mem::take(&mut self.due);
+        while self.next_due <= round {
+            self.hold.collect_due(self.next_due, &mut due);
+            self.next_due += 1;
+        }
+        // Filed in send order, the batch is a few runs already sorted by
+        // initiator, which a stable sort merges in linear time.
+        let base = self.shard.start;
+        due.sort_by_key(|h| h.key(base));
+        let mut had_due = false;
+        for held in due.drain(..) {
+            match held {
+                Held::Early { slot, req } => self.early.push((slot, req)),
+                Held::Exchange { slot, .. } if self.stopped[slot].is_some() => {}
+                Held::Exchange {
+                    slot,
+                    exchange,
+                    weight,
+                    confirm,
+                } => {
+                    had_due = true;
+                    if exchange.initiated_by_me {
+                        let m = &mut self.metrics[slot];
+                        m.delivered += 1;
+                        m.payload_units += weight + P::payload_weight(&exchange.payload);
+                    }
+                    if let Some((nth, seq, basis)) = confirm {
+                        // A lost peer's bases died with the connection.
+                        let edge = self.offsets[slot] + nth;
+                        if !bit(&self.gone, edge) {
+                            let cache = self.knowledge.entry(edge);
+                            if cache.confirmed.as_ref().is_none_or(|&(s, _)| s < seq) {
+                                cache.confirmed = Some((seq, basis));
+                            }
+                        }
+                    }
+                    self.table.deliver(slot, round, &exchange);
                 }
             }
-            self.pacer.deliver(round, x);
         }
+        self.due = due;
+        self.table.settle_frontier(round, had_due);
     }
 
     /// Takes `seq`'s request out of `pending` if it is still in flight,
@@ -1049,174 +1064,237 @@ where
         }
     }
 
-    /// The neighbor at `nth` of our row, `peer`, was lost.
-    fn mark_gone(&mut self, nth: usize, peer: NodeId) {
-        self.peers_gone.insert(nth);
+    /// Marks the neighbor at `nth` of `slot`'s row departed or lost;
+    /// returns whether it was still live.
+    fn set_gone(&mut self, slot: usize, nth: usize) -> bool {
+        let edge = self.offsets[slot] + nth;
+        let fresh = set_bit(&mut self.gone, edge);
+        if fresh {
+            self.gone_count[slot] += 1;
+            self.settled[slot] += usize::from(!bit(&self.done, edge));
+        }
+        fresh
+    }
+
+    /// The neighbor at `nth` of `slot`'s row, `peer`, was lost; returns
+    /// whether it was still live (had not departed).
+    fn mark_gone(&mut self, slot: usize, nth: usize, peer: NodeId) -> bool {
+        let fresh = self.set_gone(slot, nth);
         // Any shared bases died with the connection: a peer that comes
         // back (or a late frame) must renegotiate from full snapshots.
-        if let Some(cache) = self.knowledge.get_mut(nth) {
+        if let Some(cache) = self.knowledge.get_mut(self.offsets[slot] + nth) {
             *cache = EdgeCache::default();
-        }
-        for held in &mut self.hold {
-            if held.exchange.peer == peer {
-                held.confirm = None;
-            }
         }
         // Initiations in flight toward the departed peer will never be
         // answered: count them lost, as the engine does for crashes.
+        self.metrics[slot].lost += self.drop_pending(slot, Some(peer));
+        fresh
+    }
+
+    /// Clears `slot`'s requests in flight (toward `peer` only, if
+    /// given) and returns how many: in the shard-wide ring, one no reply
+    /// settles would hold every later request until the run ends.
+    fn drop_pending(&mut self, slot: usize, peer: Option<NodeId>) -> u64 {
+        let mut dropped = 0;
         for entry in &mut self.pending {
-            if entry.as_ref().is_some_and(|p| p.peer == peer) {
+            if entry
+                .as_ref()
+                .is_some_and(|p| p.slot == slot && peer.is_none_or(|q| p.peer == q))
+            {
                 *entry = None;
-                self.metrics.lost += 1;
+                dropped += 1;
             }
         }
         self.trim_pending();
+        dropped
     }
 
-    /// Neighbors not departed or lost, with their adjacency positions.
-    fn live_neighbors(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
-        self.graph
-            .neighbor_ids(self.node())
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(nth, _)| !self.peers_gone.contains(nth))
+    /// Stops `slot`: a best-effort [`Frame::Bye`] (a peer that cannot be
+    /// reached is already accounted for), and no more requests in flight.
+    fn stop(&mut self, slot: usize, reason: NodeStopReason, round: Round) {
+        let _ = self.send_to_live(slot, round, &Frame::Bye);
+        let stats = self.transport.stats(self.table.id(slot));
+        self.stopped[slot] = Some((reason, round, stats));
+        self.drop_pending(slot, None);
     }
 
-    /// Self-driving loop for distributed transports (TCP): runs rounds
-    /// until the distributed stop barrier holds, the round cap is hit,
-    /// or every neighbor is gone.
+    /// Sends `frame` from `slot` to every neighbor not departed or lost,
+    /// stopping at the first error.
+    fn send_to_live(&mut self, slot: usize, round: Round, frame: &Frame) -> Result<(), NetError> {
+        let me = self.table.id(slot);
+        let offset = self.offsets[slot];
+        for (nth, &peer) in self.graph.neighbor_ids(me).iter().enumerate() {
+            if !bit(&self.gone, offset + nth) {
+                self.transport.send(me, round, peer, nth, frame)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs the lockstep loop, `Simulator::run`'s shape — stop closure
+    /// and all-done check on event rounds, the round cap every round —
+    /// and returns the simulator-shaped [`Outcome`] with the shard-wide
+    /// transport and payload totals.
     ///
-    /// `done` is this node's *local* done predicate (typically
-    /// [`gossip_core::Goal::locally_met`] over the protocol's rumor set,
-    /// restricted to the surviving component via the [`RunView`]). When
-    /// it first turns true the node announces [`Frame::Done`] to its
-    /// neighbors and keeps participating — its neighbors may still need
-    /// it — until every neighbor has announced done too (or departed).
-    /// That barrier is sound for monotone, neighbor-mediated goals:
-    /// each node's remaining need is served by its own neighbors, who
-    /// only exit once that need is met.
+    /// # Panics
     ///
-    /// The run is bounded: the transport's start barrier is bounded by
-    /// its timeout, every poll is bounded by the round pace, and the
-    /// loop is bounded by `max_rounds`.
-    pub fn run<D>(mut self, done: D) -> Result<NodeOutcome<P>, NetError>
+    /// Panics on any transport error: every node lives in this process,
+    /// so a failure is a bug or an environment limit (socket
+    /// exhaustion), not a recoverable protocol condition.
+    pub fn run_until<S>(mut self, mut stop: S) -> (Outcome<P>, TransportStats, WireAccounting)
+    where
+        S: FnMut(&[&P], Round) -> bool,
+    {
+        fn ok(step: Result<(), NetError>) {
+            step.unwrap_or_else(|e| panic!("lockstep cluster transport failed: {e}"));
+        }
+        ok(self.start());
+        let mut round: Round = 0;
+        let reason = loop {
+            ok(self.begin_round(round));
+            if self.table.is_event_round() {
+                let protocols: Vec<&P> = self.table.nodes().iter().collect();
+                if stop(&protocols, round) {
+                    break StopReason::Condition;
+                }
+                if self.table.all_done() {
+                    break StopReason::AllDone;
+                }
+            }
+            if round >= self.max_rounds {
+                break StopReason::MaxRounds;
+            }
+            ok(self.launch(round));
+            ok(self.settle(round));
+            round += 1;
+        };
+        self.transport.shutdown();
+        let mut metrics = SimMetrics::default();
+        let mut totals = TransportStats::default();
+        let mut wire = WireAccounting::default();
+        for slot in 0..self.shard.len() {
+            metrics.absorb(&self.metrics[slot]);
+            totals.absorb(&self.transport.stats(self.table.id(slot)));
+            wire.absorb(&self.accounting[slot]);
+        }
+        let stats = self.table.stats();
+        let outcome = Outcome {
+            reason,
+            rounds: round,
+            metrics,
+            stats,
+            nodes: self.table.into_nodes(),
+        };
+        (outcome, totals, wire)
+    }
+
+    /// Runs the barrier loop for distributed transports (TCP) until
+    /// every hosted node has stopped — at the done barrier, the round
+    /// cap, or isolation — and returns their outcomes in slot order.
+    ///
+    /// `done` is a node's *local* done predicate (typically the goal
+    /// over its rumor set, restricted to the surviving component via
+    /// the [`RunView`]). Once it holds, the node announces
+    /// [`Frame::Done`] and keeps serving its neighbors until each has
+    /// announced done too or departed; then it says [`Frame::Bye`] and
+    /// stops. That is sound for monotone, neighbor-mediated goals.
+    /// The start barrier, every poll and the round count are bounded.
+    ///
+    /// # Errors
+    ///
+    /// Any error (start timeout, protocol violation, transport I/O
+    /// failure) aborts the whole shard.
+    pub fn run_barrier<D>(mut self, done: D) -> Result<Vec<NodeOutcome<P>>, NetError>
     where
         D: Fn(&P, &RunView<'_>) -> bool,
     {
         self.start()?;
+        let mut live = self.shard.len();
         let mut round: Round = 0;
-        loop {
-            if let Some(reason) = self.step_round(round, &done)? {
-                return Ok(self.into_outcome(round, reason));
+        while live > 0 {
+            self.begin_round(round)?;
+            for slot in 0..self.shard.len() {
+                if self.stopped[slot].is_some() {
+                    continue;
+                }
+                if let Some(reason) = self.barrier_check(slot, round, &done)? {
+                    self.stop(slot, reason, round);
+                    live -= 1;
+                }
             }
-            round += 1;
+            if live > 0 {
+                self.launch(round)?;
+                self.settle(round)?;
+                round += 1;
+            }
         }
+        self.transport.shutdown();
+        let stopped = std::mem::take(&mut self.stopped);
+        let outcomes = stopped
+            .into_iter()
+            .zip(self.table.into_nodes())
+            .enumerate()
+            .map(|(slot, (stop, protocol))| {
+                let (reason, rounds, stats) = stop.expect("every node stopped");
+                NodeOutcome {
+                    reason,
+                    rounds,
+                    metrics: self.metrics[slot],
+                    losses: std::mem::take(&mut self.losses[slot]),
+                    stats,
+                    accounting: self.accounting[slot],
+                    protocol,
+                }
+            })
+            .collect();
+        Ok(outcomes)
     }
 
-    /// One self-driven round: phase 1, the done announcement, the
-    /// barrier / isolation / round-cap checks, then (when the node is
-    /// not stopping) launch + settle. Returns the stop reason once the
-    /// node is finished — exactly the loop body of [`run`](Self::run),
-    /// exposed so a cooperative cluster driver (the reactor hosts many
-    /// runners on one thread) can interleave rounds across nodes.
-    pub fn step_round<D>(
+    /// One node's barrier step: the done announcement, then the
+    /// barrier / isolation / round-cap checks.
+    fn barrier_check<D>(
         &mut self,
+        slot: usize,
         round: Round,
         done: &D,
     ) -> Result<Option<NodeStopReason>, NetError>
     where
         D: Fn(&P, &RunView<'_>) -> bool,
     {
-        self.begin_round(round)?;
-        if self.done_round.is_none() {
+        let degree = self.offsets[slot + 1] - self.offsets[slot];
+        if !self.announced[slot] {
             let view = RunView {
                 graph: self.graph,
-                node: self.node(),
-                gone: &self.peers_gone,
+                node: self.table.id(slot),
+                gone: &self.gone,
+                offset: self.offsets[slot],
+                any: self.gone_count[slot] > 0,
             };
-            if self.pacer.is_done() || done(self.pacer.protocol(), &view) {
-                self.done_round = Some(round);
-                let live: Vec<(usize, NodeId)> = self.live_neighbors().collect();
-                for (nth, peer) in live {
-                    self.transport
-                        .send(round, peer, nth, &Frame::Done { round })?;
-                }
+            let p = &self.table.nodes()[slot];
+            if p.is_done() || done(p, &view) {
+                self.announced[slot] = true;
+                self.send_to_live(slot, round, &Frame::Done { round })?;
             }
         }
-        if self.done_round.is_some()
-            && self.peers_done.union_len(&self.peers_gone) == self.graph.degree(self.node())
-        {
-            return Ok(Some(NodeStopReason::Barrier));
-        }
-        if self.done_round.is_none() && self.live_neighbors().next().is_none() {
-            return Ok(Some(NodeStopReason::Isolated));
-        }
-        if round >= self.max_rounds {
-            return Ok(Some(NodeStopReason::MaxRounds));
-        }
-        self.launch(round)?;
-        self.settle(round)?;
-        Ok(None)
-    }
-
-    /// Finishes the node: best-effort [`Frame::Bye`] to live neighbors,
-    /// transport teardown, and the final [`NodeOutcome`].
-    pub fn into_outcome(mut self, rounds: Round, reason: NodeStopReason) -> NodeOutcome<P> {
-        let live: Vec<(usize, NodeId)> = self.live_neighbors().collect();
-        for (nth, peer) in live {
-            // Best-effort goodbye; a peer that cannot be reached is
-            // already accounted for.
-            let _ = self.transport.send(rounds, peer, nth, &Frame::Bye);
-        }
-        self.transport.shutdown();
-        let stats = self.transport.stats();
-        NodeOutcome {
-            reason,
-            rounds,
-            metrics: self.metrics,
-            losses: self.losses,
-            stats,
-            accounting: self.accounting,
-            protocol: self.pacer.into_protocol(),
-        }
-    }
-
-    /// Tears the runner down abruptly — no goodbye frames, no barrier —
-    /// returning `(metrics, transport stats, wire accounting, protocol)`.
-    /// The loopback cluster driver uses this once the global stop
-    /// condition holds; the socket fault tests use it to simulate a crash
-    /// (peers observe a dead socket, not a [`Frame::Bye`]).
-    pub fn abort(mut self) -> (SimMetrics, TransportStats, WireAccounting, P) {
-        self.transport.shutdown();
-        let stats = self.transport.stats();
-        (
-            self.metrics,
-            stats,
-            self.accounting,
-            self.pacer.into_protocol(),
-        )
+        Ok(if self.announced[slot] && self.settled[slot] == degree {
+            Some(NodeStopReason::Barrier)
+        } else if !self.announced[slot] && self.gone_count[slot] == degree {
+            Some(NodeStopReason::Isolated)
+        } else if round >= self.max_rounds {
+            Some(NodeStopReason::MaxRounds)
+        } else {
+            None
+        })
     }
 }
 
 /// Runs a whole cluster over the deterministic loopback transport and
-/// returns the simulator-shaped [`Outcome`].
-///
-/// The lockstep cluster loop interleaves the runners exactly as the engine
-/// interleaves its per-node phases, so for any
-/// deterministic-given-the-seed protocol the outcome — stop reason,
-/// round count, metrics, final states — equals
-/// `Simulator::new(graph, config).run(factory, stop)` with the same
-/// arguments. The equivalence argument is spelled out in DESIGN.md §11
-/// and checked case-by-case in `tests/loopback_equivalence.rs`.
-///
-/// The `stop` closure receives references (the protocols live inside
-/// their runners) but is otherwise the engine's stop closure.
+/// returns the simulator-shaped [`Outcome`]: [`run_loopback_mode_with_stats`]
+/// in snapshot mode.
 ///
 /// # Panics
 ///
-/// Panics only if the loopback transport misbehaves, which would be a
-/// bug in this crate, not in the caller.
+/// See [`run_loopback_mode_with_stats`].
 pub fn run_loopback<P, F, S>(graph: &Graph, config: &SimConfig, factory: F, stop: S) -> Outcome<P>
 where
     P: Protocol,
@@ -1227,16 +1305,22 @@ where
     run_loopback_mode_with_stats(graph, config, PayloadMode::Snapshot, factory, stop).0
 }
 
-/// Like [`run_loopback`], with an explicit [`PayloadMode`] and the
-/// cluster-wide transport totals and payload [`WireAccounting`]
-/// alongside. Delta mode reproduces snapshot mode's outcome exactly —
-/// same stop reason, round count, metrics, and final states — only the
-/// wire bytes (and hence the accounting and transport stats) differ; the
-/// equivalence suites assert this case by case.
+/// Runs a whole cluster over one [`LoopbackHub`] in payload mode `mode`
+/// and returns the simulator-shaped [`Outcome`] with the cluster-wide
+/// transport totals and payload [`WireAccounting`].
+///
+/// One [`ShardRunner`] runs the engine's phase order on the engine's
+/// node state, so for a deterministic-given-the-seed protocol the
+/// outcome — stop reason, rounds, metrics, engine stats, final states
+/// — equals `Simulator::new(graph, config).run(factory, stop)`'s in
+/// either mode (DESIGN.md §11; `tests/loopback_equivalence.rs`).
+/// `stop` receives references but is otherwise the engine's.
 ///
 /// # Panics
 ///
-/// See [`run_loopback`].
+/// Panics if `config` asks for the blocking or capped model (see
+/// [`ShardRunner::new`]), or if the loopback transport misbehaves,
+/// which would be a bug in this crate, not in the caller.
 pub fn run_loopback_mode_with_stats<P, F, S>(
     graph: &Graph,
     config: &SimConfig,
@@ -1250,109 +1334,13 @@ where
     F: FnMut(NodeId, usize) -> P,
     S: FnMut(&[&P], Round) -> bool,
 {
-    let hub = LoopbackHub::new(graph.node_count());
-    run_lockstep(graph, config, mode, factory, stop, |node| {
-        hub.endpoint(node)
-    })
-}
-
-/// The lockstep cluster loop behind [`run_loopback`] and
-/// [`run_reactor`](crate::run_reactor): one runner per node of `graph`
-/// over the transport `endpoint` hands out, stepped phase by phase as
-/// the engine steps its nodes — every `begin_round` (deliveries), the
-/// stop checks in Condition → AllDone → MaxRounds order, every `launch`
-/// (`on_round` and the request, in node order), then every `settle`
-/// (responder snapshots after all launches). Returns the
-/// simulator-shaped [`Outcome`] with the cluster-wide transport and
-/// payload totals.
-///
-/// # Panics
-///
-/// Panics on any transport error: every node lives in this process, so
-/// a failure is a bug or an environment limit (socket exhaustion), not
-/// a recoverable protocol condition.
-pub(crate) fn run_lockstep<P, T, F, S, E>(
-    graph: &Graph,
-    config: &SimConfig,
-    mode: PayloadMode,
-    mut factory: F,
-    mut stop: S,
-    mut endpoint: E,
-) -> (Outcome<P>, TransportStats, WireAccounting)
-where
-    P: Protocol,
-    P::Payload: WirePayload,
-    T: Transport,
-    F: FnMut(NodeId, usize) -> P,
-    S: FnMut(&[&P], Round) -> bool,
-    E: FnMut(NodeId) -> T,
-{
-    fn ok(step: Result<(), NetError>) {
-        step.unwrap_or_else(|e| panic!("lockstep cluster transport failed: {e}"));
-    }
     let n = graph.node_count();
-    // Every runner is constructed (advertising its capabilities) before
-    // any starts, so no handshake can race a capability store.
-    let mut runners: Vec<NetRunner<'_, P, T>> = (0..n)
-        .map(|i| {
-            let node = NodeId::new(i);
-            NetRunner::new(graph, node, factory(node, n), config, endpoint(node))
-                .with_payload_mode(mode)
-        })
-        .collect();
-    for r in &mut runners {
-        ok(r.start());
-    }
-    let mut round: Round = 0;
-    let reason = loop {
-        for r in &mut runners {
-            ok(r.begin_round(round));
-        }
-        let protocols: Vec<&P> = runners.iter().map(NetRunner::protocol).collect();
-        if stop(&protocols, round) {
-            break StopReason::Condition;
-        }
-        if runners.iter().all(NetRunner::is_done) {
-            break StopReason::AllDone;
-        }
-        if round >= config.max_rounds {
-            break StopReason::MaxRounds;
-        }
-        for r in &mut runners {
-            ok(r.launch(round));
-        }
-        for r in &mut runners {
-            ok(r.settle(round));
-        }
-        round += 1;
-    };
-    let mut metrics = SimMetrics::default();
-    let mut totals = TransportStats::default();
-    let mut wire = WireAccounting::default();
-    let mut nodes = Vec::with_capacity(n);
-    for r in runners {
-        let (m, stats, acct, p) = r.abort();
-        metrics.absorb(&m);
-        totals.absorb(&stats);
-        wire.absorb(&acct);
-        nodes.push(p);
-    }
-    (
-        Outcome {
-            reason,
-            rounds: round,
-            metrics,
-            stats: EngineStats::default(),
-            nodes,
-        },
-        totals,
-        wire,
-    )
+    ShardRunner::new(graph, 0..n, config, mode, factory, LoopbackHub::new(n)).run_until(stop)
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
 
     use gossip_sim::RumorSet;
     use latency_graph::generators;
@@ -1363,41 +1351,43 @@ mod tests {
     /// A transport the test scripts directly: `poll` drains a hand-fed
     /// inbox, `send` records frames, and peer capabilities are whatever
     /// the test says they are.
+    #[derive(Default)]
     struct Scripted {
-        node: NodeId,
         caps: BTreeMap<NodeId, u32>,
         inbox: VecDeque<NetEvent>,
-        sent: std::rc::Rc<std::cell::RefCell<Vec<(Round, NodeId, Frame)>>>,
+        /// `(release, to, frame)` per send.
+        sent: Vec<(Round, NodeId, Frame)>,
+    }
+
+    impl Scripted {
+        fn last(&self) -> (Round, NodeId, Frame) {
+            self.sent.last().expect("a frame was sent").clone()
+        }
     }
 
     impl Transport for Scripted {
-        fn local(&self) -> NodeId {
-            self.node
-        }
-        fn start(&mut self) -> Result<(), NetError> {
-            Ok(())
-        }
+        fn set_caps(&mut self, _caps: u32) {}
         fn peer_caps(&self, peer: NodeId) -> u32 {
             self.caps.get(&peer).copied().unwrap_or(0)
         }
         fn send(
             &mut self,
+            _from: NodeId,
             release: Round,
             to: NodeId,
             _nth: usize,
             frame: &Frame,
         ) -> Result<(), NetError> {
-            self.sent.borrow_mut().push((release, to, frame.clone()));
+            self.sent.push((release, to, frame.clone()));
             Ok(())
         }
         fn poll(&mut self, _round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError> {
             out.extend(self.inbox.drain(..));
             Ok(())
         }
-        fn stats(&self) -> TransportStats {
+        fn stats(&self, _node: NodeId) -> TransportStats {
             TransportStats::default()
         }
-        fn shutdown(&mut self) {}
     }
 
     /// Initiates toward neighbor 0 every round; payload is its rumor set.
@@ -1423,30 +1413,52 @@ mod tests {
         }
     }
 
-    type SentLog = std::rc::Rc<std::cell::RefCell<Vec<(Round, NodeId, Frame)>>>;
+    type Runner<'g, P = FirstNeighbor> = ShardRunner<'g, P, Scripted>;
 
-    fn delta_runner<'g>(
+    /// A one-node shard hosting `me`, its protocol built by `make`.
+    fn one_node<'g, P>(
         graph: &'g Graph,
-        caps: &[(u32, u32)],
-    ) -> (NetRunner<'g, FirstNeighbor, Scripted>, SentLog) {
-        let node = NodeId::new(0);
-        let sent: SentLog = std::rc::Rc::default();
+        me: usize,
+        mode: PayloadMode,
+        transport: Scripted,
+        make: impl Fn(RumorSet) -> P,
+    ) -> Runner<'g, P>
+    where
+        P: Protocol<Payload = RumorSet>,
+    {
+        let n = graph.node_count();
+        let factory = |id, _| make(RumorSet::singleton(n, id));
+        let cfg = SimConfig::default();
+        ShardRunner::new(graph, me..me + 1, &cfg, mode, factory, transport)
+    }
+
+    /// Node 0 alone, in delta mode, with the given peer capabilities.
+    fn delta_runner<'g>(graph: &'g Graph, caps: &[(u32, u32)]) -> Runner<'g> {
         let transport = Scripted {
-            node,
             caps: caps
                 .iter()
                 .map(|&(peer, c)| (NodeId::new(peer as usize), c))
                 .collect(),
-            inbox: VecDeque::new(),
-            sent: std::rc::Rc::clone(&sent),
+            ..Scripted::default()
         };
-        let protocol = FirstNeighbor {
-            rumors: RumorSet::singleton(graph.node_count(), node),
-        };
-        let cfg = SimConfig::default();
-        let runner = NetRunner::new(graph, node, protocol, &cfg, transport)
-            .with_payload_mode(PayloadMode::Delta);
-        (runner, sent)
+        one_node(graph, 0, PayloadMode::Delta, transport, |rumors| {
+            FirstNeighbor { rumors }
+        })
+    }
+
+    fn lost(peer: usize, to: usize, error: &str) -> NetEvent {
+        NetEvent::PeerLost {
+            to: NodeId::new(to),
+            loss: PeerLoss {
+                peer: NodeId::new(peer),
+                attempts: 3,
+                error: error.to_owned(),
+            },
+        }
+    }
+
+    fn frame(from: NodeId, to: NodeId, frame: Frame) -> NetEvent {
+        NetEvent::Frame { from, to, frame }
     }
 
     #[test]
@@ -1454,15 +1466,15 @@ mod tests {
         // Large enough that a sparse delta beats the 20-byte snapshot
         // (the +8 basis_seq overhead makes tiny universes snapshot-only).
         let g = generators::clique(128);
-        let peer = NodeId::new(1);
-        let (mut runner, sent) = delta_runner(&g, &[(1, CAP_DELTA), (2, CAP_DELTA)]);
+        let (me, peer) = (NodeId::new(0), NodeId::new(1));
+        let mut runner = delta_runner(&g, &[(1, CAP_DELTA), (2, CAP_DELTA)]);
         runner.start().expect("start");
 
         // Round 0: first contact has no confirmed basis — the request is
         // a delta against the *empty* basis, i.e. full snapshot content.
         runner.begin_round(0).expect("round 0");
         runner.launch(0).expect("launch 0");
-        let (_, to, first) = sent.borrow().last().expect("one frame sent").clone();
+        let (_, to, first) = runner.transport.last();
         assert_eq!(to, peer);
         let Frame::RequestDelta {
             seq,
@@ -1475,7 +1487,7 @@ mod tests {
         };
         assert_eq!(basis_seq, 0, "no cache yet: empty basis");
         let decoded = RumorSet::decode_delta(&payload, None).expect("request decodes");
-        assert_eq!(decoded, RumorSet::singleton(128, NodeId::new(0)));
+        assert_eq!(decoded, RumorSet::singleton(128, me));
 
         // The peer answers with its snapshot {1}, delta-coded against the
         // request's own payload.
@@ -1483,23 +1495,23 @@ mod tests {
         theirs.insert(peer);
         let mut reply_delta = Vec::new();
         assert!(theirs.encode_delta(Some(&decoded), &mut reply_delta));
-        runner.transport.inbox.push_back(NetEvent::Frame {
-            from: peer,
-            frame: Frame::ReplyDelta {
+        runner.transport.inbox.push_back(frame(
+            peer,
+            me,
+            Frame::ReplyDelta {
                 seq,
                 round: 0,
                 basis_seq: seq,
                 payload: reply_delta,
             },
-        });
+        ));
         runner.settle(0).expect("settle 0");
-        let no_exchange_yet = RumorSet::singleton(128, NodeId::new(0));
         assert_eq!(
-            runner.protocol().rumors,
-            no_exchange_yet,
+            runner.table.nodes()[0].rumors,
+            RumorSet::singleton(128, me),
             "exchange applies at its due round, not on receipt"
         );
-        // Peer 1 is position 0 of node 0's row.
+        // Peer 1 is position 0 of node 0's row: edge offset 0.
         assert!(
             runner
                 .knowledge
@@ -1518,11 +1530,11 @@ mod tests {
             .and_then(|k| k.confirmed.as_ref())
             .expect("completed exchange confirms a basis");
         assert_eq!(confirmed.0, seq);
-        let mut both = RumorSet::singleton(128, NodeId::new(0));
+        let mut both = RumorSet::singleton(128, me);
         both.insert(peer);
         assert_eq!(confirmed.1, both);
         runner.launch(1).expect("launch 1");
-        let (_, _, second) = sent.borrow().last().expect("second frame").clone();
+        let (_, _, second) = runner.transport.last();
         let Frame::RequestDelta { basis_seq, .. } = second else {
             panic!("expected a delta request, got {second:?}");
         };
@@ -1534,32 +1546,25 @@ mod tests {
         // The transport reports the peer lost: the whole edge cache dies
         // with the connection, and the in-flight initiation is written
         // off as lost.
-        runner
-            .transport
-            .inbox
-            .push_back(NetEvent::PeerLost(PeerLoss {
-                peer,
-                attempts: 3,
-                error: "injected".to_owned(),
-            }));
+        runner.transport.inbox.push_back(lost(1, 0, "injected"));
         runner.settle(1).expect("settle 1");
         assert!(
             runner
                 .knowledge
                 .get(0)
-                .is_none_or(|k| k.confirmed.is_none() && k.bases.is_empty()),
+                .is_none_or(|k| k.confirmed.is_none() && k.bases.newest.is_none()),
             "loss invalidates the peer's knowledge cache"
         );
         assert!(runner.pending.is_empty(), "in-flight request written off");
-        assert_eq!(runner.metrics.lost, 1);
+        assert_eq!(runner.metrics[0].lost, 1);
 
         // If the peer comes back (the transport re-admits it after a
         // reconnect), nothing of the old cache survives: the next
         // request falls back to the empty basis — full snapshot content.
-        runner.peers_gone.remove(0);
+        runner.gone[0] = 0;
         runner.begin_round(2).expect("round 2");
         runner.launch(2).expect("launch 2");
-        let (_, to, third) = sent.borrow().last().expect("third frame").clone();
+        let (_, to, third) = runner.transport.last();
         assert_eq!(to, peer);
         let Frame::RequestDelta { basis_seq, .. } = third else {
             panic!("expected a delta request, got {third:?}");
@@ -1579,67 +1584,58 @@ mod tests {
         b.build().expect("graph")
     }
 
+    fn snapshot(v: NodeId, n: usize) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        RumorSet::singleton(n, v).encode_payload(&mut bytes);
+        bytes
+    }
+
     #[test]
     fn exchanges_are_held_to_their_own_edge_latency() {
         // Node 1 launches over its ℓ = 5 edge (row position 0) and
         // answers a request over its ℓ = 2 edge.
         let g = slow_fast_path();
         let (me, slow, fast) = (NodeId::new(1), NodeId::new(0), NodeId::new(2));
-        let sent: SentLog = std::rc::Rc::default();
-        let transport = Scripted {
-            node: me,
-            caps: BTreeMap::new(),
-            inbox: VecDeque::new(),
-            sent: std::rc::Rc::clone(&sent),
-        };
-        let protocol = FirstNeighbor {
-            rumors: RumorSet::singleton(3, me),
-        };
-        let mut runner = NetRunner::new(&g, me, protocol, &SimConfig::default(), transport);
+        let mut runner = one_node(
+            &g,
+            1,
+            PayloadMode::Snapshot,
+            Scripted::default(),
+            |rumors| FirstNeighbor { rumors },
+        );
         runner.start().expect("start");
         runner.begin_round(0).expect("round 0");
         runner.launch(0).expect("launch 0");
-        let (release, to, request) = sent.borrow().last().expect("request sent").clone();
+        let (release, to, request) = runner.transport.last();
         assert_eq!((release, to), (0, slow));
         let Frame::Request { seq, .. } = request else {
             panic!("expected a request, got {request:?}");
         };
-        let snapshot = |v: NodeId| {
-            let mut bytes = Vec::new();
-            RumorSet::singleton(3, v).encode_payload(&mut bytes);
-            bytes
-        };
         runner.transport.inbox.extend([
-            NetEvent::Frame {
-                from: slow,
-                frame: Frame::Reply {
+            frame(
+                slow,
+                me,
+                Frame::Reply {
                     seq,
                     round: 0,
-                    payload: snapshot(slow),
+                    payload: snapshot(slow, 3),
                 },
-            },
-            NetEvent::Frame {
-                from: fast,
-                frame: Frame::Request {
+            ),
+            frame(
+                fast,
+                me,
+                Frame::Request {
                     seq: 1,
                     round: 0,
-                    payload: snapshot(fast),
+                    payload: snapshot(fast, 3),
                 },
-            },
+            ),
         ]);
         runner.settle(0).expect("settle 0");
-        let (release, to, _) = sent.borrow().last().expect("reply sent").clone();
+        let (release, to, _) = runner.transport.last();
         assert_eq!((release, to), (2, fast), "reply released at t + 2");
-        let mut held: Vec<(NodeId, Round)> = runner
-            .hold
-            .iter()
-            .map(|h| (h.exchange.peer, h.exchange.completed_at))
-            .collect();
-        held.sort();
-        assert_eq!(held, [(slow, 5), (fast, 2)]);
-        let knows = |r: &NetRunner<'_, FirstNeighbor, Scripted>| {
-            [slow, fast].map(|v| r.protocol().rumors.contains(v))
-        };
+        assert!(!runner.hold.is_empty(), "both exchanges held");
+        let knows = |r: &Runner<'_>| [slow, fast].map(|v| r.table.nodes()[0].rumors.contains(v));
         for (round, want) in [(1, [false, false]), (2, [false, true]), (4, [false, true])] {
             runner.begin_round(round).expect("round");
             assert_eq!(knows(&runner), want, "round {round}");
@@ -1657,45 +1653,39 @@ mod tests {
         // protocol's rumors — may move before round 5.
         let g = slow_fast_path();
         let (me, slow) = (NodeId::new(1), NodeId::new(0));
-        let sent: SentLog = std::rc::Rc::default();
         let transport = Scripted {
-            node: me,
             caps: BTreeMap::from([(slow, CAP_DELTA), (NodeId::new(2), CAP_DELTA)]),
-            inbox: VecDeque::new(),
-            sent: std::rc::Rc::clone(&sent),
+            ..Scripted::default()
         };
-        let protocol = FirstNeighbor {
-            rumors: RumorSet::singleton(3, me),
-        };
-        let mut runner = NetRunner::new(&g, me, protocol, &SimConfig::default(), transport)
-            .with_payload_mode(PayloadMode::Delta);
+        let mut runner = one_node(&g, 1, PayloadMode::Delta, transport, |rumors| {
+            FirstNeighbor { rumors }
+        });
         runner.start().expect("start");
         runner.begin_round(0).expect("round 0");
         runner.launch(0).expect("launch 0");
-        let (_, to, request) = sent.borrow().last().expect("request sent").clone();
+        let (_, to, request) = runner.transport.last();
         assert_eq!(to, slow);
         let (Frame::Request { seq, .. } | Frame::RequestDelta { seq, .. }) = request else {
             panic!("expected a request, got {request:?}");
         };
-        let mut payload = Vec::new();
-        RumorSet::singleton(3, slow).encode_payload(&mut payload);
-        runner.transport.inbox.push_back(NetEvent::Frame {
-            from: slow,
-            frame: Frame::Reply {
+        runner.transport.inbox.push_back(frame(
+            slow,
+            me,
+            Frame::Reply {
                 seq,
                 round: 0,
-                payload,
+                payload: snapshot(slow, 3),
             },
-        });
+        ));
         runner.settle(0).expect("settle 0");
         assert!(runner.pending.is_empty(), "the reply was accepted");
-        let effects = |r: &NetRunner<'_, FirstNeighbor, Scripted>| {
+        let effects = |r: &Runner<'_>| {
             let confirmed = r.knowledge.get(0).and_then(|k| k.confirmed.clone());
             (
-                r.metrics.delivered,
-                r.metrics.payload_units,
+                r.metrics[0].delivered,
+                r.metrics[0].payload_units,
                 confirmed,
-                r.protocol().rumors.contains(slow),
+                r.table.nodes()[0].rumors.contains(slow),
             )
         };
         let before = (0, 0, None, false);
@@ -1744,22 +1734,18 @@ mod tests {
         }
         let g = b.build().expect("graph");
         let me = NodeId::new(0);
-        let sent: SentLog = std::rc::Rc::default();
-        let transport = Scripted {
-            node: me,
-            caps: BTreeMap::new(),
-            inbox: VecDeque::new(),
-            sent: std::rc::Rc::clone(&sent),
-        };
-        let protocol = RoundRobin {
-            rumors: RumorSet::singleton(4, me),
-        };
-        let mut runner = NetRunner::new(&g, me, protocol, &SimConfig::default(), transport);
+        let mut runner = one_node(
+            &g,
+            0,
+            PayloadMode::Snapshot,
+            Scripted::default(),
+            |rumors| RoundRobin { rumors },
+        );
         runner.start().expect("start");
         for round in 0..3 {
             runner.begin_round(round).expect("round");
             runner.launch(round).expect("launch");
-            let (release, to, frame) = sent.borrow().last().expect("request sent").clone();
+            let (release, to, frame) = runner.transport.last();
             let leaf = usize::try_from(round).expect("round fits usize") + 1;
             assert_eq!((release, to), (round, NodeId::new(leaf)));
             assert!(
@@ -1769,22 +1755,16 @@ mod tests {
         }
         assert_eq!(runner.pending.len(), 3, "three requests in flight");
         let reply = |leaf: usize, seq: u64, round: Round| {
-            let mut payload = Vec::new();
-            RumorSet::singleton(4, NodeId::new(leaf)).encode_payload(&mut payload);
-            NetEvent::Frame {
-                from: NodeId::new(leaf),
-                frame: Frame::Reply {
+            frame(
+                NodeId::new(leaf),
+                me,
+                Frame::Reply {
                     seq,
                     round,
-                    payload,
+                    payload: snapshot(NodeId::new(leaf), 4),
                 },
-            }
+            )
         };
-        let lost = NetEvent::PeerLost(PeerLoss {
-            peer: NodeId::new(2),
-            attempts: 3,
-            error: "injected".to_owned(),
-        });
 
         // The newest request's reply lands first: a hole at the back.
         runner.transport.inbox.push_back(reply(3, 3, 2));
@@ -1792,9 +1772,9 @@ mod tests {
         assert_eq!(runner.pending.len(), 3, "the front is still in flight");
         // Leaf 2 is lost mid-flight: its one pending is written off in
         // place, and only its.
-        runner.transport.inbox.push_back(lost);
+        runner.transport.inbox.push_back(lost(2, 0, "injected"));
         runner.settle(2).expect("settle");
-        assert_eq!(runner.metrics.lost, 1);
+        assert_eq!(runner.metrics[0].lost, 1);
         assert_eq!(runner.pending.len(), 3, "seq 1 still holds the front");
         // The oldest reply lands last: every seq is settled and the ring
         // drains.
@@ -1803,7 +1783,7 @@ mod tests {
         assert!(runner.pending.is_empty());
         assert_eq!(runner.pending_base, 4, "the next request is seq 4");
         assert_eq!(
-            (runner.metrics.delivered, runner.metrics.lost),
+            (runner.metrics[0].delivered, runner.metrics[0].lost),
             (0, 1),
             "a reply counts as delivered when it applies, not on receipt"
         );
@@ -1815,25 +1795,57 @@ mod tests {
             .inbox
             .extend([reply(2, 2, 1), reply(1, 9, 2), reply(3, 0, 2)]);
         runner.settle(2).expect("late replies are not errors");
-        assert_eq!((runner.metrics.delivered, runner.metrics.lost), (0, 1));
-        assert!(runner.pending.is_empty());
-        let mut held: Vec<(NodeId, Round)> = runner
-            .hold
-            .iter()
-            .map(|h| (h.exchange.peer, h.exchange.completed_at))
-            .collect();
-        held.sort();
         assert_eq!(
-            held,
-            [(NodeId::new(1), 1), (NodeId::new(3), 7)],
-            "each reply held to its own edge's t + ℓ"
+            (runner.metrics[0].delivered, runner.metrics[0].lost),
+            (0, 1)
         );
+        assert!(runner.pending.is_empty());
+        assert!(!runner.hold.is_empty(), "the answered exchanges are held");
         // Seq 1 was due in round 1 and applies at the next round begun;
-        // seq 3 waits for round 7.
+        // seq 3 waits for its own edge's t + ℓ, round 7.
         for (round, delivered) in [(3, 1), (6, 1), (7, 2)] {
             runner.begin_round(round).expect("round");
-            assert_eq!(runner.metrics.delivered, delivered, "round {round}");
+            assert_eq!(runner.metrics[0].delivered, delivered, "round {round}");
         }
+    }
+
+    #[test]
+    fn a_stopped_node_leaves_no_request_pending() {
+        // A triangle over loopback, every node walking its neighbors.
+        // Node 0 stops in round 2 with a request in flight, after its
+        // neighbors sent theirs toward it: it drops their requests, and
+        // its reply reaches a stopped node. None of the three may hold
+        // the shard-wide ring's front while nodes 1 and 2 go on.
+        let g = generators::clique(3);
+        let factory = |id, _| RoundRobin {
+            rumors: RumorSet::singleton(3, id),
+        };
+        let cfg = SimConfig::default();
+        let hub = LoopbackHub::new(3);
+        let mut runner = ShardRunner::new(&g, 0..3, &cfg, PayloadMode::Snapshot, factory, hub);
+        runner.start().expect("start");
+        for round in 0..40 {
+            runner.begin_round(round).expect("round");
+            runner.launch(round).expect("launch");
+            if round == 2 {
+                assert!(
+                    runner.pending.iter().flatten().any(|p| p.slot == 0),
+                    "node 0 has a request in flight"
+                );
+                runner.stop(0, NodeStopReason::Barrier, round);
+            }
+            runner.settle(round).expect("settle");
+            if round == 2 {
+                let lost: Vec<u64> = runner.metrics.iter().map(|m| m.lost).collect();
+                assert_eq!(lost, [0, 0, 0], "a departure loses nothing in flight");
+            }
+            assert!(
+                runner.pending.len() <= 3,
+                "round {round}: {} requests held",
+                runner.pending.len()
+            );
+        }
+        assert!(runner.gone_count[1] == 1 && runner.gone_count[2] == 1);
     }
 
     #[test]
@@ -1841,27 +1853,17 @@ mod tests {
         // Peer 1 says goodbye and its sockets then close behind it; peer
         // 2 just vanishes. Both are gone, only peer 2 is a loss.
         let g = generators::clique(3);
-        let (mut runner, _) = delta_runner(&g, &[]);
+        let mut runner = delta_runner(&g, &[]);
         runner.start().expect("start");
-        let lost = |peer: usize| {
-            NetEvent::PeerLost(PeerLoss {
-                peer: NodeId::new(peer),
-                attempts: 3,
-                error: "connection refused".to_owned(),
-            })
-        };
         runner.transport.inbox.extend([
-            NetEvent::Frame {
-                from: NodeId::new(1),
-                frame: Frame::Bye,
-            },
-            lost(1),
-            lost(2),
+            frame(NodeId::new(1), NodeId::new(0), Frame::Bye),
+            lost(1, 0, "connection refused"),
+            lost(2, 0, "connection refused"),
         ]);
         runner.begin_round(0).expect("round 0");
-        assert_eq!(runner.peers_gone.len(), 2);
-        assert_eq!(runner.losses.len(), 1, "{:?}", runner.losses);
-        assert_eq!(runner.losses[0].peer, NodeId::new(2));
+        assert_eq!(runner.gone_count[0], 2);
+        assert_eq!(runner.losses[0].len(), 1, "{:?}", runner.losses);
+        assert_eq!(runner.losses[0][0].peer, NodeId::new(2));
     }
 
     #[test]
@@ -1883,7 +1885,7 @@ mod tests {
             [None, Some(50), Some(80)]
         );
         bases.retain_from(9);
-        assert!(bases.is_empty() && bases.older.is_empty());
+        assert!(bases.newest.is_none() && bases.older.is_empty());
         // Out-of-order pushes: the survivor of a prune moves inline.
         bases.push(12, 120);
         bases.push(10, 100);
@@ -1897,37 +1899,41 @@ mod tests {
         // Node 0 of the path 0 — 1 — 2 has the one neighbor 1; node 2
         // is not adjacent.
         let g = generators::path(3);
-        let frame = |from: usize, frame: Frame| NetEvent::Frame {
-            from: NodeId::new(from),
-            frame,
-        };
+        let me = NodeId::new(0);
         for stray in [Frame::Done { round: 0 }, Frame::Bye] {
-            let (mut runner, _) = delta_runner(&g, &[]);
+            let mut runner = delta_runner(&g, &[]);
             runner.start().expect("start");
-            runner.transport.inbox.push_back(frame(2, stray));
+            runner
+                .transport
+                .inbox
+                .push_back(frame(NodeId::new(2), me, stray));
             let err = runner
                 .begin_round(0)
                 .expect_err("a non-neighbor is refused");
             assert!(matches!(err, NetError::UnknownPeer(v) if v == NodeId::new(2)));
         }
-        let (mut runner, _) = delta_runner(&g, &[]);
+        let mut runner = delta_runner(&g, &[]);
         runner.start().expect("start");
-        let view_gone = |r: &NetRunner<'_, FirstNeighbor, Scripted>| {
+        let view_gone = |r: &Runner<'_>| {
             let view = RunView {
                 graph: &g,
-                node: r.node(),
-                gone: &r.peers_gone,
+                node: me,
+                gone: &r.gone,
+                offset: 0,
+                any: r.gone_count[0] > 0,
             };
             [1, 2].map(|v| view.is_gone(NodeId::new(v)))
         };
         assert_eq!(view_gone(&runner), [false, false]);
-        runner.transport.inbox.push_back(frame(1, Frame::Bye));
+        runner
+            .transport
+            .inbox
+            .push_back(frame(NodeId::new(1), me, Frame::Bye));
         runner.begin_round(0).expect("round 0");
-        assert!(runner.peers_gone.contains(0));
+        assert!(bit(&runner.gone, 0));
         assert_eq!(view_gone(&runner), [true, false], "only neighbors are gone");
-        assert_eq!(runner.live_neighbors().count(), 0);
         // With its one neighbor departed, the node stops isolated.
-        let stop = runner.step_round(1, &|_: &FirstNeighbor, _: &RunView<'_>| false);
+        let stop = runner.barrier_check(0, 1, &|_: &FirstNeighbor, _: &RunView<'_>| false);
         assert_eq!(stop.expect("round 1"), Some(NodeStopReason::Isolated));
     }
 
@@ -1936,35 +1942,32 @@ mod tests {
         // Peer 1 never advertised CAP_DELTA: even in delta mode every
         // frame toward it is a plain snapshot and no basis is retained.
         let g = generators::clique(3);
-        let (mut runner, sent) = delta_runner(&g, &[(2, CAP_DELTA)]);
+        let mut runner = delta_runner(&g, &[(2, CAP_DELTA)]);
         runner.start().expect("start");
         runner.begin_round(0).expect("round 0");
         runner.launch(0).expect("launch 0");
-        let (_, to, frame) = sent.borrow().last().expect("one frame").clone();
+        let (_, to, sent) = runner.transport.last();
         assert_eq!(to, NodeId::new(1));
-        let Frame::Request { seq, payload, .. } = frame else {
-            panic!("expected a snapshot request, got {frame:?}");
+        let Frame::Request { seq, payload, .. } = sent else {
+            panic!("expected a snapshot request, got {sent:?}");
         };
-        let mut theirs = RumorSet::new(3);
-        theirs.insert(NodeId::new(1));
-        let mut bytes = Vec::new();
-        theirs.encode_payload(&mut bytes);
-        runner.transport.inbox.push_back(NetEvent::Frame {
-            from: NodeId::new(1),
-            frame: Frame::Reply {
+        runner.transport.inbox.push_back(frame(
+            NodeId::new(1),
+            NodeId::new(0),
+            Frame::Reply {
                 seq,
                 round: 0,
-                payload: bytes,
+                payload: snapshot(NodeId::new(1), 3),
             },
-        });
+        ));
         runner.settle(0).expect("settle 0");
         assert!(
             runner.knowledge.get(0).is_none(),
             "no basis is cached for a snapshot-only peer"
         );
         let _ = RumorSet::decode_payload(&payload).expect("snapshot request decodes");
-        assert_eq!(runner.accounting.delta_frames, 0);
-        assert_eq!(runner.accounting.snapshot_frames, 1);
+        assert_eq!(runner.accounting[0].delta_frames, 0);
+        assert_eq!(runner.accounting[0].snapshot_frames, 1);
     }
 
     #[test]
@@ -1972,28 +1975,25 @@ mod tests {
         // Well-formed bodies over nine ids at a three-node cluster: each
         // decodes cleanly, and `union_with` would panic on any of them.
         let g = generators::clique(3);
-        let peer = NodeId::new(1);
+        let (me, peer) = (NodeId::new(0), NodeId::new(1));
         let foreign = RumorSet::singleton(9, NodeId::new(8));
         let (mut snapshot, mut delta) = (Vec::new(), Vec::new());
         foreign.encode_payload(&mut snapshot);
         assert!(foreign.encode_delta(None, &mut delta));
-        let refused = |frame: Frame, launch_first: bool| {
-            let (mut runner, _) = delta_runner(&g, &[(1, CAP_DELTA)]);
+        let refused = |sent: Frame, launch_first: bool| {
+            let mut runner = delta_runner(&g, &[(1, CAP_DELTA)]);
             runner.start().expect("start");
             if launch_first {
                 runner.begin_round(0).expect("round 0");
                 runner.launch(0).expect("launch 0");
             }
-            runner
-                .transport
-                .inbox
-                .push_back(NetEvent::Frame { from: peer, frame });
+            runner.transport.inbox.push_back(frame(peer, me, sent));
             let err = runner.settle(0).expect_err("foreign universe is refused");
             assert!(
                 matches!(&err, NetError::ProtocolViolation(why) if why.contains("universe 9")),
                 "unexpected error: {err}"
             );
-            assert!(runner.hold.is_empty() && runner.deferred.is_empty());
+            assert!(runner.hold.is_empty());
         };
         let (seq, round) = (1, 0);
         refused(
@@ -2026,22 +2026,23 @@ mod tests {
     #[test]
     fn unknown_basis_and_mode_mismatch_are_protocol_violations() {
         let g = generators::clique(3);
-        let peer = NodeId::new(1);
+        let (me, peer) = (NodeId::new(0), NodeId::new(1));
 
         // A delta request referencing a basis we never recorded.
-        let (mut runner, _) = delta_runner(&g, &[(1, CAP_DELTA)]);
+        let mut runner = delta_runner(&g, &[(1, CAP_DELTA)]);
         runner.start().expect("start");
         let mut delta = Vec::new();
         assert!(RumorSet::singleton(3, peer).encode_delta(None, &mut delta));
-        runner.transport.inbox.push_back(NetEvent::Frame {
-            from: peer,
-            frame: Frame::RequestDelta {
+        runner.transport.inbox.push_back(frame(
+            peer,
+            me,
+            Frame::RequestDelta {
                 seq: 1,
                 round: 0,
                 basis_seq: 99,
                 payload: delta.clone(),
             },
-        });
+        ));
         let err = runner.begin_round(0).expect_err("unknown basis is refused");
         assert!(
             err.to_string().contains("unknown basis"),
@@ -2049,26 +2050,22 @@ mod tests {
         );
 
         // A delta frame at a node that never advertised CAP_DELTA.
-        let node = NodeId::new(0);
         let transport = Scripted {
-            node,
-            caps: BTreeMap::new(),
-            inbox: VecDeque::from([NetEvent::Frame {
-                from: peer,
-                frame: Frame::RequestDelta {
+            inbox: VecDeque::from([frame(
+                peer,
+                me,
+                Frame::RequestDelta {
                     seq: 1,
                     round: 0,
                     basis_seq: 0,
                     payload: delta,
                 },
-            }]),
-            sent: std::rc::Rc::default(),
+            )]),
+            ..Scripted::default()
         };
-        let protocol = FirstNeighbor {
-            rumors: RumorSet::singleton(3, node),
-        };
-        let cfg = SimConfig::default();
-        let mut snapshot_runner = NetRunner::new(&g, node, protocol, &cfg, transport);
+        let mut snapshot_runner = one_node(&g, 0, PayloadMode::Snapshot, transport, |rumors| {
+            FirstNeighbor { rumors }
+        });
         let err = snapshot_runner
             .begin_round(0)
             .expect_err("delta frame at a snapshot-mode node is refused");

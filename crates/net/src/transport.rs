@@ -1,15 +1,10 @@
-//! The [`Transport`] abstraction: framed, round-paced message movement.
-//!
-//! A transport moves encoded [`Frame`]s between nodes and paces the
-//! local node's rounds. It does **not** interpret round semantics: the
-//! [`NetRunner`](crate::NetRunner) alone decides *when* a frame takes
-//! effect, holding every exchange to its due round `t + ℓ`. The
-//! transport promises two things only: a frame reaches the receiver's
-//! [`poll`](Transport::poll) by the `release` round passed to
-//! [`Transport::send`], and at most once. It may hand a frame over
-//! earlier; the runner's hold makes arrival jitter invisible, which is
-//! why the same driver code is exact over the virtual-clock loopback
-//! and merely *faithful* over TCP.
+//! The [`Transport`] abstraction: framed, round-paced message movement
+//! for one shard of nodes. A transport promises only that a frame
+//! reaches the receiver's [`poll`](Transport::poll) by the `release`
+//! round passed to [`Transport::send`], and at most once; the
+//! [`ShardRunner`](crate::ShardRunner)'s hold alone decides when it
+//! takes effect (`t + ℓ`), which is why the same runner is exact over
+//! the virtual-clock loopback and merely *faithful* over TCP.
 
 use gossip_sim::Round;
 use latency_graph::NodeId;
@@ -17,7 +12,7 @@ use latency_graph::NodeId;
 use crate::error::{NetError, PeerLoss};
 use crate::wire::Frame;
 
-/// Counters kept by every transport endpoint.
+/// Counters a transport keeps per hosted node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Frames handed to the wire (after successful write, for TCP).
@@ -40,48 +35,35 @@ impl TransportStats {
     }
 }
 
-/// Something a [`Transport::poll`] call can hand back to the runner.
+/// Something a [`Transport::poll`] call can hand back to the runner,
+/// addressed to one hosted node.
 #[derive(Debug)]
 pub enum NetEvent {
     /// A decoded frame from a peer.
     Frame {
         /// The sending node.
         from: NodeId,
+        /// The hosted node it is addressed to.
+        to: NodeId,
         /// The frame.
         frame: Frame,
     },
-    /// The transport exhausted its retry budget for a peer. Delivered at
-    /// most once per peer; the runner reroutes around the loss.
-    PeerLost(PeerLoss),
+    /// The transport exhausted its retry budget for `loss.peer`, a
+    /// neighbor of hosted node `to`. Delivered at most once per edge;
+    /// the runner reroutes around the loss.
+    PeerLost {
+        /// The hosted node that lost the peer.
+        to: NodeId,
+        /// Who was lost, and why.
+        loss: PeerLoss,
+    },
 }
 
-/// A framed, round-paced link layer.
-///
-/// Contract, in the order the runner exercises it:
-///
-/// 1. [`start`](Transport::start) — bring up connections and block until
-///    the start barrier holds (every neighbor connected both ways), or
-///    fail with [`NetError::StartTimeout`].
-/// 2. [`poll(round, out)`](Transport::poll) — block until `round` has
-///    begun on the local clock (wall clock for TCP, no-op for
-///    loopback), then append everything that has arrived to `out`, the
-///    caller's reusable inbox. Calling it again with the same round
-///    must not block again: the second call is the non-blocking drain
-///    the runner uses at the end of a round to answer freshly arrived
-///    requests.
-/// 3. [`send(release, to, nth, frame)`](Transport::send) — queue
-///    `frame` so the receiver can observe it by its poll of round
-///    `release`, the round by which the receiver needs it (earlier is
-///    fine).
-///    `nth` is `to`'s position in the sender's adjacency row, which
-///    the runner always already holds, so a transport that knows the
-///    adjacency checks the peer in O(1) instead of searching the row.
-///    Sending to a peer already reported lost is a silent no-op.
-/// 4. [`recycle(buf)`](Transport::recycle) — the runner hands back
-///    the payload buffer of each frame `poll` gave it, once it has
-///    decoded the payload, so the transport's next decode refills it
-///    instead of allocating.
-/// 5. [`shutdown`](Transport::shutdown) — release sockets; idempotent.
+/// A framed, round-paced link layer serving one shard: a contiguous
+/// range of hosted nodes, driven by one runner on one thread, which
+/// calls [`set_caps`](Transport::set_caps), then
+/// [`start`](Transport::start), then per round `poll`, `send`s and
+/// `recycle`s, and finally [`shutdown`](Transport::shutdown).
 ///
 /// **Delivery is at most once.** A request (`Request` / `RequestDelta`)
 /// surfaces from `poll` at most once per sequence number, so the runner
@@ -91,57 +73,63 @@ pub enum NetEvent {
 /// connection cut — is deduplicated by the receiving reactor with a
 /// per-edge sequence high-water mark (DESIGN.md §11).
 pub trait Transport {
-    /// The node this endpoint belongs to.
-    fn local(&self) -> NodeId;
-
-    /// Brings the transport up; blocks until the start barrier holds.
-    fn start(&mut self) -> Result<(), NetError>;
-
-    /// Advertises capability bits ([`CAP_DELTA`], …) to peers: they
-    /// travel in every subsequent handshake this endpoint sends. Must
-    /// be called before [`start`](Transport::start) so every peer sees
-    /// them. The default discards them — a transport that never
-    /// handshakes (loopback) overrides this with its own registry.
-    ///
-    /// [`CAP_DELTA`]: crate::wire::CAP_DELTA
-    fn set_caps(&mut self, _caps: u32) {}
-
-    /// The capability bits `peer` advertised to this endpoint, or 0
-    /// when unknown (handshake not yet observed). Capabilities only
-    /// ever gate frame *encodings*, never outcomes, so a stale 0 is
-    /// always safe — it merely forces the snapshot fallback.
-    fn peer_caps(&self, _peer: NodeId) -> u32 {
-        0
+    /// Brings connections up and blocks until the start barrier holds
+    /// (every remote neighbor connected both ways), or fails with
+    /// [`NetError::StartTimeout`]. Idempotent. The default, for a
+    /// transport with no connections, does nothing.
+    fn start(&mut self) -> Result<(), NetError> {
+        Ok(())
     }
 
-    /// Queues `frame` for `to`, observable by `to`'s poll of round
-    /// `release`, the round by which `to` needs it; a transport may
-    /// hand it over earlier. `nth` is `to`'s position in the local
-    /// node's adjacency row (`graph.neighbor_ids(local)[nth]`). A peer
-    /// the transport can tell is wrong — a position naming another
-    /// node or past the row (reactor), an id outside the cluster
-    /// (loopback, which knows only the node count) — is
-    /// [`NetError::UnknownPeer`] and queues nothing.
+    /// Advertises capability bits ([`CAP_DELTA`], …) for every hosted
+    /// node: they travel in every subsequent handshake. Must be called
+    /// before [`start`](Transport::start) so every peer sees them.
+    ///
+    /// [`CAP_DELTA`]: crate::wire::CAP_DELTA
+    fn set_caps(&mut self, caps: u32);
+
+    /// The capability bits `peer` advertised, or 0 when unknown
+    /// (handshake not yet observed). Capabilities only ever gate frame
+    /// *encodings*, never outcomes, so a stale 0 is always safe — it
+    /// merely forces the snapshot fallback.
+    fn peer_caps(&self, peer: NodeId) -> u32;
+
+    /// Queues `frame` from hosted node `from` for `to`, observable by
+    /// `to`'s poll of round `release` — the round by which `to` needs
+    /// it; a transport may hand it over earlier. `nth` is `to`'s
+    /// position in `from`'s adjacency row
+    /// (`graph.neighbor_ids(from)[nth]`), which the runner always holds,
+    /// so a transport that knows the adjacency checks the peer in O(1).
+    /// A peer the transport can tell is wrong — a position naming
+    /// another node or past the row (reactor), an id outside the
+    /// cluster (loopback, which knows only the node count) — is
+    /// [`NetError::UnknownPeer`] and queues nothing. Sending to a peer
+    /// already reported lost is a silent no-op.
     fn send(
         &mut self,
+        from: NodeId,
         release: Round,
         to: NodeId,
         nth: usize,
         frame: &Frame,
     ) -> Result<(), NetError>;
 
-    /// Blocks until `round` has begun locally, then drains arrivals
-    /// onto the end of `out`.
+    /// Blocks until `round` has begun on the shard's clock (wall clock
+    /// for TCP, no-op for loopback), then appends everything that has
+    /// arrived for any hosted node to `out`, the caller's reusable
+    /// inbox. A second call for the same round does not block: it is
+    /// the drain the runner uses at the end of a round to answer
+    /// freshly arrived requests.
     fn poll(&mut self, round: Round, out: &mut Vec<NetEvent>) -> Result<(), NetError>;
 
-    /// Takes back a payload buffer of a frame this endpoint's
-    /// [`poll`](Transport::poll) handed over, for a later decode to
-    /// refill. The default drops it.
+    /// Takes back the payload buffer of a frame [`poll`](Transport::poll)
+    /// handed over, once the runner has decoded it, for a later decode
+    /// to refill instead of allocating. The default drops it.
     fn recycle(&mut self, _buf: Vec<u8>) {}
 
-    /// This endpoint's traffic counters.
-    fn stats(&self) -> TransportStats;
+    /// Hosted node `node`'s traffic counters.
+    fn stats(&self, node: NodeId) -> TransportStats;
 
-    /// Tears the endpoint down; idempotent.
-    fn shutdown(&mut self);
+    /// Releases sockets; idempotent. The default does nothing.
+    fn shutdown(&mut self) {}
 }

@@ -229,24 +229,6 @@ impl Frame {
         Ok(out)
     }
 
-    /// Split encoding for vectored I/O: clears `meta`, writes the header
-    /// and every fixed field into it, and returns the payload slice that
-    /// must follow on the wire (`&[]` for payload-free kinds). Writing
-    /// `meta` then the returned slice yields exactly [`encode`]'s bytes,
-    /// but a sender that keeps `meta` as a per-connection scratch buffer
-    /// allocates nothing per frame and never copies the payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::FrameTooLarge`] if the body would exceed
-    /// [`MAX_BODY`]; `meta` is left cleared in that case.
-    ///
-    /// [`encode`]: Frame::encode
-    pub fn encode_parts<'f>(&'f self, meta: &mut Vec<u8>) -> Result<&'f [u8], CodecError> {
-        meta.clear();
-        self.parts_into(meta)
-    }
-
     /// Split encoding of a [`Frame::Routed`] envelope that borrows the
     /// inner frame instead of boxing it: clears `meta`, writes the outer
     /// header, routing prefix, and the inner frame's header + fixed
@@ -1091,21 +1073,6 @@ mod tests {
         let mut long = vec![MAGIC, VERSION, 4, 0, 2, 0, 0, 0];
         long.extend_from_slice(&[0; 2]);
         assert!(matches!(Frame::decode(&long), Err(CodecError::BadBody(_))));
-    }
-
-    #[test]
-    fn encode_parts_matches_encode() {
-        let mut meta = Vec::new();
-        for frame in frames() {
-            let payload = frame.encode_parts(&mut meta).expect("frame encodes");
-            let mut stitched = meta.clone();
-            stitched.extend_from_slice(payload);
-            assert_eq!(
-                stitched,
-                frame.encode().expect("frame encodes"),
-                "parts differ for {frame:?}"
-            );
-        }
     }
 
     #[test]

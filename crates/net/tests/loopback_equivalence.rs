@@ -12,7 +12,8 @@ use gossip_core::stream::{RlcStreamNode, RrStreamNode};
 use gossip_core::Goal;
 use gossip_net::{run_loopback, run_loopback_mode_with_stats, PayloadMode};
 use gossip_sim::{
-    completion_rounds, Outcome, Protocol, Round, SimConfig, Simulator, StopReason, StreamSpec,
+    completion_rounds, EngineStats, Outcome, Protocol, Round, Scheduling, SimConfig, Simulator,
+    StopReason, StreamSpec,
 };
 use latency_graph::{generators, Graph, NodeId};
 
@@ -35,6 +36,14 @@ fn assert_equiv<P: Protocol>(
     assert_eq!(engine.reason, net.reason, "{label}: stop reason");
     assert_eq!(engine.rounds, net.rounds, "{label}: rounds");
     assert_eq!(engine.metrics, net.metrics, "{label}: metrics");
+    // A net run visits the dead-gap rounds the engine skips, so
+    // `skipped_rounds` is the engine's alone; every other counter —
+    // `event_rounds` included, as a skipped round has no event — matches.
+    let engine_stats = EngineStats {
+        skipped_rounds: 0,
+        ..engine.stats
+    };
+    assert_eq!(engine_stats, net.stats, "{label}: engine stats");
     assert_eq!(engine.nodes.len(), net.nodes.len(), "{label}: node count");
     for (i, (a, b)) in engine.nodes.iter().zip(&net.nodes).enumerate() {
         assert_eq!(
@@ -424,4 +433,114 @@ fn stop_closure_sees_rounds_in_engine_order() {
         },
     );
     assert_eq!(engine_rounds, net_rounds);
+}
+
+/// Records every RNG draw and the chosen peer, so engine-driven and
+/// runner-driven instances can be compared draw for draw.
+struct Recorder {
+    draws: Vec<u64>,
+    peers: Vec<NodeId>,
+}
+
+impl Protocol for Recorder {
+    type Payload = ();
+    fn payload(&self) {}
+    fn on_round(&mut self, ctx: &mut gossip_sim::Context<'_>) {
+        use rand::Rng as _;
+        let d = ctx.degree();
+        let i = ctx.rng().random_range(0..d);
+        self.draws.push(u64::try_from(i).expect("index fits u64"));
+        self.peers.push(ctx.neighbor_ids()[i]);
+        ctx.initiate_nth(i);
+    }
+    fn on_exchange(&mut self, _: &mut gossip_sim::Context<'_>, _: &gossip_sim::Exchange<()>) {}
+}
+
+#[test]
+fn runner_matches_engine_rng_stream() {
+    // The shard runner seeds and views every node as the engine does:
+    // same RNG derivation, same context, same draws and peer choices.
+    let g = generators::cycle(7);
+    let cfg = config(0xDECAF, 5, false);
+    let make = |_, _| Recorder {
+        draws: Vec::new(),
+        peers: Vec::new(),
+    };
+    let engine = Simulator::new(&g, cfg).run(make, |_: &[Recorder], _| false);
+    let net = run_loopback(&g, &cfg, make, |_: &[&Recorder], _| false);
+    assert_eq!((engine.reason, engine.rounds), (net.reason, net.rounds));
+    assert_eq!(engine.metrics, net.metrics);
+    for (v, (e, n)) in engine.nodes.iter().zip(&net.nodes).enumerate() {
+        // `on_round` runs for rounds 0..max_rounds.
+        assert_eq!(e.draws.len(), 5, "node {v} stepped every round");
+        assert_eq!(e.draws, n.draws, "node {v} draw stream");
+        assert_eq!(e.peers, n.peers, "node {v} peer choices");
+    }
+}
+
+/// On demand: initiates toward its first neighbor at round 0 and after
+/// each of its first `limit` exchanges, and sleeps in between — so a
+/// latency gap leaves whole rounds with no event for the engine to skip.
+struct Sleeper {
+    exchanges: u64,
+    limit: u64,
+}
+
+impl Protocol for Sleeper {
+    const SCHEDULING: Scheduling = Scheduling::OnDemand;
+    type Payload = ();
+    fn payload(&self) {}
+    fn on_round(&mut self, ctx: &mut gossip_sim::Context<'_>) {
+        if self.exchanges <= self.limit {
+            ctx.initiate_nth(0);
+        }
+    }
+    fn on_exchange(&mut self, _: &mut gossip_sim::Context<'_>, _: &gossip_sim::Exchange<()>) {
+        self.exchanges += 1;
+    }
+}
+
+#[test]
+fn idle_gaps_skipped_by_the_engine_match() {
+    let g = generators::uniform_random_latencies(&generators::cycle(8), 6, 9, 3);
+    let make = |_, _| Sleeper {
+        exchanges: 0,
+        limit: 2,
+    };
+    let cfg = config(5, 60, false);
+    let engine = Simulator::new(&g, cfg).run(make, |_: &[Sleeper], _| false);
+    assert!(engine.stats.skipped_rounds > 0, "{:?}", engine.stats);
+    let net = run_loopback(&g, &cfg, make, |_: &[&Sleeper], _| false);
+    assert_eq!(net.stats.skipped_rounds, 0, "a net run visits every round");
+    assert_equiv("cycle/idle-gaps", &engine, &net, |p| p.exchanges);
+}
+
+/// Push-pull on a cycle with latencies 1–6 for 40 rounds, where the
+/// blocking and capped models reject a large share of initiations.
+fn run_restricted(cfg: SimConfig) {
+    let g = generators::uniform_random_latencies(&generators::cycle(16), 1, 6, 5);
+    let _ = run_loopback(
+        &g,
+        &cfg,
+        |id, n| PushPullNode::new(id, n, Mode::PushPull),
+        |_: &[&PushPullNode], _| false,
+    );
+}
+
+#[test]
+#[should_panic(expected = "no blocking model")]
+fn blocking_is_refused_not_ignored() {
+    run_restricted(SimConfig {
+        blocking: true,
+        ..config(3, 40, false)
+    });
+}
+
+#[test]
+#[should_panic(expected = "no connection cap")]
+fn connection_cap_is_refused_not_ignored() {
+    run_restricted(SimConfig {
+        connection_cap: Some(1),
+        ..config(3, 40, false)
+    });
 }

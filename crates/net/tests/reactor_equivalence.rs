@@ -1,5 +1,5 @@
 //! The reactor equivalence suite: the same nine cases as
-//! `loopback_equivalence.rs`, run through [`gossip_net::run_reactor`] —
+//! `loopback_equivalence.rs`, run through [`gossip_net::run_reactor_mode_with_stats`] —
 //! a whole cluster hosted by one epoll reactor over real TCP
 //! self-connections (trunks), drain-paced so rounds are virtual. The
 //! outcome must equal the simulator's *exactly*: same stop reason,
@@ -13,13 +13,24 @@ use gossip_core::push_pull::{Mode, PushPullNode};
 use gossip_core::stream::{RlcStreamNode, RrStreamNode};
 use gossip_core::Goal;
 use gossip_net::{
-    run_loopback_mode_with_stats, run_reactor, run_reactor_mode_with_stats, PayloadMode,
-    WireAccounting,
+    run_loopback_mode_with_stats, run_reactor_mode_with_stats, PayloadMode, WireAccounting,
 };
 use gossip_sim::{
-    completion_rounds, Outcome, Protocol, Round, SimConfig, Simulator, StopReason, StreamSpec,
+    completion_rounds, EngineStats, Outcome, Protocol, Round, SimConfig, Simulator, StopReason,
+    StreamSpec,
 };
 use latency_graph::{generators, Graph, NodeId};
+
+/// A snapshot-mode reactor run.
+fn run_reactor<P, F, S>(g: &Graph, cfg: &SimConfig, factory: F, stop: S) -> Outcome<P>
+where
+    P: Protocol,
+    P::Payload: gossip_net::WirePayload,
+    F: FnMut(NodeId, usize) -> P,
+    S: FnMut(&[&P], Round) -> bool,
+{
+    run_reactor_mode_with_stats(g, cfg, PayloadMode::Snapshot, factory, stop).0
+}
 
 fn config(seed: u64, max_rounds: u64, latency_known: bool) -> SimConfig {
     SimConfig {
@@ -40,6 +51,14 @@ fn assert_equiv<P: Protocol>(
     assert_eq!(engine.reason, net.reason, "{label}: stop reason");
     assert_eq!(engine.rounds, net.rounds, "{label}: rounds");
     assert_eq!(engine.metrics, net.metrics, "{label}: metrics");
+    // A net run visits the dead-gap rounds the engine skips, so
+    // `skipped_rounds` is the engine's alone; every other counter —
+    // `event_rounds` included, as a skipped round has no event — matches.
+    let engine_stats = EngineStats {
+        skipped_rounds: 0,
+        ..engine.stats
+    };
+    assert_eq!(engine_stats, net.stats, "{label}: engine stats");
     assert_eq!(engine.nodes.len(), net.nodes.len(), "{label}: node count");
     for (i, (a, b)) in engine.nodes.iter().zip(&net.nodes).enumerate() {
         assert_eq!(

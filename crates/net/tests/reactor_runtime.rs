@@ -7,14 +7,15 @@
 //! is a failure, not a timeout in CI.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Duration;
 
 use gossip_core::push_pull::{Mode, PushPullNode};
 use gossip_net::{
-    run_reactor_cluster_mode, Frame, LoopbackHub, NetError, NetRunner, NodeOutcome, NodeStopReason,
-    Pacing, PayloadMode, Reactor, ReactorConfig, RunView, Transport,
+    Frame, LoopbackHub, NetError, NodeOutcome, NodeStopReason, Pacing, PayloadMode, Reactor,
+    ReactorConfig, RunView, ShardRunner, Transport,
 };
 use gossip_sim::{SimConfig, Simulator};
 use latency_graph::{generators, Graph, GraphBuilder, NodeId};
@@ -49,6 +50,28 @@ fn component_done(n: usize) -> impl Fn(&PushPullNode, &RunView<'_>) -> bool + Sy
     }
 }
 
+fn push_pull(id: NodeId, n: usize) -> PushPullNode {
+    PushPullNode::new(id, n, Mode::PushPull)
+}
+
+/// Runs push-pull on the shard `hosted` of `g`, on a reactor of its
+/// own, until every hosted node stops. `exchange` receives the
+/// reactor's listen address and returns the remote neighbors'.
+fn run_shard(
+    g: &Graph,
+    cfg: &SimConfig,
+    hosted: Range<usize>,
+    mode: PayloadMode,
+    exchange: impl FnOnce(&str) -> BTreeMap<NodeId, String>,
+    done: impl Fn(&PushPullNode, &RunView<'_>) -> bool,
+) -> Result<Vec<NodeOutcome<PushPullNode>>, NetError> {
+    let mut reactor = Reactor::new(g, hosted.clone(), fast_reactor())?;
+    for (node, addr) in exchange(&reactor.local_addr()) {
+        reactor.set_peer(node, addr);
+    }
+    ShardRunner::new(g, hosted, cfg, mode, push_pull, reactor).run_barrier(done)
+}
+
 fn os_threads() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
 }
@@ -63,23 +86,26 @@ fn run_shards(
     g: &Graph,
     cfg: &SimConfig,
     mode: PayloadMode,
-    shards: &[Vec<NodeId>],
+    shards: &[Range<usize>],
 ) -> (Vec<Vec<NodeOutcome<PushPullNode>>>, usize) {
     let n = g.node_count();
     let book = (Mutex::new(BTreeMap::new()), Condvar::new());
     let peak = AtomicUsize::new(0);
     let run = |k: usize| {
         let done = component_done(n);
-        run_reactor_cluster_mode(
+        run_shard(
             g,
             cfg,
-            &fast_reactor(),
-            &shards[k],
+            shards[k].clone(),
             mode,
             |local| {
                 let (addrs, announced) = &book;
                 let mut addrs = addrs.lock().expect("address book");
-                addrs.extend(shards[k].iter().map(|&u| (u, local.to_owned())));
+                addrs.extend(
+                    shards[k]
+                        .clone()
+                        .map(|u| (NodeId::new(u), local.to_owned())),
+                );
                 announced.notify_all();
                 let (addrs, wait) = announced
                     .wait_timeout_while(addrs, Duration::from_secs(10), |a| a.len() < n)
@@ -87,7 +113,6 @@ fn run_shards(
                 assert!(!wait.timed_out(), "a shard never announced its address");
                 addrs.clone()
             },
-            |id, n| PushPullNode::new(id, n, Mode::PushPull),
             |p, view| {
                 if k == 0 {
                     peak.fetch_max(os_threads(), Ordering::Relaxed);
@@ -111,15 +136,12 @@ fn run_shards(
 fn triangle_converges_to_engine_rumor_sets() {
     let g = generators::clique(3);
     let cfg = sim_config(7, 300);
-    let hosted: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-    let outcomes = run_reactor_cluster_mode(
+    let outcomes = run_shard(
         &g,
         &cfg,
-        &fast_reactor(),
-        &hosted,
+        0..3,
         PayloadMode::Snapshot,
         |_| BTreeMap::new(), // every node is hosted; nothing to exchange
-        |id, n| PushPullNode::new(id, n, Mode::PushPull),
         component_done(3),
     )
     .expect("shard runs");
@@ -147,15 +169,12 @@ fn ring_of_cliques_64_converges_full() {
     let g = generators::ring_of_cliques(8, 8, 3);
     let n = g.node_count();
     assert_eq!(n, 64);
-    let hosted: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let outcomes = run_reactor_cluster_mode(
+    let outcomes = run_shard(
         &g,
         &sim_config(11, 2_000),
-        &fast_reactor(),
-        &hosted,
+        0..n,
         PayloadMode::Snapshot,
         |_| BTreeMap::new(),
-        |id, n| PushPullNode::new(id, n, Mode::PushPull),
         component_done(n),
     )
     .expect("shard runs");
@@ -184,18 +203,16 @@ fn killed_peer_yields_typed_loss_and_survivors_converge() {
     std::thread::scope(|s| {
         let g = &g;
         s.spawn(move || {
-            let outcomes = run_reactor_cluster_mode(
+            let outcomes = run_shard(
                 g,
                 &cfg,
-                &fast_reactor(),
-                &[NodeId::new(0), NodeId::new(1)],
+                0..2,
                 PayloadMode::Snapshot,
                 |local| {
                     survivor_addr_tx.send(local.to_owned()).expect("announce");
                     let victim = victim_addr_rx.recv().expect("victim address");
                     BTreeMap::from([(NodeId::new(2), victim)])
                 },
-                |id, n| PushPullNode::new(id, n, Mode::PushPull),
                 component_done(3),
             );
             out_tx.send(outcomes).expect("report");
@@ -204,29 +221,22 @@ fn killed_peer_yields_typed_loss_and_survivors_converge() {
             // The victim: participates for three rounds, then aborts —
             // its reactor tears down and the sockets vanish as if the
             // process was killed.
-            let mut reactor =
-                Reactor::new(g, [NodeId::new(2)], fast_reactor()).expect("victim reactor");
+            let mut reactor = Reactor::new(g, 2..3, fast_reactor()).expect("victim reactor");
             victim_addr_tx
                 .send(reactor.local_addr())
                 .expect("announce victim");
             let survivor = survivor_addr_rx.recv().expect("survivor address");
             reactor.set_peer(NodeId::new(0), survivor.clone());
             reactor.set_peer(NodeId::new(1), survivor);
-            let node = NodeId::new(2);
-            let mut runner = NetRunner::new(
-                g,
-                node,
-                PushPullNode::new(node, 3, Mode::PushPull),
-                &cfg,
-                reactor.endpoint(node),
-            );
+            let mut runner =
+                ShardRunner::new(g, 2..3, &cfg, PayloadMode::Snapshot, push_pull, reactor);
             runner.start().expect("victim start");
             for r in 0..3 {
                 runner.begin_round(r).expect("victim round");
                 runner.launch(r).expect("victim launch");
                 runner.settle(r).expect("victim settle");
             }
-            let _ = runner.abort();
+            drop(runner);
         });
 
         // 30-second hard budget: the fault path must be bounded.
@@ -275,18 +285,16 @@ fn killed_peer_in_delta_mode_falls_back_and_survivors_converge() {
     std::thread::scope(|s| {
         let g = &g;
         s.spawn(move || {
-            let outcomes = run_reactor_cluster_mode(
+            let outcomes = run_shard(
                 g,
                 &cfg,
-                &fast_reactor(),
-                &[NodeId::new(0), NodeId::new(1)],
+                0..2,
                 PayloadMode::Delta,
                 |local| {
                     survivor_addr_tx.send(local.to_owned()).expect("announce");
                     let victim = victim_addr_rx.recv().expect("victim address");
                     BTreeMap::from([(NodeId::new(2), victim)])
                 },
-                |id, n| PushPullNode::new(id, n, Mode::PushPull),
                 component_done(3),
             );
             out_tx.send(outcomes).expect("report");
@@ -294,30 +302,22 @@ fn killed_peer_in_delta_mode_falls_back_and_survivors_converge() {
         s.spawn(move || {
             // The victim participates in delta mode too, then aborts —
             // sockets vanish as if the process was killed.
-            let mut reactor =
-                Reactor::new(g, [NodeId::new(2)], fast_reactor()).expect("victim reactor");
+            let mut reactor = Reactor::new(g, 2..3, fast_reactor()).expect("victim reactor");
             victim_addr_tx
                 .send(reactor.local_addr())
                 .expect("announce victim");
             let survivor = survivor_addr_rx.recv().expect("survivor address");
             reactor.set_peer(NodeId::new(0), survivor.clone());
             reactor.set_peer(NodeId::new(1), survivor);
-            let node = NodeId::new(2);
-            let mut runner = NetRunner::new(
-                g,
-                node,
-                PushPullNode::new(node, 3, Mode::PushPull),
-                &cfg,
-                reactor.endpoint(node),
-            )
-            .with_payload_mode(PayloadMode::Delta);
+            let mut runner =
+                ShardRunner::new(g, 2..3, &cfg, PayloadMode::Delta, push_pull, reactor);
             runner.start().expect("victim start");
             for r in 0..3 {
                 runner.begin_round(r).expect("victim round");
                 runner.launch(r).expect("victim launch");
                 runner.settle(r).expect("victim settle");
             }
-            let _ = runner.abort();
+            drop(runner);
         });
 
         let outcomes = out_rx
@@ -359,20 +359,27 @@ fn foreign_universe_frame_is_a_typed_error_on_loopback_and_reactor() {
     // two-node cluster. It decodes cleanly; merged into the node's own
     // two-id set it would be a `union_with` panic, so the runner must
     // hand it back as the peer's violation instead.
-    fn refused(g: &Graph, victim: impl Transport, mut rogue: impl Transport) {
+    fn refused(g: &Graph, mut shard: impl Transport) {
         let (me, peer) = (NodeId::new(0), NodeId::new(1));
-        assert_eq!(rogue.local(), peer);
-        let node = PushPullNode::new(me, 2, Mode::PushPull);
-        let mut runner = NetRunner::new(g, me, node, &sim_config(1, 10), victim)
-            .with_payload_mode(PayloadMode::Delta);
-        runner.start().expect("start");
+        shard.start().expect("start");
         let frame = Frame::RequestDelta {
             seq: 1,
             round: 0,
             basis_seq: 0,
             payload: vec![9, 0, 0],
         };
-        rogue.send(0, me, 0, &frame).expect("send");
+        // The rogue sends through the shard's transport before the
+        // runner takes it over.
+        shard.send(peer, 0, me, 0, &frame).expect("send");
+        let mut runner = ShardRunner::new(
+            g,
+            0..2,
+            &sim_config(1, 10),
+            PayloadMode::Delta,
+            push_pull,
+            shard,
+        );
+        runner.start().expect("start");
         let err = runner.begin_round(0).expect_err("foreign universe");
         assert!(
             matches!(&err, NetError::ProtocolViolation(why) if why.contains("universe 9")),
@@ -380,16 +387,13 @@ fn foreign_universe_frame_is_a_typed_error_on_loopback_and_reactor() {
         );
     }
     let g = generators::clique(2);
-    let (a, b) = (NodeId::new(0), NodeId::new(1));
-    let hub = LoopbackHub::new(2);
-    refused(&g, hub.endpoint(a), hub.endpoint(b));
+    refused(&g, LoopbackHub::new(2));
     // Drain pacing: the poll pumps the trunk until the frame is in.
     let drain = ReactorConfig {
         pacing: Pacing::Drain,
         ..fast_reactor()
     };
-    let reactor = Reactor::new(&g, [a, b], drain).expect("reactor");
-    refused(&g, reactor.endpoint(a), reactor.endpoint(b));
+    refused(&g, Reactor::new(&g, 0..2, drain).expect("reactor"));
 }
 
 #[test]
@@ -410,37 +414,35 @@ fn topology_mismatch_refuses_to_pair() {
     };
     assert_ne!(g_fast.topology_hash(), g_slow.topology_hash());
 
-    let mut a = Reactor::new(&g_fast, [NodeId::new(0)], fast_reactor()).expect("reactor a");
+    let mut a = Reactor::new(&g_fast, 0..1, fast_reactor()).expect("reactor a");
     let (addr_tx, addr_rx) = mpsc::channel::<String>();
     let (stop_tx, stop_rx) = mpsc::channel::<()>();
     let a_addr = a.local_addr();
     std::thread::scope(|s| {
         let g_slow = &g_slow;
         s.spawn(move || {
-            let mut b = Reactor::new(g_slow, [NodeId::new(1)], fast_reactor()).expect("reactor b");
+            let mut b = Reactor::new(g_slow, 1..2, fast_reactor()).expect("reactor b");
             addr_tx.send(b.local_addr()).expect("announce");
             b.set_peer(NodeId::new(0), a_addr);
-            let mut eb = b.endpoint(NodeId::new(1));
-            let _ = eb.start(); // fails or settles lost; either is fine
-                                // Keep pumping so a's handshake is answered even if b's own
-                                // barrier settled first; exit once a has seen its loss.
+            let _ = b.start(); // fails or settles lost; either is fine
+                               // Keep pumping so a's handshake is answered even if b's own
+                               // barrier settled first; exit once a has seen its loss.
             for round in 0.. {
                 if stop_rx.try_recv().is_ok() {
                     break;
                 }
-                let _ = eb.poll(round, &mut Vec::new());
+                let _ = b.poll(round, &mut Vec::new());
             }
         });
         a.set_peer(NodeId::new(1), addr_rx.recv().expect("b address"));
-        let mut ea = a.endpoint(NodeId::new(0));
-        ea.start()
+        a.start()
             .expect("start settles: the peer is conclusively lost");
         let mut events = Vec::new();
-        ea.poll(0, &mut events).expect("poll");
+        a.poll(0, &mut events).expect("poll");
         let lost: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                gossip_net::NetEvent::PeerLost(loss) => Some(loss),
+                gossip_net::NetEvent::PeerLost { loss, .. } => Some(loss),
                 gossip_net::NetEvent::Frame { .. } => None,
             })
             .collect();
@@ -452,7 +454,7 @@ fn topology_mismatch_refuses_to_pair() {
             lost[0].error
         );
         stop_tx.send(()).expect("b still pumping");
-        ea.shutdown();
+        a.shutdown();
     });
 }
 
@@ -470,10 +472,9 @@ fn start_barrier_times_out_without_peers() {
         l.local_addr().expect("probe addr").to_string()
     };
     let g = generators::path(2);
-    let mut r = Reactor::new(&g, [NodeId::new(0)], cfg).expect("reactor");
+    let mut r = Reactor::new(&g, 0..1, cfg).expect("reactor");
     r.set_peer(NodeId::new(1), dead);
-    let mut e = r.endpoint(NodeId::new(0));
-    let err = e.start().expect_err("barrier cannot hold");
+    let err = r.start().expect_err("barrier cannot hold");
     match err {
         gossip_net::NetError::StartTimeout { waiting } => {
             assert_eq!(waiting, vec![NodeId::new(1)]);
@@ -495,8 +496,9 @@ fn shard_and_one_node_reactors_converge_without_losses() {
     let n = g.node_count();
     assert_eq!(n, 64);
     let half = n / 2;
-    let mut shards = vec![(0..half).map(NodeId::new).collect::<Vec<_>>()];
-    shards.extend((half..n).map(|i| vec![NodeId::new(i)]));
+    let shards: Vec<Range<usize>> = std::iter::once(0..half)
+        .chain((half..n).map(|i| i..i + 1))
+        .collect();
     let before = os_threads();
     let (outcomes, peak) = run_shards(&g, &sim_config(21, 2_000), PayloadMode::Snapshot, &shards);
     for (k, shard) in outcomes.iter().enumerate() {
@@ -535,10 +537,7 @@ fn delta_mode_shards_converge_with_capability_handshake() {
         }
         b.build().expect("graph")
     };
-    let shards = [
-        (0..8).map(NodeId::new).collect::<Vec<_>>(),
-        (8..16).map(NodeId::new).collect(),
-    ];
+    let shards = [0..8, 8..16];
     let (outcomes, _) = run_shards(&g, &sim_config(13, 600), PayloadMode::Delta, &shards);
     let mut delta_frames = 0;
     for (i, o) in outcomes.iter().flatten().enumerate() {

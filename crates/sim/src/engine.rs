@@ -2,13 +2,13 @@
 
 use std::collections::BTreeMap;
 use std::mem;
+use std::ops::Range;
 
 use latency_graph::{Graph, Latency, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
 use crate::faults::FaultPlan;
-use crate::pacing::node_seed;
 use crate::Round;
 
 /// How the engine schedules a protocol's [`on_round`](Protocol::on_round)
@@ -163,45 +163,6 @@ pub struct Context<'a> {
 }
 
 impl<'a> Context<'a> {
-    /// Crate-internal constructor shared by the engine's round loop and
-    /// the [`pacing`](crate::pacing) contract, so a [`NodePacer`] hands
-    /// protocols a view that is field-for-field the one the simulator
-    /// builds.
-    ///
-    /// [`NodePacer`]: crate::pacing::NodePacer
-    #[allow(clippy::too_many_arguments)] // mirrors the engine's per-node state split
-    pub(crate) fn new(
-        node: NodeId,
-        round: Round,
-        n: usize,
-        size_hint: usize,
-        neighbor_ids: &'a [NodeId],
-        latencies: Option<&'a [Latency]>,
-        rng: &'a mut StdRng,
-        pending: &'a mut Option<(NodeId, u32)>,
-        wake: &'a mut Option<Round>,
-    ) -> Context<'a> {
-        Context {
-            node,
-            round,
-            n,
-            size_hint,
-            neighbor_ids,
-            latencies,
-            rng,
-            pending,
-            wake,
-            tape: None,
-        }
-    }
-
-    /// Attaches a checker choice tape to the view; used only by
-    /// [`Stepper`]-driven runs.
-    pub(crate) fn with_tape(mut self, tape: Option<&'a mut ChoiceTape>) -> Context<'a> {
-        self.tape = tape;
-        self
-    }
-
     /// This node's id.
     pub fn id(&self) -> NodeId {
         self.node
@@ -525,11 +486,11 @@ impl SimMetrics {
 /// [`SimMetrics`] these describe *how* the engine executed, not what
 /// the protocol did, and are **not** part of the determinism contract
 /// between [`Simulator::run`] and a hand-driven [`Stepper`]
-/// (`skipped_rounds` is zero for the latter by construction).
-/// Reported for [`Scheduling::OnDemand`] runs only:
-/// [`Scheduling::EveryRound`] runs report zeros (the net runner's
-/// `Outcome` does the same), which the frozen `benchmark/expected.json`
-/// pins for its every-round workloads.
+/// (`skipped_rounds` is zero for the latter, and for a net run, by
+/// construction). Reported for [`Scheduling::OnDemand`] runs only:
+/// [`Scheduling::EveryRound`] runs report zeros, in the engine and the
+/// net runtime alike, which the frozen `benchmark/expected.json` pins
+/// for its every-round workloads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// `on_round` callbacks executed.
@@ -588,7 +549,11 @@ const MAX_RING_SLOTS: u64 = 4096;
 /// Calendar-queue scheduler: items filed under the round they fall
 /// due. The engine keeps two — in-flight exchanges
 /// (`CalendarQueue<InFlight<_>>`) and registered wakeups
-/// (`CalendarQueue<u32>` of node ids).
+/// (`CalendarQueue<u32>` of node ids) — and the `gossip-net` shard
+/// runner keeps its hold of received exchanges on one.
+///
+/// Every round must be collected, in order: a ring slot is reused for
+/// the round `slots` rounds later.
 ///
 /// A ring of `min(max_delay + 1, MAX_RING_SLOTS)` reusable buckets
 /// indexed by `due_at % slots`. An item goes into the ring only when
@@ -605,7 +570,7 @@ const MAX_RING_SLOTS: u64 = 4096;
 /// the wake ring is sized like the exchange ring, which keeps a
 /// [`Stepper`] clone light.
 #[derive(Clone)]
-struct CalendarQueue<T> {
+pub struct CalendarQueue<T> {
     ring: Vec<Vec<T>>,
     overflow: BTreeMap<Round, Vec<T>>,
     /// Emptied overflow batches, kept for reuse: `schedule` pulls a
@@ -636,22 +601,24 @@ fn latency_to_index(i: u32) -> usize {
     usize::try_from(i).expect("adjacency index fits usize")
 }
 
-/// Widens a frontier node id (stored as `u32` — [`Stepper::new`]
-/// asserts `n` fits) back to a `usize` index.
+/// Widens a frontier slot (stored as `u32` — [`NodeTable::new`]
+/// asserts the slot count fits) back to a `usize` index.
 #[inline]
 fn frontier_index(i: u32) -> usize {
     usize::try_from(i).expect("node index fits usize")
 }
 
-/// Narrows a node index into the frontier's `u32` id space; infallible
-/// after [`Stepper::new`]'s assertion.
+/// Narrows a slot into the frontier's `u32` id space; infallible after
+/// [`NodeTable::new`]'s assertion.
 #[inline]
 fn frontier_id(i: usize) -> u32 {
     u32::try_from(i).expect("node index fits u32")
 }
 
 impl<T> CalendarQueue<T> {
-    fn new(max_delay: u64) -> CalendarQueue<T> {
+    /// An empty queue whose ring covers delays up to `max_delay`
+    /// (longer ones take the overflow map).
+    pub fn new(max_delay: u64) -> CalendarQueue<T> {
         let slots = (max_delay + 1).min(MAX_RING_SLOTS);
         CalendarQueue {
             ring: (0..slots).map(|_| Vec::new()).collect(),
@@ -661,14 +628,21 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
     #[inline]
     fn slots(&self) -> u64 {
         u64::try_from(self.ring.len()).expect("ring length fits u64")
     }
 
-    /// Files `item` to fall due `delay ≥ 1` rounds after `now`.
+    /// Files `item` to fall due at round `now + delay`, where `now` is
+    /// the round collected last (then `delay ≥ 1`) or the next one to
+    /// be collected.
     #[inline]
-    fn schedule(&mut self, now: Round, delay: u64, item: T) {
+    pub fn schedule(&mut self, now: Round, delay: u64, item: T) {
         self.len += 1;
         if delay < self.slots() {
             let slot = round_to_slot(now + delay, self.slots());
@@ -683,7 +657,7 @@ impl<T> CalendarQueue<T> {
 
     /// Appends every item due at `round` onto `due` (scheduling
     /// order), leaving the slot's capacity in place for reuse.
-    fn collect_due(&mut self, round: Round, due: &mut Vec<T>) {
+    pub fn collect_due(&mut self, round: Round, due: &mut Vec<T>) {
         let before = due.len();
         // Overflow entries carry a delay ≥ the ring length while ring
         // entries carry less, so everything in the overflow batch was
@@ -711,7 +685,7 @@ impl<T> CalendarQueue<T> {
     /// drained), so a non-empty slot at ring distance `d` means an
     /// item due at exactly `round + d`.
     fn next_occupied_after(&self, round: Round) -> Option<Round> {
-        if self.len == 0 {
+        if self.is_empty() {
             return None;
         }
         let ring = (1..self.slots())
@@ -847,34 +821,306 @@ pub struct InFlightView<'a, T> {
     pub payload_b: &'a T,
 }
 
-/// Builds a per-node callback view from the round loop's split
-/// per-node state. A free function (not a method on [`Stepper`]) so
-/// callers can hold `&mut nodes[i]` at the same time.
-#[allow(clippy::too_many_arguments)] // mirrors the engine's per-node state split
-fn node_ctx<'a>(
-    graph: &'a Graph,
-    config: &SimConfig,
+/// The engine's per-node RNG seed: node `v` under master seed `seed`
+/// gets the stream `StdRng::seed_from_u64(node_seed(seed, v))`.
+pub fn node_seed(seed: u64, node: NodeId) -> u64 {
+    let i = u64::try_from(node.index()).expect("node index fits u64");
+    splitmix64(seed ^ splitmix64(i))
+}
+
+/// One launch [`NodeTable::step`] yields: the initiating slot, the
+/// chosen peer, its position in the initiator's adjacency row, and the
+/// latency of the edge between them.
+pub type Launch = (usize, NodeId, usize, Latency);
+
+/// The per-node half of the round loop: every piece of state the §1
+/// model keeps per node, for the contiguous id range a driver hosts —
+/// protocols, seeded RNGs, the pending-initiation and wake slots, the
+/// frontier with its stamps and wake calendar, done flags, the event
+/// flag, [`EngineStats`] and the checker's choice tape. Slot `s` holds
+/// node `base + s`.
+///
+/// [`Stepper`] drives one over every node of the graph; the
+/// `gossip-net` shard runner drives one over the nodes a shard hosts.
+/// Both run the same phase order on the same state, which is what
+/// makes a net run replay the engine's:
+///
+/// 1. [`deliver`](Self::deliver) each exchange completing this round,
+///    oldest initiation first per node, then
+///    [`settle_frontier`](Self::settle_frontier);
+/// 2. the driver's stop checks;
+/// 3. [`step`](Self::step) — `on_round` over the frontier's live
+///    nodes — and the launch (or [`reject`](Self::reject)) of each
+///    initiation it yields, with payload snapshots taken now;
+/// 4. [`end_round`](Self::end_round).
+#[derive(Clone)]
+pub struct NodeTable<'g, P: Protocol> {
+    graph: &'g Graph,
+    /// Node id of slot 0.
+    base: usize,
     size_hint: usize,
-    i: usize,
-    round: Round,
-    rng: &'a mut StdRng,
-    pending: &'a mut Option<(NodeId, u32)>,
-    wake: &'a mut Option<Round>,
-    tape: Option<&'a mut ChoiceTape>,
-) -> Context<'a> {
-    let v = NodeId::new(i);
-    Context::new(
-        v,
-        round,
-        graph.node_count(),
-        size_hint,
-        graph.neighbor_ids(v),
-        config.latency_known.then(|| graph.neighbor_latencies(v)),
-        rng,
-        pending,
-        wake,
-    )
-    .with_tape(tape)
+    latency_known: bool,
+    nodes: Vec<P>,
+    rngs: Vec<StdRng>,
+    pending: Vec<Option<(NodeId, u32)>>,
+    /// Wake-request slots, written by [`Context::wake_at`]. `end_round`
+    /// files the frontier's requests into `wakes`; under
+    /// [`Scheduling::EveryRound`] they are never read.
+    wake: Vec<Option<Round>>,
+    /// This round's frontier, as ascending slots. Seeded with every
+    /// slot for round 0; under [`Scheduling::EveryRound`] it stays that
+    /// way, under [`Scheduling::OnDemand`] `end_round` empties it and
+    /// the next round's deliveries and due wakeups refill it.
+    frontier: Vec<u32>,
+    /// `stamp[s] == round` ⇔ slot `s` is already listed on this round's
+    /// frontier ([`Scheduling::OnDemand`] only).
+    stamp: Vec<Round>,
+    /// Registered wakeups ([`Scheduling::OnDemand`] only).
+    wakes: CalendarQueue<u32>,
+    /// All-done bookkeeping: protocol state changes only inside
+    /// callbacks, so refreshing the flags of frontier members keeps
+    /// the counter exact.
+    done_flags: Vec<bool>,
+    done_count: usize,
+    /// Whether the current round is an event round — round 0, a
+    /// delivery or a due wakeup; always, under
+    /// [`Scheduling::EveryRound`]. Set by `settle_frontier`.
+    event: bool,
+    stats: EngineStats,
+    /// Checker-installed choice script threaded into every callback
+    /// [`Context`]; `None` in normal runs, making [`Context::choose`]
+    /// fall through to the node RNG.
+    tape: Option<ChoiceTape>,
+}
+
+impl<'g, P: Protocol> NodeTable<'g, P> {
+    const ON_DEMAND: bool = matches!(P::SCHEDULING, Scheduling::OnDemand);
+
+    /// Builds the round-0 state of the nodes in `hosted`: protocol
+    /// instances from `factory(id, n)`, RNGs seeded by [`node_seed`],
+    /// the universal round-0 frontier, and `on_start` for every node
+    /// `live` accepts. Only the model fields of `config` (`seed`,
+    /// `latency_known`, `size_hint`) are read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hosted` reaches past the graph or holds more than
+    /// `u32::MAX` nodes.
+    pub fn new<F>(
+        graph: &'g Graph,
+        config: &SimConfig,
+        hosted: Range<usize>,
+        mut factory: F,
+        mut live: impl FnMut(NodeId) -> bool,
+    ) -> NodeTable<'g, P>
+    where
+        F: FnMut(NodeId, usize) -> P,
+    {
+        let n = graph.node_count();
+        assert!(hosted.end <= n, "hosted nodes {hosted:?} outside {n} nodes");
+        let len = hosted.len();
+        let slots = u32::try_from(len).expect("the engine indexes nodes with u32 ids");
+        let l_max = graph.max_latency().map_or(0, Latency::rounds);
+        let mut table = NodeTable {
+            graph,
+            base: hosted.start,
+            size_hint: config.size_hint.unwrap_or(n),
+            latency_known: config.latency_known,
+            nodes: hosted.clone().map(|i| factory(NodeId::new(i), n)).collect(),
+            rngs: hosted
+                .clone()
+                .map(|i| StdRng::seed_from_u64(node_seed(config.seed, NodeId::new(i))))
+                .collect(),
+            pending: vec![None; len],
+            wake: vec![None; len],
+            frontier: (0..slots).collect(),
+            stamp: vec![0; if Self::ON_DEMAND { len } else { 0 }],
+            wakes: CalendarQueue::new(if Self::ON_DEMAND { l_max } else { 0 }),
+            done_flags: vec![false; len],
+            done_count: 0,
+            event: true,
+            stats: EngineStats::default(),
+            tape: None,
+        };
+        // Wake requests registered in `on_start` are honored like any
+        // other.
+        for slot in 0..len {
+            if live(table.id(slot)) {
+                table.with_node(slot, 0, P::on_start);
+            }
+        }
+        table.refresh_done();
+        table.file_wakeups(0);
+        table
+    }
+
+    /// The node held in `slot`.
+    pub fn id(&self, slot: usize) -> NodeId {
+        NodeId::new(self.base + slot)
+    }
+
+    /// Runs `f` on slot `slot`'s protocol with its callback view.
+    fn with_node<R>(
+        &mut self,
+        slot: usize,
+        round: Round,
+        f: impl FnOnce(&mut P, &mut Context<'_>) -> R,
+    ) -> R {
+        let v = self.id(slot);
+        let mut ctx = Context {
+            node: v,
+            round,
+            n: self.graph.node_count(),
+            size_hint: self.size_hint,
+            neighbor_ids: self.graph.neighbor_ids(v),
+            latencies: self.latency_known.then(|| self.graph.neighbor_latencies(v)),
+            rng: &mut self.rngs[slot],
+            pending: &mut self.pending[slot],
+            wake: &mut self.wake[slot],
+            tape: self.tape.as_mut(),
+        };
+        f(&mut self.nodes[slot], &mut ctx)
+    }
+
+    /// Phase 1: hands `exchange`, completing at `round`, to slot
+    /// `slot`'s `on_exchange`, putting the node on the round's
+    /// frontier.
+    pub fn deliver(&mut self, slot: usize, round: Round, exchange: &Exchange<P::Payload>) {
+        // Round 0 is a universal wakeup: `new` seeded the frontier with
+        // everyone.
+        if Self::ON_DEMAND && round > 0 && mem::replace(&mut self.stamp[slot], round) != round {
+            self.frontier.push(frontier_id(slot));
+        }
+        self.with_node(slot, round, |p, ctx| p.on_exchange(ctx, exchange));
+    }
+
+    /// Closes phase 1 of `round`: joins the due wakeups to the
+    /// delivered endpoints and marks the round an event round when
+    /// anything fell due (`had_due`, lost exchanges included) or
+    /// anyone is on the frontier.
+    pub fn settle_frontier(&mut self, round: Round, had_due: bool) {
+        if Self::ON_DEMAND && round > 0 {
+            // Due wakeups join the delivered endpoints, unless the
+            // stamp says the node is listed already; canonical frontier
+            // order is ascending slot.
+            let delivered = self.frontier.len();
+            self.wakes.collect_due(round, &mut self.frontier);
+            let woken = self.frontier.len() - delivered;
+            self.stats.woken += u64::try_from(woken).expect("wake count fits u64");
+            let (stamp, mut seen) = (&mut self.stamp, 0);
+            self.frontier.retain(|&id| {
+                seen += 1;
+                seen <= delivered || mem::replace(&mut stamp[frontier_index(id)], round) != round
+            });
+            self.frontier.sort_unstable();
+        }
+        self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier.len());
+        self.event = had_due || !self.frontier.is_empty() || round == 0;
+        self.stats.event_rounds += u64::from(self.event);
+        // Delivery callbacks may have changed done states, and the
+        // caller's stop checks come next.
+        self.refresh_done();
+    }
+
+    /// Phase 3: `on_round` for every frontier node `live` accepts (a
+    /// refused node's pending initiation is dropped), appending each
+    /// initiation made to `out` in frontier order. The edge latency
+    /// comes from the adjacency position [`Context::initiate`]
+    /// validated — no search of the row.
+    pub fn step(
+        &mut self,
+        round: Round,
+        mut live: impl FnMut(NodeId) -> bool,
+        out: &mut Vec<Launch>,
+    ) {
+        for k in 0..self.frontier.len() {
+            let slot = frontier_index(self.frontier[k]);
+            let v = self.id(slot);
+            if !live(v) {
+                self.pending[slot] = None;
+                continue;
+            }
+            self.stats.stepped += 1;
+            self.with_node(slot, round, P::on_round);
+            if let Some((peer, nth)) = self.pending[slot].take() {
+                let nth = latency_to_index(nth);
+                out.push((slot, peer, nth, self.graph.neighbor_latencies(v)[nth]));
+            }
+        }
+    }
+
+    /// Refuses slot `slot`'s initiation toward `peer` in `round`
+    /// ([`Protocol::on_rejected`]); a rejection cannot re-initiate.
+    pub fn reject(&mut self, slot: usize, round: Round, peer: NodeId) {
+        self.with_node(slot, round, |p, ctx| p.on_rejected(ctx, peer));
+        self.pending[slot] = None;
+    }
+
+    /// Phase 4's bookkeeping, after the launches: done flags and wake
+    /// requests of the frontier, which `round + 1`'s deliveries then
+    /// rebuild ([`Scheduling::OnDemand`]).
+    pub fn end_round(&mut self, round: Round) {
+        self.refresh_done();
+        self.file_wakeups(round);
+        if Self::ON_DEMAND {
+            self.frontier.clear();
+        }
+    }
+
+    /// Re-reads [`Protocol::is_done`] for the frontier's nodes — the
+    /// only ones whose state can have changed — into the done counter.
+    fn refresh_done(&mut self) {
+        for &id in &self.frontier {
+            let i = frontier_index(id);
+            let done = self.nodes[i].is_done();
+            self.done_count = self.done_count + usize::from(done) - usize::from(self.done_flags[i]);
+            self.done_flags[i] = done;
+        }
+    }
+
+    /// Files the wake requests of the frontier's nodes — the only ones
+    /// that can have made one — into the wake calendar.
+    fn file_wakeups(&mut self, now: Round) {
+        if !Self::ON_DEMAND {
+            return;
+        }
+        for &id in &self.frontier {
+            if let Some(at) = self.wake[frontier_index(id)].take() {
+                self.wakes.schedule(now, at - now, id);
+            }
+        }
+    }
+
+    /// The protocol instances, by slot.
+    pub fn nodes(&self) -> &[P] {
+        &self.nodes
+    }
+
+    /// Consumes the table into its protocol instances, by slot.
+    pub fn into_nodes(self) -> Vec<P> {
+        self.nodes
+    }
+
+    /// Whether every node reports [`Protocol::is_done`]; O(1).
+    pub fn all_done(&self) -> bool {
+        self.done_count == self.nodes.len()
+    }
+
+    /// Whether the round `settle_frontier` last closed is an event
+    /// round (see [`Scheduling::OnDemand`]).
+    pub fn is_event_round(&self) -> bool {
+        self.event
+    }
+
+    /// The execution counters — zeros for a [`Scheduling::EveryRound`]
+    /// protocol, the documented [`EngineStats`] contract.
+    pub fn stats(&self) -> EngineStats {
+        if Self::ON_DEMAND {
+            self.stats
+        } else {
+            EngineStats::default()
+        }
+    }
 }
 
 /// Settles one exchange completing at `round`. Frees the initiator's
@@ -963,123 +1209,57 @@ pub struct Stepper<'g, P: Protocol> {
     graph: &'g Graph,
     config: SimConfig,
     faults: FaultPlan,
-    size_hint: usize,
-    nodes: Vec<P>,
-    rngs: Vec<StdRng>,
-    pending: Vec<Option<(NodeId, u32)>>,
-    /// Wake-request slots, written by [`Context::wake_at`]. `advance`
-    /// files the frontier's requests into `wakes` at the end of the
-    /// round; under [`Scheduling::EveryRound`] they are never read.
-    wake: Vec<Option<Round>>,
+    /// Everything kept per node, frontier included.
+    table: NodeTable<'g, P>,
     queue: CalendarQueue<InFlight<P::Payload>>,
     /// Delivery batch, reused every round.
     due: Vec<InFlight<P::Payload>>,
+    /// This round's initiations, reused every round.
+    launches: Vec<Launch>,
     /// Blocking mode: outstanding own-initiated exchanges per node.
     outstanding: Vec<u32>,
-    /// Capped model only: this round's admission candidates, and
-    /// per-node `(round, engagements)` counters — a count is valid iff
-    /// its round stamp is current, so per-round resets are O(touched),
-    /// not O(n).
-    candidates: Vec<u32>,
+    /// Capped model only: per-node `(round, engagements)` counters — a
+    /// count is valid iff its round stamp is current, so per-round
+    /// resets are O(touched), not O(n).
     engaged: Vec<(Round, usize)>,
-    /// This round's frontier, ascending. Seeded with every node for
-    /// round 0; under [`Scheduling::EveryRound`] it stays that way.
-    frontier: Vec<u32>,
-    /// `stamp[i] == round` ⇔ node `i` is already listed on this
-    /// round's frontier ([`Scheduling::OnDemand`] only).
-    stamp: Vec<Round>,
-    /// Registered wakeups ([`Scheduling::OnDemand`] only).
-    wakes: CalendarQueue<u32>,
-    /// All-done bookkeeping: protocol state changes only inside
-    /// callbacks, so refreshing the flags of frontier members keeps
-    /// the counter exact.
-    done_flags: Vec<bool>,
-    done_count: usize,
-    /// Whether the current round is an event round — round 0, a
-    /// delivery attempt or a due wakeup; always, under
-    /// [`Scheduling::EveryRound`]. Set by `deliver`; gates
-    /// [`Simulator::run`]'s stop checks.
-    event: bool,
     metrics: SimMetrics,
-    stats: EngineStats,
     round: Round,
-    /// Checker-installed choice script threaded into every callback
-    /// [`Context`]; `None` in normal runs, making [`Context::choose`]
-    /// fall through to the node RNG.
-    tape: Option<ChoiceTape>,
 }
 
 impl<'g, P: Protocol> Stepper<'g, P> {
     const ON_DEMAND: bool = matches!(P::SCHEDULING, Scheduling::OnDemand);
 
-    /// Builds the round-0 state: node instances, per-node RNGs, empty
-    /// queues, the universal round-0 frontier, and the pre-round
-    /// `on_start` sweep over live nodes. `on_start` runs without a
-    /// choice tape (none can be installed yet); none of the shipped
-    /// protocols branch there.
-    fn new<F>(
-        graph: &'g Graph,
-        config: SimConfig,
-        faults: FaultPlan,
-        mut factory: F,
-    ) -> Stepper<'g, P>
+    /// Builds the round-0 state: the node table (whose `on_start`
+    /// sweep skips nodes crashed at round 0), empty queues and
+    /// counters. `on_start` runs without a choice tape (none can be
+    /// installed yet); none of the shipped protocols branch there.
+    fn new<F>(graph: &'g Graph, config: SimConfig, faults: FaultPlan, factory: F) -> Stepper<'g, P>
     where
         F: FnMut(NodeId, usize) -> P,
     {
         let n = graph.node_count();
-        let ids = u32::try_from(n).expect("the engine indexes nodes with u32 ids");
         let l_max = graph.max_latency().map_or(0, Latency::rounds);
-        let capped = config.connection_cap.is_some();
-        let mut st = Stepper {
+        let table = NodeTable::new(graph, &config, 0..n, factory, |v| !faults.is_crashed(v, 0));
+        Stepper {
             graph,
             config,
             faults,
-            size_hint: config.size_hint.unwrap_or(n),
-            nodes: (0..n).map(|i| factory(NodeId::new(i), n)).collect(),
-            rngs: (0..n)
-                .map(|i| StdRng::seed_from_u64(node_seed(config.seed, NodeId::new(i))))
-                .collect(),
-            pending: vec![None; n],
-            wake: vec![None; n],
+            table,
             queue: CalendarQueue::new(l_max),
             due: Vec::new(),
+            launches: Vec::new(),
             outstanding: vec![0; if config.blocking { n } else { 0 }],
-            candidates: Vec::new(),
-            engaged: vec![(Round::MAX, 0); if capped { n } else { 0 }],
-            frontier: (0..ids).collect(),
-            stamp: vec![0; if Self::ON_DEMAND { n } else { 0 }],
-            wakes: CalendarQueue::new(if Self::ON_DEMAND { l_max } else { 0 }),
-            done_flags: vec![false; n],
-            done_count: 0,
-            event: true,
+            engaged: vec![
+                (Round::MAX, 0);
+                if config.connection_cap.is_some() {
+                    n
+                } else {
+                    0
+                }
+            ],
             metrics: SimMetrics::default(),
-            stats: EngineStats::default(),
             round: 0,
-            tape: None,
-        };
-
-        // on_start for every live node, before round 0; wake requests
-        // registered here are honored like any other.
-        for i in 0..n {
-            if st.faults.is_crashed(NodeId::new(i), 0) {
-                continue;
-            }
-            let mut ctx = node_ctx(
-                st.graph,
-                &st.config,
-                st.size_hint,
-                i,
-                0,
-                &mut st.rngs[i],
-                &mut st.pending[i],
-                &mut st.wake[i],
-                None,
-            );
-            st.nodes[i].on_start(&mut ctx);
         }
-        st.refresh_done();
-        st.file_wakeups();
-        st
     }
 
     /// The current round — the one `deliver` and `advance` operate on.
@@ -1089,7 +1269,7 @@ impl<'g, P: Protocol> Stepper<'g, P> {
 
     /// The node protocol instances, in id order.
     pub fn nodes(&self) -> &[P] {
-        &self.nodes
+        self.table.nodes()
     }
 
     /// Metrics accumulated so far.
@@ -1110,7 +1290,7 @@ impl<'g, P: Protocol> Stepper<'g, P> {
     /// Whether every node reports [`Protocol::is_done`]. O(1): reads
     /// the done counter `deliver` and `advance` keep current.
     pub fn all_done(&self) -> bool {
-        self.done_count == self.nodes.len()
+        self.table.all_done()
     }
 
     /// Whether the round counter has reached [`SimConfig::max_rounds`].
@@ -1124,7 +1304,7 @@ impl<'g, P: Protocol> Stepper<'g, P> {
     /// stop checks only then, and a hand-driven loop that wants its
     /// stop rounds must do the same.
     pub fn is_event_round(&self) -> bool {
-        self.event
+        self.table.is_event_round()
     }
 
     /// Installs a choice tape: until [taken
@@ -1132,13 +1312,13 @@ impl<'g, P: Protocol> Stepper<'g, P> {
     /// `deliver`/`advance` callbacks is scripted by it instead of drawn
     /// from the node RNG.
     pub fn set_choice_tape(&mut self, tape: ChoiceTape) {
-        self.tape = Some(tape);
+        self.table.tape = Some(tape);
     }
 
     /// Removes and returns the installed choice tape, carrying its
     /// recorded `taken`/`arities` trail.
     pub fn take_choice_tape(&mut self) -> Option<ChoiceTape> {
-        self.tape.take()
+        self.table.tape.take()
     }
 
     /// Crashes node `v` as of the current round: it is no longer
@@ -1170,12 +1350,6 @@ impl<'g, P: Protocol> Stepper<'g, P> {
 
     fn deliver_inner(&mut self, mut log: Option<&mut Vec<DeliveryRecord>>) {
         let round = self.round;
-        // Round 0 is a universal wakeup (`new` seeded the frontier
-        // with everyone); later on-demand frontiers are rebuilt here.
-        let rebuild = Self::ON_DEMAND && round > 0;
-        if rebuild {
-            self.frontier.clear();
-        }
         let mut due = mem::take(&mut self.due);
         self.queue.collect_due(round, &mut due);
         let had_due = !due.is_empty();
@@ -1199,47 +1373,11 @@ impl<'g, P: Protocol> Stepper<'g, P> {
                 });
             }
             for (me, exchange) in views.into_iter().flatten() {
-                let i = me.index();
-                if rebuild && mem::replace(&mut self.stamp[i], round) != round {
-                    self.frontier.push(frontier_id(i));
-                }
-                let mut ctx = node_ctx(
-                    self.graph,
-                    &self.config,
-                    self.size_hint,
-                    i,
-                    round,
-                    &mut self.rngs[i],
-                    &mut self.pending[i],
-                    &mut self.wake[i],
-                    self.tape.as_mut(),
-                );
-                self.nodes[i].on_exchange(&mut ctx, &exchange);
+                self.table.deliver(me.index(), round, &exchange);
             }
         }
         self.due = due;
-
-        if rebuild {
-            // Due wakeups join the delivered endpoints, unless the
-            // stamp says the node is listed already; canonical frontier
-            // order is ascending node id.
-            let delivered = self.frontier.len();
-            self.wakes.collect_due(round, &mut self.frontier);
-            let woken = self.frontier.len() - delivered;
-            self.stats.woken += u64::try_from(woken).expect("wake count fits u64");
-            let (stamp, mut seen) = (&mut self.stamp, 0);
-            self.frontier.retain(|&id| {
-                seen += 1;
-                seen <= delivered || mem::replace(&mut stamp[frontier_index(id)], round) != round
-            });
-            self.frontier.sort_unstable();
-        }
-        self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier.len());
-        self.event = had_due || !self.frontier.is_empty() || round == 0;
-        self.stats.event_rounds += u64::from(self.event);
-        // Delivery callbacks may have changed done states, and the
-        // caller's stop checks come next.
-        self.refresh_done();
+        self.table.settle_frontier(round, had_due);
     }
 
     /// Phases 3–4 of the round — `on_round` for the frontier's live
@@ -1248,56 +1386,25 @@ impl<'g, P: Protocol> Stepper<'g, P> {
     /// and the round increment (by exactly one).
     pub fn advance(&mut self) {
         let round = self.round;
+        let mut launches = mem::take(&mut self.launches);
+        let faults = &self.faults;
+        self.table
+            .step(round, |v| !faults.is_crashed(v, round), &mut launches);
 
-        // 3. Per-node round logic.
-        for &id in &self.frontier {
-            let i = frontier_index(id);
-            if self.faults.is_crashed(NodeId::new(i), round) {
-                self.pending[i] = None;
-                continue;
-            }
-            self.stats.stepped += 1;
-            let mut ctx = node_ctx(
-                self.graph,
-                &self.config,
-                self.size_hint,
-                i,
-                round,
-                &mut self.rngs[i],
-                &mut self.pending[i],
-                &mut self.wake[i],
-                self.tape.as_mut(),
-            );
-            self.nodes[i].on_round(&mut ctx);
-        }
-
-        // 4. Launch initiations (snapshot both endpoints now); only
-        // frontier nodes can hold one. Under a connection cap they are
-        // admitted in a seeded-random order — the stable sort of the
-        // ascending candidates gives the same relative order a sort of
-        // all n nodes would — and an initiation counts one engagement
-        // at each endpoint, rejected when either side is full.
+        // Under a connection cap initiations are admitted in a
+        // seeded-random order — the stable sort of the ascending
+        // launches gives the same relative order a sort of all n nodes
+        // would — and an initiation counts one engagement at each
+        // endpoint, rejected when either side is full.
         let cap = self.config.connection_cap;
-        let launch = if cap.is_some() {
-            let (seed, pending) = (self.config.seed, &self.pending);
-            self.candidates.clear();
-            self.candidates.extend(
-                (self.frontier.iter().copied()).filter(|&id| pending[frontier_index(id)].is_some()),
-            );
-            self.candidates.sort_by_key(|&id| {
-                splitmix64(seed ^ round.wrapping_mul(0x5851_F42D) ^ u64::from(id))
+        if cap.is_some() {
+            let seed = self.config.seed;
+            launches.sort_by_key(|&(i, ..)| {
+                splitmix64(seed ^ round.wrapping_mul(0x5851_F42D) ^ u64::from(frontier_id(i)))
             });
-            &self.candidates
-        } else {
-            &self.frontier
-        };
+        }
         let engagements = |(at, count): (Round, usize)| if at == round { count } else { 0 };
-        for &id in launch {
-            let i = frontier_index(id);
-            let Some((v, vi)) = self.pending[i].take() else {
-                continue;
-            };
-            let u = NodeId::new(i);
+        for &(i, v, _, lat) in &launches {
             let mut admitted = !(self.config.blocking && self.outstanding[i] > 0);
             if let (true, Some(cap)) = (admitted, cap) {
                 let mine = engagements(self.engaged[i]);
@@ -1310,70 +1417,31 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             }
             if !admitted {
                 self.metrics.rejected += 1;
-                let mut ctx = node_ctx(
-                    self.graph,
-                    &self.config,
-                    self.size_hint,
-                    i,
-                    round,
-                    &mut self.rngs[i],
-                    &mut self.pending[i],
-                    &mut self.wake[i],
-                    self.tape.as_mut(),
-                );
-                self.nodes[i].on_rejected(&mut ctx, v);
-                self.pending[i] = None; // a rejection cannot re-initiate this round
+                self.table.reject(i, round, v);
                 continue;
             }
             self.metrics.initiated += 1;
             if self.config.blocking {
                 self.outstanding[i] += 1;
             }
-            // `vi` was validated by `Context::initiate`; the edge
-            // latency comes straight from the graph's parallel
-            // latency array — no binary search on the hot path.
-            let lat = self.graph.neighbor_latencies(u)[latency_to_index(vi)];
+            let nodes = self.table.nodes();
             self.queue.schedule(
                 round,
                 lat.rounds(),
                 InFlight {
-                    a: u,
+                    a: NodeId::new(i),
                     b: v,
-                    payload_a: self.nodes[i].payload(),
-                    payload_b: self.nodes[v.index()].payload(),
+                    payload_a: nodes[i].payload(),
+                    payload_b: nodes[v.index()].payload(),
                     initiated_at: round,
                 },
             );
         }
-
+        launches.clear();
+        self.launches = launches;
         // Steps and rejections may have changed done states.
-        self.refresh_done();
-        self.file_wakeups();
+        self.table.end_round(round);
         self.round += 1;
-    }
-
-    /// Re-reads [`Protocol::is_done`] for the frontier's nodes — the
-    /// only ones whose state can have changed — into the done counter.
-    fn refresh_done(&mut self) {
-        for &id in &self.frontier {
-            let i = frontier_index(id);
-            let done = self.nodes[i].is_done();
-            self.done_count = self.done_count + usize::from(done) - usize::from(self.done_flags[i]);
-            self.done_flags[i] = done;
-        }
-    }
-
-    /// Files the wake requests of the frontier's nodes — the only ones
-    /// that can have made one — into the wake calendar.
-    fn file_wakeups(&mut self) {
-        if !Self::ON_DEMAND {
-            return;
-        }
-        for &id in &self.frontier {
-            if let Some(at) = self.wake[frontier_index(id)].take() {
-                self.wakes.schedule(self.round, at - self.round, id);
-            }
-        }
     }
 
     /// [`Simulator::run`]'s shortcut, taken right after `advance`:
@@ -1384,7 +1452,7 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         let last = self.round - 1;
         let next = [
             self.queue.next_occupied_after(last),
-            self.wakes.next_occupied_after(last),
+            self.table.wakes.next_occupied_after(last),
         ]
         .into_iter()
         .flatten()
@@ -1393,7 +1461,7 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         // nothing can ever happen again.
         .unwrap_or(self.config.max_rounds)
         .min(self.config.max_rounds);
-        self.stats.skipped_rounds += next - self.round;
+        self.table.stats.skipped_rounds += next - self.round;
         self.round = next;
     }
 
@@ -1437,14 +1505,8 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             reason,
             rounds: self.round,
             metrics: self.metrics,
-            // Every-round runs report zeros: the documented
-            // [`EngineStats`] contract, pinned by the frozen benchmark.
-            stats: if Self::ON_DEMAND {
-                self.stats
-            } else {
-                EngineStats::default()
-            },
-            nodes: self.nodes,
+            stats: self.table.stats(),
+            nodes: self.table.into_nodes(),
         }
     }
 }
@@ -2172,7 +2234,7 @@ mod tests {
         let sim = Simulator::new(&g, cfg);
         // The reference visits every round number by hand.
         let mut st = sim.stepper(waker);
-        assert_eq!(st.wakes.slots(), 2);
+        assert_eq!(st.table.wakes.slots(), 2);
         loop {
             st.deliver();
             if st.at_round_cap() {

@@ -3,14 +3,17 @@
 
 //! `xtask` — repo automation for the gossip-latencies workspace.
 //!
-//! The only task today is `tidy`, a self-contained determinism & safety
-//! linter (no dependencies beyond `std`): a lightweight Rust tokenizer
-//! feeds twelve rule families that enforce the engine's determinism
-//! contract — the property the golden-trace suite *observes*, this tool
+//! `tidy` is a self-contained determinism & safety linter (no
+//! dependencies beyond `std`): a lightweight Rust tokenizer feeds
+//! twelve rule families that enforce the engine's determinism contract
+//! — the property the golden-trace suite *observes*, this tool
 //! *protects*. Run it as `cargo xtask tidy`; see DESIGN.md §8
 //! "Determinism contract & tidy rules" for the contract itself.
+//! `loc` counts the lines of each crate's `src/` outside test items,
+//! with the same tokenizer ([`loc`]).
 
 pub mod lexer;
+pub mod loc;
 pub mod report;
 pub mod rules;
 

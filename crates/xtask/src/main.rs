@@ -5,14 +5,21 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::{find_root, report, rules, scan_repo};
+use xtask::{find_root, loc, report, rules, scan_repo};
 
 const USAGE: &str = "\
 usage: cargo xtask tidy [--format human|json] [--out FILE] [--root DIR] [--list]
+       cargo xtask loc [SRC_DIR...]
 
-The determinism & safety linter. Exit codes: 0 clean, 1 violations,
-2 usage or I/O error. `--out` writes the JSON report to FILE regardless
-of the chosen stdout format (CI uploads it as an artifact).";
+tidy: the determinism & safety linter. Exit codes: 0 clean, 1
+violations, 2 usage or I/O error. `--out` writes the JSON report to
+FILE regardless of the chosen stdout format (CI uploads it as an
+artifact).
+
+loc: per source directory (default: every crate's `src/`; relative
+paths resolve against the repo root), the lines outside `#[cfg(test)]`
+/ `#[test]` items and the code-only subset (no blank or comment
+lines), then their total.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,6 +43,9 @@ fn run(args: &[String]) -> Result<bool, String> {
     let Some(task) = args.first() else {
         return Err(format!("no task given\n{USAGE}"));
     };
+    if task == "loc" {
+        return run_loc(&args[1..]);
+    }
     if task != "tidy" {
         return Err(format!("unknown task `{task}`\n{USAGE}"));
     }
@@ -86,4 +96,29 @@ fn run(args: &[String]) -> Result<bool, String> {
         );
     }
     Ok(result.violations.is_empty())
+}
+
+/// `cargo xtask loc`: prints the line-count report; always `Ok(true)`
+/// once the tree was read.
+fn run_loc(args: &[String]) -> Result<bool, String> {
+    let mut dirs = Vec::new();
+    for a in args {
+        match a.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return Ok(true);
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`\n{USAGE}")),
+            dir => dirs.push(dir.trim_end_matches('/').to_owned()),
+        }
+    }
+    let root = find_root()?;
+    if dirs.is_empty() {
+        dirs = loc::crate_dirs(&root).map_err(|e| format!("listing crates: {e}"))?;
+    }
+    print!(
+        "{}",
+        loc::report(&root, &dirs).map_err(|e| format!("counting lines: {e}"))?
+    );
+    Ok(true)
 }

@@ -186,7 +186,7 @@ fn is_test_tree(path: &str) -> bool {
 /// An attribute whose identifier list starts with `cfg` and mentions
 /// `test`, or is exactly `test`, marks the following item (through its
 /// closing brace or terminating semicolon) as test code.
-fn test_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
+pub(crate) fn test_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
