@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gossip_sim::{Context, Exchange, Protocol, SimConfig, Simulator};
 use latency_graph::generators::{self, GadgetSpec, LayeredRing, LayeredRingSpec};
-use latency_graph::metrics;
+use latency_graph::{metrics, GraphBuilder};
 use std::hint::black_box;
 
 fn bench_gadget(c: &mut Criterion) {
@@ -54,15 +54,30 @@ fn bench_dijkstra(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two large benchmark topologies: the dense one inserts its edges
-/// in ascending order (no row is sorted), the geometric one in grid-cell
-/// order (every row is). Both have unit latencies, so both build one
-/// shared latency row; the re-weighted clique is the per-edge path.
+/// The two large benchmark topologies. `clique` writes its rows in
+/// place. `builder_clique` is the same `K_4096` through `GraphBuilder`,
+/// whose counting sort still serves every dense builder input (barbells,
+/// rings of cliques, parsed files): its edges arrive in ascending
+/// `(u, v)` order, so no row needs sorting, but the v-side scatter is a
+/// transposition. The geometric one inserts in grid-cell order (every
+/// row is sorted). All have unit latencies, so they build one shared
+/// latency row; the re-weighted clique is the per-edge path.
 fn bench_graph_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph/build");
     group.sample_size(10);
     group.bench_function("clique/4096", |b| {
         b.iter(|| black_box(generators::clique(4096)));
+    });
+    group.bench_function("builder_clique/4096", |b| {
+        b.iter(|| {
+            let mut builder = GraphBuilder::new(4096);
+            for u in 0..4096 {
+                for v in (u + 1)..4096 {
+                    builder.add_unit_edge(u, v).expect("valid clique edge");
+                }
+            }
+            black_box(builder.build().expect("clique is valid"))
+        });
     });
     let clique = generators::clique(4096);
     group.bench_function("uniform_random_latencies/clique/4096", |b| {

@@ -25,23 +25,31 @@ pub use layered_ring::{LayeredRing, LayeredRingSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::graph::{Graph, GraphBuilder};
-use crate::ids::Latency;
+use crate::graph::{Graph, GraphBuilder, RowLatencies};
+use crate::ids::{Latency, NodeId};
 
 /// The complete graph `K_n` with unit latencies.
 ///
+/// The rows are written in place rather than through [`GraphBuilder`]:
+/// row `v` is `0..v` followed by `v + 1..n`, already strictly
+/// increasing, so `K_n` needs no edge list, no counting sort and no
+/// duplicate check. The result is the graph the builder makes from
+/// every `add_unit_edge(u, v)`, `u < v`.
+///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n == 0` or `n > u32::MAX` (node ids are 32-bit).
 pub fn clique(n: usize) -> Graph {
     assert!(n > 0, "clique needs at least one node");
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            b.add_unit_edge(u, v).expect("valid clique edge");
-        }
+    let top = u32::try_from(n).expect("clique node count exceeds u32::MAX");
+    let degree = n - 1;
+    let offsets = (0..=n).map(|v| v * degree).collect();
+    let mut ids = Vec::with_capacity(n * degree);
+    for v in 0..top {
+        ids.extend((0..v).map(NodeId::from));
+        ids.extend((v + 1..top).map(NodeId::from));
     }
-    b.build().expect("clique is valid")
+    Graph::from_rows(offsets, ids, RowLatencies::Shared(Latency::UNIT))
 }
 
 /// The star `S_{n-1}`: node 0 is the hub. Footnote 2 of the paper uses
@@ -347,6 +355,32 @@ mod tests {
         assert_eq!(g.edge_count(), 15);
         assert_eq!(g.max_degree(), 5);
         assert!(g.is_connected());
+        // The directly written rows against the builder's `K_n`, which
+        // stays the reference: the edgeless `K_1`, and row widths on both
+        // sides of 64.
+        for n in [1usize, 2, 3, 63, 64, 65, 200] {
+            let mut b = GraphBuilder::new(n);
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    b.add_unit_edge(u, v).unwrap();
+                }
+            }
+            let (want, got) = (b.build().unwrap(), clique(n));
+            assert_eq!(got, want, "n = {n}");
+            assert_eq!(got.topology_hash(), want.topology_hash(), "n = {n}");
+            assert_eq!(got.edge_count(), n * (n - 1) / 2, "n = {n}");
+            assert_eq!(got.edge_count(), want.edge_count(), "n = {n}");
+            let unit = (n > 1).then_some(Latency::UNIT);
+            assert_eq!(got.max_latency(), unit, "n = {n}");
+            assert_eq!(got.max_latency(), want.max_latency(), "n = {n}");
+            for v in got.nodes() {
+                assert_eq!(
+                    got.neighbor_latencies(v),
+                    want.neighbor_latencies(v),
+                    "n = {n}, v = {v}"
+                );
+            }
+        }
     }
 
     #[test]

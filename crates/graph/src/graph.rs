@@ -379,24 +379,62 @@ impl Graph {
     /// [`GraphError::DuplicateEdge`] with the smallest duplicated
     /// `(u, v)`, `u < v`.
     pub(crate) fn assemble(n: usize, edges: &EdgeList) -> Result<Graph, GraphError> {
-        let (rows, max_latency) = if edges.per_edge.is_empty() {
-            let mut rows = Rows::of(n, &edges.ends)?;
-            rows.lats = edges
-                .latency
-                .map_or_else(Vec::new, |l| vec![l; rows.max_degree]);
-            (rows, edges.latency)
+        Ok(if edges.per_edge.is_empty() {
+            let rows = Rows::of(n, &edges.ends)?;
+            // `latency` is `None` only for an edgeless list, where the
+            // shared latency is never read.
+            let l = edges.latency.unwrap_or(Latency::UNIT);
+            Graph::from_rows(rows.offsets, rows.ids, RowLatencies::Shared(l))
         } else {
-            let max_latency = edges.per_edge.iter().map(|&(_, _, l)| l).max();
-            (Rows::of(n, &edges.per_edge)?, max_latency)
-        };
-        Ok(Graph {
-            offsets: rows.offsets,
-            adj_ids: rows.ids,
-            adj_lats: rows.lats,
-            max_degree: rows.max_degree,
-            max_latency,
+            let rows = Rows::of(n, &edges.per_edge)?;
+            Graph::from_rows(rows.offsets, rows.ids, RowLatencies::PerEntry(rows.lats))
         })
     }
+
+    /// Internal: the graph whose row `v` is `ids[offsets[v]..offsets[v + 1]]`.
+    /// The caller vouches for the rows: `offsets` starts at 0 and ends at
+    /// `ids.len()`, each row is strictly increasing and holds no self-loop,
+    /// and `u` is in `v`'s row iff `v` is in `u`'s, with the same latency.
+    /// Per-entry latencies are for rows whose latencies differ: one
+    /// latency is passed as [`RowLatencies::Shared`], so the layout
+    /// follows from the edge set alone.
+    ///
+    /// This is the one place that fixes `max_degree`, `max_latency` and
+    /// the shared latency row.
+    pub(crate) fn from_rows(offsets: Vec<usize>, ids: Vec<NodeId>, lats: RowLatencies) -> Graph {
+        debug_assert_eq!(offsets.first(), Some(&0));
+        debug_assert_eq!(offsets.last(), Some(&ids.len()));
+        let max_degree = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let (adj_lats, max_latency) = match lats {
+            RowLatencies::Shared(_) if ids.is_empty() => (Vec::new(), None),
+            RowLatencies::Shared(l) => (vec![l; max_degree], Some(l)),
+            RowLatencies::PerEntry(lats) => {
+                let max = lats.iter().copied().max();
+                debug_assert_eq!(lats.len(), ids.len());
+                debug_assert!(
+                    lats.iter().any(|&l| Some(l) != max),
+                    "one latency: share it"
+                );
+                (lats, max)
+            }
+        };
+        Graph {
+            offsets,
+            adj_ids: ids,
+            adj_lats,
+            max_degree,
+            max_latency,
+        }
+    }
+}
+
+/// Internal: the latencies [`Graph::from_rows`] is given with the rows.
+pub(crate) enum RowLatencies {
+    /// One latency per entry of the neighbor ids, parallel to them; at
+    /// least two differ.
+    PerEntry(Vec<Latency>),
+    /// The latency every edge has (ignored when there is no edge).
+    Shared(Latency),
 }
 
 /// Internal: `row.binary_search(&v).ok()` on a strictly increasing row,
@@ -488,7 +526,6 @@ struct Rows {
     offsets: Vec<usize>,
     ids: Vec<NodeId>,
     lats: Vec<Latency>,
-    max_degree: usize,
 }
 
 impl Rows {
@@ -503,7 +540,6 @@ impl Rows {
             offsets[u.index() + 1] += 1;
             offsets[v.index() + 1] += 1;
         }
-        let max_degree = offsets.iter().copied().max().unwrap_or(0);
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
@@ -547,12 +583,7 @@ impl Rows {
                 return Err(GraphError::DuplicateEdge(NodeId::new(i), w[0]));
             }
         }
-        Ok(Rows {
-            offsets,
-            ids,
-            lats,
-            max_degree,
-        })
+        Ok(Rows { offsets, ids, lats })
     }
 }
 
