@@ -20,7 +20,7 @@ use gossip_net::{
     WireAccounting, WirePayload,
 };
 use gossip_sim::{
-    completion_rounds, CompletionLog, Protocol, RumorSet, SimConfig, SimMetrics, StopReason,
+    completion_rounds, CompletionLog, Protocol, Round, RumorSet, SimConfig, SimMetrics, StopReason,
     StreamSpec,
 };
 use latency_graph::{Graph, NodeId};
@@ -190,6 +190,74 @@ where
         .map_err(net_error)
 }
 
+/// How `run-net` runs a cluster: the transport, the engine
+/// configuration, the wall-clock round (`tcp` only) and the payload
+/// mode.
+struct Drive<'a> {
+    transport: &'a str,
+    sim: &'a SimConfig,
+    round: Duration,
+    mode: PayloadMode,
+}
+
+/// The one `run-net` driver: runs the cluster over `drive.transport` —
+/// the lockstep transports until `stop` holds, the wall-paced one until
+/// every node passes the done barrier on `done` — and appends the
+/// report to `out`: the shared lines, with `report`'s (from the wire
+/// accounting and the final protocol states) after the metrics.
+fn drive_run_net<P, F, S, D, W>(
+    g: &Graph,
+    drive: &Drive<'_>,
+    factory: F,
+    stop: S,
+    done: D,
+    report: W,
+    mut out: String,
+) -> Result<String, CliError>
+where
+    P: Protocol,
+    P::Payload: WirePayload,
+    F: FnMut(NodeId, usize) -> P,
+    S: FnMut(&[&P], Round) -> bool,
+    D: Fn(&P, &RunView<'_>) -> bool,
+    W: Fn(&mut String, &WireAccounting, &[&P]),
+{
+    let (sim, mode) = (drive.sim, drive.mode);
+    match drive.transport {
+        "loopback" | "reactor" => {
+            // Both run the engine's schedule exactly; the reactor does it
+            // over real (self-connected) non-blocking sockets.
+            let (o, stats, acct) = if drive.transport == "reactor" {
+                run_reactor_mode_with_stats(g, sim, mode, factory, stop)
+            } else {
+                run_loopback_mode_with_stats(g, sim, mode, factory, stop)
+            };
+            let _ = writeln!(out, "rounds = {}", o.rounds);
+            let _ = writeln!(out, "complete = {}", o.reason != StopReason::MaxRounds);
+            write_metrics(&mut out, &o.metrics, &stats);
+            report(&mut out, &acct, &o.nodes.iter().collect::<Vec<_>>());
+        }
+        "tcp" => {
+            let outcomes = run_wall_cluster(g, sim, drive.round, mode, factory, done)?;
+            let t = totals(&outcomes);
+            let _ = writeln!(out, "nodes = {}", outcomes.len());
+            let _ = writeln!(out, "rounds = {}", t.rounds);
+            let _ = writeln!(out, "complete = {}", t.barrier);
+            write_metrics(&mut out, &t.metrics, &t.stats);
+            let protocols: Vec<&P> = outcomes.iter().map(|o| &o.protocol).collect();
+            report(&mut out, &t.acct, &protocols);
+            let _ = writeln!(out, "peer losses = {}", t.losses);
+        }
+        other => {
+            return Err(CliError::BadArgument {
+                what: "transport",
+                value: other.to_string(),
+            })
+        }
+    }
+    Ok(out)
+}
+
 fn run_net_generic<P, F, R>(
     g: &Graph,
     net: &NetArgs,
@@ -207,55 +275,33 @@ where
     let _ = writeln!(out, "algorithm = {}", net.algorithm);
     let _ = writeln!(out, "transport = {transport}");
     let _ = writeln!(out, "goal = {:?}", net.goal);
-    match transport {
-        "loopback" | "reactor" => {
-            let goal = net.goal.clone();
-            let stop = |nodes: &[&P], _| goal.met_by_all(nodes.iter().map(|p| rumors(p)));
-            // Both run the engine's schedule exactly; the reactor does it
-            // over real (self-connected) non-blocking sockets.
-            let (o, stats, acct) = if transport == "reactor" {
-                run_reactor_mode_with_stats(g, &net.sim, net.mode, factory, stop)
-            } else {
-                run_loopback_mode_with_stats(g, &net.sim, net.mode, factory, stop)
-            };
-            let _ = writeln!(out, "rounds = {}", o.rounds);
-            let _ = writeln!(out, "complete = {}", o.reason != StopReason::MaxRounds);
-            write_metrics(&mut out, &o.metrics, &stats);
-            write_accounting(&mut out, net.mode, &acct);
-        }
-        "tcp" => {
-            let n = g.node_count();
-            let goal = net.goal.clone();
-            let done = move |p: &P, view: &RunView<'_>| locally_done(&goal, n, rumors(p), view);
-            let outcomes = run_wall_cluster(g, &net.sim, net.round, net.mode, factory, done)?;
-            let t = totals(&outcomes);
-            let _ = writeln!(out, "nodes = {}", outcomes.len());
-            let _ = writeln!(out, "rounds = {}", t.rounds);
-            let _ = writeln!(out, "complete = {}", t.barrier);
-            write_metrics(&mut out, &t.metrics, &t.stats);
-            write_accounting(&mut out, net.mode, &t.acct);
-            let _ = writeln!(out, "peer losses = {}", t.losses);
-        }
-        other => {
-            return Err(CliError::BadArgument {
-                what: "transport",
-                value: other.to_string(),
-            })
-        }
-    }
-    Ok(out)
+    let n = g.node_count();
+    let goal = &net.goal;
+    let drive = Drive {
+        transport,
+        sim: &net.sim,
+        round: net.round,
+        mode: net.mode,
+    };
+    drive_run_net(
+        g,
+        &drive,
+        factory,
+        |nodes: &[&P], _| goal.met_by_all(nodes.iter().map(|p| rumors(p))),
+        |p: &P, view: &RunView<'_>| locally_done(goal, n, rumors(p), view),
+        |out: &mut String, acct: &WireAccounting, _: &[&P]| write_accounting(out, net.mode, acct),
+        out,
+    )
 }
 
 /// Runs the streaming workload over one transport, generic over the
-/// selection policy. Mirrors [`run_net_generic`], with the stop/done
-/// barrier on per-node completion logs instead of rumor sets, and
-/// per-rumor completion rounds in the report.
+/// selection policy: the stop/done barrier is on per-node completion
+/// logs instead of rumor sets, and the report adds per-rumor completion
+/// rounds.
 fn run_net_stream_generic<P, F, L>(
     g: &Graph,
-    transport: &str,
     policy: &str,
-    sim: &SimConfig,
-    round: Duration,
+    drive: &Drive<'_>,
     factory: F,
     log: L,
 ) -> Result<String, CliError>
@@ -265,52 +311,25 @@ where
     F: FnMut(NodeId, usize) -> P,
     L: Fn(&P) -> &CompletionLog,
 {
-    let fmt_completions = |completions: &[Option<u64>]| {
-        let cells: Vec<String> = completions
-            .iter()
-            .map(|c| c.map_or_else(|| "-".to_string(), |r| r.to_string()))
-            .collect();
-        format!("[{}]", cells.join(","))
-    };
     let mut out = String::new();
     let _ = writeln!(out, "workload = stream ({policy})");
-    let _ = writeln!(out, "transport = {transport}");
-    match transport {
-        "loopback" | "reactor" => {
-            let stop = |nodes: &[&P], _| nodes.iter().all(|p| log(p).heard_all());
-            let (o, stats, acct) = if transport == "reactor" {
-                run_reactor_mode_with_stats(g, sim, PayloadMode::Snapshot, factory, stop)
-            } else {
-                run_loopback_mode_with_stats(g, sim, PayloadMode::Snapshot, factory, stop)
-            };
-            let _ = writeln!(out, "rounds = {}", o.rounds);
-            let _ = writeln!(out, "complete = {}", o.reason != StopReason::MaxRounds);
-            write_metrics(&mut out, &o.metrics, &stats);
+    let _ = writeln!(out, "transport = {}", drive.transport);
+    drive_run_net(
+        g,
+        drive,
+        factory,
+        |nodes: &[&P], _| nodes.iter().all(|p| log(p).heard_all()),
+        |p: &P, _: &RunView<'_>| log(p).heard_all(),
+        |out: &mut String, acct: &WireAccounting, nodes: &[&P]| {
             let _ = writeln!(out, "stream units = {}", acct.stream_units);
-            let completions = completion_rounds(o.nodes.iter().map(&log));
-            let _ = writeln!(out, "completions = {}", fmt_completions(&completions));
-        }
-        "tcp" => {
-            let done = |p: &P, _: &RunView<'_>| log(p).heard_all();
-            let outcomes = run_wall_cluster(g, sim, round, PayloadMode::Snapshot, factory, done)?;
-            let t = totals(&outcomes);
-            let _ = writeln!(out, "nodes = {}", outcomes.len());
-            let _ = writeln!(out, "rounds = {}", t.rounds);
-            let _ = writeln!(out, "complete = {}", t.barrier);
-            write_metrics(&mut out, &t.metrics, &t.stats);
-            let _ = writeln!(out, "stream units = {}", t.acct.stream_units);
-            let completions = completion_rounds(outcomes.iter().map(|o| log(&o.protocol)));
-            let _ = writeln!(out, "completions = {}", fmt_completions(&completions));
-            let _ = writeln!(out, "peer losses = {}", t.losses);
-        }
-        other => {
-            return Err(CliError::BadArgument {
-                what: "transport",
-                value: other.to_string(),
-            })
-        }
-    }
-    Ok(out)
+            let cells: Vec<String> = completion_rounds(nodes.iter().map(|p| log(p)))
+                .iter()
+                .map(|c| c.map_or_else(|| "-".to_string(), |r| r.to_string()))
+                .collect();
+            let _ = writeln!(out, "completions = [{}]", cells.join(","));
+        },
+        out,
+    )
 }
 
 /// `gossip run-net --workload stream`: the streaming workload over a
@@ -344,23 +363,24 @@ fn run_net_stream(args: &mut Args) -> Result<String, CliError> {
         max_rounds,
         ..SimConfig::default()
     };
-    let round = Duration::from_millis(round_ms.max(1));
+    let drive = Drive {
+        transport: &transport,
+        sim: &sim,
+        round: Duration::from_millis(round_ms.max(1)),
+        mode: PayloadMode::Snapshot,
+    };
     match policy.as_str() {
         "rr" => run_net_stream_generic(
             &g,
-            &transport,
             "rr",
-            &sim,
-            round,
+            &drive,
             |id, _| RrStreamNode::new(id, &spec),
             RrStreamNode::log,
         ),
         "rlc" => run_net_stream_generic(
             &g,
-            &transport,
             "rlc",
-            &sim,
-            round,
+            &drive,
             |id, _| RlcStreamNode::new(id, &spec),
             RlcStreamNode::log,
         ),

@@ -1,6 +1,6 @@
 //! Shared types for the protocol implementations.
 
-use gossip_sim::{Round, RumorSet, SimMetrics, StopReason};
+use gossip_sim::{Round, RumorSet, SimConfig, SimMetrics, StopReason};
 use latency_graph::NodeId;
 
 /// A dissemination goal, stated so it can be evaluated *per node* from
@@ -111,6 +111,19 @@ impl BroadcastOutcome {
     pub fn informed_count(&self, source: latency_graph::NodeId) -> usize {
         self.rumors.iter().filter(|r| r.contains(source)).count()
     }
+}
+
+/// The engine configuration every driver's run uses: `seed`, and the
+/// round cap `max_rounds` (0 means the simulator default).
+pub(crate) fn sim_config(max_rounds: u64, seed: u64) -> SimConfig {
+    let mut c = SimConfig {
+        seed,
+        ..SimConfig::default()
+    };
+    if max_rounds > 0 {
+        c.max_rounds = max_rounds;
+    }
+    c
 }
 
 #[cfg(test)]

@@ -6,10 +6,10 @@
 //! `Δ` is small, hopeless on high-degree graphs, which is exactly the
 //! gap the paper's algorithms close.
 
-use gossip_sim::{Context, Exchange, Protocol, RumorSet, Scheduling, SimConfig, Simulator};
+use gossip_sim::{Context, Exchange, Protocol, RumorSet, Scheduling, Simulator};
 use latency_graph::{Graph, NodeId};
 
-use crate::common::{BroadcastOutcome, Goal};
+use crate::common::{sim_config, BroadcastOutcome, Goal};
 
 /// Configuration for flooding.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -62,20 +62,9 @@ impl Protocol for FloodingNode {
     }
 }
 
-fn sim_config(config: &FloodingConfig, seed: u64) -> SimConfig {
-    let mut c = SimConfig {
-        seed,
-        ..SimConfig::default()
-    };
-    if config.max_rounds > 0 {
-        c.max_rounds = config.max_rounds;
-    }
-    c
-}
-
 /// Floods `g` until every node's rumor set meets `goal`.
 fn run_until(g: &Graph, goal: &Goal, config: &FloodingConfig, seed: u64) -> BroadcastOutcome {
-    let out = Simulator::new(g, sim_config(config, seed))
+    let out = Simulator::new(g, sim_config(config.max_rounds, seed))
         .run(FloodingNode::new, |nodes: &[FloodingNode], _| {
             goal.met_by_all(nodes.iter().map(|p| &p.rumors))
         });

@@ -15,10 +15,10 @@
 //! pull, a star requires `Ω(n·D)` time, which
 //! [`broadcast`] + [`Mode::PushOnly`] reproduces empirically.
 
-use gossip_sim::{Context, Exchange, Protocol, RumorSet, Scheduling, SimConfig, Simulator};
+use gossip_sim::{Context, Exchange, Protocol, RumorSet, Scheduling, Simulator};
 use latency_graph::{Graph, NodeId};
 
-use crate::common::{BroadcastOutcome, Goal};
+use crate::common::{sim_config, BroadcastOutcome, Goal};
 
 /// Direction of information flow honored by a node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -100,21 +100,10 @@ impl Protocol for PushPullNode {
     }
 }
 
-fn sim_config(config: &PushPullConfig, seed: u64) -> SimConfig {
-    let mut c = SimConfig {
-        seed,
-        ..SimConfig::default()
-    };
-    if config.max_rounds > 0 {
-        c.max_rounds = config.max_rounds;
-    }
-    c
-}
-
 /// Runs push-pull on `g` until every node's rumor set meets `goal`.
 fn run_until(g: &Graph, goal: &Goal, config: &PushPullConfig, seed: u64) -> BroadcastOutcome {
     let mode = config.mode;
-    let out = Simulator::new(g, sim_config(config, seed)).run(
+    let out = Simulator::new(g, sim_config(config.max_rounds, seed)).run(
         |id, n| PushPullNode::new(id, n, mode),
         |nodes: &[PushPullNode], _| goal.met_by_all(nodes.iter().map(|p| &p.rumors)),
     );

@@ -28,10 +28,12 @@
 
 use gossip_sim::{
     CompactRumorSet, Context, EngineMode, EngineStats, Exchange, Protocol, Round, Scheduling,
-    SimConfig, SimMetrics, Simulator, StopReason,
+    SimMetrics, Simulator, StopReason,
 };
 use latency_graph::{Graph, NodeId};
 use rand::Rng;
+
+use crate::common::sim_config;
 
 /// Configuration shared by the sparse protocols.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,17 +46,6 @@ pub struct SparseConfig {
     /// Ignored — the enum has one variant; kept only because the repo
     /// benchmark's struct literals name it.
     pub mode: EngineMode,
-}
-
-fn sim_config(config: &SparseConfig, seed: u64) -> SimConfig {
-    let mut c = SimConfig {
-        seed,
-        ..SimConfig::default()
-    };
-    if config.max_rounds > 0 {
-        c.max_rounds = config.max_rounds;
-    }
-    c
 }
 
 /// The result of a sparse dissemination run.
@@ -248,7 +239,7 @@ pub fn flood_broadcast(
     seed: u64,
 ) -> SparseOutcome {
     assert!(source.index() < g.node_count(), "source out of range");
-    let out = Simulator::new(g, sim_config(config, seed)).run(
+    let out = Simulator::new(g, sim_config(config.max_rounds, seed)).run(
         |id, n| SparseFloodNode::new(id, n, source),
         |_: &[SparseFloodNode], _| false,
     );
@@ -267,7 +258,7 @@ pub fn push_broadcast(
     seed: u64,
 ) -> SparseOutcome {
     assert!(source.index() < g.node_count(), "source out of range");
-    let out = Simulator::new(g, sim_config(config, seed)).run(
+    let out = Simulator::new(g, sim_config(config.max_rounds, seed)).run(
         |id, n| SparsePushNode::new(id, n, source),
         |_: &[SparsePushNode], _| false,
     );

@@ -32,10 +32,11 @@
 use gossip_sim::stream::{BudgetLedger, CompletionLog, StreamPayload, StreamSpec};
 use gossip_sim::{
     completion_rounds, Context, EngineMode, EngineStats, Exchange, Protocol, Round, Scheduling,
-    SimConfig, SimMetrics, Simulator, StopReason,
+    SimMetrics, Simulator, StopReason,
 };
 use latency_graph::{Graph, NodeId};
 
+use crate::common::sim_config;
 use crate::gf2::Gf2Decoder;
 
 /// Configuration shared by the streaming runs.
@@ -49,17 +50,6 @@ pub struct StreamConfig {
     /// Ignored — the enum has one variant; kept only because the repo
     /// benchmark's struct literals name it.
     pub mode: EngineMode,
-}
-
-fn sim_config(config: &StreamConfig, seed: u64) -> SimConfig {
-    let mut c = SimConfig {
-        seed,
-        ..SimConfig::default()
-    };
-    if config.max_rounds > 0 {
-        c.max_rounds = config.max_rounds;
-    }
-    c
 }
 
 /// The result of a streaming run: the completion *curve*, not just a
@@ -435,7 +425,7 @@ fn finish<P>(out: gossip_sim::Outcome<P>, log: impl Fn(&P) -> &CompletionLog) ->
 /// Runs the round-robin policy on `spec` until every rumor reaches
 /// every node (or the round cap).
 pub fn rr_stream(g: &Graph, spec: &StreamSpec, config: &StreamConfig, seed: u64) -> StreamOutcome {
-    let out = Simulator::new(g, sim_config(config, seed)).run(
+    let out = Simulator::new(g, sim_config(config.max_rounds, seed)).run(
         |id, _| RrStreamNode::new(id, spec),
         |_: &[RrStreamNode], _| false,
     );
@@ -445,7 +435,7 @@ pub fn rr_stream(g: &Graph, spec: &StreamSpec, config: &StreamConfig, seed: u64)
 /// Runs the algebraic (RLC) policy on `spec` until every rumor reaches
 /// every node (or the round cap).
 pub fn rlc_stream(g: &Graph, spec: &StreamSpec, config: &StreamConfig, seed: u64) -> StreamOutcome {
-    let out = Simulator::new(g, sim_config(config, seed)).run(
+    let out = Simulator::new(g, sim_config(config.max_rounds, seed)).run(
         |id, _| RlcStreamNode::new(id, spec),
         |_: &[RlcStreamNode], _| false,
     );

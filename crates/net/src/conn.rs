@@ -52,20 +52,6 @@ pub fn validate_hello(
     Ok((*node, *to, *caps))
 }
 
-/// Shaping offsets beyond this are clamped; far larger than any round
-/// cap a wall-clocked run can reach anyway.
-const MAX_OFFSET: Duration = Duration::from_secs(86_400);
-
-/// Wall-clock offset of round `rounds` from the epoch: `rounds ·
-/// round_len`, saturating and clamped to [`MAX_OFFSET`]. Round pacing
-/// targets and reply release deadlines both derive from this one
-/// function so they share a clock.
-pub(crate) fn round_offset(round_len: Duration, rounds: u128) -> Duration {
-    let nanos = round_len.as_nanos().saturating_mul(rounds);
-    let nanos = u64::try_from(nanos).unwrap_or(u64::MAX);
-    Duration::from_nanos(nanos).min(MAX_OFFSET)
-}
-
 /// Capped exponential reconnect backoff.
 ///
 /// Attempt `k` (1-based; attempt 0 dials immediately) waits

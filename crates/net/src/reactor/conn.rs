@@ -29,14 +29,13 @@ pub(crate) enum ConnKind {
     TrunkOut(usize),
     /// Read side of trunk `idx`.
     TrunkIn(usize),
-    /// We dialed remote node `to` on behalf of hosted node `from`;
-    /// awaiting the `Hello` answer.
-    DialPending { from: NodeId, to: NodeId },
-    /// Established outbound edge `from → to` (we write data frames).
-    PeerOut { from: NodeId, to: NodeId },
-    /// Established inbound edge `from → to` (remote `from` writes to
-    /// hosted `to`; we only read after answering the handshake).
-    PeerIn { from: NodeId, to: NodeId },
+    /// Write side of link `idx` (one per peer reactor) — awaiting the
+    /// `Hello` answer until the link is up, then carrying
+    /// `Frame::Routed` envelopes to the nodes behind it.
+    LinkOut(usize),
+    /// Read side of a peer reactor's link into this one (we only read
+    /// after answering the handshake); `idx` is its seq mark's slot.
+    LinkIn(usize),
     /// Handshake answer still flushing to a rejected dialer; closed as
     /// soon as the write queue empties. Inbound bytes are discarded.
     Closing,
@@ -93,7 +92,7 @@ impl WriteQueue {
         Ok(self.meta.len() + payload.len())
     }
 
-    /// Queues one pre-encoded frame (an edge's backlog, replayed once
+    /// Queues one pre-encoded frame (a link's backlog, replayed once
     /// its connection is up).
     pub(crate) fn push_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -113,7 +112,7 @@ impl WriteQueue {
     /// Empties the queue, returning every frame not yet fully on the
     /// wire as its own buffer — the frame cut by a partial write from
     /// byte 0, so a connection loss resends it intact (the receiving
-    /// reactor drops a request it already delivered, by the edge's seq
+    /// reactor drops a request it already delivered, by the link's seq
     /// mark).
     pub(crate) fn drain_encoded(&mut self) -> Vec<Vec<u8>> {
         let mut frames = Vec::new();

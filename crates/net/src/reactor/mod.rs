@@ -16,28 +16,32 @@
 //! round by which the receiver needs the frame; drain pacing reads it
 //! to decide when to pump.
 //!
-//! # Trunk multiplexing
+//! # Routed links
 //!
-//! The file-descriptor budget, not memory, is what bounds per-edge
-//! sockets: a 4096-node clique has ~8M directed edges. Traffic between
-//! two nodes hosted by the *same* reactor therefore rides a small fixed
-//! set of **trunks** — simplex TCP self-connections through the kernel
-//! loopback — with each frame wrapped in a [`Frame::Routed`] envelope
-//! carrying `(src, dst, release)`. A directed edge `u → v` always maps
-//! to the same trunk (a deterministic hash), so per-sender FIFO is
-//! preserved; a trunk never reconnects, so it never repeats a frame.
-//! Cross-sender interleave is harmless: the runner's hold
-//! canonicalizes application order by `(initiated_at, initiator)`.
+//! File descriptors, not memory, bound per-edge sockets: a 4096-node
+//! clique has ~8M directed edges. Every data connection therefore
+//! carries [`Frame::Routed`] envelopes `(src, dst, release)` for many
+//! node pairs, and the socket count follows the trunks and the peer
+//! reactors, not the edges:
 //!
-//! Edges to nodes hosted *elsewhere* (another reactor, in this process
-//! or another) use one directed connection per edge with the standard
-//! handshake: the dialing side owns reconnection and loss accounting,
-//! and stops both once the peer has said [`Frame::Bye`] — a departed
-//! peer's closing sockets are not a fault. A reconnecting dialer
-//! replays the frame its dying connection cut, so the receiving side
-//! keeps the [`Transport`] promise of at-most-once delivery itself: it
-//! drops a request whose seq is at or below the highest one already
-//! delivered over that edge.
+//! * Between two nodes hosted by the *same* reactor, frames ride a
+//!   small fixed set of **trunks** — simplex TCP self-connections. A
+//!   directed edge always maps to the same trunk (a deterministic
+//!   hash), so per-sender FIFO holds; a trunk never reconnects, so it
+//!   never repeats a frame, and its failure is a hard error.
+//!   Cross-sender interleave is harmless: the runner's hold
+//!   canonicalizes application order by `(initiated_at, initiator)`.
+//! * Toward nodes hosted *elsewhere*, frames ride one outbound **link**
+//!   per peer reactor, keyed by the address [`Reactor::set_peer`] gave
+//!   its nodes; its handshake names one cross edge. The dialing side
+//!   owns reconnection and loss accounting — a lost link surfaces one
+//!   `PeerLost` per hosted–remote edge behind it — and stops sending to
+//!   a node that said [`Frame::Bye`]: a departure is not a fault, and a
+//!   link whose nodes have all departed retires without a loss. A
+//!   reconnecting link replays the frame its dying connection cut, so
+//!   the receiver keeps at-most-once delivery itself: a shard's request
+//!   seqs rise in send order, so it drops a request at or below the
+//!   highest seq already delivered over that inbound link.
 //!
 //! # Pacing
 //!
@@ -59,8 +63,8 @@ pub(crate) mod conn;
 pub(crate) mod sys;
 pub(crate) mod wheel;
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, Write};
+use std::collections::{BTreeMap, VecDeque};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -68,7 +72,7 @@ use std::time::{Duration, Instant};
 use gossip_sim::{Outcome, Protocol, Round, SimConfig};
 use latency_graph::{Graph, NodeId};
 
-use crate::conn::{round_offset, validate_hello, Backoff};
+use crate::conn::{validate_hello, Backoff};
 use crate::error::{NetError, PeerLoss};
 use crate::runner::{PayloadMode, ShardRunner, WireAccounting};
 use crate::transport::{NetEvent, Transport, TransportStats};
@@ -98,19 +102,19 @@ pub struct ReactorConfig {
     pub round: Duration,
     /// Round pacing mode.
     pub pacing: Pacing,
-    /// Per-attempt connect timeout for outbound edges and trunks.
+    /// Per-attempt connect timeout for links and trunks.
     pub connect_timeout: Duration,
-    /// Budget for the start barrier: every trunk and every remote edge
-    /// settled (connected both ways, or conclusively lost), or
+    /// Budget for the start barrier: every trunk and every peer link
+    /// settled (up both ways, or conclusively lost), or
     /// [`NetError::StartTimeout`].
     pub start_timeout: Duration,
-    /// First reconnect backoff; doubles per attempt.
+    /// First link reconnect backoff; doubles per attempt.
     pub retry_base: Duration,
     /// Backoff cap.
     pub retry_cap: Duration,
-    /// Connection attempts per outage before a peer is declared lost.
+    /// Link dial attempts per outage before its peers are lost.
     pub max_retries: u32,
-    /// Trunk self-connections multiplexing hosted↔hosted traffic.
+    /// Trunk self-connections for hosted↔hosted traffic (never redialed).
     pub trunks: usize,
 }
 
@@ -140,29 +144,37 @@ const WHEEL_GRANULARITY: Duration = Duration::from_millis(1);
 /// stalled (a bug escape hatch, not a tuning knob).
 const DRAIN_STALL: Duration = Duration::from_secs(10);
 
-/// A directed edge from a hosted node to a remote one (we dial, we
-/// write).
+/// The outbound link to one peer reactor (we dial, we write): every
+/// frame toward a node behind it rides it in a routed envelope.
 #[derive(Default)]
-struct EdgeOut {
+struct Link {
+    /// The peer's listen address (`None`: no address was given).
+    addr: Option<String>,
+    /// The cross edge `(hosted, remote)` the link's `Hello` names.
+    hello: (NodeId, NodeId),
     /// Connection slab index while dialing or established.
     conn: Option<usize>,
-    /// Handshake completed (data may flow).
+    /// Handshake answered (data may flow) — with `inbound`, the peer's
+    /// link into this reactor answered, the start barrier.
     up: bool,
-    /// Completed at least once — the start barrier's outbound half.
-    established: bool,
-    /// Retired: conclusively lost (`PeerLost` has been delivered) or
-    /// departed (the peer said `Bye`). No more dials; sends are dropped.
-    lost: bool,
+    inbound: bool,
+    /// Conclusively lost (`PeerLost` delivered) or every node behind it
+    /// departed: no more dials, and sends are dropped.
+    retired: bool,
     /// Dial attempts in the current outage.
     attempts: u32,
-    /// Encoded frames awaiting a live connection.
+    /// Capability bits the peer advertised in its handshake answer.
+    caps: u32,
+    /// Encoded envelopes awaiting a live connection.
     pending: VecDeque<Vec<u8>>,
 }
 
-/// Wheel entries: everything a blocking transport would sleep for.
-enum Timer {
-    /// Re-dial the edge `from → to`.
-    Redial { from: NodeId, to: NodeId },
+impl Link {
+    /// Connected both ways, or retired (a conclusive loss settles both
+    /// directions).
+    fn settled(&self) -> bool {
+        self.retired || (self.up && self.inbound)
+    }
 }
 
 /// A single-threaded reactor hosting one or more nodes of a graph: the
@@ -191,18 +203,19 @@ pub struct Reactor<'g> {
     /// ([`crate::wire::CAP_DELTA`]).
     caps: u32,
     peer_addrs: BTreeMap<NodeId, String>,
-    edges: BTreeMap<(NodeId, NodeId), EdgeOut>,
-    /// Inbound directed edges `(remote, hosted)` whose handshake has
-    /// completed — the start barrier's inbound half — each with the
-    /// highest request seq delivered over it. The mark outlives the
-    /// edge's connections: a request at or below it is a reconnect's
-    /// replay and is dropped (at-most-once delivery).
-    in_up: BTreeMap<(NodeId, NodeId), u64>,
-    /// Capability bits remote nodes advertised in their handshakes
-    /// (either direction; a node's caps are the same on every edge).
-    remote_caps: BTreeMap<NodeId, u32>,
+    /// One per peer reactor, planned by `start` from the peer addresses.
+    links: Vec<Link>,
+    /// Every remote neighbor of a hosted node: its link, and whether it
+    /// said `Bye` (sends to it are dropped, its link's loss skips it).
+    remotes: BTreeMap<NodeId, (usize, bool)>,
+    /// Inbound links by the cross edge their `Hello` named, each with
+    /// the highest request seq delivered over it. A reconnecting link
+    /// names the same edge, so the mark outlives its connections: a
+    /// request at or below it is a replay and is dropped.
+    marks: Vec<((NodeId, NodeId), u64)>,
     poller: Poller,
-    wheel: Wheel<Timer>,
+    /// Links to re-dial.
+    wheel: Wheel<usize>,
     listener: Option<TcpListener>,
     listen_addr: SocketAddr,
     conns: Vec<Option<Conn>>,
@@ -227,7 +240,6 @@ pub struct Reactor<'g> {
     start_failed: bool,
     down: bool,
     events_scratch: Vec<(u64, u32)>,
-    timers_scratch: Vec<Timer>,
     /// Payload buffers for decoding, refilled from what the runner
     /// hands back ([`Transport::recycle`]).
     pool: BufPool,
@@ -251,14 +263,6 @@ impl<'g> Reactor<'g> {
                 "reactor cannot host nodes {hosted:?}"
             )));
         }
-        let mut edges = BTreeMap::new();
-        for u in hosted.clone().map(NodeId::new) {
-            for &v in graph.neighbor_ids(u) {
-                if !hosted.contains(&v.index()) {
-                    edges.insert((u, v), EdgeOut::default());
-                }
-            }
-        }
         let listener = TcpListener::bind(&cfg.listen)?;
         listener.set_nonblocking(true)?;
         let listen_addr = listener.local_addr()?;
@@ -279,9 +283,9 @@ impl<'g> Reactor<'g> {
             ready: Vec::new(),
             caps: 0,
             peer_addrs: BTreeMap::new(),
-            edges,
-            in_up: BTreeMap::new(),
-            remote_caps: BTreeMap::new(),
+            links: Vec::new(),
+            remotes: BTreeMap::new(),
+            marks: Vec::new(),
             poller,
             wheel: Wheel::new(Instant::now(), WHEEL_GRANULARITY),
             listener: Some(listener),
@@ -299,7 +303,6 @@ impl<'g> Reactor<'g> {
             start_failed: false,
             down: false,
             events_scratch: Vec::new(),
-            timers_scratch: Vec::new(),
             pool: BufPool::default(),
         })
     }
@@ -311,7 +314,8 @@ impl<'g> Reactor<'g> {
     }
 
     /// Supplies the address of a remote (non-hosted) node; required for
-    /// every remote neighbor before `start`.
+    /// every remote neighbor before `start`. Nodes given the same
+    /// address share one link.
     pub fn set_peer(&mut self, node: NodeId, addr: String) {
         self.peer_addrs.insert(node, addr);
     }
@@ -363,57 +367,75 @@ impl<'g> Reactor<'g> {
 
     // ---- start ------------------------------------------------------
 
+    /// Groups the hosted nodes' remote neighbors into one link per
+    /// peer address, each naming the first cross edge found behind it.
+    fn plan_links(&mut self) {
+        let mut by_addr: BTreeMap<Option<&String>, usize> = BTreeMap::new();
+        for u in self.hosted.clone().map(NodeId::new) {
+            for &v in self.graph.neighbor_ids(u) {
+                if self.hosted.contains(&v.index()) || self.remotes.contains_key(&v) {
+                    continue;
+                }
+                let addr = self.peer_addrs.get(&v);
+                let link = *by_addr.entry(addr).or_insert_with(|| {
+                    self.links.push(Link {
+                        addr: addr.cloned(),
+                        hello: (u, v),
+                        ..Link::default()
+                    });
+                    self.links.len() - 1
+                });
+                self.remotes.insert(v, (link, false));
+            }
+        }
+    }
+
+    /// Dials `addr` for a connection of role `kind`, its `Hello`
+    /// naming `(node, to)` queued for the next flush.
+    fn dial(
+        &self,
+        addr: &SocketAddr,
+        kind: ConnKind,
+        node: NodeId,
+        to: NodeId,
+    ) -> io::Result<Conn> {
+        let stream = TcpStream::connect_timeout(addr, self.cfg.connect_timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        let mut conn = Conn::new(stream, kind, EPOLLIN | EPOLLOUT);
+        let hello = Frame::Hello {
+            node,
+            to,
+            n: self.n,
+            topology_hash: self.hash,
+            caps: self.caps,
+        };
+        conn.wq.push_frame(&hello).expect("hello frame fits");
+        Ok(conn)
+    }
+
     fn dial_trunks(&mut self) -> Result<(), NetError> {
         for t in 0..self.cfg.trunks {
-            let stream = TcpStream::connect_timeout(&self.listen_addr, self.cfg.connect_timeout)
-                .map_err(NetError::Io)?;
-            stream.set_nodelay(true).map_err(NetError::Io)?;
-            // The trunk handshake is a 28-byte blocking write into an
-            // empty socket buffer; it cannot block meaningfully.
-            let hello = Frame::Hello {
-                node: NodeId::from(TRUNK_NODE),
-                to: NodeId::new(t),
-                n: self.n,
-                topology_hash: self.hash,
-                caps: 0,
-            };
-            let hello_bytes = hello.encode().expect("hello frame fits");
-            let mut stream = stream;
-            stream.write_all(&hello_bytes).map_err(NetError::Io)?;
-            stream.set_nonblocking(true).map_err(NetError::Io)?;
-            let idx = self.register(Conn::new(stream, ConnKind::TrunkOut(t), EPOLLIN))?;
+            let (node, to) = (NodeId::from(TRUNK_NODE), NodeId::new(t));
+            let conn = self.dial(&self.listen_addr, ConnKind::TrunkOut(t), node, to)?;
+            let idx = self.register(conn)?;
+            self.mark_dirty(idx);
             self.trunk_out.push(idx);
         }
         Ok(())
     }
 
-    fn edge_settled(&self, from: NodeId, to: NodeId) -> bool {
-        let Some(edge) = self.edges.get(&(from, to)) else {
-            return true;
-        };
-        if edge.lost {
-            // A conclusive loss settles both directions.
-            return true;
-        }
-        edge.established && self.in_up.contains_key(&(to, from))
-    }
-
     fn barrier_holds(&self) -> bool {
-        self.trunks_in == self.cfg.trunks
-            && self
-                .edges
-                .keys()
-                .all(|&(from, to)| self.edge_settled(from, to))
+        self.trunks_in == self.cfg.trunks && self.links.iter().all(Link::settled)
     }
 
+    /// The remote neighbors behind the links still unsettled.
     fn barrier_waiting(&self) -> Vec<NodeId> {
-        let waiting: BTreeSet<NodeId> = self
-            .edges
-            .keys()
-            .filter(|&&(from, to)| !self.edge_settled(from, to))
-            .map(|&(_, to)| to)
-            .collect();
-        waiting.into_iter().collect()
+        self.remotes
+            .iter()
+            .filter(|&(_, &(link, _))| !self.links[link].settled())
+            .map(|(&v, _)| v)
+            .collect()
     }
 
     // ---- pump -------------------------------------------------------
@@ -437,23 +459,14 @@ impl<'g> Reactor<'g> {
         result
     }
 
+    /// Re-dials the links whose backoff has expired.
     fn fire_timers(&mut self) -> Result<(), NetError> {
         if self.wheel.len() == 0 {
             return Ok(());
         }
-        let mut timers = std::mem::take(&mut self.timers_scratch);
-        timers.clear();
-        self.wheel.pop_due(Instant::now(), &mut timers);
-        let mut result = Ok(());
-        for timer in timers.drain(..) {
-            let Timer::Redial { from, to } = timer;
-            if let Err(e) = self.dial_edge(from, to) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.timers_scratch = timers;
-        result
+        let mut due = Vec::new();
+        self.wheel.pop_due(Instant::now(), &mut due);
+        due.into_iter().try_for_each(|link| self.dial_link(link))
     }
 
     fn flush_dirty(&mut self) -> Result<(), NetError> {
@@ -515,7 +528,7 @@ impl<'g> Reactor<'g> {
                 return Ok(());
             };
             match conn.reader.read_from(&mut conn.stream) {
-                Ok(0) => return self.conn_eof(idx),
+                Ok(0) => return self.conn_broken(idx, "connection closed by peer"),
                 Ok(_) => self.dispatch_frames(idx)?,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -545,8 +558,9 @@ impl<'g> Reactor<'g> {
     }
 
     /// Routes one decoded frame by the role of the connection it came
-    /// in on. Only a trunk envelope stays unboxed: its inner frame goes
-    /// straight to [`deliver`](Self::deliver).
+    /// in on. Data arrives only in routed envelopes, which stay
+    /// unboxed: the inner frame goes straight to
+    /// [`deliver`](Self::deliver).
     fn handle_frame(
         &mut self,
         idx: usize,
@@ -556,66 +570,74 @@ impl<'g> Reactor<'g> {
     ) -> Result<(), NetError> {
         match kind {
             ConnKind::Pending => self.handle_handshake(idx, &decoded.into_frame()),
-            ConnKind::TrunkIn(_) => match decoded {
-                Decoded::Routed {
+            ConnKind::LinkOut(link) if !self.links[link].up => {
+                self.handle_dial_answer(idx, link, &decoded.into_frame())
+            }
+            ConnKind::TrunkIn(_) | ConnKind::LinkIn(_) => {
+                let Decoded::Routed {
                     src, dst, inner, ..
-                } => {
+                } = decoded
+                else {
+                    return self.conn_broken(idx, "non-routed data frame");
+                };
+                if let ConnKind::LinkIn(mark) = kind {
+                    // Another reactor's frame must name a cross edge
+                    // into this shard.
+                    let cross = self.hosted.contains(&dst.index())
+                        && !self.hosted.contains(&src.index())
+                        && self.graph.neighbor_index(dst, src).is_some();
+                    if !cross {
+                        return self.conn_broken(idx, "routed frame names no cross edge");
+                    }
+                    if !self.admit(mark, src, &inner) {
+                        return Ok(());
+                    }
+                } else {
                     self.routed_decoded += 1;
-                    self.deliver(src, dst, inner, used)
                 }
-                Decoded::Frame(other) => Err(NetError::ProtocolViolation(format!(
-                    "non-routed frame on a trunk: {other:?}"
-                ))),
-            },
-            ConnKind::PeerIn { from, to } => {
-                let frame = decoded.into_frame();
-                match frame {
-                    Frame::Request { seq, .. } | Frame::RequestDelta { seq, .. } => {
-                        // A reconnecting dialer replays whatever its
-                        // dying connection had not finished writing;
-                        // per-edge seqs only grow, so a request at or
-                        // below the mark was delivered already.
-                        let delivered = self.in_up.entry((from, to)).or_insert(0);
-                        if seq <= *delivered {
-                            return Ok(());
-                        }
-                        *delivered = seq;
-                    }
-                    Frame::Bye => {
-                        // A graceful departure, not an outage: the
-                        // sockets about to close behind it must not be
-                        // re-dialled.
-                        self.retire_edge(to, from);
-                    }
-                    // Replies are matched to their request by the
-                    // runner; the rest carry no seq.
-                    Frame::Reply { .. }
-                    | Frame::ReplyDelta { .. }
-                    | Frame::Done { .. }
-                    | Frame::Hello { .. }
-                    | Frame::Routed { .. } => {}
-                }
-                self.deliver(from, to, frame, used)
+                self.deliver(src, dst, inner, used)
             }
-            ConnKind::DialPending { from, to } => {
-                self.handle_dial_answer(idx, from, to, &decoded.into_frame())
-            }
-            // Established outbound edges and trunk write sides carry no
-            // inbound data; stray bytes are ignored (EOF is what
-            // matters, and read_conn catches it).
-            ConnKind::TrunkOut(_) | ConnKind::PeerOut { .. } | ConnKind::Closing => Ok(()),
+            // Established links and trunk write sides carry no inbound
+            // data; stray bytes are ignored (EOF is what matters, and
+            // read_conn catches it).
+            ConnKind::TrunkOut(_) | ConnKind::LinkOut(_) | ConnKind::Closing => Ok(()),
         }
     }
 
+    /// Whether a frame off inbound link `mark` is new: a reconnecting
+    /// link replays what its dying connection cut, and a shard's request
+    /// seqs rise in send order, so a request at or below the link's mark
+    /// was delivered already. A `Bye` departs its sender.
+    fn admit(&mut self, mark: usize, src: NodeId, frame: &Frame) -> bool {
+        match *frame {
+            Frame::Request { seq, .. } | Frame::RequestDelta { seq, .. } => {
+                let delivered = &mut self.marks[mark].1;
+                if seq <= *delivered {
+                    return false;
+                }
+                *delivered = seq;
+            }
+            Frame::Bye => self.depart(src),
+            // Replies are matched to their request by the runner; the
+            // rest carry no seq.
+            Frame::Reply { .. }
+            | Frame::ReplyDelta { .. }
+            | Frame::Done { .. }
+            | Frame::Hello { .. }
+            | Frame::Routed { .. } => {}
+        }
+        true
+    }
+
     /// First frame on an accepted connection: a trunk's self-handshake
-    /// or a remote dialer's `Hello`.
+    /// or a peer reactor's link `Hello`, which names one cross edge.
     fn handle_handshake(&mut self, idx: usize, frame: &Frame) -> Result<(), NetError> {
         let Frame::Hello {
             node,
             to,
             n: peer_n,
             topology_hash: peer_hash,
-            caps,
+            ..
         } = *frame
         else {
             // Garbage before a handshake is dropped without an answer.
@@ -648,46 +670,49 @@ impl<'g> Reactor<'g> {
         self.mark_dirty(idx);
         let valid = validate_hello(frame, self.n, self.hash).is_ok()
             && self.hosted.contains(&to.index())
+            && !self.hosted.contains(&node.index())
             && self.graph.neighbor_index(to, node).is_some();
-        if let Some(conn) = self.conns[idx].as_mut() {
-            if valid {
-                conn.kind = ConnKind::PeerIn { from: node, to };
-                // A reconnect keeps the edge's mark.
-                self.in_up.entry((node, to)).or_insert(0);
-                self.remote_caps.insert(node, caps);
-            } else {
-                // Let the answer flush, then close.
-                conn.kind = ConnKind::Closing;
+        let kind = if valid {
+            // A reconnect names the same edge, and keeps its mark.
+            let known = self.marks.iter().position(|&(edge, _)| edge == (node, to));
+            let mark = known.unwrap_or_else(|| {
+                self.marks.push(((node, to), 0));
+                self.marks.len() - 1
+            });
+            if let Some(&(link, _)) = self.remotes.get(&node) {
+                self.links[link].inbound = true;
             }
+            ConnKind::LinkIn(mark)
+        } else {
+            // Let the answer flush, then close.
+            ConnKind::Closing
+        };
+        if let Some(conn) = self.conns[idx].as_mut() {
+            conn.kind = kind;
         }
         Ok(())
     }
 
-    /// The `Hello` answer on an edge we dialed.
+    /// The `Hello` answer on a link we dialed.
     fn handle_dial_answer(
         &mut self,
         idx: usize,
-        from: NodeId,
-        to: NodeId,
+        link: usize,
         frame: &Frame,
     ) -> Result<(), NetError> {
+        let (from, to) = self.links[link].hello;
         let why = match validate_hello(frame, self.n, self.hash) {
             Ok((node, addressed, caps)) if node == to && addressed == from => {
-                self.remote_caps.insert(node, caps);
+                let l = &mut self.links[link];
+                l.up = true;
+                l.attempts = 0;
+                l.caps = caps;
                 if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.kind = ConnKind::PeerOut { from, to };
-                }
-                if let Some(edge) = self.edges.get_mut(&(from, to)) {
-                    edge.up = true;
-                    edge.established = true;
-                    edge.attempts = 0;
-                    if let Some(conn) = self.conns[idx].as_mut() {
-                        for bytes in edge.pending.drain(..) {
-                            conn.wq.push_bytes(&bytes);
-                        }
+                    for bytes in l.pending.drain(..) {
+                        conn.wq.push_bytes(&bytes);
                     }
-                    self.mark_dirty(idx);
                 }
+                self.mark_dirty(idx);
                 return Ok(());
             }
             Ok((node, _, _)) => format!(
@@ -700,8 +725,8 @@ impl<'g> Reactor<'g> {
         // A wrong peer behind the address is as conclusive as a
         // topology mismatch.
         self.close_conn(idx);
-        let attempts = self.edges.get(&(from, to)).map_or(0, |e| e.attempts) + 1;
-        self.edge_lost(from, to, attempts, why);
+        let attempts = self.links[link].attempts + 1;
+        self.link_lost(link, attempts, why);
         Ok(())
     }
 
@@ -730,59 +755,43 @@ impl<'g> Reactor<'g> {
         Ok(())
     }
 
-    fn conn_eof(&mut self, idx: usize) -> Result<(), NetError> {
-        self.conn_broken(idx, "connection closed by peer")
-    }
-
     fn conn_broken(&mut self, idx: usize, why: &str) -> Result<(), NetError> {
         let Some(conn) = self.conns[idx].as_mut() else {
             return Ok(());
         };
         match conn.kind {
-            ConnKind::TrunkIn(_) | ConnKind::TrunkOut(_) => {
-                if self.down {
-                    self.close_conn(idx);
-                    Ok(())
-                } else {
-                    Err(NetError::ProtocolViolation(format!(
-                        "trunk connection failed: {why}"
-                    )))
-                }
-            }
-            ConnKind::Pending | ConnKind::Closing | ConnKind::PeerIn { .. } => {
-                // Inbound edges carry no retry obligation: the dialing
-                // side owns reconnection and loss accounting.
+            ConnKind::TrunkIn(_) | ConnKind::TrunkOut(_) if !self.down => Err(
+                NetError::ProtocolViolation(format!("trunk connection failed: {why}")),
+            ),
+            // A trunk at teardown, or an inbound connection: the dialing
+            // side owns reconnection and loss accounting.
+            ConnKind::TrunkIn(_)
+            | ConnKind::TrunkOut(_)
+            | ConnKind::Pending
+            | ConnKind::Closing
+            | ConnKind::LinkIn(_) => {
                 self.close_conn(idx);
                 Ok(())
             }
-            ConnKind::DialPending { from, to } => {
+            ConnKind::LinkOut(link) if !self.links[link].up => {
                 self.close_conn(idx);
-                if let Some(edge) = self.edges.get_mut(&(from, to)) {
-                    edge.conn = None;
-                }
-                self.edge_dial_failed(from, to, format!("handshake failed: {why}"));
+                self.links[link].conn = None;
+                self.link_dial_failed(link, format!("handshake failed: {why}"));
                 Ok(())
             }
-            ConnKind::PeerOut { from, to } => {
+            ConnKind::LinkOut(link) => {
                 // Preserve queued frames (the in-flight one restarts
                 // from byte 0; the receiving reactor drops a request it
-                // already delivered, by the edge's seq mark) and begin a
+                // already delivered, by the link's seq mark) and begin a
                 // fresh outage.
-                let drained = self.conns[idx]
-                    .as_mut()
-                    .map(|c| c.wq.drain_encoded())
-                    .unwrap_or_default();
+                let drained = conn.wq.drain_encoded();
                 self.close_conn(idx);
-                if let Some(edge) = self.edges.get_mut(&(from, to)) {
-                    edge.conn = None;
-                    edge.up = false;
-                    edge.attempts = 0;
-                    for bytes in drained {
-                        edge.pending.push_back(bytes);
-                    }
-                }
-                self.wheel
-                    .schedule(Instant::now(), Timer::Redial { from, to });
+                let l = &mut self.links[link];
+                l.conn = None;
+                l.up = false;
+                l.attempts = 0;
+                l.pending.extend(drained);
+                self.wheel.schedule(Instant::now(), link);
                 Ok(())
             }
         }
@@ -818,110 +827,101 @@ impl<'g> Reactor<'g> {
         }
     }
 
-    // ---- edges ------------------------------------------------------
+    // ---- links ------------------------------------------------------
 
-    fn dial_edge(&mut self, from: NodeId, to: NodeId) -> Result<(), NetError> {
-        if self.down {
-            return Ok(());
-        }
-        let Some(edge) = self.edges.get(&(from, to)) else {
-            return Ok(());
-        };
-        if edge.lost || edge.conn.is_some() {
+    fn dial_link(&mut self, link: usize) -> Result<(), NetError> {
+        let l = &self.links[link];
+        if self.down || l.retired || l.conn.is_some() {
             return Ok(()); // stale timer
         }
-        let Some(addr) = self.peer_addrs.get(&to) else {
-            self.edge_lost(from, to, 0, format!("no address for node {}", to.index()));
+        let (from, to) = l.hello;
+        let resolved = l.addr.as_ref().map(|a| a.to_socket_addrs().ok()?.next());
+        let Some(Some(sockaddr)) = resolved else {
+            let why = match &l.addr {
+                Some(addr) => format!("bad address {addr}"),
+                None => format!("no address for node {}", to.index()),
+            };
+            self.link_lost(link, 0, why);
             return Ok(());
         };
-        let Some(sockaddr) = addr
-            .to_socket_addrs()
-            .ok()
-            .and_then(|mut addrs| addrs.next())
-        else {
-            let addr = addr.clone();
-            self.edge_lost(from, to, 0, format!("bad address {addr}"));
-            return Ok(());
-        };
-        match TcpStream::connect_timeout(&sockaddr, self.cfg.connect_timeout) {
-            Ok(stream) => {
-                if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
-                    self.edge_dial_failed(from, to, "socket setup failed".to_owned());
-                    return Ok(());
-                }
-                let mut conn = Conn::new(
-                    stream,
-                    ConnKind::DialPending { from, to },
-                    EPOLLIN | EPOLLOUT,
-                );
-                conn.wq
-                    .push_frame(&Frame::Hello {
-                        node: from,
-                        to,
-                        n: self.n,
-                        topology_hash: self.hash,
-                        caps: self.caps,
-                    })
-                    .expect("hello frame fits");
+        match self.dial(&sockaddr, ConnKind::LinkOut(link), from, to) {
+            Ok(conn) => {
                 let idx = self.register(conn)?;
                 self.mark_dirty(idx);
-                if let Some(edge) = self.edges.get_mut(&(from, to)) {
-                    edge.conn = Some(idx);
-                }
-                Ok(())
+                self.links[link].conn = Some(idx);
             }
-            Err(e) => {
-                self.edge_dial_failed(from, to, e.to_string());
-                Ok(())
-            }
+            Err(e) => self.link_dial_failed(link, e.to_string()),
         }
+        Ok(())
     }
 
-    fn edge_dial_failed(&mut self, from: NodeId, to: NodeId, error: String) {
-        let Some(edge) = self.edges.get_mut(&(from, to)) else {
-            return;
-        };
-        edge.attempts += 1;
-        let attempts = edge.attempts;
+    fn link_dial_failed(&mut self, link: usize, error: String) {
+        let l = &mut self.links[link];
+        l.attempts += 1;
+        let attempts = l.attempts;
         if attempts >= self.cfg.max_retries.max(1) {
-            self.edge_lost(from, to, attempts, error);
+            self.link_lost(link, attempts, error);
         } else {
             let delay = self.backoff.delay(attempts);
-            self.wheel
-                .schedule(Instant::now() + delay, Timer::Redial { from, to });
+            self.wheel.schedule(Instant::now() + delay, link);
         }
     }
 
-    /// Retires the edge `from → to`: closes its connection, drops its
-    /// backlog, and turns later dials and sends into no-ops. Returns
-    /// whether this call did the retiring.
-    fn retire_edge(&mut self, from: NodeId, to: NodeId) -> bool {
-        let Some(edge) = self.edges.get_mut(&(from, to)) else {
-            return false;
-        };
-        if edge.lost {
+    /// Retires `link`: closes its connection, drops its backlog, and
+    /// turns later dials and sends into no-ops. Returns whether this
+    /// call did the retiring.
+    fn retire_link(&mut self, link: usize) -> bool {
+        let l = &mut self.links[link];
+        if l.retired {
             return false;
         }
-        edge.lost = true;
-        edge.up = false;
-        edge.pending.clear();
-        if let Some(idx) = edge.conn.take() {
+        l.retired = true;
+        l.up = false;
+        l.pending.clear();
+        if let Some(idx) = l.conn.take() {
             self.close_conn(idx);
         }
         true
     }
 
-    fn edge_lost(&mut self, from: NodeId, to: NodeId, attempts: u32, error: String) {
-        // Retiring happens once per edge, so the loss surfaces once.
-        if self.retire_edge(from, to) {
-            self.ready.push(NetEvent::PeerLost {
-                to: from,
-                loss: PeerLoss {
-                    peer: to,
-                    attempts,
-                    error,
-                },
-            });
+    /// Retires `link` as lost: one `PeerLost` per edge from a hosted
+    /// node to a remote node behind it that has not departed.
+    fn link_lost(&mut self, link: usize, attempts: u32, error: String) {
+        // Retiring happens once per link, so each loss surfaces once.
+        if !self.retire_link(link) {
+            return;
+        }
+        for (&peer, &(behind, departed)) in &self.remotes {
+            if behind != link || departed {
+                continue;
+            }
+            for &to in self.graph.neighbor_ids(peer) {
+                if self.hosted.contains(&to.index()) {
+                    self.ready.push(NetEvent::PeerLost {
+                        to,
+                        loss: PeerLoss {
+                            peer,
+                            attempts,
+                            error: error.clone(),
+                        },
+                    });
+                }
+            }
+        }
+    }
+
+    /// Remote node `peer` said `Bye`: a graceful departure, not an
+    /// outage. Its link is retired, with no loss, once every node
+    /// behind it has departed — the sockets about to close behind them
+    /// must not be re-dialled.
+    fn depart(&mut self, peer: NodeId) {
+        let Some((link, departed)) = self.remotes.get_mut(&peer).filter(|r| !r.1) else {
+            return;
+        };
+        *departed = true;
+        let link = *link;
+        if !self.remotes.values().any(|&(l, gone)| l == link && !gone) {
+            self.retire_link(link);
         }
     }
 
@@ -948,7 +948,6 @@ impl<'g> Reactor<'g> {
     fn pump_drain(&mut self) -> Result<(), NetError> {
         let mut stall_deadline = Instant::now() + DRAIN_STALL;
         loop {
-            self.fire_timers()?;
             self.flush_dirty()?;
             if self.drain_quiesced() {
                 return Ok(());
@@ -966,22 +965,23 @@ impl<'g> Reactor<'g> {
         }
     }
 
-    fn pump_until(&mut self, target: Instant) -> Result<(), NetError> {
+    /// Fires timers and pumps sockets until `done` holds (`Ok(true)`)
+    /// or `deadline` passes (`Ok(false)`).
+    fn pump_until(&mut self, deadline: Instant, done: fn(&Self) -> bool) -> Result<bool, NetError> {
         loop {
             self.fire_timers()?;
             self.flush_dirty()?;
-            let now = Instant::now();
-            if now >= target {
-                // Non-blocking sweep so a same-round re-poll drains
-                // whatever has already arrived.
-                self.poll_wait(Some(Duration::ZERO))?;
-                self.flush_dirty()?;
-                return Ok(());
+            if done(self) {
+                return Ok(true);
             }
-            let wake = match self.wheel.next_deadline() {
-                Some(t) => t.min(target),
-                None => target,
-            };
+            let now = Instant::now();
+            if now >= deadline {
+                return Ok(false);
+            }
+            let wake = self
+                .wheel
+                .next_deadline()
+                .map_or(deadline, |t| t.min(deadline));
             self.poll_wait(Some(wake.saturating_duration_since(now)))?;
         }
     }
@@ -1021,35 +1021,21 @@ impl Transport for Reactor<'_> {
         }
         // Cleared once the barrier holds: every early return fails it.
         self.start_failed = true;
-        if self.cfg.pacing == Pacing::Drain && !self.edges.is_empty() {
+        self.plan_links();
+        if self.cfg.pacing == Pacing::Drain && !self.links.is_empty() {
             return Err(NetError::ProtocolViolation(
                 "drain pacing requires hosting every node in one reactor".to_owned(),
             ));
         }
         self.dial_trunks()?;
         let now = Instant::now();
-        let edge_keys: Vec<(NodeId, NodeId)> = self.edges.keys().copied().collect();
-        for (from, to) in edge_keys {
-            self.wheel.schedule(now, Timer::Redial { from, to });
+        for link in 0..self.links.len() {
+            self.wheel.schedule(now, link);
         }
-        let deadline = now + self.cfg.start_timeout;
-        loop {
-            self.fire_timers()?;
-            self.flush_dirty()?;
-            if self.barrier_holds() {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::StartTimeout {
-                    waiting: self.barrier_waiting(),
-                });
-            }
-            let wake = match self.wheel.next_deadline() {
-                Some(t) => t.min(deadline),
-                None => deadline,
-            };
-            self.poll_wait(Some(wake.saturating_duration_since(now)))?;
+        if !self.pump_until(now + self.cfg.start_timeout, Self::barrier_holds)? {
+            return Err(NetError::StartTimeout {
+                waiting: self.barrier_waiting(),
+            });
         }
         self.epoch = Some(Instant::now());
         self.started = true;
@@ -1067,14 +1053,16 @@ impl Transport for Reactor<'_> {
         if self.hosted.contains(&peer.index()) {
             self.caps
         } else {
-            self.remote_caps.get(&peer).copied().unwrap_or(0)
+            self.remotes
+                .get(&peer)
+                .map_or(0, |&(link, _)| self.links[link].caps)
         }
     }
 
     /// Queues `frame` from hosted `src` toward its neighbor `to`, the
-    /// `nth` entry of `src`'s adjacency row: on `to`'s trunk (hosted) or
-    /// on the edge `src → to` (remote; its outage backlog while the
-    /// connection is down).
+    /// `nth` entry of `src`'s adjacency row, in a routed envelope: on
+    /// `src → to`'s trunk (hosted) or on the link to `to`'s reactor
+    /// (remote; its outage backlog while the connection is down).
     fn send(
         &mut self,
         src: NodeId,
@@ -1110,22 +1098,30 @@ impl Transport for Reactor<'_> {
             }
             size
         } else {
-            // A retired edge's peer is lost or departed: sends are
+            // A departed peer, or one behind a retired link: sends are
             // silent no-ops.
-            let Some(edge) = self.edges.get_mut(&(src, to)).filter(|e| !e.lost) else {
+            let Some(link) = self
+                .remotes
+                .get(&to)
+                .filter(|r| !r.1)
+                .map(|&(link, _)| &mut self.links[link])
+                .filter(|l| !l.retired)
+            else {
                 return Ok(());
             };
-            let live = edge.conn.filter(|_| edge.up);
+            let live = link.conn.filter(|_| link.up);
             if let Some((idx, conn)) = live.and_then(|i| Some((i, self.conns[i].as_mut()?))) {
-                let size = conn.wq.push_frame(frame)?;
+                let size = conn.wq.push_routed(src, to, release, frame)?;
                 if conn.mark_dirty() {
                     self.dirty.push(idx);
                 }
                 size
             } else {
-                let bytes = frame.encode()?;
+                let mut bytes = Vec::new();
+                let payload = Frame::encode_routed_parts(src, to, release, frame, &mut bytes)?;
+                bytes.extend_from_slice(payload);
                 let size = bytes.len();
-                edge.pending.push_back(bytes);
+                link.pending.push_back(bytes);
                 size
             }
         };
@@ -1153,8 +1149,16 @@ impl Transport for Reactor<'_> {
                 let epoch = self
                     .epoch
                     .ok_or_else(|| NetError::ProtocolViolation("poll before start".to_owned()))?;
-                let target = epoch + round_offset(self.cfg.round, u128::from(round));
-                self.pump_until(target)?;
+                // `round · Δ`, clamped to a day: past any round a
+                // wall-paced run reaches.
+                let offset = self.cfg.round.as_nanos().saturating_mul(u128::from(round));
+                let offset = Duration::from_nanos(u64::try_from(offset).unwrap_or(u64::MAX));
+                let target = epoch + offset.min(Duration::from_secs(86_400));
+                self.pump_until(target, |_| false)?;
+                // Non-blocking sweep so a same-round re-poll drains
+                // whatever has already arrived.
+                self.poll_wait(Some(Duration::ZERO))?;
+                self.flush_dirty()?;
             }
         }
         if out.is_empty() {
@@ -1221,6 +1225,7 @@ mod tests {
     use super::*;
     use crate::wire::POOL_BYTES;
     use latency_graph::generators;
+    use std::io::Write;
 
     fn drain_cfg() -> ReactorConfig {
         ReactorConfig {
@@ -1427,13 +1432,13 @@ mod tests {
     }
 
     #[test]
-    fn a_request_replayed_on_a_reconnected_remote_edge_surfaces_once() {
+    fn a_request_replayed_on_a_reconnected_link_surfaces_once() {
         use std::io::Read;
         use std::sync::mpsc;
 
-        // Node 0 is hosted; node 1 is a remote peer driven by hand over
-        // raw sockets, so it can do what a reconnecting dialer does:
-        // send a request, lose the connection, and replay it.
+        // Node 0 is hosted; node 1 is a remote peer reactor driven by
+        // hand over raw sockets, so it can do what a reconnecting link
+        // does: send a request, lose the connection, and replay it.
         let g = generators::path(2);
         let (me, peer) = (NodeId::new(0), NodeId::new(1));
         let hello = Frame::Hello {
@@ -1445,16 +1450,30 @@ mod tests {
         }
         .encode()
         .expect("hello fits");
-        let request = |seq| Frame::Request {
-            seq,
-            round: 0,
-            payload: Vec::new(),
+        let routed = |inner| {
+            Frame::Routed {
+                src: peer,
+                dst: me,
+                release: 0,
+                inner: Box::new(inner),
+            }
+            .encode()
+            .expect("fits")
         };
-        let delta = |seq| Frame::RequestDelta {
-            seq,
-            round: 0,
-            basis_seq: 0,
-            payload: Vec::new(),
+        let request = |seq| {
+            routed(Frame::Request {
+                seq,
+                round: 0,
+                payload: Vec::new(),
+            })
+        };
+        let delta = |seq| {
+            routed(Frame::RequestDelta {
+                seq,
+                round: 0,
+                basis_seq: 0,
+                payload: Vec::new(),
+            })
         };
         let peer_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let cfg = ReactorConfig {
@@ -1465,16 +1484,16 @@ mod tests {
         reactor.set_peer(peer, peer_listener.local_addr().expect("addr").to_string());
         let reactor_addr = reactor.local_addr();
         let (step_tx, step_rx) = mpsc::channel::<()>();
-        let wire = [request(5), request(6), delta(6), delta(7)].map(|f| f.encode().expect("fits"));
-        let first = request(5).encode().expect("fits");
+        let wire = [request(5), request(6), delta(6), delta(7)];
+        let first = request(5);
         let remote = std::thread::spawn(move || {
             let handshake = |conn: &mut TcpStream| {
                 conn.write_all(&hello).expect("hello");
                 let mut answer = vec![0u8; hello.len()];
                 conn.read_exact(&mut answer).expect("hello answer");
             };
-            // Answer the reactor's dial of 0 → 1 (its `Hello` is as
-            // long as ours) and keep that edge open.
+            // Answer the reactor's link dial, which names the edge
+            // 0 → 1 (its `Hello` is as long as ours), and keep it open.
             let (mut outbound, _) = peer_listener.accept().expect("reactor dials");
             handshake(&mut outbound);
             let dial = || {
@@ -1487,8 +1506,9 @@ mod tests {
             if step_rx.recv().is_err() {
                 return;
             }
-            // The connection dies; the reconnect replays seq 5, then
-            // sends on — and repeats seq 6 as a delta request.
+            // The connection dies; the reconnect names the same edge,
+            // replays seq 5, then sends on — and repeats seq 6 as a
+            // delta request.
             drop(conn);
             let mut conn = dial();
             for bytes in &wire {
@@ -1496,7 +1516,7 @@ mod tests {
             }
             let _ = step_rx.recv();
         });
-        reactor.start().expect("both edges up");
+        reactor.start().expect("the link is up both ways");
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut round = 0;
         let mut seen = Vec::new();
@@ -1531,7 +1551,11 @@ mod tests {
             })
             .collect();
         assert_eq!(got, [(false, 5), (false, 6), (true, 7)]);
-        assert_eq!(reactor.in_up[&(peer, me)], 7);
+        assert_eq!(
+            reactor.marks,
+            [((peer, me), 7)],
+            "one mark per inbound link"
+        );
         reactor.shutdown();
     }
 }

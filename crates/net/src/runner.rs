@@ -445,8 +445,8 @@ pub struct ShardRunner<'g, P: Protocol, T: Transport> {
     scratch: Vec<u8>,
     /// Our requests by seq: entry `i` is seq `pending_base + i`, `None`
     /// once answered or written off (and trimmed off the front). Seqs
-    /// are shard-wide, hence monotone on every directed edge, as the
-    /// reactor's replay de-duplication and delta bases require.
+    /// are shard-wide, hence rising on every directed edge and reactor
+    /// link, as delta bases and the reactor's replay mark require.
     pending: VecDeque<Option<PendingInit<P::Payload>>>,
     /// Seq of `pending`'s front entry (seqs start at 1: `basis_seq` 0
     /// names the empty basis).

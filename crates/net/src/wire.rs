@@ -80,13 +80,13 @@ pub enum Frame {
     /// view before exchanging any other frame, so two processes started
     /// against different topologies refuse to pair up.
     Hello {
-        /// The sender's node id, or the trunk sentinel
+        /// The sender's end of the cross edge a reactor link names (a
+        /// node the dialing shard hosts), or the trunk sentinel
         /// (`NodeId::from(u32::MAX)`) for a reactor's self-connection.
         node: NodeId,
-        /// The node the sender wants to talk to. A listener that accepts
-        /// connections for many hosted nodes (the reactor) demultiplexes
-        /// on this; a single-node transport validates it against its own
-        /// id. For a trunk handshake it carries the trunk index instead.
+        /// The other end: a node the accepting reactor hosts, which
+        /// checks the edge against its graph. For a trunk handshake it
+        /// carries the trunk index instead.
         to: NodeId,
         /// Number of nodes in the sender's topology.
         n: u32,
@@ -159,12 +159,13 @@ pub enum Frame {
         /// Delta-encoded payload snapshot.
         payload: Vec<u8>,
     },
-    /// A trunk envelope: one hop of a multiplexed connection carrying
-    /// traffic for many `(src, dst)` node pairs (the reactor's
-    /// self-connections). `release` echoes the release round the sender
-    /// passed to [`crate::Transport::send`]; the receiving reactor hands
-    /// the inner frame over as soon as it is decoded, and the runner
-    /// holds the exchange to its due round. Envelopes never nest.
+    /// A routed envelope: one hop of a multiplexed connection — a
+    /// reactor's trunk, or its link to a peer reactor — carrying traffic
+    /// for many `(src, dst)` node pairs. `release` echoes the release
+    /// round the sender passed to [`crate::Transport::send`]; the
+    /// receiving reactor hands the inner frame over as soon as it is
+    /// decoded, and the runner holds the exchange to its due round.
+    /// Envelopes never nest.
     Routed {
         /// Originating node.
         src: NodeId,
