@@ -172,7 +172,7 @@ impl FrameReader {
     }
 
     /// [`next_frame`](FrameReader::next_frame) for the reactor: payloads
-    /// fill buffers from `pool`, and a trunk envelope's inner frame
+    /// fill buffers from `pool`, and a routed envelope's inner frame
     /// stays unboxed ([`Frame::decode_with`]).
     pub(crate) fn next_decoded(
         &mut self,

@@ -24,17 +24,14 @@ use crate::wire::Frame;
 pub(crate) enum ConnKind {
     /// Accepted, awaiting the dialer's `Hello`.
     Pending,
-    /// Write side of trunk `idx` (our own dial to our own listener);
-    /// carries `Frame::Routed` envelopes between hosted nodes.
-    TrunkOut(usize),
-    /// Read side of trunk `idx`.
-    TrunkIn(usize),
-    /// Write side of link `idx` (one per peer reactor) — awaiting the
-    /// `Hello` answer until the link is up, then carrying
-    /// `Frame::Routed` envelopes to the nodes behind it.
+    /// Write side of link `idx` (one per peer reactor, and the self
+    /// link to our own listener) — awaiting the `Hello` answer until the
+    /// link is up, then carrying `Frame::Routed` envelopes to the nodes
+    /// behind it.
     LinkOut(usize),
-    /// Read side of a peer reactor's link into this one (we only read
-    /// after answering the handshake); `idx` is its seq mark's slot.
+    /// Read side of a link into this reactor, a peer reactor's or our
+    /// own (we only read after answering the handshake); `idx` is its
+    /// seq mark's slot.
     LinkIn(usize),
     /// Handshake answer still flushing to a rejected dialer; closed as
     /// soon as the write queue empties. Inbound bytes are discarded.
@@ -100,6 +97,7 @@ impl WriteQueue {
     }
 
     /// Whether everything queued has hit the wire.
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.off == self.buf.len()
     }

@@ -302,21 +302,30 @@ impl<Pl> Bases<Pl> {
 /// [`Knowledge::slot`] entry of an edge with no cache yet.
 const NO_CACHE: u32 = u32::MAX;
 
+/// Caches per block of [`Knowledge`]'s table.
+const CACHE_BLOCK: usize = 1024;
+
 /// Delta mode's per-edge [`EdgeCache`]s, found by edge offset (see
 /// [`ShardRunner::offsets`]): one `u32` per hosted edge (none in
 /// snapshot mode) and a dense table holding only the edges actually
-/// exchanged over.
+/// exchanged over. The table grows by whole blocks of [`CACHE_BLOCK`]
+/// caches, never by reallocating one buffer: on the 1024-clique delta
+/// soak that buffer reached 14.7 MB, and the chain of ever larger
+/// copies that grew it, repeated by every runner a process builds,
+/// could leave the allocator's heap ≈ 10 MB larger.
 struct Knowledge<Pl> {
-    /// Edge offset → index into `caches`, or [`NO_CACHE`].
+    /// Edge offset → index into the table, or [`NO_CACHE`].
     slot: Vec<u32>,
-    caches: Vec<EdgeCache<Pl>>,
+    /// The table: cache `i` is `blocks[i / CACHE_BLOCK][i % CACHE_BLOCK]`,
+    /// and every block but the last is full.
+    blocks: Vec<Vec<EdgeCache<Pl>>>,
 }
 
 impl<Pl> Knowledge<Pl> {
     fn new(edges: usize) -> Self {
         Knowledge {
             slot: vec![NO_CACHE; edges],
-            caches: Vec::new(),
+            blocks: Vec::new(),
         }
     }
 
@@ -328,11 +337,13 @@ impl<Pl> Knowledge<Pl> {
     }
 
     fn get(&self, edge: usize) -> Option<&EdgeCache<Pl>> {
-        self.index(edge).map(|i| &self.caches[i])
+        self.index(edge)
+            .map(|i| &self.blocks[i / CACHE_BLOCK][i % CACHE_BLOCK])
     }
 
     fn get_mut(&mut self, edge: usize) -> Option<&mut EdgeCache<Pl>> {
-        self.index(edge).map(|i| &mut self.caches[i])
+        self.index(edge)
+            .map(|i| &mut self.blocks[i / CACHE_BLOCK][i % CACHE_BLOCK])
     }
 
     /// The cache of edge `edge`, created empty on first use.
@@ -340,12 +351,22 @@ impl<Pl> Knowledge<Pl> {
         let i = match self.index(edge) {
             Some(i) => i,
             None => {
-                self.slot[edge] = u32::try_from(self.caches.len()).expect("cache count fits u32");
-                self.caches.push(EdgeCache::default());
-                self.caches.len() - 1
+                let i = self
+                    .blocks
+                    .last()
+                    .map_or(0, |last| (self.blocks.len() - 1) * CACHE_BLOCK + last.len());
+                if i.is_multiple_of(CACHE_BLOCK) {
+                    self.blocks.push(Vec::with_capacity(CACHE_BLOCK));
+                }
+                self.blocks
+                    .last_mut()
+                    .expect("a block with room")
+                    .push(EdgeCache::default());
+                self.slot[edge] = u32::try_from(i).expect("cache count fits u32");
+                i
             }
         };
-        &mut self.caches[i]
+        &mut self.blocks[i / CACHE_BLOCK][i % CACHE_BLOCK]
     }
 }
 
@@ -825,7 +846,7 @@ where
                 from.index()
             ))),
             Frame::Routed { .. } => Err(NetError::ProtocolViolation(format!(
-                "unwrapped trunk envelope from node {} reached the runner",
+                "unwrapped routed envelope from node {} reached the runner",
                 from.index()
             ))),
         }

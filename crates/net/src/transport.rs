@@ -67,16 +67,16 @@ pub enum NetEvent {
 ///
 /// **Delivery is at most once.** A request (`Request` / `RequestDelta`)
 /// surfaces from `poll` at most once per sequence number, so the runner
-/// answers whatever it is handed. Loopback and the reactor's trunks
+/// answers whatever it is handed. Loopback and the reactor's self link
 /// never duplicate a frame; the one path that can re-send — a link to a
 /// peer reactor that reconnects and replays the frame a dying
 /// connection cut — is deduplicated by the receiving reactor with one
 /// sequence high-water mark per inbound link (DESIGN.md §11).
 pub trait Transport {
     /// Brings connections up and blocks until the start barrier holds
-    /// (every peer reactor connected both ways), or fails with
-    /// [`NetError::StartTimeout`]. Idempotent. The default, for a
-    /// transport with no connections, does nothing.
+    /// (every link, the reactor's own included, connected both ways),
+    /// or fails with [`NetError::StartTimeout`]. Idempotent. The
+    /// default, for a transport with no connections, does nothing.
     fn start(&mut self) -> Result<(), NetError> {
         Ok(())
     }

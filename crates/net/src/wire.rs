@@ -28,7 +28,7 @@ use crate::error::CodecError;
 pub const MAGIC: u8 = 0xA7;
 /// Wire protocol version. Version 2 added the `to` field in
 /// [`Frame::Hello`] (so one listener can accept connections for many
-/// hosted nodes) and the [`Frame::Routed`] trunk envelope. Version 3
+/// hosted nodes) and the [`Frame::Routed`] envelope. Version 3
 /// added the `caps` capability bits to [`Frame::Hello`] and the
 /// [`Frame::RequestDelta`]/[`Frame::ReplyDelta`] kinds.
 pub const VERSION: u8 = 3;
@@ -80,13 +80,12 @@ pub enum Frame {
     /// view before exchanging any other frame, so two processes started
     /// against different topologies refuse to pair up.
     Hello {
-        /// The sender's end of the cross edge a reactor link names (a
-        /// node the dialing shard hosts), or the trunk sentinel
-        /// (`NodeId::from(u32::MAX)`) for a reactor's self-connection.
+        /// The sender's end of the edge a reactor link names: a node the
+        /// dialing shard hosts (on a reactor's self link, the accepting
+        /// reactor hosts it too).
         node: NodeId,
         /// The other end: a node the accepting reactor hosts, which
-        /// checks the edge against its graph. For a trunk handshake it
-        /// carries the trunk index instead.
+        /// checks the edge against its graph.
         to: NodeId,
         /// Number of nodes in the sender's topology.
         n: u32,
@@ -160,7 +159,7 @@ pub enum Frame {
         payload: Vec<u8>,
     },
     /// A routed envelope: one hop of a multiplexed connection — a
-    /// reactor's trunk, or its link to a peer reactor — carrying traffic
+    /// reactor's link to a peer reactor, or to itself — carrying traffic
     /// for many `(src, dst)` node pairs. `release` echoes the release
     /// round the sender passed to [`crate::Transport::send`]; the
     /// receiving reactor hands the inner frame over as soon as it is
@@ -235,7 +234,7 @@ impl Frame {
     /// header, routing prefix, and the inner frame's header + fixed
     /// fields into it, and returns the inner payload slice to write
     /// after it. This is the reactor's send path: one scratch buffer,
-    /// zero allocation, zero payload copies per trunk frame.
+    /// zero allocation, zero payload copies per routed frame.
     ///
     /// # Errors
     ///
@@ -354,7 +353,7 @@ impl Frame {
     }
 
     /// [`Frame::decode`] for the transports' receive paths: payload
-    /// bytes land in a buffer taken from `pool`, and a trunk envelope's
+    /// bytes land in a buffer taken from `pool`, and a routed envelope's
     /// inner frame comes back in place ([`Decoded::Routed`]) instead of
     /// behind a `Box`. Same bytes consumed, same errors.
     pub(crate) fn decode_with(
@@ -365,13 +364,13 @@ impl Frame {
     }
 }
 
-/// What [`Frame::decode_with`] yields: a plain frame, or a trunk
-/// envelope with its inner frame held in place — the reactor's trunk
+/// What [`Frame::decode_with`] yields: a plain frame, or a routed
+/// envelope with its inner frame held in place — the reactor's link
 /// read path hands `inner` straight to its destination, and only
 /// [`Frame::decode`] boxes it into a [`Frame::Routed`].
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Decoded {
-    /// Any frame but a trunk envelope.
+    /// Any frame but a routed envelope.
     Frame(Frame),
     /// A [`Frame::Routed`] envelope, unboxed.
     Routed {
@@ -438,7 +437,7 @@ fn split_frame(buf: &[u8]) -> Result<(u8, Reader<'_>, usize), CodecError> {
 }
 
 /// The one frame parser behind [`Frame::decode`] and
-/// [`Frame::decode_with`]: the header, then a trunk envelope's 16-byte
+/// [`Frame::decode_with`]: the header, then a routed envelope's 16-byte
 /// routed prefix `(src, dst, release)` and exactly one inner frame
 /// (which may not itself be an envelope), or any other kind's body.
 /// `payload` copies a payload's bytes out — into a fresh `Vec`, or a
@@ -480,7 +479,7 @@ fn decode_frame(
     Ok((decoded, total))
 }
 
-/// Decodes the body of a frame of `kind` — any kind but a trunk
+/// Decodes the body of a frame of `kind` — any kind but a routed
 /// envelope, which is only valid outermost — copying payloads out with
 /// `payload`. The caller checks the body was consumed exactly.
 fn decode_body(
@@ -1124,7 +1123,7 @@ mod tests {
     }
 
     #[test]
-    fn box_free_trunk_decode_agrees_with_decode() {
+    fn box_free_routed_decode_agrees_with_decode() {
         let mut pool = BufPool::default();
         let (src, dst, release) = (NodeId::new(6), NodeId::new(2), 17);
         let mut meta = Vec::new();

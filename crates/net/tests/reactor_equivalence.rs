@@ -1,10 +1,10 @@
 //! The reactor equivalence suite: the same nine cases as
 //! `loopback_equivalence.rs`, run through [`gossip_net::run_reactor_mode_with_stats`] —
-//! a whole cluster hosted by one epoll reactor over real TCP
-//! self-connections (trunks), drain-paced so rounds are virtual. The
+//! a whole cluster hosted by one epoll reactor over its real TCP self
+//! link, drain-paced so rounds are virtual. The
 //! outcome must equal the simulator's *exactly*: same stop reason,
 //! round count, metrics, and final per-node rumor sets. This is the
-//! strongest check that trunk multiplexing and the routed envelope,
+//! strongest check that link multiplexing and the routed envelope,
 //! under the runner's hold to `t + ℓ`, preserve the paper's round
 //! semantics (DESIGN.md §14).
 
@@ -341,7 +341,7 @@ fn latency_known_visibility_matches_engine() {
 
 #[test]
 fn stream_policies_match_engine_over_trunks() {
-    // Both budgeted streaming policies, over real TCP trunks: outcome,
+    // Both budgeted streaming policies, over a real TCP self link: outcome,
     // per-node acquisition fingerprints, and the per-rumor completion
     // curve must all equal the engine's.
     fn check<P: Protocol + Send>(

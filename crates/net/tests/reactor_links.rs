@@ -35,7 +35,8 @@ fn two_half_clique_shards_share_one_link_each_way() {
     // clique(32) split in halves: 16 · 16 = 256 cross edges each way.
     // With a socket per cross edge the two start barriers alone need
     // 512 connections; with a link per peer reactor each side holds a
-    // listener, an epoll instance, its trunks and two link sockets.
+    // listener, an epoll instance, its self link's two ends and two
+    // link sockets.
     let n = 32;
     let g = generators::clique(n);
     let cfg = SimConfig {

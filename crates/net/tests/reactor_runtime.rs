@@ -388,7 +388,7 @@ fn foreign_universe_frame_is_a_typed_error_on_loopback_and_reactor() {
     }
     let g = generators::clique(2);
     refused(&g, LoopbackHub::new(2));
-    // Drain pacing: the poll pumps the trunk until the frame is in.
+    // Drain pacing: the poll pumps the self link until the frame is in.
     let drain = ReactorConfig {
         pacing: Pacing::Drain,
         ..fast_reactor()

@@ -50,7 +50,7 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 basis_seq: b.wrapping_add(1),
                 payload,
             },
-            // Trunk envelopes nest exactly one plain frame.
+            // Routed envelopes nest exactly one plain frame.
             _ => Frame::Routed {
                 src: NodeId::from((a % 10_000) as u32),
                 dst: NodeId::from((b % 10_000) as u32),
