@@ -56,7 +56,7 @@ pub fn validate_hello(
 ///
 /// Attempt `k` (1-based; attempt 0 dials immediately) waits
 /// `base · 2^k`, clamped to `cap`. The schedule is a pure function of
-/// the attempt number; the reactor turns it into deadline-wheel timers.
+/// the attempt number; the reactor turns it into a link's redial instant.
 #[derive(Clone, Copy, Debug)]
 pub struct Backoff {
     base: Duration,

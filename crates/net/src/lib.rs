@@ -30,9 +30,9 @@
 //!   apart from the event loop so it is testable without a socket.
 //! * [`reactor`] — [`Reactor`], the real-socket transport: one epoll
 //!   readiness loop hosts every connection of a shard's nodes in a
-//!   single thread, with a deadline wheel replacing every sleep
-//!   (DESIGN.md §14). Thousands of nodes per process; a reactor hosting
-//!   one node is the one-node-per-process deployment.
+//!   single thread, with deadlines bounding its wait in place of every
+//!   sleep (DESIGN.md §14). Thousands of nodes per process; a reactor
+//!   hosting one node is the one-node-per-process deployment.
 //! * [`runner`] — [`ShardRunner`], the round driver of one shard: the
 //!   engine's own per-node state (`gossip_sim::NodeTable`) stepped in
 //!   the engine's phase order, with the start/stop barriers on top of

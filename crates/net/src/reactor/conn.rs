@@ -1,11 +1,13 @@
-//! Per-connection buffer state machines for the reactor: a one-buffer
-//! write queue and the connection roles the readiness loop dispatches
-//! on.
+//! Buffer state machines for the reactor: a link's one-buffer write
+//! queue and the connection roles the readiness loop dispatches on.
 //!
-//! Frames are encoded back to back into one `Vec<u8>` per connection
-//! and flushed with plain `write` from a single offset, so whatever a
-//! round queued on a connection leaves in as few syscalls as the socket
-//! buffer allows, and a flushed-empty queue keeps its allocation.
+//! A link's frames are encoded back to back into one `Vec<u8>` and
+//! flushed with plain `write` from a single offset, so whatever a round
+//! queued on the link leaves in as few syscalls as the socket buffer
+//! allows, and a flushed-empty queue keeps its allocation. The queue
+//! belongs to the link, not to a connection: it outlives the
+//! connection that dies under it, and [`WriteQueue::rewind`] readies it
+//! for the next one.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -26,16 +28,13 @@ pub(crate) enum ConnKind {
     Pending,
     /// Write side of link `idx` (one per peer reactor, and the self
     /// link to our own listener) — awaiting the `Hello` answer until the
-    /// link is up, then carrying `Frame::Routed` envelopes to the nodes
-    /// behind it.
+    /// link is up, then carrying the link's `Frame::Routed` envelopes to
+    /// the nodes behind it.
     LinkOut(usize),
     /// Read side of a link into this reactor, a peer reactor's or our
     /// own (we only read after answering the handshake); `idx` is its
     /// seq mark's slot.
     LinkIn(usize),
-    /// Handshake answer still flushing to a rejected dialer; closed as
-    /// soon as the write queue empties. Inbound bytes are discarded.
-    Closing,
 }
 
 /// Contiguous write queue: encoded frames back to back in `buf`, of
@@ -45,8 +44,7 @@ pub(crate) struct WriteQueue {
     buf: Vec<u8>,
     off: usize,
     /// End offset in `buf` of every frame it holds, written or not —
-    /// kept only so [`drain_encoded`](WriteQueue::drain_encoded) can
-    /// find where the frame cut by `off` starts.
+    /// kept so a partial write's cut frame can be found again.
     ends: VecDeque<usize>,
     /// Scratch for a routed envelope's headers (`encode_routed_parts`
     /// clears its output, so it cannot append to `buf` directly).
@@ -54,20 +52,6 @@ pub(crate) struct WriteQueue {
 }
 
 impl WriteQueue {
-    /// Queues a plain frame, encoded in place at the tail. Returns its
-    /// encoded size.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::FrameTooLarge`] if the frame's body exceeds the
-    /// wire cap; nothing is queued.
-    pub(crate) fn push_frame(&mut self, frame: &Frame) -> Result<usize, CodecError> {
-        let start = self.buf.len();
-        frame.encode_into(&mut self.buf)?;
-        self.ends.push_back(self.buf.len());
-        Ok(self.buf.len() - start)
-    }
-
     /// Queues `inner` wrapped in a `Frame::Routed` envelope without
     /// boxing it. Returns the envelope's encoded size.
     ///
@@ -89,13 +73,6 @@ impl WriteQueue {
         Ok(self.meta.len() + payload.len())
     }
 
-    /// Queues one pre-encoded frame (a link's backlog, replayed once
-    /// its connection is up).
-    pub(crate) fn push_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-        self.ends.push_back(self.buf.len());
-    }
-
     /// Whether everything queued has hit the wire.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
@@ -107,23 +84,14 @@ impl WriteQueue {
         self.buf.len() - self.off
     }
 
-    /// Empties the queue, returning every frame not yet fully on the
-    /// wire as its own buffer — the frame cut by a partial write from
-    /// byte 0, so a connection loss resends it intact (the receiving
-    /// reactor drops a request it already delivered, by the link's seq
-    /// mark).
-    pub(crate) fn drain_encoded(&mut self) -> Vec<Vec<u8>> {
-        let mut frames = Vec::new();
-        let mut start = 0;
-        for end in self.ends.drain(..) {
-            if end > self.off {
-                frames.push(self.buf[start..end].to_vec());
-            }
-            start = end;
-        }
-        self.buf.clear();
+    /// Readies the queue for a new connection after its last one broke:
+    /// the frames fully on the wire are dropped, and the frame a partial
+    /// write cut restarts from byte 0, so the next connection resends it
+    /// intact (the receiving reactor drops a request it already
+    /// delivered, by the link's seq mark).
+    pub(crate) fn rewind(&mut self) {
+        self.drop_written(0);
         self.off = 0;
-        frames
     }
 
     /// Writes as much as the socket accepts. `Ok(true)` means the queue
@@ -135,7 +103,9 @@ impl WriteQueue {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.off += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.reclaim();
+                    // A queue that never quite empties (a slow remote
+                    // peer) holds its backlog, not everything it sent.
+                    self.drop_written(self.buf.len() / 2);
                     return Ok(false);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -148,13 +118,12 @@ impl WriteQueue {
         Ok(true)
     }
 
-    /// Drops the frames fully on the wire once they fill half the
-    /// buffer, so a queue that never quite empties (a slow remote peer)
-    /// holds its backlog, not everything it ever sent.
-    fn reclaim(&mut self) {
+    /// Drops the frames fully on the wire if they span at least `min`
+    /// bytes; `off` then points into the first frame left.
+    fn drop_written(&mut self, min: usize) {
         let written = self.ends.partition_point(|&end| end <= self.off);
         let head = written.checked_sub(1).map_or(0, |last| self.ends[last]);
-        if head < self.buf.len() / 2 {
+        if head < min {
             return;
         }
         self.buf.drain(..head);
@@ -166,16 +135,14 @@ impl WriteQueue {
     }
 }
 
-/// A registered connection: socket, role, reassembly buffer, write
-/// queue, and the epoll interest currently armed for it.
+/// A registered connection: socket, role, reassembly buffer, and the
+/// epoll interest currently armed for it. What it writes belongs to its
+/// link.
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     pub(crate) kind: ConnKind,
     pub(crate) reader: FrameReader,
-    pub(crate) wq: WriteQueue,
     pub(crate) interest: u32,
-    /// Listed for the reactor's next `flush_dirty`, which clears it.
-    pub(crate) dirty: bool,
 }
 
 impl Conn {
@@ -184,16 +151,8 @@ impl Conn {
             stream,
             kind,
             reader: FrameReader::new(),
-            wq: WriteQueue::default(),
             interest,
-            dirty: false,
         }
-    }
-
-    /// Flags the connection as holding freshly queued bytes; `true` if
-    /// it was not flagged already (the caller then lists it once).
-    pub(crate) fn mark_dirty(&mut self) -> bool {
-        !std::mem::replace(&mut self.dirty, true)
     }
 }
 
@@ -239,25 +198,30 @@ mod tests {
         }
     }
 
+    /// Queues `inner` from node 3 to node 5 and returns the envelope's
+    /// own encoding.
+    fn push(wq: &mut WriteQueue, inner: Frame) -> Vec<u8> {
+        let (src, dst) = (NodeId::new(3), NodeId::new(5));
+        let size = wq.push_routed(src, dst, 9, &inner).expect("fits");
+        let routed = Frame::Routed {
+            src,
+            dst,
+            release: 9,
+            inner: Box::new(inner),
+        }
+        .encode()
+        .expect("frame fits");
+        assert_eq!(size, routed.len());
+        routed
+    }
+
     #[test]
     fn flush_writes_frames_back_to_back_and_keeps_the_buffer() {
         let mut wq = WriteQueue::default();
         let mut expected = Vec::new();
         for f in [request(1), Frame::Done { round: 4 }, Frame::Bye] {
-            f.encode_into(&mut expected).expect("frame encodes");
-            let size = wq.push_frame(&f).expect("frame fits");
-            assert_eq!(size, f.encode().expect("frame fits").len());
+            expected.extend(push(&mut wq, f));
         }
-        let (src, dst) = (NodeId::new(3), NodeId::new(5));
-        let size = wq.push_routed(src, dst, 9, &request(8)).expect("fits");
-        let routed = Frame::Routed {
-            src,
-            dst,
-            release: 9,
-            inner: Box::new(request(8)),
-        };
-        assert_eq!(size, routed.encode().expect("frame fits").len());
-        routed.encode_into(&mut expected).expect("frame encodes");
         assert_eq!(wq.queued_bytes(), expected.len());
 
         let mut sock = choked(usize::MAX);
@@ -267,27 +231,26 @@ mod tests {
         assert_eq!(sock.wire, expected);
 
         let (ptr, cap) = (wq.buf.as_ptr(), wq.buf.capacity());
-        wq.push_bytes(&expected[..8]);
+        let bye = push(&mut wq, Frame::Bye);
         assert_eq!((wq.buf.as_ptr(), wq.buf.capacity()), (ptr, cap));
-        assert_eq!(wq.ends, [8], "the flushed frames' ends are gone");
+        assert_eq!(wq.ends, [bye.len()], "the flushed frames' ends are gone");
     }
 
     #[test]
-    fn drain_encoded_after_a_partial_write_restarts_the_cut_frame() {
+    fn rewind_after_a_partial_write_restarts_the_cut_frame() {
         let mut wq = WriteQueue::default();
-        let first = request(9).encode().expect("frame fits");
-        let bye = Frame::Bye.encode().expect("frame fits");
-        let done = Frame::Done { round: 4 }.encode().expect("frame fits");
-        wq.push_frame(&request(9)).expect("frame fits");
-        wq.push_bytes(&bye);
-        wq.push_frame(&Frame::Done { round: 4 })
-            .expect("frame fits");
+        let first = push(&mut wq, request(9));
+        let bye = push(&mut wq, Frame::Bye);
+        let done = push(&mut wq, Frame::Done { round: 4 });
         // The first frame and half of the second reach the wire.
         assert!(!wq.flush(&mut choked(first.len() + 4)).expect("flush"));
         assert_eq!(wq.queued_bytes(), bye.len() - 4 + done.len());
+        wq.rewind();
+        let mut sock = choked(usize::MAX);
+        assert!(wq.flush(&mut sock).expect("flush"));
         assert_eq!(
-            wq.drain_encoded(),
-            [bye, done],
+            sock.wire,
+            [bye, done].concat(),
             "written frame skipped, cut frame from byte 0, rest intact"
         );
         assert!(wq.is_empty());
@@ -298,13 +261,12 @@ mod tests {
         let mut wq = WriteQueue::default();
         let mut sock = choked(0);
         let mut expected = Vec::new();
-        let len = request(0).encode().expect("frame fits").len();
+        let len = push(&mut WriteQueue::default(), request(0)).len();
         // Each step queues two frames and the socket takes one and a
         // half, so the queue never empties.
         for seq in 0..200 {
             for f in [request(2 * seq), request(2 * seq + 1)] {
-                f.encode_into(&mut expected).expect("frame encodes");
-                wq.push_frame(&f).expect("frame fits");
+                expected.extend(push(&mut wq, f));
             }
             sock.room = len + len / 2;
             assert!(!wq.flush(&mut sock).expect("flush"));

@@ -3,9 +3,10 @@
 //!
 //! **One** thread runs a single `epoll` readiness loop (`sys::Poller`)
 //! hosting *every* connection of *many* nodes, with per-connection
-//! read/write buffer state machines (`conn::Conn`) instead of blocking
-//! reader/writer threads and a deadline wheel (`wheel::Wheel`) instead
-//! of any `thread::sleep` (round pacing, reconnect backoff). A reactor
+//! read buffers (`conn::Conn`) and per-link write queues
+//! (`conn::WriteQueue`) instead of blocking reader/writer threads, and
+//! deadlines bounding `epoll_wait` instead of any `thread::sleep` (the
+//! round target, the start budget, each link's redial instant). A reactor
 //! hosting a single node is the one-node-per-process deployment;
 //! nothing else changes. The reactor is the [`Transport`] of one shard:
 //! the [`ShardRunner`] of its hosted nodes owns it.
@@ -35,8 +36,10 @@
 //!   lost link surfaces one `PeerLost` per hosted–remote edge behind it
 //!   — and stops sending to a node that said [`Frame::Bye`]: a departure
 //!   is not a fault, and a link whose nodes have all departed retires
-//!   without a loss. A reconnecting link replays the frame its dying
-//!   connection cut, so the receiver keeps at-most-once delivery
+//!   without a loss. A link owns its write queue across its
+//!   connections: what is sent while it is down waits there, and a
+//!   reconnecting link resends the frame its dying connection cut, so
+//!   the receiver keeps at-most-once delivery
 //!   itself: a shard's request seqs rise in send order, so it drops a
 //!   request at or below the highest seq already delivered over that
 //!   inbound link.
@@ -65,10 +68,9 @@
 
 pub(crate) mod conn;
 pub(crate) mod sys;
-pub(crate) mod wheel;
 
-use std::collections::{BTreeMap, VecDeque};
-use std::io;
+use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -82,9 +84,8 @@ use crate::runner::{PayloadMode, ShardRunner, WireAccounting};
 use crate::transport::{NetEvent, Transport, TransportStats};
 use crate::wire::{BufPool, Decoded, Frame, WirePayload};
 
-use conn::{Conn, ConnKind};
+use conn::{Conn, ConnKind, WriteQueue};
 use sys::{Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use wheel::Wheel;
 
 /// How a reactor paces rounds; see the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,15 +138,14 @@ impl Default for ReactorConfig {
 
 /// Epoll token of the listener (connections use their slab index).
 const LISTENER_TOKEN: u64 = u64::MAX;
-/// Deadline-wheel granularity.
-const WHEEL_GRANULARITY: Duration = Duration::from_millis(1);
 /// A drain pump that makes no progress for this long is declared
 /// stalled (a bug escape hatch, not a tuning knob).
 const DRAIN_STALL: Duration = Duration::from_secs(10);
 
 /// An outbound link (we dial, we write) to one peer reactor, or the
 /// self link to our own listener: every frame toward a node behind it
-/// rides it in a routed envelope.
+/// rides it in a routed envelope, queued on the link whether or not a
+/// connection is up.
 #[derive(Default)]
 struct Link {
     /// The peer's listen address (`None`: no address was given).
@@ -165,8 +165,13 @@ struct Link {
     attempts: u32,
     /// Capability bits the peer advertised in its handshake answer.
     caps: u32,
-    /// Encoded envelopes awaiting a live connection.
-    pending: VecDeque<Vec<u8>>,
+    /// Everything sent over the link and not yet on the wire, kept
+    /// across its connections; written only while the link is up.
+    wq: WriteQueue,
+    /// When to dial next (`None`: no dial due).
+    redial: Option<Instant>,
+    /// Listed for the reactor's next `flush_dirty`, which clears it.
+    dirty: bool,
 }
 
 impl Link {
@@ -219,13 +224,11 @@ pub struct Reactor<'g> {
     /// and is dropped.
     marks: Vec<((NodeId, NodeId), u64)>,
     poller: Poller,
-    /// Links to re-dial.
-    wheel: Wheel<usize>,
     listener: Option<TcpListener>,
     listen_addr: SocketAddr,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Connections with freshly queued bytes, flushed each pump step.
+    /// Links with freshly queued bytes, flushed each pump step.
     dirty: Vec<usize>,
     /// Routed envelopes queued / decoded. Under drain pacing every one
     /// rides the self link, which never repeats a frame, and both counts
@@ -291,7 +294,6 @@ impl<'g> Reactor<'g> {
             remotes: BTreeMap::new(),
             marks: Vec::new(),
             poller,
-            wheel: Wheel::new(Instant::now(), WHEEL_GRANULARITY),
             listener: Some(listener),
             listen_addr,
             conns: Vec::new(),
@@ -349,9 +351,11 @@ impl<'g> Reactor<'g> {
         }
     }
 
-    fn mark_dirty(&mut self, idx: usize) {
-        if self.conns[idx].as_mut().is_some_and(Conn::mark_dirty) {
-            self.dirty.push(idx);
+    /// Lists an up link for the next `flush_dirty`, once.
+    fn mark_dirty(&mut self, link: usize) {
+        let l = &mut self.links[link];
+        if l.up && !std::mem::replace(&mut l.dirty, true) {
+            self.dirty.push(link);
         }
     }
 
@@ -392,19 +396,8 @@ impl<'g> Reactor<'g> {
         }
     }
 
-    /// Dials `addr` for a connection of role `kind`, its `Hello`
-    /// naming `(node, to)` queued for the next flush.
-    fn dial(
-        &self,
-        addr: &SocketAddr,
-        kind: ConnKind,
-        node: NodeId,
-        to: NodeId,
-    ) -> io::Result<Conn> {
-        let stream = TcpStream::connect_timeout(addr, self.cfg.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        let mut conn = Conn::new(stream, kind, EPOLLIN | EPOLLOUT);
+    /// The handshake frame naming the edge `(node, to)`.
+    fn hello(&self, node: NodeId, to: NodeId) -> Vec<u8> {
         let hello = Frame::Hello {
             node,
             to,
@@ -412,8 +405,18 @@ impl<'g> Reactor<'g> {
             topology_hash: self.hash,
             caps: self.caps,
         };
-        conn.wq.push_frame(&hello).expect("hello frame fits");
-        Ok(conn)
+        hello.encode().expect("hello frame fits")
+    }
+
+    /// Dials `addr` for `link`'s next connection and writes its `Hello`
+    /// while the fresh socket still blocks.
+    fn dial(&self, addr: &SocketAddr, link: usize) -> io::Result<Conn> {
+        let mut stream = TcpStream::connect_timeout(addr, self.cfg.connect_timeout)?;
+        stream.set_nodelay(true)?;
+        let (node, to) = self.links[link].hello;
+        stream.write_all(&self.hello(node, to))?;
+        stream.set_nonblocking(true)?;
+        Ok(Conn::new(stream, ConnKind::LinkOut(link), EPOLLIN))
     }
 
     fn barrier_holds(&self) -> bool {
@@ -431,8 +434,7 @@ impl<'g> Reactor<'g> {
 
     // ---- pump -------------------------------------------------------
 
-    /// One readiness step: fire due timers, flush dirty write queues,
-    /// wait up to `timeout` for events, handle them.
+    /// One readiness step: wait up to `timeout` for events, handle them.
     fn poll_wait(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
         let mut events = std::mem::take(&mut self.events_scratch);
         events.clear();
@@ -450,23 +452,23 @@ impl<'g> Reactor<'g> {
         result
     }
 
-    /// Re-dials the links whose backoff has expired.
+    /// Dials, in link order, each link whose redial instant has passed.
     fn fire_timers(&mut self) -> Result<(), NetError> {
-        if self.wheel.len() == 0 {
-            return Ok(());
+        let now = Instant::now();
+        for link in 0..self.links.len() {
+            if self.links[link].redial.is_some_and(|at| at <= now) {
+                self.links[link].redial = None;
+                self.dial_link(link)?;
+            }
         }
-        let mut due = Vec::new();
-        self.wheel.pop_due(Instant::now(), &mut due);
-        due.into_iter().try_for_each(|link| self.dial_link(link))
+        Ok(())
     }
 
     fn flush_dirty(&mut self) -> Result<(), NetError> {
         let dirty = std::mem::take(&mut self.dirty);
-        for idx in dirty {
-            if let Some(conn) = self.conns[idx].as_mut() {
-                conn.dirty = false;
-                self.flush_conn(idx)?;
-            }
+        for link in dirty {
+            self.links[link].dirty = false;
+            self.flush_link(link)?;
         }
         Ok(())
     }
@@ -486,8 +488,10 @@ impl<'g> Reactor<'g> {
             // bytes first, then the EOF / error itself.
             self.read_conn(idx)?;
         }
-        if ev & EPOLLOUT != 0 && self.conns[idx].is_some() {
-            self.flush_conn(idx)?;
+        if ev & EPOLLOUT != 0 {
+            if let Some(ConnKind::LinkOut(link)) = self.conns[idx].as_ref().map(|c| c.kind) {
+                self.flush_link(link)?;
+            }
         }
         Ok(())
     }
@@ -534,12 +538,6 @@ impl<'g> Reactor<'g> {
                 return Ok(());
             };
             let kind = conn.kind;
-            if kind == ConnKind::Closing {
-                // Only the handshake answer is in flight; inbound bytes
-                // are discarded until the peer reads it and goes away.
-                conn.reader.discard();
-                return Ok(());
-            }
             match conn.reader.next_decoded(&mut self.pool) {
                 Ok(Some((decoded, used))) => self.handle_frame(idx, kind, decoded, used)?,
                 Ok(None) => return Ok(()),
@@ -590,7 +588,7 @@ impl<'g> Reactor<'g> {
             }
             // Established links carry no inbound data; stray bytes are
             // ignored (EOF is what matters, and read_conn catches it).
-            ConnKind::LinkOut(_) | ConnKind::Closing => Ok(()),
+            ConnKind::LinkOut(_) => Ok(()),
         }
     }
 
@@ -629,38 +627,31 @@ impl<'g> Reactor<'g> {
             return Ok(());
         };
         // Answer before validating, so a mismatched dialer can read the
-        // answer and fail fast on its side.
-        let answer = Frame::Hello {
-            node: to,
-            to: node,
-            n: self.n,
-            topology_hash: self.hash,
-            caps: self.caps,
-        };
-        if let Some(conn) = self.conns[idx].as_mut() {
-            conn.wq.push_frame(&answer).expect("hello frame fits");
-        }
-        self.mark_dirty(idx);
+        // answer and fail fast on its side. The connection has carried
+        // nothing yet, so one `write` takes the whole answer; a short one
+        // fails the handshake, and the dialer retries.
+        let answer = self.hello(to, node);
+        let written = self.conns[idx]
+            .as_mut()
+            .map(|conn| conn.stream.write(&answer));
         let valid = validate_hello(frame, self.n, self.hash).is_ok()
             && self.hosted.contains(&to.index())
             && self.graph.neighbor_index(to, node).is_some();
-        let kind = if valid {
-            // A reconnect names the same edge, and keeps its mark.
-            let known = self.marks.iter().position(|&(edge, _)| edge == (node, to));
-            let mark = known.unwrap_or_else(|| {
-                self.marks.push(((node, to), 0));
-                self.marks.len() - 1
-            });
-            if let Some(link) = self.link_of(node) {
-                self.links[link].inbound = true;
-            }
-            ConnKind::LinkIn(mark)
-        } else {
-            // Let the answer flush, then close.
-            ConnKind::Closing
-        };
+        if !valid || !matches!(written, Some(Ok(len)) if len == answer.len()) {
+            self.close_conn(idx);
+            return Ok(());
+        }
+        // A reconnect names the same edge, and keeps its mark.
+        let known = self.marks.iter().position(|&(edge, _)| edge == (node, to));
+        let mark = known.unwrap_or_else(|| {
+            self.marks.push(((node, to), 0));
+            self.marks.len() - 1
+        });
+        if let Some(link) = self.link_of(node) {
+            self.links[link].inbound = true;
+        }
         if let Some(conn) = self.conns[idx].as_mut() {
-            conn.kind = kind;
+            conn.kind = ConnKind::LinkIn(mark);
         }
         Ok(())
     }
@@ -679,12 +670,8 @@ impl<'g> Reactor<'g> {
                 l.up = true;
                 l.attempts = 0;
                 l.caps = caps;
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    for bytes in l.pending.drain(..) {
-                        conn.wq.push_bytes(&bytes);
-                    }
-                }
-                self.mark_dirty(idx);
+                // What was sent while the link was down goes out now.
+                self.mark_dirty(link);
                 return Ok(());
             }
             Ok((node, _, _)) => format!(
@@ -728,7 +715,7 @@ impl<'g> Reactor<'g> {
         match kind {
             ConnKind::LinkOut(link) => self.self_link == Some(link),
             ConnKind::LinkIn(mark) => self.hosted.contains(&self.marks[mark].0 .0.index()),
-            ConnKind::Pending | ConnKind::Closing => false,
+            ConnKind::Pending => false,
         }
     }
 
@@ -748,7 +735,7 @@ impl<'g> Reactor<'g> {
         match kind {
             // An inbound connection: the dialing side owns reconnection
             // and loss accounting.
-            ConnKind::Pending | ConnKind::Closing | ConnKind::LinkIn(_) => {
+            ConnKind::Pending | ConnKind::LinkIn(_) => {
                 self.close_conn(idx);
                 Ok(())
             }
@@ -758,42 +745,36 @@ impl<'g> Reactor<'g> {
                 self.link_dial_failed(link, format!("handshake failed: {why}"))
             }
             ConnKind::LinkOut(link) => {
-                // Preserve queued frames (the in-flight one restarts
-                // from byte 0; the receiving reactor drops a request it
-                // already delivered, by the link's seq mark) and begin a
-                // fresh outage.
-                let drained = self.conns[idx]
-                    .as_mut()
-                    .map_or_else(Vec::new, |c| c.wq.drain_encoded());
+                // Keep the queued frames (the cut one restarts from byte
+                // 0; the receiving reactor drops a request it already
+                // delivered, by the link's seq mark) and begin a fresh
+                // outage.
                 self.close_conn(idx);
                 let l = &mut self.links[link];
                 l.conn = None;
                 l.up = false;
                 l.attempts = 0;
-                l.pending.extend(drained);
-                self.wheel.schedule(Instant::now(), link);
+                l.wq.rewind();
+                l.redial = Some(Instant::now());
                 Ok(())
             }
         }
     }
 
-    fn flush_conn(&mut self, idx: usize) -> Result<(), NetError> {
+    /// Writes what an up link has queued, arming `EPOLLOUT` on its
+    /// connection while bytes remain.
+    fn flush_link(&mut self, link: usize) -> Result<(), NetError> {
         use std::os::fd::AsRawFd;
+        let l = &mut self.links[link];
+        let Some(idx) = l.conn.filter(|_| l.up) else {
+            return Ok(());
+        };
         let Some(conn) = self.conns[idx].as_mut() else {
             return Ok(());
         };
-        let kind = conn.kind;
-        let stream = &mut conn.stream;
-        match conn.wq.flush(stream) {
+        match l.wq.flush(&mut conn.stream) {
             Ok(emptied) => {
-                if emptied && kind == ConnKind::Closing {
-                    self.close_conn(idx);
-                    return Ok(());
-                }
                 let desired = EPOLLIN | if emptied { 0 } else { EPOLLOUT };
-                let Some(conn) = self.conns[idx].as_mut() else {
-                    return Ok(());
-                };
                 if conn.interest != desired {
                     let token = u64::try_from(idx).expect("slab index fits u64");
                     self.poller
@@ -812,9 +793,9 @@ impl<'g> Reactor<'g> {
     fn dial_link(&mut self, link: usize) -> Result<(), NetError> {
         let l = &self.links[link];
         if self.down || l.retired || l.conn.is_some() {
-            return Ok(()); // stale timer
+            return Ok(()); // connected, retired, or torn down
         }
-        let (from, to) = l.hello;
+        let to = l.hello.1;
         let resolved = l.addr.as_ref().map(|a| a.to_socket_addrs().ok()?.next());
         let Some(Some(sockaddr)) = resolved else {
             let why = match &l.addr {
@@ -823,10 +804,9 @@ impl<'g> Reactor<'g> {
             };
             return self.link_lost(link, 0, why);
         };
-        match self.dial(&sockaddr, ConnKind::LinkOut(link), from, to) {
+        match self.dial(&sockaddr, link) {
             Ok(conn) => {
                 let idx = self.register(conn)?;
-                self.mark_dirty(idx);
                 self.links[link].conn = Some(idx);
                 Ok(())
             }
@@ -841,12 +821,11 @@ impl<'g> Reactor<'g> {
         if attempts >= self.cfg.max_retries.max(1) || self.self_link == Some(link) {
             return self.link_lost(link, attempts, error);
         }
-        let delay = self.backoff.delay(attempts);
-        self.wheel.schedule(Instant::now() + delay, link);
+        l.redial = Some(Instant::now() + self.backoff.delay(attempts));
         Ok(())
     }
 
-    /// Retires `link`: closes its connection, drops its backlog, and
+    /// Retires `link`: closes its connection, drops its write queue, and
     /// turns later dials and sends into no-ops. Returns whether this
     /// call did the retiring.
     fn retire_link(&mut self, link: usize) -> bool {
@@ -856,7 +835,8 @@ impl<'g> Reactor<'g> {
         }
         l.retired = true;
         l.up = false;
-        l.pending.clear();
+        l.redial = None;
+        l.wq = WriteQueue::default();
         if let Some(idx) = l.conn.take() {
             self.close_conn(idx);
         }
@@ -918,11 +898,10 @@ impl<'g> Reactor<'g> {
         self.routed_enqueued == self.routed_decoded && self.self_backlog() == 0
     }
 
-    /// Bytes queued on the self link's connection, not yet written.
+    /// Bytes queued on the self link, not yet written.
     fn self_backlog(&self) -> usize {
-        let conn = self.self_link.and_then(|link| self.links[link].conn);
-        conn.and_then(|idx| self.conns[idx].as_ref())
-            .map_or(0, |c| c.wq.queued_bytes())
+        self.self_link
+            .map_or(0, |link| self.links[link].wq.queued_bytes())
     }
 
     fn pump_drain(&mut self) -> Result<(), NetError> {
@@ -945,8 +924,9 @@ impl<'g> Reactor<'g> {
         }
     }
 
-    /// Fires timers and pumps sockets until `done` holds (`Ok(true)`)
-    /// or `deadline` passes (`Ok(false)`).
+    /// Dials due links and pumps sockets until `done` holds (`Ok(true)`)
+    /// or `deadline` passes (`Ok(false)`); the earliest redial bounds
+    /// each wait.
     fn pump_until(&mut self, deadline: Instant, done: fn(&Self) -> bool) -> Result<bool, NetError> {
         loop {
             self.fire_timers()?;
@@ -959,9 +939,10 @@ impl<'g> Reactor<'g> {
                 return Ok(false);
             }
             let wake = self
-                .wheel
-                .next_deadline()
-                .map_or(deadline, |t| t.min(deadline));
+                .links
+                .iter()
+                .filter_map(|l| l.redial)
+                .fold(deadline, Instant::min);
             self.poll_wait(Some(wake.saturating_duration_since(now)))?;
         }
     }
@@ -1008,8 +989,8 @@ impl Transport for Reactor<'_> {
             ));
         }
         let now = Instant::now();
-        for link in 0..self.links.len() {
-            self.wheel.schedule(now, link);
+        for link in &mut self.links {
+            link.redial = Some(now);
         }
         if !self.pump_until(now + self.cfg.start_timeout, Self::barrier_holds)? {
             return Err(NetError::StartTimeout {
@@ -1032,8 +1013,8 @@ impl Transport for Reactor<'_> {
 
     /// Queues `frame` from hosted `src` toward its neighbor `to`, the
     /// `nth` entry of `src`'s adjacency row, in a routed envelope on the
-    /// link `to` is reached over — the self link for a hosted `to` — or
-    /// on its outage backlog while the connection is down.
+    /// link `to` is reached over — the self link for a hosted `to`. It
+    /// leaves with the link's next flush once the link is up.
     fn send(
         &mut self,
         src: NodeId,
@@ -1060,28 +1041,12 @@ impl Transport for Reactor<'_> {
         let departed = self.remotes.get(&to).is_some_and(|&(_, gone)| gone);
         let Some(link) = self
             .link_of(to)
-            .filter(|_| !departed)
-            .map(|link| &mut self.links[link])
-            .filter(|l| !l.retired)
+            .filter(|&link| !departed && !self.links[link].retired)
         else {
             return Ok(());
         };
-        let live = link.conn.filter(|_| link.up);
-        let live = live.and_then(|i| Some((i, self.conns[i].as_mut()?)));
-        let sent_bytes = if let Some((idx, conn)) = live {
-            let size = conn.wq.push_routed(src, to, release, frame)?;
-            if conn.mark_dirty() {
-                self.dirty.push(idx);
-            }
-            size
-        } else {
-            let mut bytes = Vec::new();
-            let payload = Frame::encode_routed_parts(src, to, release, frame, &mut bytes)?;
-            bytes.extend_from_slice(payload);
-            let size = bytes.len();
-            link.pending.push_back(bytes);
-            size
-        };
+        let sent_bytes = self.links[link].wq.push_routed(src, to, release, frame)?;
+        self.mark_dirty(link);
         self.routed_enqueued += 1;
         self.next_release = self.next_release.min(release);
         let stats = &mut self.stats[src.index() - self.hosted.start];
@@ -1569,5 +1534,124 @@ mod tests {
             "one mark per inbound link"
         );
         reactor.shutdown();
+    }
+
+    #[test]
+    fn frames_sent_while_a_peer_link_redials_go_out_once_in_order() {
+        use std::io::Read;
+        use std::sync::mpsc;
+
+        // Node 0 is hosted; node 1 is a peer reactor driven by hand. It
+        // reads one request over the reactor's link, drops the link, and
+        // holds back its answer to the redial while two more requests
+        // are sent: those must come out once, in send order, after it.
+        let g = generators::path(2);
+        let (me, peer) = (NodeId::new(0), NodeId::new(1));
+        let hello = |node, to, caps| Frame::Hello {
+            node,
+            to,
+            n: 2,
+            topology_hash: g.topology_hash(),
+            caps,
+        };
+        let (ours, theirs) = (hello(peer, me, 0), hello(me, peer, 0));
+        let request = |seq: u64| Frame::Request {
+            seq,
+            round: 0,
+            payload: vec![u8::try_from(seq).expect("small seq"); 3],
+        };
+        let routed = |seq| {
+            Frame::Routed {
+                src: me,
+                dst: peer,
+                release: 1,
+                inner: Box::new(request(seq)),
+            }
+            .encode()
+            .expect("fits")
+        };
+        let (first, later) = (routed(1), [routed(2), routed(3)].concat());
+        let peer_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let cfg = ReactorConfig {
+            round: Duration::from_millis(2),
+            ..ReactorConfig::default()
+        };
+        let mut reactor = Reactor::new(&g, 0..1, cfg).expect("reactor");
+        reactor.set_peer(peer, peer_listener.local_addr().expect("addr").to_string());
+        let reactor_addr = reactor.local_addr();
+        let (note_tx, note_rx) = mpsc::channel::<&'static str>();
+        let (answer_tx, answer_rx) = mpsc::channel::<()>();
+        let remote = std::thread::spawn(move || {
+            let read_frame = |conn: &mut TcpStream, len| {
+                let mut bytes = vec![0u8; len];
+                conn.read_exact(&mut bytes).expect("frame");
+                bytes
+            };
+            let ours = ours.encode().expect("hello fits");
+            let accept = || {
+                let (mut conn, _) = peer_listener.accept().expect("reactor dials");
+                let (dialed, _) =
+                    Frame::decode(&read_frame(&mut conn, ours.len())).expect("hello decodes");
+                assert_eq!(dialed, theirs, "the dial names the edge 0 → 1");
+                conn
+            };
+            let mut outbound = accept();
+            outbound.write_all(&ours).expect("answer");
+            // Our link into the reactor, kept open throughout.
+            let mut inbound = TcpStream::connect(&reactor_addr).expect("dial");
+            inbound.write_all(&ours).expect("hello");
+            read_frame(&mut inbound, ours.len());
+            assert_eq!(read_frame(&mut outbound, first.len()), first);
+            drop(outbound);
+            note_tx.send("dropped").expect("test polls");
+            let mut outbound = accept();
+            note_tx.send("redialed").expect("test polls");
+            answer_rx.recv().expect("the test sent on");
+            outbound.write_all(&ours).expect("answer");
+            assert_eq!(read_frame(&mut outbound, later.len()), later);
+            outbound
+                .set_read_timeout(Some(Duration::from_millis(200)))
+                .expect("timeout");
+            let mut more = [0u8; 1];
+            match outbound.read(&mut more) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
+                other => panic!("more bytes after the two requests: {other:?}"),
+            }
+            note_tx.send("checked").expect("test polls");
+            let _ = answer_rx.recv();
+            drop(inbound);
+        });
+        reactor.start().expect("the link is up both ways");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut round = 0;
+        let mut poll_until = |reactor: &mut Reactor<'_>, note: &str| loop {
+            assert!(Instant::now() < deadline, "stalled before {note:?}");
+            assert!(poll(reactor, round).is_empty(), "no event expected");
+            round += 1;
+            match note_rx.try_recv() {
+                Ok(got) => {
+                    assert_eq!(got, note);
+                    return;
+                }
+                Err(mpsc::TryRecvError::Empty) => {}
+                Err(mpsc::TryRecvError::Disconnected) => panic!("remote peer failed"),
+            }
+        };
+        reactor.send(me, 1, peer, 0, &request(1)).expect("send");
+        poll_until(&mut reactor, "dropped");
+        poll_until(&mut reactor, "redialed");
+        for seq in [2, 3] {
+            reactor.send(me, 1, peer, 0, &request(seq)).expect("send");
+        }
+        answer_tx.send(()).expect("remote waits");
+        poll_until(&mut reactor, "checked");
+        reactor.shutdown();
+        let _ = answer_tx.send(());
+        remote.join().expect("remote peer");
+        assert_eq!(reactor.stats(me).frames_sent, 3);
     }
 }

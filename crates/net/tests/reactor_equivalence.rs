@@ -340,7 +340,7 @@ fn latency_known_visibility_matches_engine() {
 }
 
 #[test]
-fn stream_policies_match_engine_over_trunks() {
+fn stream_policies_match_engine_over_the_self_link() {
     // Both budgeted streaming policies, over a real TCP self link: outcome,
     // per-node acquisition fingerprints, and the per-rumor completion
     // curve must all equal the engine's.
@@ -367,14 +367,14 @@ fn stream_policies_match_engine_over_trunks() {
     let cfg = config(11, 100_000, false);
     let spec = StreamSpec::spread(6, 2, 12);
     check(
-        "trunks/rr-stream",
+        "self-link/rr-stream",
         &g,
         &cfg,
         |id, _| RrStreamNode::new(id, &spec),
         RrStreamNode::log,
     );
     check(
-        "trunks/rlc-stream",
+        "self-link/rlc-stream",
         &g,
         &cfg,
         |id, _| RlcStreamNode::new(id, &spec),
