@@ -128,7 +128,7 @@ pub struct PathDiscoveryAttempt {
 /// The result of [`path_discovery`].
 #[derive(Clone, Debug)]
 pub struct PathDiscoveryOutcome {
-    /// Attempts in order of guesses `1, 2, 4, …`.
+    /// Attempts in order of guesses `1, 2, 4, …`, none above the cap.
     pub attempts: Vec<PathDiscoveryAttempt>,
     /// Total rounds including checks.
     pub total_rounds: Round,
@@ -176,7 +176,9 @@ pub fn path_discovery(g: &Graph, max_guess: u64) -> PathDiscoveryOutcome {
                 rumors,
             };
         }
-        if guess >= max_guess {
+        // Guesses stay powers of two (`T(k)` needs one): stop once the
+        // next would pass the cap.
+        if guess > max_guess / 2 {
             return PathDiscoveryOutcome {
                 attempts,
                 total_rounds: total,
@@ -269,6 +271,15 @@ mod tests {
         let out = path_discovery(&g, 4);
         assert!(!out.complete);
         assert_eq!(out.attempts.last().unwrap().guess, 4);
+    }
+
+    #[test]
+    fn path_discovery_stops_at_the_last_power_of_two_under_the_cap() {
+        let g = generators::path(40).map_latencies(|_, _, _| Latency::new(4));
+        let out = path_discovery(&g, 5);
+        assert!(!out.complete);
+        let guesses: Vec<u64> = out.attempts.iter().map(|a| a.guess).collect();
+        assert_eq!(guesses, [1, 2, 4]);
     }
 
     #[test]

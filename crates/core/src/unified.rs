@@ -115,7 +115,7 @@ pub fn all_to_all(g: &Graph, config: &UnifiedConfig, seed: u64) -> UnifiedReport
                 let out = eid::general_eid(&working, seed, config.max_guess);
                 break out.complete.then_some(spent + out.total_rounds);
             }
-            window *= 2;
+            window = (window * 2).min(config.max_guess);
         }
     };
 
@@ -142,7 +142,7 @@ pub fn all_to_all(g: &Graph, config: &UnifiedConfig, seed: u64) -> UnifiedReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latency_graph::generators;
+    use latency_graph::{generators, Latency};
 
     #[test]
     fn push_pull_wins_on_well_connected_graph() {
@@ -180,6 +180,26 @@ mod tests {
         assert!(r.discovery_rounds > 0);
         assert!(r.spanner_rounds.is_some());
         assert!(r.spanner_rounds.unwrap() > r.discovery_rounds);
+    }
+
+    #[test]
+    fn discovery_windows_stop_at_the_cap() {
+        // Latency 8 edges: no window up to the cap of 5 measures them.
+        let g = generators::cycle(6).map_latencies(|_, _, _| Latency::new(8));
+        let r = all_to_all(
+            &g,
+            &UnifiedConfig {
+                max_guess: 5,
+                ..Default::default()
+            },
+            1,
+        );
+        let windows: Round = [1, 2, 4, 5]
+            .into_iter()
+            .map(|w| discovery::discover_latencies(&g, w).rounds)
+            .sum();
+        assert_eq!(r.discovery_rounds, windows);
+        assert_eq!(r.spanner_rounds, None);
     }
 
     #[test]

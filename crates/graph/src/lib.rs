@@ -51,3 +51,21 @@ pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder};
 pub use ids::{Latency, NodeId};
+
+/// SplitMix64 (Steele, Lea and Flood's finalizer): a fixed, seedless
+/// 64-bit mixing hash. The workspace's public coins are built on it —
+/// the conductance estimator's seeded start vector, the spanner's
+/// cluster-sampling coin, and the engine's per-node seeds and
+/// tie-breaks — so its output is part of every golden trace and must
+/// never change.
+///
+/// ```
+/// assert_eq!(latency_graph::splitmix64(0), 0xE220_A839_7B1D_CDAF);
+/// ```
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

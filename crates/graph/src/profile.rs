@@ -46,6 +46,7 @@
 use crate::conductance::WeightedConductance;
 use crate::graph::Graph;
 use crate::ids::{Latency, NodeId};
+use crate::splitmix64;
 
 /// Default relative residual at which power iteration is considered
 /// converged (see [`ProfileConfig::tolerance`]).
@@ -555,14 +556,6 @@ fn lazy_step(csr: &LatencyCsr, fast: &[usize], x: &[f64], y: &mut [f64]) {
         let stay = (deg - fast[u] as f64) * x[u];
         *yu = 0.5 * x[u] + 0.5 * (acc + stay) / deg;
     }
-}
-
-/// SplitMix64: the deterministic hash behind the seeded start vector.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -2,12 +2,13 @@
 //! [`RequestDelta`]/[`ReplyDelta`] wire frames.
 //!
 //! A delta is the symmetric difference `snapshot ⊕ basis` produced by
-//! [`RumorSet::diff`], serialized in whichever form its
-//! [`CompactRumorSet`] representation tier already holds: a gap-coded
-//! id list, gap-coded `[start, end)` runs, or raw bitset words. All
-//! variable-size integers are LEB128 varints, so the common late-run
-//! deltas ("one new rumor", "nothing new", "everything — one run")
-//! cost single-digit bytes instead of `⌈n/64⌉` words.
+//! [`RumorSet::diff`]. [`encode_rumor_delta`] alone picks its body from
+//! the [`CompactRumorSet`] tier and the set's shape: a gap-coded id
+//! list for a sparse set, gap-coded `[start, end)` runs for a full set
+//! or a bitset that at most 32 runs cover, and raw bitset words
+//! otherwise. All variable-size integers are LEB128 varints, so the
+//! common late-run deltas ("one new rumor", "nothing new", "everything
+//! — one run") cost single-digit bytes instead of `⌈n/64⌉` words.
 //!
 //! Decoding is panic-free and exact: [`decode_rumor_delta`] validates
 //! every id, run, and tail bit against the declared universe, XORs the
@@ -38,6 +39,11 @@ pub const TAG_SPARSE: u8 = 0;
 pub const TAG_RUNS: u8 = 1;
 /// Tag byte for the raw bitset-words body.
 pub const TAG_WORDS: u8 = 2;
+
+/// The most `[start, end)` runs a [`TAG_RUNS`] body carries; a bitset
+/// that needs more goes as raw words. 32 runs, like the sparse tier's
+/// 32 ids, never cost more than a 2048-node bitset's 32 words.
+const RUNS_MAX: usize = 32;
 
 /// Appends a LEB128 varint.
 pub(crate) fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -144,10 +150,10 @@ fn set_span(words: &mut [u64], start: u64, end: u64) {
     }
 }
 
-/// Serializes a delta set (the output of [`RumorSet::diff`] /
-/// [`CompactRumorSet::diff`]) into `out`, choosing the body form that
-/// matches the set's representation tier — no re-derivation, no bit
-/// scan.
+/// Serializes a delta set (the output of [`RumorSet::diff`]) into
+/// `out`. The body follows the set's tier: a sparse set sends its ids,
+/// a full one a single run, and a bitset its runs when at most 32
+/// (`RUNS_MAX`) cover it, else its words.
 pub fn encode_rumor_delta(delta: &CompactRumorSet, out: &mut Vec<u8>) {
     let universe = u64::try_from(delta.universe()).expect("universe fits u64");
     push_varint(out, universe);
@@ -162,7 +168,6 @@ pub fn encode_rumor_delta(delta: &CompactRumorSet, out: &mut Vec<u8>) {
                 prev = id + 1;
             }
         }
-        CompactParts::Runs(runs) => encode_runs(runs.iter().copied(), runs.len(), out),
         CompactParts::Full => {
             let end = u32::try_from(delta.universe()).expect("compact universe fits u32");
             // A universe-0 set is vacuously full; encode the empty run
@@ -173,13 +178,47 @@ pub fn encode_rumor_delta(delta: &CompactRumorSet, out: &mut Vec<u8>) {
                 encode_runs([(0u32, end)].into_iter(), 1, out);
             }
         }
-        CompactParts::Bitset(words) => {
-            out.push(TAG_WORDS);
-            for &w in words {
-                out.extend_from_slice(&w.to_le_bytes());
+        CompactParts::Bitset(words) => match runs_from_words(words) {
+            Some(runs) => encode_runs(runs.iter().copied(), runs.len(), out),
+            None => {
+                out.push(TAG_WORDS);
+                for &w in words {
+                    out.extend_from_slice(&w.to_le_bytes());
+                }
             }
+        },
+    }
+}
+
+/// Extracts the maximal `[start, end)` runs of a bitset word array a
+/// run at a time (no per-bit loop), bailing out with `None` as soon as
+/// more than [`RUNS_MAX`] runs exist.
+fn runs_from_words(words: &[u64]) -> Option<Vec<(u32, u32)>> {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for (wi, &word) in words.iter().enumerate() {
+        let mut w = word;
+        let base = u32::try_from(wi * 64).expect("bit offset fits u32");
+        while w != 0 {
+            let start = w.trailing_zeros();
+            // Length of the lowest 1-run: the trailing ones of the
+            // shifted word, counted on its complement.
+            let len = (!(w >> start)).trailing_zeros();
+            let (lo, hi) = (base + start, base + start + len);
+            match runs.last_mut() {
+                Some(r) if r.1 == lo => r.1 = hi,
+                _ => {
+                    if runs.len() == RUNS_MAX {
+                        return None;
+                    }
+                    runs.push((lo, hi));
+                }
+            }
+            // Adding the lowest set bit carries through the run and
+            // clears it (wrapping off the top for a run ending at 64).
+            w &= w.wrapping_add(w & w.wrapping_neg());
         }
     }
+    Some(runs)
 }
 
 /// Writes the [`TAG_RUNS`] body: gap-from-previous-end plus `len - 1`
@@ -309,7 +348,7 @@ mod tests {
         let shapes: Vec<Vec<usize>> = vec![
             Vec::new(),                   // empty delta
             vec![17],                     // sparse, one id
-            (100..130).collect(),         // runs
+            (100..140).collect(),         // runs
             (0..n).step_by(2).collect(),  // dense scattered → words
             (0..n).collect(),             // full → one run
             (0..n).step_by(64).collect(), // sparse spanning many words
@@ -326,6 +365,53 @@ mod tests {
                 assert_eq!(back.fingerprint(), snap.fingerprint());
             }
         }
+    }
+
+    /// The body each delta shape is sent as, byte for byte: the wire
+    /// form the benchmark's pinned `payload_bytes` rest on.
+    #[test]
+    fn delta_body_choice_is_pinned() {
+        let n = 256;
+        // varint(256) = 0x80 0x02.
+        let head = |tag: u8| vec![0x80, 0x02, tag];
+        let encoded = |ids: &[usize]| {
+            let mut bytes = Vec::new();
+            encode_rumor_delta(&set_of(n, ids).diff(&RumorSet::new(n)), &mut bytes);
+            bytes
+        };
+        // 32 ids: sparse, gap 0 then 31 gaps of 1.
+        let evens32: Vec<usize> = (0..64).step_by(2).collect();
+        let mut want = head(TAG_SPARSE);
+        want.extend([32, 0]);
+        want.extend([1; 31]);
+        assert_eq!(encoded(&evens32), want);
+        // 33 contiguous ids: one run, gap 10 and length − 1 = 32.
+        let mut want = head(TAG_RUNS);
+        want.extend([1, 10, 32]);
+        assert_eq!(encoded(&(10..43).collect::<Vec<_>>()), want);
+        // 33 ids in 32 runs: {0, 1} then 31 singletons 3, 5, …, 63.
+        let runs32: Vec<usize> = [0, 1].into_iter().chain((3..64).step_by(2)).collect();
+        let mut want = head(TAG_RUNS);
+        want.extend([32, 0, 1]);
+        want.extend([1, 0].repeat(31));
+        assert_eq!(encoded(&runs32), want);
+        // 33 isolated ids need 33 runs: the raw words.
+        let mut want = head(TAG_WORDS);
+        for w in [0x5555_5555_5555_5555u64, 1, 0, 0] {
+            want.extend(w.to_le_bytes());
+        }
+        assert_eq!(encoded(&(0..=64).step_by(2).collect::<Vec<_>>()), want);
+        // The full set: one run, length − 1 = 255 = varint 0xFF 0x01.
+        let mut want = head(TAG_RUNS);
+        want.extend([1, 0, 0xFF, 0x01]);
+        assert_eq!(encoded(&(0..n).collect::<Vec<_>>()), want);
+        let mut full = Vec::new();
+        encode_rumor_delta(&CompactRumorSet::full(n), &mut full);
+        assert_eq!(full, want);
+        // Universe 0: an empty run list.
+        let mut empty = Vec::new();
+        encode_rumor_delta(&RumorSet::new(0).diff(&RumorSet::new(0)), &mut empty);
+        assert_eq!(empty, [0, TAG_RUNS, 0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::mem;
 use std::ops::Range;
 
-use latency_graph::{Graph, Latency, NodeId};
+use latency_graph::{splitmix64, Graph, Latency, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
@@ -1509,13 +1509,6 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             nodes: self.table.into_nodes(),
         }
     }
-}
-
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

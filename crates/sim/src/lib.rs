@@ -22,8 +22,9 @@
 //! [`Simulator`]. Rumor bookkeeping uses one of two sets: [`RumorSet`],
 //! a one-pointer copy-on-write bitset whose `clone()` — the payload
 //! snapshot — is a refcount bump (the dense, all-to-all regime), and
-//! [`CompactRumorSet`], a 48-byte tiered value that holds a handful of
-//! ids in place (the one-to-all regime at 10⁵–10⁶ nodes).
+//! [`CompactRumorSet`], a 48-byte value that is an id list (the first
+//! five held in place), a bitset or a full marker as its count grows
+//! (the one-to-all regime at 10⁵–10⁶ nodes).
 //! Crash and link failures (for the robustness experiments suggested in
 //! the paper's conclusion) are injected with [`FaultPlan`].
 //!

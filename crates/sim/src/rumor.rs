@@ -302,11 +302,10 @@ impl RumorSet {
     }
 
     /// The symmetric difference `self ⊕ basis` as a compact set: one
-    /// fused XOR + popcount scan over the word arrays, classified into
-    /// the smallest representation tier without a second bit-scan. Two
-    /// handles sharing one buffer, or two full sets (the cached counts
-    /// say so), short-circuit to the empty delta without touching a
-    /// word.
+    /// fused XOR + popcount scan over the word arrays, whose count alone
+    /// picks the tier. Two handles sharing one buffer, or two full sets
+    /// (the cached counts say so), short-circuit to the empty delta
+    /// without touching a word.
     ///
     /// Together with [`apply_delta`](Self::apply_delta) this is an
     /// exact reconstruction pair: for any two sets over one universe,
@@ -371,11 +370,6 @@ impl RumorSet {
 /// The first `INLINE` of them live inside the value itself; only a
 /// longer list owns a heap block.
 pub const SPARSE_MAX: usize = 32;
-
-/// Run-length representation capacity: at most this many maximal
-/// `[start, end)` runs before promotion to a bitset (32 runs = 32
-/// words — same ceiling as [`SPARSE_MAX`]).
-pub const RUNS_MAX: usize = 32;
 
 /// How many ids the sparse tier keeps inside the value. Not a tunable:
 /// `len` + five `u32`s are 21 bytes, the most that fits in the 24 bytes
@@ -446,39 +440,34 @@ impl std::ops::Deref for Ids {
 
 /// The internal representation tiers of a [`CompactRumorSet`].
 ///
-/// Promotion is monotone (rumor sets only grow): `Sparse → Runs →
-/// Bitset`, and any tier jumps straight to `Full` the moment the set
-/// covers its universe. There is no demotion, so equal contents can sit
-/// in different tiers — which is why `==` on the set compares contents,
-/// not this enum.
+/// The tier is a function of the count alone: `Full` when the set
+/// covers its universe, else `Sparse` up to [`SPARSE_MAX`] ids, else
+/// `Bitset`. Rumor sets only grow, so promotion is monotone and equal
+/// contents always sit in the same tier.
 #[derive(Clone, Debug)]
 enum Repr {
     /// Strictly increasing ids; at most [`SPARSE_MAX`] of them, the
     /// first [`INLINE`] stored in place.
     Sparse(Ids),
-    /// Disjoint, non-adjacent, strictly increasing `[start, end)`
-    /// runs; at most [`RUNS_MAX`] of them.
-    Runs(Vec<(u32, u32)>),
-    /// Plain bitset words, exactly as in [`RumorSet`].
+    /// Plain bitset words, exactly as in [`RumorSet`]; more than
+    /// [`SPARSE_MAX`] ids.
     Bitset(Vec<u64>),
     /// Every id in the universe: O(1) memory regardless of `n`.
     Full,
 }
 
 /// A borrowed view of a [`CompactRumorSet`]'s representation tier,
-/// exposed by [`CompactRumorSet::as_parts`] so wire codecs can encode
-/// each tier natively without re-deriving it from a bit scan.
+/// exposed by [`CompactRumorSet::as_parts`] so wire codecs can read
+/// each tier natively instead of scanning bits.
 ///
 /// The invariants of the private representation hold on every view:
-/// `Sparse` ids are strictly increasing, `Runs` are disjoint,
-/// non-adjacent, strictly increasing `[start, end)` intervals, and
-/// `Bitset` words carry no bits at or beyond the universe.
+/// `Sparse` ids are strictly increasing and at most [`SPARSE_MAX`],
+/// and `Bitset` words carry more than [`SPARSE_MAX`] ids and no bits
+/// at or beyond the universe.
 #[derive(Clone, Copy, Debug)]
 pub enum CompactParts<'a> {
     /// Strictly increasing ids.
     Sparse(&'a [u32]),
-    /// Disjoint, non-adjacent, strictly increasing `[start, end)` runs.
-    Runs(&'a [(u32, u32)]),
     /// Plain bitset words, exactly as in [`RumorSet::as_words`].
     Bitset(&'a [u64]),
     /// Every id in the universe.
@@ -486,8 +475,7 @@ pub enum CompactParts<'a> {
 }
 
 /// A [`RumorSet`] with a tiered, automatically-promoting
-/// representation: id list → run-length intervals → bitset → constant
-/// "full" marker.
+/// representation: id list → bitset → constant "full" marker.
 ///
 /// Behaviorally identical to a `RumorSet` over the same universe —
 /// `insert`, `union_with`, `contains`, `len`, `is_superset`, `iter`,
@@ -501,9 +489,8 @@ pub enum CompactParts<'a> {
 /// a set never allocates. That is what makes million-node simulation
 /// fit in RAM and keeps its per-exchange cost off the allocator.
 ///
-/// `==` compares contents (two sets that reached the same ids through
-/// different promotion histories are equal); the type is deliberately
-/// not `Hash`.
+/// `==` compares contents (the tier follows from the count, so equal
+/// sets share one); the type is deliberately not `Hash`.
 ///
 /// # Example
 ///
@@ -533,19 +520,18 @@ pub struct CompactRumorSet {
 const _: () = assert!(std::mem::size_of::<CompactRumorSet>() <= 48);
 
 impl PartialEq for CompactRumorSet {
-    /// Equality of contents. Each tier's form is canonical, so two sets
-    /// in the same tier compare their backing slices; sets in different
-    /// tiers compare their materialized word streams.
+    /// Equality of contents. Equal counts over one universe share a
+    /// tier, and each tier's form is canonical, so the backing slices
+    /// decide.
     fn eq(&self, other: &CompactRumorSet) -> bool {
         if self.universe != other.universe || self.count != other.count {
             return false;
         }
         match (&self.repr, &other.repr) {
             (Repr::Sparse(a), Repr::Sparse(b)) => a[..] == b[..],
-            (Repr::Runs(a), Repr::Runs(b)) => a == b,
             (Repr::Bitset(a), Repr::Bitset(b)) => a == b,
             (Repr::Full, Repr::Full) => true,
-            _ => self.words().eq(other.words()),
+            _ => unreachable!("equal counts over one universe share a tier"),
         }
     }
 }
@@ -558,66 +544,6 @@ impl Eq for CompactRumorSet {}
 #[inline]
 fn wide(id: u32) -> usize {
     usize::try_from(id).expect("compact id fits usize")
-}
-
-/// Bit mask covering bits `lo..hi` (both `< 64`, `hi` exclusive may be
-/// 64) of one word.
-#[inline]
-fn span_mask(lo: u32, hi: u32) -> u64 {
-    debug_assert!(lo < hi && hi <= 64);
-    let width = hi - lo;
-    if width == 64 {
-        u64::MAX
-    } else {
-        ((1u64 << width) - 1) << lo
-    }
-}
-
-/// Extracts maximal `[start, end)` runs from a bitset word array using
-/// word-at-a-time bit tricks (no per-bit loop), bailing out with `None`
-/// as soon as more than `max` runs exist — the caller then keeps the
-/// words as a bitset instead.
-fn runs_from_words(words: &[u64], max: usize) -> Option<Vec<(u32, u32)>> {
-    let mut runs: Vec<(u32, u32)> = Vec::new();
-    for (wi, &word) in words.iter().enumerate() {
-        let mut w = word;
-        let base = u32::try_from(wi * 64).expect("bit offset fits u32");
-        while w != 0 {
-            let start = w.trailing_zeros();
-            // Length of the maximal 1-run beginning at `start`: count
-            // the trailing ones of the shifted word via its complement.
-            let len = (!(w >> start)).trailing_zeros();
-            let (lo, hi) = (base + start, base + start + len);
-            match runs.last_mut() {
-                Some(r) if r.1 == lo => r.1 = hi,
-                _ => {
-                    if runs.len() == max {
-                        return None;
-                    }
-                    runs.push((lo, hi));
-                }
-            }
-            if start + len == 64 {
-                w = 0;
-            } else {
-                w &= !span_mask(start, start + len);
-            }
-        }
-    }
-    Some(runs)
-}
-
-/// Compresses a strictly increasing id list into maximal `[start, end)`
-/// runs.
-fn runs_from_sorted(ids: &[u32]) -> Vec<(u32, u32)> {
-    let mut runs: Vec<(u32, u32)> = Vec::new();
-    for &v in ids {
-        match runs.last_mut() {
-            Some(r) if r.1 == v => r.1 = v + 1,
-            _ => runs.push((v, v + 1)),
-        }
-    }
-    runs
 }
 
 impl CompactRumorSet {
@@ -687,10 +613,8 @@ impl CompactRumorSet {
     }
 
     /// Classifies pre-counted bitset words (the output of a fused XOR
-    /// or union scan) into the smallest representation tier. The dense
-    /// case extracts runs word-at-a-time and falls back to keeping the
-    /// words as a bitset once the run budget overflows — no second
-    /// per-bit scan. Borrowed words are copied only for that bitset.
+    /// or union scan) by their count: full, an id list, or the words
+    /// themselves. Borrowed words are copied only for that bitset.
     ///
     /// # Panics
     ///
@@ -721,12 +645,8 @@ impl CompactRumorSet {
                 count,
             };
         }
-        let repr = match runs_from_words(&words, RUNS_MAX) {
-            Some(runs) => Repr::Runs(runs),
-            None => Repr::Bitset(words.into_owned()),
-        };
         CompactRumorSet {
-            repr,
+            repr: Repr::Bitset(words.into_owned()),
             universe,
             count,
         }
@@ -753,13 +673,11 @@ impl CompactRumorSet {
     }
 
     /// A borrowed view of the current representation tier — see
-    /// [`CompactParts`]. Serializers use this to encode each tier
-    /// natively (id list, run intervals, or raw words) instead of
-    /// re-deriving the structure from a bit scan.
+    /// [`CompactParts`]. Serializers read the id list or the words in
+    /// place instead of materializing them.
     pub fn as_parts(&self) -> CompactParts<'_> {
         match &self.repr {
             Repr::Sparse(ids) => CompactParts::Sparse(ids),
-            Repr::Runs(runs) => CompactParts::Runs(runs),
             Repr::Bitset(words) => CompactParts::Bitset(words),
             Repr::Full => CompactParts::Full,
         }
@@ -771,7 +689,6 @@ impl CompactRumorSet {
     pub fn repr_words(&self) -> usize {
         match &self.repr {
             Repr::Sparse(ids) => ids.len().div_ceil(2),
-            Repr::Runs(runs) => runs.len(),
             Repr::Bitset(words) => words.len(),
             Repr::Full => 0,
         }
@@ -788,10 +705,6 @@ impl CompactRumorSet {
         let id = u32::try_from(i).expect("id fits u32");
         match &self.repr {
             Repr::Sparse(ids) => ids.binary_search(&id).is_ok(),
-            Repr::Runs(runs) => match runs.partition_point(|&(start, _)| start <= id) {
-                0 => false,
-                p => id < runs[p - 1].1,
-            },
             Repr::Bitset(words) => words[i / 64] >> (i % 64) & 1 == 1,
             Repr::Full => true,
         }
@@ -815,25 +728,6 @@ impl CompactRumorSet {
                     true
                 }
             },
-            Repr::Runs(runs) => {
-                let p = runs.partition_point(|&(start, _)| start <= id);
-                if p > 0 && id < runs[p - 1].1 {
-                    false
-                } else {
-                    let grows_prev = p > 0 && runs[p - 1].1 == id;
-                    let grows_next = p < runs.len() && runs[p].0 == id + 1;
-                    match (grows_prev, grows_next) {
-                        (true, true) => {
-                            runs[p - 1].1 = runs[p].1;
-                            runs.remove(p);
-                        }
-                        (true, false) => runs[p - 1].1 = id + 1,
-                        (false, true) => runs[p].0 = id,
-                        (false, false) => runs.insert(p, (id, id + 1)),
-                    }
-                    true
-                }
-            }
             Repr::Bitset(words) => {
                 let mask = 1u64 << (i % 64);
                 if words[i / 64] & mask == 0 {
@@ -855,11 +749,12 @@ impl CompactRumorSet {
     /// Unions `other` into `self`; returns `true` if anything changed.
     ///
     /// Same-tier pairs merge with a single fused scan (sorted-list
-    /// merge, interval union, or the bitset OR+popcount pass of
-    /// [`RumorSet::union_with`]); mixed tiers first promote `self` to
-    /// the higher tier. A `Full` operand short-circuits in O(1), and a
-    /// sparse operand that adds nothing returns before any write — the
-    /// case at all but `n − 1` delivery endpoints of a one-to-all run.
+    /// merge, or the bitset OR+popcount pass of
+    /// [`RumorSet::union_with`]); a sparse `self` first promotes to a
+    /// bitset operand's tier. A `Full` operand short-circuits in O(1),
+    /// and a sparse operand that adds nothing returns before any write
+    /// — the case at all but `n − 1` delivery endpoints of a one-to-all
+    /// run.
     ///
     /// # Panics
     ///
@@ -874,12 +769,10 @@ impl CompactRumorSet {
             self.count = self.universe;
             return true;
         }
-        // Promote self to at least other's tier so the merge below is
-        // always same-tier (or bitset-absorbs-smaller).
-        match (&self.repr, &other.repr) {
-            (Repr::Sparse(_), Repr::Runs(_)) => self.promote_to_runs(),
-            (Repr::Sparse(_) | Repr::Runs(_), Repr::Bitset(_)) => self.promote_to_bitset(),
-            _ => {}
+        // A sparse self promotes to a bitset operand's tier, so the merge
+        // below is always same-tier or bitset-absorbs-sparse.
+        if matches!(other.repr, Repr::Bitset(_)) {
+            self.promote_to_bitset();
         }
         let old = self.count;
         match (&mut self.repr, &other.repr) {
@@ -892,65 +785,29 @@ impl CompactRumorSet {
                 self.count = len;
                 *a = Ids::from_sorted(&merged[..len]);
             }
-            (Repr::Runs(a), Repr::Sparse(b)) => {
-                let other_runs = runs_from_sorted(b);
-                let (merged, count) = merge_runs(a, &other_runs);
-                self.count = count;
-                *a = merged;
-            }
-            (Repr::Runs(a), Repr::Runs(b)) => {
-                let (merged, count) = merge_runs(a, b);
-                self.count = count;
-                *a = merged;
-            }
-            (Repr::Bitset(words), _) => {
-                // Fused OR + popcount scan, exactly as the plain
-                // bitset union. Sparse/runs operands only touch the
-                // words they cover.
-                match &other.repr {
-                    Repr::Sparse(b) => {
-                        let mut added = 0usize;
-                        for &id in b.iter() {
-                            let (w, bit) = (wide(id) / 64, 1u64 << (id % 64));
-                            if words[w] & bit == 0 {
-                                words[w] |= bit;
-                                added += 1;
-                            }
-                        }
-                        self.count += added;
+            // Sparse operands only touch the words they cover.
+            (Repr::Bitset(words), Repr::Sparse(b)) => {
+                let mut added = 0usize;
+                for &id in b.iter() {
+                    let (w, bit) = (wide(id) / 64, 1u64 << (id % 64));
+                    if words[w] & bit == 0 {
+                        words[w] |= bit;
+                        added += 1;
                     }
-                    Repr::Runs(b) => {
-                        let mut added = 0usize;
-                        for &(start, end) in b {
-                            let first = wide(start) / 64;
-                            let (mut w, last) = (first, wide(end - 1) / 64);
-                            while w <= last {
-                                let lo = if w == first { start % 64 } else { 0 };
-                                let hi = if w == last { (end - 1) % 64 + 1 } else { 64 };
-                                let mask = span_mask(lo, hi);
-                                added += ones(mask & !words[w]);
-                                words[w] |= mask;
-                                w += 1;
-                            }
-                        }
-                        self.count += added;
-                    }
-                    Repr::Bitset(b) => {
-                        let mut count = 0usize;
-                        for (a, &bw) in words.iter_mut().zip(b) {
-                            *a |= bw;
-                            count += ones(*a);
-                        }
-                        self.count = count;
-                    }
-                    Repr::Full => unreachable!("full operand handled above"),
                 }
+                self.count += added;
+            }
+            // Fused OR + popcount scan, exactly as the plain bitset union.
+            (Repr::Bitset(words), Repr::Bitset(b)) => {
+                let mut count = 0usize;
+                for (a, &bw) in words.iter_mut().zip(b) {
+                    *a |= bw;
+                    count += ones(*a);
+                }
+                self.count = count;
             }
             (Repr::Full, _) | (_, Repr::Full) => unreachable!("full operands handled above"),
-            (Repr::Sparse(_), Repr::Runs(_) | Repr::Bitset(_))
-            | (Repr::Runs(_), Repr::Bitset(_)) => {
-                unreachable!("self was promoted to other's tier")
-            }
+            (Repr::Sparse(_), Repr::Bitset(_)) => unreachable!("self was promoted to other's tier"),
         }
         self.normalize();
         self.count != old
@@ -984,49 +841,6 @@ impl CompactRumorSet {
         h
     }
 
-    /// The symmetric difference `self ⊕ basis` as a compact set: one
-    /// fused XOR + popcount scan over the lazily-materialized word
-    /// streams, classified into the smallest tier. See
-    /// [`RumorSet::diff`] for the exact-reconstruction contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn diff(&self, basis: &CompactRumorSet) -> CompactRumorSet {
-        assert_eq!(self.universe, basis.universe, "rumor universes must match");
-        let mut words = Vec::with_capacity(self.universe.div_ceil(64));
-        let mut count = 0usize;
-        for (a, b) in self.words().zip(basis.words()) {
-            let x = a ^ b;
-            count += ones(x);
-            words.push(x);
-        }
-        CompactRumorSet::from_counted_words(self.universe, Cow::Owned(words), count)
-    }
-
-    /// XORs `delta` into `self` in one fused scan, re-classifying the
-    /// result into the smallest tier. Applying the delta produced by
-    /// [`diff`](Self::diff) against the same basis reconstructs the
-    /// original set exactly, preserving bit-identical fingerprints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn apply_delta(&mut self, delta: &CompactRumorSet) {
-        assert_eq!(self.universe, delta.universe, "rumor universes must match");
-        if delta.is_empty() {
-            return;
-        }
-        let mut words = Vec::with_capacity(self.universe.div_ceil(64));
-        let mut count = 0usize;
-        for (a, d) in self.words().zip(delta.words()) {
-            let x = a ^ d;
-            count += ones(x);
-            words.push(x);
-        }
-        *self = CompactRumorSet::from_counted_words(self.universe, Cow::Owned(words), count);
-    }
-
     /// Materializes the equivalent plain bitset.
     pub fn to_set(&self) -> RumorSet {
         RumorSet::from_words(self.universe, self.words().collect())
@@ -1037,7 +851,6 @@ impl CompactRumorSet {
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         let per_repr: Box<dyn Iterator<Item = usize> + '_> = match &self.repr {
             Repr::Sparse(ids) => Box::new(ids.iter().map(|&v| wide(v))),
-            Repr::Runs(runs) => Box::new(runs.iter().flat_map(|&(a, b)| wide(a)..wide(b))),
             Repr::Bitset(words) => Box::new(words.iter().enumerate().flat_map(|(w, &word)| {
                 (0..64)
                     .filter(move |b| word >> b & 1 == 1)
@@ -1055,34 +868,15 @@ impl CompactRumorSet {
         let nwords = self.universe.div_ceil(64);
         let tail = self.universe % 64;
         (0..nwords).scan(0usize, move |cursor, w| {
-            // Word `w` covers bits `lo..hi` of the id space; compare in
-            // u64 so `hi` cannot overflow at the top of the u32 range.
-            let lo = u64::try_from(w * 64).expect("bit offset fits u64");
-            let hi = lo + 64;
+            // Word `w` ends before bit `hi`; compare in u64 so `hi`
+            // cannot overflow at the top of the u32 range.
+            let hi = u64::try_from(w * 64 + 64).expect("bit offset fits u64");
             Some(match &self.repr {
                 Repr::Sparse(ids) => {
                     let mut word = 0u64;
                     while *cursor < ids.len() && u64::from(ids[*cursor]) < hi {
                         word |= 1u64 << (ids[*cursor] % 64);
                         *cursor += 1;
-                    }
-                    word
-                }
-                Repr::Runs(runs) => {
-                    let mut word = 0u64;
-                    let mut k = *cursor;
-                    while k < runs.len() && u64::from(runs[k].0) < hi {
-                        let (start, end) = (u64::from(runs[k].0), u64::from(runs[k].1));
-                        if end > lo {
-                            let a = u32::try_from(start.max(lo) - lo).expect("span fits u32");
-                            let b = u32::try_from(end.min(hi) - lo).expect("span fits u32");
-                            word |= span_mask(a, b);
-                        }
-                        if end <= hi {
-                            // Fully consumed: never overlaps a later word.
-                            *cursor = k + 1;
-                        }
-                        k += 1;
                     }
                     word
                 }
@@ -1099,40 +893,21 @@ impl CompactRumorSet {
     }
 
     /// Re-establishes the representation invariants after a mutation:
-    /// overflowing tiers promote, and a set covering its universe
-    /// collapses to the O(1) `Full` marker.
+    /// an overflowing id list promotes to a bitset, and a set covering
+    /// its universe collapses to the O(1) `Full` marker.
     fn normalize(&mut self) {
         if self.count == self.universe {
             self.repr = Repr::Full;
             return;
         }
-        match &self.repr {
-            Repr::Sparse(ids) if ids.len() > SPARSE_MAX => {
-                self.promote_to_runs();
-                if let Repr::Runs(runs) = &self.repr {
-                    if runs.len() > RUNS_MAX {
-                        self.promote_to_bitset();
-                    }
-                }
-            }
-            Repr::Runs(runs) if runs.len() > RUNS_MAX => self.promote_to_bitset(),
-            _ => {}
-        }
-    }
-
-    fn promote_to_runs(&mut self) {
-        if let Repr::Sparse(ids) = &self.repr {
-            self.repr = Repr::Runs(runs_from_sorted(ids));
+        if matches!(&self.repr, Repr::Sparse(ids) if ids.len() > SPARSE_MAX) {
+            self.promote_to_bitset();
         }
     }
 
     fn promote_to_bitset(&mut self) {
-        match &self.repr {
-            Repr::Sparse(_) | Repr::Runs(_) => {
-                let words: Vec<u64> = self.words().collect();
-                self.repr = Repr::Bitset(words);
-            }
-            Repr::Bitset(_) | Repr::Full => {}
+        if matches!(self.repr, Repr::Sparse(_)) {
+            self.repr = Repr::Bitset(self.words().collect());
         }
     }
 }
@@ -1175,48 +950,10 @@ fn merge_sorted(a: &[u32], b: &[u32], out: &mut [u32]) -> usize {
     k
 }
 
-/// Unions two run lists (disjoint, sorted, non-adjacent runs in, same
-/// invariant out), coalescing overlapping and adjacent runs; returns
-/// the merged runs and their total cardinality.
-fn merge_runs(a: &[(u32, u32)], b: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
-    let mut out: Vec<(u32, u32)> = Vec::with_capacity(a.len() + b.len());
-    let mut count = 0usize;
-    let (mut i, mut j) = (0, 0);
-    let mut push = |out: &mut Vec<(u32, u32)>, r: (u32, u32)| match out.last_mut() {
-        Some(last) if r.0 <= last.1 => {
-            if r.1 > last.1 {
-                count += wide(r.1 - last.1);
-                last.1 = r.1;
-            }
-        }
-        _ => {
-            count += wide(r.1 - r.0);
-            out.push(r);
-        }
-    };
-    while i < a.len() && j < b.len() {
-        if a[i].0 <= b[j].0 {
-            push(&mut out, a[i]);
-            i += 1;
-        } else {
-            push(&mut out, b[j]);
-            j += 1;
-        }
-    }
-    for &r in &a[i..] {
-        push(&mut out, r);
-    }
-    for &r in &b[j..] {
-        push(&mut out, r);
-    }
-    (out, count)
-}
-
 impl fmt::Debug for CompactRumorSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let tier = match &self.repr {
             Repr::Sparse(_) => "sparse",
-            Repr::Runs(_) => "runs",
             Repr::Bitset(_) => "bitset",
             Repr::Full => "full",
         };
@@ -1416,7 +1153,6 @@ mod tests {
     fn tier(c: &CompactRumorSet) -> &'static str {
         match format!("{c:?}") {
             s if s.contains("[sparse]") => "sparse",
-            s if s.contains("[runs]") => "runs",
             s if s.contains("[bitset]") => "bitset",
             _ => "full",
         }
@@ -1441,21 +1177,19 @@ mod tests {
     }
 
     #[test]
-    fn compact_promotes_sparse_runs_bitset_full() {
+    fn compact_promotes_sparse_bitset_full() {
         let n = 10_000;
         let mut c = CompactRumorSet::new(n);
         assert_eq!(tier(&c), "sparse");
-        // A contiguous block stays one run once sparse overflows.
-        for i in 0..=SPARSE_MAX {
+        for i in 0..SPARSE_MAX {
             c.insert(NodeId::new(i));
         }
-        assert_eq!(tier(&c), "runs");
-        assert_eq!(c.repr_words(), 1, "one run = one word");
-        // Scattered ids overflow the run budget into a bitset.
-        for i in 0..=RUNS_MAX {
-            c.insert(NodeId::new(100 + 2 * i));
-        }
+        assert_eq!(tier(&c), "sparse");
+        // One id past the sparse capacity promotes to a bitset, however
+        // few runs cover the set.
+        c.insert(NodeId::new(SPARSE_MAX));
         assert_eq!(tier(&c), "bitset");
+        assert_eq!(c.repr_words(), n.div_ceil(64));
         // Covering the universe collapses to the O(1) full marker.
         let mut tiny = CompactRumorSet::new(70);
         for i in 0..70 {
@@ -1491,19 +1225,12 @@ mod tests {
             (c, s)
         };
         let sparse: Vec<usize> = (0..8).map(|i| i * 17).collect();
-        let runs: Vec<usize> = (0..80).collect();
         let scattered: Vec<usize> = (0..200).map(|i| i * 3).collect();
         let everything: Vec<usize> = (0..n).collect();
-        let operands = [
-            make(&sparse),
-            make(&runs),
-            make(&scattered),
-            make(&everything),
-        ];
+        let operands = [make(&sparse), make(&scattered), make(&everything)];
         assert_eq!(tier(&operands[0].0), "sparse");
-        assert_eq!(tier(&operands[1].0), "runs");
-        assert_eq!(tier(&operands[2].0), "bitset");
-        assert_eq!(tier(&operands[3].0), "full");
+        assert_eq!(tier(&operands[1].0), "bitset");
+        assert_eq!(tier(&operands[2].0), "full");
         for (ca, sa) in &operands {
             for (cb, sb) in &operands {
                 let mut c = ca.clone();
@@ -1514,26 +1241,6 @@ mod tests {
                 assert!(c.is_superset(cb));
             }
         }
-    }
-
-    #[test]
-    fn compact_run_coalescing_and_bridging() {
-        let n = 1000;
-        let mut c = CompactRumorSet::new(n);
-        let mut s = RumorSet::new(n);
-        // Force runs tier, then bridge two runs with a single insert.
-        for i in (0..40).chain(50..90) {
-            c.insert(NodeId::new(i));
-            s.insert(NodeId::new(i));
-        }
-        assert_eq!(tier(&c), "runs");
-        for i in 40..50 {
-            c.insert(NodeId::new(i));
-            s.insert(NodeId::new(i));
-        }
-        assert_eq!(c.repr_words(), 1, "bridged into one run");
-        assert_eq!(c.fingerprint(), s.fingerprint());
-        assert_eq!(c.len(), 90);
     }
 
     #[test]
@@ -1640,16 +1347,16 @@ mod tests {
     }
 
     #[test]
-    fn equality_is_by_contents_not_by_tier() {
-        // Evens first (34 runs → bitset), then odds: {0 ..= 66} held as
-        // a bitset, against the same set built as one run.
+    fn equality_is_by_contents_whatever_built_it() {
+        // Evens first, then odds: {0 ..= 66} promoted by inserts,
+        // against the same set classified from its words at once.
         let n = 1000;
         let mut x = CompactRumorSet::new(n);
         for i in (0..=66).step_by(2).chain((1..=66).step_by(2)) {
             x.insert(NodeId::new(i));
         }
         let y = CompactRumorSet::from_set(&set_of(n, &(0..=66).collect::<Vec<_>>()));
-        assert_eq!((tier(&x), tier(&y)), ("bitset", "runs"));
+        assert_eq!((tier(&x), tier(&y)), ("bitset", "bitset"));
         assert_eq!(x.fingerprint(), y.fingerprint());
         assert_eq!(x, y);
         assert_eq!(y, x);
@@ -1699,20 +1406,12 @@ mod tests {
                 let mut other = a.clone();
                 other.apply_delta(&delta);
                 assert_eq!(other, b);
-                // The compact-vs-compact diff agrees word for word.
-                let (ca, cb) = (CompactRumorSet::from_set(&a), CompactRumorSet::from_set(&b));
-                let cdelta = ca.diff(&cb);
-                assert_eq!(cdelta.fingerprint(), delta.fingerprint());
-                let mut cback = cb.clone();
-                cback.apply_delta(&cdelta);
-                assert_eq!(cback.fingerprint(), a.fingerprint());
-                assert_eq!(cback.len(), a.len());
             }
         }
     }
 
     #[test]
-    fn diff_picks_smallest_tier() {
+    fn diff_tier_follows_the_count() {
         let n = 4096;
         // Identical sets: empty delta stays sparse with zero words.
         let a = set_of(n, &(0..n).step_by(3).collect::<Vec<_>>());
@@ -1724,11 +1423,14 @@ mod tests {
         let d = b.diff(&a);
         assert_eq!(d.len(), 1);
         assert!(d.contains(NodeId::new(1)));
-        // Full vs empty: one run covering the universe, O(1) words.
+        // Full vs empty: the O(1) full marker.
         let d = RumorSet::full(n).diff(&RumorSet::new(n));
         assert_eq!(d.len(), n);
-        assert!(d.repr_words() <= 1);
-        // Dense scattered difference falls back to bitset words.
+        assert_eq!(d.repr_words(), 0);
+        // Anything past the sparse capacity is bitset words, contiguous
+        // or not.
+        let d = set_of(n, &(0..=SPARSE_MAX).collect::<Vec<_>>()).diff(&RumorSet::new(n));
+        assert_eq!(d.repr_words(), n / 64);
         let odd = set_of(n, &(1..n).step_by(2).collect::<Vec<_>>());
         let d = RumorSet::new(n).diff(&odd);
         assert_eq!(d.len(), n / 2);
@@ -1784,10 +1486,6 @@ mod tests {
         match CompactRumorSet::singleton(n, NodeId::new(7)).as_parts() {
             CompactParts::Sparse(ids) => assert_eq!(ids, [7]),
             other => panic!("expected sparse parts, got {other:?}"),
-        }
-        match CompactRumorSet::from_set(&set_of(n, &(10..100).collect::<Vec<_>>())).as_parts() {
-            CompactParts::Runs(runs) => assert_eq!(runs, [(10, 100)]),
-            other => panic!("expected run parts, got {other:?}"),
         }
         match CompactRumorSet::full(n).as_parts() {
             CompactParts::Full => {}

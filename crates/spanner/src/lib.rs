@@ -37,7 +37,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use latency_graph::{DiGraph, Graph, Latency, NodeId};
+use latency_graph::{splitmix64, DiGraph, Graph, Latency, NodeId};
 
 pub mod verify;
 
@@ -99,13 +99,6 @@ impl SpannerResult {
 pub fn sampled_coin(seed: u64, center: NodeId, iteration: u64, p: f64) -> bool {
     let h = splitmix64(seed ^ splitmix64(u64::from(u32::from(center)) ^ (iteration << 32)));
     (h as f64 / u64::MAX as f64) < p
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Strict total order on edges: latency first, node ids as tie-breaker
