@@ -275,7 +275,23 @@ impl Graph {
     /// Whether the graph is connected (a graph with a single node is
     /// connected; an empty graph is not).
     pub fn is_connected(&self) -> bool {
-        self.node_count() > 0 && self.connected_components().len() == 1
+        let n = self.node_count();
+        if n == 0 {
+            return false;
+        }
+        // One walk from node 0, counting the nodes it reaches.
+        let mut seen = vec![false; n];
+        seen[0] = true;
+        let (mut stack, mut reached) = (vec![0], 1);
+        while let Some(u) = stack.pop() {
+            for &w in self.neighbor_ids(NodeId::new(u)) {
+                if !std::mem::replace(&mut seen[w.index()], true) {
+                    reached += 1;
+                    stack.push(w.index());
+                }
+            }
+        }
+        reached == n
     }
 
     /// The connected components, each a sorted list of node ids; the
@@ -921,6 +937,17 @@ mod tests {
         assert!(!h.is_connected());
         let single = Graph::from_edges(1, []).unwrap();
         assert!(single.is_connected());
+    }
+
+    #[test]
+    fn is_connected_agrees_with_components() {
+        let connected = Graph::from_edges(5, [(0, 1, 1), (1, 2, 4), (3, 2, 1), (4, 0, 2)]).unwrap();
+        let disconnected = Graph::from_edges(5, [(0, 1, 1), (2, 3, 1), (3, 4, 2)]).unwrap();
+        let single = Graph::from_edges(1, []).unwrap();
+        for (g, expected) in [(connected, true), (disconnected, false), (single, true)] {
+            assert_eq!(g.is_connected(), expected);
+            assert_eq!(g.is_connected(), g.connected_components().len() == 1);
+        }
     }
 
     #[test]

@@ -144,17 +144,18 @@ pub struct Context<'a> {
     size_hint: usize,
     neighbor_ids: &'a [NodeId],
     latencies: Option<&'a [Latency]>,
-    rng: &'a mut StdRng,
-    /// The chosen peer plus its index into the node's adjacency slice,
-    /// captured by [`Context::initiate`]'s validation search so the
-    /// engine can launch the exchange without re-resolving the edge.
-    pending: &'a mut Option<(NodeId, u32)>,
-    /// The wakeup request slot ([`Context::wake_at`]). Last write wins
-    /// within a round; [`Stepper::advance`] files it into the wake
-    /// calendar at the end of the round. Never read for
+    /// The hosted nodes' RNGs, seeded on the first draw by any of them.
+    rngs: &'a mut NodeRngs,
+    /// The chosen peer's position in the node's adjacency slice, or
+    /// [`NO_INITIATION`]. [`NodeTable::step`] resolves the peer id and
+    /// the edge latency after the round's `on_round` calls.
+    pending: &'a mut PendingSlot,
+    /// The wakeup request slot ([`Context::wake_at`]), 0 for none. Last
+    /// write wins within a round; [`Stepper::advance`] files it into the
+    /// wake calendar at the end of the round. `None` for
     /// [`Scheduling::EveryRound`] protocols (every node is stepped
     /// anyway).
-    wake: &'a mut Option<Round>,
+    wake: Option<&'a mut WakeSlot>,
     /// Choice tape installed by a model checker ([`Stepper`]'s
     /// `set_choice_tape`): when present, [`Context::choose`] reads
     /// scripted branches from it instead of the node RNG. `None` in
@@ -221,6 +222,10 @@ impl<'a> Context<'a> {
     /// initiation takes effect per round; calling again overwrites the
     /// previous choice.
     ///
+    /// Only the adjacency position the membership search found is
+    /// recorded; the engine resolves the peer and the edge latency from
+    /// it after the round's `on_round` calls.
+    ///
     /// # Panics
     ///
     /// Panics if `v` is not a neighbor of this node.
@@ -228,25 +233,36 @@ impl<'a> Context<'a> {
         let Some(i) = self.neighbor_index(v) else {
             panic!("{} attempted to initiate with non-neighbor {v}", self.node);
         };
-        // The validated index is kept alongside the peer: the engine
-        // reads the edge latency straight out of the graph's parallel
-        // latency array instead of binary-searching again.
-        *self.pending = Some((v, u32::try_from(i).expect("degree fits u32")));
+        self.record_initiation(i);
     }
 
     /// Initiates an exchange with the `i`-th neighbor (an index into
     /// [`neighbor_ids`](Self::neighbor_ids)). Equivalent to
     /// `initiate(self.neighbor_ids()[i])` but skips the membership
-    /// search — the fast path for protocols that already choose their
-    /// peer by adjacency index (e.g. uniform random neighbor
-    /// selection).
+    /// search and loads nothing from the adjacency row — the fast path
+    /// for protocols that already choose their peer by adjacency index
+    /// (e.g. uniform random neighbor selection). The engine resolves
+    /// the peer after the round's `on_round` calls.
     ///
     /// # Panics
     ///
     /// Panics if `i >= degree()`.
     pub fn initiate_nth(&mut self, i: usize) {
-        let v = self.neighbor_ids[i];
-        *self.pending = Some((v, u32::try_from(i).expect("degree fits u32")));
+        assert!(
+            i < self.degree(),
+            "{} attempted to initiate with neighbor index {i} of degree {}",
+            self.node,
+            self.degree(),
+        );
+        self.record_initiation(i);
+    }
+
+    /// Records adjacency position `i < degree()` as this round's
+    /// initiation.
+    fn record_initiation(&mut self, i: usize) {
+        // A position is below the degree, which is at most
+        // `u32::MAX - 1`, so it never reads as `NO_INITIATION`.
+        *self.pending = PendingSlot::try_from(i).expect("degree fits u32");
     }
 
     /// Registers a wakeup: under [`Scheduling::OnDemand`] this node
@@ -256,7 +272,7 @@ impl<'a> Context<'a> {
     /// registered per node per round); wakeups registered in different
     /// rounds accumulate independently. Under
     /// [`Scheduling::EveryRound`] this is a no-op — every node is
-    /// stepped every round already.
+    /// stepped every round already, and the engine keeps no wake slot.
     ///
     /// # Boundary semantics (audited)
     ///
@@ -282,7 +298,11 @@ impl<'a> Context<'a> {
             self.node,
             self.round,
         );
-        *self.wake = Some(round);
+        // `round > self.round ≥ 0`, so a request is never the slot's
+        // "none" value 0.
+        if let Some(wake) = self.wake.as_deref_mut() {
+            *wake = round;
+        }
     }
 
     /// Registers a wakeup `delay ≥ 1` rounds from now:
@@ -296,10 +316,12 @@ impl<'a> Context<'a> {
         self.wake_at(self.round + delay);
     }
 
-    /// This node's deterministic random number generator (seeded from
-    /// the simulation seed and the node id).
+    /// This node's deterministic random number generator: the stream
+    /// `StdRng::seed_from_u64(node_seed(seed, id))`. The engine seeds
+    /// its hosted nodes' RNGs on the first draw by any of them, so a
+    /// protocol that never draws keeps none.
     pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
+        self.rngs.get(self.node)
     }
 
     /// Resolves a `k`-way nondeterministic branch.
@@ -322,7 +344,7 @@ impl<'a> Context<'a> {
         assert!(k > 0, "{} asked to choose among zero options", self.node);
         match self.tape.as_deref_mut() {
             Some(tape) => tape.next(k),
-            None => self.rng.random_range(0..k),
+            None => self.rngs.get(self.node).random_range(0..k),
         }
     }
 }
@@ -594,8 +616,8 @@ fn round_to_slot(round: Round, slots: u64) -> usize {
 }
 
 /// Widens a validated adjacency index (stored as `u32` by
-/// [`Context::initiate`]) back to a `usize` for indexing the graph's
-/// parallel latency array.
+/// [`Context::initiate`]) back to a `usize` for indexing the node's
+/// adjacency row and its parallel latency array.
 #[inline]
 fn latency_to_index(i: u32) -> usize {
     usize::try_from(i).expect("adjacency index fits usize")
@@ -833,12 +855,52 @@ pub fn node_seed(seed: u64, node: NodeId) -> u64 {
 /// latency of the edge between them.
 pub type Launch = (usize, NodeId, usize, Latency);
 
+/// A pending initiation: the chosen peer's adjacency position, or
+/// [`NO_INITIATION`].
+type PendingSlot = u32;
+const NO_INITIATION: PendingSlot = PendingSlot::MAX;
+const _: () = assert!(mem::size_of::<PendingSlot>() == 4);
+
+/// A wake request: the round to step the node in, or 0 for none
+/// ([`Context::wake_at`] only accepts rounds after the current one).
+type WakeSlot = Round;
+const _: () = assert!(mem::size_of::<WakeSlot>() == 8);
+
+/// The RNGs of a table's hosted nodes. Empty until the first draw by
+/// any hosted node, which seeds all of them at once, node `v` with
+/// `StdRng::seed_from_u64(node_seed(seed, v))` — the streams do not
+/// depend on when the first draw happens, and a protocol that never
+/// draws (the floods) keeps no RNG state at all.
+#[derive(Clone, Debug)]
+struct NodeRngs {
+    seed: u64,
+    hosted: Range<usize>,
+    rngs: Vec<StdRng>,
+}
+
+impl NodeRngs {
+    /// Hosted node `v`'s RNG, seeding every hosted node's on first use.
+    fn get(&mut self, v: NodeId) -> &mut StdRng {
+        if self.rngs.is_empty() {
+            let seed = self.seed;
+            self.rngs = self
+                .hosted
+                .clone()
+                .map(|i| StdRng::seed_from_u64(node_seed(seed, NodeId::new(i))))
+                .collect();
+        }
+        &mut self.rngs[v.index() - self.hosted.start]
+    }
+}
+
 /// The per-node half of the round loop: every piece of state the §1
 /// model keeps per node, for the contiguous id range a driver hosts —
-/// protocols, seeded RNGs, the pending-initiation and wake slots, the
-/// frontier with its stamps and wake calendar, done flags, the event
-/// flag, [`EngineStats`] and the checker's choice tape. Slot `s` holds
-/// node `base + s`.
+/// protocols, RNGs (seeded on the first draw), the pending-initiation
+/// slots (an adjacency position each, 4 B), the wake slots (a round
+/// each, 8 B; [`Scheduling::OnDemand`] only), the frontier with its
+/// stamps and wake calendar, done flags, the event flag,
+/// [`EngineStats`] and the checker's choice tape. Slot `s` holds node
+/// `base + s`.
 ///
 /// [`Stepper`] drives one over every node of the graph; the
 /// `gossip-net` shard runner drives one over the nodes a shard hosts.
@@ -861,12 +923,16 @@ pub struct NodeTable<'g, P: Protocol> {
     size_hint: usize,
     latency_known: bool,
     nodes: Vec<P>,
-    rngs: Vec<StdRng>,
-    pending: Vec<Option<(NodeId, u32)>>,
-    /// Wake-request slots, written by [`Context::wake_at`]. `end_round`
-    /// files the frontier's requests into `wakes`; under
-    /// [`Scheduling::EveryRound`] they are never read.
-    wake: Vec<Option<Round>>,
+    /// Empty until the first draw by any hosted node.
+    rngs: NodeRngs,
+    /// Pending initiations, written by [`Context::initiate`] /
+    /// [`Context::initiate_nth`]: an adjacency position, or
+    /// [`NO_INITIATION`]. `step` resolves the peers.
+    pending: Vec<PendingSlot>,
+    /// Wake-request slots, written by [`Context::wake_at`], 0 for none.
+    /// `end_round` files the frontier's requests into `wakes`; empty
+    /// under [`Scheduling::EveryRound`].
+    wake: Vec<WakeSlot>,
     /// This round's frontier, as ascending slots. Seeded with every
     /// slot for round 0; under [`Scheduling::EveryRound`] it stays that
     /// way, under [`Scheduling::OnDemand`] `end_round` empties it and
@@ -897,10 +963,11 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
     const ON_DEMAND: bool = matches!(P::SCHEDULING, Scheduling::OnDemand);
 
     /// Builds the round-0 state of the nodes in `hosted`: protocol
-    /// instances from `factory(id, n)`, RNGs seeded by [`node_seed`],
-    /// the universal round-0 frontier, and `on_start` for every node
-    /// `live` accepts. Only the model fields of `config` (`seed`,
-    /// `latency_known`, `size_hint`) are read.
+    /// instances from `factory(id, n)`, RNGs to be seeded by
+    /// [`node_seed`] on the first draw, the universal round-0 frontier,
+    /// and `on_start` for every node `live` accepts. Only the model
+    /// fields of `config` (`seed`, `latency_known`, `size_hint`) are
+    /// read.
     ///
     /// # Panics
     ///
@@ -927,12 +994,13 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
             size_hint: config.size_hint.unwrap_or(n),
             latency_known: config.latency_known,
             nodes: hosted.clone().map(|i| factory(NodeId::new(i), n)).collect(),
-            rngs: hosted
-                .clone()
-                .map(|i| StdRng::seed_from_u64(node_seed(config.seed, NodeId::new(i))))
-                .collect(),
-            pending: vec![None; len],
-            wake: vec![None; len],
+            rngs: NodeRngs {
+                seed: config.seed,
+                hosted: hosted.clone(),
+                rngs: Vec::new(),
+            },
+            pending: vec![NO_INITIATION; len],
+            wake: vec![0; if Self::ON_DEMAND { len } else { 0 }],
             frontier: (0..slots).collect(),
             stamp: vec![0; if Self::ON_DEMAND { len } else { 0 }],
             wakes: CalendarQueue::new(if Self::ON_DEMAND { l_max } else { 0 }),
@@ -974,9 +1042,9 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
             size_hint: self.size_hint,
             neighbor_ids: self.graph.neighbor_ids(v),
             latencies: self.latency_known.then(|| self.graph.neighbor_latencies(v)),
-            rng: &mut self.rngs[slot],
+            rngs: &mut self.rngs,
             pending: &mut self.pending[slot],
-            wake: &mut self.wake[slot],
+            wake: self.wake.get_mut(slot),
             tape: self.tape.as_mut(),
         };
         f(&mut self.nodes[slot], &mut ctx)
@@ -1024,28 +1092,36 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
 
     /// Phase 3: `on_round` for every frontier node `live` accepts (a
     /// refused node's pending initiation is dropped), appending each
-    /// initiation made to `out` in frontier order. The edge latency
-    /// comes from the adjacency position [`Context::initiate`]
-    /// validated — no search of the row.
+    /// initiation made to `out` in frontier order. The peers and edge
+    /// latencies are resolved from the recorded adjacency positions in
+    /// one pass after the `on_round` calls — no search of a row, and no
+    /// row load inside a callback.
     pub fn step(
         &mut self,
         round: Round,
         mut live: impl FnMut(NodeId) -> bool,
         out: &mut Vec<Launch>,
     ) {
+        let first = out.len();
         for k in 0..self.frontier.len() {
             let slot = frontier_index(self.frontier[k]);
             let v = self.id(slot);
             if !live(v) {
-                self.pending[slot] = None;
+                self.pending[slot] = NO_INITIATION;
                 continue;
             }
             self.stats.stepped += 1;
             self.with_node(slot, round, P::on_round);
-            if let Some((peer, nth)) = self.pending[slot].take() {
-                let nth = latency_to_index(nth);
-                out.push((slot, peer, nth, self.graph.neighbor_latencies(v)[nth]));
+            let nth = mem::replace(&mut self.pending[slot], NO_INITIATION);
+            if nth != NO_INITIATION {
+                // Peer and latency are placeholders until the pass below.
+                out.push((slot, v, latency_to_index(nth), Latency::UNIT));
             }
+        }
+        for (slot, peer, nth, latency) in &mut out[first..] {
+            let v = self.id(*slot);
+            *peer = self.graph.neighbor_ids(v)[*nth];
+            *latency = self.graph.neighbor_latencies(v)[*nth];
         }
     }
 
@@ -1053,7 +1129,7 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
     /// ([`Protocol::on_rejected`]); a rejection cannot re-initiate.
     pub fn reject(&mut self, slot: usize, round: Round, peer: NodeId) {
         self.with_node(slot, round, |p, ctx| p.on_rejected(ctx, peer));
-        self.pending[slot] = None;
+        self.pending[slot] = NO_INITIATION;
     }
 
     /// Phase 4's bookkeeping, after the launches: done flags and wake
@@ -1065,6 +1141,12 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
         if Self::ON_DEMAND {
             self.frontier.clear();
         }
+    }
+
+    /// How many hosted nodes have a seeded RNG: none, or all of them.
+    #[cfg(test)]
+    fn seeded_rngs(&self) -> usize {
+        self.rngs.rngs.len()
     }
 
     /// Re-reads [`Protocol::is_done`] for the frontier's nodes — the
@@ -1085,7 +1167,8 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
             return;
         }
         for &id in &self.frontier {
-            if let Some(at) = self.wake[frontier_index(id)].take() {
+            let at = mem::take(&mut self.wake[frontier_index(id)]);
+            if at != 0 {
                 self.wakes.schedule(now, at - now, id);
             }
         }
@@ -2399,5 +2482,258 @@ mod tests {
         assert!(!b.nodes().iter().all(|x| x.rumors.is_full()));
         assert_eq!(a.metrics().lost, 0);
         assert!(b.metrics().lost > 0);
+    }
+
+    /// Logs one `u64` per round from its RNG, from round `id` on, so
+    /// node `v` makes its first draw in round `v`.
+    struct LateDrawer {
+        draws: Vec<u64>,
+    }
+
+    impl Protocol for LateDrawer {
+        type Payload = ();
+        fn payload(&self) {}
+        fn on_round(&mut self, ctx: &mut Context<'_>) {
+            if ctx.round() >= u64::try_from(ctx.id().index()).expect("id fits u64") {
+                let draw = ctx.rng().random();
+                self.draws.push(draw);
+            }
+        }
+        fn on_exchange(&mut self, _: &mut Context<'_>, _: &Exchange<()>) {}
+    }
+
+    #[test]
+    fn late_first_draws_see_the_node_seed_stream() {
+        let g = generators::path(6);
+        let cfg = SimConfig {
+            seed: 23,
+            max_rounds: 9,
+            ..SimConfig::default()
+        };
+        let out = Simulator::new(&g, cfg).run(|_, _| LateDrawer { draws: vec![] }, |_, _| false);
+        for (v, node) in out.nodes.iter().enumerate() {
+            let mut fresh = StdRng::seed_from_u64(node_seed(23, NodeId::new(v)));
+            let expected: Vec<u64> = (v..9).map(|_| fresh.random()).collect();
+            assert_eq!(node.draws, expected, "node {v}");
+        }
+    }
+
+    /// On-demand round-robin flood with no RNG draw — the shape of
+    /// `gossip-core`'s `SparseFloodNode`, which this crate cannot name.
+    struct SparseFlood {
+        informed: bool,
+        cursor: usize,
+    }
+
+    impl Protocol for SparseFlood {
+        const SCHEDULING: Scheduling = Scheduling::OnDemand;
+        type Payload = bool;
+        fn payload(&self) -> bool {
+            self.informed
+        }
+        fn on_round(&mut self, ctx: &mut Context<'_>) {
+            if !self.informed || self.cursor >= ctx.degree() {
+                return;
+            }
+            ctx.initiate_nth(self.cursor);
+            self.cursor += 1;
+            if self.cursor < ctx.degree() {
+                ctx.wake_in(1);
+            }
+        }
+        fn on_exchange(&mut self, _: &mut Context<'_>, x: &Exchange<bool>) {
+            self.informed |= x.payload;
+        }
+    }
+
+    /// Push-pull with a uniformly random neighbor drawn from the node
+    /// RNG every round.
+    struct RandomPushPull {
+        rumors: RumorSet,
+    }
+
+    impl Protocol for RandomPushPull {
+        type Payload = RumorSet;
+        fn payload(&self) -> RumorSet {
+            self.rumors.clone()
+        }
+        fn on_round(&mut self, ctx: &mut Context<'_>) {
+            let d = ctx.degree();
+            let i = ctx.rng().random_range(0..d);
+            ctx.initiate_nth(i);
+        }
+        fn on_exchange(&mut self, _: &mut Context<'_>, x: &Exchange<RumorSet>) {
+            self.rumors.union_with(&x.payload);
+        }
+    }
+
+    #[test]
+    fn rng_seeding_is_all_or_nothing() {
+        let g = generators::cycle(12);
+        let sim = Simulator::new(&g, SimConfig::default());
+        let mut flood = sim.stepper(|id: NodeId, _| SparseFlood {
+            informed: id.index() == 0,
+            cursor: 0,
+        });
+        for _ in 0..12 {
+            flood.deliver();
+            flood.advance();
+        }
+        assert!(flood.nodes().iter().all(|x| x.informed));
+        assert_eq!(flood.table.seeded_rngs(), 0);
+        let mut push_pull = sim.stepper(|id: NodeId, n| RandomPushPull {
+            rumors: RumorSet::singleton(n, id),
+        });
+        push_pull.deliver();
+        push_pull.advance();
+        assert_eq!(push_pull.table.seeded_rngs(), 12);
+    }
+
+    /// One scripted initiation: by peer id or by adjacency position.
+    #[derive(Clone, Copy)]
+    enum Pick {
+        Peer(usize),
+        Nth(usize),
+    }
+
+    /// On-demand node that makes its scripted initiations, in order, in
+    /// each callback.
+    #[derive(Clone, Default)]
+    struct Scripted {
+        start: Vec<Pick>,
+        round: Vec<Pick>,
+        exchange: Vec<Pick>,
+    }
+
+    fn make_picks(ctx: &mut Context<'_>, picks: &[Pick]) {
+        for &pick in picks {
+            match pick {
+                Pick::Peer(v) => ctx.initiate(NodeId::new(v)),
+                Pick::Nth(i) => ctx.initiate_nth(i),
+            }
+        }
+    }
+
+    impl Protocol for Scripted {
+        const SCHEDULING: Scheduling = Scheduling::OnDemand;
+        type Payload = ();
+        fn payload(&self) {}
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            make_picks(ctx, &self.start);
+        }
+        fn on_round(&mut self, ctx: &mut Context<'_>) {
+            make_picks(ctx, &self.round);
+        }
+        fn on_exchange(&mut self, ctx: &mut Context<'_>, _: &Exchange<()>) {
+            make_picks(ctx, &self.exchange);
+        }
+    }
+
+    /// Path 0 -2- 1 -5- 2: node 1's row is `[0, 2]`, latencies `[2, 5]`.
+    fn scripted_path() -> Graph {
+        Graph::from_edges(3, [(0, 1, 2), (1, 2, 5)]).unwrap()
+    }
+
+    /// A table over every node of `g` with `middle`'s script at node 1.
+    fn scripted_table(g: &Graph, middle: Scripted) -> NodeTable<'_, Scripted> {
+        let mut middle = Some(middle);
+        NodeTable::new(
+            g,
+            &SimConfig::default(),
+            0..g.node_count(),
+            |id, _| match id.index() {
+                1 => middle.take().unwrap_or_default(),
+                _ => Scripted::default(),
+            },
+            |_| true,
+        )
+    }
+
+    #[test]
+    fn initiation_in_on_exchange_launches_in_that_rounds_step() {
+        let g = scripted_path();
+        let mut table = scripted_table(
+            &g,
+            Scripted {
+                exchange: vec![Pick::Peer(2)],
+                ..Scripted::default()
+            },
+        );
+        let mut out = Vec::new();
+        table.settle_frontier(0, false);
+        table.step(0, |_| true, &mut out);
+        table.end_round(0);
+        assert!(out.is_empty());
+        let x = Exchange {
+            peer: NodeId::new(0),
+            payload: (),
+            initiated_at: 0,
+            completed_at: 2,
+            initiated_by_me: false,
+        };
+        table.deliver(1, 2, &x);
+        table.settle_frontier(2, true);
+        table.step(2, |_| true, &mut out);
+        assert_eq!(out, vec![(1, NodeId::new(2), 1, Latency::new(5))]);
+    }
+
+    #[test]
+    fn last_initiation_of_a_round_wins() {
+        let g = scripted_path();
+        let cases = [
+            (
+                vec![Pick::Peer(0), Pick::Nth(1)],
+                (1, NodeId::new(2), 1, Latency::new(5)),
+            ),
+            (
+                vec![Pick::Nth(1), Pick::Peer(0)],
+                (1, NodeId::new(0), 0, Latency::new(2)),
+            ),
+        ];
+        for (round, launch) in cases {
+            let mut table = scripted_table(
+                &g,
+                Scripted {
+                    round,
+                    ..Scripted::default()
+                },
+            );
+            let mut out = Vec::new();
+            table.settle_frontier(0, false);
+            table.step(0, |_| true, &mut out);
+            assert_eq!(out, vec![launch]);
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn initiate_nth_at_degree_panics() {
+        let g = scripted_path();
+        let _ = scripted_table(
+            &g,
+            Scripted {
+                start: vec![Pick::Nth(2)],
+                ..Scripted::default()
+            },
+        );
+    }
+
+    #[test]
+    fn a_node_that_is_not_live_drops_its_pending_initiation() {
+        let g = scripted_path();
+        let mut table = scripted_table(
+            &g,
+            Scripted {
+                start: vec![Pick::Nth(0)],
+                ..Scripted::default()
+            },
+        );
+        let mut out = Vec::new();
+        table.settle_frontier(0, false);
+        table.step(0, |v| v.index() != 1, &mut out);
+        assert!(out.is_empty());
+        // Stepped again, live this time: the `on_start` pick is gone.
+        table.step(0, |_| true, &mut out);
+        assert!(out.is_empty());
     }
 }
