@@ -116,7 +116,7 @@ fn estimates_upper_bound_exact_pins() {
         let exact = conductance::exact_conductance_profile(&g).expect("connected");
         for e in est.entries() {
             assert!(
-                e.phi_upper >= exact.phi_at(e.ell) - 1e-12,
+                e.phi >= exact.phi_at(e.ell) - 1e-12,
                 "estimate must upper-bound exact at ℓ = {}",
                 e.ell
             );

@@ -293,11 +293,7 @@ pub fn conductance(args: &mut Args) -> Result<String, CliError> {
         if let Some(l) = ell {
             match conductance::sweep_cut_estimate(&g, Latency::new(l), iterations, seed) {
                 Some(est) => {
-                    let _ = writeln!(
-                        out,
-                        "phi_{l} <= {:.6} [sweep-cut upper bound]",
-                        est.phi_upper
-                    );
+                    let _ = writeln!(out, "phi_{l} <= {:.6} [sweep-cut upper bound]", est.phi);
                 }
                 None => {
                     let _ = writeln!(out, "no edges of latency <= {l}");
@@ -316,7 +312,7 @@ pub fn conductance(args: &mut Args) -> Result<String, CliError> {
                 let _ = writeln!(
                     out,
                     "phi_{} <= {:.6} [sweep-cut upper bound, {} iters]",
-                    e.ell, e.phi_upper, e.iterations
+                    e.ell, e.phi, e.iterations
                 );
             }
         }
@@ -603,7 +599,7 @@ pub fn spectral(args: &mut Args) -> Result<String, CliError> {
                     out,
                     "ell = {ell}: lambda2 = {:.4}, gap = {:.4}, Cheeger {:.4} <= phi_{ell} <= {:.4}, mixing scale = {:.1}",
                     s.lambda2,
-                    s.gap,
+                    s.gap(),
                     s.phi_lower_bound(),
                     s.phi_upper_bound(),
                     s.mixing_scale(g.node_count())

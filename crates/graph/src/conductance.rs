@@ -22,7 +22,7 @@
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::ids::Latency;
-use crate::profile::{self, LatencyCsr, SpectralWorkspace};
+use crate::profile;
 
 /// Largest graph (in nodes) for which exact cut enumeration is attempted.
 pub const MAX_EXACT_NODES: usize = 22;
@@ -79,20 +79,28 @@ pub fn cut_phi(g: &Graph, members: &[bool], ell: Latency) -> Option<f64> {
     Some(cut as f64 / denom as f64)
 }
 
-/// A value of the conductance profile: `φ_ℓ(G)` together with the cut
+/// A value of the conductance profile: `φ_ℓ` together with the cut
 /// that attains it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProfileEntry {
     /// The latency threshold `ℓ`.
     pub ell: Latency,
-    /// The graph conductance `φ_ℓ(G) = min_U φ_ℓ(U)`.
+    /// `φ_ℓ(witness)`: from [`exact_conductance_profile`] the graph
+    /// conductance `φ_ℓ(G) = min_U φ_ℓ(U)`; from the sweep-cut
+    /// estimators an upper bound on it.
     pub phi: f64,
-    /// An indicator of a minimizing cut `U`.
+    /// An indicator (length `n`) of the cut `U` attaining `phi`.
     pub witness: Vec<bool>,
+    /// Power-iteration steps spent on this threshold (0 for exact
+    /// enumeration; with warm starts the pipeline's count drops sharply
+    /// after the first threshold).
+    pub iterations: usize,
 }
 
-/// The conductance profile `Φ(G)` evaluated at each distinct latency of
-/// the graph (the only points where it can change), sorted by latency.
+/// The conductance profile `Φ(G)`, sorted by latency: at every distinct
+/// latency of the graph (the only points where it can change) when
+/// exact or estimated at [`profile::ThresholdSet::All`], at the
+/// selected thresholds otherwise.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct ConductanceProfile {
     entries: Vec<ProfileEntry>,
@@ -117,7 +125,7 @@ impl WeightedConductance {
 }
 
 impl ConductanceProfile {
-    /// Creates a profile from `(ℓ, φ_ℓ, witness)` entries.
+    /// Creates a profile from its entries.
     ///
     /// # Panics
     ///
@@ -152,7 +160,8 @@ impl ConductanceProfile {
     }
 
     /// The weighted conductance `φ*` and critical latency `ℓ*`
-    /// (Definition 2): the entry maximizing `φ_ℓ/ℓ`.
+    /// (Definition 2): the entry maximizing `φ_ℓ/ℓ`. For an estimated
+    /// profile, `φ*` is the conductance of an exhibited cut.
     ///
     /// Returns `None` if the profile is empty or every `φ_ℓ` is 0 (the
     /// graph is disconnected at every latency).
@@ -272,6 +281,7 @@ pub fn exact_conductance_profile(g: &Graph) -> Result<ConductanceProfile, GraphE
                 ell,
                 phi: if phi.is_finite() { phi } else { 0.0 },
                 witness,
+                iterations: 0,
             }
         })
         .collect();
@@ -290,30 +300,22 @@ pub fn exact_weighted_conductance(g: &Graph) -> Result<WeightedConductance, Grap
         .ok_or(GraphError::Disconnected)
 }
 
-/// Result of the spectral sweep-cut heuristic: a concrete cut and the
-/// `φ_ℓ` value it certifies as an upper bound.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepCutEstimate {
-    /// The best `φ_ℓ(U)` found; `φ_ℓ(G) ≤ phi_upper`.
-    pub phi_upper: f64,
-    /// The cut attaining it.
-    pub cut: Vec<bool>,
-}
-
 /// Estimates `φ_ℓ(G)` from above with a spectral sweep cut.
 ///
 /// Runs power iteration for the second eigenvector of the lazy random
 /// walk on the strongly edge-induced graph `G_ℓ` (the walk that moves
 /// along a uniformly random incident edge of latency `≤ ℓ` and otherwise
 /// stays put — exactly the multiplicity graph of Theorem 12, eq. 3),
-/// sorts nodes by the eigenvector, and takes the best prefix cut. The
-/// iteration shares the [`crate::profile`] kernel (latency-sorted CSR,
-/// residual-based early stop at [`profile::DEFAULT_TOLERANCE`], seeded
-/// start vector), with `iterations` as the step cap.
+/// sorts nodes by the eigenvector, and takes the best prefix cut. It is
+/// the first threshold of [`profile::estimate_profile`]'s step
+/// (latency-sorted CSR, residual-based early stop at
+/// [`profile::DEFAULT_TOLERANCE`], seeded start vector), with
+/// `iterations` as the step cap.
 ///
-/// The returned value is a guaranteed **upper bound** on `φ_ℓ(G)`
-/// (it is the conductance of an exhibited cut); by Cheeger's inequality
-/// it is within a quadratic factor of optimal in the usual case.
+/// The entry's `phi` is a guaranteed **upper bound** on `φ_ℓ(G)` (it
+/// is the conductance of the exhibited `witness`); by Cheeger's
+/// inequality it is within a quadratic factor of optimal in the usual
+/// case.
 ///
 /// Returns `None` for graphs with no edge of latency `≤ ℓ` or fewer than
 /// 2 nodes.
@@ -322,21 +324,10 @@ pub fn sweep_cut_estimate(
     ell: Latency,
     iterations: usize,
     seed: u64,
-) -> Option<SweepCutEstimate> {
-    if g.node_count() < 2 {
-        return None;
-    }
-    let csr = LatencyCsr::new(g);
-    let mut ws = SpectralWorkspace::new(&csr, seed);
-    if ws.advance_threshold(&csr, ell) == 0 {
-        return None; // no edge of latency ≤ ℓ
-    }
-    ws.power_iterate(&csr, iterations, profile::DEFAULT_TOLERANCE, seed);
-    let phi_upper = ws.sweep_cut(&csr)?;
-    Some(SweepCutEstimate {
-        phi_upper,
-        cut: ws.witness().to_vec(),
-    })
+) -> Option<ProfileEntry> {
+    profile::threshold_steps(g, &[ell], iterations, profile::DEFAULT_TOLERANCE, seed)
+        .pop()?
+        .1
 }
 
 /// Estimated weighted conductance for large graphs: the incremental
@@ -510,13 +501,9 @@ mod tests {
         b.add_edge(7, 8, 1).unwrap();
         let g = b.build().unwrap();
         let est = sweep_cut_estimate(&g, Latency::UNIT, 200, 42).unwrap();
-        assert!(
-            est.phi_upper <= 1.0 / 57.0 + 1e-9,
-            "estimate {}",
-            est.phi_upper
-        );
+        assert!(est.phi <= 1.0 / 57.0 + 1e-9, "estimate {}", est.phi);
         let exact = exact_conductance_profile(&g).unwrap().phi_at(Latency::UNIT);
-        assert!(est.phi_upper >= exact - 1e-12);
+        assert!(est.phi >= exact - 1e-12);
     }
 
     #[test]

@@ -22,11 +22,14 @@
 //!    residual-based stop usually fires after a handful of iterations.
 //!    All buffers (`x`, `y`, sweep order, cut indicator) are reused
 //!    across thresholds — zero steady-state allocation.
-//! 3. **A single lazy-walk kernel** shared by
+//! 3. **One threshold step** shared by
 //!    [`crate::conductance::sweep_cut_estimate`],
-//!    [`crate::spectral::spectral_gap`], and the pipeline itself, with
-//!    one deterministic seeded start vector (previously the two call
-//!    sites used different RNGs).
+//!    [`crate::spectral::spectral_gap`], and the pipeline itself: the
+//!    same CSR, seeded start vector, power iteration and sweep, so a
+//!    single-threshold call is bit-identical to the pipeline's first
+//!    threshold. The cut results are
+//!    [`crate::conductance::ProfileEntry`] values, exactly as exact
+//!    enumeration's are, and the λ₂ result is [`PowerIteration`].
 //!
 //! [`ThresholdSet`] selects which latencies to evaluate: [`ThresholdSet::All`]
 //! reproduces the full profile, [`ThresholdSet::Quantiles`] trades
@@ -43,7 +46,7 @@
 //! assert!(wc.phi_star > 0.0);
 //! ```
 
-use crate::conductance::WeightedConductance;
+use crate::conductance::{ConductanceProfile, ProfileEntry};
 use crate::graph::Graph;
 use crate::ids::{Latency, NodeId};
 use crate::splitmix64;
@@ -114,61 +117,6 @@ impl Default for ProfileConfig {
             tolerance: DEFAULT_TOLERANCE,
             seed: 0,
         }
-    }
-}
-
-/// One threshold's result: a concrete cut certifying `φ_ℓ(G) ≤ phi_upper`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ThresholdEstimate {
-    /// The latency threshold `ℓ`.
-    pub ell: Latency,
-    /// The best `φ_ℓ(U)` found over all sweep cuts — an upper bound on
-    /// `φ_ℓ(G)` attained by [`ThresholdEstimate::cut`].
-    pub phi_upper: f64,
-    /// The witness cut attaining `phi_upper` (indicator of length `n`).
-    pub cut: Vec<bool>,
-    /// Power-iteration steps spent on this threshold (diagnostics: with
-    /// warm starts this drops sharply after the first threshold).
-    pub iterations: usize,
-}
-
-/// The estimated conductance profile produced by [`estimate_profile`]:
-/// one [`ThresholdEstimate`] per evaluated threshold, ascending in `ℓ`.
-#[derive(Clone, Debug, PartialEq, Default)]
-pub struct EstimatedProfile {
-    entries: Vec<ThresholdEstimate>,
-}
-
-impl EstimatedProfile {
-    /// The per-threshold estimates, sorted by latency.
-    pub fn entries(&self) -> &[ThresholdEstimate] {
-        &self.entries
-    }
-
-    /// Total power-iteration steps across all thresholds.
-    pub fn total_iterations(&self) -> usize {
-        self.entries.iter().map(|e| e.iterations).sum()
-    }
-
-    /// The estimated weighted conductance: the entry maximizing
-    /// `φ_ℓ/ℓ` (Definition 2), skipping thresholds where the best cut
-    /// had no fast edges (`φ_ℓ = 0`).
-    ///
-    /// Because every `phi_upper` is the conductance of an exhibited
-    /// cut, the reported `φ*` is a genuine `φ_ℓ(U)` value.
-    pub fn weighted_conductance(&self) -> Option<WeightedConductance> {
-        self.entries
-            .iter()
-            .filter(|e| e.phi_upper > 0.0)
-            .max_by(|a, b| {
-                let ra = a.phi_upper / a.ell.rounds() as f64;
-                let rb = b.phi_upper / b.ell.rounds() as f64;
-                ra.partial_cmp(&rb).expect("conductance ratios are finite")
-            })
-            .map(|e| WeightedConductance {
-                phi_star: e.phi_upper,
-                critical_latency: e.ell,
-            })
     }
 }
 
@@ -262,15 +210,15 @@ pub struct SpectralWorkspace {
     members: Vec<bool>,
 }
 
-/// Outcome of one threshold's power iteration.
+/// Outcome of one threshold's power iteration; its Cheeger bounds and
+/// mixing scale are methods in [`crate::spectral`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PowerIteration {
     /// Rayleigh-quotient estimate of the lazy walk's second eigenvalue.
     pub lambda2: f64,
-    /// Iterations actually performed.
+    /// Iterations actually performed: fewer than the cap when the
+    /// residual-based early stop fired.
     pub iterations: usize,
-    /// Whether the residual dropped below tolerance before the cap.
-    pub converged: bool,
 }
 
 impl SpectralWorkspace {
@@ -421,7 +369,6 @@ impl SpectralWorkspace {
         PowerIteration {
             lambda2: lambda2.clamp(0.0, 1.0),
             iterations,
-            converged,
         }
     }
 
@@ -484,46 +431,62 @@ impl SpectralWorkspace {
 /// CSR build, then an ascending sweep over `cfg.thresholds` with
 /// warm-started power iterations sharing a single workspace.
 ///
-/// Returns an empty profile for graphs with fewer than 2 nodes or no
-/// edges.
-pub fn estimate_profile(g: &Graph, cfg: &ProfileConfig) -> EstimatedProfile {
-    let n = g.node_count();
-    if n < 2 {
-        return EstimatedProfile::default();
-    }
-    let thresholds = cfg.thresholds.thresholds(g);
-    if thresholds.is_empty() {
-        return EstimatedProfile::default();
+/// Each entry's `phi` is the conductance of its sweep-cut witness, an
+/// upper bound on `φ_ℓ(G)`. Returns an empty profile for graphs with
+/// fewer than 2 nodes or no edges.
+pub fn estimate_profile(g: &Graph, cfg: &ProfileConfig) -> ConductanceProfile {
+    let steps = threshold_steps(
+        g,
+        &cfg.thresholds.thresholds(g),
+        cfg.max_iterations,
+        cfg.tolerance,
+        cfg.seed,
+    );
+    ConductanceProfile::from_entries(steps.into_iter().filter_map(|(_, e)| e).collect())
+}
+
+/// The one threshold step behind [`estimate_profile`],
+/// [`crate::conductance::sweep_cut_estimate`] and
+/// [`crate::spectral::spectral_gap`]: one latency-sorted CSR and one
+/// seeded workspace, then for each ascending threshold
+/// `advance_threshold`, a power iteration warm-started from the
+/// previous threshold, and the sweep cut (`None` when no prefix is a
+/// proper cut). A threshold with no edge of latency `≤ ℓ` is skipped;
+/// a graph with fewer than 2 nodes yields nothing.
+pub(crate) fn threshold_steps(
+    g: &Graph,
+    thresholds: &[Latency],
+    max_iterations: usize,
+    tolerance: f64,
+    seed: u64,
+) -> Vec<(PowerIteration, Option<ProfileEntry>)> {
+    if g.node_count() < 2 || thresholds.is_empty() {
+        return Vec::new();
     }
     let csr = LatencyCsr::new(g);
-    let mut ws = SpectralWorkspace::new(&csr, cfg.seed);
-    let mut entries = Vec::with_capacity(thresholds.len());
-    for (ti, ell) in thresholds.into_iter().enumerate() {
-        ws.advance_threshold(&csr, ell);
-        let it = ws.power_iterate(
-            &csr,
-            cfg.max_iterations,
-            cfg.tolerance,
-            cfg.seed ^ (ti as u64).wrapping_mul(0xD134_2543_DE82_EF95),
-        );
-        let Some(phi_upper) = ws.sweep_cut(&csr) else {
+    let mut ws = SpectralWorkspace::new(&csr, seed);
+    let mut steps = Vec::with_capacity(thresholds.len());
+    for (ti, &ell) in thresholds.iter().enumerate() {
+        if ws.advance_threshold(&csr, ell) == 0 {
             continue;
-        };
-        entries.push(ThresholdEstimate {
+        }
+        let perturb = seed ^ (ti as u64).wrapping_mul(0xD134_2543_DE82_EF95);
+        let it = ws.power_iterate(&csr, max_iterations, tolerance, perturb);
+        let entry = ws.sweep_cut(&csr).map(|phi| ProfileEntry {
             ell,
-            phi_upper,
-            cut: ws.witness().to_vec(),
+            phi,
+            witness: ws.witness().to_vec(),
             iterations: it.iterations,
         });
+        steps.push((it, entry));
     }
-    EstimatedProfile { entries }
+    steps
 }
 
 /// Fills `x` with the deterministic pseudo-random start vector derived
-/// from `seed` — the single start-vector convention shared by the
-/// pipeline, [`crate::conductance::sweep_cut_estimate`], and
-/// [`crate::spectral::spectral_gap`].
-pub(crate) fn seeded_start(seed: u64, x: &mut [f64]) {
+/// from `seed` — the single start-vector convention of every estimator
+/// (they all start in [`threshold_steps`]).
+fn seeded_start(seed: u64, x: &mut [f64]) {
     for (i, xi) in x.iter_mut().enumerate() {
         let h = splitmix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         *xi = (h as f64 / u64::MAX as f64) - 0.5;
@@ -648,10 +611,10 @@ mod tests {
         assert_eq!(sweep.entries().len(), g.distinct_latencies().len());
         for e in sweep.entries() {
             // Witness consistency: the reported φ is the witness cut's φ.
-            let certified = conductance::cut_phi(&g, &e.cut, e.ell).expect("proper cut");
-            assert!((certified - e.phi_upper).abs() < 1e-12);
+            let certified = conductance::cut_phi(&g, &e.witness, e.ell).expect("proper cut");
+            assert!((certified - e.phi).abs() < 1e-12);
             // Upper bound on the exact value.
-            assert!(e.phi_upper >= exact.phi_at(e.ell) - 1e-12);
+            assert!(e.phi >= exact.phi_at(e.ell) - 1e-12);
         }
     }
 
@@ -674,7 +637,7 @@ mod tests {
         };
         let sweep = estimate_profile(&g, &cfg);
         assert!(sweep.entries().len() >= 8);
-        let warm_total = sweep.total_iterations();
+        let warm_total: usize = sweep.entries().iter().map(|e| e.iterations).sum();
 
         let csr = LatencyCsr::new(&g);
         let mut cold_total = 0;
@@ -749,8 +712,8 @@ mod tests {
         // certified (possibly different-witness) upper bound; both are
         // genuine cut conductances at that ℓ.
         for e in q.entries() {
-            let phi = conductance::cut_phi(&g, &e.cut, e.ell).expect("proper cut");
-            assert!((phi - e.phi_upper).abs() < 1e-12);
+            let phi = conductance::cut_phi(&g, &e.witness, e.ell).expect("proper cut");
+            assert!((phi - e.phi).abs() < 1e-12);
             assert!(full.entries().iter().any(|f| f.ell == e.ell));
         }
     }

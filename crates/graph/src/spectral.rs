@@ -13,38 +13,32 @@
 
 use crate::graph::Graph;
 use crate::ids::Latency;
-use crate::profile::{self, LatencyCsr, SpectralWorkspace};
+use crate::profile::{self, PowerIteration};
 
-/// Result of the power-iteration gap estimate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpectralGap {
-    /// Estimated second eigenvalue `λ₂` of the lazy walk on `G_ℓ`.
-    pub lambda2: f64,
+/// The Cheeger bounds and mixing scale of an estimated `λ₂`.
+impl PowerIteration {
     /// The gap `γ = 1 − λ₂`.
-    pub gap: f64,
-    /// Power-iteration steps actually performed: fewer than the
-    /// requested cap when the residual-based early stop fired.
-    pub iterations: usize,
-}
+    pub fn gap(&self) -> f64 {
+        1.0 - self.lambda2
+    }
 
-impl SpectralGap {
     /// Cheeger lower bound: `φ_ℓ ≥ γ/2`.
     pub fn phi_lower_bound(&self) -> f64 {
-        (self.gap / 2.0).max(0.0)
+        (self.gap() / 2.0).max(0.0)
     }
 
     /// Cheeger upper bound: `φ_ℓ ≤ √(2γ)`.
     pub fn phi_upper_bound(&self) -> f64 {
-        (2.0 * self.gap.max(0.0)).sqrt()
+        (2.0 * self.gap().max(0.0)).sqrt()
     }
 
     /// Mixing-time scale `(1/γ)·ln n` — the push-pull round scale on a
     /// `φ_ℓ`-connected graph before the `ℓ` charging.
     pub fn mixing_scale(&self, n: usize) -> f64 {
-        if self.gap <= 0.0 {
+        if self.gap() <= 0.0 {
             f64::INFINITY
         } else {
-            (n.max(2) as f64).ln() / self.gap
+            (n.max(2) as f64).ln() / self.gap()
         }
     }
 }
@@ -52,31 +46,25 @@ impl SpectralGap {
 /// Estimates the spectral gap of the lazy `G_ℓ` walk by power iteration
 /// on the degree-weighted complement of the stationary direction.
 ///
-/// Shares the [`crate::profile`] kernel with
-/// [`crate::conductance::sweep_cut_estimate`]: the same latency-sorted
-/// CSR, the same seeded start vector, and the same residual-based early
-/// stop (at [`profile::DEFAULT_TOLERANCE`]) with `iterations` as the
-/// step cap — [`SpectralGap::iterations`] reports how many steps were
-/// actually needed.
+/// It is the first threshold of [`crate::profile::estimate_profile`]'s
+/// step, as [`crate::conductance::sweep_cut_estimate`] is: the same
+/// latency-sorted CSR, the same seeded start vector, and the same
+/// residual-based early stop (at [`profile::DEFAULT_TOLERANCE`]) with
+/// `iterations` as the step cap — [`PowerIteration::iterations`]
+/// reports how many steps were actually needed.
 ///
 /// Returns `None` for graphs with fewer than 2 nodes or no `≤ ℓ` edges.
-/// The estimate converges from below on `λ₂` (so `gap` converges from
+/// The estimate converges from below on `λ₂` (so the gap converges from
 /// above).
-pub fn spectral_gap(g: &Graph, ell: Latency, iterations: usize, seed: u64) -> Option<SpectralGap> {
-    if g.node_count() < 2 {
-        return None;
-    }
-    let csr = LatencyCsr::new(g);
-    let mut ws = SpectralWorkspace::new(&csr, seed);
-    if ws.advance_threshold(&csr, ell) == 0 {
-        return None; // no edge of latency ≤ ℓ
-    }
-    let it = ws.power_iterate(&csr, iterations, profile::DEFAULT_TOLERANCE, seed);
-    Some(SpectralGap {
-        lambda2: it.lambda2,
-        gap: 1.0 - it.lambda2,
-        iterations: it.iterations,
-    })
+pub fn spectral_gap(
+    g: &Graph,
+    ell: Latency,
+    iterations: usize,
+    seed: u64,
+) -> Option<PowerIteration> {
+    profile::threshold_steps(g, &[ell], iterations, profile::DEFAULT_TOLERANCE, seed)
+        .pop()
+        .map(|(it, _)| it)
 }
 
 #[cfg(test)]
@@ -89,14 +77,14 @@ mod tests {
         let g = generators::clique(16);
         let s = spectral_gap(&g, Latency::UNIT, 300, 1).unwrap();
         // Lazy walk on K_n: λ₂ = 1/2 + (−1/(n−1))/2 ≈ 0.467 ⇒ gap ≈ 0.53.
-        assert!(s.gap > 0.4, "gap = {}", s.gap);
+        assert!(s.gap() > 0.4, "gap = {}", s.gap());
     }
 
     #[test]
     fn dumbbell_has_tiny_gap() {
         let g = generators::barbell(8, 1);
         let s = spectral_gap(&g, Latency::UNIT, 500, 1).unwrap();
-        assert!(s.gap < 0.05, "bottleneck ⇒ tiny gap, got {}", s.gap);
+        assert!(s.gap() < 0.05, "bottleneck ⇒ tiny gap, got {}", s.gap());
     }
 
     #[test]
@@ -133,7 +121,7 @@ mod tests {
         let g = generators::bimodal_latencies(&generators::clique(16), 1, 30, 0.2, 4);
         let fast = spectral_gap(&g, Latency::new(1), 400, 2).unwrap();
         let slow = spectral_gap(&g, Latency::new(30), 400, 2).unwrap();
-        assert!(slow.gap > fast.gap, "more usable edges ⇒ bigger gap");
+        assert!(slow.gap() > fast.gap(), "more usable edges ⇒ bigger gap");
     }
 
     #[test]

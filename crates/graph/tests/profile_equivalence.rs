@@ -282,12 +282,12 @@ proptest! {
         for (e, (ell, phi, cut)) in pipeline.entries().iter().zip(&legacy) {
             prop_assert_eq!(e.ell, *ell);
             prop_assert!(
-                (e.phi_upper - phi).abs() < 1e-9,
-                "φ_{} mismatch: pipeline {} vs legacy {}", ell, e.phi_upper, phi
+                (e.phi - phi).abs() < 1e-9,
+                "φ_{} mismatch: pipeline {} vs legacy {}", ell, e.phi, phi
             );
             // Both witnesses certify their reported value.
-            let pc = conductance::cut_phi(&g, &e.cut, *ell).expect("proper cut");
-            prop_assert!((pc - e.phi_upper).abs() < 1e-9, "pipeline witness drifted");
+            let pc = conductance::cut_phi(&g, &e.witness, *ell).expect("proper cut");
+            prop_assert!((pc - e.phi).abs() < 1e-9, "pipeline witness drifted");
             let lc = conductance::cut_phi(&g, cut, *ell).expect("proper cut");
             prop_assert!((lc - phi).abs() < 1e-9, "legacy witness drifted");
         }

@@ -61,4 +61,4 @@ pub use runner::{
     ShardRunner, WireAccounting,
 };
 pub use transport::{NetEvent, Transport, TransportStats};
-pub use wire::{Frame, WirePayload, CAP_DELTA, CAP_STREAM, MAX_BODY};
+pub use wire::{Frame, WirePayload, CAP_DELTA, MAX_BODY};

@@ -527,7 +527,7 @@ where
         );
         let table = NodeTable::new(graph, config, shard.clone(), factory, |_| true);
         let delta = mode == PayloadMode::Delta && P::Payload::supports_delta();
-        transport.set_caps(P::Payload::caps() | if delta { CAP_DELTA } else { 0 });
+        transport.set_caps(if delta { CAP_DELTA } else { 0 });
         let mut offsets = Vec::with_capacity(shard.len() + 1);
         offsets.push(0);
         for i in shard.clone() {

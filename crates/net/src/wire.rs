@@ -45,16 +45,6 @@ pub const MAX_BODY: u32 = 1 << 20;
 /// capability only costs bytes (snapshot fallback), never rumors.
 pub const CAP_DELTA: u32 = 1;
 
-/// Capability bit in [`Frame::Hello::caps`]: the sender runs a
-/// streaming (multi-rumor, budgeted) workload — its `Request`/`Reply`
-/// payload bodies are [`StreamPayload`] encodings (rumor-id batches or
-/// GF(2) coefficient rows), not rumor-set snapshots. Advertised
-/// automatically whenever the runner's payload type is
-/// [`StreamPayload`] (see [`WirePayload::caps`]); like every capability
-/// bit it only describes the bytes, never changes outcomes, and
-/// receivers ignore bits they do not know.
-pub const CAP_STREAM: u32 = 2;
-
 const KIND_HELLO: u8 = 0;
 const KIND_REQUEST: u8 = 1;
 const KIND_REPLY: u8 = 2;
@@ -730,14 +720,6 @@ pub trait WirePayload: Sized {
         scratch.len()
     }
 
-    /// Capability bits every handshake should advertise when this
-    /// payload type is in use ([`CAP_STREAM`], …) — in addition to
-    /// whatever bits the runner's mode adds ([`CAP_DELTA`]). Defaults
-    /// to none.
-    fn caps() -> u32 {
-        0
-    }
-
     /// Rumor-payload units this snapshot carries under a streaming
     /// workload — what the per-rumor wire accounting
     /// ([`crate::WireAccounting::stream_units`]) sums. Non-streaming
@@ -922,10 +904,6 @@ impl WirePayload for StreamPayload {
                 1 + crate::delta::varint_len(u64::from(*k)) + varint(rows.len()) + row_bytes
             }
         }
-    }
-
-    fn caps() -> u32 {
-        CAP_STREAM
     }
 
     fn stream_units(&self) -> u64 {
@@ -1294,8 +1272,6 @@ mod tests {
 
     #[test]
     fn stream_payload_advertises_caps_and_units() {
-        assert_eq!(<StreamPayload as WirePayload>::caps(), CAP_STREAM);
-        assert_eq!(<RumorSet as WirePayload>::caps(), 0);
         let p = StreamPayload::Ids(vec![4, 9]);
         assert_eq!(p.stream_units(), 2);
         assert_eq!(RumorSet::new(8).stream_units(), 0);

@@ -935,8 +935,9 @@ pub struct NodeTable<'g, P: Protocol> {
     wake: Vec<WakeSlot>,
     /// This round's frontier, as ascending slots. Seeded with every
     /// slot for round 0; under [`Scheduling::EveryRound`] it stays that
-    /// way, under [`Scheduling::OnDemand`] `end_round` empties it and
-    /// the next round's deliveries and due wakeups refill it.
+    /// way, under [`Scheduling::OnDemand`] `end_round` empties it (and
+    /// frees round 0's n slots) and the next round's deliveries and due
+    /// wakeups refill it.
     frontier: Vec<u32>,
     /// `stamp[s] == round` ⇔ slot `s` is already listed on this round's
     /// frontier ([`Scheduling::OnDemand`] only).
@@ -1134,12 +1135,16 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
 
     /// Phase 4's bookkeeping, after the launches: done flags and wake
     /// requests of the frontier, which `round + 1`'s deliveries then
-    /// rebuild ([`Scheduling::OnDemand`]).
+    /// rebuild ([`Scheduling::OnDemand`]). Round 0's frontier was every
+    /// slot; an on-demand table gives that capacity back.
     pub fn end_round(&mut self, round: Round) {
         self.refresh_done();
         self.file_wakeups(round);
         if Self::ON_DEMAND {
             self.frontier.clear();
+            if round == 0 {
+                self.frontier.shrink_to_fit();
+            }
         }
     }
 
@@ -1147,6 +1152,12 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
     #[cfg(test)]
     fn seeded_rngs(&self) -> usize {
         self.rngs.rngs.len()
+    }
+
+    /// The frontier's allocated capacity, in slots.
+    #[cfg(test)]
+    fn frontier_capacity(&self) -> usize {
+        self.frontier.capacity()
     }
 
     /// Re-reads [`Protocol::is_done`] for the frontier's nodes — the
@@ -2587,6 +2598,30 @@ mod tests {
         push_pull.deliver();
         push_pull.advance();
         assert_eq!(push_pull.table.seeded_rngs(), 12);
+    }
+
+    #[test]
+    fn on_demand_frontier_gives_back_round_zero_capacity() {
+        let g = generators::cycle(64);
+        let sim = Simulator::new(&g, SimConfig::default());
+        let mut flood = sim.stepper(|id: NodeId, _| SparseFlood {
+            informed: id.index() == 0,
+            cursor: 0,
+        });
+        assert_eq!(flood.table.frontier_capacity(), 64);
+        flood.deliver();
+        flood.advance();
+        assert!(flood.table.frontier_capacity() < 64);
+        while !flood.nodes().iter().all(|x| x.informed) {
+            flood.deliver();
+            flood.advance();
+            assert!(flood.table.frontier_capacity() < 64);
+        }
+        // An every-round frontier stays every slot.
+        let mut every = sim.stepper(flood_factory);
+        every.deliver();
+        every.advance();
+        assert_eq!(every.table.frontier.len(), 64);
     }
 
     /// One scripted initiation: by peer id or by adjacency position.
