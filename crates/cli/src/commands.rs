@@ -1,12 +1,36 @@
 //! The `gossip` subcommands.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::ops::Bound::{Excluded, Unbounded};
+use std::ops::RangeBounds;
 
 use latency_graph::{conductance, generators, io, metrics, profile, Graph, Latency, NodeId};
 
 use crate::args::Args;
 use crate::error::CliError;
 use crate::load_graph;
+
+/// `value` if it lies in `range`, else a [`CliError::BadArgument`] for
+/// `what`. The library asserts these preconditions; the CLI checks
+/// them first so that a bad value exits 2 instead of panicking.
+fn within<T: PartialOrd + Display>(
+    value: T,
+    range: impl RangeBounds<T>,
+    what: &'static str,
+) -> Result<T, CliError> {
+    if range.contains(&value) {
+        Ok(value)
+    } else {
+        Err(bad_argument(what, value))
+    }
+}
+
+fn bad_argument(what: &'static str, value: impl Display) -> CliError {
+    CliError::BadArgument {
+        what,
+        value: value.to_string(),
+    }
+}
 
 /// `gossip help`.
 pub fn help() -> String {
@@ -96,48 +120,93 @@ pub fn generate(args: &mut Args) -> Result<String, CliError> {
     let family: String = args.require("family")?;
     let seed: u64 = args.flag_or("seed", 0)?;
     let base = match family.as_str() {
-        "clique" => generators::clique(args.require("n")?),
-        "star" => generators::star(args.require("n")?),
-        "path" => generators::path(args.require("n")?),
-        "cycle" => generators::cycle(args.require("n")?),
-        "grid" => generators::grid(args.require("rows")?, args.require("cols")?),
-        "torus" => generators::torus(args.require("rows")?, args.require("cols")?),
-        "hypercube" => generators::hypercube(args.require("dimension")?),
-        "tree" => generators::balanced_binary_tree(args.require("n")?),
-        "barbell" => generators::barbell(args.require("k")?, args.require("bridge latency")?),
+        "clique" => generators::clique(within(args.require("n")?, 1.., "n")?),
+        "star" => generators::star(within(args.require("n")?, 1.., "n")?),
+        "path" => generators::path(within(args.require("n")?, 1.., "n")?),
+        "cycle" => generators::cycle(within(args.require("n")?, 3.., "n")?),
+        "grid" => generators::grid(
+            within(args.require("rows")?, 1.., "rows")?,
+            within(args.require("cols")?, 1.., "cols")?,
+        ),
+        "torus" => generators::torus(
+            within(args.require("rows")?, 3.., "rows")?,
+            within(args.require("cols")?, 3.., "cols")?,
+        ),
+        "hypercube" => {
+            generators::hypercube(within(args.require("dimension")?, 1..=20, "dimension")?)
+        }
+        "tree" => generators::balanced_binary_tree(within(args.require("n")?, 1.., "n")?),
+        "barbell" => generators::barbell(
+            within(args.require("k")?, 2.., "k")?,
+            within(args.require("bridge latency")?, 1.., "bridge latency")?,
+        ),
         "er" => generators::connected_erdos_renyi(
-            args.require("n")?,
-            args.require("edge probability")?,
+            within(args.require("n")?, 1.., "n")?,
+            within(
+                args.require("edge probability")?,
+                0.0..=1.0,
+                "edge probability",
+            )?,
             seed,
         ),
-        "regular" => generators::random_regular(args.require("n")?, args.require("degree")?, seed),
+        "regular" => {
+            let n: usize = args.require("n")?;
+            let d: usize = within(args.require("degree")?, ..n, "degree")?;
+            if n % 2 == 1 && d % 2 == 1 {
+                // n·d odd: no d-regular graph on n nodes.
+                return Err(bad_argument("degree", d));
+            }
+            generators::random_regular(n, d, seed)
+        }
         "chunglu" => generators::chung_lu(
-            args.require("n")?,
-            args.require("beta")?,
-            args.require("mean degree")?,
+            within(args.require("n")?, 1.., "n")?,
+            within(args.require("beta")?, (Excluded(2.0), Unbounded), "beta")?,
+            within(
+                args.require("mean degree")?,
+                (Excluded(0.0), Unbounded),
+                "mean degree",
+            )?,
             seed,
         ),
         "ring-of-cliques" => generators::ring_of_cliques(
-            args.require("cliques")?,
-            args.require("clique size")?,
-            args.require("bridge latency")?,
+            within(args.require("cliques")?, 3.., "cliques")?,
+            within(args.require("clique size")?, 1.., "clique size")?,
+            within(args.require("bridge latency")?, 1.., "bridge latency")?,
         ),
         "geometric" => generators::random_geometric(
-            args.require("n")?,
-            args.require("radius")?,
-            args.require("latency scale")?,
+            within(args.require("n")?, 1.., "n")?,
+            within(
+                args.require("radius")?,
+                (Excluded(0.0), Unbounded),
+                "radius",
+            )?,
+            within(
+                args.require("latency scale")?,
+                (Excluded(0.0), Unbounded),
+                "latency scale",
+            )?,
             seed,
         ),
         "gadget" => {
-            let m: usize = args.require("m")?;
-            let p: f64 = args.require("fast-edge probability")?;
-            let ell: u32 = args.require("fast latency")?;
+            let m: usize = within(args.require("m")?, 1.., "m")?;
+            let p: f64 = within(
+                args.require("fast-edge probability")?,
+                0.0..=1.0,
+                "fast-edge probability",
+            )?;
+            let ell: u32 = within(args.require("fast latency")?, 1.., "fast latency")?;
             generators::theorem7_network(m, p, ell, seed).graph
         }
         "layered-ring" => {
             let n: usize = args.require("n")?;
             let alpha: f64 = args.require("alpha")?;
-            let ell: u32 = args.require("ell")?;
+            // n·α ≥ 1, computed as the generator computes it (a NaN α
+            // fails too).
+            let one_node_per_layer = n as f64 * alpha >= 1.0;
+            if !one_node_per_layer {
+                return Err(bad_argument("alpha", alpha));
+            }
+            let ell: u32 = within(args.require("ell")?, 1.., "ell")?;
             generators::LayeredRing::generate(&generators::LayeredRingSpec {
                 n,
                 alpha,
@@ -167,28 +236,32 @@ fn apply_latency_spec(g: &Graph, spec: Option<String>, seed: u64) -> Result<Grap
         what: "latencies",
         value: spec.clone(),
     };
-    let num = |s: &str| s.parse::<u32>().map_err(|_| bad());
+    // Every latency is at least 1; the assigners assert it.
+    let num = |s: &str| s.parse::<u32>().ok().filter(|&v| v >= 1).ok_or_else(bad);
     let fnum = |s: &str| s.parse::<f64>().map_err(|_| bad());
+    let check = |ok: bool| if ok { Ok(()) } else { Err(bad()) };
     match parts.as_slice() {
-        ["uniform", lo, hi] => Ok(generators::uniform_random_latencies(
-            g,
-            num(lo)?,
-            num(hi)?,
-            seed,
-        )),
-        ["bimodal", fast, slow, p] => Ok(generators::bimodal_latencies(
-            g,
-            num(fast)?,
-            num(slow)?,
-            fnum(p)?,
-            seed,
-        )),
-        ["geometric", q, cap] => Ok(generators::geometric_latencies(
-            g,
-            fnum(q)?,
-            num(cap)?,
-            seed,
-        )),
+        ["uniform", lo, hi] => {
+            let (lo, hi) = (num(lo)?, num(hi)?);
+            check(lo <= hi)?;
+            Ok(generators::uniform_random_latencies(g, lo, hi, seed))
+        }
+        ["bimodal", fast, slow, p] => {
+            let p = fnum(p)?;
+            check((0.0..=1.0).contains(&p))?;
+            Ok(generators::bimodal_latencies(
+                g,
+                num(fast)?,
+                num(slow)?,
+                p,
+                seed,
+            ))
+        }
+        ["geometric", q, cap] => {
+            let q = fnum(q)?;
+            check(q > 0.0 && q < 1.0)?;
+            Ok(generators::geometric_latencies(g, q, num(cap)?, seed))
+        }
         ["hub", base, div] => Ok(generators::hub_penalty_latencies(g, num(base)?, num(div)?)),
         _ => Err(bad()),
     }
@@ -251,7 +324,10 @@ pub fn conductance(args: &mut Args) -> Result<String, CliError> {
     let path: String = args.require("graph file")?;
     let exact = args.switch("exact");
     let estimate = args.switch("estimate");
-    let ell: Option<u32> = args.flag_opt("ell")?;
+    let ell: Option<u32> = args
+        .flag_opt("ell")?
+        .map(|l| within(l, 1.., "ell"))
+        .transpose()?;
     let iterations: usize = args.flag_or("iterations", 300)?;
     let seed: u64 = args.flag_or("seed", 0)?;
     let thresholds = parse_threshold_set(args.flag_raw("thresholds"))?;
@@ -340,8 +416,11 @@ pub fn spanner(args: &mut Args) -> Result<String, CliError> {
     let seed: u64 = args.flag_or("seed", 0)?;
     let g = load_graph(&path)?;
     let default_k = gossip_core::eid::default_spanner_k(g.node_count());
-    let k: usize = args.flag_or("k", default_k)?;
-    let n_hat: Option<usize> = args.flag_opt("n-hat")?;
+    let k: usize = within(args.flag_or("k", default_k)?, 1.., "k")?;
+    let n_hat: Option<usize> = args
+        .flag_opt("n-hat")?
+        .map(|h| within(h, g.node_count().., "n-hat"))
+        .transpose()?;
     args.finish()?;
     let r = baswana_sen::build_spanner(
         &g,
@@ -496,7 +575,7 @@ pub fn run_algorithm(args: &mut Args) -> Result<String, CliError> {
         }
         "dtg" | "superstep" => {
             let default_ell = g.max_latency().map_or(1, Latency::get);
-            let ell: u32 = args.flag_or("ell", default_ell)?;
+            let ell: u32 = within(args.flag_or("ell", default_ell)?, 1.., "ell")?;
             args.finish()?;
             let o = if algorithm == "dtg" {
                 dtg::local_broadcast(&g, Latency::new(ell))
@@ -511,9 +590,11 @@ pub fn run_algorithm(args: &mut Args) -> Result<String, CliError> {
             let _ = writeln!(out, "complete = {}", o.complete);
         }
         "eid" => {
-            let d = args
-                .flag_opt::<u64>("diameter")?
-                .unwrap_or_else(|| metrics::weighted_diameter(&g));
+            let d = match args.flag_opt::<u64>("diameter")? {
+                Some(d) => within(d, 1.., "diameter")?,
+                // A one-node graph has D = 0; EID needs a positive guess.
+                None => metrics::weighted_diameter(&g).max(1),
+            };
             args.finish()?;
             let o = eid::eid(
                 &g,
@@ -531,7 +612,7 @@ pub fn run_algorithm(args: &mut Args) -> Result<String, CliError> {
             let _ = writeln!(out, "complete = {}", o.complete);
         }
         "general-eid" => {
-            let max_guess: u64 = args.flag_or("max-guess", 1 << 20)?;
+            let max_guess: u64 = within(args.flag_or("max-guess", 1 << 20)?, 1.., "max-guess")?;
             args.finish()?;
             let o = eid::general_eid(&g, seed, max_guess);
             let _ = writeln!(out, "algorithm = general-eid");
@@ -545,7 +626,7 @@ pub fn run_algorithm(args: &mut Args) -> Result<String, CliError> {
             let _ = writeln!(out, "complete = {}", o.complete);
         }
         "path-discovery" => {
-            let max_guess: u64 = args.flag_or("max-guess", 1 << 20)?;
+            let max_guess: u64 = within(args.flag_or("max-guess", 1 << 20)?, 1.., "max-guess")?;
             args.finish()?;
             let o = path_discovery::path_discovery(&g, max_guess);
             let _ = writeln!(out, "algorithm = path-discovery");
@@ -555,7 +636,7 @@ pub fn run_algorithm(args: &mut Args) -> Result<String, CliError> {
         }
         "unified" => {
             let latency_known = args.switch("latency-known");
-            let max_guess: u64 = args.flag_or("max-guess", 1 << 20)?;
+            let max_guess: u64 = within(args.flag_or("max-guess", 1 << 20)?, 1.., "max-guess")?;
             args.finish()?;
             let cfg = unified::UnifiedConfig {
                 latency_known,
@@ -582,7 +663,10 @@ pub fn run_algorithm(args: &mut Args) -> Result<String, CliError> {
 /// the `G_l` walk.
 pub fn spectral(args: &mut Args) -> Result<String, CliError> {
     let path: String = args.require("graph file")?;
-    let ell: Option<u32> = args.flag_opt("ell")?;
+    let ell: Option<u32> = args
+        .flag_opt("ell")?
+        .map(|l| within(l, 1.., "ell"))
+        .transpose()?;
     let iters: usize = args.flag_or("iterations", 400)?;
     let seed: u64 = args.flag_or("seed", 0)?;
     args.finish()?;
@@ -951,6 +1035,113 @@ mod tests {
         assert!(pd.contains("complete = true"), "{pd}");
         let un = call(&["run", "unified", &p, "--latency-known"]).unwrap();
         assert!(un.contains("winner"), "{un}");
+    }
+
+    /// `call` must refuse `parts` with a bad `what` (exit 2), not panic.
+    fn assert_bad(parts: &[&str], what: &str) {
+        match call(parts) {
+            Err(CliError::BadArgument { what: w, .. }) if w == what => {}
+            other => panic!("{parts:?}: expected a bad {what}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn run_local_broadcast_rejects_ell_zero() {
+        let p = temp_graph("lb0.txt", &["generate", "cycle", "6"]);
+        assert_bad(&["run", "dtg", &p, "--ell", "0"], "ell");
+        assert_bad(&["run", "superstep", &p, "--ell", "0"], "ell");
+    }
+
+    #[test]
+    fn run_eid_rejects_diameter_zero() {
+        let p = temp_graph("eid0.txt", &["generate", "cycle", "6"]);
+        assert_bad(&["run", "eid", &p, "--diameter", "0"], "diameter");
+    }
+
+    #[test]
+    fn run_eid_on_one_node_uses_a_positive_diameter() {
+        let p = temp_graph("eid1.txt", &["generate", "clique", "1"]);
+        let out = call(&["run", "eid", &p]).unwrap();
+        assert!(out.contains("complete = true"), "{out}");
+    }
+
+    #[test]
+    fn run_guess_and_double_rejects_max_guess_zero() {
+        let p = temp_graph("guess0.txt", &["generate", "cycle", "6"]);
+        for alg in ["general-eid", "path-discovery", "unified"] {
+            assert_bad(&["run", alg, &p, "--max-guess", "0"], "max-guess");
+        }
+    }
+
+    #[test]
+    fn conductance_rejects_ell_zero() {
+        let p = temp_graph("cond0.txt", &["generate", "cycle", "6"]);
+        assert_bad(&["conductance", &p, "--ell", "0"], "ell");
+        assert_bad(&["conductance", &p, "--estimate", "--ell", "0"], "ell");
+    }
+
+    #[test]
+    fn spectral_rejects_ell_zero() {
+        let p = temp_graph("spec0.txt", &["generate", "cycle", "6"]);
+        assert_bad(&["spectral", &p, "--ell", "0"], "ell");
+    }
+
+    #[test]
+    fn spanner_rejects_k_zero_and_a_small_n_hat() {
+        let p = temp_graph("span0.txt", &["generate", "cycle", "6"]);
+        assert_bad(&["spanner", &p, "--k", "0"], "k");
+        assert_bad(&["spanner", &p, "--n-hat", "5"], "n-hat");
+        assert!(call(&["spanner", &p, "--n-hat", "6"]).is_ok());
+    }
+
+    #[test]
+    fn generate_rejects_sizes_the_generators_refuse() {
+        assert_bad(&["generate", "cycle", "0"], "n");
+        assert_bad(&["generate", "cycle", "2"], "n");
+        assert_bad(&["generate", "grid", "0", "3"], "rows");
+        assert_bad(&["generate", "grid", "3", "0"], "cols");
+        assert_bad(&["generate", "torus", "2", "3"], "rows");
+        assert_bad(&["generate", "hypercube", "0"], "dimension");
+        assert_bad(&["generate", "hypercube", "21"], "dimension");
+        assert_bad(&["generate", "regular", "5", "3"], "degree");
+        assert_bad(&["generate", "regular", "4", "4"], "degree");
+        assert_bad(&["generate", "clique", "0"], "n");
+        assert_bad(&["generate", "barbell", "1", "9"], "k");
+        assert_bad(&["generate", "ring-of-cliques", "2", "3", "4"], "cliques");
+        assert_bad(
+            &["generate", "ring-of-cliques", "3", "3", "0"],
+            "bridge latency",
+        );
+        assert_bad(&["generate", "barbell", "3", "0"], "bridge latency");
+        assert_bad(&["generate", "er", "0", "0.5"], "n");
+        assert_bad(&["generate", "er", "5", "1.5"], "edge probability");
+        assert_bad(&["generate", "chunglu", "10", "1.5", "3"], "beta");
+        assert_bad(&["generate", "geometric", "10", "0", "1"], "radius");
+        assert_bad(&["generate", "gadget", "0", "0.5", "3"], "m");
+        assert_bad(
+            &["generate", "gadget", "3", "1.5", "2"],
+            "fast-edge probability",
+        );
+        assert_bad(&["generate", "gadget", "3", "0.5", "0"], "fast latency");
+        assert_bad(&["generate", "layered-ring", "16", "0.01", "4"], "alpha");
+        assert_bad(&["generate", "layered-ring", "16", "0.5", "0"], "ell");
+        for spec in [
+            "uniform:0:3",
+            "uniform:3:2",
+            "bimodal:0:3:0.5",
+            "bimodal:1:3:2",
+            "geometric:1.5:4",
+            "geometric:0.5:0",
+            "hub:0:1",
+        ] {
+            assert_bad(
+                &["generate", "cycle", "6", "--latencies", spec],
+                "latencies",
+            );
+        }
+        assert!(call(&["generate", "regular", "6", "3"]).is_ok());
+        assert!(call(&["generate", "hypercube", "1"]).is_ok());
+        assert!(call(&["generate", "layered-ring", "16", "0.0625", "4"]).is_ok());
     }
 
     #[test]

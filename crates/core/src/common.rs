@@ -1,7 +1,7 @@
 //! Shared types for the protocol implementations.
 
 use gossip_sim::{Round, RumorSet, SimConfig, SimMetrics, StopReason};
-use latency_graph::NodeId;
+use latency_graph::{Latency, NodeId};
 
 /// A dissemination goal, stated so it can be evaluated *per node* from
 /// that node's rumor set alone.
@@ -126,6 +126,62 @@ pub(crate) fn sim_config(max_rounds: u64, seed: u64) -> SimConfig {
     c
 }
 
+/// The latency threshold `k` as a [`Latency`]: `k` rounds, at least 1,
+/// saturating at `u32::MAX`.
+pub(crate) fn latency_cap(k: u64) -> Latency {
+    Latency::new(u32::try_from(k.max(1)).unwrap_or(u32::MAX))
+}
+
+/// One attempt of a guess-and-double loop (General EID, Path
+/// Discovery).
+#[derive(Clone, Debug)]
+pub struct Attempt {
+    /// The guess `k` (a diameter or latency bound).
+    pub guess: u64,
+    /// Rounds of the dissemination run at this guess.
+    pub rounds: Round,
+    /// Rounds of the Termination Check that judged it.
+    pub check_rounds: Round,
+    /// Whether the check passed.
+    pub success: bool,
+}
+
+/// The guess sequence `1, 2, 4, …` of every guess-and-double loop, its
+/// last guess clamped to `max_guess`.
+///
+/// # Panics
+///
+/// Panics if `max_guess == 0`.
+pub(crate) fn guesses(max_guess: u64) -> impl Iterator<Item = u64> {
+    assert!(max_guess >= 1, "max guess must be positive");
+    std::iter::successors(Some(1u64), move |&k| {
+        (k < max_guess).then(|| k.saturating_mul(2).min(max_guess))
+    })
+}
+
+/// Runs `attempt` on each of `guesses` until one succeeds, and returns
+/// every attempt made.
+pub(crate) fn guess_and_double(
+    guesses: impl Iterator<Item = u64>,
+    mut attempt: impl FnMut(u64) -> Attempt,
+) -> Vec<Attempt> {
+    let mut attempts = Vec::new();
+    for guess in guesses {
+        let a = attempt(guess);
+        let success = a.success;
+        attempts.push(a);
+        if success {
+            break;
+        }
+    }
+    attempts
+}
+
+/// Total rounds of a guess-and-double run: every attempt and its check.
+pub(crate) fn total_rounds(attempts: &[Attempt]) -> Round {
+    attempts.iter().map(|a| a.rounds + a.check_rounds).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,6 +221,15 @@ mod tests {
         assert!(Goal::FromSet(vec![NodeId::new(0), NodeId::new(2)]).locally_met(&partial));
         assert!(!Goal::FromSet(vec![NodeId::new(1)]).locally_met(&partial));
         assert!(!Goal::AllToAll.locally_met(&partial));
+    }
+
+    #[test]
+    fn guesses_double_and_clamp_the_last() {
+        let seq = |max| guesses(max).collect::<Vec<u64>>();
+        assert_eq!(seq(1), [1]);
+        assert_eq!(seq(4), [1, 2, 4]);
+        assert_eq!(seq(5), [1, 2, 4, 5]);
+        assert_eq!(seq(u64::MAX).len(), 65);
     }
 
     #[test]

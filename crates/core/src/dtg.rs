@@ -28,6 +28,7 @@ use gossip_sim::{Context, Exchange, Protocol, Round, RumorSet, Scheduling, SimCo
 use latency_graph::{Graph, Latency, NodeId};
 
 use crate::common::{BroadcastOutcome, Mergeable};
+use crate::rr_broadcast;
 
 /// Iteration cap used when a polynomial size bound `n̂` is known:
 /// `⌈log₂ n̂⌉ + 2` (the binomial-tree argument caps active iterations at
@@ -63,10 +64,38 @@ impl<M: Mergeable> DtgState<M> {
         }
     }
 
-    fn absorb(&mut self, other: &DtgState<M>) {
+    /// Absorbs the state `peer` sent in an exchange: its data, its
+    /// origins, and `peer` itself.
+    pub(crate) fn absorb(&mut self, peer: NodeId, other: &DtgState<M>) {
         self.data.merge(&other.data);
         self.heard.union_with(&other.heard);
+        self.heard.insert(peer);
     }
+
+    /// Whether every node of `nodes` is among the heard origins.
+    pub(crate) fn heard_all(&self, nodes: &[NodeId]) -> bool {
+        nodes.iter().all(|&v| self.heard.contains(v))
+    }
+}
+
+/// One state per node, node `i` carrying `data[i]`.
+pub(crate) fn states<M: Mergeable>(data: Vec<M>) -> Vec<DtgState<M>> {
+    let n = data.len();
+    data.into_iter()
+        .enumerate()
+        .map(|(i, d)| DtgState::new(NodeId::new(i), n, d))
+        .collect()
+}
+
+/// `Γ_ℓ(v)`: the node's neighbors over edges of latency `≤ ℓ`. If the
+/// model hides latencies (no `latency_to`), every neighbor qualifies —
+/// the caller must then guarantee `ℓ ≥ ℓ_max` (as EID's D-DTG does).
+pub(crate) fn fast_neighbors(ctx: &Context<'_>, ell: Latency) -> Vec<NodeId> {
+    ctx.neighbor_ids()
+        .iter()
+        .copied()
+        .filter(|&v| ctx.latency_to(v).is_none_or(|l| l <= ell))
+        .collect()
 }
 
 /// Where a round falls in the DTG schedule.
@@ -142,10 +171,6 @@ impl<M: Mergeable> DtgNode<M> {
     pub fn into_state(self) -> DtgState<M> {
         self.state
     }
-
-    fn heard_all_fast(&self) -> bool {
-        self.fast.iter().all(|&v| self.state.heard.contains(v))
-    }
 }
 
 impl<M: Mergeable> Protocol for DtgNode<M> {
@@ -164,15 +189,7 @@ impl<M: Mergeable> Protocol for DtgNode<M> {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        // Γ_ℓ(v): neighbors over edges of latency ≤ ℓ. If the model
-        // hides latencies (no `latency_to`), every neighbor qualifies —
-        // the caller must then guarantee ℓ ≥ ℓ_max (as EID's D-DTG does).
-        self.fast = ctx
-            .neighbor_ids()
-            .iter()
-            .copied()
-            .filter(|&v| ctx.latency_to(v).is_none_or(|l| l <= self.ell))
-            .collect();
+        self.fast = fast_neighbors(ctx, self.ell);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_>) {
@@ -184,7 +201,7 @@ impl<M: Mergeable> Protocol for DtgNode<M> {
         }
         if pos.slot == 0 {
             // Iteration start: link a new unheard neighbor, if any.
-            self.active_this_iteration = !self.heard_all_fast();
+            self.active_this_iteration = !self.state.heard_all(&self.fast);
             if self.active_this_iteration {
                 let next = self
                     .fast
@@ -206,27 +223,84 @@ impl<M: Mergeable> Protocol for DtgNode<M> {
     }
 
     fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<DtgState<M>>) {
-        self.state.absorb(&x.payload);
-        self.state.heard.insert(x.peer);
+        self.state.absorb(x.peer, &x.payload);
     }
 
     fn is_done(&self) -> bool {
-        self.heard_all_fast()
+        self.state.heard_all(&self.fast)
     }
 }
 
-/// Outcome of a DTG phase.
+/// Outcome of an `ℓ`-local-broadcast phase (DTG or Superstep).
 #[derive(Clone, Debug)]
 pub struct DtgPhaseOutcome<M> {
     /// Final per-node states.
     pub states: Vec<DtgState<M>>,
-    /// Rounds charged: the full fixed schedule length, unless the phase
-    /// finished early and `charge_actual` was set.
+    /// Rounds charged: the actual rounds until every node was done (or
+    /// the cap), except that a DTG phase run without `charge_actual`
+    /// charges its full fixed schedule length.
     pub rounds: Round,
     /// Whether every node heard all its `≤ ℓ` neighbors.
     pub complete: bool,
     /// Simulator counters (exchanges, payload units).
     pub metrics: gossip_sim::SimMetrics,
+}
+
+impl<M> DtgPhaseOutcome<M> {
+    /// The per-node data, without the heard origins.
+    pub(crate) fn into_data(self) -> Vec<M> {
+        self.states.into_iter().map(|s| s.data).collect()
+    }
+}
+
+impl DtgPhaseOutcome<RumorSet> {
+    /// The phase as a rumor dissemination run.
+    pub(crate) fn into_broadcast(self) -> BroadcastOutcome {
+        BroadcastOutcome {
+            rounds: self.rounds,
+            complete: self.complete,
+            metrics: self.metrics,
+            rumors: self.into_data(),
+        }
+    }
+}
+
+/// The one local-broadcast phase runner behind [`run_phase`] and
+/// [`crate::superstep::run_phase`]: builds node `i` from `states[i]`
+/// with `node`, runs the known-latency engine for at most `max_rounds`
+/// rounds, and hands back each node's state through `state`.
+pub(crate) fn run_nodes<M: Mergeable, P: Protocol>(
+    g: &Graph,
+    states: Vec<DtgState<M>>,
+    max_rounds: Round,
+    seed: u64,
+    node: impl Fn(DtgState<M>) -> P,
+    state: impl Fn(P) -> DtgState<M>,
+) -> DtgPhaseOutcome<M> {
+    assert_eq!(states.len(), g.node_count(), "one state per node");
+    let mut slots: Vec<Option<DtgState<M>>> = states.into_iter().map(Some).collect();
+    let cfg = SimConfig {
+        latency_known: true,
+        max_rounds,
+        seed,
+        ..SimConfig::default()
+    };
+    let out = Simulator::new(g, cfg).run(
+        |id, _| node(slots[id.index()].take().expect("state taken once")),
+        |_, _| false,
+    );
+    let complete = out.nodes.iter().all(Protocol::is_done);
+    DtgPhaseOutcome {
+        states: out.nodes.into_iter().map(state).collect(),
+        rounds: out.rounds,
+        complete,
+        metrics: out.metrics,
+    }
+}
+
+/// Fresh rumor states, node `i` holding and having heard only itself.
+pub(crate) fn fresh_states(n: usize) -> Vec<DtgState<RumorSet>> {
+    states(rr_broadcast::fresh_states(n))
 }
 
 /// Runs one `ℓ`-DTG phase over carried-in states.
@@ -247,33 +321,22 @@ pub fn run_phase<M: Mergeable>(
     states: Vec<DtgState<M>>,
     charge_actual: bool,
 ) -> DtgPhaseOutcome<M> {
-    assert_eq!(states.len(), g.node_count(), "one state per node");
     assert!(cap >= 1, "iteration cap must be positive");
     let schedule = schedule_length(ell, cap);
-    let mut slots: Vec<Option<DtgState<M>>> = states.into_iter().map(Some).collect();
-    let cfg = SimConfig {
-        latency_known: true,
-        max_rounds: schedule,
-        ..SimConfig::default()
-    };
-    let out = Simulator::new(g, cfg).run(
-        |id, _| {
-            DtgNode::new(
-                slots[id.index()].take().expect("state taken once"),
-                ell,
-                cap,
-            )
-        },
-        |_, _| false,
+    // DTG draws no coins: the seed is the engine default.
+    let seed = SimConfig::default().seed;
+    let mut phase = run_nodes(
+        g,
+        states,
+        schedule,
+        seed,
+        |s| DtgNode::new(s, ell, cap),
+        DtgNode::into_state,
     );
-    let complete = out.nodes.iter().all(Protocol::is_done);
-    let rounds = if charge_actual { out.rounds } else { schedule };
-    DtgPhaseOutcome {
-        states: out.nodes.into_iter().map(DtgNode::into_state).collect(),
-        rounds,
-        complete,
-        metrics: out.metrics,
+    if !charge_actual {
+        phase.rounds = schedule;
     }
+    phase
 }
 
 /// Standalone `ℓ`-local broadcast with rumor payloads: every node ends
@@ -281,17 +344,7 @@ pub fn run_phase<M: Mergeable>(
 /// versa). Returns the actual rounds used.
 pub fn local_broadcast(g: &Graph, ell: Latency) -> BroadcastOutcome {
     let n = g.node_count();
-    let cap = default_iteration_cap(n);
-    let states: Vec<DtgState<RumorSet>> = (0..n)
-        .map(|i| DtgState::new(NodeId::new(i), n, RumorSet::singleton(n, NodeId::new(i))))
-        .collect();
-    let phase = run_phase(g, ell, cap, states, true);
-    BroadcastOutcome {
-        rounds: phase.rounds,
-        complete: phase.complete,
-        metrics: phase.metrics,
-        rumors: phase.states.into_iter().map(|s| s.data).collect(),
-    }
+    run_phase(g, ell, default_iteration_cap(n), fresh_states(n), true).into_broadcast()
 }
 
 /// Checks the `ℓ`-local-broadcast postcondition: for every edge of
@@ -448,11 +501,7 @@ mod tests {
         // heard 1 but maybe not 2; a second phase with carried state
         // cannot lose information.
         let g = generators::path(3);
-        let n = 3;
-        let states: Vec<DtgState<RumorSet>> = (0..n)
-            .map(|i| DtgState::new(NodeId::new(i), n, RumorSet::singleton(n, NodeId::new(i))))
-            .collect();
-        let p1 = run_phase(&g, Latency::UNIT, 3, states, false);
+        let p1 = run_phase(&g, Latency::UNIT, 3, fresh_states(3), false);
         assert!(p1.complete);
         let heard0: Vec<bool> = (0..3)
             .map(|i| p1.states[0].heard.contains(NodeId::new(i)))
@@ -485,14 +534,9 @@ mod tests {
     fn charge_actual_leq_schedule() {
         let g = generators::clique(16);
         let n = 16;
-        let mk = || {
-            (0..n)
-                .map(|i| DtgState::new(NodeId::new(i), n, RumorSet::singleton(n, NodeId::new(i))))
-                .collect::<Vec<_>>()
-        };
         let cap = default_iteration_cap(n);
-        let actual = run_phase(&g, Latency::UNIT, cap, mk(), true);
-        let fixed = run_phase(&g, Latency::UNIT, cap, mk(), false);
+        let actual = run_phase(&g, Latency::UNIT, cap, fresh_states(n), true);
+        let fixed = run_phase(&g, Latency::UNIT, cap, fresh_states(n), false);
         assert!(actual.rounds <= fixed.rounds);
         assert_eq!(fixed.rounds, schedule_length(Latency::UNIT, cap));
     }

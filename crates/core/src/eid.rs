@@ -27,9 +27,10 @@ use baswana_sen::{build_spanner, SpannerConfig, SpannerResult};
 use gossip_sim::{Round, RumorSet};
 use latency_graph::{Graph, Latency, NodeId};
 
-use crate::common::Mergeable;
-use crate::dtg::{self, DtgState};
+use crate::common::{self, latency_cap, Attempt, Mergeable};
+use crate::dtg;
 use crate::rr_broadcast;
+use crate::termination;
 
 /// Topology knowledge: the set of `(u, v, latency)` edges a node has
 /// learned, as raw indices (canonical `u < v`).
@@ -96,19 +97,6 @@ impl Mergeable for KnowledgeMap {
     }
 }
 
-/// Which local-broadcast primitive drives EID's neighborhood-discovery
-/// phase (Appendix C offers both).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DiscoveryEngine {
-    /// Haeupler's deterministic tree gossip (`O(ℓ log² n)` per phase,
-    /// fixed schedule) — the paper's choice.
-    #[default]
-    Dtg,
-    /// The randomized Superstep of Censor-Hillel et al.
-    /// (`O(ℓ log³ n)`, self-paced).
-    Superstep,
-}
-
 /// Configuration for one [`eid`] run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EidConfig {
@@ -123,8 +111,6 @@ pub struct EidConfig {
     /// Report actual RR rounds when it finishes early (measurement
     /// mode) instead of the deterministic budget.
     pub charge_actual_rr: bool,
-    /// Local-broadcast primitive for phase 1.
-    pub discovery_engine: DiscoveryEngine,
 }
 
 impl Default for EidConfig {
@@ -134,7 +120,6 @@ impl Default for EidConfig {
             spanner_k: None,
             seed: 0,
             charge_actual_rr: false,
-            discovery_engine: DiscoveryEngine::Dtg,
         }
     }
 }
@@ -190,7 +175,7 @@ pub fn default_spanner_k(n: usize) -> usize {
 pub fn eid(g: &Graph, config: &EidConfig) -> EidOutcome {
     assert!(config.diameter >= 1, "diameter guess must be positive");
     let n = g.node_count();
-    let d_lat = Latency::new(u32::try_from(config.diameter).unwrap_or(u32::MAX));
+    let d_lat = latency_cap(config.diameter);
     let working = g.latency_filtered(d_lat);
     let k_s = config.spanner_k.unwrap_or_else(|| default_spanner_k(n));
 
@@ -203,32 +188,11 @@ pub fn eid(g: &Graph, config: &EidConfig) -> EidOutcome {
         .collect();
     let mut discovery_rounds: Round = 0;
     let mut payload_units: u64 = 0;
-    for rep in 0..reps {
-        let states: Vec<DtgState<KnowledgeMap>> = knowledge
-            .iter()
-            .enumerate()
-            .map(|(i, km)| DtgState::new(NodeId::new(i), n, km.clone()))
-            .collect();
-        let (rounds, units, states) = match config.discovery_engine {
-            DiscoveryEngine::Dtg => {
-                let phase = dtg::run_phase(&working, d_lat, cap, states, false);
-                (phase.rounds, phase.metrics.payload_units, phase.states)
-            }
-            DiscoveryEngine::Superstep => {
-                let budget = 4 * dtg::schedule_length(d_lat, cap);
-                let phase = crate::superstep::run_phase(
-                    &working,
-                    d_lat,
-                    states,
-                    budget,
-                    config.seed ^ u64::try_from(rep).expect("repetition fits u64"),
-                );
-                (phase.rounds, phase.metrics.payload_units, phase.states)
-            }
-        };
-        discovery_rounds += rounds;
-        payload_units += units;
-        knowledge = states.into_iter().map(|s| s.data).collect();
+    for _ in 0..reps {
+        let phase = dtg::run_phase(&working, d_lat, cap, dtg::states(knowledge), false);
+        discovery_rounds += phase.rounds;
+        payload_units += phase.metrics.payload_units;
+        knowledge = phase.into_data();
     }
 
     let radius = u64::try_from(k_s + 1).expect("spanner parameter fits u64");
@@ -293,23 +257,13 @@ pub fn local_spanner_agrees(
     seed: u64,
 ) -> bool {
     let n = g.node_count();
-    let local_graph = knowledge[v.index()].to_graph(n);
-    let local = build_spanner(
-        &local_graph,
-        &SpannerConfig {
-            k: k_s,
-            size_estimate: Some(n),
-            seed,
-        },
-    );
-    let global = build_spanner(
-        g,
-        &SpannerConfig {
-            k: k_s,
-            size_estimate: Some(n),
-            seed,
-        },
-    );
+    let config = SpannerConfig {
+        k: k_s,
+        size_estimate: Some(n),
+        seed,
+    };
+    let local = build_spanner(&knowledge[v.index()].to_graph(n), &config);
+    let global = build_spanner(g, &config);
     local.spanner.out_neighbors(v) == global.spanner.out_neighbors(v)
 }
 
@@ -339,37 +293,17 @@ impl TerminationVerdict {
 ///
 /// Panics if `rumors.len() != n`.
 pub fn termination_check(g: &Graph, rumors: &[RumorSet]) -> TerminationVerdict {
-    assert_eq!(rumors.len(), g.node_count(), "one rumor set per node");
-    let flags: Vec<bool> = g
-        .nodes()
-        .map(|v| {
-            g.neighbor_ids(v)
-                .iter()
-                .any(|&w| !rumors[v.index()].contains(w))
-        })
-        .collect();
+    let flags = termination::flags(g, rumors);
     let all_equal = rumors.windows(2).all(|w| w[0] == w[1]);
     TerminationVerdict { flags, all_equal }
-}
-
-/// One attempt of the guess-and-double loop.
-#[derive(Clone, Debug)]
-pub struct EidAttempt {
-    /// The diameter guess `k`.
-    pub guess: u64,
-    /// Rounds of the EID pipeline at this guess.
-    pub pipeline_rounds: Round,
-    /// Rounds of the termination check (2× the RR budget).
-    pub check_rounds: Round,
-    /// Whether the check passed.
-    pub success: bool,
 }
 
 /// The result of [`general_eid`].
 #[derive(Clone, Debug)]
 pub struct GeneralEidOutcome {
-    /// Every attempt, in order of guesses `1, 2, 4, …`.
-    pub attempts: Vec<EidAttempt>,
+    /// Every attempt, in order of guesses `1, 2, 4, …`: the EID
+    /// pipeline's rounds, and the check's (2× the RR budget).
+    pub attempts: Vec<Attempt>,
     /// Total rounds over all attempts (Theorem 19's `O(D log³ n)` —
     /// geometric doubling keeps the total within a constant factor of
     /// the final attempt).
@@ -393,12 +327,9 @@ pub struct GeneralEidOutcome {
 ///
 /// Panics if `max_guess == 0`.
 pub fn general_eid(g: &Graph, seed: u64, max_guess: u64) -> GeneralEidOutcome {
-    assert!(max_guess >= 1, "max guess must be positive");
-    let mut attempts = Vec::new();
-    let mut total: Round = 0;
     let mut payload_units: u64 = 0;
-    let mut guess = 1u64;
-    loop {
+    let mut rumors = Vec::new();
+    let attempts = common::guess_and_double(common::guesses(max_guess), |guess| {
         let out = eid(
             g,
             &EidConfig {
@@ -408,29 +339,24 @@ pub fn general_eid(g: &Graph, seed: u64, max_guess: u64) -> GeneralEidOutcome {
             },
         );
         let k_check = guess * u64::try_from(out.spanner.stretch_bound).expect("stretch fits u64");
-        let check =
-            crate::termination::distributed_check(g, &out.spanner.spanner, k_check, &out.rumors);
+        let check = termination::distributed_check(g, &out.spanner.spanner, k_check, &out.rumors);
         debug_assert!(check.unanimous, "Lemma 18: decisions must be unanimous");
-        let check_rounds = check.rounds;
-        total += out.total_rounds() + check_rounds;
         payload_units += out.payload_units;
-        let success = check.verdict() == Some(true);
-        attempts.push(EidAttempt {
+        let attempt = Attempt {
             guess,
-            pipeline_rounds: out.total_rounds(),
-            check_rounds,
-            success,
-        });
-        if success || guess >= max_guess {
-            return GeneralEidOutcome {
-                attempts,
-                total_rounds: total,
-                complete: success,
-                payload_units,
-                rumors: out.rumors,
-            };
-        }
-        guess = (guess * 2).min(max_guess);
+            rounds: out.total_rounds(),
+            check_rounds: check.rounds,
+            success: check.verdict() == Some(true),
+        };
+        rumors = out.rumors;
+        attempt
+    });
+    GeneralEidOutcome {
+        total_rounds: common::total_rounds(&attempts),
+        complete: attempts.last().is_some_and(|a| a.success),
+        attempts,
+        payload_units,
+        rumors,
     }
 }
 
@@ -469,26 +395,6 @@ mod tests {
             assert!(out.knowledge_sufficient);
             assert!(out.rumors.iter().all(gossip_sim::RumorSet::is_full));
         }
-    }
-
-    #[test]
-    fn eid_with_superstep_engine_completes() {
-        // Appendix C offers either local-broadcast primitive; EID must
-        // work with both.
-        let g = generators::grid(4, 4);
-        let d = metrics::weighted_diameter(&g);
-        let out = eid(
-            &g,
-            &EidConfig {
-                diameter: d,
-                seed: 7,
-                discovery_engine: DiscoveryEngine::Superstep,
-                ..Default::default()
-            },
-        );
-        assert!(out.complete);
-        assert!(out.knowledge_sufficient);
-        assert!(out.rumors.iter().all(gossip_sim::RumorSet::is_full));
     }
 
     #[test]
@@ -622,7 +528,7 @@ mod tests {
         let out = general_eid(&g, 0, 64);
         assert!(out.complete);
         let last = out.attempts.last().unwrap();
-        let last_cost = last.pipeline_rounds + last.check_rounds;
+        let last_cost = last.rounds + last.check_rounds;
         assert!(
             out.total_rounds <= 4 * last_cost,
             "geometric doubling: total {} vs last {last_cost}",

@@ -19,6 +19,7 @@
 //! | [`discovery`] | Section 4.2 | adjacent-latency discovery in `Õ(D + Δ)` |
 //! | [`sparse`] | Section 1 model at scale | on-demand flooding/push, `O(|E|)` total stepping |
 //! | [`unified`] | Theorem 20 | `min` of the push-pull and spanner pipelines |
+//! | [`termination`] | Algorithm 1, Lemma 18 | distributed termination check; no early stop, unanimous verdict |
 //! | [`stream`] | Section 1 model, `k` rumors | budgeted multi-rumor selection policies |
 //! | [`gf2`] | algebraic gossip decoder | incremental GF(2) elimination, rank = progress |
 //!

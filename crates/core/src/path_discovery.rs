@@ -12,10 +12,12 @@
 //! guess-and-double with the Termination Check.
 
 use gossip_sim::{Round, RumorSet};
-use latency_graph::{Graph, Latency, NodeId};
+use latency_graph::Graph;
 
-use crate::dtg::{self, DtgState};
+use crate::common::{self, latency_cap, Attempt};
+use crate::dtg;
 use crate::eid::termination_check;
+use crate::rr_broadcast::fresh_states;
 
 /// The `T(k)` sequence of `ℓ`-DTG parameters, for `k` a power of two.
 ///
@@ -66,11 +68,7 @@ pub struct TSequenceOutcome {
 /// Panics if `k` is not a power of two or `start` has the wrong length.
 pub fn run_t_sequence(g: &Graph, k: u64, start: Option<Vec<RumorSet>>) -> TSequenceOutcome {
     let n = g.node_count();
-    let mut rumors = start.unwrap_or_else(|| {
-        (0..n)
-            .map(|i| RumorSet::singleton(n, NodeId::new(i)))
-            .collect()
-    });
+    let mut rumors = start.unwrap_or_else(|| fresh_states(n));
     assert_eq!(rumors.len(), n, "one rumor set per node");
     let cap = dtg::default_iteration_cap(n);
     let seq = t_sequence(k);
@@ -78,16 +76,10 @@ pub fn run_t_sequence(g: &Graph, k: u64, start: Option<Vec<RumorSet>>) -> TSeque
     let mut rounds: Round = 0;
     let mut payload_units: u64 = 0;
     for ell in seq {
-        let ell = Latency::new(u32::try_from(ell).unwrap_or(u32::MAX));
-        let states: Vec<DtgState<RumorSet>> = rumors
-            .iter()
-            .enumerate()
-            .map(|(i, r)| DtgState::new(NodeId::new(i), n, r.clone()))
-            .collect();
-        let phase = dtg::run_phase(g, ell, cap, states, false);
+        let phase = dtg::run_phase(g, latency_cap(ell), cap, dtg::states(rumors), false);
         rounds += phase.rounds;
         payload_units += phase.metrics.payload_units;
-        rumors = phase.states.into_iter().map(|s| s.data).collect();
+        rumors = phase.into_data();
     }
     TSequenceOutcome {
         rounds,
@@ -111,25 +103,13 @@ pub fn verify_distance_k_exchange(g: &Graph, k: u64, rumors: &[RumorSet]) -> boo
     true
 }
 
-/// One attempt of the Path Discovery loop.
-#[derive(Clone, Debug)]
-pub struct PathDiscoveryAttempt {
-    /// The guess `k` (a power of two).
-    pub guess: u64,
-    /// Rounds of `T(k)`.
-    pub sequence_rounds: Round,
-    /// Rounds of the Termination Check (2× the `T(k)` cost — the check
-    /// broadcasts via the same sequence, Appendix B).
-    pub check_rounds: Round,
-    /// Whether the check passed.
-    pub success: bool,
-}
-
 /// The result of [`path_discovery`].
 #[derive(Clone, Debug)]
 pub struct PathDiscoveryOutcome {
-    /// Attempts in order of guesses `1, 2, 4, …`, none above the cap.
-    pub attempts: Vec<PathDiscoveryAttempt>,
+    /// Attempts in order of guesses `1, 2, 4, …`, none above the cap:
+    /// the rounds of `T(k)`, and the Termination Check's (2× the `T(k)`
+    /// cost — the check broadcasts via the same sequence, Appendix B).
+    pub attempts: Vec<Attempt>,
     /// Total rounds including checks.
     pub total_rounds: Round,
     /// Whether all-to-all dissemination completed.
@@ -148,52 +128,32 @@ pub struct PathDiscoveryOutcome {
 ///
 /// Panics if `max_guess == 0`.
 pub fn path_discovery(g: &Graph, max_guess: u64) -> PathDiscoveryOutcome {
-    assert!(max_guess >= 1, "max guess must be positive");
-    let n = g.node_count();
-    let mut rumors: Vec<RumorSet> = (0..n)
-        .map(|i| RumorSet::singleton(n, NodeId::new(i)))
-        .collect();
-    let mut attempts = Vec::new();
-    let mut total: Round = 0;
-    let mut guess = 1u64;
-    loop {
-        let out = run_t_sequence(g, guess, Some(rumors));
-        let check_rounds = 2 * out.rounds;
-        total += out.rounds + check_rounds;
+    let mut rumors = fresh_states(g.node_count());
+    // Guesses stay powers of two (`T(k)` needs one): a clamped last
+    // guess is skipped.
+    let powers = common::guesses(max_guess).filter(|k| k.is_power_of_two());
+    let attempts = common::guess_and_double(powers, |guess| {
+        let out = run_t_sequence(g, guess, Some(std::mem::take(&mut rumors)));
         rumors = out.rumors;
-        let success = termination_check(g, &rumors).success();
-        attempts.push(PathDiscoveryAttempt {
+        Attempt {
             guess,
-            sequence_rounds: out.rounds,
-            check_rounds,
-            success,
-        });
-        if success {
-            return PathDiscoveryOutcome {
-                attempts,
-                total_rounds: total,
-                complete: true,
-                rumors,
-            };
+            rounds: out.rounds,
+            check_rounds: 2 * out.rounds,
+            success: termination_check(g, &rumors).success(),
         }
-        // Guesses stay powers of two (`T(k)` needs one): stop once the
-        // next would pass the cap.
-        if guess > max_guess / 2 {
-            return PathDiscoveryOutcome {
-                attempts,
-                total_rounds: total,
-                complete: false,
-                rumors,
-            };
-        }
-        guess *= 2;
+    });
+    PathDiscoveryOutcome {
+        total_rounds: common::total_rounds(&attempts),
+        complete: attempts.last().is_some_and(|a| a.success),
+        attempts,
+        rumors,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latency_graph::{generators, metrics};
+    use latency_graph::{generators, metrics, Latency, NodeId};
 
     #[test]
     fn t_sequence_ruler_pattern() {
@@ -300,6 +260,4 @@ mod tests {
         let min = ratios.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(max / min < 8.0, "ratios {ratios:?}");
     }
-
-    use latency_graph::Graph;
 }

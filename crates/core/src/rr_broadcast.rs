@@ -9,15 +9,41 @@
 //! dissemination (Corollary 16).
 
 use gossip_sim::{Context, Exchange, Protocol, Round, RumorSet, Scheduling, SimConfig, Simulator};
-use latency_graph::{DiGraph, Graph, Latency, NodeId};
+use latency_graph::{DiGraph, Graph, NodeId};
+
+use crate::common::latency_cap;
+
+/// A node's round-robin sweep over its out-neighbors (Algorithm 2's
+/// schedule, which the termination check reuses): one initiation a
+/// round, cycling through the list in order.
+#[derive(Clone, Debug)]
+pub(crate) struct RoundRobin {
+    out: Vec<NodeId>,
+    cursor: usize,
+}
+
+impl RoundRobin {
+    pub(crate) fn new(out: Vec<NodeId>) -> RoundRobin {
+        RoundRobin { out, cursor: 0 }
+    }
+
+    /// Initiates with the next out-neighbor, if the node has any.
+    pub(crate) fn step(&mut self, ctx: &mut Context<'_>) {
+        if self.out.is_empty() {
+            return;
+        }
+        let v = self.out[self.cursor % self.out.len()];
+        self.cursor += 1;
+        ctx.initiate(v);
+    }
+}
 
 /// The RR Broadcast protocol node.
 #[derive(Clone, Debug)]
 pub struct RrNode {
     /// Current rumor set (copy-on-write; payload snapshots are free).
     pub rumors: RumorSet,
-    out: Vec<NodeId>,
-    cursor: usize,
+    schedule: RoundRobin,
 }
 
 impl RrNode {
@@ -26,8 +52,7 @@ impl RrNode {
     pub fn new(rumors: RumorSet, out: Vec<NodeId>) -> RrNode {
         RrNode {
             rumors,
-            out,
-            cursor: 0,
+            schedule: RoundRobin::new(out),
         }
     }
 }
@@ -48,12 +73,7 @@ impl Protocol for RrNode {
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_>) {
-        if self.out.is_empty() {
-            return;
-        }
-        let v = self.out[self.cursor % self.out.len()];
-        self.cursor += 1;
-        ctx.initiate(v);
+        self.schedule.step(ctx);
     }
 
     fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<RumorSet>) {
@@ -76,26 +96,28 @@ pub struct RrOutcome {
     pub metrics: gossip_sim::SimMetrics,
 }
 
-/// The Lemma 15 round budget `k·Δ_out + k` for parameter `k` on the
-/// given spanner (using only arcs of latency `≤ k`).
-pub fn budget(spanner: &DiGraph, k: u64) -> Round {
+/// The round-robin schedule of parameter `k`: each node's spanner
+/// out-neighbors over arcs of latency `≤ k`, in arc order.
+pub(crate) fn out_arcs(spanner: &DiGraph, k: u64) -> Vec<Vec<NodeId>> {
     let k_lat = latency_cap(k);
-    let max_out = (0..spanner.node_count())
+    (0..spanner.node_count())
         .map(|i| {
             spanner
                 .out_neighbors(NodeId::new(i))
                 .iter()
                 .filter(|&&(_, l)| l <= k_lat)
-                .count()
+                .map(|&(v, _)| v)
+                .collect()
         })
-        .max()
-        .unwrap_or(0);
-    let max_out = u64::try_from(max_out).expect("out-degree fits u64");
-    k * max_out + k
+        .collect()
 }
 
-fn latency_cap(k: u64) -> Latency {
-    Latency::new(u32::try_from(k.max(1)).unwrap_or(u32::MAX))
+/// The Lemma 15 round budget `k·Δ_out + k` for parameter `k` on the
+/// given spanner (using only arcs of latency `≤ k`).
+pub fn budget(spanner: &DiGraph, k: u64) -> Round {
+    let max_out = out_arcs(spanner, k).iter().map(Vec::len).max().unwrap_or(0);
+    let max_out = u64::try_from(max_out).expect("out-degree fits u64");
+    k * max_out + k
 }
 
 /// Runs RR Broadcast with parameter `k` over `spanner` (arcs restricted
@@ -123,18 +145,8 @@ pub fn run(
         g.node_count(),
         "spanner must cover the graph"
     );
-    let k_lat = latency_cap(k);
     let rounds_budget = budget(spanner, k);
-    let out_lists: Vec<Vec<NodeId>> = (0..g.node_count())
-        .map(|i| {
-            spanner
-                .out_neighbors(NodeId::new(i))
-                .iter()
-                .filter(|&&(_, l)| l <= k_lat)
-                .map(|&(v, _)| v)
-                .collect()
-        })
-        .collect();
+    let mut out_lists = out_arcs(spanner, k);
     let mut slots: Vec<Option<RumorSet>> = states.into_iter().map(Some).collect();
     let cfg = SimConfig {
         max_rounds: rounds_budget,
@@ -145,7 +157,7 @@ pub fn run(
         |id, _| {
             RrNode::new(
                 slots[id.index()].take().expect("state taken once"),
-                out_lists[id.index()].clone(),
+                std::mem::take(&mut out_lists[id.index()]),
             )
         },
         |nodes: &[RrNode], _| stop_full && nodes.iter().all(|p| p.rumors.is_full()),
@@ -176,7 +188,7 @@ pub fn fresh_states(n: usize) -> Vec<RumorSet> {
 mod tests {
     use super::*;
     use baswana_sen::{build_spanner, SpannerConfig};
-    use latency_graph::{generators, metrics};
+    use latency_graph::{generators, metrics, Latency};
 
     /// Orient a graph's own edges from the lower id (an identity
     /// "spanner" for testing).

@@ -15,12 +15,12 @@
 //! Provided for the DTG-vs-Superstep ablation (experiment E21) and as a
 //! drop-in [`Mergeable`]-generic local-broadcast primitive.
 
-use gossip_sim::{Context, Exchange, Protocol, Round, RumorSet, Scheduling, SimConfig, Simulator};
+use gossip_sim::{Context, Exchange, Protocol, Round, Scheduling};
 use latency_graph::{Graph, Latency, NodeId};
 use rand::Rng as _;
 
 use crate::common::{BroadcastOutcome, Mergeable};
-use crate::dtg::DtgState;
+use crate::dtg::{self, DtgPhaseOutcome, DtgState};
 
 /// The Superstep protocol node.
 #[derive(Clone, Debug)]
@@ -70,12 +70,7 @@ impl<M: Mergeable> Protocol for SuperstepNode<M> {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.fast = ctx
-            .neighbor_ids()
-            .iter()
-            .copied()
-            .filter(|&v| ctx.latency_to(v).is_none_or(|l| l <= self.ell))
-            .collect();
+        self.fast = dtg::fast_neighbors(ctx, self.ell);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_>) {
@@ -88,31 +83,16 @@ impl<M: Mergeable> Protocol for SuperstepNode<M> {
     }
 
     fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<DtgState<M>>) {
-        self.state.data.merge(&x.payload.data);
-        self.state.heard.union_with(&x.payload.heard);
-        self.state.heard.insert(x.peer);
+        self.state.absorb(x.peer, &x.payload);
     }
 
     fn is_done(&self) -> bool {
-        self.unheard().is_empty()
+        self.state.heard_all(&self.fast)
     }
 }
 
-/// Outcome of a Superstep phase.
-#[derive(Clone, Debug)]
-pub struct SuperstepOutcome<M> {
-    /// Final per-node states.
-    pub states: Vec<DtgState<M>>,
-    /// Actual rounds until every node was done (or the cap).
-    pub rounds: Round,
-    /// Whether every node heard all its `≤ ℓ` neighbors.
-    pub complete: bool,
-    /// Simulator counters.
-    pub metrics: gossip_sim::SimMetrics,
-}
-
 /// Runs Superstep `ℓ`-local broadcast over carried-in states until all
-/// nodes are done or `max_rounds` elapse.
+/// nodes are done or `max_rounds` elapse; `rounds` is the actual count.
 ///
 /// # Panics
 ///
@@ -123,49 +103,25 @@ pub fn run_phase<M: Mergeable>(
     states: Vec<DtgState<M>>,
     max_rounds: Round,
     seed: u64,
-) -> SuperstepOutcome<M> {
-    assert_eq!(states.len(), g.node_count(), "one state per node");
-    let mut slots: Vec<Option<DtgState<M>>> = states.into_iter().map(Some).collect();
-    let cfg = SimConfig {
-        latency_known: true,
+) -> DtgPhaseOutcome<M> {
+    dtg::run_nodes(
+        g,
+        states,
         max_rounds,
         seed,
-        ..SimConfig::default()
-    };
-    let out = Simulator::new(g, cfg).run(
-        |id, _| SuperstepNode::new(slots[id.index()].take().expect("state taken once"), ell),
-        |_, _| false,
-    );
-    let complete = out.nodes.iter().all(Protocol::is_done);
-    SuperstepOutcome {
-        states: out
-            .nodes
-            .into_iter()
-            .map(SuperstepNode::into_state)
-            .collect(),
-        rounds: out.rounds,
-        complete,
-        metrics: out.metrics,
-    }
+        |s| SuperstepNode::new(s, ell),
+        SuperstepNode::into_state,
+    )
 }
 
 /// Standalone Superstep `ℓ`-local broadcast with rumor payloads.
 pub fn local_broadcast(g: &Graph, ell: Latency, seed: u64) -> BroadcastOutcome {
     let n = g.node_count();
-    let states: Vec<DtgState<RumorSet>> = (0..n)
-        .map(|i| DtgState::new(NodeId::new(i), n, RumorSet::singleton(n, NodeId::new(i))))
-        .collect();
     // Generous cap: O(ℓ log³ n) with slack.
     // ceil(log2 n) computed exactly in integers: next_power_of_two().ilog2().
     let logn = u64::from(n.max(2).next_power_of_two().ilog2()) + 1;
     let cap = 64 * ell.rounds() * logn * logn * logn;
-    let phase = run_phase(g, ell, states, cap, seed);
-    BroadcastOutcome {
-        rounds: phase.rounds,
-        complete: phase.complete,
-        metrics: phase.metrics,
-        rumors: phase.states.into_iter().map(|s| s.data).collect(),
-    }
+    run_phase(g, ell, dtg::fresh_states(n), cap, seed).into_broadcast()
 }
 
 #[cfg(test)]
@@ -234,11 +190,7 @@ mod tests {
     #[test]
     fn carried_state_monotone() {
         let g = generators::path(4);
-        let n = 4;
-        let states: Vec<DtgState<RumorSet>> = (0..n)
-            .map(|i| DtgState::new(NodeId::new(i), n, RumorSet::singleton(n, NodeId::new(i))))
-            .collect();
-        let p1 = run_phase(&g, Latency::UNIT, states, 1000, 0);
+        let p1 = run_phase(&g, Latency::UNIT, dtg::fresh_states(4), 1000, 0);
         assert!(p1.complete);
         let len_before: Vec<usize> = p1.states.iter().map(|s| s.data.len()).collect();
         let p2 = run_phase(&g, Latency::UNIT, p1.states, 1000, 0);

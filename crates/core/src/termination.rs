@@ -23,6 +23,25 @@
 use gossip_sim::{Context, Exchange, Protocol, Round, RumorSet, Scheduling, SimConfig, Simulator};
 use latency_graph::{DiGraph, Graph, NodeId};
 
+use crate::rr_broadcast::{self, RoundRobin};
+
+/// The Algorithm 1 flag bits (line 1): node `v` raises its flag when
+/// the rumor of some `G`-neighbor is missing from `rumors[v]`.
+///
+/// # Panics
+///
+/// Panics if `rumors.len() != n`.
+pub fn flags(g: &Graph, rumors: &[RumorSet]) -> Vec<bool> {
+    assert_eq!(rumors.len(), g.node_count(), "one rumor set per node");
+    g.nodes()
+        .map(|v| {
+            g.neighbor_ids(v)
+                .iter()
+                .any(|&w| !rumors[v.index()].contains(w))
+        })
+        .collect()
+}
+
 /// What a node gossips during the check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckPayload {
@@ -40,8 +59,7 @@ pub struct CheckNode {
     fingerprint: u64,
     flag: bool,
     failed: bool,
-    out: Vec<NodeId>,
-    cursor: usize,
+    schedule: RoundRobin,
 }
 
 impl CheckNode {
@@ -52,8 +70,7 @@ impl CheckNode {
             fingerprint: rumors.fingerprint(),
             flag,
             failed: false,
-            out,
-            cursor: 0,
+            schedule: RoundRobin::new(out),
         }
     }
 
@@ -78,12 +95,7 @@ impl Protocol for CheckNode {
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_>) {
-        if self.out.is_empty() {
-            return;
-        }
-        let v = self.out[self.cursor % self.out.len()];
-        self.cursor += 1;
-        ctx.initiate(v);
+        self.schedule.step(ctx);
     }
 
     fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<CheckPayload>) {
@@ -127,30 +139,10 @@ pub fn distributed_check(
     rumors: &[RumorSet],
 ) -> DistributedCheckOutcome {
     assert!(k >= 1, "parameter k must be positive");
-    assert_eq!(rumors.len(), g.node_count(), "one rumor set per node");
-    let n = g.node_count();
-    // Flags: Algorithm 1 line 1 — a G-neighbor whose rumor is missing.
-    let flags: Vec<bool> = g
-        .nodes()
-        .map(|v| {
-            g.neighbor_ids(v)
-                .iter()
-                .any(|&w| !rumors[v.index()].contains(w))
-        })
-        .collect();
-    let k_lat = latency_graph::Latency::new(u32::try_from(k).unwrap_or(u32::MAX));
-    let out_lists: Vec<Vec<NodeId>> = (0..n)
-        .map(|i| {
-            spanner
-                .out_neighbors(NodeId::new(i))
-                .iter()
-                .filter(|&&(_, l)| l <= k_lat)
-                .map(|&(v, _)| v)
-                .collect()
-        })
-        .collect();
+    let flags = flags(g, rumors);
+    let mut out_lists = rr_broadcast::out_arcs(spanner, k);
     // Two passes of the Lemma 15 budget: gather + failed propagation.
-    let budget = 2 * crate::rr_broadcast::budget(spanner, k);
+    let budget = 2 * rr_broadcast::budget(spanner, k);
     let cfg = SimConfig {
         max_rounds: budget,
         ..SimConfig::default()
@@ -160,7 +152,7 @@ pub fn distributed_check(
             CheckNode::new(
                 &rumors[id.index()],
                 flags[id.index()],
-                out_lists[id.index()].clone(),
+                std::mem::take(&mut out_lists[id.index()]),
             )
         },
         |_, _| false,

@@ -15,6 +15,7 @@
 use gossip_sim::Round;
 use latency_graph::Graph;
 
+use crate::common::{self, Attempt};
 use crate::discovery;
 use crate::eid;
 use crate::push_pull::{self, PushPullConfig};
@@ -80,6 +81,10 @@ impl UnifiedReport {
 }
 
 /// Runs both pipelines on `g` and reports the Theorem 20 minimum.
+///
+/// # Panics
+///
+/// Panics if `config.max_guess == 0`.
 pub fn all_to_all(g: &Graph, config: &UnifiedConfig, seed: u64) -> UnifiedReport {
     // Pipeline 1: push-pull (never needs latency knowledge).
     let pp = push_pull::all_to_all(
@@ -101,22 +106,24 @@ pub fn all_to_all(g: &Graph, config: &UnifiedConfig, seed: u64) -> UnifiedReport
         // Discover latencies with the final (doubled) window; the
         // guess-and-double overhead is a constant factor which we fold
         // into the reported discovery cost by charging the doubling sum.
-        let mut window = 1u64;
-        let mut spent: Round = 0;
-        loop {
+        let mut working = None;
+        let windows = common::guess_and_double(common::guesses(config.max_guess), |window| {
             let disc = discovery::discover_latencies(g, window);
-            spent += disc.rounds;
-            if disc.complete || window >= config.max_guess {
-                discovery_rounds = spent;
-                if !disc.complete {
-                    break None;
-                }
-                let working = disc.to_graph(g.node_count());
-                let out = eid::general_eid(&working, seed, config.max_guess);
-                break out.complete.then_some(spent + out.total_rounds);
+            if disc.complete {
+                working = Some(disc.to_graph(g.node_count()));
             }
-            window = (window * 2).min(config.max_guess);
-        }
+            Attempt {
+                guess: window,
+                rounds: disc.rounds,
+                check_rounds: 0,
+                success: disc.complete,
+            }
+        });
+        discovery_rounds = common::total_rounds(&windows);
+        working.and_then(|working| {
+            let out = eid::general_eid(&working, seed, config.max_guess);
+            out.complete.then_some(discovery_rounds + out.total_rounds)
+        })
     };
 
     let winner = match (push_pull_rounds, spanner_rounds) {

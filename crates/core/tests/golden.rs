@@ -6,7 +6,11 @@
 //! cycle). The `rounds`/metrics constants were captured from the
 //! pre-calendar-queue engine; every later engine change (the calendar
 //! queue, the frontier loop) must reproduce them bit-for-bit, which
-//! proves the optimizations are behavior-preserving.
+//! proves the optimizations are behavior-preserving. The Section 5
+//! entries (local broadcast, EID, the guess-and-double loops, the
+//! distributed termination check, latency discovery) pin the same way
+//! what each entry point reports; the guess-and-double attempts are
+//! read through `Debug`, by field order, not by field name.
 //!
 //! If a trace ever changes **intentionally** (e.g. the RNG stream or
 //! the engagement ordering is deliberately altered), regenerate the
@@ -14,14 +18,17 @@
 //! failure output — but treat any unplanned diff here as an engine
 //! regression.
 
+use gossip_core::eid::{self, EidConfig};
 use gossip_core::flooding::{self, FloodingConfig};
 use gossip_core::push_pull::{self, Mode, PushPullConfig, PushPullNode};
 use gossip_core::sparse::{self, SparseConfig, SparseOutcome};
 use gossip_core::stream::{StreamConfig, StreamOutcome};
+use gossip_core::unified::{self, UnifiedConfig};
+use gossip_core::{discovery, dtg, path_discovery, superstep, termination};
 use gossip_sim::{FaultPlan, Outcome, RumorSet, SimConfig, Simulator, StreamSpec};
 use latency_graph::generators::layered_ring::{LayeredRing, LayeredRingSpec};
 use latency_graph::generators::{self, extra};
-use latency_graph::{Graph, NodeId};
+use latency_graph::{metrics, Graph, Latency, NodeId};
 
 /// Order-independent fold of per-node rumor fingerprints (FNV-style),
 /// pinning the exact final state of every node, not just the counters.
@@ -144,6 +151,33 @@ fn faulty_push_pull(g: &Graph, cfg: SimConfig, plan: FaultPlan) -> String {
         |nodes: &[PushPullNode], _| nodes.iter().all(|p| p.rumors.is_full()),
     );
     fmt_outcome(&out)
+}
+
+/// The Section 5 portfolio graph: 24 nodes, latencies 1..=3, so the
+/// `ℓ = 2` local broadcasts drop some edges and the diameter guesses
+/// of the guess-and-double loops fail before they succeed.
+fn section5_graph() -> Graph {
+    let base = generators::connected_erdos_renyi(24, 0.25, 5);
+    generators::uniform_random_latencies(&base, 1, 3, 3)
+}
+
+/// The field values of a `Debug`-printed attempt record, in order,
+/// without the field names: `guess/rounds/check_rounds/success`.
+fn attempt_values(debug: &str) -> String {
+    let body = &debug[debug.find('{').expect("a struct") + 1..debug.rfind('}').expect("a struct")];
+    body.split(", ")
+        .map(|field| field.split(": ").nth(1).expect("name: value").trim())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+/// Every attempt of a guess-and-double run, as [`attempt_values`].
+fn fmt_attempts<A: std::fmt::Debug>(attempts: &[A]) -> String {
+    let values: Vec<String> = attempts
+        .iter()
+        .map(|a| attempt_values(&format!("{a:?}")))
+        .collect();
+    format!("attempts=[{}]", values.join(","))
 }
 
 struct Case {
@@ -459,6 +493,183 @@ fn cases() -> Vec<Case> {
                 assert!(g.is_connected());
                 let o = sparse::push_broadcast(&g, NodeId::new(0), &sparse_config(), 0x5eed);
                 fmt_sparse_with_stats(&o)
+            },
+        },
+        // --- Section 5: local broadcast, EID, the guess-and-double
+        //     loops and their termination check, latency discovery ---
+        Case {
+            name: "section5_er24/dtg/local_broadcast/ell2",
+            expected: "rounds=11 initiated=132 delivered=124 lost=0 rejected=0 payload_units=2037 fingerprint=e36f3259747f9e27",
+            run: || fmt_broadcast(&dtg::local_broadcast(&section5_graph(), Latency::new(2))),
+        },
+        Case {
+            name: "section5_er24/superstep/local_broadcast/ell2/seed5",
+            expected: "rounds=6 initiated=84 delivered=82 lost=0 rejected=0 payload_units=523 fingerprint=3428b21fa1ef4b67",
+            run: || {
+                fmt_broadcast(&superstep::local_broadcast(
+                    &section5_graph(),
+                    Latency::new(2),
+                    5,
+                ))
+            },
+        },
+        Case {
+            name: "section5_er24/eid/true_diameter/seed2",
+            expected: "discovery_rounds=4704 rr_rounds=504 rr_budget=504 complete=true knowledge_sufficient=true payload_units=678424 fingerprint=18c0d88aaf03c905",
+            run: || {
+                let g = section5_graph();
+                let cfg = EidConfig {
+                    diameter: metrics::weighted_diameter(&g),
+                    seed: 2,
+                    ..EidConfig::default()
+                };
+                let o = eid::eid(&g, &cfg);
+                format!(
+                    "discovery_rounds={} rr_rounds={} rr_budget={} complete={} knowledge_sufficient={} payload_units={} fingerprint={:016x}",
+                    o.discovery_rounds,
+                    o.rr_rounds,
+                    o.rr_budget,
+                    o.complete,
+                    o.knowledge_sufficient,
+                    o.payload_units,
+                    fold_fingerprints(o.rumors.iter())
+                )
+            },
+        },
+        Case {
+            name: "section5_er24/general_eid/seed4",
+            expected: "total_rounds=2502 complete=true payload_units=280822 fingerprint=18c0d88aaf03c905 attempts=[1/708/72/false,2/1470/252/true]",
+            run: || {
+                let o = eid::general_eid(&section5_graph(), 4, 1 << 10);
+                format!(
+                    "total_rounds={} complete={} payload_units={} fingerprint={:016x} {}",
+                    o.total_rounds,
+                    o.complete,
+                    o.payload_units,
+                    fold_fingerprints(o.rumors.iter()),
+                    fmt_attempts(&o.attempts)
+                )
+            },
+        },
+        Case {
+            name: "path12_l4/general_eid/capped5/seed1",
+            expected: "total_rounds=3255 complete=true payload_units=16163 fingerprint=c6f4502e2c4301d5 attempts=[1/427/14/false,2/854/28/false,4/1764/168/true]",
+            run: || {
+                // D = 44 > 5: every guess fails, the last one clamped.
+                let g = generators::path(12).map_latencies(|_, _, _| Latency::new(4));
+                let o = eid::general_eid(&g, 1, 5);
+                format!(
+                    "total_rounds={} complete={} payload_units={} fingerprint={:016x} {}",
+                    o.total_rounds,
+                    o.complete,
+                    o.payload_units,
+                    fold_fingerprints(o.rumors.iter()),
+                    fmt_attempts(&o.attempts)
+                )
+            },
+        },
+        Case {
+            name: "section5_er24/path_discovery",
+            expected: "total_rounds=5712 complete=true fingerprint=18c0d88aaf03c905 attempts=[1/112/224/false,2/448/896/false,4/1344/2688/true]",
+            run: || {
+                let o = path_discovery::path_discovery(&section5_graph(), 1 << 10);
+                format!(
+                    "total_rounds={} complete={} fingerprint={:016x} {}",
+                    o.total_rounds,
+                    o.complete,
+                    fold_fingerprints(o.rumors.iter()),
+                    fmt_attempts(&o.attempts)
+                )
+            },
+        },
+        Case {
+            name: "path12_l4/path_discovery/capped5",
+            expected: "total_rounds=4284 complete=false fingerprint=aecc3bdf1a99d279 attempts=[1/84/168/false,2/336/672/false,4/1008/2016/false]",
+            run: || {
+                // Guesses stay powers of two: 1, 2, 4 under a cap of 5.
+                let g = generators::path(12).map_latencies(|_, _, _| Latency::new(4));
+                let o = path_discovery::path_discovery(&g, 5);
+                format!(
+                    "total_rounds={} complete={} fingerprint={:016x} {}",
+                    o.total_rounds,
+                    o.complete,
+                    fold_fingerprints(o.rumors.iter()),
+                    fmt_attempts(&o.attempts)
+                )
+            },
+        },
+        Case {
+            name: "section5_er24/unified/known/seed3",
+            expected: "UnifiedReport { push_pull_rounds: Some(11), spanner_rounds: Some(2340), discovery_rounds: 0, winner: PushPull }",
+            run: || {
+                let cfg = UnifiedConfig {
+                    latency_known: true,
+                    ..UnifiedConfig::default()
+                };
+                format!("{:?}", unified::all_to_all(&section5_graph(), &cfg, 3))
+            },
+        },
+        Case {
+            name: "section5_er24/unified/unknown/seed3",
+            expected: "UnifiedReport { push_pull_rounds: Some(11), spanner_rounds: Some(2380), discovery_rounds: 40, winner: PushPull }",
+            run: || {
+                format!(
+                    "{:?}",
+                    unified::all_to_all(&section5_graph(), &UnifiedConfig::default(), 3)
+                )
+            },
+        },
+        Case {
+            name: "section5_er24/distributed_check/truncated_eid/guess1/seed6",
+            expected: "rumor_fingerprint=4d4d367f943c1955 rounds=72 unanimous=true verdict=Some(false) decisions=000000000000000000000000",
+            run: || {
+                // EID at guess 1 drops every latency-2 and -3 edge, so
+                // the check runs on rumor sets that are not all full.
+                let g = section5_graph();
+                let cfg = EidConfig {
+                    diameter: 1,
+                    seed: 6,
+                    ..EidConfig::default()
+                };
+                let o = eid::eid(&g, &cfg);
+                let k = u64::try_from(o.spanner.stretch_bound).unwrap();
+                let check = termination::distributed_check(&g, &o.spanner.spanner, k, &o.rumors);
+                let decisions: String = check
+                    .decisions
+                    .iter()
+                    .map(|&d| if d { '1' } else { '0' })
+                    .collect();
+                format!(
+                    "rumor_fingerprint={:016x} rounds={} unanimous={} verdict={:?} decisions={decisions}",
+                    fold_fingerprints(o.rumors.iter()),
+                    check.rounds,
+                    check.unanimous,
+                    check.verdict()
+                )
+            },
+        },
+        Case {
+            name: "section5_er24/discover_latencies/window2",
+            expected: "rounds=13 complete=false measured_arcs=108 measured=d5e54c51aa21ec75",
+            run: || {
+                let o = discovery::discover_latencies(&section5_graph(), 2);
+                // FNV-style fold of every measured (node, neighbor,
+                // latency) triple, in measurement order.
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                let mut arcs = 0;
+                for (u, list) in o.measured.iter().enumerate() {
+                    for &(v, l) in list {
+                        for x in [u, v.index(), l.rounds() as usize] {
+                            h ^= x as u64;
+                            h = h.wrapping_mul(0x100_0000_01b3);
+                        }
+                        arcs += 1;
+                    }
+                }
+                format!(
+                    "rounds={} complete={} measured_arcs={arcs} measured={h:016x}",
+                    o.rounds, o.complete
+                )
             },
         },
     ]

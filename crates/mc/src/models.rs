@@ -38,7 +38,7 @@ use std::collections::BTreeSet;
 use gossip_core::flooding::FloodingNode;
 use gossip_core::push_pull::{Mode, PushPullNode};
 use gossip_core::stream::RrStreamNode;
-use gossip_core::termination::{CheckNode, CheckPayload};
+use gossip_core::termination::{self, CheckNode, CheckPayload};
 use gossip_core::{eid, rr_broadcast};
 use gossip_sim::{
     Context, Exchange, Protocol, Round, RumorSet, Scheduling, StreamPayload, StreamSpec,
@@ -393,18 +393,6 @@ where
     }
 }
 
-/// The Algorithm 1 flag bits for a rumor configuration: `v` raises its
-/// flag when some neighbor's rumor is still missing locally.
-fn flags_for(g: &Graph, rumors: &[RumorSet]) -> Vec<bool> {
-    g.nodes()
-        .map(|v| {
-            g.neighbor_ids(v)
-                .iter()
-                .any(|&w| !rumors[v.index()].contains(w))
-        })
-        .collect()
-}
-
 fn check_model_for(
     g: &Graph,
     name: String,
@@ -412,7 +400,7 @@ fn check_model_for(
     bound: Round,
     select: &PropSelect,
 ) -> CheckModel<CheckNode> {
-    let flags = flags_for(g, &rumors);
+    let flags = termination::flags(g, &rumors);
     let init = g
         .nodes()
         .map(|v| {
