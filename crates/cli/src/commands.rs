@@ -1053,6 +1053,16 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_value_is_not_reported_as_unparsable() {
+        let p = temp_graph("lb0msg.txt", &["generate", "cycle", "6"]);
+        let msg = call(&["run", "dtg", &p, "--ell", "0"])
+            .unwrap_err()
+            .to_string();
+        assert!(!msg.contains("cannot parse"), "{msg}");
+        assert!(msg.contains("ell") && msg.contains('0'), "{msg}");
+    }
+
+    #[test]
     fn run_eid_rejects_diameter_zero() {
         let p = temp_graph("eid0.txt", &["generate", "cycle", "6"]);
         assert_bad(&["run", "eid", &p, "--diameter", "0"], "diameter");

@@ -13,7 +13,7 @@ pub enum CliError {
     UnknownCommand(String),
     /// A required positional argument is missing.
     MissingArgument(&'static str),
-    /// An argument failed to parse.
+    /// An argument failed to parse, or parsed to a value out of range.
     BadArgument {
         /// What was being parsed.
         what: &'static str,
@@ -40,7 +40,7 @@ impl fmt::Display for CliError {
             CliError::UnknownCommand(c) => write!(f, "unknown command `{c}`; try `gossip help`"),
             CliError::MissingArgument(what) => write!(f, "missing argument: {what}"),
             CliError::BadArgument { what, value } => {
-                write!(f, "cannot parse {what} from `{value}`")
+                write!(f, "invalid {what}: `{value}`")
             }
             CliError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
             CliError::Io(path, e) => write!(f, "cannot read `{path}`: {e}"),

@@ -90,62 +90,41 @@ pub struct Property<N: Protocol> {
 /// What the checker explores: a graph, a node factory, a canonical
 /// state encoding, a goal, a bound, and the properties to evaluate.
 ///
+/// Every checked model — shipped or mutant — is a value of this one
+/// type; the constructors in [`crate::models`] fill it in. [`check`]
+/// asks `N: Clone`: that is what makes snapshot-and-restore free, as
+/// the checker forks [`Stepper`]s instead of re-simulating prefixes.
+///
 /// The encoding contract: two states with equal encodings must behave
 /// identically under every future action sequence. Round, fault plan,
 /// and in-flight exchanges are encoded by the checker itself; models
 /// encode exactly the node state that influences future behavior
 /// (derived observables like applied-counters may be excluded).
-pub trait Model {
-    /// The protocol under check. `Clone` is what makes snapshot-and-
-    /// restore free: the checker forks [`Stepper`]s instead of
-    /// re-simulating prefixes.
-    type Node: Protocol + Clone;
-
+pub struct Model<N: Protocol> {
     /// Display name for reports.
-    fn name(&self) -> String;
-
+    pub name: String,
     /// The instance graph.
-    fn graph(&self) -> &Graph;
-
+    pub graph: Graph,
     /// Builds node `id` of `n` (the `Simulator::run` factory).
-    fn make_node(&self, id: NodeId, n: usize) -> Self::Node;
-
-    /// Appends the canonical bytes of one node's state.
-    fn encode_node(&self, node: &Self::Node, out: &mut Vec<u8>);
-
-    /// Appends the canonical bytes of one in-flight payload snapshot.
-    fn encode_payload(&self, payload: &<Self::Node as Protocol>::Payload, out: &mut Vec<u8>);
-
-    /// The goal predicate (terminal success).
-    fn goal_met(&self, nodes: &[Self::Node]) -> bool;
-
+    pub factory: Box<dyn Fn(NodeId, usize) -> N>,
     /// The exploration horizon: observations at `round >= bound` are
     /// terminal.
-    fn round_bound(&self) -> Round;
-
-    /// The properties to evaluate at every observation.
-    fn properties(&self) -> Vec<Property<Self::Node>>;
-
+    pub bound: Round,
     /// The largest fault budget this model is sound under; [`check`]
-    /// clamps [`CheckConfig::fault_budget`] to it. The Lemma 18 models
-    /// return 0 (the lemma quantifies over fault-free executions of
-    /// the check protocol); everything else takes the default.
-    fn fault_budget_cap(&self) -> u32 {
-        u32::MAX
-    }
-
+    /// clamps [`CheckConfig::fault_budget`] to it. The Lemma 18 and
+    /// stream models use 0; everything else `u32::MAX`.
+    pub fault_cap: u32,
+    /// The properties evaluated at every observation, already filtered
+    /// by the caller's [`PropSelect`](crate::PropSelect).
+    pub properties: Vec<Property<N>>,
+    /// Appends the canonical bytes of one node's state.
+    pub encode_node: fn(&N, &mut Vec<u8>),
+    /// Appends the canonical bytes of one in-flight payload snapshot.
+    pub encode_payload: fn(&N::Payload, &mut Vec<u8>),
+    /// The goal predicate (terminal success).
+    pub goal: fn(&[N]) -> bool,
     /// Per-node fingerprint folded into the counterexample trace line.
-    /// Defaults to FNV-1a over the canonical node bytes.
-    fn node_fingerprint(&self, node: &Self::Node) -> u64 {
-        let mut bytes = Vec::new();
-        self.encode_node(node, &mut bytes);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
+    pub fingerprint: fn(&N) -> u64,
 }
 
 /// One nondeterministic fault choice.
@@ -251,18 +230,18 @@ struct StepEnd {
 /// Panics if the model's protocol drives the engine into a state the
 /// engine itself rejects (e.g. initiating with a non-neighbor) — such
 /// a panic is itself a finding.
-pub fn check<M: Model>(model: &M, cfg: &CheckConfig) -> CheckOutcome {
-    let g = model.graph();
-    let budget = cfg.fault_budget.min(model.fault_budget_cap());
-    let props = model.properties();
+pub fn check<N: Protocol + Clone>(model: &Model<N>, cfg: &CheckConfig) -> CheckOutcome {
+    let g = &model.graph;
+    let budget = cfg.fault_budget.min(model.fault_cap);
+    let props = &model.properties;
     let sim = Simulator::new(g, sim_config(model));
-    let root = sim.stepper(|id, n| model.make_node(id, n));
+    let root = sim.stepper(&*model.factory);
 
     let mut seen: BTreeSet<Vec<u8>> = BTreeSet::new();
     let mut arena: Vec<(usize, RoundAction)> = Vec::new();
-    let mut queue: VecDeque<(Stepper<'_, M::Node>, u32, usize)> = VecDeque::new();
+    let mut queue: VecDeque<(Stepper<'_, N>, u32, usize)> = VecDeque::new();
     let mut out = CheckOutcome {
-        model: model.name(),
+        model: model.name.clone(),
         explored: 0,
         transitions: 0,
         terminals: 0,
@@ -279,7 +258,7 @@ pub fn check<M: Model>(model: &M, cfg: &CheckConfig) -> CheckOutcome {
             while let Some(script) = scripts.pop() {
                 out.transitions += 1;
                 let mut child = state.clone();
-                let end = step_once(model, &mut child, fault, &script, used_after, &props);
+                let end = step_once(model, &mut child, fault, &script, used_after);
                 // Sibling scripts: one per untaken alternative at or
                 // past the scripted prefix (positions before it are
                 // already fixed by an ancestor script).
@@ -335,17 +314,16 @@ pub fn check<M: Model>(model: &M, cfg: &CheckConfig) -> CheckOutcome {
 /// Re-executes a recorded action script on a fresh stepper; the same
 /// engine, the same deterministic transition function. A
 /// counterexample's script must re-trigger its violation.
-pub fn replay<M: Model>(model: &M, actions: &[RoundAction]) -> Replay {
-    let props = model.properties();
-    let sim = Simulator::new(model.graph(), sim_config(model));
-    let mut st = sim.stepper(|id, n| model.make_node(id, n));
+pub fn replay<N: Protocol + Clone>(model: &Model<N>, actions: &[RoundAction]) -> Replay {
+    let sim = Simulator::new(&model.graph, sim_config(model));
+    let mut st = sim.stepper(&*model.factory);
     let mut used = 0u32;
     let mut violation = None;
     for a in actions {
         used += u32::from(a.fault.is_some());
-        let end = step_once(model, &mut st, a.fault, &a.choices, used, &props);
+        let end = step_once(model, &mut st, a.fault, &a.choices, used);
         if let Some((pi, msg)) = end.violation {
-            violation = Some((props[pi].name, msg));
+            violation = Some((model.properties[pi].name, msg));
             break;
         }
         if end.terminal.is_some() {
@@ -361,22 +339,21 @@ pub fn replay<M: Model>(model: &M, actions: &[RoundAction]) -> Replay {
     }
 }
 
-fn sim_config<M: Model>(model: &M) -> SimConfig {
+fn sim_config<N: Protocol>(model: &Model<N>) -> SimConfig {
     SimConfig {
-        max_rounds: model.round_bound().saturating_add(1),
+        max_rounds: model.bound.saturating_add(1),
         ..SimConfig::default()
     }
 }
 
 /// Runs one transition in place: inject fault, script the tape,
 /// deliver, observe, and (when the path continues) advance.
-fn step_once<M: Model>(
-    model: &M,
-    st: &mut Stepper<'_, M::Node>,
+fn step_once<N: Protocol + Clone>(
+    model: &Model<N>,
+    st: &mut Stepper<'_, N>,
     fault: Option<FaultAction>,
     script: &[u32],
     faults_used: u32,
-    props: &[Property<M::Node>],
 ) -> StepEnd {
     match fault {
         Some(FaultAction::Crash(v)) => st.inject_crash(v),
@@ -386,9 +363,9 @@ fn step_once<M: Model>(
     st.set_choice_tape(ChoiceTape::new(script.to_vec()));
     let mut records = Vec::new();
     st.deliver_observed(&mut records);
-    let terminal = if model.goal_met(st.nodes()) {
+    let terminal = if (model.goal)(st.nodes()) {
         Some(Terminal::Goal)
-    } else if st.round() >= model.round_bound() {
+    } else if st.round() >= model.bound {
         Some(Terminal::Bound)
     } else {
         None
@@ -396,7 +373,7 @@ fn step_once<M: Model>(
     let mut violation = None;
     {
         let obs = Obs {
-            graph: model.graph(),
+            graph: &model.graph,
             round: st.round(),
             nodes: st.nodes(),
             deliveries: &records,
@@ -404,7 +381,7 @@ fn step_once<M: Model>(
             faults_used,
             terminal,
         };
-        for (i, p) in props.iter().enumerate() {
+        for (i, p) in model.properties.iter().enumerate() {
             if let Err(msg) = (p.check)(&obs) {
                 violation = Some((i, msg));
                 break;
@@ -456,8 +433,8 @@ fn fault_actions<N: Protocol>(
 /// the engine's chronological order. RNG state is deliberately
 /// excluded — every nondeterministic branch is resolved by the tape,
 /// so the RNG never influences a checked run.
-fn encode_state<M: Model>(model: &M, st: &Stepper<'_, M::Node>, used: u32) -> Vec<u8> {
-    let g = model.graph();
+fn encode_state<N: Protocol>(model: &Model<N>, st: &Stepper<'_, N>, used: u32) -> Vec<u8> {
+    let g = &model.graph;
     let round = st.round();
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&round.to_le_bytes());
@@ -469,15 +446,15 @@ fn encode_state<M: Model>(model: &M, st: &Stepper<'_, M::Node>, used: u32) -> Ve
         out.push(u8::from(st.faults().is_link_down(u, v, round)));
     }
     for node in st.nodes() {
-        model.encode_node(node, &mut out);
+        (model.encode_node)(node, &mut out);
     }
     for x in st.in_flight() {
         out.extend_from_slice(&x.initiated_at.to_le_bytes());
         out.extend_from_slice(&x.completes_at.to_le_bytes());
         push_node_id(&mut out, x.a);
         push_node_id(&mut out, x.b);
-        model.encode_payload(x.payload_a, &mut out);
-        model.encode_payload(x.payload_b, &mut out);
+        (model.encode_payload)(x.payload_a, &mut out);
+        (model.encode_payload)(x.payload_b, &mut out);
     }
     out
 }
@@ -510,10 +487,10 @@ fn reconstruct(
 
 /// Order-independent FNV fold of per-node fingerprints — the same fold
 /// the golden-trace suite pins for rumor sets.
-fn fold_fingerprints<M: Model>(model: &M, nodes: &[M::Node]) -> u64 {
+fn fold_fingerprints<N: Protocol>(model: &Model<N>, nodes: &[N]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for node in nodes {
-        h ^= model.node_fingerprint(node);
+        h ^= (model.fingerprint)(node);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
@@ -527,8 +504,8 @@ fn fmt_fault(fault: Option<FaultAction>) -> String {
     }
 }
 
-fn build_counterexample<M: Model>(
-    model: &M,
+fn build_counterexample<N: Protocol + Clone>(
+    model: &Model<N>,
     property: &'static str,
     message: String,
     round: Round,
@@ -537,7 +514,7 @@ fn build_counterexample<M: Model>(
     let rep = replay(model, &actions);
     let mut case = format!(
         "# mc counterexample: model={} prop={property}\n",
-        model.name()
+        model.name
     );
     for (i, a) in actions.iter().enumerate() {
         case.push_str(&format!(

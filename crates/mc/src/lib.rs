@@ -25,7 +25,7 @@
 //!
 //! # Layout
 //!
-//! * [`checker`] — the BFS engine: [`Model`] trait,
+//! * [`checker`] — the BFS engine: the one [`Model`] type,
 //!   state encoding, fault/choice enumeration, minimal
 //!   counterexamples, and replay.
 //! * [`props`] — the pluggable properties (`Lemma18NoEarlyStop`,

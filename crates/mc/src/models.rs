@@ -1,5 +1,5 @@
-//! The checked models: shipped protocol nodes wrapped into the
-//! [`Model`] interface.
+//! The checked models: shipped protocol nodes wrapped into the one
+//! [`Model`] type.
 //!
 //! Five model families cover the crate's property matrix:
 //!
@@ -25,11 +25,14 @@
 //!   `no-phantom-rumor`. Safety only, like `nd-broadcast`: the choice
 //!   adversary can starve rumor completion.
 //!
-//! Both model structs use **plain `fn` pointers** as node factories so
-//! that [`BroadcastModel::with_node`] / [`CheckModel::with_node`] can
-//! swap in a mutant node type (see [`crate::mutants`]) while keeping
-//! the graph, bound, and property set identical — the mutation suite
-//! checks the *protocol*, never a differently-configured harness.
+//! Each constructor owns its family's property list and keeps the
+//! properties the [`PropSelect`] wants, so a model with an empty
+//! list is one the selection does not touch. The flood, Lemma 18 and
+//! stream constructors are thin calls into builders that take the node
+//! factory as a parameter; the mutation suite ([`crate::mutants`])
+//! calls the same builders with a broken node, so graph, bound, fault
+//! cap and properties stay identical — the suite checks the
+//! *protocol*, never a differently-configured harness.
 //!
 //! [`Context::choose`]: gossip_sim::Context::choose
 
@@ -150,277 +153,144 @@ impl<P: RumorHolder> RumorNode for Counted<P> {
     }
 }
 
-/// A rumor-broadcast model: nodes start with their own rumor, the goal
-/// is every rumor everywhere.
-pub struct BroadcastModel<N> {
-    name: String,
-    graph: Graph,
-    factory: fn(NodeId, usize) -> N,
-    bound: Round,
-    select: PropSelect,
-    liveness: bool,
+/// Keeps the properties `select` wants, in order.
+fn selected<N: Protocol>(select: &PropSelect, props: Vec<Property<N>>) -> Vec<Property<N>> {
+    props.into_iter().filter(|p| select.wants(p.name)).collect()
 }
 
-impl<N> BroadcastModel<N> {
-    /// The same harness (graph, bound, properties) over a different
-    /// node type — how the mutation suite injects broken protocols.
-    pub fn with_node<M>(&self, name: &str, factory: fn(NodeId, usize) -> M) -> BroadcastModel<M> {
-        BroadcastModel {
-            name: format!("{}[{name}]", self.name),
-            graph: self.graph.clone(),
-            factory,
-            bound: self.bound,
-            select: self.select.clone(),
-            liveness: self.liveness,
-        }
+/// FNV-1a over the canonical bytes `encode` writes for `node`: the
+/// trace-line fingerprint of nodes that carry no rumor set.
+fn fnv<N>(node: &N, encode: fn(&N, &mut Vec<u8>)) -> u64 {
+    let mut bytes = Vec::new();
+    encode(node, &mut bytes);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+fn encode_rumors(rumors: &RumorSet, out: &mut Vec<u8>) {
+    for w in rumors.as_words() {
+        out.extend_from_slice(&w.to_le_bytes());
     }
 }
 
-impl<N> Model for BroadcastModel<N>
+/// A rumor-broadcast model: nodes start with their own rumor, the goal
+/// is every rumor everywhere.
+fn broadcast_model<N>(
+    name: &str,
+    g: &Graph,
+    node: impl Fn(NodeId, usize) -> N + 'static,
+    bound: Round,
+    properties: Vec<Property<N>>,
+) -> Model<N>
 where
     N: Protocol<Payload = RumorSet> + Clone + RumorNode,
 {
-    type Node = N;
-
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn make_node(&self, id: NodeId, n: usize) -> N {
-        (self.factory)(id, n)
-    }
-
-    fn encode_node(&self, node: &N, out: &mut Vec<u8>) {
+    Model {
+        name: name.to_string(),
+        graph: g.clone(),
+        factory: Box::new(node),
+        bound,
+        fault_cap: u32::MAX,
+        properties,
         // The rumor set is the node's entire forward-relevant state:
         // round-robin cursors track the (encoded) round, and the
         // applied counter is observational.
-        for w in node.rumor_set().as_words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    fn encode_payload(&self, payload: &RumorSet, out: &mut Vec<u8>) {
-        for w in payload.as_words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    fn goal_met(&self, nodes: &[N]) -> bool {
-        nodes.iter().all(|x| x.rumor_set().is_full())
-    }
-
-    fn round_bound(&self) -> Round {
-        self.bound
-    }
-
-    fn properties(&self) -> Vec<Property<N>> {
-        let mut props = Vec::new();
-        if self.select.wants("latency-respected") {
-            props.push(props::latency_respected(&self.graph));
-        }
-        if self.select.wants("at-most-once-delivery") {
-            props.push(props::at_most_once_delivery());
-        }
-        if self.liveness && self.select.wants("termination") {
-            props.push(props::termination());
-        }
-        props
-    }
-
-    fn node_fingerprint(&self, node: &N) -> u64 {
+        encode_node: |node, out| encode_rumors(node.rumor_set(), out),
+        encode_payload: encode_rumors,
+        goal: |nodes| nodes.iter().all(|x| x.rumor_set().is_full()),
         // Match the golden-trace fingerprint semantics for rumor
         // protocols so counterexample trace lines are comparable.
-        node.rumor_set().fingerprint()
+        fingerprint: |node| node.rumor_set().fingerprint(),
     }
 }
 
 /// Push-pull broadcast under an adversarial peer-selection schedule.
 /// Safety-only: see the module docs for why liveness is not claimed.
-pub fn nd_broadcast(g: &Graph, select: PropSelect) -> BroadcastModel<Counted<PushPullNode>> {
-    BroadcastModel {
-        name: "nd-broadcast".to_string(),
-        graph: g.clone(),
-        factory: |id, n| Counted::new(PushPullNode::new(id, n, Mode::PushPull)),
+pub fn nd_broadcast(g: &Graph, select: PropSelect) -> Model<Counted<PushPullNode>> {
+    let props = vec![props::latency_respected(g), props::at_most_once_delivery()];
+    broadcast_model(
+        "nd-broadcast",
+        g,
+        |id, n| Counted::new(PushPullNode::new(id, n, Mode::PushPull)),
         // Any live schedule floods within 2·D_w rounds; +1 gives the
         // final deliveries a round to be observed.
-        bound: 2 * metrics::weighted_diameter(g).max(1) + 1,
-        select,
-        liveness: false,
-    }
+        2 * metrics::weighted_diameter(g).max(1) + 1,
+        selected(&select, props),
+    )
 }
 
 /// Deterministic round-robin flooding; the only nondeterminism is the
 /// fault schedule, so the `termination` property is sound: the bound
 /// is the measured fault-free reference round count.
-pub fn rr_flood(g: &Graph, select: PropSelect) -> BroadcastModel<Counted<FloodingNode>> {
-    BroadcastModel {
-        name: "rr-flood".to_string(),
-        graph: g.clone(),
-        factory: |id, n| Counted::new(FloodingNode::new(id, n)),
-        bound: props::reference_flood_rounds(g),
-        select,
-        liveness: true,
-    }
+pub fn rr_flood(g: &Graph, select: PropSelect) -> Model<Counted<FloodingNode>> {
+    rr_flood_of(g, &select, |id, n| Counted::new(FloodingNode::new(id, n)))
 }
 
-/// Which property family a [`CheckModel`] instance carries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CheckKind {
-    Lemma18,
-    Spanner,
-}
-
-/// A termination-check model: [`CheckNode`]-shaped nodes constructed
-/// from a fixed rumor configuration, explored to a fixed horizon.
-pub struct CheckModel<N> {
-    name: String,
-    graph: Graph,
-    factory: fn(&RumorSet, bool, Vec<NodeId>) -> N,
-    /// Per-node constructor inputs: (rumors, flag, out-list).
-    init: Vec<(RumorSet, bool, Vec<NodeId>)>,
-    rumors: Vec<RumorSet>,
-    bound: Round,
-    select: PropSelect,
-    kind: CheckKind,
-    /// `Spanner` only: (oriented arcs, degree cap, actual max out).
-    spanner: Option<SpannerShape>,
-}
-
-/// Spanner orientation facts: (oriented arcs, degree cap, actual max
-/// out-degree).
-type SpannerShape = (BTreeSet<(NodeId, NodeId)>, usize, usize);
-
-impl<N> CheckModel<N> {
-    /// The same harness over a different node type (mutation suite).
-    pub fn with_node<M>(
-        &self,
-        name: &str,
-        factory: fn(&RumorSet, bool, Vec<NodeId>) -> M,
-    ) -> CheckModel<M> {
-        CheckModel {
-            name: format!("{}[{name}]", self.name),
-            graph: self.graph.clone(),
-            factory,
-            init: self.init.clone(),
-            rumors: self.rumors.clone(),
-            bound: self.bound,
-            select: self.select.clone(),
-            kind: self.kind,
-            spanner: self.spanner.clone(),
-        }
-    }
-}
-
-impl<N> Model for CheckModel<N>
-where
-    N: Protocol<Payload = CheckPayload> + Clone + Decider,
-{
-    type Node = N;
-
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn make_node(&self, id: NodeId, _n: usize) -> N {
-        let (rumors, flag, out) = &self.init[id.index()];
-        (self.factory)(rumors, *flag, out.clone())
-    }
-
-    fn encode_node(&self, node: &N, out: &mut Vec<u8>) {
-        // The payload snapshot (fingerprint, flag, failed) is exactly
-        // the node's forward-relevant state: out-lists are static and
-        // cursors track the round.
-        self.encode_payload(&node.payload(), out);
-    }
-
-    fn encode_payload(&self, payload: &CheckPayload, out: &mut Vec<u8>) {
-        out.extend_from_slice(&payload.fingerprint.to_le_bytes());
-        out.push(u8::from(payload.flag));
-        out.push(u8::from(payload.failed));
-    }
-
-    fn goal_met(&self, _nodes: &[N]) -> bool {
-        // The check protocol has no success state mid-run; it is
-        // explored to the horizon and judged there.
-        false
-    }
-
-    fn round_bound(&self) -> Round {
-        self.bound
-    }
-
-    fn properties(&self) -> Vec<Property<N>> {
-        let mut props = Vec::new();
-        match self.kind {
-            CheckKind::Lemma18 => {
-                if self.select.wants("lemma18-no-early-stop") {
-                    props.push(props::lemma18_no_early_stop(
-                        &self.graph,
-                        self.rumors.clone(),
-                    ));
-                }
-                if self.select.wants("same-round-termination") {
-                    props.push(props::same_round_termination());
-                }
-            }
-            CheckKind::Spanner => {
-                if let Some((arcs, cap, max_out)) = &self.spanner {
-                    if self.select.wants("spanner-out-degree") {
-                        props.push(props::spanner_out_degree(arcs.clone(), *cap, *max_out));
-                    }
-                }
-            }
-        }
-        props
-    }
-
-    fn fault_budget_cap(&self) -> u32 {
-        match self.kind {
-            // Lemma 18 quantifies over fault-free executions of the
-            // check protocol; under faults the oracle comparison is
-            // vacuous, so the budget is pinned to zero.
-            CheckKind::Lemma18 => 0,
-            CheckKind::Spanner => u32::MAX,
-        }
-    }
-}
-
-fn check_model_for(
+/// [`rr_flood`] over any node factory.
+pub(crate) fn rr_flood_of<N>(
     g: &Graph,
-    name: String,
-    rumors: Vec<RumorSet>,
-    bound: Round,
     select: &PropSelect,
-) -> CheckModel<CheckNode> {
-    let flags = termination::flags(g, &rumors);
-    let init = g
-        .nodes()
-        .map(|v| {
-            (
-                rumors[v.index()].clone(),
-                flags[v.index()],
-                g.neighbor_ids(v).to_vec(),
-            )
-        })
-        .collect();
-    CheckModel {
+    node: impl Fn(NodeId, usize) -> N + 'static,
+) -> Model<N>
+where
+    N: Protocol<Payload = RumorSet> + Clone + RumorNode,
+{
+    let props = vec![
+        props::latency_respected(g),
+        props::at_most_once_delivery(),
+        props::termination(),
+    ];
+    let bound = props::reference_flood_rounds(g);
+    broadcast_model("rr-flood", g, node, bound, selected(select, props))
+}
+
+/// How a check model builds a node from its rumor set, flag bit and
+/// out-list ([`CheckNode::new`]'s signature).
+pub(crate) type CheckFactory<N> = fn(&RumorSet, bool, Vec<NodeId>) -> N;
+
+fn encode_check_payload(payload: &CheckPayload, out: &mut Vec<u8>) {
+    out.extend_from_slice(&payload.fingerprint.to_le_bytes());
+    out.push(u8::from(payload.flag));
+    out.push(u8::from(payload.failed));
+}
+
+/// The payload snapshot (fingerprint, flag, failed) is exactly a check
+/// node's forward-relevant state: out-lists are static and the
+/// round-robin cursor tracks the round.
+fn encode_check_node<N: Protocol<Payload = CheckPayload>>(node: &N, out: &mut Vec<u8>) {
+    encode_check_payload(&node.payload(), out);
+}
+
+/// A termination-check model: node `v` is `node(init[v])`, explored to
+/// the horizon and judged there.
+fn check_model<N>(
+    name: String,
+    g: &Graph,
+    init: Vec<(RumorSet, bool, Vec<NodeId>)>,
+    node: CheckFactory<N>,
+    bound: Round,
+    fault_cap: u32,
+    properties: Vec<Property<N>>,
+) -> Model<N>
+where
+    N: Protocol<Payload = CheckPayload> + Clone + 'static,
+{
+    Model {
         name,
         graph: g.clone(),
-        factory: CheckNode::new,
-        init,
-        rumors,
+        factory: Box::new(move |id, _| {
+            let (rumors, flag, out) = &init[id.index()];
+            node(rumors, *flag, out.clone())
+        }),
         bound,
-        select: select.clone(),
-        kind: CheckKind::Lemma18,
-        spanner: None,
+        fault_cap,
+        properties,
+        encode_node: encode_check_node,
+        encode_payload: encode_check_payload,
+        // The check protocol has no success state mid-run.
+        goal: |_| false,
+        fingerprint: |node| fnv(node, encode_check_node),
     }
 }
 
@@ -429,7 +299,19 @@ fn check_model_for(
 /// family — full-except-one for every (holder, rumor) pair, where the
 /// centralized oracle and a sound distributed check must both refuse
 /// to terminate.
-pub fn lemma18_models(g: &Graph, select: &PropSelect) -> Vec<CheckModel<CheckNode>> {
+pub fn lemma18_models(g: &Graph, select: &PropSelect) -> Vec<Model<CheckNode>> {
+    lemma18_models_of(g, select, CheckNode::new)
+}
+
+/// [`lemma18_models`] over any node factory.
+pub(crate) fn lemma18_models_of<N>(
+    g: &Graph,
+    select: &PropSelect,
+    node: CheckFactory<N>,
+) -> Vec<Model<N>>
+where
+    N: Protocol<Payload = CheckPayload> + Clone + Decider + 'static,
+{
     let n = g.node_count();
     // Horizon: twice the round-robin broadcast budget over the full
     // bidirectional orientation — enough for any failure evidence to
@@ -450,44 +332,76 @@ pub fn lemma18_models(g: &Graph, select: &PropSelect) -> Vec<CheckModel<CheckNod
         .max(1);
     let bound = 2 * rr_broadcast::budget(&orientation, k);
 
-    let mut models = Vec::new();
-    let fresh: Vec<RumorSet> = g.nodes().map(|v| RumorSet::singleton(n, v)).collect();
-    models.push(check_model_for(
-        g,
-        "lemma18[fresh]".to_string(),
-        fresh,
-        bound,
-        select,
-    ));
-    let full: Vec<RumorSet> = (0..n).map(|_| RumorSet::full(n)).collect();
-    models.push(check_model_for(
-        g,
-        "lemma18[full]".to_string(),
-        full,
-        bound,
-        select,
-    ));
+    let model = |name: String, rumors: Vec<RumorSet>| {
+        let flags = termination::flags(g, &rumors);
+        let init = g
+            .nodes()
+            .map(|v| {
+                let i = v.index();
+                (rumors[i].clone(), flags[i], g.neighbor_ids(v).to_vec())
+            })
+            .collect();
+        let props = vec![
+            props::lemma18_no_early_stop(g, rumors),
+            props::same_round_termination(),
+        ];
+        // Lemma 18 quantifies over fault-free executions of the check
+        // protocol; under faults the oracle comparison is vacuous, so
+        // the budget is pinned to zero.
+        check_model(name, g, init, node, bound, 0, selected(select, props))
+    };
+    let mut models = vec![
+        model(
+            "lemma18[fresh]".to_string(),
+            g.nodes().map(|v| RumorSet::singleton(n, v)).collect(),
+        ),
+        model("lemma18[full]".to_string(), vec![RumorSet::full(n); n]),
+    ];
     for u in g.nodes() {
-        for x in g.nodes() {
-            if u == x {
-                continue;
-            }
-            let mut rumors: Vec<RumorSet> = (0..n).map(|_| RumorSet::full(n)).collect();
+        for x in g.nodes().filter(|&x| x != u) {
+            let mut rumors = vec![RumorSet::full(n); n];
             let mut missing = RumorSet::new(n);
             for w in g.nodes().filter(|&w| w != x) {
                 missing.insert(w);
             }
             rumors[u.index()] = missing;
-            models.push(check_model_for(
-                g,
-                format!("lemma18[full-except-{u}:{x}]"),
-                rumors,
-                bound,
-                select,
-            ));
+            models.push(model(format!("lemma18[full-except-{u}:{x}]"), rumors));
         }
     }
     models
+}
+
+/// An orientation model: every rumor set full, no flag raised, node `v`
+/// round-robins over `out[v]`, and `spanner-out-degree` holds traffic
+/// to exactly those arcs and their out-degree to `cap`.
+fn orientation_model(
+    name: &str,
+    g: &Graph,
+    out: Vec<Vec<NodeId>>,
+    cap: usize,
+    select: &PropSelect,
+) -> Model<CheckNode> {
+    let n = g.node_count();
+    let arcs: BTreeSet<(NodeId, NodeId)> = out
+        .iter()
+        .zip(g.nodes())
+        .flat_map(|(vs, u)| vs.iter().map(move |&v| (u, v)))
+        .collect();
+    let max_out = out.iter().map(Vec::len).max().unwrap_or(0);
+    let init = out
+        .into_iter()
+        .map(|vs| (RumorSet::full(n), false, vs))
+        .collect();
+    let props = vec![props::spanner_out_degree(arcs, cap, max_out)];
+    check_model(
+        name.to_string(),
+        g,
+        init,
+        CheckNode::new,
+        metrics::weighted_diameter(g).max(1) + 3,
+        u32::MAX,
+        selected(select, props),
+    )
 }
 
 /// A spanner-style model over an explicit, hand-built orientation:
@@ -500,44 +414,17 @@ pub fn custom_spanner_model(
     arcs: &[(usize, usize)],
     cap: usize,
     select: &PropSelect,
-) -> CheckModel<CheckNode> {
-    let n = g.node_count();
-    let arc_set: BTreeSet<(NodeId, NodeId)> = arcs
-        .iter()
-        .map(|&(u, v)| (NodeId::new(u), NodeId::new(v)))
-        .collect();
-    let mut out_lists: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+) -> Model<CheckNode> {
+    let mut out = vec![Vec::new(); g.node_count()];
     for &(u, v) in arcs {
-        out_lists[u].push(NodeId::new(v));
+        out[u].push(NodeId::new(v));
     }
-    let max_out = out_lists.iter().map(Vec::len).max().unwrap_or(0);
-    let rumors: Vec<RumorSet> = (0..n).map(|_| RumorSet::full(n)).collect();
-    let init = g
-        .nodes()
-        .map(|v| {
-            (
-                rumors[v.index()].clone(),
-                false,
-                out_lists[v.index()].clone(),
-            )
-        })
-        .collect();
-    CheckModel {
-        name: "spanner-custom".to_string(),
-        graph: g.clone(),
-        factory: CheckNode::new,
-        init,
-        rumors,
-        bound: metrics::weighted_diameter(g).max(1) + 3,
-        select: select.clone(),
-        kind: CheckKind::Spanner,
-        spanner: Some((arc_set, cap, max_out)),
-    }
+    orientation_model("spanner-custom", g, out, cap, select)
 }
 
 /// The spanner-orientation model: check traffic must stay on the
 /// Baswana–Sen orientation and within its out-degree cap.
-pub fn spanner_model(g: &Graph, select: &PropSelect) -> CheckModel<CheckNode> {
+pub fn spanner_model(g: &Graph, select: &PropSelect) -> Model<CheckNode> {
     let n = g.node_count();
     let k = eid::default_spanner_k(n);
     let result = baswana_sen::build_spanner(
@@ -547,36 +434,21 @@ pub fn spanner_model(g: &Graph, select: &PropSelect) -> CheckModel<CheckNode> {
             ..baswana_sen::SpannerConfig::default()
         },
     );
-    let arcs: BTreeSet<(NodeId, NodeId)> = result.spanner.arcs().map(|(u, v, _)| (u, v)).collect();
-    let max_out = result.spanner.max_out_degree();
     // The Baswana–Sen out-degree bound: k · ⌈n^(1/k)⌉ + k.
     let root = (n as f64).powf(1.0 / k as f64).ceil() as usize;
     let cap = k * root + k;
-
-    let rumors: Vec<RumorSet> = (0..n).map(|_| RumorSet::full(n)).collect();
-    let init = g
+    let out = g
         .nodes()
         .map(|v| {
-            let out: Vec<NodeId> = result
+            result
                 .spanner
                 .out_neighbors(v)
                 .iter()
                 .map(|&(w, _)| w)
-                .collect();
-            (rumors[v.index()].clone(), false, out)
+                .collect()
         })
         .collect();
-    CheckModel {
-        name: "spanner".to_string(),
-        graph: g.clone(),
-        factory: CheckNode::new,
-        init,
-        rumors,
-        bound: metrics::weighted_diameter(g).max(1) + 3,
-        select: select.clone(),
-        kind: CheckKind::Spanner,
-        spanner: Some((arcs, cap, max_out)),
-    }
+    orientation_model("spanner", g, out, cap, select)
 }
 
 // ---------------------------------------------------------------------
@@ -720,90 +592,6 @@ impl StreamObserver for StreamWitness<RrStreamNode> {
     }
 }
 
-/// A budgeted multi-rumor streaming model: `k` rumors injected at
-/// [`StreamSpec`]-configured points, adversarial peer selection, goal
-/// = every node holds every rumor.
-pub struct StreamModel<N> {
-    name: String,
-    graph: Graph,
-    spec: StreamSpec,
-    factory: fn(NodeId, &StreamSpec) -> N,
-    bound: Round,
-    select: PropSelect,
-}
-
-impl<N> StreamModel<N> {
-    /// The same harness (graph, spec, bound, properties) over a
-    /// different node type — the mutation-suite hook.
-    pub fn with_node<M>(
-        &self,
-        name: &str,
-        factory: fn(NodeId, &StreamSpec) -> M,
-    ) -> StreamModel<M> {
-        StreamModel {
-            name: format!("{}[{name}]", self.name),
-            graph: self.graph.clone(),
-            spec: self.spec.clone(),
-            factory,
-            bound: self.bound,
-            select: self.select.clone(),
-        }
-    }
-}
-
-impl<N> Model for StreamModel<N>
-where
-    N: Protocol<Payload = StreamPayload> + Clone + StreamObserver,
-{
-    type Node = N;
-
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn make_node(&self, id: NodeId, _n: usize) -> N {
-        (self.factory)(id, &self.spec)
-    }
-
-    fn encode_node(&self, node: &N, out: &mut Vec<u8>) {
-        node.encode_state(out);
-    }
-
-    fn encode_payload(&self, payload: &StreamPayload, out: &mut Vec<u8>) {
-        encode_stream_payload(payload, out);
-    }
-
-    fn goal_met(&self, nodes: &[N]) -> bool {
-        nodes.iter().all(StreamObserver::all_heard)
-    }
-
-    fn round_bound(&self) -> Round {
-        self.bound
-    }
-
-    fn properties(&self) -> Vec<Property<N>> {
-        let mut props = Vec::new();
-        if self.select.wants("no-phantom-rumor") {
-            props.push(props::no_phantom_rumor());
-        }
-        props
-    }
-
-    fn fault_budget_cap(&self) -> u32 {
-        // Pinned to zero, like Lemma 18: the fault adversary can only
-        // *remove* exchanges, and the streaming policies have no
-        // loss-handling code path, so budget 0 already reaches every
-        // payload-application path a phantom could slip through —
-        // while keeping the dense n = 4 instances exhaustively
-        // checkable inside the corpus sweep.
-        0
-    }
-}
-
 /// The shipped round-robin streaming policy under adversarial peer
 /// selection: two rumors, per-direction budget 1 — the smallest
 /// universe where an exchange must *choose* what to carry, which is
@@ -813,19 +601,43 @@ where
 /// exhaustively checkable. Safety only — the choice adversary can
 /// starve completion, so the model carries `no-phantom-rumor` and no
 /// liveness claim.
-pub fn rr_stream_model(g: &Graph, select: PropSelect) -> StreamModel<StreamWitness<RrStreamNode>> {
+pub fn rr_stream_model(g: &Graph, select: PropSelect) -> Model<StreamWitness<RrStreamNode>> {
+    rr_stream_of(g, &select, |id, spec| {
+        StreamWitness::new(RrStreamNode::new(id, spec), id, spec)
+    })
+}
+
+/// [`rr_stream_model`] over any node factory.
+pub(crate) fn rr_stream_of<N>(
+    g: &Graph,
+    select: &PropSelect,
+    node: fn(NodeId, &StreamSpec) -> N,
+) -> Model<N>
+where
+    N: Protocol<Payload = StreamPayload> + Clone + StreamObserver + 'static,
+{
     let n = g.node_count();
     let spec = StreamSpec::spread(2, 1, n);
     // Horizon: every injection is in flight by `last_injection_round`;
     // 2·D_w + 1 more rounds give any live schedule room to finish (and
     // bound the adversarial ones).
     let bound = spec.last_injection_round() + 2 * metrics::weighted_diameter(g).max(1) + 1;
-    StreamModel {
+    Model {
         name: "rr-stream".to_string(),
         graph: g.clone(),
-        spec,
-        factory: |id, spec| StreamWitness::new(RrStreamNode::new(id, spec), id, spec),
+        factory: Box::new(move |id, _| node(id, &spec)),
         bound,
-        select,
+        // Pinned to zero, like Lemma 18: the fault adversary can only
+        // *remove* exchanges, and the streaming policies have no
+        // loss-handling code path, so budget 0 already reaches every
+        // payload-application path a phantom could slip through —
+        // while keeping the dense n = 4 instances exhaustively
+        // checkable inside the corpus sweep.
+        fault_cap: 0,
+        properties: selected(select, vec![props::no_phantom_rumor()]),
+        encode_node: N::encode_state,
+        encode_payload: encode_stream_payload,
+        goal: |nodes| nodes.iter().all(StreamObserver::all_heard),
+        fingerprint: |node| fnv(node, N::encode_state),
     }
 }

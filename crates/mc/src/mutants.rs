@@ -3,34 +3,121 @@
 //!
 //! A model checker that has never failed proves nothing — maybe the
 //! properties are tautologies, maybe the state space is empty. Each
-//! mutant here injects one specific protocol bug through the models'
-//! [`with_node`](crate::models::BroadcastModel::with_node) hook (same
-//! graph, same bound, same properties — only the node type changes)
-//! and [`run_all`] asserts the checker finds it, names the right
-//! property, and produces a counterexample whose replay re-triggers
-//! the violation.
+//! mutant here is a *shipped* node with one edit: a [`Mutant`] wrapper
+//! that swaps its `on_round` or `on_exchange`, or a constructor
+//! argument changed. Its model comes from the same constructor code as
+//! the shipped model's (same graph, bound, fault cap and properties —
+//! only the node factory changes), and [`run_all`] asserts the checker
+//! finds the bug, names the right property, and produces a
+//! counterexample whose replay re-triggers the violation.
 //!
-//! | mutant | bug | caught by |
-//! |--------|-----|-----------|
-//! | `early-stop`      | ignores fingerprint mismatches | `lemma18-no-early-stop` |
-//! | `deaf`            | ignores propagated failure evidence | `same-round-termination` |
-//! | `eager-rumor`     | conjures a distance-2 rumor at round 0 | `latency-respected` |
-//! | `fat-orientation` | initiates over all graph neighbors, not its out-arcs | `spanner-out-degree` |
-//! | `stall`           | never initiates | `termination` |
-//! | `double-apply`    | applies every exchange twice | `at-most-once-delivery` |
-//! | `phantom-rumor`   | holds a rumor injected elsewhere it never received | `no-phantom-rumor` |
+//! | mutant | edit | caught by |
+//! |--------|------|-----------|
+//! | `early-stop`      | `CheckNode` sees every incoming fingerprint as its own | `lemma18-no-early-stop` |
+//! | `deaf`            | `CheckNode` sees every incoming `flag` and `failed` cleared | `same-round-termination` |
+//! | `eager-rumor`     | `FloodingNode` starts with a distance-2 rumor | `latency-respected` |
+//! | `fat-orientation` | `CheckNode` handed every graph neighbor as its out-list | `spanner-out-degree` |
+//! | `stall`           | `Counted<FloodingNode>` with `on_round` skipped | `termination` |
+//! | `double-apply`    | `Counted<FloodingNode>` with `on_exchange` applied twice | `at-most-once-delivery` |
+//! | `phantom-rumor`   | a stream node holding a rumor injected elsewhere it never received | `no-phantom-rumor` |
+//!
+//! `phantom-rumor` alone is a hand-written node: the shipped
+//! `RrStreamNode` records rumors only in `on_round`, so it cannot hold
+//! one at the first observation, where this mutant is caught.
 
 use gossip_core::flooding::FloodingNode;
-use gossip_core::termination::CheckPayload;
+use gossip_core::termination::{CheckNode, CheckPayload};
 use gossip_sim::{CompletionLog, Context, Exchange, Protocol, RumorSet, StreamPayload, StreamSpec};
-use latency_graph::NodeId;
+use latency_graph::{Graph, NodeId};
 
 use crate::checker::{check, replay, CheckConfig, CheckOutcome, Model};
 use crate::models::{
-    custom_spanner_model, lemma18_models, rr_flood, rr_stream_model, Counted, Decider, RumorNode,
-    StreamObserver,
+    custom_spanner_model, lemma18_models_of, rr_flood, rr_flood_of, rr_stream_of, CheckFactory,
+    Counted, Decider, RumorNode, StreamObserver,
 };
 use crate::{instance, Family, PropSelect};
+
+/// A shipped node with one edit: `on_round` and `on_exchange` run
+/// through these functions of the node instead of its own methods.
+/// Everything else — payload, state, observers — is the node's.
+#[derive(Clone)]
+pub struct Mutant<P: Protocol> {
+    inner: P,
+    on_round: fn(&mut P, &mut Context<'_>),
+    on_exchange: fn(&mut P, &mut Context<'_>, &Exchange<P::Payload>),
+}
+
+impl<P: Protocol> Mutant<P> {
+    /// `inner` with `on_round` replaced by `edit`.
+    pub fn round(inner: P, edit: fn(&mut P, &mut Context<'_>)) -> Mutant<P> {
+        Mutant {
+            inner,
+            on_round: edit,
+            on_exchange: P::on_exchange,
+        }
+    }
+
+    /// `inner` with `on_exchange` replaced by `edit`.
+    pub fn exchange(
+        inner: P,
+        edit: fn(&mut P, &mut Context<'_>, &Exchange<P::Payload>),
+    ) -> Mutant<P> {
+        Mutant {
+            inner,
+            on_round: P::on_round,
+            on_exchange: edit,
+        }
+    }
+}
+
+impl<P: Protocol> Protocol for Mutant<P> {
+    const SCHEDULING: gossip_sim::Scheduling = P::SCHEDULING;
+    type Payload = P::Payload;
+
+    fn payload(&self) -> P::Payload {
+        self.inner.payload()
+    }
+
+    fn payload_weight(payload: &P::Payload) -> u64 {
+        P::payload_weight(payload)
+    }
+
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_round(&mut self, ctx: &mut Context<'_>) {
+        (self.on_round)(&mut self.inner, ctx);
+    }
+
+    fn on_exchange(&mut self, ctx: &mut Context<'_>, exchange: &Exchange<P::Payload>) {
+        (self.on_exchange)(&mut self.inner, ctx, exchange);
+    }
+
+    fn on_rejected(&mut self, ctx: &mut Context<'_>, peer: NodeId) {
+        self.inner.on_rejected(ctx, peer);
+    }
+
+    fn is_done(&self) -> bool {
+        self.inner.is_done()
+    }
+}
+
+impl<P: Protocol + Decider> Decider for Mutant<P> {
+    fn decides(&self) -> bool {
+        self.inner.decides()
+    }
+}
+
+impl<P: Protocol + RumorNode> RumorNode for Mutant<P> {
+    fn rumor_set(&self) -> &RumorSet {
+        self.inner.rumor_set()
+    }
+
+    fn applied(&self) -> u64 {
+        self.inner.applied()
+    }
+}
 
 /// The verdict on one mutant.
 #[derive(Clone, Debug)]
@@ -59,14 +146,23 @@ impl MutantRun {
     }
 }
 
-fn conclude<M: Model>(
-    model: &M,
+fn graph(family: Family, n: usize) -> Graph {
+    instance(family, n)
+        .expect("mutant instances are valid")
+        .graph
+}
+
+/// Checks `model`, renamed `<model>[<name>]`, and replays the
+/// counterexample it finds.
+fn run<N: Protocol + Clone>(
+    mut model: Model<N>,
     name: &'static str,
     property: &'static str,
-    outcome: CheckOutcome,
 ) -> MutantRun {
+    model.name = format!("{}[{name}]", model.name);
+    let outcome = check(&model, &CheckConfig::default());
     let replay_confirmed = outcome.violation.as_ref().is_some_and(|cx| {
-        replay(model, &cx.actions)
+        replay(&model, &cx.actions)
             .violation
             .is_some_and(|(p, _)| p == cx.property)
     });
@@ -78,320 +174,111 @@ fn conclude<M: Model>(
     }
 }
 
-// ---------------------------------------------------------------------
-// Check-protocol mutants (Lemma 18 family)
-// ---------------------------------------------------------------------
-
-/// Base state shared by the check-protocol mutants: the same fields as
-/// the shipped `CheckNode`, with the bug in `on_exchange`.
-#[derive(Clone, Debug)]
-struct CheckState {
-    fingerprint: u64,
-    flag: bool,
-    failed: bool,
-    out: Vec<NodeId>,
-    cursor: usize,
+/// Runs the Lemma 18 models over `node` on cycle 4 until one of them
+/// catches it.
+fn lemma18_mutant<N>(name: &'static str, property: &'static str, node: CheckFactory<N>) -> MutantRun
+where
+    N: Protocol<Payload = CheckPayload> + Clone + Decider + 'static,
+{
+    let g = graph(Family::Cycle, 4);
+    let select = PropSelect::One(property.to_string());
+    let mut last = None;
+    for model in lemma18_models_of(&g, &select, node) {
+        let run = run(model, name, property);
+        if run.outcome.violation.is_some() {
+            return run;
+        }
+        last = Some(run);
+    }
+    last.expect("lemma18_models is never empty")
 }
 
-impl CheckState {
-    fn new(rumors: &RumorSet, flag: bool, out: Vec<NodeId>) -> CheckState {
-        CheckState {
-            fingerprint: rumors.fingerprint(),
-            flag,
-            failed: false,
-            out,
-            cursor: 0,
-        }
-    }
-
-    fn payload(&self) -> CheckPayload {
-        CheckPayload {
-            fingerprint: self.fingerprint,
-            flag: self.flag,
-            failed: self.failed,
-        }
-    }
-
-    fn round_robin(&mut self, ctx: &mut Context<'_>) {
-        if self.out.is_empty() {
-            return;
-        }
-        let v = self.out[self.cursor % self.out.len()];
-        self.cursor += 1;
-        ctx.initiate(v);
-    }
-}
-
-macro_rules! check_mutant_protocol {
-    ($ty:ident, $on_exchange:expr) => {
-        impl Protocol for $ty {
-            type Payload = CheckPayload;
-
-            fn payload(&self) -> CheckPayload {
-                self.0.payload()
-            }
-
-            fn on_round(&mut self, ctx: &mut Context<'_>) {
-                self.0.round_robin(ctx);
-            }
-
-            fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<CheckPayload>) {
-                let handler: fn(&mut $ty, &Exchange<CheckPayload>) = $on_exchange;
-                handler(self, x);
-            }
-        }
-
-        impl Decider for $ty {
-            fn decides(&self) -> bool {
-                !self.0.failed && !self.0.flag
-            }
-        }
-    };
-}
-
-/// Ignores fingerprint mismatches: only an explicit peer flag or
-/// failure report trips it, so it happily terminates while a rumor is
-/// still missing somewhere off-neighborhood.
-#[derive(Clone, Debug)]
-pub struct EarlyStopNode(CheckState);
-
-check_mutant_protocol!(EarlyStopNode, |node, x| {
-    if x.payload.flag || x.payload.failed {
-        node.0.failed = true;
-    }
-});
-
-/// Detects local fingerprint mismatches but is deaf to *propagated*
-/// evidence (peer flag / failed bits), so nodes whose own neighborhood
-/// looks consistent decide terminate while others refuse.
-#[derive(Clone, Debug)]
-pub struct DeafNode(CheckState);
-
-check_mutant_protocol!(DeafNode, |node, x| {
-    if x.payload.fingerprint != node.0.fingerprint {
-        node.0.failed = true;
-    }
-});
-
-/// The early-stop mutant: must be caught by `lemma18-no-early-stop` on
-/// some cycle-4 rumor configuration.
+/// The early-stop mutant: a [`CheckNode`] that ignores fingerprint
+/// mismatches, so only an explicit peer flag or failure report trips
+/// it and it terminates while a rumor is still missing somewhere
+/// off-neighborhood. Must be caught by `lemma18-no-early-stop` on some
+/// cycle-4 rumor configuration.
 pub fn early_stop() -> MutantRun {
-    let g = instance(Family::Cycle, 4)
-        .expect("cycle4 is a valid instance")
-        .graph;
-    let select = PropSelect::One("lemma18-no-early-stop".to_string());
-    let mut last = None;
-    for base in lemma18_models(&g, &select) {
-        let m = base.with_node("early-stop", |r, f, o| {
-            EarlyStopNode(CheckState::new(r, f, o))
-        });
-        let out = check(&m, &CheckConfig::default());
-        let found = out.violation.is_some();
-        let run = conclude(&m, "early-stop", "lemma18-no-early-stop", out);
-        if found {
-            return run;
-        }
-        last = Some(run);
-    }
-    last.expect("lemma18_models is never empty")
+    lemma18_mutant("early-stop", "lemma18-no-early-stop", |r, f, o| {
+        Mutant::exchange(CheckNode::new(r, f, o), |node, ctx, x| {
+            let mut x = x.clone();
+            x.payload.fingerprint = node.payload().fingerprint;
+            node.on_exchange(ctx, &x);
+        })
+    })
 }
 
-/// The deaf mutant: must be caught by `same-round-termination` on some
-/// cycle-4 rumor configuration (one node's neighborhood looks clean,
-/// another's does not).
+/// The deaf mutant: a [`CheckNode`] that detects local fingerprint
+/// mismatches but is deaf to *propagated* evidence (peer flag / failed
+/// bits), so nodes whose own neighborhood looks consistent decide
+/// terminate while others refuse. Must be caught by
+/// `same-round-termination` on some cycle-4 rumor configuration.
 pub fn deaf() -> MutantRun {
-    let g = instance(Family::Cycle, 4)
-        .expect("cycle4 is a valid instance")
-        .graph;
-    let select = PropSelect::One("same-round-termination".to_string());
-    let mut last = None;
-    for base in lemma18_models(&g, &select) {
-        let m = base.with_node("deaf", |r, f, o| DeafNode(CheckState::new(r, f, o)));
-        let out = check(&m, &CheckConfig::default());
-        let found = out.violation.is_some();
-        let run = conclude(&m, "deaf", "same-round-termination", out);
-        if found {
-            return run;
-        }
-        last = Some(run);
-    }
-    last.expect("lemma18_models is never empty")
+    lemma18_mutant("deaf", "same-round-termination", |r, f, o| {
+        Mutant::exchange(CheckNode::new(r, f, o), |node, ctx, x| {
+            let mut x = x.clone();
+            x.payload.flag = false;
+            x.payload.failed = false;
+            node.on_exchange(ctx, &x);
+        })
+    })
 }
 
-// ---------------------------------------------------------------------
-// Broadcast mutants
-// ---------------------------------------------------------------------
-
-/// Starts with a rumor it cannot legitimately have yet: node `v`
-/// conjures the rumor of the node two hops away at construction,
-/// beating the weighted distance. Caught at round 0.
+/// The eager-rumor mutant: node `v` conjures the rumor of the node two
+/// hops away at construction, beating the weighted distance. Caught by
+/// `latency-respected` at round 0.
 pub fn eager_rumor() -> MutantRun {
-    let g = instance(Family::Cycle, 4)
-        .expect("cycle4 is a valid instance")
-        .graph;
-    let base = rr_flood(&g, PropSelect::One("latency-respected".to_string()));
-    let m = base.with_node("eager-rumor", |id, n| {
+    let g = graph(Family::Cycle, 4);
+    let select = PropSelect::One("latency-respected".to_string());
+    let mut model = rr_flood(&g, select);
+    model.factory = Box::new(|id, n| {
         let mut inner = FloodingNode::new(id, n);
         inner.rumors.insert(NodeId::new((id.index() + 2) % n));
         Counted::new(inner)
     });
-    let out = check(&m, &CheckConfig::default());
-    conclude(&m, "eager-rumor", "latency-respected", out)
+    run(model, "eager-rumor", "latency-respected")
 }
 
-/// Never initiates an exchange; the fault-free path hits the round
-/// bound with rumors undelivered.
-#[derive(Clone, Debug)]
-pub struct StallNode {
-    rumors: RumorSet,
-    applied: u64,
-}
-
-impl Protocol for StallNode {
-    type Payload = RumorSet;
-
-    fn payload(&self) -> RumorSet {
-        self.rumors.snapshot()
-    }
-
-    fn on_round(&mut self, _ctx: &mut Context<'_>) {}
-
-    fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<RumorSet>) {
-        self.applied += 1;
-        self.rumors.union_with(&x.payload);
-    }
-}
-
-impl RumorNode for StallNode {
-    fn rumor_set(&self) -> &RumorSet {
-        &self.rumors
-    }
-
-    fn applied(&self) -> u64 {
-        self.applied
-    }
-}
-
-/// The stall mutant: must be caught by `termination` on the
-/// deterministic flood model.
+/// The stall mutant: never initiates an exchange, so the fault-free
+/// path hits the round bound with rumors undelivered. Must be caught
+/// by `termination` on the deterministic flood model.
 pub fn stall() -> MutantRun {
-    let g = instance(Family::Cycle, 4)
-        .expect("cycle4 is a valid instance")
-        .graph;
-    let base = rr_flood(&g, PropSelect::One("termination".to_string()));
-    let m = base.with_node("stall", |id, n| StallNode {
-        rumors: RumorSet::singleton(n, id),
-        applied: 0,
+    let g = graph(Family::Cycle, 4);
+    let select = PropSelect::One("termination".to_string());
+    let model = rr_flood_of(&g, &select, |id, n| {
+        Mutant::round(Counted::new(FloodingNode::new(id, n)), |_, _| {})
     });
-    let out = check(&m, &CheckConfig::default());
-    conclude(&m, "stall", "termination", out)
+    run(model, "stall", "termination")
 }
 
-/// Applies every delivered exchange twice (and counts both), breaking
-/// `Σ applied = 2 · delivered` at the very first delivery.
-#[derive(Clone, Debug)]
-pub struct DoubleApplyNode {
-    inner: FloodingNode,
-    applied: u64,
-}
-
-impl Protocol for DoubleApplyNode {
-    type Payload = RumorSet;
-
-    fn payload(&self) -> RumorSet {
-        self.inner.payload()
-    }
-
-    fn on_round(&mut self, ctx: &mut Context<'_>) {
-        self.inner.on_round(ctx);
-    }
-
-    fn on_exchange(&mut self, ctx: &mut Context<'_>, x: &Exchange<RumorSet>) {
-        self.applied += 2;
-        self.inner.on_exchange(ctx, x);
-        self.inner.on_exchange(ctx, x);
-    }
-}
-
-impl RumorNode for DoubleApplyNode {
-    fn rumor_set(&self) -> &RumorSet {
-        &self.inner.rumors
-    }
-
-    fn applied(&self) -> u64 {
-        self.applied
-    }
-}
-
-/// The double-apply mutant: must be caught by `at-most-once-delivery`.
+/// The double-apply mutant: applies (and counts) every delivered
+/// exchange twice, breaking `Σ applied = 2 · delivered` at the very
+/// first delivery. Must be caught by `at-most-once-delivery`.
 pub fn double_apply() -> MutantRun {
-    let g = instance(Family::Cycle, 3)
-        .expect("cycle3 is a valid instance")
-        .graph;
-    let base = rr_flood(&g, PropSelect::One("at-most-once-delivery".to_string()));
-    let m = base.with_node("double-apply", |id, n| DoubleApplyNode {
-        inner: FloodingNode::new(id, n),
-        applied: 0,
+    let g = graph(Family::Cycle, 3);
+    let select = PropSelect::One("at-most-once-delivery".to_string());
+    let model = rr_flood_of(&g, &select, |id, n| {
+        Mutant::exchange(Counted::new(FloodingNode::new(id, n)), |node, ctx, x| {
+            node.on_exchange(ctx, x);
+            node.on_exchange(ctx, x);
+        })
     });
-    let out = check(&m, &CheckConfig::default());
-    conclude(&m, "double-apply", "at-most-once-delivery", out)
+    run(model, "double-apply", "at-most-once-delivery")
 }
 
-/// Round-robins over *all* graph neighbors instead of its assigned
-/// out-arcs — traffic strays off the orientation.
-#[derive(Clone, Debug)]
-pub struct FatOrientationNode {
-    state: CheckState,
-}
-
-impl Protocol for FatOrientationNode {
-    type Payload = CheckPayload;
-
-    fn payload(&self) -> CheckPayload {
-        self.state.payload()
-    }
-
-    fn on_round(&mut self, ctx: &mut Context<'_>) {
-        let d = ctx.degree();
-        if d == 0 {
-            return;
-        }
-        ctx.initiate_nth(self.state.cursor % d);
-        self.state.cursor += 1;
-    }
-
-    fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<CheckPayload>) {
-        if x.payload.fingerprint != self.state.fingerprint || x.payload.flag || x.payload.failed {
-            self.state.failed = true;
-        }
-    }
-}
-
-impl Decider for FatOrientationNode {
-    fn decides(&self) -> bool {
-        !self.state.failed && !self.state.flag
-    }
-}
-
-/// The fat-orientation mutant: checked against a hand-built star-4
-/// orientation (`1→0, 2→0, 3→0, 0→1`) where the hub's second
-/// initiation (`0→2`) is off-orientation.
+/// The fat-orientation mutant: a [`CheckNode`] that round-robins over
+/// *all* its graph neighbors instead of its assigned out-arcs, checked
+/// against a hand-built star-4 orientation (`1→0, 2→0, 3→0, 0→1`)
+/// where the hub's second initiation (`0→2`) is off-orientation.
 pub fn fat_orientation() -> MutantRun {
-    let g = instance(Family::Star, 4)
-        .expect("star4 is a valid instance")
-        .graph;
+    let g = graph(Family::Star, 4);
     let select = PropSelect::One("spanner-out-degree".to_string());
-    let base = custom_spanner_model(&g, &[(1, 0), (2, 0), (3, 0), (0, 1)], 4, &select);
-    let m = base.with_node("fat-orientation", |r, f, o| FatOrientationNode {
-        state: CheckState::new(r, f, o),
+    let mut model = custom_spanner_model(&g, &[(1, 0), (2, 0), (3, 0), (0, 1)], 4, &select);
+    model.factory = Box::new(move |id, n| {
+        CheckNode::new(&RumorSet::full(n), false, g.neighbor_ids(id).to_vec())
     });
-    let out = check(&m, &CheckConfig::default());
-    conclude(&m, "fat-orientation", "spanner-out-degree", out)
+    run(model, "fat-orientation", "spanner-out-degree")
 }
-
-// ---------------------------------------------------------------------
-// Streaming mutants
-// ---------------------------------------------------------------------
 
 /// Holds a rumor it can't causally explain: the constructor records a
 /// rumor that is injected at *another* node, with no received payload
@@ -462,13 +349,10 @@ impl StreamObserver for PhantomStreamNode {
 /// The phantom-rumor mutant: must be caught by `no-phantom-rumor` on
 /// the streaming model.
 pub fn phantom_rumor() -> MutantRun {
-    let g = instance(Family::Cycle, 4)
-        .expect("cycle4 is a valid instance")
-        .graph;
-    let base = rr_stream_model(&g, PropSelect::One("no-phantom-rumor".to_string()));
-    let m = base.with_node("phantom-rumor", PhantomStreamNode::new);
-    let out = check(&m, &CheckConfig::default());
-    conclude(&m, "phantom-rumor", "no-phantom-rumor", out)
+    let g = graph(Family::Cycle, 4);
+    let select = PropSelect::One("no-phantom-rumor".to_string());
+    let model = rr_stream_of(&g, &select, PhantomStreamNode::new);
+    run(model, "phantom-rumor", "no-phantom-rumor")
 }
 
 /// Runs the whole suite. Every entry must report

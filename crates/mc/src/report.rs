@@ -7,7 +7,9 @@
 //! violation wins) so the report stays readable. JSON is hand-rolled,
 //! like `cargo xtask tidy --format json` — the workspace has no serde.
 
-use crate::checker::{check, CheckConfig, CheckOutcome};
+use gossip_sim::Protocol;
+
+use crate::checker::{check, CheckConfig, CheckOutcome, Model};
 use crate::models;
 use crate::mutants::MutantRun;
 use crate::{Instance, PropSelect};
@@ -113,55 +115,58 @@ pub fn run_instance_models(
     select: &PropSelect,
     model_filter: Option<&[&str]>,
 ) -> RunReport {
-    let wanted = |model: &str| model_filter.is_none_or(|ms| ms.contains(&model));
-    let cfg = CheckConfig {
-        fault_budget,
-        ..CheckConfig::default()
+    let run = FamilyRun {
+        filter: model_filter,
+        cfg: CheckConfig {
+            fault_budget,
+            ..CheckConfig::default()
+        },
     };
     let g = &inst.graph;
-    let mut reports = Vec::new();
+    let models = [
+        run.check(
+            "nd-broadcast",
+            vec![models::nd_broadcast(g, select.clone())],
+        ),
+        run.check("rr-flood", vec![models::rr_flood(g, select.clone())]),
+        run.check("lemma18", models::lemma18_models(g, select)),
+        run.check("spanner", vec![models::spanner_model(g, select)]),
+        run.check(
+            "rr-stream",
+            vec![models::rr_stream_model(g, select.clone())],
+        ),
+    ];
+    RunReport {
+        instance: inst.name.clone(),
+        fault_budget,
+        models: models.into_iter().flatten().collect(),
+    }
+}
 
-    if wanted("nd-broadcast")
-        && (select.wants("latency-respected") || select.wants("at-most-once-delivery"))
-    {
-        let m = models::nd_broadcast(g, select.clone());
-        reports.push(model_report("nd-broadcast", vec![check(&m, &cfg)]));
-    }
-    if wanted("rr-flood")
-        && (select.wants("latency-respected")
-            || select.wants("at-most-once-delivery")
-            || select.wants("termination"))
-    {
-        let m = models::rr_flood(g, select.clone());
-        reports.push(model_report("rr-flood", vec![check(&m, &cfg)]));
-    }
-    if wanted("lemma18")
-        && (select.wants("lemma18-no-early-stop") || select.wants("same-round-termination"))
-    {
+/// How [`run_instance_models`] checks each model family.
+struct FamilyRun<'a> {
+    filter: Option<&'a [&'a str]>,
+    cfg: CheckConfig,
+}
+
+impl FamilyRun<'_> {
+    /// Checks every model of family `name` that carries a selected
+    /// property, in order, until one finds a violation; `None` when
+    /// the family is filtered out or none of its models carries one.
+    fn check<N: Protocol + Clone>(&self, name: &str, models: Vec<Model<N>>) -> Option<ModelReport> {
+        if self.filter.is_some_and(|ms| !ms.contains(&name)) {
+            return None;
+        }
         let mut outcomes = Vec::new();
-        for m in models::lemma18_models(g, select) {
-            let out = check(&m, &cfg);
+        for m in models.iter().filter(|m| !m.properties.is_empty()) {
+            let out = check(m, &self.cfg);
             let stop = out.violation.is_some();
             outcomes.push(out);
             if stop {
                 break;
             }
         }
-        reports.push(model_report("lemma18", outcomes));
-    }
-    if wanted("spanner") && select.wants("spanner-out-degree") {
-        let m = models::spanner_model(g, select);
-        reports.push(model_report("spanner", vec![check(&m, &cfg)]));
-    }
-    if wanted("rr-stream") && select.wants("no-phantom-rumor") {
-        let m = models::rr_stream_model(g, select.clone());
-        reports.push(model_report("rr-stream", vec![check(&m, &cfg)]));
-    }
-
-    RunReport {
-        instance: inst.name.clone(),
-        fault_budget,
-        models: reports,
+        (!outcomes.is_empty()).then(|| model_report(name, outcomes))
     }
 }
 

@@ -16,7 +16,7 @@
 //! `--release -- --include-ignored` and the full
 //! `gossip check --corpus` sweep.
 
-use gossip_mc::{corpus, run_instance, run_instance_models, PropSelect, RunReport};
+use gossip_mc::{corpus, run_instance, run_instance_models, PropSelect, RunReport, PROPERTY_NAMES};
 
 /// (instance, budget, model, explored, transitions, terminals)
 type Entry = (&'static str, u32, &'static str, u64, u64, u64);
@@ -89,8 +89,8 @@ const PINNED: &[Entry] = &[
     ("ring-of-cliques4", 2, "rr-flood", 121, 356, 144),
     ("ring-of-cliques4", 2, "lemma18", 182, 182, 14),
     ("ring-of-cliques4", 2, "spanner", 312, 809, 146),
-    // rr-stream clamps its fault budget to 0 (see
-    // `StreamModel::fault_budget_cap`), so its counts are
+    // rr-stream clamps its fault budget to 0 (see the `fault_cap`
+    // that `models::rr_stream_model` sets), so its counts are
     // budget-invariant — pinned once per instance at budget 0, with
     // the invariance itself covered by
     // `stream_budget_is_clamped_to_zero`.
@@ -218,4 +218,26 @@ fn lemma18_budget_is_clamped_to_zero() {
     let b = run_instance(inst, 2, &select);
     assert_eq!(a.models[0].explored, b.models[0].explored);
     assert_eq!(a.models[0].transitions, b.models[0].transitions);
+}
+
+#[test]
+fn each_property_runs_exactly_the_models_that_carry_it() {
+    let routes: &[(&str, &[&str])] = &[
+        ("lemma18-no-early-stop", &["lemma18"]),
+        ("same-round-termination", &["lemma18"]),
+        ("latency-respected", &["nd-broadcast", "rr-flood"]),
+        ("spanner-out-degree", &["spanner"]),
+        ("at-most-once-delivery", &["nd-broadcast", "rr-flood"]),
+        ("termination", &["rr-flood"]),
+        ("no-phantom-rumor", &["rr-stream"]),
+    ];
+    let props: Vec<&str> = routes.iter().map(|&(p, _)| p).collect();
+    assert_eq!(props, PROPERTY_NAMES, "one route per property");
+    let instances = corpus();
+    let inst = instances.iter().find(|i| i.name == "cycle3").unwrap();
+    for &(prop, models) in routes {
+        let report = run_instance(inst, 0, &PropSelect::One(prop.to_string()));
+        let ran: Vec<&str> = report.models.iter().map(|m| m.model.as_str()).collect();
+        assert_eq!(ran, models, "--prop {prop}");
+    }
 }
