@@ -23,7 +23,7 @@ fn bench_sweep_estimate(c: &mut Criterion) {
     group.sample_size(10);
     for n in [128usize, 512, 1024] {
         let p = (10.0 / n as f64).min(1.0);
-        let base = generators::connected_erdos_renyi(n, p, 7);
+        let base = generators::connected_erdos_renyi(n, p, 7).expect("connected sample");
         let g = generators::bimodal_latencies(&base, 1, 20, 0.5, 7);
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             b.iter(|| {
@@ -37,7 +37,7 @@ fn bench_sweep_estimate(c: &mut Criterion) {
 fn bench_weighted_estimate(c: &mut Criterion) {
     let mut group = c.benchmark_group("conductance/estimate_weighted");
     group.sample_size(10);
-    let base = generators::connected_erdos_renyi(256, 0.06, 9);
+    let base = generators::connected_erdos_renyi(256, 0.06, 9).expect("connected sample");
     let g = generators::uniform_random_latencies(&base, 1, 10, 9);
     group.bench_function("er256", |b| {
         b.iter(|| black_box(conductance::estimate_weighted_conductance(&g, 100, 3).unwrap()));
@@ -50,7 +50,7 @@ fn bench_pipeline(c: &mut Criterion) {
     group.sample_size(10);
     // The pipeline's home turf: one graph, many distinct latencies.
     for lmax in [8u32, 64] {
-        let base = generators::connected_erdos_renyi(512, 0.03, 9);
+        let base = generators::connected_erdos_renyi(512, 0.03, 9).expect("connected sample");
         let g = generators::uniform_random_latencies(&base, 1, lmax, 9);
         let cfg = ProfileConfig {
             max_iterations: 100,

@@ -10,7 +10,7 @@ fn bench_local_broadcast_sizes(c: &mut Criterion) {
     group.sample_size(10);
     for n in [64usize, 128, 256] {
         let p = (8.0 / n as f64).min(1.0);
-        let g = generators::connected_erdos_renyi(n, p, 5);
+        let g = generators::connected_erdos_renyi(n, p, 5).expect("connected sample");
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             b.iter(|| black_box(dtg::local_broadcast(g, Latency::UNIT)));
         });
@@ -35,7 +35,7 @@ fn bench_superstep(c: &mut Criterion) {
     group.sample_size(10);
     for n in [64usize, 256] {
         let p = (8.0 / n as f64).min(1.0);
-        let g = generators::connected_erdos_renyi(n, p, 5);
+        let g = generators::connected_erdos_renyi(n, p, 5).expect("connected sample");
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             let mut seed = 0u64;
             b.iter(|| {

@@ -59,7 +59,7 @@ fn bench_distributed_termination_check(c: &mut Criterion) {
     group.sample_size(10);
     for n in [32usize, 128] {
         let p = (8.0 / n as f64).min(1.0);
-        let g = generators::connected_erdos_renyi(n, p, 3);
+        let g = generators::connected_erdos_renyi(n, p, 3).expect("connected sample");
         let sp = latency_graph::DiGraph::from_arcs(
             n,
             g.edges().map(|(u, v, l)| (u.index(), v.index(), l.get())),

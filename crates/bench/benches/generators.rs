@@ -45,7 +45,7 @@ fn bench_dijkstra(c: &mut Criterion) {
     group.sample_size(10);
     for n in [64usize, 128, 256] {
         let p = (10.0 / n as f64).min(1.0);
-        let base = generators::connected_erdos_renyi(n, p, 7);
+        let base = generators::connected_erdos_renyi(n, p, 7).expect("connected sample");
         let g = generators::uniform_random_latencies(&base, 1, 10, 7);
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             b.iter(|| black_box(metrics::weighted_diameter(g)));

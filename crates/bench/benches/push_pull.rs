@@ -55,7 +55,7 @@ fn bench_broadcast_bimodal(c: &mut Criterion) {
 fn bench_all_to_all(c: &mut Criterion) {
     let mut group = c.benchmark_group("push_pull/all_to_all_er64");
     group.sample_size(10);
-    let g = generators::connected_erdos_renyi(64, 0.15, 7);
+    let g = generators::connected_erdos_renyi(64, 0.15, 7).expect("connected sample");
     group.bench_function("unit", |b| {
         let mut seed = 0u64;
         b.iter(|| {

@@ -11,7 +11,7 @@ fn bench_flood_round_throughput(c: &mut Criterion) {
     group.sample_size(10);
     for n in [64usize, 256, 1024] {
         let p = (8.0 / n as f64).min(1.0);
-        let g = generators::connected_erdos_renyi(n, p, 3);
+        let g = generators::connected_erdos_renyi(n, p, 3).expect("connected sample");
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
             b.iter(|| black_box(flooding::all_to_all(g, &FloodingConfig::default(), 0)));
         });

@@ -11,7 +11,7 @@ fn bench_build_sizes(c: &mut Criterion) {
     group.sample_size(10);
     for n in [128usize, 256, 512] {
         let p = (12.0 / n as f64).min(1.0);
-        let base = generators::connected_erdos_renyi(n, p, 17);
+        let base = generators::connected_erdos_renyi(n, p, 17).expect("connected sample");
         let g = generators::uniform_random_latencies(&base, 1, 8, 17);
         let k = (n as f64).log2().ceil() as usize;
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {

@@ -19,7 +19,7 @@ pub fn e5_dtg_scaling() -> Table {
             ("star", generators::star(n)),
             ("ER p=8/n", {
                 let p = (8.0 / n as f64).min(1.0);
-                generators::connected_erdos_renyi(n, p, 5)
+                generators::connected_erdos_renyi(n, p, 5).expect("connected sample")
             }),
         ] {
             let o = dtg::local_broadcast(&g, Latency::UNIT);

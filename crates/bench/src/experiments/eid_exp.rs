@@ -29,7 +29,7 @@ pub fn e8_eid_scaling() -> Table {
             ("grid", generators::grid(3, n / 3)),
             ("ER", {
                 let p = (6.0 / n as f64).min(1.0);
-                generators::connected_erdos_renyi(n, p, 5)
+                generators::connected_erdos_renyi(n, p, 5).expect("connected sample")
             }),
         ] {
             let d = metrics::weighted_diameter(&g);

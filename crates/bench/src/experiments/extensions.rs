@@ -81,7 +81,7 @@ pub fn e17_spanner_k_ablation() -> Table {
             "complete",
         ],
     );
-    let base = generators::connected_erdos_renyi(48, 0.2, 11);
+    let base = generators::connected_erdos_renyi(48, 0.2, 11).expect("connected sample");
     let g = generators::uniform_random_latencies(&base, 1, 6, 11);
     let d = metrics::weighted_diameter(&g);
     let logn = eid::default_spanner_k(48);
@@ -188,7 +188,7 @@ pub fn e19_rr_on_spanner_vs_full() -> Table {
     let cases: Vec<(&str, latency_graph::Graph)> = vec![
         (
             "ER sparse",
-            generators::connected_erdos_renyi(128, 12.0 / 128.0, 13),
+            generators::connected_erdos_renyi(128, 12.0 / 128.0, 13).expect("connected sample"),
         ),
         ("clique", generators::clique(128)),
         ("clique", generators::clique(512)),
@@ -255,7 +255,10 @@ pub fn e20_message_complexity() -> Table {
     for (name, g) in [
         ("clique(24)", generators::clique(24)),
         ("cycle(24)", generators::cycle(24)),
-        ("ER(32, .2)", generators::connected_erdos_renyi(32, 0.2, 3)),
+        (
+            "ER(32, .2)",
+            generators::connected_erdos_renyi(32, 0.2, 3).expect("connected sample"),
+        ),
     ] {
         let n = g.node_count();
         let d = metrics::weighted_diameter(&g);
@@ -308,7 +311,8 @@ pub fn e21_dtg_vs_superstep() -> Table {
             ("star", generators::star(n)),
             (
                 "ER p=8/n",
-                generators::connected_erdos_renyi(n, (8.0 / n as f64).min(1.0), 5),
+                generators::connected_erdos_renyi(n, (8.0 / n as f64).min(1.0), 5)
+                    .expect("connected sample"),
             ),
             ("cycle", generators::cycle(n)),
         ] {

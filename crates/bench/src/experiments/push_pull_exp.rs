@@ -38,7 +38,7 @@ pub fn e4_theorem12_bound() -> Table {
         (
             "ER(64, 0.15) latencies 1..10",
             generators::uniform_random_latencies(
-                &generators::connected_erdos_renyi(64, 0.15, 7),
+                &generators::connected_erdos_renyi(64, 0.15, 7).expect("connected sample"),
                 1,
                 10,
                 7,

@@ -25,7 +25,7 @@ pub fn e15_fault_tolerance() -> Table {
             "spanner rounds",
         ],
     );
-    let base = generators::connected_erdos_renyi(64, 0.4, 4);
+    let base = generators::connected_erdos_renyi(64, 0.4, 4).expect("connected sample");
     let g = generators::uniform_random_latencies(&base, 1, 8, 4);
     let n = g.node_count();
     let d = metrics::weighted_diameter(&g);

@@ -26,7 +26,7 @@ pub fn e7_spanner_properties() -> Table {
     );
     for n in [64usize, 128, 256] {
         let p = (10.0 / n as f64).min(1.0);
-        let base = generators::connected_erdos_renyi(n, p, 17);
+        let base = generators::connected_erdos_renyi(n, p, 17).expect("connected sample");
         let g = generators::uniform_random_latencies(&base, 1, 8, 17);
         let k = (n as f64).log2().ceil() as usize;
         let log2n = (n as f64).log2();

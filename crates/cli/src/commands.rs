@@ -148,7 +148,8 @@ pub fn generate(args: &mut Args) -> Result<String, CliError> {
                 "edge probability",
             )?,
             seed,
-        ),
+        )
+        .map_err(|e| CliError::Unsupported(e.to_string()))?,
         "regular" => {
             let n: usize = args.require("n")?;
             let d: usize = within(args.require("degree")?, ..n, "degree")?;
@@ -1125,6 +1126,10 @@ mod tests {
         assert_bad(&["generate", "barbell", "3", "0"], "bridge latency");
         assert_bad(&["generate", "er", "0", "0.5"], "n");
         assert_bad(&["generate", "er", "5", "1.5"], "edge probability");
+        match call(&["generate", "er", "50", "0.01"]) {
+            Err(CliError::Unsupported(msg)) => assert!(msg.contains("ln(n)/n"), "{msg}"),
+            other => panic!("expected a connectivity error, got {other:?}"),
+        }
         assert_bad(&["generate", "chunglu", "10", "1.5", "3"], "beta");
         assert_bad(&["generate", "geometric", "10", "0", "1"], "radius");
         assert_bad(&["generate", "gadget", "0", "0.5", "3"], "m");

@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn measures_all_latencies_with_generous_window() {
-        let base = generators::connected_erdos_renyi(20, 0.3, 1);
+        let base = generators::connected_erdos_renyi(20, 0.3, 1).expect("connected sample");
         let g = generators::uniform_random_latencies(&base, 1, 8, 2);
         let out = discover_latencies(&g, 16);
         assert!(out.complete);

@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn eid_completes_with_latencies() {
-        let base = generators::connected_erdos_renyi(24, 0.25, 5);
+        let base = generators::connected_erdos_renyi(24, 0.25, 5).expect("connected sample");
         let g = generators::uniform_random_latencies(&base, 1, 6, 3);
         let d = metrics::weighted_diameter(&g);
         let out = eid(
@@ -467,7 +467,7 @@ mod tests {
     fn local_spanner_computation_agrees() {
         // Theorem 14's core claim: local views + public coins ⇒ the same
         // spanner. Check for every node of a small graph.
-        let g = generators::connected_erdos_renyi(18, 0.3, 7);
+        let g = generators::connected_erdos_renyi(18, 0.3, 7).expect("connected sample");
         let d = metrics::weighted_diameter(&g);
         let out = eid(
             &g,

@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn flooding_is_deterministic() {
-        let g = generators::connected_erdos_renyi(30, 0.2, 1);
+        let g = generators::connected_erdos_renyi(30, 0.2, 1).expect("connected sample");
         let a = broadcast(&g, NodeId::new(3), &FloodingConfig::default(), 0);
         let b = broadcast(&g, NodeId::new(3), &FloodingConfig::default(), 99);
         // Flooding ignores randomness entirely: same rounds for any seed.

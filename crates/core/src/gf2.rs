@@ -238,20 +238,29 @@ impl Gf2Decoder {
         outcome
     }
 
-    /// A uniformly random GF(2) combination of the basis rows, never
-    /// the zero vector (if every coin lands tails the first basis row
-    /// is included — a deterministic, tape-friendly fixup). `None`
-    /// when the decoder has rank 0 and there is nothing to combine.
+    /// Writes a uniformly random GF(2) combination of the basis rows
+    /// into `out`, never the zero vector (if every coin lands tails the
+    /// first basis row is included — a deterministic, tape-friendly
+    /// fixup). Returns `false`, drawing nothing and leaving `out` as it
+    /// was, when the decoder has rank 0 and there is nothing to combine.
     ///
-    /// Draws exactly one `rng.random::<bool>()` per basis row, in
-    /// insertion order: the engine's RNG stream — and with it every
-    /// golden trace — depends on that count and order.
-    pub fn random_combination(&self, rng: &mut StdRng) -> Option<Vec<u64>> {
+    /// This is the one combine kernel: a stream node stages its batch
+    /// by pointing it at each row of one shared buffer in turn, so no
+    /// row is allocated. It draws exactly one `rng.random::<bool>()`
+    /// per basis row, in insertion order: the engine's RNG stream — and
+    /// with it every golden trace — depends on that count and order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rank is positive and `out` is not exactly
+    /// [`words`](Self::words) long.
+    pub fn random_combination_into(&self, rng: &mut StdRng, out: &mut [u64]) -> bool {
         if self.basis.is_empty() {
-            return None;
+            return false;
         }
         let words = self.words;
-        let mut out = vec![0u64; words];
+        assert_eq!(out.len(), words, "coefficient row width mismatch");
+        out.fill(0);
         let mut any = false;
         // Two passes per block of ≤ 64 rows: draw the coins into
         // all-ones/zero masks, then XOR the masked rows branch-free.
@@ -264,7 +273,7 @@ impl Gf2Decoder {
                 any |= coin;
                 *mask = u64::from(coin).wrapping_neg();
             }
-            xor_masked_rows(&mut out, block, coins);
+            xor_masked_rows(out, block, coins);
         }
         if !any {
             // A sum of *no* rows is zero; patch with the first row so
@@ -275,7 +284,17 @@ impl Gf2Decoder {
             out.iter().any(|w| *w != 0),
             "a sum of distinct RREF rows is never zero"
         );
-        Some(out)
+        true
+    }
+
+    /// [`random_combination_into`](Self::random_combination_into) into
+    /// a freshly allocated row; `None` at rank 0. Same coins, same row.
+    /// Kept only because the frozen `benchmark/` package times it
+    /// (ROADMAP.md, "Next `benchmark` issue"); protocol code stages
+    /// through the kernel.
+    pub fn random_combination(&self, rng: &mut StdRng) -> Option<Vec<u64>> {
+        let mut out = vec![0u64; self.words];
+        self.random_combination_into(rng, &mut out).then_some(out)
     }
 }
 
@@ -385,6 +404,28 @@ mod tests {
             assert!(!probe.insert(&c).innovative);
         }
         assert!(Gf2Decoder::new(4).random_combination(&mut rng).is_none());
+    }
+
+    #[test]
+    fn the_kernel_overwrites_a_dirty_row_and_matches_the_wrapper() {
+        let mut d = Gf2Decoder::new(130);
+        let mut feed = StdRng::seed_from_u64(3);
+        while d.rank() < 40 {
+            let mut row: Vec<u64> = (0..d.words()).map(|_| feed.random()).collect();
+            row[2] &= 0b11;
+            let _ = d.insert(&row);
+        }
+        let (mut a, mut b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        for _ in 0..16 {
+            let mut out = [u64::MAX; 3];
+            assert!(d.random_combination_into(&mut a, &mut out));
+            assert_eq!(Some(out.to_vec()), d.random_combination(&mut b));
+            assert_eq!(a, b, "the kernel and the wrapper draw the same coins");
+        }
+        let mut untouched = [7u64; 3];
+        assert!(!Gf2Decoder::new(130).random_combination_into(&mut a, &mut untouched));
+        assert_eq!(untouched, [7; 3]);
+        assert_eq!(a, b, "rank 0 draws nothing");
     }
 
     #[test]

@@ -270,7 +270,7 @@ mod tests {
         // More sources only helps each individual rumor's spread is
         // independent; k-source completion is bounded by completing all
         // three single-source goals under the same coins.
-        let g = generators::connected_erdos_renyi(40, 0.15, 8);
+        let g = generators::connected_erdos_renyi(40, 0.15, 8).expect("connected sample");
         let sources = [NodeId::new(0), NodeId::new(7), NodeId::new(23)];
         let multi = broadcast_from_set(&g, &sources, &PushPullConfig::default(), 5);
         assert!(multi.completed());
@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn all_to_all_completes_and_dominates_broadcast() {
-        let g = generators::connected_erdos_renyi(48, 0.15, 2);
+        let g = generators::connected_erdos_renyi(48, 0.15, 2).expect("connected sample");
         let b = broadcast(&g, NodeId::new(0), &PushPullConfig::default(), 9);
         let a = all_to_all(&g, &PushPullConfig::default(), 9);
         assert!(b.completed() && a.completed());
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let g = generators::connected_erdos_renyi(32, 0.2, 0);
+        let g = generators::connected_erdos_renyi(32, 0.2, 0).expect("connected sample");
         let a = broadcast(&g, NodeId::new(0), &PushPullConfig::default(), 77);
         let b = broadcast(&g, NodeId::new(0), &PushPullConfig::default(), 77);
         assert_eq!(a.rounds, b.rounds);

@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn works_on_real_spanner() {
-        let g = generators::connected_erdos_renyi(40, 0.25, 3);
+        let g = generators::connected_erdos_renyi(40, 0.25, 3).expect("connected sample");
         let sp = build_spanner(
             &g,
             &SpannerConfig {

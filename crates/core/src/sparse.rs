@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn flood_stepping_is_bounded_by_edges() {
-        let g = generators::connected_erdos_renyi(40, 0.15, 3);
+        let g = generators::connected_erdos_renyi(40, 0.15, 3).expect("connected sample");
         let o = flood_broadcast(&g, NodeId::new(5), &SparseConfig::default(), 3);
         assert!(o.completed());
         // Frontier membership = round-0 sweep (n) + delivery endpoints

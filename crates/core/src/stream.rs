@@ -28,8 +28,16 @@
 //! snapshotted by `payload`, which keeps the engine's
 //! payload-purity contract; budget debits and first-heard records go
 //! through the confined [`BudgetLedger`]/[`CompletionLog`] APIs.
+//!
+//! A staged batch is one shared buffer — a [`StreamPayload`] is a
+//! copy-on-write snapshot — so `payload` is a reference-count bump and
+//! every exchange that snapshots a node in one round shares that
+//! round's batch. [`RlcStreamNode`] writes its combinations straight
+//! into the batch's rows through
+//! [`Gf2Decoder::random_combination_into`], one allocation per staged
+//! round; [`RrStreamNode`] packs its ids and shares them the same way.
 
-use gossip_sim::stream::{BudgetLedger, CompletionLog, StreamPayload, StreamSpec};
+use gossip_sim::stream::{BudgetLedger, CompletionLog, RowBatch, StreamPayload, StreamSpec};
 use gossip_sim::{
     completion_rounds, Context, EngineMode, EngineStats, Exchange, Protocol, Round, Scheduling,
     SimMetrics, Simulator, StopReason,
@@ -209,7 +217,7 @@ impl RrStreamNode {
         }
         let units = u64::try_from(batch.len()).expect("batch fits u64");
         assert!(self.ledger.spend(units), "batch exceeds the granted budget");
-        self.staged = StreamPayload::Ids(batch);
+        self.staged = StreamPayload::Ids(batch.into());
     }
 }
 
@@ -251,7 +259,7 @@ impl Protocol for RrStreamNode {
     fn on_exchange(&mut self, ctx: &mut Context<'_>, x: &Exchange<StreamPayload>) {
         let ids = match &x.payload {
             StreamPayload::Ids(ids) => ids,
-            StreamPayload::Rows { .. } => {
+            StreamPayload::Rows(_) => {
                 panic!("round-robin stream received a coefficient payload")
             }
         };
@@ -262,7 +270,7 @@ impl Protocol for RrStreamNode {
         if self.known_to_peer.is_empty() {
             self.known_to_peer = vec![vec![0u64; self.k.div_ceil(64)]; ctx.degree()];
         }
-        for &id in ids {
+        for &id in ids.iter() {
             let rumor = usize::try_from(id).expect("rumor id fits usize");
             let _ = self.log.record(rumor, x.completed_at);
             self.mark_known(peer_idx, rumor);
@@ -333,22 +341,24 @@ impl RlcStreamNode {
         }
     }
 
-    /// Stages `≤ budget` random combinations of the known row space.
+    /// Stages `≤ budget` random combinations of the known row space,
+    /// written straight into the round's one shared batch: the full
+    /// allowance once the rank is positive, nothing before.
     fn stage(&mut self, ctx: &mut Context<'_>) {
         let allowance = usize::try_from(self.ledger.grant()).expect("budget fits usize");
-        let mut rows = Vec::new();
-        for _ in 0..allowance {
-            match self.decoder.random_combination(ctx.rng()) {
-                Some(row) => rows.push(row),
-                None => break,
-            }
-        }
-        let units = u64::try_from(rows.len()).expect("batch fits u64");
-        assert!(self.ledger.spend(units), "batch exceeds the granted budget");
-        self.staged = StreamPayload::Rows {
-            k: u32::try_from(self.k).expect("universe size fits u32"),
-            rows,
+        let count = if self.decoder.rank() == 0 {
+            0
+        } else {
+            allowance
         };
+        let (decoder, rng) = (&self.decoder, ctx.rng());
+        let batch = RowBatch::from_fn(self.k, count, |row| {
+            let filled = decoder.random_combination_into(rng, row);
+            debug_assert!(filled, "rank is positive");
+        });
+        let units = u64::try_from(batch.len()).expect("batch fits u64");
+        assert!(self.ledger.spend(units), "batch exceeds the granted budget");
+        self.staged = StreamPayload::Rows(batch);
     }
 }
 
@@ -384,18 +394,14 @@ impl Protocol for RlcStreamNode {
     }
 
     fn on_exchange(&mut self, _ctx: &mut Context<'_>, x: &Exchange<StreamPayload>) {
-        let rows = match &x.payload {
-            StreamPayload::Rows { k, rows } => {
-                assert_eq!(
-                    usize::try_from(*k).expect("universe size fits usize"),
-                    self.k,
-                    "peer streams a different universe"
-                );
-                rows
+        let batch = match &x.payload {
+            StreamPayload::Rows(batch) => {
+                assert_eq!(batch.k(), self.k, "peer streams a different universe");
+                batch
             }
             StreamPayload::Ids(_) => panic!("algebraic stream received an id payload"),
         };
-        for row in rows {
+        for row in batch.rows() {
             Self::absorb_row(&mut self.decoder, &mut self.log, row, x.completed_at);
         }
     }

@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let g = generators::connected_erdos_renyi(24, 0.25, 2);
+        let g = generators::connected_erdos_renyi(24, 0.25, 2).expect("connected sample");
         let a = local_broadcast(&g, Latency::UNIT, 9);
         let b = local_broadcast(&g, Latency::UNIT, 9);
         assert_eq!(a.rounds, b.rounds);

@@ -218,7 +218,7 @@ mod tests {
         // Run EID attempts at various (often wrong) diameter guesses and
         // check the distributed verdict equals the central one.
         for seed in 0..6u64 {
-            let base = generators::connected_erdos_renyi(14, 0.3, seed);
+            let base = generators::connected_erdos_renyi(14, 0.3, seed).expect("connected sample");
             let g = generators::uniform_random_latencies(&base, 1, 5, seed);
             let d = metrics::weighted_diameter(&g);
             for guess in [1, d.div_ceil(2).max(1), d] {

@@ -157,7 +157,7 @@ fn faulty_push_pull(g: &Graph, cfg: SimConfig, plan: FaultPlan) -> String {
 /// `ℓ = 2` local broadcasts drop some edges and the diameter guesses
 /// of the guess-and-double loops fail before they succeed.
 fn section5_graph() -> Graph {
-    let base = generators::connected_erdos_renyi(24, 0.25, 5);
+    let base = generators::connected_erdos_renyi(24, 0.25, 5).expect("connected sample");
     generators::uniform_random_latencies(&base, 1, 3, 3)
 }
 

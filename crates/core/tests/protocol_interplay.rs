@@ -14,7 +14,7 @@ use latency_graph::{generators, metrics, NodeId};
 /// agrees with the centralized one.
 #[test]
 fn superstep_discovery_supports_local_spanner_agreement() {
-    let g = generators::connected_erdos_renyi(16, 0.3, 11);
+    let g = generators::connected_erdos_renyi(16, 0.3, 11).expect("connected sample");
     let n = g.node_count();
     let k_s = eid::default_spanner_k(n);
     let ell = g.max_latency().unwrap();
@@ -145,7 +145,7 @@ fn payload_ordering_matches_section6() {
 /// broadcast) even though their schedules differ completely.
 #[test]
 fn dtg_and_superstep_agree_on_postcondition() {
-    let base = generators::connected_erdos_renyi(20, 0.25, 6);
+    let base = generators::connected_erdos_renyi(20, 0.25, 6).expect("connected sample");
     let g = generators::uniform_random_latencies(&base, 1, 4, 6);
     for ell in g.distinct_latencies() {
         let a = gossip_core::dtg::local_broadcast(&g, ell);
@@ -196,7 +196,7 @@ fn distributed_check_sound_over_random_states() {
 /// latencies): identical rounds with and without.
 #[test]
 fn push_pull_oblivious_to_latency_knowledge() {
-    let base = generators::connected_erdos_renyi(24, 0.2, 4);
+    let base = generators::connected_erdos_renyi(24, 0.2, 4).expect("connected sample");
     let g = generators::uniform_random_latencies(&base, 1, 7, 4);
     let source = NodeId::new(0);
     let run = |known: bool| {

@@ -34,6 +34,15 @@ pub enum GraphError {
         /// The operation's limit.
         max: usize,
     },
+    /// A generator that retries until its sample is connected found
+    /// none: the edge probability is below the connectivity threshold
+    /// `ln(n)/n` of `G(n, p)`.
+    NoConnectedSample {
+        /// The requested node count `n`.
+        nodes: usize,
+        /// How many samples were drawn.
+        attempts: u32,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -50,6 +59,15 @@ impl fmt::Display for GraphError {
                 write!(
                     f,
                     "graph of {nodes} nodes exceeds the limit of {max} for this operation"
+                )
+            }
+            GraphError::NoConnectedSample { nodes, attempts } => {
+                let n = *nodes as f64;
+                write!(
+                    f,
+                    "no connected G({nodes}, p) sample in {attempts} attempts; \
+                     p must exceed the connectivity threshold ln(n)/n = {:.4}",
+                    n.ln() / n
                 )
             }
         }
@@ -77,6 +95,11 @@ mod tests {
             GraphError::TooLarge {
                 nodes: 100,
                 max: 24,
+            }
+            .to_string(),
+            GraphError::NoConnectedSample {
+                nodes: 50,
+                attempts: 64,
             }
             .to_string(),
         ];

@@ -25,6 +25,7 @@ pub use layered_ring::{LayeredRing, LayeredRingSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder, RowLatencies};
 use crate::ids::{Latency, NodeId};
 
@@ -215,18 +216,26 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
 
 /// An Erdős–Rényi graph retried (with incremented seeds) until connected.
 ///
+/// # Errors
+///
+/// [`GraphError::NoConnectedSample`] if none of 64 samples is connected
+/// — choose `p` above the connectivity threshold `ln(n)/n`.
+///
 /// # Panics
 ///
-/// Panics if no connected sample is found within 64 retries — choose
-/// `p ≳ ln n / n`.
-pub fn connected_erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
-    for attempt in 0..64 {
-        let g = erdos_renyi(n, p, seed.wrapping_add(attempt));
+/// Panics if `n == 0` or `p` is not in `[0, 1]`.
+pub fn connected_erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
+    const ATTEMPTS: u32 = 64;
+    for attempt in 0..ATTEMPTS {
+        let g = erdos_renyi(n, p, seed.wrapping_add(u64::from(attempt)));
         if g.is_connected() {
-            return g;
+            return Ok(g);
         }
     }
-    panic!("no connected G({n}, {p}) sample in 64 attempts; increase p");
+    Err(GraphError::NoConnectedSample {
+        nodes: n,
+        attempts: ATTEMPTS,
+    })
 }
 
 /// A random geometric graph: `n` points uniform in the unit square,
@@ -458,8 +467,19 @@ mod tests {
 
     #[test]
     fn connected_er_is_connected() {
-        let g = connected_erdos_renyi(40, 0.15, 5);
+        let g = connected_erdos_renyi(40, 0.15, 5).expect("p is above the threshold");
         assert!(g.is_connected());
+    }
+
+    #[test]
+    fn connected_er_below_the_threshold_is_an_error() {
+        assert_eq!(
+            connected_erdos_renyi(50, 0.01, 0),
+            Err(GraphError::NoConnectedSample {
+                nodes: 50,
+                attempts: 64
+            })
+        );
     }
 
     #[test]

@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn round_trip_random_graphs() {
         for seed in 0..5 {
-            let base = generators::connected_erdos_renyi(20, 0.2, seed);
+            let base = generators::connected_erdos_renyi(20, 0.2, seed).expect("connected sample");
             let g = generators::uniform_random_latencies(&base, 1, 9, seed);
             let text = to_edge_list(&g);
             assert_eq!(from_edge_list(&text).unwrap(), g);

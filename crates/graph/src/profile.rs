@@ -559,7 +559,7 @@ mod tests {
     #[test]
     fn csr_prefix_is_latency_sorted() {
         let g = generators::uniform_random_latencies(
-            &generators::connected_erdos_renyi(20, 0.3, 3),
+            &generators::connected_erdos_renyi(20, 0.3, 3).expect("connected sample"),
             1,
             9,
             3,
@@ -577,7 +577,7 @@ mod tests {
     #[test]
     fn cursors_advance_to_full_volume() {
         let g = generators::uniform_random_latencies(
-            &generators::connected_erdos_renyi(16, 0.4, 1),
+            &generators::connected_erdos_renyi(16, 0.4, 1).expect("connected sample"),
             1,
             6,
             1,
@@ -626,7 +626,7 @@ mod tests {
         // first threshold against later ones would confound the start
         // vector with each G_ℓ's own eigenvalue gap.)
         let g = generators::uniform_random_latencies(
-            &generators::connected_erdos_renyi(96, 0.08, 11),
+            &generators::connected_erdos_renyi(96, 0.08, 11).expect("connected sample"),
             1,
             32,
             11,
@@ -661,7 +661,7 @@ mod tests {
     #[test]
     fn pipeline_matches_estimator_wrapper() {
         let g = generators::uniform_random_latencies(
-            &generators::connected_erdos_renyi(40, 0.15, 9),
+            &generators::connected_erdos_renyi(40, 0.15, 9).expect("connected sample"),
             1,
             8,
             9,
@@ -694,7 +694,7 @@ mod tests {
     #[test]
     fn quantile_pipeline_agrees_on_selected_thresholds() {
         let g = generators::uniform_random_latencies(
-            &generators::connected_erdos_renyi(48, 0.15, 4),
+            &generators::connected_erdos_renyi(48, 0.15, 4).expect("connected sample"),
             1,
             24,
             4,

@@ -342,7 +342,7 @@ fn gray_code_byte_equal_on_fixture_families() {
         generators::balanced_binary_tree(15),
         generators::bimodal_latencies(&generators::clique(14), 1, 28, 0.3, 1),
         generators::uniform_random_latencies(
-            &generators::connected_erdos_renyi(14, 0.3, 5),
+            &generators::connected_erdos_renyi(14, 0.3, 5).expect("connected sample"),
             1,
             9,
             5,
@@ -380,7 +380,7 @@ fn gray_code_byte_equal_on_fixture_families() {
 #[test]
 fn wrapper_matches_legacy_on_fixture() {
     let g = generators::uniform_random_latencies(
-        &generators::connected_erdos_renyi(40, 0.15, 7),
+        &generators::connected_erdos_renyi(40, 0.15, 7).expect("connected sample"),
         1,
         10,
         7,

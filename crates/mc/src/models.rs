@@ -461,17 +461,16 @@ fn encode_stream_payload(payload: &StreamPayload, out: &mut Vec<u8>) {
     match payload {
         StreamPayload::Ids(ids) => {
             out.push(0);
-            for id in ids {
+            for id in ids.iter() {
                 out.extend_from_slice(&id.to_le_bytes());
             }
         }
-        StreamPayload::Rows { k, rows } => {
+        StreamPayload::Rows(batch) => {
             out.push(1);
+            let k = u32::try_from(batch.k()).expect("universe size fits u32");
             out.extend_from_slice(&k.to_le_bytes());
-            for row in rows {
-                for w in row {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
+            for w in batch.words() {
+                out.extend_from_slice(&w.to_le_bytes());
             }
         }
     }

@@ -91,6 +91,17 @@ impl<'a> Cursor<'a> {
         Ok(b)
     }
 
+    /// The next `len` bytes, consumed.
+    pub(crate) fn bytes(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
+        let bytes = self
+            .pos
+            .checked_add(len)
+            .and_then(|end| self.buf.get(self.pos..end))
+            .ok_or(CodecError::BadBody("delta body shorter than required"))?;
+        self.pos += len;
+        Ok(bytes)
+    }
+
     pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
         let end = self.pos + 8;
         let bytes = self

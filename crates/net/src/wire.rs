@@ -19,7 +19,7 @@
 //! for — which is what makes the stream-reassembly loop in the TCP
 //! reader a two-line match.
 
-use gossip_sim::{CompactRumorSet, Round, RumorSet, StreamPayload};
+use gossip_sim::{CompactRumorSet, Round, RowBatch, RumorSet, StreamPayload};
 use latency_graph::NodeId;
 
 use crate::error::CodecError;
@@ -816,18 +816,16 @@ impl WirePayload for StreamPayload {
             StreamPayload::Ids(ids) => {
                 out.push(STREAM_TAG_IDS);
                 crate::delta::push_varint(out, u64::try_from(ids.len()).expect("count fits u64"));
-                for &id in ids {
+                for &id in ids.iter() {
                     crate::delta::push_varint(out, u64::from(id));
                 }
             }
-            StreamPayload::Rows { k, rows } => {
+            StreamPayload::Rows(batch) => {
                 out.push(STREAM_TAG_ROWS);
-                crate::delta::push_varint(out, u64::from(*k));
-                crate::delta::push_varint(out, u64::try_from(rows.len()).expect("count fits u64"));
-                for row in rows {
-                    for w in row {
-                        out.extend_from_slice(&w.to_le_bytes());
-                    }
+                crate::delta::push_varint(out, u64::try_from(batch.k()).expect("k fits u64"));
+                crate::delta::push_varint(out, u64::try_from(batch.len()).expect("count fits u64"));
+                for w in batch.words() {
+                    out.extend_from_slice(&w.to_le_bytes());
                 }
             }
         }
@@ -847,13 +845,13 @@ impl WirePayload for StreamPayload {
                         .map_err(|_| CodecError::BadBody("stream rumor id exceeds u32"))?;
                     ids.push(id);
                 }
-                StreamPayload::Ids(ids)
+                StreamPayload::Ids(ids.into())
             }
             tag if tag == u64::from(STREAM_TAG_ROWS) => {
                 let k = u32::try_from(cur.varint()?)
                     .map_err(|_| CodecError::BadBody("stream universe exceeds u32"))?;
-                let kk = usize::try_from(k).expect("u32 fits usize");
-                let words = kk.div_ceil(64);
+                let k = usize::try_from(k).expect("u32 fits usize");
+                let words = k.div_ceil(64);
                 let count = usize::try_from(cur.varint()?)
                     .ok()
                     .filter(|&c| {
@@ -864,24 +862,23 @@ impl WirePayload for StreamPayload {
                                 .is_some_and(|total| total <= cur.remaining())
                     })
                     .ok_or(CodecError::BadBody("stream row count exceeds body"))?;
-                let tail_bits = kk % 64;
-                let mut rows = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let mut row = Vec::with_capacity(words);
-                    for _ in 0..words {
-                        row.push(cur.u64()?);
+                // The row body goes straight into the batch's one buffer.
+                let mut body = cur
+                    .bytes(count * words * 8)?
+                    .chunks_exact(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+                let batch = RowBatch::from_fn(k, count, |row| {
+                    for (w, v) in row.iter_mut().zip(&mut body) {
+                        *w = v;
                     }
-                    if tail_bits != 0 {
-                        let last = row.last().copied().unwrap_or(0);
-                        if last >> tail_bits != 0 {
-                            return Err(CodecError::BadBody(
-                                "stream row has coefficient bits beyond the universe",
-                            ));
-                        }
-                    }
-                    rows.push(row);
+                });
+                let tail_bits = k % 64;
+                if tail_bits != 0 && batch.rows().any(|row| row[words - 1] >> tail_bits != 0) {
+                    return Err(CodecError::BadBody(
+                        "stream row has coefficient bits beyond the universe",
+                    ));
                 }
-                StreamPayload::Rows { k, rows }
+                StreamPayload::Rows(batch)
             }
             _ => return Err(CodecError::BadBody("unknown stream payload tag")),
         };
@@ -899,9 +896,8 @@ impl WirePayload for StreamPayload {
                     .sum();
                 1 + varint(ids.len()) + id_bytes
             }
-            StreamPayload::Rows { k, rows } => {
-                let row_bytes: usize = rows.iter().map(|row| 8 * row.len()).sum();
-                1 + crate::delta::varint_len(u64::from(*k)) + varint(rows.len()) + row_bytes
+            StreamPayload::Rows(batch) => {
+                1 + varint(batch.k()) + varint(batch.len()) + 8 * batch.words().len()
             }
         }
     }
@@ -1209,20 +1205,19 @@ mod tests {
         assert_eq!(back, set);
     }
 
+    /// A coefficient-row payload over `0..k`.
+    fn rows(k: usize, rows: &[Vec<u64>]) -> StreamPayload {
+        StreamPayload::Rows(RowBatch::from_rows(k, rows).expect("rows of one width"))
+    }
+
     #[test]
     fn stream_payload_round_trips_both_flavors() {
         let cases = vec![
             StreamPayload::empty_ids(),
-            StreamPayload::Ids(vec![7, 3, 300, 0]), // packing order preserved
+            StreamPayload::Ids(vec![7, 3, 300, 0].into()), // packing order preserved
             StreamPayload::empty_rows(130),
-            StreamPayload::Rows {
-                k: 130,
-                rows: vec![vec![0b101, 0, 1], vec![u64::MAX, u64::MAX, 0b11]],
-            },
-            StreamPayload::Rows {
-                k: 64,
-                rows: vec![vec![u64::MAX]],
-            },
+            rows(130, &[vec![0b101, 0, 1], vec![u64::MAX, u64::MAX, 0b11]]),
+            rows(64, &[vec![u64::MAX]]),
         ];
         for p in cases {
             let mut bytes = Vec::new();
@@ -1241,27 +1236,19 @@ mod tests {
         assert!(StreamPayload::decode_payload(&[0, 200, 1]).is_err());
         // Row with coefficient bits beyond the declared universe.
         let mut tail = Vec::new();
-        StreamPayload::Rows {
-            k: 3,
-            rows: vec![vec![0b111]],
-        }
-        .encode_payload(&mut tail);
+        rows(3, &[vec![0b111]]).encode_payload(&mut tail);
         let last = tail.len() - 1;
         assert!(StreamPayload::decode_payload(&tail).is_ok());
         tail[last] = 0xFF; // bits 4..8 are outside k = 3
         assert!(StreamPayload::decode_payload(&tail).is_err());
         // Row count inconsistent with the body length.
         let mut short = Vec::new();
-        StreamPayload::Rows {
-            k: 64,
-            rows: vec![vec![5]],
-        }
-        .encode_payload(&mut short);
+        rows(64, &[vec![5]]).encode_payload(&mut short);
         short.truncate(short.len() - 1);
         assert!(StreamPayload::decode_payload(&short).is_err());
         // Truncation anywhere is a typed error, never a panic.
         let mut full = Vec::new();
-        StreamPayload::Ids(vec![1, 2, 700]).encode_payload(&mut full);
+        StreamPayload::Ids(vec![1, 2, 700].into()).encode_payload(&mut full);
         for cut in 0..full.len() {
             assert!(StreamPayload::decode_payload(&full[..cut]).is_err());
         }
@@ -1272,7 +1259,7 @@ mod tests {
 
     #[test]
     fn stream_payload_advertises_caps_and_units() {
-        let p = StreamPayload::Ids(vec![4, 9]);
+        let p = StreamPayload::Ids(vec![4, 9].into());
         assert_eq!(p.stream_units(), 2);
         assert_eq!(RumorSet::new(8).stream_units(), 0);
         assert!(!<StreamPayload as WirePayload>::supports_delta());

@@ -177,7 +177,7 @@ fn heterogeneous_latencies_match_engine() {
     // Bimodal edge latencies exercise nontrivial ℓ in the hold queue:
     // replies arrive before their exchange is due.
     let g = generators::bimodal_latencies(
-        &generators::connected_erdos_renyi(20, 0.25, 3),
+        &generators::connected_erdos_renyi(20, 0.25, 3).expect("connected sample"),
         1,
         9,
         0.4,

@@ -192,7 +192,7 @@ fn heterogeneous_latencies_match_engine() {
     // Bimodal edge latencies exercise nontrivial ℓ in the runner's hold
     // (the envelope's release round is the reply's due round).
     let g = generators::bimodal_latencies(
-        &generators::connected_erdos_renyi(20, 0.25, 3),
+        &generators::connected_erdos_renyi(20, 0.25, 3).expect("connected sample"),
         1,
         9,
         0.4,

@@ -8,7 +8,7 @@
 use gossip_net::conn::FrameReader;
 use gossip_net::wire::{Frame, HEADER_LEN, MAGIC, VERSION};
 use gossip_net::{CodecError, WirePayload, CAP_DELTA, MAX_BODY};
-use gossip_sim::{RumorSet, StreamPayload};
+use gossip_sim::{RowBatch, RumorSet, StreamPayload};
 use latency_graph::NodeId;
 use proptest::prelude::*;
 use rand::Rng;
@@ -355,20 +355,13 @@ fn header_layout_is_pinned() {
 
 /// `(k, rows)` of a coefficient-row stream payload: `k = 0` included,
 /// rows of `⌈k/64⌉` words with a partial last word whenever `k` is not
-/// a multiple of 64, and ragged row lengths when `ragged` is set.
-fn arb_rows(k: u32, count: usize, seed: u64, ragged: bool) -> Vec<Vec<u64>> {
+/// a multiple of 64.
+fn arb_rows(k: u32, count: usize, seed: u64) -> Vec<Vec<u64>> {
     use rand::{rngs::StdRng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
     let words = (k as usize).div_ceil(64);
     (0..count)
-        .map(|i| {
-            let len = if ragged {
-                (words + i) % (words + 2)
-            } else {
-                words
-            };
-            (0..len).map(|_| rng.random::<u64>()).collect()
-        })
+        .map(|_| (0..words).map(|_| rng.random::<u64>()).collect())
         .collect()
 }
 
@@ -383,7 +376,6 @@ proptest! {
         ids in proptest::collection::vec(any::<u32>(), 0..40),
         k in 1u32..300,
         count in 0usize..6,
-        ragged in any::<bool>(),
     ) {
         fn check<P: WirePayload + std::fmt::Debug>(p: &P) -> Result<(), TestCaseError> {
             let mut bytes = Vec::new();
@@ -392,12 +384,40 @@ proptest! {
             Ok(())
         }
         check(&arb_set(universe, seed, 33))?;
-        check(&StreamPayload::Ids(ids))?;
+        check(&StreamPayload::Ids(ids.into()))?;
         check(&StreamPayload::empty_ids())?;
         for k in [k, 0, 64, 128] {
-            check(&StreamPayload::Rows { k, rows: arb_rows(k, count, seed, ragged) })?;
+            let batch = RowBatch::from_rows(k as usize, &arb_rows(k, count, seed));
+            check(&StreamPayload::Rows(batch.expect("rows of one width")))?;
             check(&StreamPayload::empty_rows(k as usize))?;
         }
         check(&())?;
+    }
+}
+
+proptest! {
+    /// A coefficient batch holds rows of one width only: its
+    /// constructor refuses a row list with one row a word too long or
+    /// too short, and accepts the same list once that row is resized
+    /// back to `⌈k/64⌉` words. (The wire form, `count` rows of
+    /// `⌈k/64⌉` words, never had room for a ragged batch.)
+    #[test]
+    fn the_batch_constructor_refuses_ragged_rows(
+        k in 0u32..300,
+        count in 1usize..6,
+        seed in any::<u64>(),
+        at in 0usize..6,
+    ) {
+        let words = (k as usize).div_ceil(64);
+        let mut rows = arb_rows(k, count, seed);
+        let row = &mut rows[at % count];
+        if words > 0 && seed % 2 == 0 {
+            row.pop();
+        } else {
+            row.push(seed);
+        }
+        prop_assert!(RowBatch::from_rows(k as usize, &rows).is_none());
+        rows[at % count].resize(words, 0);
+        prop_assert!(RowBatch::from_rows(k as usize, &rows).is_some());
     }
 }

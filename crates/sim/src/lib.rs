@@ -74,8 +74,8 @@ pub use engine::{
 pub use faults::FaultPlan;
 pub use rumor::{CompactParts, CompactRumorSet, RumorSet, SharedRumorSet};
 pub use stream::{
-    all_delivered_round, completion_rounds, BudgetLedger, CompletionLog, Injection, StreamPayload,
-    StreamSpec,
+    all_delivered_round, completion_rounds, BudgetLedger, CompletionLog, Injection, RowBatch,
+    StreamPayload, StreamSpec,
 };
 
 /// Simulation time, in synchronous rounds.

@@ -26,7 +26,14 @@
 //! The wire-facing [`StreamPayload`] (rumor-id batches for round-robin
 //! selection, GF(2) coefficient rows for algebraic gossip) also lives
 //! here so the `gossip-net` codec can encode it without depending on
-//! the policy implementations in `gossip-core`.
+//! the policy implementations in `gossip-core`. It is a copy-on-write
+//! snapshot like [`RumorSet`](crate::RumorSet): each flavor keeps its
+//! batch in one shared buffer — the rows of a [`RowBatch`] back to back
+//! — so the payload an exchange captures at initiation and holds for
+//! `ℓ` rounds costs a reference count, and every exchange that
+//! snapshots one node in one round shares that node's single batch.
+
+use std::sync::Arc;
 
 use latency_graph::NodeId;
 
@@ -327,42 +334,133 @@ pub fn all_delivered_round(curve: &[Option<Round>]) -> Option<Round> {
 /// and `gossip-net` gives it a wire form (rumor-id bodies and
 /// coefficient-row bodies riding the varint machinery), so engine runs
 /// and net runs exchange byte-for-byte equivalent information.
+///
+/// Like [`RumorSet`](crate::RumorSet), a payload is a copy-on-write
+/// snapshot: both flavors keep their batch behind one `Arc`, so `clone`
+/// — what a node's `payload()` returns to every exchange that captures
+/// it — bumps a reference count and copies nothing. A node stages one
+/// batch per round; every exchange that snapshots it in that round
+/// shares the buffer (observable only through [`ptr_eq`](Self::ptr_eq)),
+/// and a later staging replaces the node's handle without touching the
+/// batches still in flight.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StreamPayload {
     /// Explicit rumor ids, at most `budget` of them (round-robin
     /// selection). Order is the sender's packing order.
-    Ids(Vec<u32>),
+    Ids(Arc<[u32]>),
     /// GF(2) coefficient rows over a `k`-rumor universe, at most
-    /// `budget` of them (algebraic gossip). Each row is `⌈k/64⌉`
-    /// little-endian words; bit `i` means rumor `i` is in the
-    /// combination.
-    Rows {
-        /// The universe size the rows are over.
-        k: u32,
-        /// The coefficient rows, sender's packing order.
-        rows: Vec<Vec<u64>>,
-    },
+    /// `budget` of them (algebraic gossip).
+    Rows(RowBatch),
+}
+
+/// `count` GF(2) coefficient rows over a `k`-rumor universe, in one
+/// flat shared buffer: row `i` is `words()[i·w..(i + 1)·w]` with
+/// `w = ⌈k/64⌉` little-endian words, and bit `j` of a row means rumor
+/// `j` is in the combination. Rows keep the sender's packing order.
+///
+/// Every row has the same width by construction, so a ragged batch is
+/// unrepresentable. The count is stored rather than derived from the
+/// buffer length because at `k = 0` a row is zero words wide.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RowBatch {
+    k: u32,
+    count: u32,
+    words: Arc<[u64]>,
+}
+
+impl RowBatch {
+    /// `count` rows over `0..k` in one allocation, each zeroed and then
+    /// written in place by `fill`, first row first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` or `count` exceeds `u32`.
+    pub fn from_fn(k: usize, count: usize, mut fill: impl FnMut(&mut [u64])) -> RowBatch {
+        let width = k.div_ceil(64);
+        let mut words: Arc<[u64]> = std::iter::repeat_n(0, count * width).collect();
+        let buf = Arc::get_mut(&mut words).expect("a fresh buffer is unshared");
+        for i in 0..count {
+            fill(&mut buf[i * width..(i + 1) * width]);
+        }
+        RowBatch {
+            k: u32::try_from(k).expect("universe size fits u32"),
+            count: u32::try_from(count).expect("batch fits u32"),
+            words,
+        }
+    }
+
+    /// The batch of `rows`, copied into one buffer; `None` if any row
+    /// is not exactly `⌈k/64⌉` words wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` or the row count exceeds `u32`.
+    pub fn from_rows<R: AsRef<[u64]>>(k: usize, rows: &[R]) -> Option<RowBatch> {
+        let width = k.div_ceil(64);
+        if rows.iter().any(|row| row.as_ref().len() != width) {
+            return None;
+        }
+        let mut next = rows.iter();
+        Some(RowBatch::from_fn(k, rows.len(), |row| {
+            row.copy_from_slice(next.next().expect("one source per row").as_ref());
+        }))
+    }
+
+    /// The universe size the rows are over.
+    pub fn k(&self) -> usize {
+        usize::try_from(self.k).expect("u32 fits usize")
+    }
+
+    /// The number of rows.
+    pub fn len(&self) -> usize {
+        usize::try_from(self.count).expect("u32 fits usize")
+    }
+
+    /// Whether the batch holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Every row's words, back to back in row order.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The rows in packing order, each `⌈k/64⌉` words wide.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[u64]> + '_ {
+        let width = self.k().div_ceil(64);
+        (0..self.len()).map(move |i| &self.words[i * width..(i + 1) * width])
+    }
 }
 
 impl StreamPayload {
     /// The empty payload of the id flavor.
     pub fn empty_ids() -> StreamPayload {
-        StreamPayload::Ids(Vec::new())
+        StreamPayload::Ids(Arc::from([]))
     }
 
     /// The empty payload of the coefficient flavor.
     pub fn empty_rows(k: usize) -> StreamPayload {
-        StreamPayload::Rows {
-            k: u32::try_from(k).expect("universe size fits u32"),
-            rows: Vec::new(),
-        }
+        StreamPayload::Rows(RowBatch::from_fn(k, 0, |_| {}))
     }
 
     /// Rumor-payload units carried: ids or rows, whichever flavor.
     pub fn units(&self) -> u64 {
-        match self {
-            StreamPayload::Ids(ids) => u64::try_from(ids.len()).expect("batch fits u64"),
-            StreamPayload::Rows { rows, .. } => u64::try_from(rows.len()).expect("batch fits u64"),
+        let count = match self {
+            StreamPayload::Ids(ids) => ids.len(),
+            StreamPayload::Rows(batch) => batch.len(),
+        };
+        u64::try_from(count).expect("batch fits u64")
+    }
+
+    /// Whether `self` and `other` share one batch buffer — snapshots of
+    /// one staging do. Observable for tests; protocol results never
+    /// depend on it.
+    pub fn ptr_eq(&self, other: &StreamPayload) -> bool {
+        match (self, other) {
+            (StreamPayload::Ids(a), StreamPayload::Ids(b)) => Arc::ptr_eq(a, b),
+            (StreamPayload::Rows(a), StreamPayload::Rows(b)) => Arc::ptr_eq(&a.words, &b.words),
+            _ => false,
         }
     }
 
@@ -374,20 +472,24 @@ impl StreamPayload {
     ///
     /// # Panics
     ///
-    /// Panics if an id or row index is outside `0..k`.
+    /// Panics if an id is outside `0..k`, or if the rows are not
+    /// `⌈k/64⌉` words wide.
     pub fn support_words(&self, k: usize) -> Vec<u64> {
         let mut words = vec![0u64; k.div_ceil(64)];
         match self {
             StreamPayload::Ids(ids) => {
-                for &id in ids {
+                for &id in ids.iter() {
                     let id = usize::try_from(id).expect("rumor id fits usize");
                     assert!(id < k, "payload mentions rumor {id} outside universe {k}");
                     words[id / 64] |= 1u64 << (id % 64);
                 }
             }
-            StreamPayload::Rows { rows, .. } => {
-                for row in rows {
-                    assert!(row.len() == words.len(), "coefficient row width mismatch");
+            StreamPayload::Rows(batch) => {
+                assert!(
+                    batch.k().div_ceil(64) == words.len(),
+                    "coefficient row width mismatch"
+                );
+                for row in batch.rows() {
                     for (w, r) in words.iter_mut().zip(row) {
                         *w |= r;
                     }
@@ -480,13 +582,12 @@ mod tests {
 
     #[test]
     fn payload_support_and_units() {
-        let p = StreamPayload::Ids(vec![0, 65]);
+        let p = StreamPayload::Ids(Arc::from([0, 65]));
         assert_eq!(p.units(), 2);
         assert_eq!(p.support_words(66), vec![1, 2]);
-        let q = StreamPayload::Rows {
-            k: 66,
-            rows: vec![vec![0b101, 0], vec![0, 0b10]],
-        };
+        let q = StreamPayload::Rows(
+            RowBatch::from_rows(66, &[vec![0b101, 0], vec![0, 0b10]]).expect("equal widths"),
+        );
         assert_eq!(q.units(), 2);
         assert_eq!(q.support_words(66), vec![0b101, 0b10]);
         assert_eq!(StreamPayload::empty_ids().units(), 0);

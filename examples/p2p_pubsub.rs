@@ -24,7 +24,7 @@ fn main() {
     // A 64-peer overlay: dense random graph, latencies 1–8. The
     // spanner prunes 773 edges down to ~300 arcs — efficiency that
     // becomes fragility under churn.
-    let base = generators::connected_erdos_renyi(64, 0.4, 4);
+    let base = generators::connected_erdos_renyi(64, 0.4, 4).expect("connected sample");
     let g = generators::uniform_random_latencies(&base, 1, 8, 4);
     let n = g.node_count();
     let d = metrics::weighted_diameter(&g);

@@ -43,7 +43,7 @@ fn unified_portfolio_known_latencies() {
 /// the working graph, run General EID on it — end to end.
 #[test]
 fn discovery_then_eid_chain() {
-    let base = generators::connected_erdos_renyi(28, 0.25, 3);
+    let base = generators::connected_erdos_renyi(28, 0.25, 3).expect("connected sample");
     let g = generators::uniform_random_latencies(&base, 1, 6, 9);
     let d = metrics::weighted_diameter(&g);
 
@@ -182,7 +182,7 @@ fn push_pull_within_weighted_conductance_bound() {
 /// against the verifier from the spanner crate.
 #[test]
 fn theorem14_spanner_properties() {
-    let g = generators::connected_erdos_renyi(60, 0.2, 8);
+    let g = generators::connected_erdos_renyi(60, 0.2, 8).expect("connected sample");
     let k = eid::default_spanner_k(60);
     let r = build_spanner(
         &g,
