@@ -18,7 +18,7 @@
 //!   worst-case payload traffic (cf. Dufoulon–Moses–Pandurangan on
 //!   small-message rumor spreading). Those bytes sit inside the value,
 //!   with no heap block behind them: every payload here is ∅ or
-//!   {source}, so `payload()` is a 48-byte copy and `on_exchange` a
+//!   {source}, so `payload()` is a 32-byte copy and `on_exchange` a
 //!   subset scan, and a run allocates only the engine's own arrays.
 //!
 //! Wakeup contract recap (see [`Scheduling::OnDemand`]): round 0 steps
@@ -85,8 +85,15 @@ pub struct SparseFloodNode {
     /// Rumors currently known (`⊆ {source}` in a one-to-all run).
     pub rumors: CompactRumorSet,
     source: NodeId,
-    cursor: usize,
+    /// The adjacency position to contact next; degrees fit `u32`, as
+    /// node ids do.
+    cursor: u32,
 }
+
+// The per-node footprint of a one-to-all run (DESIGN §7): the 32-byte
+// rumor set, the source, and no more than a `u32` beside it.
+const _: () = assert!(std::mem::size_of::<SparseFloodNode>() <= 40);
+const _: () = assert!(std::mem::size_of::<SparsePushNode>() <= 40);
 
 impl SparseFloodNode {
     /// Creates a node for a broadcast from `source`; only the source
@@ -125,12 +132,13 @@ impl Protocol for SparseFloodNode {
     fn on_round(&mut self, ctx: &mut Context<'_>) {
         // Uninformed: sleep. Delivery of the rumor is itself a wakeup,
         // so no standing timer is needed.
-        if !self.knows() || self.cursor >= ctx.degree() {
+        let next = usize::try_from(self.cursor).expect("cursor fits usize");
+        if !self.knows() || next >= ctx.degree() {
             return;
         }
-        ctx.initiate_nth(self.cursor);
+        ctx.initiate_nth(next);
         self.cursor += 1;
-        if self.cursor < ctx.degree() {
+        if next + 1 < ctx.degree() {
             ctx.wake_in(1);
         }
     }

@@ -22,11 +22,13 @@ pub use extra::{
 pub use gadget::{theorem6_network, theorem7_network, Gadget, GadgetSpec};
 pub use layered_ring::{LayeredRing, LayeredRingSpec};
 
+use std::iter;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::GraphError;
-use crate::graph::{Graph, GraphBuilder, RowLatencies};
+use crate::graph::{Graph, GraphBuilder, RowLatencies, Rows};
 use crate::ids::{Latency, NodeId};
 
 /// The complete graph `K_n` with unit latencies.
@@ -245,71 +247,189 @@ pub fn connected_erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph, Graph
 /// A natural model for sensor networks where latency grows with physical
 /// distance.
 ///
+/// The rows are written in place rather than through [`GraphBuilder`]:
+/// the pairs are enumerated twice, once to count degrees and once to
+/// scatter the neighbor ids (and per-entry latencies, only once two
+/// differ) into the CSR arrays, so no edge list is ever held. The
+/// result is the graph the builder makes from the same pairs, and
+/// distances and latencies are the all-pairs sweep's float
+/// expressions, so a given `(n, radius, latency_scale, seed)` always
+/// yields the same graph.
+///
 /// # Panics
 ///
-/// Panics if `n == 0`, `radius <= 0`, or `latency_scale <= 0`.
+/// Panics if `n == 0`, `n > u32::MAX` (node ids are 32-bit),
+/// `radius <= 0`, or `latency_scale <= 0`.
 pub fn random_geometric(n: usize, radius: f64, latency_scale: f64, seed: u64) -> Graph {
-    // Forward half-neighborhood: E, SW, S, SE. Together with the
-    // within-cell scan this covers each adjacent (or equal) cell pair
-    // exactly once.
-    const FORWARD: [(isize, isize); 4] = [(1, 0), (-1, 1), (0, 1), (1, 1)];
     assert!(n > 0, "graph needs at least one node");
     assert!(radius > 0.0, "radius must be positive");
     assert!(latency_scale > 0.0, "latency scale must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
     let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.random(), rng.random())).collect();
-
-    // Bucket the unit square into a grid of cells with side ≥ `radius`:
-    // any pair within `radius` of each other lies in the same or an
-    // adjacent cell, so scanning each cell against its forward
-    // half-neighborhood visits every candidate pair exactly once.
-    // Expected cost is O(n + n²·radius²) — i.e. O(n + |E|) — instead of
-    // the Θ(n²) all-pairs sweep, which is what makes 10⁶-node instances
-    // generable in-process. The edge *set* is identical to the all-pairs
-    // sweep's (distance and latency are computed with the same float
-    // expressions) and every adjacency row is sorted at assembly
-    // whatever the insertion order, so callers see byte-identical
-    // graphs for a given `(n, radius, latency_scale, seed)`.
-    let per_axis = ((1.0 / radius).floor() as usize).clamp(1, 4096);
-    let cell_of = |x: f64| ((x * per_axis as f64) as usize).min(per_axis - 1);
-    let mut cells: Vec<Vec<usize>> = vec![Vec::new(); per_axis * per_axis];
-    for (i, &(x, y)) in pts.iter().enumerate() {
-        cells[cell_of(y) * per_axis + cell_of(x)].push(i);
-    }
-
-    let mut b = GraphBuilder::new(n);
-    let try_pair = |b: &mut GraphBuilder, u: usize, v: usize| {
-        let (dx, dy) = (pts[u].0 - pts[v].0, pts[u].1 - pts[v].1);
-        let dist = (dx * dx + dy * dy).sqrt();
-        if dist <= radius {
-            let lat = (dist * latency_scale).ceil().max(1.0) as u32;
-            b.add_edge(u.min(v), u.max(v), lat)
-                .expect("valid geometric edge");
-        }
+    let cells = Cells::of(pts, radius);
+    // `⌈dist · latency_scale⌉`, at least 1. Only a product above 1
+    // needs rounding, which without SSE4.1 is a call into libm.
+    let latency = |dist: f64| match dist * latency_scale {
+        scaled if scaled > 1.0 => Latency::new(scaled.ceil() as u32),
+        _ => Latency::UNIT,
     };
-    for cy in 0..per_axis {
-        for cx in 0..per_axis {
-            let here = &cells[cy * per_axis + cx];
-            for (i, &u) in here.iter().enumerate() {
-                for &v in &here[i + 1..] {
-                    try_pair(&mut b, u, v);
-                }
+
+    // Pass 1: each point's degree, by cell position, so the counts stay
+    // in cache.
+    let mut at = vec![0usize; n];
+    cells.for_each_edge(radius, |a, b, _| {
+        at[a] += 1;
+        at[b] += 1;
+    });
+    // The rows by id; then `at[k]` becomes the write cursor of the row
+    // of the point at position `k`, starting at the row's start.
+    let mut offsets = vec![0usize; n + 1];
+    for (&id, &degree) in cells.ids.iter().zip(&at) {
+        offsets[id as usize + 1] = degree;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    for (cursor, &id) in at.iter_mut().zip(&cells.ids) {
+        *cursor = offsets[id as usize];
+    }
+
+    // Pass 2: scatter both directions of every edge. Per-entry
+    // latencies are allocated when the first latency other than the
+    // first edge's turns up: every entry written before it has the
+    // first edge's latency, and every later one is written.
+    let mut ids = vec![NodeId::default(); offsets[n]];
+    let (mut first, mut lats) = (None, Vec::new());
+    cells.for_each_edge(radius, |a, b, dist| {
+        let l = latency(dist);
+        if lats.is_empty() && *first.get_or_insert(l) != l {
+            lats = vec![first.unwrap_or(l); ids.len()];
+        }
+        for (from, to) in [(a, b), (b, a)] {
+            let slot = &mut at[from];
+            ids[*slot] = NodeId::from(cells.ids[to]);
+            if let Some(entry) = lats.get_mut(*slot) {
+                *entry = l;
             }
-            for (ox, oy) in FORWARD {
-                let (nx, ny) = (cx.wrapping_add_signed(ox), cy.wrapping_add_signed(oy));
-                if nx >= per_axis || ny >= per_axis {
-                    continue;
-                }
-                let there = &cells[ny * per_axis + nx];
-                for &u in here {
-                    for &v in there {
-                        try_pair(&mut b, u, v);
+            *slot += 1;
+        }
+    });
+    let mut rows = Rows { offsets, ids, lats };
+    rows.sort().expect("each pair is enumerated once");
+    // `first` is `None` only for an edgeless graph, where the shared
+    // latency is never read.
+    rows.into_graph(first.unwrap_or(Latency::UNIT))
+}
+
+/// Internal: the points of [`random_geometric`] bucketed into a grid of
+/// square cells with side `≥ radius`, so any pair within `radius` of
+/// each other lies in the same or an adjacent cell. One counting sort
+/// puts the points in cell order: cell `c` holds positions
+/// `starts[c]..starts[c + 1]`, in ascending id order, and position `k`
+/// is point `pts[k]` with id `ids[k]`. Scanning a cell reads its points
+/// from consecutive memory.
+struct Cells {
+    per_axis: usize,
+    starts: Vec<usize>,
+    ids: Vec<u32>,
+    pts: Vec<(f64, f64)>,
+}
+
+impl Cells {
+    fn of(pts: Vec<(f64, f64)>, radius: f64) -> Cells {
+        let n = u32::try_from(pts.len()).expect("geometric node count exceeds u32::MAX");
+        let per_axis = cells_per_axis(pts.len(), radius);
+        let cell_of = |&(x, y): &(f64, f64)| {
+            let axis = |t: f64| ((t * per_axis as f64) as usize).min(per_axis - 1);
+            axis(y) * per_axis + axis(x)
+        };
+        let mut starts = vec![0; per_axis * per_axis + 1];
+        for p in &pts {
+            starts[cell_of(p) + 1] += 1;
+        }
+        for c in 1..starts.len() {
+            starts[c] += starts[c - 1];
+        }
+        // Scatter with `starts[c]` as cell `c`'s cursor, then shift the
+        // cursors (now the ends) back one cell to recover the starts.
+        let mut ids = vec![0; pts.len()];
+        let mut sorted = vec![(0.0, 0.0); pts.len()];
+        for (id, p) in (0..n).zip(&pts) {
+            let slot = &mut starts[cell_of(p)];
+            (ids[*slot], sorted[*slot]) = (id, *p);
+            *slot += 1;
+        }
+        starts.rotate_right(1);
+        starts[0] = 0;
+        Cells {
+            per_axis,
+            starts,
+            ids,
+            pts: sorted,
+        }
+    }
+
+    /// Calls `f(a, b, distance)` once for each pair of positions `a < b`
+    /// within `radius` of each other. Each cell is scanned against
+    /// itself and its forward half-neighborhood (E, SW, S, SE), which
+    /// covers each adjacent cell pair exactly once.
+    ///
+    /// A third of the candidates are edges, so a branch on each distance
+    /// would mispredict often: the scan packs a point's edges into a
+    /// buffer without branching, then hands them to `f`, 64 at most at
+    /// a time.
+    fn for_each_edge(&self, radius: f64, mut f: impl FnMut(usize, usize, f64)) {
+        const FORWARD: [(isize, isize); 4] = [(1, 0), (-1, 1), (0, 1), (1, 1)];
+        const CHUNK: usize = 64;
+        let (per_axis, starts, pts) = (self.per_axis, &self.starts[..], &self.pts[..]);
+        let cell = |cx: usize, cy: usize| {
+            let c = cy * per_axis + cx;
+            starts[c]..starts[c + 1]
+        };
+        let mut hits = [(0usize, 0.0f64); CHUNK];
+        for cy in 0..per_axis {
+            for cx in 0..per_axis {
+                let here = cell(cx, cy);
+                let forward = FORWARD.map(|(ox, oy)| {
+                    let (nx, ny) = (cx.wrapping_add_signed(ox), cy.wrapping_add_signed(oy));
+                    if nx < per_axis && ny < per_axis {
+                        cell(nx, ny)
+                    } else {
+                        0..0
                     }
+                });
+                for a in here.clone() {
+                    let (x, y) = pts[a];
+                    let mut found = 0;
+                    for candidates in iter::once(a + 1..here.end).chain(forward.clone()) {
+                        for b in candidates {
+                            let (dx, dy) = (x - pts[b].0, y - pts[b].1);
+                            let dist = (dx * dx + dy * dy).sqrt();
+                            hits[found] = (b, dist);
+                            found += usize::from(dist <= radius);
+                            if found == CHUNK {
+                                hits.iter().for_each(|&(b, dist)| f(a, b, dist));
+                                found = 0;
+                            }
+                        }
+                    }
+                    hits[..found].iter().for_each(|&(b, dist)| f(a, b, dist));
                 }
             }
         }
     }
-    b.build().expect("geometric graph is valid")
+}
+
+/// Internal: how many cells a side the grid of [`Cells`] has. The side
+/// `1/per_axis` must be at least `radius`; within that, the grid is as
+/// fine as `⌈√n⌉` cells a side — about one point a cell — and no
+/// finer, so a tiny radius does not allocate a grid of empty cells.
+/// Expected cost of the scan is then O(n + n²·radius²), i.e.
+/// O(n + |E|), instead of the Θ(n²) all-pairs sweep; any grid with
+/// side `≥ radius` yields the same pairs.
+fn cells_per_axis(n: usize, radius: f64) -> usize {
+    let ceil_sqrt = n.isqrt() + usize::from(n.isqrt().pow(2) < n);
+    ((1.0 / radius).floor() as usize).clamp(1, ceil_sqrt)
 }
 
 /// Re-weights a graph with independent uniform random latencies in
@@ -529,6 +649,77 @@ mod tests {
                 "n={n} radius={radius} seed={seed}"
             );
             assert_eq!(fast.edge_count(), slow.edge_count());
+        }
+    }
+
+    /// The all-pairs geometric graph through [`GraphBuilder`], found
+    /// without the cell grid: the points are swept in `x` order and a
+    /// scan stops once the `x` gap alone exceeds `radius` (the distance
+    /// is at least that gap). Pairs go in in sweep order, which leaves
+    /// most rows for the builder to sort.
+    fn swept_geometric(n: usize, radius: f64, latency_scale: f64, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.random(), rng.random())).collect();
+        let mut by_x: Vec<usize> = (0..n).collect();
+        by_x.sort_by(|&a, &b| pts[a].0.total_cmp(&pts[b].0));
+        let mut b = GraphBuilder::new(n);
+        for (i, &u) in by_x.iter().enumerate() {
+            for &v in &by_x[i + 1..] {
+                let (dx, dy) = (pts[u].0 - pts[v].0, pts[u].1 - pts[v].1);
+                if -dx > radius {
+                    break;
+                }
+                let dist = (dx * dx + dy * dy).sqrt();
+                if dist <= radius {
+                    let lat = (dist * latency_scale).ceil().max(1.0) as u32;
+                    b.add_edge(v, u, lat).expect("valid geometric edge");
+                }
+            }
+        }
+        b.build().expect("geometric graph is valid")
+    }
+
+    /// `random_geometric` is the graph [`GraphBuilder`] makes from the
+    /// same pairs, `==` and not just hash-equal, in both latency layouts.
+    #[test]
+    fn geometric_graph_is_the_builders_graph_of_its_pairs() {
+        let degree_18 = |n: usize| (18.0 / (std::f64::consts::PI * n as f64)).sqrt();
+        // Expected degree 18 as in the benchmark's graph, plus one cell
+        // holding every point, where a point has hundreds of neighbors.
+        let cases = [1, 2, 700, 5_000, 20_000].map(|n| (n, degree_18(n).min(0.9)));
+        for (seed, (n, radius)) in (0..).zip(cases.into_iter().chain([(300, 0.9)])) {
+            // Scale 1 with `radius < 1`: every latency is 1, one shared
+            // row. Scale 1000: the latencies differ, one per entry.
+            for scale in [1.0, 1000.0] {
+                let (got, want) = (
+                    random_geometric(n, radius, scale, seed),
+                    swept_geometric(n, radius, scale, seed),
+                );
+                assert_eq!(got, want, "n = {n}, seed = {seed}, scale = {scale}");
+                let shared = got.distinct_latencies().len() <= 1;
+                assert_eq!(shared, scale == 1.0 || n < 3, "n = {n}, scale = {scale}");
+            }
+        }
+    }
+
+    /// A radius far below `1/√n` does not size the grid: `⌊1/radius⌋`
+    /// a side would be 10⁸ cells for 1000 points at `radius = 10⁻⁴`.
+    /// The grid is at most `⌈√n⌉` a side, and its pairs are still the
+    /// all-pairs ones.
+    #[test]
+    fn a_tiny_radius_grid_is_sized_by_n() {
+        assert_eq!(cells_per_axis(1000, 1e-4), 32);
+        assert_eq!(cells_per_axis(1024, 1e-4), 32);
+        assert_eq!(cells_per_axis(20_000, 4e-4), 142);
+        assert_eq!(cells_per_axis(1, 1e-4), 1);
+        assert_eq!(cells_per_axis(262_144, 0.004_675), 213);
+        for (n, radius, seed) in [(1000, 1e-4, 10), (20_000, 4e-4, 11)] {
+            let got = random_geometric(n, radius, 1e5, seed);
+            assert_eq!(got, swept_geometric(n, radius, 1e5, seed), "n = {n}");
+            assert!(
+                n < 20_000 || got.edge_count() > 0,
+                "n = {n}: no edges to compare"
+            );
         }
     }
 

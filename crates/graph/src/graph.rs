@@ -396,14 +396,11 @@ impl Graph {
     /// `(u, v)`, `u < v`.
     pub(crate) fn assemble(n: usize, edges: &EdgeList) -> Result<Graph, GraphError> {
         Ok(if edges.per_edge.is_empty() {
-            let rows = Rows::of(n, &edges.ends)?;
             // `latency` is `None` only for an edgeless list, where the
             // shared latency is never read.
-            let l = edges.latency.unwrap_or(Latency::UNIT);
-            Graph::from_rows(rows.offsets, rows.ids, RowLatencies::Shared(l))
+            Rows::of(n, &edges.ends)?.into_graph(edges.latency.unwrap_or(Latency::UNIT))
         } else {
-            let rows = Rows::of(n, &edges.per_edge)?;
-            Graph::from_rows(rows.offsets, rows.ids, RowLatencies::PerEntry(rows.lats))
+            Rows::of(n, &edges.per_edge)?.into_graph(Latency::UNIT)
         })
     }
 
@@ -536,19 +533,19 @@ impl ListedEdge for (NodeId, NodeId, Latency) {
     }
 }
 
-/// Internal: the CSR arrays of an edge list; `lats` is empty unless
-/// the list stores a latency per edge.
-struct Rows {
-    offsets: Vec<usize>,
-    ids: Vec<NodeId>,
-    lats: Vec<Latency>,
+/// Internal: CSR arrays whose rows may still be out of order; `lats` is
+/// empty unless the edges carry a latency each. Row `v` is
+/// `ids[offsets[v]..offsets[v + 1]]`, and `u` is in `v`'s row iff `v`
+/// is in `u`'s, with the same latency.
+pub(crate) struct Rows {
+    pub(crate) offsets: Vec<usize>,
+    pub(crate) ids: Vec<NodeId>,
+    pub(crate) lats: Vec<Latency>,
 }
 
 impl Rows {
-    /// Counting-sorts `edges` straight into the CSR arrays. A row is
-    /// sorted only when the scatter left it out of order — edges
-    /// inserted in ascending `(u, v)` order sort nothing — and a
-    /// duplicate shows up as two equal neighbors in a sorted row.
+    /// Counting-sorts `edges` straight into the CSR arrays, then
+    /// [`sort`](Rows::sort)s them.
     fn of<E: ListedEdge>(n: usize, edges: &[E]) -> Result<Rows, GraphError> {
         let mut offsets = vec![0usize; n + 1];
         for &e in edges {
@@ -573,15 +570,31 @@ impl Rows {
                 *slot += 1;
             }
         }
+        let mut rows = Rows { offsets, ids, lats };
+        rows.sort()?;
+        Ok(rows)
+    }
+
+    /// Sorts each row the scatter left out of order — edges scattered
+    /// in ascending `(u, v)` order sort nothing — carrying per-entry
+    /// latencies along. A duplicate edge shows up as two equal
+    /// neighbors in a sorted row.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::DuplicateEdge`] with the smallest duplicated
+    /// `(u, v)`, `u < v`.
+    pub(crate) fn sort(&mut self) -> Result<(), GraphError> {
+        let per_entry = !self.lats.is_empty();
         let mut row: Vec<(NodeId, Latency)> = Vec::new();
-        for i in 0..n {
-            let range = offsets[i]..offsets[i + 1];
-            let ids = &mut ids[range.clone()];
+        for (i, bounds) in self.offsets.windows(2).enumerate() {
+            let range = bounds[0]..bounds[1];
+            let ids = &mut self.ids[range.clone()];
             if ids.windows(2).all(|w| w[0] < w[1]) {
                 continue;
             }
-            if E::PER_EDGE {
-                let lats = &mut lats[range];
+            if per_entry {
+                let lats = &mut self.lats[range];
                 row.clear();
                 row.extend(ids.iter().copied().zip(lats.iter().copied()));
                 row.sort_unstable_by_key(|&(w, _)| w);
@@ -599,7 +612,18 @@ impl Rows {
                 return Err(GraphError::DuplicateEdge(NodeId::new(i), w[0]));
             }
         }
-        Ok(Rows { offsets, ids, lats })
+        Ok(())
+    }
+
+    /// The graph of these sorted rows: with their per-entry latencies,
+    /// or `shared` on every edge when `lats` is empty.
+    pub(crate) fn into_graph(self, shared: Latency) -> Graph {
+        let lats = if self.lats.is_empty() {
+            RowLatencies::Shared(shared)
+        } else {
+            RowLatencies::PerEntry(self.lats)
+        };
+        Graph::from_rows(self.offsets, self.ids, lats)
     }
 }
 

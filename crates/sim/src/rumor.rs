@@ -372,10 +372,12 @@ impl RumorSet {
 pub const SPARSE_MAX: usize = 32;
 
 /// How many ids the sparse tier keeps inside the value. Not a tunable:
-/// `len` + five `u32`s are 21 bytes, the most that fits in the 24 bytes
-/// a `Vec` header would occupy in the same place, so the inline form
-/// makes [`CompactRumorSet`] no larger (asserted below the type) and
-/// the payloads the engine holds in flight do not grow.
+/// the heap tiers are 16-byte boxed slices, so the representation is 24
+/// bytes with its tag, and a tag byte, `len` and five `u32`s (22 bytes,
+/// padded to 24) are the most that fit in the same 24. The inline form
+/// therefore makes [`CompactRumorSet`] no larger than its two `u32`
+/// counts beside a boxed slice — 32 bytes, asserted below the type —
+/// and the payloads the engine holds in flight do not grow.
 const INLINE: usize = 5;
 
 /// The sparse tier's strictly increasing id list. Canonical: a list of
@@ -387,7 +389,7 @@ enum Ids {
     /// `buf[..len]` holds the ids.
     Inline { len: u8, buf: [u32; INLINE] },
     /// More than [`INLINE`] ids (sets only grow, so never fewer).
-    Heap(Vec<u32>),
+    Heap(Box<[u32]>),
 }
 
 impl Ids {
@@ -401,27 +403,24 @@ impl Ids {
                 buf,
             }
         } else {
-            Ids::Heap(ids.to_vec())
+            Ids::Heap(ids.into())
         }
     }
 
-    /// Inserts `id` at position `p`, spilling to the heap when the
-    /// inline buffer is full.
+    /// Inserts `id` at position `p`: in place while the inline buffer
+    /// has room, else into a new heap list one id longer (the heap tier
+    /// keeps no spare capacity).
     fn insert(&mut self, p: usize, id: u32) {
         match self {
-            Ids::Inline { len, buf } => {
-                let n = usize::from(*len);
-                if n < INLINE {
-                    buf.copy_within(p..n, p + 1);
-                    buf[p] = id;
-                    *len += 1;
-                } else {
-                    let mut ids = buf.to_vec();
-                    ids.insert(p, id);
-                    *self = Ids::Heap(ids);
-                }
+            Ids::Inline { len, buf } if usize::from(*len) < INLINE => {
+                buf.copy_within(p..usize::from(*len), p + 1);
+                buf[p] = id;
+                *len += 1;
             }
-            Ids::Heap(ids) => ids.insert(p, id),
+            _ => {
+                let (head, tail) = self.split_at(p);
+                *self = Ids::Heap(head.iter().chain([&id]).chain(tail).copied().collect());
+            }
         }
     }
 }
@@ -451,7 +450,7 @@ enum Repr {
     Sparse(Ids),
     /// Plain bitset words, exactly as in [`RumorSet`]; more than
     /// [`SPARSE_MAX`] ids.
-    Bitset(Vec<u64>),
+    Bitset(Box<[u64]>),
     /// Every id in the universe: O(1) memory regardless of `n`.
     Full,
 }
@@ -511,13 +510,14 @@ pub enum CompactParts<'a> {
 #[derive(Clone)]
 pub struct CompactRumorSet {
     repr: Repr,
-    universe: usize,
-    count: usize,
+    /// `n`, which fits `u32` (asserted at construction).
+    universe: u32,
+    count: u32,
 }
 
 // The layout argument `INLINE` rests on: the inline sparse tier costs
-// no bytes over the `Vec`-headed tiers beside it.
-const _: () = assert!(std::mem::size_of::<CompactRumorSet>() <= 48);
+// no bytes over the boxed-slice tiers beside it.
+const _: () = assert!(std::mem::size_of::<CompactRumorSet>() == 32);
 
 impl PartialEq for CompactRumorSet {
     /// Equality of contents. Equal counts over one universe share a
@@ -546,6 +546,16 @@ fn wide(id: u32) -> usize {
     usize::try_from(id).expect("compact id fits usize")
 }
 
+/// Narrows a universe size or a count to the compact 32-bit form.
+///
+/// # Panics
+///
+/// Panics if `x` exceeds `u32` range (compact ids are 32-bit).
+#[inline]
+fn narrow(x: usize) -> u32 {
+    u32::try_from(x).expect("compact rumor universe must fit u32")
+}
+
 impl CompactRumorSet {
     /// An empty set over the universe `0..n`.
     ///
@@ -553,10 +563,7 @@ impl CompactRumorSet {
     ///
     /// Panics if `n` exceeds `u32` range (compact ids are 32-bit).
     pub fn new(n: usize) -> CompactRumorSet {
-        assert!(
-            u32::try_from(n).is_ok(),
-            "compact rumor universe must fit u32"
-        );
+        let universe = narrow(n);
         if n == 0 {
             // count == universe, so the empty universe is Full — the
             // invariant every mutation below maintains.
@@ -568,7 +575,7 @@ impl CompactRumorSet {
         }
         CompactRumorSet {
             repr: Repr::Sparse(Ids::from_sorted(&[])),
-            universe: n,
+            universe,
             count: 0,
         }
     }
@@ -586,14 +593,11 @@ impl CompactRumorSet {
 
     /// The full set over `0..n` — O(1) time and memory at any `n`.
     pub fn full(n: usize) -> CompactRumorSet {
-        assert!(
-            u32::try_from(n).is_ok(),
-            "compact rumor universe must fit u32"
-        );
+        let universe = narrow(n);
         CompactRumorSet {
             repr: Repr::Full,
-            universe: n,
-            count: n,
+            universe,
+            count: universe,
         }
     }
 
@@ -620,10 +624,6 @@ impl CompactRumorSet {
     ///
     /// Panics if `universe` exceeds `u32` range.
     fn from_counted_words(universe: usize, words: Cow<'_, [u64]>, count: usize) -> CompactRumorSet {
-        assert!(
-            u32::try_from(universe).is_ok(),
-            "compact rumor universe must fit u32"
-        );
         if count == universe {
             return CompactRumorSet::full(universe);
         }
@@ -641,25 +641,25 @@ impl CompactRumorSet {
             }
             return CompactRumorSet {
                 repr: Repr::Sparse(Ids::from_sorted(&ids[..len])),
-                universe,
-                count,
+                universe: narrow(universe),
+                count: narrow(count),
             };
         }
         CompactRumorSet {
-            repr: Repr::Bitset(words.into_owned()),
-            universe,
-            count,
+            repr: Repr::Bitset(words.into_owned().into()),
+            universe: narrow(universe),
+            count: narrow(count),
         }
     }
 
     /// The universe size `n` this set ranges over.
     pub fn universe(&self) -> usize {
-        self.universe
+        wide(self.universe)
     }
 
     /// Number of rumors known.
     pub fn len(&self) -> usize {
-        self.count
+        wide(self.count)
     }
 
     /// Whether no rumor is known.
@@ -701,7 +701,7 @@ impl CompactRumorSet {
     /// Panics if `v.index() >= universe`.
     pub fn contains(&self, v: NodeId) -> bool {
         let i = v.index();
-        assert!(i < self.universe, "node outside rumor universe");
+        assert!(i < self.universe(), "node outside rumor universe");
         let id = u32::try_from(i).expect("id fits u32");
         match &self.repr {
             Repr::Sparse(ids) => ids.binary_search(&id).is_ok(),
@@ -718,7 +718,7 @@ impl CompactRumorSet {
     /// Panics if `v.index() >= universe`.
     pub fn insert(&mut self, v: NodeId) -> bool {
         let i = v.index();
-        assert!(i < self.universe, "node outside rumor universe");
+        assert!(i < self.universe(), "node outside rumor universe");
         let id = u32::try_from(i).expect("id fits u32");
         let inserted = match &mut self.repr {
             Repr::Sparse(ids) => match ids.binary_search(&id) {
@@ -782,12 +782,12 @@ impl CompactRumorSet {
                 }
                 let mut merged = [0u32; 2 * SPARSE_MAX];
                 let len = merge_sorted(a, b, &mut merged);
-                self.count = len;
+                self.count = narrow(len);
                 *a = Ids::from_sorted(&merged[..len]);
             }
             // Sparse operands only touch the words they cover.
             (Repr::Bitset(words), Repr::Sparse(b)) => {
-                let mut added = 0usize;
+                let mut added = 0u32;
                 for &id in b.iter() {
                     let (w, bit) = (wide(id) / 64, 1u64 << (id % 64));
                     if words[w] & bit == 0 {
@@ -804,7 +804,7 @@ impl CompactRumorSet {
                     *a |= bw;
                     count += ones(*a);
                 }
-                self.count = count;
+                self.count = narrow(count);
             }
             (Repr::Full, _) | (_, Repr::Full) => unreachable!("full operands handled above"),
             (Repr::Sparse(_), Repr::Bitset(_)) => unreachable!("self was promoted to other's tier"),
@@ -831,8 +831,7 @@ impl CompactRumorSet {
     /// [`RumorSet::fingerprint`]** of the same contents, so golden
     /// traces cannot tell the representations apart.
     pub fn fingerprint(&self) -> u64 {
-        let universe = u64::try_from(self.universe).expect("universe fits u64");
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ universe;
+        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ u64::from(self.universe);
         for w in self.words() {
             h ^= w;
             h = h.wrapping_mul(0x100_0000_01b3);
@@ -843,7 +842,7 @@ impl CompactRumorSet {
 
     /// Materializes the equivalent plain bitset.
     pub fn to_set(&self) -> RumorSet {
-        RumorSet::from_words(self.universe, self.words().collect())
+        RumorSet::from_words(self.universe(), self.words().collect())
             .expect("compact words are well-formed")
     }
 
@@ -856,7 +855,7 @@ impl CompactRumorSet {
                     .filter(move |b| word >> b & 1 == 1)
                     .map(move |b| w * 64 + b)
             })),
-            Repr::Full => Box::new(0..self.universe),
+            Repr::Full => Box::new(0..self.universe()),
         };
         per_repr.map(NodeId::new)
     }
@@ -865,8 +864,8 @@ impl CompactRumorSet {
     /// `⌈n/64⌉` words), materialized lazily from whatever the current
     /// representation is.
     fn words(&self) -> impl Iterator<Item = u64> + '_ {
-        let nwords = self.universe.div_ceil(64);
-        let tail = self.universe % 64;
+        let nwords = self.universe().div_ceil(64);
+        let tail = self.universe() % 64;
         (0..nwords).scan(0usize, move |cursor, w| {
             // Word `w` ends before bit `hi`; compare in u64 so `hi`
             // cannot overflow at the top of the u32 range.

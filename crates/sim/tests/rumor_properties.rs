@@ -8,7 +8,8 @@
 //! union *between* independently-promoted representations), then checks
 //! `contains`/`len`/`is_full`/`fingerprint`/iteration agree exactly.
 //! A third generator keeps both sets at 0 ..= 8 ids, the range that
-//! straddles the sparse tier's five-id inline buffer. A fourth turns
+//! straddles the sparse tier's five-id inline buffer, and a fourth at
+//! 6 ..= 32, its heap list, up to and past promotion. A fifth turns
 //! on `RumorSet` itself: handles that share buffers through
 //! `snapshot` must behave as copies that never shared one.
 
@@ -247,6 +248,38 @@ proptest! {
         let mut back = b.plain.clone();
         back.apply_delta(&delta);
         prop_assert_eq!(&back, &a.plain);
+    }
+
+    /// Sets of 6 ..= 32 ids live in the sparse tier's heap list: every
+    /// insert into it, unions between two such lists in both orders
+    /// (which promote to a bitset once the merge passes 32 ids), and
+    /// inserts past 32 (which promote by themselves) stay equivalent to
+    /// the plain bitset, fingerprints included.
+    #[test]
+    fn heap_sparse_tier_matches_plain(
+        universe in 64usize..512,
+        xs in prop::collection::vec(0usize..512, 6..33),
+        ys in prop::collection::vec(0usize..512, 6..33),
+        extra in prop::collection::vec(0usize..512, 0..12),
+    ) {
+        let mut a = Pair::new(universe);
+        let mut b = Pair::new(universe);
+        for (t, vs) in [(&mut a, &xs), (&mut b, &ys)] {
+            for &v in vs {
+                t.insert(v % universe);
+                t.check(universe);
+            }
+        }
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let m = x.merged(y);
+            m.check(universe);
+            prop_assert_eq!(&m.compact, &CompactRumorSet::from_set(&m.plain));
+        }
+        for &v in &extra {
+            a.insert(v % universe);
+            a.check(universe);
+        }
+        prop_assert_eq!(&a.compact, &CompactRumorSet::from_set(&a.plain));
     }
 
     /// Copy-on-write is unobservable: any interleaving of `snapshot`,
