@@ -24,8 +24,8 @@
 //! applied at `t + ℓ` — so summing them over a cluster reproduces the
 //! engine's [`SimMetrics`].
 
-use std::collections::VecDeque;
-use std::ops::Range;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::{Range, RangeBounds};
 
 use gossip_sim::{
     CalendarQueue, Exchange, Launch, NodeTable, Outcome, Protocol, Round, SimConfig, SimMetrics,
@@ -170,7 +170,7 @@ struct PendingInit<Pl> {
     slot: usize,
     peer: NodeId,
     /// `peer`'s position in the initiator's row: the reply finds the
-    /// edge's knowledge slot without a search.
+    /// edge's records without a search.
     nth: usize,
     round: Round,
     /// The edge latency the launch carried: the reply is held to
@@ -236,137 +236,290 @@ impl<Pl> Held<Pl> {
     }
 }
 
-/// Per-neighbor knowledge cache for delta mode: what this node and one
-/// peer provably both hold, per directed edge. Invalidated wholesale on
-/// peer loss — a stale or missing basis only costs bytes (the snapshot
-/// fallback), never rumors.
-struct EdgeCache<Pl> {
-    /// Basis of the newest *completed* exchange we initiated toward the
-    /// peer: `(our request seq, our payload ∪ theirs)`. Our next
-    /// [`Frame::RequestDelta`] references it by `basis_seq`.
-    confirmed: Option<(u64, Pl)>,
-    /// Bases of exchanges we *answered*, as `(the peer's request seq,
-    /// basis)`; the peer's next delta request references one. Pruned to
-    /// `≥ basis_seq` whenever a request references a basis — references
-    /// are monotone because `confirmed` keeps the max seq — so it holds
-    /// the one or two exchanges since the peer's last reference.
-    bases: Bases<Pl>,
+/// Records per block of an [`EdgeBases`] arena.
+const RECORD_BLOCK: usize = 1024;
+
+/// Flag on an [`EdgeBases::rows`] entry: the edge has bases in the
+/// spill. The other 31 bits are the arena index.
+const SPILLED: u32 = 1 << 31;
+
+/// One exchanged edge's newest basis: `(seq, basis)`, `None` only while
+/// the record is on the arena's free list.
+struct Record<Pl> {
+    seq: u64,
+    basis: Option<Pl>,
 }
 
-impl<Pl> Default for EdgeCache<Pl> {
-    fn default() -> Self {
-        EdgeCache {
-            confirmed: None,
-            bases: Bases {
-                newest: None,
-                older: Vec::new(),
-            },
-        }
-    }
+// A rumor-set basis is one pointer: a record is 16 bytes.
+const _: () = assert!(std::mem::size_of::<Record<gossip_sim::RumorSet>>() == 16);
+
+/// Where an edge's record is found: the hosting slot, the edge offset
+/// its row starts at, and the edge's own offset (see
+/// [`ShardRunner::offsets`]).
+#[derive(Clone, Copy)]
+struct EdgeAt {
+    slot: usize,
+    row: usize,
+    edge: usize,
 }
 
-/// [`EdgeCache::bases`]: the newest `(seq, basis)` inline, older ones
-/// spilled into a `Vec` that allocates only while the peer holds more
-/// than one unreferenced basis — most answered exchanges are never
-/// referenced, and they cost no heap block.
-struct Bases<Pl> {
-    /// The basis pushed last; `None` only when `older` is empty too.
-    newest: Option<(u64, Pl)>,
-    older: Vec<(u64, Pl)>,
-}
-
-impl<Pl> Bases<Pl> {
-    fn push(&mut self, seq: u64, basis: Pl) {
-        if let Some(prev) = self.newest.replace((seq, basis)) {
-            self.older.push(prev);
-        }
-    }
-
-    fn find(&self, seq: u64) -> Option<&Pl> {
-        self.newest
-            .iter()
-            .chain(&self.older)
-            .find(|&&(s, _)| s == seq)
-            .map(|(_, basis)| basis)
-    }
-
-    /// Drops every basis older than `seq`.
-    fn retain_from(&mut self, seq: u64) {
-        self.older.retain(|&(s, _)| s >= seq);
-        if self.newest.as_ref().is_some_and(|&(s, _)| s < seq) {
-            self.newest = self.older.pop();
-        }
-    }
-}
-
-/// [`Knowledge::slot`] entry of an edge with no cache yet.
-const NO_CACHE: u32 = u32::MAX;
-
-/// Caches per block of [`Knowledge`]'s table.
-const CACHE_BLOCK: usize = 1024;
-
-/// Delta mode's per-edge [`EdgeCache`]s, found by edge offset (see
-/// [`ShardRunner::offsets`]): one `u32` per hosted edge (none in
-/// snapshot mode) and a dense table holding only the edges actually
-/// exchanged over. The table grows by whole blocks of [`CACHE_BLOCK`]
-/// caches, never by reallocating one buffer: on the 1024-clique delta
-/// soak that buffer reached 14.7 MB, and the chain of ever larger
-/// copies that grew it, repeated by every runner a process builds,
-/// could leave the allocator's heap ≈ 10 MB larger.
-struct Knowledge<Pl> {
-    /// Edge offset → index into the table, or [`NO_CACHE`].
-    slot: Vec<u32>,
-    /// The table: cache `i` is `blocks[i / CACHE_BLOCK][i % CACHE_BLOCK]`,
+/// Delta mode's knowledge of one role, per directed edge: what this node
+/// and one peer provably both hold. The runner keeps two —
+/// [`ShardRunner::confirmed`] and [`ShardRunner::answered`] — and builds
+/// both empty in snapshot mode, where they never allocate.
+///
+/// An edge costs one bit until the role first exchanges over it; then
+/// it gets a 16-byte [`Record`] in an arena of fixed blocks of
+/// [`RECORD_BLOCK`], which never move or grow by copying, and a `u32`
+/// arena index in its slot's row list, at the edge's rank among the
+/// row's recorded edges. A basis its record no longer holds waits in
+/// one shard-wide ordered spill until a reference prunes it. Invalidated
+/// per edge on peer loss — a stale or missing basis only costs bytes
+/// (the snapshot fallback), never rumors.
+struct EdgeBases<Pl> {
+    /// One bit per hosted edge: whether it has a record.
+    recorded: Vec<u64>,
+    /// Per slot, the arena indices of its recorded edges in row order,
+    /// each tagged [`SPILLED`] while the edge has spilled bases: most
+    /// never do, and never touch the spill.
+    rows: Vec<Vec<u32>>,
+    /// The arena: record `i` is `blocks[i / RECORD_BLOCK][i % RECORD_BLOCK]`,
     /// and every block but the last is full.
-    blocks: Vec<Vec<EdgeCache<Pl>>>,
+    blocks: Vec<Vec<Record<Pl>>>,
+    /// Arena indices whose edge was cleared, reused first.
+    free: Vec<u32>,
+    /// Bases pushed out of their edge's record, by `(edge, seq)`.
+    spill: BTreeMap<(usize, u64), Pl>,
 }
 
-impl<Pl> Knowledge<Pl> {
-    fn new(edges: usize) -> Self {
-        Knowledge {
-            slot: vec![NO_CACHE; edges],
+/// The arena index an [`EdgeBases::rows`] or [`EdgeBases::free`] entry
+/// names.
+fn arena_index(entry: u32) -> usize {
+    usize::try_from(entry & !SPILLED).expect("arena index fits usize")
+}
+
+/// Set bits of `words` at positions `from..to`.
+fn ones_in(words: &[u64], from: usize, to: usize) -> usize {
+    if from >= to {
+        return 0;
+    }
+    let (first, last) = (from / 64, (to - 1) / 64);
+    let head = u64::MAX << (from % 64);
+    let tail = u64::MAX >> (63 - (to - 1) % 64);
+    let ones = if first == last {
+        (words[first] & head & tail).count_ones()
+    } else {
+        words[first + 1..last]
+            .iter()
+            .map(|w| w.count_ones())
+            .sum::<u32>()
+            + (words[first] & head).count_ones()
+            + (words[last] & tail).count_ones()
+    };
+    usize::try_from(ones).expect("count fits usize")
+}
+
+impl<Pl> EdgeBases<Pl> {
+    /// The store of a shard of `slots` slots and `edges` hosted edges;
+    /// `EdgeBases::new(0, 0)` is the empty store of snapshot mode.
+    fn new(slots: usize, edges: usize) -> Self {
+        EdgeBases {
+            recorded: vec![0; edges.div_ceil(64)],
+            rows: (0..slots).map(|_| Vec::new()).collect(),
             blocks: Vec::new(),
+            free: Vec::new(),
+            spill: BTreeMap::new(),
         }
     }
 
-    fn index(&self, edge: usize) -> Option<usize> {
-        match self.slot.get(edge) {
-            Some(&s) if s != NO_CACHE => Some(usize::try_from(s).expect("slot fits usize")),
-            _ => None,
+    /// Whether `at` has a record, and if so its position in its row list.
+    fn rank(&self, at: EdgeAt) -> Option<usize> {
+        let word = *self.recorded.get(at.edge / 64)?;
+        (word >> (at.edge % 64) & 1 == 1).then(|| ones_in(&self.recorded, at.row, at.edge))
+    }
+
+    /// `at`'s row-list entry, if it has a record.
+    fn entry(&self, at: EdgeAt) -> Option<u32> {
+        let rank = self.rank(at)?;
+        Some(self.rows[at.slot][rank])
+    }
+
+    /// The record a row-list or free-list entry names.
+    fn record(&self, entry: u32) -> &Record<Pl> {
+        let i = arena_index(entry);
+        &self.blocks[i / RECORD_BLOCK][i % RECORD_BLOCK]
+    }
+
+    fn record_mut(&mut self, entry: u32) -> &mut Record<Pl> {
+        let i = arena_index(entry);
+        &mut self.blocks[i / RECORD_BLOCK][i % RECORD_BLOCK]
+    }
+
+    /// `at`'s record: its newest basis.
+    fn get(&self, at: EdgeAt) -> Option<(u64, &Pl)> {
+        let record = self.record(self.entry(at)?);
+        let basis = record.basis.as_ref().expect("a recorded edge has a basis");
+        Some((record.seq, basis))
+    }
+
+    /// Makes `(seq, basis)` `at`'s record and returns the one it replaces.
+    fn set(&mut self, at: EdgeAt, seq: u64, basis: Pl) -> Option<(u64, Pl)> {
+        self.set_if(at, seq, basis, |_| true)
+    }
+
+    /// Makes `(seq, basis)` `at`'s record unless it holds a basis as new.
+    fn raise(&mut self, at: EdgeAt, seq: u64, basis: Pl) {
+        self.set_if(at, seq, basis, |old| old < seq);
+    }
+
+    /// [`set`](Self::set) where `at` has no record or `replace` accepts
+    /// its seq; one lookup either way.
+    fn set_if(
+        &mut self,
+        at: EdgeAt,
+        seq: u64,
+        basis: Pl,
+        replace: impl FnOnce(u64) -> bool,
+    ) -> Option<(u64, Pl)> {
+        let record = Record {
+            seq,
+            basis: Some(basis),
+        };
+        if let Some(entry) = self.entry(at) {
+            let current = self.record_mut(entry);
+            if !replace(current.seq) {
+                return None;
+            }
+            let old = std::mem::replace(current, record);
+            return old.basis.map(|b| (old.seq, b));
         }
-    }
-
-    fn get(&self, edge: usize) -> Option<&EdgeCache<Pl>> {
-        self.index(edge)
-            .map(|i| &self.blocks[i / CACHE_BLOCK][i % CACHE_BLOCK])
-    }
-
-    fn get_mut(&mut self, edge: usize) -> Option<&mut EdgeCache<Pl>> {
-        self.index(edge)
-            .map(|i| &mut self.blocks[i / CACHE_BLOCK][i % CACHE_BLOCK])
-    }
-
-    /// The cache of edge `edge`, created empty on first use.
-    fn entry(&mut self, edge: usize) -> &mut EdgeCache<Pl> {
-        let i = match self.index(edge) {
-            Some(i) => i,
+        let i = match self.free.pop() {
+            Some(free) => {
+                *self.record_mut(free) = record;
+                arena_index(free)
+            }
             None => {
-                let i = self
-                    .blocks
-                    .last()
-                    .map_or(0, |last| (self.blocks.len() - 1) * CACHE_BLOCK + last.len());
-                if i.is_multiple_of(CACHE_BLOCK) {
-                    self.blocks.push(Vec::with_capacity(CACHE_BLOCK));
+                if self.blocks.last().is_none_or(|b| b.len() == RECORD_BLOCK) {
+                    self.blocks.push(Vec::with_capacity(RECORD_BLOCK));
                 }
-                self.blocks
-                    .last_mut()
-                    .expect("a block with room")
-                    .push(EdgeCache::default());
-                self.slot[edge] = u32::try_from(i).expect("cache count fits u32");
-                i
+                let i = (self.blocks.len() - 1) * RECORD_BLOCK;
+                let last = self.blocks.last_mut().expect("a block with room");
+                last.push(record);
+                i + last.len() - 1
             }
         };
-        &mut self.blocks[i / CACHE_BLOCK][i % CACHE_BLOCK]
+        let index = u32::try_from(i)
+            .ok()
+            .filter(|&i| i < SPILLED)
+            .expect("record count fits 31 bits");
+        self.recorded[at.edge / 64] |= 1 << (at.edge % 64);
+        let rank = ones_in(&self.recorded, at.row, at.edge);
+        self.rows[at.slot].insert(rank, index);
+        None
+    }
+
+    /// Sets or clears the [`SPILLED`] flag of `at`, which has a record.
+    fn mark_spilled(&mut self, at: EdgeAt, spilled: bool) {
+        let rank = self.rank(at).expect("a spilled edge has a record");
+        let entry = &mut self.rows[at.slot][rank];
+        *entry = if spilled {
+            *entry | SPILLED
+        } else {
+            *entry & !SPILLED
+        };
+    }
+
+    /// Makes `(seq, basis)` `at`'s record, spilling the basis it replaces.
+    fn push(&mut self, at: EdgeAt, seq: u64, basis: Pl) {
+        if let Some((old, spilled)) = self.set(at, seq, basis) {
+            self.spill.insert((at.edge, old), spilled);
+            self.mark_spilled(at, true);
+        }
+    }
+
+    /// `at`'s basis `seq`, inline or spilled.
+    fn find(&self, at: EdgeAt, seq: u64) -> Option<&Pl> {
+        let entry = self.entry(at)?;
+        let record = self.record(entry);
+        if record.seq == seq {
+            record.basis.as_ref()
+        } else if entry & SPILLED != 0 {
+            self.spill.get(&(at.edge, seq))
+        } else {
+            None
+        }
+    }
+
+    /// Drops every basis of `at` older than `seq`; the newest spilled
+    /// survivor, if any, takes the place of a dropped record.
+    fn retain_from(&mut self, at: EdgeAt, seq: u64) {
+        let Some(entry) = self.entry(at) else {
+            return;
+        };
+        let mut newest = self.record(entry).seq;
+        if entry & SPILLED != 0 {
+            self.drop_spilled((at.edge, 0)..(at.edge, seq));
+            let mut spilled = self.spill.range((at.edge, seq)..=(at.edge, u64::MAX));
+            let survivor = spilled.next_back().map(|(&key, _)| key);
+            let more = spilled.next().is_some();
+            match survivor {
+                Some(key) if newest < seq => {
+                    let basis = self.spill.remove(&key).expect("a spilled survivor");
+                    self.set(at, key.1, basis);
+                    newest = key.1;
+                    self.mark_spilled(at, more);
+                }
+                Some(_) => {}
+                None => self.mark_spilled(at, false),
+            }
+        }
+        if newest < seq {
+            self.clear(at);
+        }
+    }
+
+    /// Drops the spilled bases whose `(edge, seq)` keys fall in `keys`.
+    fn drop_spilled(&mut self, keys: impl RangeBounds<(usize, u64)>) {
+        let dead: Vec<(usize, u64)> = self.spill.range(keys).map(|(&key, _)| key).collect();
+        for key in dead {
+            self.spill.remove(&key);
+        }
+    }
+
+    /// Forgets every basis of `at`.
+    fn clear(&mut self, at: EdgeAt) {
+        let Some(rank) = self.rank(at) else {
+            return;
+        };
+        let entry = self.rows[at.slot].remove(rank);
+        if entry & SPILLED != 0 {
+            self.drop_spilled((at.edge, 0)..=(at.edge, u64::MAX));
+        }
+        self.record_mut(entry).basis = None;
+        self.free.push(entry & !SPILLED);
+        self.recorded[at.edge / 64] &= !(1 << (at.edge % 64));
+    }
+
+    /// The store's heap bytes, from its buffers' capacities; the spill
+    /// counts its entries' bytes but not its tree nodes.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.recorded.capacity() * size_of::<u64>()
+            + self.rows.capacity() * size_of::<Vec<u32>>()
+            + self
+                .rows
+                .iter()
+                .map(|r| r.capacity() * size_of::<u32>())
+                .sum::<usize>()
+            + self.blocks.capacity() * size_of::<Vec<Record<Pl>>>()
+            + self
+                .blocks
+                .iter()
+                .map(|b| b.capacity() * size_of::<Record<Pl>>())
+                .sum::<usize>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.spill.len() * size_of::<((usize, u64), Pl)>()
     }
 }
 
@@ -472,8 +625,18 @@ pub struct ShardRunner<'g, P: Protocol, T: Transport> {
     /// Seq of `pending`'s front entry (seqs start at 1: `basis_seq` 0
     /// names the empty basis).
     pending_base: u64,
-    /// Per-edge knowledge caches; populated in delta mode only.
-    knowledge: Knowledge<P::Payload>,
+    /// Delta mode's initiator-side knowledge: per edge, the basis of
+    /// the newest *completed* exchange we initiated, `(our request seq,
+    /// our payload ∪ theirs)`. Our next [`Frame::RequestDelta`] toward
+    /// the peer references it by `basis_seq`.
+    confirmed: EdgeBases<P::Payload>,
+    /// Delta mode's responder-side knowledge: per edge, the bases of
+    /// exchanges we *answered*, `(the peer's request seq, basis)`; the
+    /// peer's next delta request references one. Pruned to `≥
+    /// basis_seq` whenever a request references a basis — references
+    /// are monotone because `confirmed` keeps the max seq — so an edge
+    /// holds the one or two exchanges since the peer's last reference.
+    answered: EdgeBases<P::Payload>,
     /// Edges whose neighbor announced done, one bit per edge offset.
     done: Vec<u64>,
     /// Edges whose neighbor departed or was lost.
@@ -536,6 +699,7 @@ where
         let n = shard.len();
         let words = offsets[n].div_ceil(64);
         let l_max = graph.max_latency().map_or(0, Latency::rounds);
+        let (store_slots, store_edges) = if delta { (n, offsets[n]) } else { (0, 0) };
         ShardRunner {
             graph,
             universe: table
@@ -561,7 +725,8 @@ where
             scratch: Vec::new(),
             pending: VecDeque::new(),
             pending_base: 1,
-            knowledge: Knowledge::new(if delta { offsets[n] } else { 0 }),
+            confirmed: EdgeBases::new(store_slots, store_edges),
+            answered: EdgeBases::new(store_slots, store_edges),
             offsets,
             done: vec![0; words],
             gone: vec![0; words],
@@ -638,11 +803,7 @@ where
         }
         let payload = self.table.nodes()[slot].payload();
         let weight = P::payload_weight(&payload);
-        let basis = self
-            .knowledge
-            .get(edge)
-            .and_then(|k| k.confirmed.as_ref())
-            .map(|&(seq, ref b)| (seq, b));
+        let basis = self.confirmed.get(self.edge_at(slot, nth));
         let mut bytes = std::mem::take(&mut self.scratch);
         let delta_basis = encode_for_wire(
             &mut self.accounting[slot],
@@ -719,6 +880,16 @@ where
         Ok(())
     }
 
+    /// The edge to the neighbor at `nth` of `slot`'s row.
+    fn edge_at(&self, slot: usize, nth: usize) -> EdgeAt {
+        let row = self.offsets[slot];
+        EdgeAt {
+            slot,
+            row,
+            edge: row + nth,
+        }
+    }
+
     /// Hosted node `v`'s slot.
     fn slot_of(&self, v: NodeId) -> Result<usize, NetError> {
         v.index()
@@ -776,26 +947,21 @@ where
                 let nth = self.position_of(slot, from)?;
                 // The or-pattern leaves `Request` for the `else`.
                 let theirs = if let Frame::RequestDelta { basis_seq, .. } = *frame {
-                    let edge = self.offsets[slot] + nth;
+                    let at = self.edge_at(slot, nth);
                     let basis = match basis_seq {
                         0 => None,
-                        b => Some(
-                            self.knowledge
-                                .get(edge)
-                                .and_then(|k| k.bases.find(b))
-                                .ok_or_else(|| {
-                                    NetError::ProtocolViolation(format!(
-                                        "request {seq} from node {} references unknown basis {b}",
-                                        from.index()
-                                    ))
-                                })?,
-                        ),
+                        b => Some(self.answered.find(at, b).ok_or_else(|| {
+                            NetError::ProtocolViolation(format!(
+                                "request {seq} from node {} references unknown basis {b}",
+                                from.index()
+                            ))
+                        })?),
                     };
                     let theirs = P::Payload::decode_delta(payload, basis)?;
-                    if let Some(cache) = self.knowledge.get_mut(edge).filter(|_| basis_seq != 0) {
-                        // References are monotone (see `EdgeCache`), so
+                    if basis_seq != 0 {
+                        // References are monotone (see `answered`), so
                         // older bases are dead weight.
-                        cache.bases.retain_from(basis_seq);
+                        self.answered.retain_from(at, basis_seq);
                     }
                     theirs
                 } else {
@@ -930,8 +1096,7 @@ where
         sent?;
         if self.mode == PayloadMode::Delta && caps & CAP_DELTA != 0 {
             if let Some(merged) = mine.merge_basis(&theirs) {
-                let edge = self.offsets[slot] + nth;
-                self.knowledge.entry(edge).bases.push(seq, merged);
+                self.answered.push(self.edge_at(slot, nth), seq, merged);
             }
         }
         self.file(
@@ -1053,12 +1218,9 @@ where
                     }
                     if let Some((nth, seq, basis)) = confirm {
                         // A lost peer's bases died with the connection.
-                        let edge = self.offsets[slot] + nth;
-                        if !bit(&self.gone, edge) {
-                            let cache = self.knowledge.entry(edge);
-                            if cache.confirmed.as_ref().is_none_or(|&(s, _)| s < seq) {
-                                cache.confirmed = Some((seq, basis));
-                            }
+                        let at = self.edge_at(slot, nth);
+                        if !bit(&self.gone, at.edge) {
+                            self.confirmed.raise(at, seq, basis);
                         }
                     }
                     self.table.deliver(slot, round, &exchange);
@@ -1103,9 +1265,9 @@ where
         let fresh = self.set_gone(slot, nth);
         // Any shared bases died with the connection: a peer that comes
         // back (or a late frame) must renegotiate from full snapshots.
-        if let Some(cache) = self.knowledge.get_mut(self.offsets[slot] + nth) {
-            *cache = EdgeCache::default();
-        }
+        let at = self.edge_at(slot, nth);
+        self.confirmed.clear(at);
+        self.answered.clear(at);
         // Initiations in flight toward the departed peer will never be
         // answered: count them lost, as the engine does for crashes.
         self.metrics[slot].lost += self.drop_pending(slot, Some(peer));
@@ -1533,11 +1695,9 @@ mod tests {
             "exchange applies at its due round, not on receipt"
         );
         // Peer 1 is position 0 of node 0's row: edge offset 0.
+        let edge = runner.edge_at(0, 0);
         assert!(
-            runner
-                .knowledge
-                .get(0)
-                .is_none_or(|k| k.confirmed.is_none()),
+            runner.confirmed.get(edge).is_none(),
             "the basis is confirmed at the due round, not on receipt"
         );
 
@@ -1546,14 +1706,13 @@ mod tests {
         // peer references it by seq.
         runner.begin_round(1).expect("round 1");
         let confirmed = runner
-            .knowledge
-            .get(0)
-            .and_then(|k| k.confirmed.as_ref())
+            .confirmed
+            .get(edge)
             .expect("completed exchange confirms a basis");
         assert_eq!(confirmed.0, seq);
         let mut both = RumorSet::singleton(128, me);
         both.insert(peer);
-        assert_eq!(confirmed.1, both);
+        assert_eq!(*confirmed.1, both);
         runner.launch(1).expect("launch 1");
         let (_, _, second) = runner.transport.last();
         let Frame::RequestDelta { basis_seq, .. } = second else {
@@ -1570,10 +1729,7 @@ mod tests {
         runner.transport.inbox.push_back(lost(1, 0, "injected"));
         runner.settle(1).expect("settle 1");
         assert!(
-            runner
-                .knowledge
-                .get(0)
-                .is_none_or(|k| k.confirmed.is_none() && k.bases.newest.is_none()),
+            runner.confirmed.get(edge).is_none() && runner.answered.get(edge).is_none(),
             "loss invalidates the peer's knowledge cache"
         );
         assert!(runner.pending.is_empty(), "in-flight request written off");
@@ -1593,6 +1749,130 @@ mod tests {
         assert_eq!(
             basis_seq, 0,
             "reconnect renegotiates from the full snapshot"
+        );
+    }
+
+    #[test]
+    fn an_older_basis_decodes_until_a_newer_reference_prunes_it() {
+        let g = generators::clique(128);
+        let (me, peer) = (NodeId::new(0), NodeId::new(1));
+        let set = |ids: &[usize]| {
+            let mut s = RumorSet::new(128);
+            for &v in ids {
+                s.insert(NodeId::new(v));
+            }
+            s
+        };
+        let delta_against = |payload: &RumorSet, basis: &RumorSet| {
+            let mut bytes = Vec::new();
+            assert!(payload.encode_delta(Some(basis), &mut bytes));
+            bytes
+        };
+        let mut runner = delta_runner(&g, &[(1, CAP_DELTA), (2, CAP_DELTA)]);
+        runner.start().expect("start");
+        // Rounds 0 and 1: the peer's requests 3 and 7 are answered, so
+        // the runner holds the bases {0} ∪ {1} and {0, 1} ∪ {1, 5}.
+        for (round, seq, theirs) in [(0, 3, set(&[1])), (1, 7, set(&[1, 5]))] {
+            runner.begin_round(round).expect("begin");
+            runner.launch(round).expect("launch");
+            let mut payload = Vec::new();
+            theirs.encode_payload(&mut payload);
+            runner.transport.inbox.push_back(frame(
+                peer,
+                me,
+                Frame::Request {
+                    seq,
+                    round,
+                    payload,
+                },
+            ));
+            runner.settle(round).expect("settle");
+        }
+        let (basis3, basis7) = (set(&[0, 1]), set(&[0, 1, 5]));
+
+        // Round 2: a request against the older basis 3 decodes to what
+        // the peer sent. The reply is a delta against the request's own
+        // payload, so it decodes back to the runner's snapshot only if
+        // the request was decoded against basis 3 and not basis 7.
+        runner.begin_round(2).expect("round 2");
+        runner.launch(2).expect("launch 2");
+        let theirs = set(&[1, 7]);
+        runner.transport.inbox.push_back(frame(
+            peer,
+            me,
+            Frame::RequestDelta {
+                seq: 9,
+                round: 2,
+                basis_seq: 3,
+                payload: delta_against(&theirs, &basis3),
+            },
+        ));
+        runner.settle(2).expect("settle 2");
+        let (_, to, reply) = runner.transport.last();
+        assert_eq!(to, peer);
+        let Frame::ReplyDelta {
+            seq: 9,
+            basis_seq: 9,
+            payload,
+            ..
+        } = reply
+        else {
+            panic!("expected a delta reply to request 9, got {reply:?}");
+        };
+        let mine = RumorSet::decode_delta(&payload, Some(&theirs)).expect("reply decodes");
+        assert_eq!(mine, basis7, "request 9 was decoded against basis 3");
+
+        // Round 3: a reference to basis 7 prunes basis 3 ...
+        runner.begin_round(3).expect("round 3");
+        runner.launch(3).expect("launch 3");
+        runner.transport.inbox.push_back(frame(
+            peer,
+            me,
+            Frame::RequestDelta {
+                seq: 11,
+                round: 3,
+                basis_seq: 7,
+                payload: delta_against(&set(&[1, 9]), &basis7),
+            },
+        ));
+        runner.settle(3).expect("settle 3");
+        // ... so a later reference to basis 3 is a violation.
+        let unknown = |err: NetError, basis: u64| {
+            let want = format!("unknown basis {basis}");
+            assert!(
+                matches!(&err, NetError::ProtocolViolation(why) if why.contains(&want)),
+                "unexpected error: {err}"
+            );
+        };
+        runner.begin_round(4).expect("round 4");
+        runner.launch(4).expect("launch 4");
+        runner.transport.inbox.push_back(frame(
+            peer,
+            me,
+            Frame::RequestDelta {
+                seq: 12,
+                round: 4,
+                basis_seq: 3,
+                payload: delta_against(&set(&[1]), &basis3),
+            },
+        ));
+        unknown(runner.settle(4).expect_err("basis 3 was pruned"), 3);
+
+        // After a loss, basis 7 died with the connection too.
+        runner.transport.inbox.push_back(lost(1, 0, "injected"));
+        runner.transport.inbox.push_back(frame(
+            peer,
+            me,
+            Frame::RequestDelta {
+                seq: 13,
+                round: 5,
+                basis_seq: 7,
+                payload: delta_against(&set(&[1]), &basis7),
+            },
+        ));
+        unknown(
+            runner.begin_round(5).expect_err("the loss cleared basis 7"),
+            7,
         );
     }
 
@@ -1701,7 +1981,10 @@ mod tests {
         runner.settle(0).expect("settle 0");
         assert!(runner.pending.is_empty(), "the reply was accepted");
         let effects = |r: &Runner<'_>| {
-            let confirmed = r.knowledge.get(0).and_then(|k| k.confirmed.clone());
+            let confirmed = r
+                .confirmed
+                .get(r.edge_at(0, 0))
+                .map(|(seq, basis)| (seq, basis.clone()));
             (
                 r.metrics[0].delivered,
                 r.metrics[0].payload_units,
@@ -1888,31 +2171,58 @@ mod tests {
     }
 
     #[test]
-    fn answered_bases_keep_the_newest_inline() {
-        let mut bases = EdgeCache::<u32>::default().bases;
-        bases.push(3, 30);
-        assert!(bases.older.capacity() == 0, "one basis: no heap block");
-        bases.push(5, 50);
-        bases.push(8, 80);
-        assert_eq!(
-            [3, 5, 8, 9].map(|s| bases.find(s).copied()),
-            [Some(30), Some(50), Some(80), None]
-        );
-        // A reference to seq 5 drops seq 3; one to seq 9 (past the
-        // newest) drops everything.
-        bases.retain_from(5);
-        assert_eq!(
-            [3, 5, 8].map(|s| bases.find(s).copied()),
-            [None, Some(50), Some(80)]
-        );
-        bases.retain_from(9);
-        assert!(bases.newest.is_none() && bases.older.is_empty());
-        // Out-of-order pushes: the survivor of a prune moves inline.
-        bases.push(12, 120);
-        bases.push(10, 100);
-        bases.retain_from(11);
-        assert_eq!(bases.newest, Some((12, 120)));
-        assert!(bases.older.is_empty());
+    fn delta_knowledge_costs_a_bit_per_edge_and_a_record_per_exchange() {
+        // One shard hosting the 1024-clique, as the delta soak does; its
+        // node 0 records a basis per role on each of its 1023 edges, in
+        // an order that is not row order.
+        let g = generators::clique(1024);
+        let (n, edges) = (g.node_count(), 2 * g.edge_count());
+        let degree = g.degree(NodeId::new(0));
+        let per_role = |records: usize| {
+            use std::mem::size_of;
+            24 * records + edges.div_ceil(64) * size_of::<u64>() + n * size_of::<Vec<u32>>()
+        };
+        let at = |nth| EdgeAt {
+            slot: 0,
+            row: 0,
+            edge: nth,
+        };
+        let order = (0..degree).map(|i| i * 7 % degree);
+        let mut confirmed = EdgeBases::new(n, edges);
+        let mut answered = EdgeBases::new(n, edges);
+        for nth in order.clone() {
+            let seq = u64::try_from(nth).expect("fits") + 1;
+            confirmed.set(at(nth), seq, RumorSet::singleton(n, NodeId::new(nth)));
+            answered.push(at(nth), seq, RumorSet::singleton(n, NodeId::new(nth)));
+        }
+        for nth in [0, 1, 500, degree - 1] {
+            let seq = u64::try_from(nth).expect("fits") + 1;
+            let want = RumorSet::singleton(n, NodeId::new(nth));
+            assert_eq!(confirmed.get(at(nth)), Some((seq, &want)), "edge {nth}");
+            assert_eq!(answered.find(at(nth), seq), Some(&want), "edge {nth}");
+        }
+        // Four bytes per hosted edge (4 MB here) or 56 per recorded one
+        // would each break the bound.
+        for (role, bytes) in [
+            ("confirmed", confirmed.heap_bytes()),
+            ("answered", answered.heap_bytes()),
+        ] {
+            assert!(
+                bytes <= per_role(degree),
+                "{role}: {bytes} B for {degree} records, bound {}",
+                per_role(degree)
+            );
+        }
+        // A cleared edge's record is reused, not added.
+        let arena = |s: &EdgeBases<RumorSet>| s.blocks.iter().map(Vec::len).sum::<usize>();
+        for nth in order {
+            answered.clear(at(nth));
+            answered.push(at(nth), 5_000, RumorSet::new(n));
+        }
+        assert_eq!(arena(&answered), degree);
+        assert_eq!(answered.get(at(9)).map(|(seq, _)| seq), Some(5_000));
+        // Snapshot mode's store has no heap block at all.
+        assert_eq!(EdgeBases::<RumorSet>::new(0, 0).heap_bytes(), 0);
     }
 
     #[test]
@@ -1982,8 +2292,9 @@ mod tests {
             },
         ));
         runner.settle(0).expect("settle 0");
+        let edge = runner.edge_at(0, 0);
         assert!(
-            runner.knowledge.get(0).is_none(),
+            runner.confirmed.get(edge).is_none() && runner.answered.get(edge).is_none(),
             "no basis is cached for a snapshot-only peer"
         );
         let _ = RumorSet::decode_payload(&payload).expect("snapshot request decodes");

@@ -10,7 +10,7 @@ use gossip_core::flooding::FloodingNode;
 use gossip_core::push_pull::{Mode, PushPullNode};
 use gossip_core::stream::{RlcStreamNode, RrStreamNode};
 use gossip_core::Goal;
-use gossip_net::{run_loopback, run_loopback_mode_with_stats, PayloadMode};
+use gossip_net::{run_loopback, run_loopback_mode_with_stats, PayloadMode, WireAccounting};
 use gossip_sim::{
     completion_rounds, EngineStats, Outcome, Protocol, Round, Scheduling, SimConfig, Simulator,
     StopReason, StreamSpec,
@@ -192,6 +192,62 @@ fn heterogeneous_latencies_match_engine() {
         &Goal::Broadcast(NodeId::new(7)),
         4,
         10_000,
+    );
+}
+
+#[test]
+fn delta_bytes_with_older_bases_are_pinned() {
+    // Delta push-pull soaks to its round cap. On the bimodal graph a
+    // request often references a basis older than the responder's newest
+    // (about 1 500 times per run); on the clique every request names the
+    // newest. Which bases a responder keeps, finds and prunes decides
+    // which frames are deltas and how large they are, so the exact
+    // accounting is the check that the knowledge cache keeps its
+    // semantics. `reactor_equivalence.rs` pins the seed-1 bimodal case
+    // over real sockets to the same counts.
+    fn soak(g: &Graph, seed: u64, max_rounds: u64) -> WireAccounting {
+        let cfg = SimConfig {
+            seed,
+            max_rounds,
+            ..SimConfig::default()
+        };
+        run_loopback_mode_with_stats(
+            g,
+            &cfg,
+            PayloadMode::Delta,
+            |id, n| PushPullNode::new(id, n, Mode::PushPull),
+            |_: &[&PushPullNode], _| false,
+        )
+        .2
+    }
+    let pin = |payload_bytes, snapshot_bytes, delta_frames, snapshot_frames| WireAccounting {
+        payload_bytes,
+        snapshot_bytes,
+        delta_frames,
+        snapshot_frames,
+        stream_units: 0,
+    };
+    let bimodal = generators::bimodal_latencies(
+        &generators::connected_erdos_renyi(20, 0.25, 3).expect("connected sample"),
+        1,
+        9,
+        0.4,
+        11,
+    );
+    assert_eq!(
+        soak(&bimodal, 1, 200),
+        pin(30_543, 96_000, 7_273, 727),
+        "bimodal, seed 1"
+    );
+    assert_eq!(
+        soak(&bimodal, 0xB0BA, 200),
+        pin(30_183, 96_000, 7_313, 687),
+        "bimodal, seed 0xB0BA"
+    );
+    assert_eq!(
+        soak(&generators::clique(64), 1, 128),
+        pin(86_871, 196_608, 12_193, 4_191),
+        "clique(64), seed 1"
     );
 }
 

@@ -471,3 +471,39 @@ fn delta_bytes_on_slow_edges_are_pinned_across_transports() {
         ],
     );
 }
+
+#[test]
+fn delta_bytes_with_older_bases_are_pinned_over_sockets() {
+    // The seed-1 bimodal soak of `loopback_equivalence.rs`: requests
+    // reference bases older than the responder's newest, and the reactor
+    // must put the loopback's pinned counts on the wire.
+    let g = generators::bimodal_latencies(
+        &generators::connected_erdos_renyi(20, 0.25, 3).expect("connected sample"),
+        1,
+        9,
+        0.4,
+        11,
+    );
+    let cfg = SimConfig {
+        seed: 1,
+        max_rounds: 200,
+        ..SimConfig::default()
+    };
+    let (_, _, acct) = run_reactor_mode_with_stats(
+        &g,
+        &cfg,
+        PayloadMode::Delta,
+        |id, n| PushPullNode::new(id, n, Mode::PushPull),
+        |_: &[&PushPullNode], _| false,
+    );
+    assert_eq!(
+        acct,
+        WireAccounting {
+            payload_bytes: 30_543,
+            snapshot_bytes: 96_000,
+            delta_frames: 7_273,
+            snapshot_frames: 727,
+            stream_units: 0,
+        }
+    );
+}
