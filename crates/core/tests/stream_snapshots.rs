@@ -80,13 +80,13 @@ where
     stepper.deliver();
     stepper.advance();
 
-    let early = stepper.nodes()[WATCHED].payload();
+    let early = stepper.node(NodeId::new(WATCHED)).payload();
     assert!(early.units() > 0, "the watched node staged nothing");
     let early_contents = format!("{early:?}");
 
     // One round, one buffer: repeated `payload()` calls and every
     // exchange that snapshot the watched node in that round.
-    assert!(early.ptr_eq(&stepper.nodes()[WATCHED].payload()));
+    assert!(early.ptr_eq(&stepper.node(NodeId::new(WATCHED)).payload()));
     let watched = NodeId::new(WATCHED);
     let mut in_flight = 0;
     for x in stepper.in_flight() {
@@ -109,7 +109,7 @@ where
     for _ in 0..6 {
         stepper.deliver();
         stepper.advance();
-        assert!(!stepper.nodes()[WATCHED].payload().ptr_eq(&early));
+        assert!(!stepper.node(NodeId::new(WATCHED)).payload().ptr_eq(&early));
     }
     assert_eq!(format!("{early:?}"), early_contents, "a snapshot moved");
 }

@@ -250,11 +250,14 @@ pub fn connected_erdos_renyi(n: usize, p: f64, seed: u64) -> Result<Graph, Graph
 /// The rows are written in place rather than through [`GraphBuilder`]:
 /// the pairs are enumerated twice, once to count degrees and once to
 /// scatter the neighbor ids (and per-entry latencies, only once two
-/// differ) into the CSR arrays, so no edge list is ever held. The
-/// result is the graph the builder makes from the same pairs, and
-/// distances and latencies are the all-pairs sweep's float
-/// expressions, so a given `(n, radius, latency_scale, seed)` always
-/// yields the same graph.
+/// differ) into the CSR arrays, so no edge list is ever held. Each row
+/// is stored at its point's position in the grid-cell order the scan
+/// already uses, not at its id, so the rows of nearby points are
+/// nearby in memory; the graph keeps the id → position map (see
+/// [`Graph::positions`]). The result is `==` the graph the builder
+/// makes from the same pairs, and distances and latencies are the
+/// all-pairs sweep's float expressions, so a given
+/// `(n, radius, latency_scale, seed)` always yields the same graph.
 ///
 /// # Panics
 ///
@@ -281,17 +284,14 @@ pub fn random_geometric(n: usize, radius: f64, latency_scale: f64, seed: u64) ->
         at[a] += 1;
         at[b] += 1;
     });
-    // The rows by id; then `at[k]` becomes the write cursor of the row
-    // of the point at position `k`, starting at the row's start.
-    let mut offsets = vec![0usize; n + 1];
-    for (&id, &degree) in cells.ids.iter().zip(&at) {
-        offsets[id as usize + 1] = degree;
-    }
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    for (cursor, &id) in at.iter_mut().zip(&cells.ids) {
-        *cursor = offsets[id as usize];
+    // Row `k` is the row of the point at position `k`; `at[k]` becomes
+    // its write cursor, starting at the row's start.
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    for cursor in &mut at {
+        let start = offsets[offsets.len() - 1];
+        offsets.push(start + *cursor);
+        *cursor = start;
     }
 
     // Pass 2: scatter both directions of every edge. Per-entry
@@ -316,9 +316,17 @@ pub fn random_geometric(n: usize, radius: f64, latency_scale: f64, seed: u64) ->
     });
     let mut rows = Rows { offsets, ids, lats };
     rows.sort().expect("each pair is enumerated once");
+    // The rows are stored by position; the graph keeps the inverse of
+    // `ids`. Allocated last, it sits above the build's scratch, which
+    // then frees as one block for the run that follows.
+    let mut position = vec![0; n];
+    for (k, &id) in (0u32..).zip(&cells.ids) {
+        position[id as usize] = k;
+    }
     // `first` is `None` only for an edgeless graph, where the shared
     // latency is never read.
     rows.into_graph(first.unwrap_or(Latency::UNIT))
+        .stored_at(position)
 }
 
 /// Internal: the points of [`random_geometric`] bucketed into a grid of

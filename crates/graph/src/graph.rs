@@ -38,6 +38,18 @@ const MAX_NODES: usize = u32::MAX as usize;
 /// [`max_latency`](Graph::max_latency)) is fixed at build time and
 /// answered in O(1).
 ///
+/// # Storage order
+///
+/// Rows are stored in id order, except for a graph that knows a better
+/// one: [`random_geometric`](crate::generators::random_geometric) stores
+/// each point's row at the point's position in its grid-cell order, so
+/// the rows (and, through [`positions`](Graph::positions), a simulation's
+/// per-node state) of nearby points are nearby in memory. Such a graph
+/// keeps an id → position map, 4 bytes per node; every other graph keeps
+/// it empty. Every accessor takes a node id and returns the same sorted
+/// row either way, and `==` is semantic: two graphs are equal when every
+/// id has the same row, however they are stored.
+///
 /// This is the network model of *Gossiping with Latencies*, Section 1: a
 /// connected, undirected graph `G = (V, E)` where every edge has an
 /// integer latency `≥ 1`. (Connectivity is not enforced by the builder —
@@ -60,8 +72,9 @@ const MAX_NODES: usize = u32::MAX as usize;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Graph {
+    /// Row offsets by storage position (see `position`).
     offsets: Vec<usize>,
     adj_ids: Vec<NodeId>,
     /// Parallel to `adj_ids` when the latencies differ; otherwise one
@@ -71,7 +84,22 @@ pub struct Graph {
     adj_lats: Vec<Latency>,
     max_degree: usize,
     max_latency: Option<Latency>,
+    /// `position[v]` is where node `v`'s row is stored; empty when rows
+    /// are stored in id order.
+    position: Vec<u32>,
 }
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Graph) -> bool {
+        self.node_count() == other.node_count()
+            && self.nodes().all(|v| {
+                self.neighbor_ids(v) == other.neighbor_ids(v)
+                    && self.neighbor_latencies(v) == other.neighbor_latencies(v)
+            })
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Builds a graph directly from an edge list over `n` nodes.
@@ -128,8 +156,110 @@ impl Graph {
     /// Internal: the adjacency range of `v` in the CSR arrays.
     #[inline]
     fn adj_range(&self, v: NodeId) -> std::ops::Range<usize> {
-        let i = v.index();
+        let i = self.row(v);
         self.offsets[i]..self.offsets[i + 1]
+    }
+
+    /// Internal: [`position`](Graph::position) without its range check;
+    /// the offsets lookup that follows checks the range.
+    #[inline]
+    fn row(&self, v: NodeId) -> usize {
+        if self.position.is_empty() {
+            v.index()
+        } else {
+            self.stored(v.index())
+        }
+    }
+
+    /// Where `v`'s row is stored: `v`'s index for a graph stored in id
+    /// order, its entry in [`positions`](Graph::positions) otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn position(&self, v: NodeId) -> usize {
+        assert!(v.index() < self.node_count(), "node {v} out of range");
+        self.row(v)
+    }
+
+    /// The id → storage position map: empty for a graph stored in id
+    /// order, otherwise a permutation of `0..n` with node `v`'s row at
+    /// position `positions()[v]`. A simulation keeps its per-node state
+    /// in the same order, so the nodes one round touches share cache
+    /// lines with their rows.
+    #[inline]
+    pub fn positions(&self) -> &[u32] {
+        &self.position
+    }
+
+    /// Reorders `items`, one per node in id order, into storage order:
+    /// afterwards `items[position(v)]` is what `items[v]` was. In place:
+    /// `seen` is the caller's scratch, one flag per node, all `false` on
+    /// entry and unspecified on return, so a caller that holds such an
+    /// array anyway allocates nothing. Nothing moves for a graph stored
+    /// in id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` or `seen` does not hold one entry per node.
+    pub fn to_storage_order<T>(&self, items: &mut [T], seen: &mut [bool]) {
+        assert_eq!(items.len(), self.node_count(), "one item per node");
+        for start in self.cycle_starts(seen) {
+            // Carry the item at `start` to its position; what that
+            // displaces goes on along the cycle.
+            let mut at = self.stored(start);
+            while at != start {
+                items.swap(start, at);
+                at = self.stored(at);
+            }
+        }
+    }
+
+    /// The inverse of [`to_storage_order`](Graph::to_storage_order):
+    /// reorders `items`, one per node in storage order, into id order,
+    /// with the same scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` or `seen` does not hold one entry per node.
+    pub fn to_id_order<T>(&self, items: &mut [T], seen: &mut [bool]) {
+        assert_eq!(items.len(), self.node_count(), "one item per node");
+        for start in self.cycle_starts(seen) {
+            // Fill each id's place from its position, along the cycle.
+            let mut id = start;
+            let mut from = self.stored(id);
+            while from != start {
+                items.swap(id, from);
+                (id, from) = (from, self.stored(from));
+            }
+        }
+    }
+
+    /// Internal: entry `v` of the non-empty position map.
+    #[inline]
+    fn stored(&self, v: usize) -> usize {
+        usize::try_from(self.position[v]).expect("a position fits usize")
+    }
+
+    /// Internal: the smallest member of each cycle of the position map
+    /// (none for a graph stored in id order), marking each cycle in
+    /// `seen` as it is found.
+    fn cycle_starts<'a>(&'a self, seen: &'a mut [bool]) -> impl Iterator<Item = usize> + 'a {
+        assert_eq!(seen.len(), self.node_count(), "one flag per node");
+        (0..self.position.len()).filter(move |&start| {
+            if seen[start] {
+                return false;
+            }
+            let mut v = start;
+            loop {
+                seen[v] = true;
+                v = self.stored(v);
+                if v == start {
+                    return true;
+                }
+            }
+        })
     }
 
     /// The neighbors of `v` with the latency of the connecting edge,
@@ -191,8 +321,7 @@ impl Graph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        let i = v.index();
-        self.offsets[i + 1] - self.offsets[i]
+        self.adj_range(v).len()
     }
 
     /// The maximum degree `Δ` over all nodes (0 for an edgeless graph).
@@ -437,7 +566,19 @@ impl Graph {
             adj_lats,
             max_degree,
             max_latency,
+            position: Vec::new(),
         }
+    }
+
+    /// Internal: this graph with row `k` read as the row of the node
+    /// whose entry in `position` is `k`. `position` is a permutation of
+    /// `0..n`; the identity is kept as the empty map.
+    pub(crate) fn stored_at(mut self, position: Vec<u32>) -> Graph {
+        debug_assert_eq!(position.len(), self.node_count());
+        if position.iter().zip(0u32..).any(|(&at, v)| at != v) {
+            self.position = position;
+        }
+        self
     }
 }
 
@@ -1035,6 +1176,44 @@ mod tests {
         assert_eq!(g.volume(&[true, true, true]), 6);
         assert_eq!(g.volume(&[true, false, false]), 2);
         assert_eq!(g.volume(&[false, false, false]), 0);
+    }
+
+    /// A geometric graph stores its rows in cell order behind the map;
+    /// the builder's graph of the same edges keeps id order and no map,
+    /// and the two are `==`. The permutations move items to where the
+    /// map says and back.
+    #[test]
+    fn storage_order_is_a_permutation_behind_equal_rows() {
+        use crate::generators;
+        let g = generators::random_geometric(700, 0.09, 1000.0, 3);
+        let built = Graph::from_edges(
+            g.node_count(),
+            g.edges().map(|(u, v, l)| (u.index(), v.index(), l.get())),
+        )
+        .unwrap();
+        assert!(built.positions().is_empty());
+        assert_eq!(g, built);
+        assert_eq!(g.positions().len(), 700);
+        let mut seen = vec![false; 700];
+        for v in g.nodes() {
+            assert!(!std::mem::replace(&mut seen[g.position(v)], true));
+            assert_eq!(g.position(v), g.positions()[v.index()] as usize);
+            assert_eq!(built.position(v), v.index());
+        }
+        let ids: Vec<usize> = (0..700).collect();
+        let (mut items, mut seen) = (ids.clone(), vec![false; 700]);
+        g.to_storage_order(&mut items, &mut seen);
+        assert!(g.nodes().all(|v| items[g.position(v)] == v.index()));
+        seen.fill(false);
+        g.to_id_order(&mut items, &mut seen);
+        assert_eq!(items, ids);
+        seen.fill(false);
+        built.to_storage_order(&mut items, &mut seen);
+        assert_eq!(items, ids);
+        // One point: the only order is the identity, kept as no map.
+        assert!(generators::random_geometric(1, 0.5, 1.0, 0)
+            .positions()
+            .is_empty());
     }
 
     #[test]

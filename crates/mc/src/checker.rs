@@ -66,8 +66,9 @@ pub struct Obs<'a, N: Protocol> {
     pub graph: &'a Graph,
     /// The observed round.
     pub round: Round,
-    /// Per-node protocol states, in id order.
-    pub nodes: &'a [N],
+    /// Per-node protocol states, in the stepper's storage order; read
+    /// them through [`nodes`](Obs::nodes).
+    stored: &'a [N],
     /// Every exchange that completed this round (including lost ones).
     pub deliveries: &'a [DeliveryRecord],
     /// Cumulative engine counters along this path.
@@ -76,6 +77,16 @@ pub struct Obs<'a, N: Protocol> {
     pub faults_used: u32,
     /// Whether this observation ends the path, and why.
     pub terminal: Option<Terminal>,
+}
+
+impl<'a, N: Protocol> Obs<'a, N> {
+    /// Every node with its protocol state, in id order, however the
+    /// engine stores them.
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &'a N)> + '_ {
+        self.graph
+            .nodes()
+            .map(|v| (v, &self.stored[self.graph.position(v)]))
+    }
 }
 
 /// A named, pluggable property evaluated at every observation.
@@ -121,7 +132,8 @@ pub struct Model<N: Protocol> {
     pub encode_node: fn(&N, &mut Vec<u8>),
     /// Appends the canonical bytes of one in-flight payload snapshot.
     pub encode_payload: fn(&N::Payload, &mut Vec<u8>),
-    /// The goal predicate (terminal success).
+    /// The goal predicate (terminal success): a fold over every node's
+    /// state, which it sees in the stepper's storage order.
     pub goal: fn(&[N]) -> bool,
     /// Per-node fingerprint folded into the counterexample trace line.
     pub fingerprint: fn(&N) -> u64,
@@ -330,7 +342,7 @@ pub fn replay<N: Protocol + Clone>(model: &Model<N>, actions: &[RoundAction]) ->
             break;
         }
     }
-    let fingerprint = fold_fingerprints(model, st.nodes());
+    let fingerprint = fold_fingerprints(model, &st);
     Replay {
         violation,
         rounds: st.round(),
@@ -375,7 +387,7 @@ fn step_once<N: Protocol + Clone>(
         let obs = Obs {
             graph: &model.graph,
             round: st.round(),
-            nodes: st.nodes(),
+            stored: st.nodes(),
             deliveries: &records,
             metrics: st.metrics(),
             faults_used,
@@ -445,8 +457,8 @@ fn encode_state<N: Protocol>(model: &Model<N>, st: &Stepper<'_, N>, used: u32) -
     for (u, v, _) in g.edges() {
         out.push(u8::from(st.faults().is_link_down(u, v, round)));
     }
-    for node in st.nodes() {
-        (model.encode_node)(node, &mut out);
+    for v in g.nodes() {
+        (model.encode_node)(st.node(v), &mut out);
     }
     for x in st.in_flight() {
         out.extend_from_slice(&x.initiated_at.to_le_bytes());
@@ -485,12 +497,12 @@ fn reconstruct(
     actions
 }
 
-/// Order-independent FNV fold of per-node fingerprints — the same fold
-/// the golden-trace suite pins for rumor sets.
-fn fold_fingerprints<N: Protocol>(model: &Model<N>, nodes: &[N]) -> u64 {
+/// FNV fold of per-node fingerprints in id order — the same fold the
+/// golden-trace suite pins for rumor sets.
+fn fold_fingerprints<N: Protocol>(model: &Model<N>, st: &Stepper<'_, N>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for node in nodes {
-        h ^= (model.fingerprint)(node);
+    for v in model.graph.nodes() {
+        h ^= (model.fingerprint)(st.node(v));
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h

@@ -53,12 +53,12 @@ where
                     ));
                 }
             }
-            for (u, node) in obs.nodes.iter().enumerate() {
+            for (u, node) in obs.nodes() {
                 for x in node.rumor_set().iter() {
-                    let need = dist[x.index()][u];
+                    let need = dist[x.index()][u.index()];
                     if need > obs.round {
                         return Err(format!(
-                            "rumor {x} reached v{u} at round {} but is {need} away",
+                            "rumor {x} reached {u} at round {} but is {need} away",
                             obs.round
                         ));
                     }
@@ -89,7 +89,7 @@ where
                     ));
                 }
             }
-            let applied: u64 = obs.nodes.iter().map(RumorNode::applied).sum();
+            let applied: u64 = obs.nodes().map(|(_, node)| node.applied()).sum();
             let expected = 2 * obs.metrics.delivered;
             if applied != expected {
                 return Err(format!(
@@ -137,15 +137,15 @@ where
             if obs.terminal.is_none() {
                 return Ok(());
             }
-            for (v, node) in obs.nodes.iter().enumerate() {
+            for (v, node) in obs.nodes() {
                 if node.decides() && !central_ok {
                     return Err(format!(
-                        "v{v} decided terminate but the centralized check fails"
+                        "{v} decided terminate but the centralized check fails"
                     ));
                 }
                 if !node.decides() && central_ok {
                     return Err(format!(
-                        "centralized check passes but v{v} did not decide terminate"
+                        "centralized check passes but {v} did not decide terminate"
                     ));
                 }
             }
@@ -166,11 +166,11 @@ where
             if obs.terminal.is_none() {
                 return Ok(());
             }
-            let first = obs.nodes.first().map(Decider::decides);
-            for (v, node) in obs.nodes.iter().enumerate() {
+            let first = obs.nodes().next().map(|(_, node)| node.decides());
+            for (v, node) in obs.nodes() {
                 if Some(node.decides()) != first {
                     return Err(format!(
-                        "split decision at round {}: v0={:?} but v{v}={}",
+                        "split decision at round {}: v0={:?} but {v}={}",
                         obs.round,
                         first,
                         node.decides()
@@ -224,7 +224,7 @@ where
     Property {
         name: "no-phantom-rumor",
         check: Box::new(|obs: &Obs<'_, N>| {
-            for (v, node) in obs.nodes.iter().enumerate() {
+            for (v, node) in obs.nodes() {
                 let heard = node.heard_words();
                 let causal = node.causal_words();
                 for (word, (h, c)) in heard.iter().zip(causal).enumerate() {
@@ -233,7 +233,7 @@ where
                         let bit = usize::try_from(phantom.trailing_zeros())
                             .expect("bit index fits usize");
                         return Err(format!(
-                            "v{v} holds rumor {} it neither injected nor received",
+                            "{v} holds rumor {} it neither injected nor received",
                             word * 64 + bit
                         ));
                     }

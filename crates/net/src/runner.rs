@@ -702,10 +702,8 @@ where
         let (store_slots, store_edges) = if delta { (n, offsets[n]) } else { (0, 0) };
         ShardRunner {
             graph,
-            universe: table
-                .nodes()
-                .iter()
-                .map(|p| p.payload().wire_universe())
+            universe: (0..shard.len())
+                .map(|slot| table.node(slot).payload().wire_universe())
                 .collect(),
             table,
             transport,
@@ -801,7 +799,7 @@ where
             self.metrics[slot].lost += 1;
             return Ok(());
         }
-        let payload = self.table.nodes()[slot].payload();
+        let payload = self.table.node(slot).payload();
         let weight = P::payload_weight(&payload);
         let basis = self.confirmed.get(self.edge_at(slot, nth));
         let mut bytes = std::mem::take(&mut self.scratch);
@@ -1068,7 +1066,7 @@ where
         let me = self.table.id(slot);
         let due = t + self.graph.neighbor_latencies(me)[nth].rounds();
         let caps = self.transport.peer_caps(from);
-        let mine = self.table.nodes()[slot].payload();
+        let mine = self.table.node(slot).payload();
         let mut bytes = std::mem::take(&mut self.scratch);
         let delta_basis = encode_for_wire(
             &mut self.accounting[slot],
@@ -1317,7 +1315,8 @@ where
     /// Runs the lockstep loop, `Simulator::run`'s shape — stop closure
     /// and all-done check on event rounds, the round cap every round —
     /// and returns the simulator-shaped [`Outcome`] with the shard-wide
-    /// transport and payload totals.
+    /// transport and payload totals. `stop` sees the hosted nodes in
+    /// slot order, whatever order the node table stores them in.
     ///
     /// # Panics
     ///
@@ -1336,7 +1335,9 @@ where
         let reason = loop {
             ok(self.begin_round(round));
             if self.table.is_event_round() {
-                let protocols: Vec<&P> = self.table.nodes().iter().collect();
+                let protocols: Vec<&P> = (0..self.shard.len())
+                    .map(|slot| self.table.node(slot))
+                    .collect();
                 if stop(&protocols, round) {
                     break StopReason::Condition;
                 }
@@ -1453,7 +1454,7 @@ where
                 offset: self.offsets[slot],
                 any: self.gone_count[slot] > 0,
             };
-            let p = &self.table.nodes()[slot];
+            let p = self.table.node(slot);
             if p.is_done() || done(p, &view) {
                 self.announced[slot] = true;
                 self.send_to_live(slot, round, &Frame::Done { round })?;
@@ -1690,7 +1691,7 @@ mod tests {
         ));
         runner.settle(0).expect("settle 0");
         assert_eq!(
-            runner.table.nodes()[0].rumors,
+            runner.table.node(0).rumors,
             RumorSet::singleton(128, me),
             "exchange applies at its due round, not on receipt"
         );
@@ -1936,7 +1937,7 @@ mod tests {
         let (release, to, _) = runner.transport.last();
         assert_eq!((release, to), (2, fast), "reply released at t + 2");
         assert!(!runner.hold.is_empty(), "both exchanges held");
-        let knows = |r: &Runner<'_>| [slow, fast].map(|v| r.table.nodes()[0].rumors.contains(v));
+        let knows = |r: &Runner<'_>| [slow, fast].map(|v| r.table.node(0).rumors.contains(v));
         for (round, want) in [(1, [false, false]), (2, [false, true]), (4, [false, true])] {
             runner.begin_round(round).expect("round");
             assert_eq!(knows(&runner), want, "round {round}");
@@ -1989,7 +1990,7 @@ mod tests {
                 r.metrics[0].delivered,
                 r.metrics[0].payload_units,
                 confirmed,
-                r.table.nodes()[0].rumors.contains(slow),
+                r.table.node(0).rumors.contains(slow),
             )
         };
         let before = (0, 0, None, false);

@@ -173,6 +173,26 @@ fn ring_of_cliques_matches_engine() {
 }
 
 #[test]
+fn geometric_graph_matches_engine() {
+    // A random geometric graph stores its rows, and the node table
+    // hosting all of it stores the protocol states, in grid-cell order
+    // rather than id order: the runner reads every slot through the id-keyed
+    // accessor, in snapshot and delta mode alike.
+    let g = generators::random_geometric(60, 0.3, 4.0, 5);
+    assert!(g.is_connected());
+    for seed in [1, 9] {
+        check_push_pull("geometric/push-pull", &g, &Goal::AllToAll, seed, 10_000);
+    }
+    check_flooding(
+        "geometric/flooding",
+        &g,
+        &Goal::Broadcast(NodeId::new(11)),
+        2,
+        10_000,
+    );
+}
+
+#[test]
 fn heterogeneous_latencies_match_engine() {
     // Bimodal edge latencies exercise nontrivial ℓ in the hold queue:
     // replies arrive before their exchange is due.

@@ -1,4 +1,4 @@
-//! The reactor equivalence suite: the same nine cases as
+//! The reactor equivalence suite: the engine-equivalence cases of
 //! `loopback_equivalence.rs`, run through [`gossip_net::run_reactor_mode_with_stats`] —
 //! a whole cluster hosted by one epoll reactor over its real TCP self
 //! link, drain-paced so rounds are virtual. The
@@ -185,6 +185,26 @@ fn ring_of_cliques_matches_engine() {
             10_000,
         );
     }
+}
+
+#[test]
+fn geometric_graph_matches_engine() {
+    // A random geometric graph stores its rows, and the node table
+    // hosting all of it stores the protocol states, in grid-cell order
+    // rather than id order: the reactor's runner reads every slot through the id-keyed
+    // accessor, in snapshot and delta mode alike.
+    let g = generators::random_geometric(60, 0.3, 4.0, 5);
+    assert!(g.is_connected());
+    for seed in [1, 9] {
+        check_push_pull("geometric/push-pull", &g, &Goal::AllToAll, seed, 10_000);
+    }
+    check_flooding(
+        "geometric/flooding",
+        &g,
+        &Goal::Broadcast(NodeId::new(11)),
+        2,
+        10_000,
+    );
 }
 
 #[test]

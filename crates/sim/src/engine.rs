@@ -538,7 +538,7 @@ pub struct Outcome<P> {
     pub metrics: SimMetrics,
     /// Engine execution counters (frontier occupancy, skipped rounds).
     pub stats: EngineStats,
-    /// Final per-node protocol states.
+    /// Final per-node protocol states, in id order.
     pub nodes: Vec<P>,
 }
 
@@ -635,6 +635,16 @@ fn frontier_index(i: u32) -> usize {
 #[inline]
 fn frontier_id(i: usize) -> u32 {
     u32::try_from(i).expect("node index fits u32")
+}
+
+/// Where a [`NodeTable`] with storage order `order` (a graph's
+/// id → position map, or empty for slot order) keeps slot `slot`.
+#[inline]
+fn stored(order: &[u32], slot: usize) -> usize {
+    match order.get(slot) {
+        Some(&at) => frontier_index(at),
+        None => slot,
+    }
 }
 
 impl<T> CalendarQueue<T> {
@@ -750,15 +760,20 @@ impl<'g> Simulator<'g> {
     /// stepping machinery the model checker snapshots and branches —
     /// checked code is shipped code.
     ///
-    /// `factory(id, n)` builds each node's protocol instance; `stop`
-    /// is evaluated over all node states after the round's deliveries
-    /// and ends the run when it returns `true` — every round for
+    /// `factory(id, n)` builds each node's protocol instance, in id
+    /// order; `stop` is evaluated over all node states after the round's
+    /// deliveries and ends the run when it returns `true` — every round for
     /// [`Scheduling::EveryRound`] protocols, on event rounds only for
     /// [`Scheduling::OnDemand`] ones (see there), whose event-free
     /// rounds are skipped without being visited. The
     /// [`SimConfig::max_rounds`] cap is honored at the round number a
     /// hand-driven [`Stepper`] reaches it (skip targets are clamped to
     /// the cap).
+    ///
+    /// `stop` sees the states in storage order ([`Stepper::nodes`]):
+    /// id order, unless the graph stores its rows in another
+    /// ([`Graph::positions`]). It is meant as a fold over all nodes;
+    /// the [`Outcome`]'s states are in id order.
     pub fn run<P, F, S>(&self, factory: F, mut stop: S) -> Outcome<P>
     where
         P: Protocol,
@@ -902,6 +917,16 @@ impl NodeRngs {
 /// [`EngineStats`] and the checker's choice tape. Slot `s` holds node
 /// `base + s`.
 ///
+/// A table that hosts every node of a graph with a storage order
+/// ([`Graph::positions`]) keeps the protocol states, pending and wake
+/// slots, stamps and done flags in that order: slot `s`'s state is at
+/// `positions()[s]`, next to the state of the nodes it exchanges with.
+/// The frontier still lists slots in ascending order and every callback
+/// runs in the same order, so nothing a protocol sees moves; only
+/// [`nodes`](Self::nodes) shows the storage order, and
+/// [`node`](Self::node) and [`into_nodes`](Self::into_nodes) read by
+/// slot. A table hosting a shard stores slot `s` at `s`.
+///
 /// [`Stepper`] drives one over every node of the graph; the
 /// `gossip-net` shard runner drives one over the nodes a shard hosts.
 /// Both run the same phase order on the same state, which is what
@@ -920,8 +945,12 @@ pub struct NodeTable<'g, P: Protocol> {
     graph: &'g Graph,
     /// Node id of slot 0.
     base: usize,
+    /// Where each slot's state is stored: the graph's id → position map
+    /// when the table hosts every node, or empty — slot `s` at `s`.
+    order: &'g [u32],
     size_hint: usize,
     latency_known: bool,
+    /// The protocol states, in storage order.
     nodes: Vec<P>,
     /// Empty until the first draw by any hosted node.
     rngs: NodeRngs,
@@ -939,8 +968,8 @@ pub struct NodeTable<'g, P: Protocol> {
     /// frees round 0's n slots) and the next round's deliveries and due
     /// wakeups refill it.
     frontier: Vec<u32>,
-    /// `stamp[s] == round` ⇔ slot `s` is already listed on this round's
-    /// frontier ([`Scheduling::OnDemand`] only).
+    /// `stamp[at] == round` ⇔ the slot stored at `at` is already listed
+    /// on this round's frontier ([`Scheduling::OnDemand`] only).
     stamp: Vec<Round>,
     /// Registered wakeups ([`Scheduling::OnDemand`] only).
     wakes: CalendarQueue<u32>,
@@ -964,11 +993,11 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
     const ON_DEMAND: bool = matches!(P::SCHEDULING, Scheduling::OnDemand);
 
     /// Builds the round-0 state of the nodes in `hosted`: protocol
-    /// instances from `factory(id, n)`, RNGs to be seeded by
-    /// [`node_seed`] on the first draw, the universal round-0 frontier,
-    /// and `on_start` for every node `live` accepts. Only the model
-    /// fields of `config` (`seed`, `latency_known`, `size_hint`) are
-    /// read.
+    /// instances from `factory(id, n)`, called in id order, RNGs to be
+    /// seeded by [`node_seed`] on the first draw, the universal round-0
+    /// frontier, and `on_start` for every node `live` accepts, in id
+    /// order. Only the model fields of `config` (`seed`,
+    /// `latency_known`, `size_hint`) are read.
     ///
     /// # Panics
     ///
@@ -989,12 +1018,24 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
         let len = hosted.len();
         let slots = u32::try_from(len).expect("the engine indexes nodes with u32 ids");
         let l_max = graph.max_latency().map_or(0, Latency::rounds);
+        let mut nodes: Vec<P> = hosted.clone().map(|i| factory(NodeId::new(i), n)).collect();
+        let mut done_flags = vec![false; len];
+        let order = if hosted == (0..n) && !graph.positions().is_empty() {
+            // The done flags are the permutation's scratch before they
+            // are the done flags.
+            graph.to_storage_order(&mut nodes, &mut done_flags);
+            done_flags.fill(false);
+            graph.positions()
+        } else {
+            &[]
+        };
         let mut table = NodeTable {
             graph,
             base: hosted.start,
+            order,
             size_hint: config.size_hint.unwrap_or(n),
             latency_known: config.latency_known,
-            nodes: hosted.clone().map(|i| factory(NodeId::new(i), n)).collect(),
+            nodes,
             rngs: NodeRngs {
                 seed: config.seed,
                 hosted: hosted.clone(),
@@ -1005,7 +1046,7 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
             frontier: (0..slots).collect(),
             stamp: vec![0; if Self::ON_DEMAND { len } else { 0 }],
             wakes: CalendarQueue::new(if Self::ON_DEMAND { l_max } else { 0 }),
-            done_flags: vec![false; len],
+            done_flags,
             done_count: 0,
             event: true,
             stats: EngineStats::default(),
@@ -1028,6 +1069,12 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
         NodeId::new(self.base + slot)
     }
 
+    /// The protocol state of slot `slot`, wherever it is stored.
+    #[inline]
+    pub fn node(&self, slot: usize) -> &P {
+        &self.nodes[stored(self.order, slot)]
+    }
+
     /// Runs `f` on slot `slot`'s protocol with its callback view.
     fn with_node<R>(
         &mut self,
@@ -1035,7 +1082,7 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
         round: Round,
         f: impl FnOnce(&mut P, &mut Context<'_>) -> R,
     ) -> R {
-        let v = self.id(slot);
+        let (v, at) = (self.id(slot), stored(self.order, slot));
         let mut ctx = Context {
             node: v,
             round,
@@ -1044,11 +1091,11 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
             neighbor_ids: self.graph.neighbor_ids(v),
             latencies: self.latency_known.then(|| self.graph.neighbor_latencies(v)),
             rngs: &mut self.rngs,
-            pending: &mut self.pending[slot],
-            wake: self.wake.get_mut(slot),
+            pending: &mut self.pending[at],
+            wake: self.wake.get_mut(at),
             tape: self.tape.as_mut(),
         };
-        f(&mut self.nodes[slot], &mut ctx)
+        f(&mut self.nodes[at], &mut ctx)
     }
 
     /// Phase 1: hands `exchange`, completing at `round`, to slot
@@ -1057,7 +1104,8 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
     pub fn deliver(&mut self, slot: usize, round: Round, exchange: &Exchange<P::Payload>) {
         // Round 0 is a universal wakeup: `new` seeded the frontier with
         // everyone.
-        if Self::ON_DEMAND && round > 0 && mem::replace(&mut self.stamp[slot], round) != round {
+        let at = stored(self.order, slot);
+        if Self::ON_DEMAND && round > 0 && mem::replace(&mut self.stamp[at], round) != round {
             self.frontier.push(frontier_id(slot));
         }
         self.with_node(slot, round, |p, ctx| p.on_exchange(ctx, exchange));
@@ -1076,10 +1124,11 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
             self.wakes.collect_due(round, &mut self.frontier);
             let woken = self.frontier.len() - delivered;
             self.stats.woken += u64::try_from(woken).expect("wake count fits u64");
-            let (stamp, mut seen) = (&mut self.stamp, 0);
+            let (stamp, order, mut seen) = (&mut self.stamp, self.order, 0);
             self.frontier.retain(|&id| {
                 seen += 1;
-                seen <= delivered || mem::replace(&mut stamp[frontier_index(id)], round) != round
+                seen <= delivered
+                    || mem::replace(&mut stamp[stored(order, frontier_index(id))], round) != round
             });
             self.frontier.sort_unstable();
         }
@@ -1106,14 +1155,14 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
         let first = out.len();
         for k in 0..self.frontier.len() {
             let slot = frontier_index(self.frontier[k]);
-            let v = self.id(slot);
+            let (v, at) = (self.id(slot), stored(self.order, slot));
             if !live(v) {
-                self.pending[slot] = NO_INITIATION;
+                self.pending[at] = NO_INITIATION;
                 continue;
             }
             self.stats.stepped += 1;
             self.with_node(slot, round, P::on_round);
-            let nth = mem::replace(&mut self.pending[slot], NO_INITIATION);
+            let nth = mem::replace(&mut self.pending[at], NO_INITIATION);
             if nth != NO_INITIATION {
                 // Peer and latency are placeholders until the pass below.
                 out.push((slot, v, latency_to_index(nth), Latency::UNIT));
@@ -1130,7 +1179,7 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
     /// ([`Protocol::on_rejected`]); a rejection cannot re-initiate.
     pub fn reject(&mut self, slot: usize, round: Round, peer: NodeId) {
         self.with_node(slot, round, |p, ctx| p.on_rejected(ctx, peer));
-        self.pending[slot] = NO_INITIATION;
+        self.pending[stored(self.order, slot)] = NO_INITIATION;
     }
 
     /// Phase 4's bookkeeping, after the launches: done flags and wake
@@ -1164,7 +1213,7 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
     /// only ones whose state can have changed — into the done counter.
     fn refresh_done(&mut self) {
         for &id in &self.frontier {
-            let i = frontier_index(id);
+            let i = stored(self.order, frontier_index(id));
             let done = self.nodes[i].is_done();
             self.done_count = self.done_count + usize::from(done) - usize::from(self.done_flags[i]);
             self.done_flags[i] = done;
@@ -1178,21 +1227,30 @@ impl<'g, P: Protocol> NodeTable<'g, P> {
             return;
         }
         for &id in &self.frontier {
-            let at = mem::take(&mut self.wake[frontier_index(id)]);
+            let at = mem::take(&mut self.wake[stored(self.order, frontier_index(id))]);
             if at != 0 {
                 self.wakes.schedule(now, at - now, id);
             }
         }
     }
 
-    /// The protocol instances, by slot.
+    /// The protocol instances in storage order: by slot, unless the
+    /// table hosts every node of a graph with a storage order, where
+    /// slot `s` is at [`Graph::positions`]`()[s]`. For a fold over all
+    /// nodes; read one node with [`node`](Self::node).
     pub fn nodes(&self) -> &[P] {
         &self.nodes
     }
 
-    /// Consumes the table into its protocol instances, by slot.
+    /// Consumes the table into its protocol instances, by slot, put
+    /// back into that order in place.
     pub fn into_nodes(self) -> Vec<P> {
-        self.nodes
+        let (mut nodes, mut scratch) = (self.nodes, self.done_flags);
+        if !self.order.is_empty() {
+            scratch.fill(false);
+            self.graph.to_id_order(&mut nodes, &mut scratch);
+        }
+        nodes
     }
 
     /// Whether every node reports [`Protocol::is_done`]; O(1).
@@ -1361,9 +1419,22 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         self.round
     }
 
-    /// The node protocol instances, in id order.
+    /// The node protocol instances in storage order: id order, unless
+    /// the graph stores its rows in another ([`Graph::positions`]),
+    /// where node `v` is at `positions()[v]`. For a fold over all nodes
+    /// (the stop closure of [`Simulator::run`] sees this slice); read
+    /// one node with [`node`](Self::node).
     pub fn nodes(&self) -> &[P] {
         self.table.nodes()
+    }
+
+    /// Node `v`'s protocol instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn node(&self, v: NodeId) -> &P {
+        self.table.node(v.index())
     }
 
     /// Metrics accumulated so far.
@@ -1518,15 +1589,14 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             if self.config.blocking {
                 self.outstanding[i] += 1;
             }
-            let nodes = self.table.nodes();
             self.queue.schedule(
                 round,
                 lat.rounds(),
                 InFlight {
                     a: NodeId::new(i),
                     b: v,
-                    payload_a: nodes[i].payload(),
-                    payload_b: nodes[v.index()].payload(),
+                    payload_a: self.table.node(i).payload(),
+                    payload_b: self.table.node(v.index()).payload(),
                     initiated_at: round,
                 },
             );
@@ -2394,8 +2464,8 @@ mod tests {
         // first three, the fourth defaults to 0.
         assert_eq!(tape.taken(), &[2, 0, 1, 0]);
         assert_eq!(tape.arities(), &[3, 3, 3, 3]);
-        assert_eq!(st.nodes()[0].picks, vec![2]);
-        assert_eq!(st.nodes()[3].picks, vec![0]);
+        assert_eq!(st.node(NodeId::new(0)).picks, vec![2]);
+        assert_eq!(st.node(NodeId::new(3)).picks, vec![0]);
     }
 
     #[test]
@@ -2470,7 +2540,23 @@ mod tests {
         let completions: Vec<_> = log.iter().filter(|d| d.initiated_at == 0).collect();
         assert_eq!(completions.len(), 2);
         assert!(completions.iter().all(|d| d.lost));
-        assert!(!st.nodes()[0].rumors.contains(NodeId::new(1)));
+        assert!(!st.node(NodeId::new(0)).rumors.contains(NodeId::new(1)));
+    }
+
+    /// On a graph stored in cell order the table keeps the states in
+    /// that order: `nodes()` shows it, while `node(v)` and the outcome
+    /// read by id.
+    #[test]
+    fn geometric_states_are_stored_in_cell_order_and_read_by_id() {
+        let g = generators::random_geometric(300, 0.15, 5.0, 2);
+        assert!(!g.positions().is_empty());
+        let st = Simulator::new(&g, SimConfig::default()).stepper(flood_factory);
+        for v in g.nodes() {
+            assert!(st.node(v).rumors.contains(v));
+            assert!(st.nodes()[g.position(v)].rumors.contains(v));
+        }
+        let out = st.into_outcome(StopReason::Condition);
+        assert!(g.nodes().all(|v| out.nodes[v.index()].rumors.contains(v)));
     }
 
     #[test]

@@ -660,7 +660,7 @@ fn frontier_confinement(
 ///
 /// The streaming workloads' accounting (DESIGN.md §16) is meaningful
 /// only while it has exactly one writer: `sim::stream` owns the
-/// [`BudgetLedger`] debit/credit pair and the [`CompletionLog`]'s
+/// `BudgetLedger` debit/credit pair and the `CompletionLog`'s
 /// per-rumor completion counters, and every protocol goes through
 /// `grant`/`spend`/`record`. A write to any of those fields elsewhere
 /// in the determinism zone could mint payload units out of thin air or
